@@ -3,17 +3,12 @@
 Build once over a PointSet, then report or count the points inside closed
 axis-aligned boxes.  The last two dimensions use fractional cascading, so a 2D
 query performs exactly one binary search; higher dimensions pay one O(log n)
-canonical decomposition per extra level.
+canonical decomposition per extra level.  Each dimension is sorted once; every
+array built from those sorts comes out of one bottom-up merge, run in batches
+over all same-size structures of a dimension (cascade.merge_rows).
 """
 
-from .cascade import (
-    CascadeNode,
-    CascadeStructure,
-    build_cascade,
-    count_2d,
-    lower_bound,
-    query_2d,
-)
+from .cascade import CascadeNode, CascadeStructure, build_cascade
 from .core import (
     DimensionMismatch,
     EmptyInput,
@@ -34,7 +29,6 @@ from .tree import (
     build_implicit_tree,
     canonical_subtrees,
     find_split_node,
-    merge_sorted,
 )
 
 __all__ = [
@@ -59,12 +53,8 @@ __all__ = [
     "canonical_subtrees",
     "compare_composite",
     "composite_key",
-    "count_2d",
     "find_split_node",
     "gen_points",
-    "lower_bound",
-    "merge_sorted",
-    "query_2d",
     "splitmix64_next",
 ]
 

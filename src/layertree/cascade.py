@@ -21,11 +21,17 @@ arithmetic.  With L padded leaves and height H = log2(L):
 Entries are ids into the owning point list; ids >= nreal are phantom padding
 with key (+inf, (+inf,), leaf_index), so every chunk is full, bridges are
 total, and no finite query can ever match a phantom.
+
+Every buffer comes out of one merge, merge_rows: the leaf rows of all
+structures with the same L are merged together bottom-up, one vectorized
+step per row, by each id's rank in the y order, and the merge cursors are the
+bridges.  The multi-level tree runs the same merge to sort its levels'
+subtrees by the next dimension.  Queries and counts share one walk down the
+two boundary paths below the split node (CascadeStructure._walk).
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -33,74 +39,64 @@ import numpy as np
 
 from .core import EmptyInput, Point, high_key, low_key, phantom_key
 
-_NUMPY_MIN_LEAVES = 128  # below this the scalar merge loop is faster
-
 
 def pow2ceil(n: int) -> int:
     """Smallest power of two >= n (n >= 1)."""
     return 1 if n <= 1 else 1 << (n - 1).bit_length()
 
 
-def _merged_buffer_np(ids, m, L, H, nreal, ry_np) -> np.ndarray:
-    """Vectorized bottom-up merge; bit-identical to the scalar merge loop.
+def _key_table(points: Sequence[Point], dim: int, L: int):
+    """(keys, order, rank) of dimension `dim`; entry ids are positions in `points`.
 
-    Per depth, the merge cursor of every element is its count of smaller
+    keys[e] is entry e's composite key, followed by the keys of L phantom
+    slots (id len(points)+t for padding leaf t).  order lists the real ids in
+    key order.  rank (int64) gives each id's position in that order; a
+    phantom id is its own rank, so phantoms rank after every real entry.
+    """
+    n = len(points)
+    keys = [(p.coords[dim], p.coords, p.id) for p in points]
+    keys.extend(phantom_key(t) for t in range(L))
+    order = sorted(range(n), key=keys.__getitem__)
+    rank = np.arange(n + L, dtype=np.int64)
+    rank[order] = np.arange(n, dtype=np.int64)
+    return keys, order, rank
+
+
+def _lower_bound(ids, keys, base: int, size: int, key, stats) -> int:
+    """First u in 0..size-1 with keys[ids[base+u]] >= key, else size; one binary search."""
+    lo, hi = 0, size
+    while lo < hi:
+        mid = (lo + hi) >> 1
+        if keys[ids[base + mid]] < key:
+            lo = mid + 1
+        else:
+            hi = mid
+    stats.binary_searches += 1
+    return lo
+
+
+def merge_rows(leaf_rows: np.ndarray, rank: np.ndarray) -> np.ndarray:
+    """Bottom-up stable merge of G leaf rows of one power-of-two length L by `rank`.
+
+    `leaf_rows` is a (G, L) int32 array of ids; `rank` is indexed by id.
+    Returns a (3H+1, G, L) int32 array laid out like a buffer: [r, g] for r
+    in 0..H holds row g's chunks of width 2^r, each sorted by rank; the next
+    H rows, then the last H, give every entry of rows 1..H its left / right
+    bridge, the first position in that half of its chunk whose rank is not
+    smaller.
+
+    Per row, the merge cursor of every element is its count of smaller
     elements in the sibling half (one searchsorted over all chunks at once,
     kept per-chunk by rank offsets); those cursors are both the scatter
     positions and the bridge values.
     """
-    rows = np.empty((H + 1, L), dtype=np.int32)
-    rows[0, :m] = ids
-    if m < L:
-        rows[0, m:] = np.arange(nreal + m, nreal + L, dtype=np.int32)
-    lbs = np.empty((H, L), dtype=np.int32)
-    rbs = np.empty((H, L), dtype=np.int32)
-    ranks = ry_np[rows[0]]
-    big = np.int64(len(ry_np))
-    for r in range(1, H + 1):
-        span = 1 << r
-        half = span >> 1
-        nch = L >> r
-        pr = ranks.reshape(nch, 2, half)
-        offs = (np.arange(nch, dtype=np.int64) * big)[:, None]
-        lflat = (pr[:, 0, :] + offs).ravel()
-        rflat = (pr[:, 1, :] + offs).ravel()
-        chunk_off = np.repeat(np.arange(nch, dtype=np.int64) * half, half)
-        cr = np.searchsorted(rflat, lflat) - chunk_off
-        cl = np.searchsorted(lflat, rflat) - chunk_off
-        i_w = np.tile(np.arange(half, dtype=np.int64), nch)
-        base = np.repeat(np.arange(nch, dtype=np.int64) * span, half)
-        tl = base + i_w + cr
-        tr = base + i_w + cl
-        pid = rows[r - 1].reshape(nch, 2, half)
-        out = rows[r]
-        lb = lbs[r - 1]
-        rb = rbs[r - 1]
-        out[tl] = pid[:, 0, :].ravel()
-        out[tr] = pid[:, 1, :].ravel()
-        lb[tl] = i_w
-        rb[tl] = cr
-        lb[tr] = cl
-        rb[tr] = i_w
-        ranks = ry_np[out]
-    return np.concatenate([rows.reshape(-1), lbs.reshape(-1), rbs.reshape(-1)])
-
-
-def fill_buffers_batch_np(instances, padded_rows, L, ry_np, counters=None) -> None:
-    """Run the bottom-up merge for many same-L structures in one vectorized pass.
-
-    `instances` are CascadeStructures with buf=None; `padded_rows` their leaf
-    rows (ids padded with phantoms).  Produces exactly the buffers the
-    per-instance paths would.
-    """
-    G = len(instances)
+    G, L = leaf_rows.shape
     H = L.bit_length() - 1
-    rows = np.empty((H + 1, G, L), dtype=np.int32)
-    rows[0] = np.array(padded_rows, dtype=np.int32)
-    lbs = np.empty((H, G, L), dtype=np.int32)
-    rbs = np.empty((H, G, L), dtype=np.int32)
-    ranks = ry_np[rows[0]]
-    big = np.int64(len(ry_np))
+    merged = np.empty((3 * H + 1, G, L), dtype=np.int32)
+    rows, lbs, rbs = merged[: H + 1], merged[H + 1 : 2 * H + 1], merged[2 * H + 1 :]
+    rows[0] = leaf_rows
+    ranks = rank[rows[0]]
+    big = np.int64(len(rank))
     for r in range(1, H + 1):
         span = 1 << r
         half = span >> 1
@@ -126,36 +122,23 @@ def fill_buffers_batch_np(instances, padded_rows, L, ry_np, counters=None) -> No
         rb[tl] = cr
         lb[tr] = cl
         rb[tr] = i_w
-        ranks = ry_np[rows[r]]
-    bufs = np.concatenate(
-        [
-            rows.transpose(1, 0, 2).reshape(G, (H + 1) * L),
-            lbs.transpose(1, 0, 2).reshape(G, H * L),
-            rbs.transpose(1, 0, 2).reshape(G, H * L),
-        ],
-        axis=1,
-    )
+        ranks = rank[rows[r]]
+    return merged
+
+
+def fill_buffers_batch_np(instances, padded_rows: np.ndarray, rank_y: np.ndarray,
+                          counters=None) -> None:
+    """Merge many same-L structures at once and give each its packed buffer.
+
+    `instances` are CascadeStructures with buf=None; `padded_rows` is the
+    (G, L) int32 array of their leaf rows (ids padded with phantoms).
+    """
+    G, L = padded_rows.shape
+    bufs = merge_rows(padded_rows, rank_y).transpose(1, 0, 2).reshape(G, -1)
     if counters is not None:
-        counters.merge_moves += G * L * H
+        counters.merge_moves += G * L * (L.bit_length() - 1)
     for g, inst in enumerate(instances):
         inst.buf = bufs[g]
-
-
-def lower_bound(entries: Sequence, key, stats=None) -> int:
-    """Smallest index with entries[i] >= key; len(entries) if none.
-
-    Counts as exactly one binary search when a stats accumulator is given.
-    """
-    lo, hi = 0, len(entries)
-    while lo < hi:
-        mid = (lo + hi) >> 1
-        if entries[mid] < key:
-            lo = mid + 1
-        else:
-            hi = mid
-    if stats is not None:
-        stats.binary_searches += 1
-    return lo
 
 
 @dataclass
@@ -192,96 +175,20 @@ class CascadeStructure:
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def build_from_ids(cls, ids, xdim, ydim, ktab_x, ktab_y, rank_y, points,
-                       counters=None, rank_y_np=None):
-        """Build from ids sorted by the x composite order.
+    def build_from_ids(cls, ids, xdim, ydim, ktab_x, ktab_y, rank_y, points, counters=None):
+        """Build from ids sorted by the x composite order: a merge batch of one.
 
-        ktab_*/rank_y are entry tables indexed by id, already extended with
-        phantom slots (id nreal+t -> padding leaf t).  Bottom-up: leaf arrays
-        are the single ids; every internal node stable-merges its children's
-        arrays by y rank, recording both bridge cursors during the merge.
-        Large structures run the same merge vectorized (rank_y_np, when
-        supplied, is rank_y as an int64 ndarray); the resulting buffer is
-        identical either way.
+        ktab_* are key tables indexed by id and rank_y the int64 y ranks, all
+        extended with phantom slots (id nreal+t -> padding leaf t).
         """
         m = len(ids)
         nreal = len(points)
-        if m == 1:
-            buf = array("i", ids)
-            return cls(xdim, ydim, m, 1, 0, nreal, buf, ktab_x, ktab_y, points)
-        if m == 2:
-            a, b = ids
-            if counters is not None:
-                counters.merge_moves += 2
-            if rank_y[a] <= rank_y[b]:
-                buf = array("i", (a, b, a, b, 0, 1, 0, 0))
-            else:
-                buf = array("i", (a, b, b, a, 0, 0, 0, 1))
-            return cls(xdim, ydim, 2, 2, 1, nreal, buf, ktab_x, ktab_y, points)
-
-        L = 1 << (m - 1).bit_length()
-        H = L.bit_length() - 1
-        if counters is not None:
-            counters.merge_moves += L * H
-        if m >= _NUMPY_MIN_LEAVES and rank_y_np is not None:
-            buf = _merged_buffer_np(ids, m, L, H, nreal, rank_y_np)
-            return cls(xdim, ydim, m, L, H, nreal, buf, ktab_x, ktab_y, points)
-
-        ry = rank_y
-        bl = [0] * (L * (3 * H + 1))
-        bl[0:m] = ids
-        for t in range(m, L):
-            bl[t] = nreal + t
-        for r in range(1, H + 1):
-            span = 1 << r
-            half = span >> 1
-            src = (r - 1) * L
-            dst = r * L
-            lbo = (H + r) * L
-            rbo = (2 * H + r) * L
-            for base in range(0, L, span):
-                ib = src + base
-                mid = ib + half
-                i = ib
-                j = mid
-                end = mid + half
-                t = dst + base
-                lt = lbo + base
-                rt = rbo + base
-                while i < mid and j < end:
-                    a = bl[i]
-                    b = bl[j]
-                    if ry[a] <= ry[b]:
-                        bl[t] = a
-                        bl[lt] = i - ib
-                        bl[rt] = j - mid
-                        i += 1
-                    else:
-                        bl[t] = b
-                        bl[lt] = i - ib
-                        bl[rt] = j - mid
-                        j += 1
-                    t += 1
-                    lt += 1
-                    rt += 1
-                while i < mid:
-                    bl[t] = bl[i]
-                    bl[lt] = i - ib
-                    bl[rt] = half
-                    i += 1
-                    t += 1
-                    lt += 1
-                    rt += 1
-                while j < end:
-                    bl[t] = bl[j]
-                    bl[lt] = half
-                    bl[rt] = j - mid
-                    j += 1
-                    t += 1
-                    lt += 1
-                    rt += 1
-        buf = array("i", bl)
-        return cls(xdim, ydim, m, L, H, nreal, buf, ktab_x, ktab_y, points)
+        L = pow2ceil(m)
+        row = np.arange(nreal, nreal + L, dtype=np.int32)
+        row[:m] = ids
+        inst = cls(xdim, ydim, m, L, L.bit_length() - 1, nreal, None, ktab_x, ktab_y, points)
+        fill_buffers_batch_np([inst], row[None, :], rank_y, counters)
+        return inst
 
     # -- structure access ----------------------------------------------------
 
@@ -315,12 +222,8 @@ class CascadeStructure:
             return CascadeNode(pts, keys, [], [])
         lbase = L * (H + r) + pos * span
         rbase = L * (2 * H + r) + pos * span
-        return CascadeNode(
-            pts,
-            keys,
-            list(buf[lbase : lbase + span]),
-            list(buf[rbase : rbase + span]),
-        )
+        return CascadeNode(pts, keys, list(buf[lbase : lbase + span]),
+                           list(buf[rbase : rbase + span]))
 
     def real_entry_count(self) -> int:
         """Real (non-phantom) entries stored across all node arrays."""
@@ -353,116 +256,82 @@ class CascadeStructure:
             stats.nodes_visited += 1
         return depth, pos
 
-    def _emit_run(self, abase, span, q, yhi_k, stats, emit, probe):
-        """Emit entries of the array at abase from position q while key <= yhi_k."""
-        if probe is not None:
-            probe(abase, span, q)
-        buf, ky, pts = self.buf, self.ktab_y, self.points
-        u = abase + q
-        end = abase + span
-        while u < end:
-            e = buf[u]
-            if ky[e] > yhi_k:
-                break
-            emit(pts[e])
-            stats.reported += 1
-            u += 1
+    def _walk(self, depth, pos, xlo_k, xhi_k, lo, hi, stats):
+        """Yield (abase, span, lo, hi) for each canonical node and in-range boundary leaf.
+
+        (depth, pos) is the split node; lo, and hi unless it is None, are
+        positions in its array.  Each is carried down the xlo path, then the
+        xhi path, by one bridge per level, and handed over with the array
+        (offset abase, width span) of every node the x range covers whole.
+        """
+        buf, kx, L, H = self.buf, self.ktab_x, self.L, self.H
+        if depth == H:
+            if xlo_k <= kx[buf[pos]] <= xhi_k:
+                yield pos, 1, lo, hi
+            return
+        npos = 1 if hi is None else 2
+        r = H - depth
+        span = 1 << r
+        # side 0 walks the xlo path through the left child, side 1 the xhi
+        # path through the right; own/other are the bridge rows into the
+        # path's own side and into the other side
+        for side, bound in ((0, xlo_k), (1, xhi_k)):
+            own = (1 + side) * H * L
+            other = (2 - side) * H * L
+            b = own + r * L + pos * span
+            c = buf[b + lo] if lo < span else span >> 1
+            e = None if hi is None else (buf[b + hi] if hi < span else span >> 1)
+            p = (pos << 1) + side
+            # each node below the split on the path, and each canonical child,
+            # costs one visit and one bridge per carried position
+            steps = r
+            for rr in range(r - 1, 0, -1):
+                sp = 1 << rr
+                hf = sp >> 1
+                k = kx[buf[p * sp + hf - 1]]
+                b = other + rr * L + p * sp
+                # the path turns to its own side where the other child lies
+                # wholly inside the x range: k >= xlo (side 0), k < xhi (side 1)
+                if (k < bound) == side:
+                    steps += 1
+                    yield ((rr - 1) * L + ((p << 1) + 1 - side) * hf, hf,
+                           buf[b + c] if c < sp else hf,
+                           None if e is None else (buf[b + e] if e < sp else hf))
+                    b = own + rr * L + p * sp
+                    p = (p << 1) + side
+                else:
+                    p = (p << 1) + 1 - side
+                c = buf[b + c] if c < sp else hf
+                if e is not None:
+                    e = buf[b + e] if e < sp else hf
+            stats.nodes_visited += steps
+            stats.bridge_follows += npos * steps
+            if xlo_k <= kx[buf[p]] <= xhi_k:
+                yield p, 1, c, e
 
     def query(self, xlo, xhi, ylo, yhi, stats, emit: Callable[[Point], None], probe=None):
         """Report every point in [xlo,xhi] x [ylo,yhi] with ONE binary search.
 
-        The single lower_bound happens at the split node for (ylo, -inf);
+        The single search happens at the split node for (ylo, -inf);
         positions at every canonical node and boundary leaf follow bridges.
         `probe(abase, span, pos)`, if given, observes each carried position
         (shadow checks in tests).
         """
-        buf, kx, ky, L, H = self.buf, self.ktab_x, self.ktab_y, self.L, self.H
+        buf, ky, pts = self.buf, self.ktab_y, self.points
         xlo_k, xhi_k = low_key(xlo), high_key(xhi)
-        ylo_k, yhi_k = low_key(ylo), high_key(yhi)
-
+        yhi_k = high_key(yhi)
         depth, pos = self._find_split(xlo_k, xhi_k, stats)
-        r = H - depth
-        span = 1 << r
-        abase = r * L + pos * span
-
-        # the one binary search of this query
-        lo_i, hi_i = 0, span
-        while lo_i < hi_i:
-            mid = (lo_i + hi_i) >> 1
-            if ky[buf[abase + mid]] < ylo_k:
-                lo_i = mid + 1
-            else:
-                hi_i = mid
-        stats.binary_searches += 1
-        q = lo_i
-
-        if depth == H:
-            kleaf = kx[buf[pos]]
-            if xlo_k <= kleaf <= xhi_k:
-                self._emit_run(pos, 1, q, yhi_k, stats, emit, probe)
-            return
-
-        half = span >> 1
-
-        # walk the xlo path through the left child, emitting right children
-        cq = buf[L * (H + r) + pos * span + q] if q < span else half
-        stats.bridge_follows += 1
-        d, p = depth + 1, pos << 1
-        while d < H:
-            rr = H - d
-            sp = 1 << rr
-            hf = sp >> 1
-            stats.nodes_visited += 1
-            k = kx[buf[p * sp + hf - 1]]
-            lbase = L * (H + rr) + p * sp
-            rbase = L * (2 * H + rr) + p * sp
-            if xlo_k <= k:
-                rq = buf[rbase + cq] if cq < sp else hf
-                stats.bridge_follows += 1
-                stats.nodes_visited += 1
-                self._emit_run((rr - 1) * L + ((p << 1) + 1) * hf, hf, rq, yhi_k, stats, emit, probe)
-                cq = buf[lbase + cq] if cq < sp else hf
-                stats.bridge_follows += 1
-                p <<= 1
-            else:
-                cq = buf[rbase + cq] if cq < sp else hf
-                stats.bridge_follows += 1
-                p = (p << 1) + 1
-            d += 1
-        stats.nodes_visited += 1
-        kleaf = kx[buf[p]]
-        if xlo_k <= kleaf <= xhi_k:
-            self._emit_run(p, 1, cq, yhi_k, stats, emit, probe)
-
-        # walk the xhi path through the right child, emitting left children
-        cq = buf[L * (2 * H + r) + pos * span + q] if q < span else half
-        stats.bridge_follows += 1
-        d, p = depth + 1, (pos << 1) + 1
-        while d < H:
-            rr = H - d
-            sp = 1 << rr
-            hf = sp >> 1
-            stats.nodes_visited += 1
-            k = kx[buf[p * sp + hf - 1]]
-            lbase = L * (H + rr) + p * sp
-            rbase = L * (2 * H + rr) + p * sp
-            if xhi_k > k:
-                lq = buf[lbase + cq] if cq < sp else hf
-                stats.bridge_follows += 1
-                stats.nodes_visited += 1
-                self._emit_run((rr - 1) * L + (p << 1) * hf, hf, lq, yhi_k, stats, emit, probe)
-                cq = buf[rbase + cq] if cq < sp else hf
-                stats.bridge_follows += 1
-                p = (p << 1) + 1
-            else:
-                cq = buf[lbase + cq] if cq < sp else hf
-                stats.bridge_follows += 1
-                p <<= 1
-            d += 1
-        stats.nodes_visited += 1
-        kleaf = kx[buf[p]]
-        if xlo_k <= kleaf <= xhi_k:
-            self._emit_run(p, 1, cq, yhi_k, stats, emit, probe)
+        r = self.H - depth
+        q = _lower_bound(buf, ky, r * self.L + (pos << r), 1 << r, low_key(ylo), stats)
+        for abase, span, u, _ in self._walk(depth, pos, xlo_k, xhi_k, q, None, stats):
+            if probe is not None:
+                probe(abase, span, u)
+            for u in range(abase + u, abase + span):
+                e = buf[u]
+                if ky[e] > yhi_k:
+                    break
+                emit(pts[e])
+                stats.reported += 1
 
     def query_into(self, box, stats, emit):
         """Level interface: query with this structure's two dimensions of `box`."""
@@ -481,95 +350,17 @@ class CascadeStructure:
         are found by two binary searches at the split node and then carried
         down via bridges; each canonical node contributes their difference.
         """
-        buf, kx, ky, L, H = self.buf, self.ktab_x, self.ktab_y, self.L, self.H
+        buf, ky = self.buf, self.ktab_y
         xlo_k, xhi_k = low_key(xlo), high_key(xhi)
-        ylo_k, yhi_k = low_key(ylo), high_key(yhi)
-
         depth, pos = self._find_split(xlo_k, xhi_k, stats)
-        r = H - depth
-        span = 1 << r
-        abase = r * L + pos * span
-
-        ql = 0
-        hi_i = span
-        while ql < hi_i:
-            mid = (ql + hi_i) >> 1
-            if ky[buf[abase + mid]] < ylo_k:
-                ql = mid + 1
-            else:
-                hi_i = mid
-        qh = 0
-        hi_i = span
-        while qh < hi_i:
-            mid = (qh + hi_i) >> 1
-            if ky[buf[abase + mid]] < yhi_k:
-                qh = mid + 1
-            else:
-                hi_i = mid
-        stats.binary_searches += 2
-
-        if depth == H:
-            kleaf = kx[buf[pos]]
-            if xlo_k <= kleaf <= xhi_k:
-                return int(max(0, qh - ql))
-            return 0
-
-        half = span >> 1
+        r = self.H - depth
+        abase, span = r * self.L + (pos << r), 1 << r
+        lo = _lower_bound(buf, ky, abase, span, low_key(ylo), stats)
+        hi = _lower_bound(buf, ky, abase, span, high_key(yhi), stats)
         total = 0
-        lbase0 = L * (H + r) + pos * span
-        rbase0 = L * (2 * H + r) + pos * span
-
-        for lo_path in (True, False):
-            if lo_path:
-                cl = buf[lbase0 + ql] if ql < span else half
-                ch = buf[lbase0 + qh] if qh < span else half
-                p = pos << 1
-            else:
-                cl = buf[rbase0 + ql] if ql < span else half
-                ch = buf[rbase0 + qh] if qh < span else half
-                p = (pos << 1) + 1
-            stats.bridge_follows += 2
-            d = depth + 1
-            while d < H:
-                rr = H - d
-                sp = 1 << rr
-                hf = sp >> 1
-                stats.nodes_visited += 1
-                k = kx[buf[p * sp + hf - 1]]
-                lbase = L * (H + rr) + p * sp
-                rbase = L * (2 * H + rr) + p * sp
-                turn_off_path = (xlo_k <= k) if lo_path else (xhi_k > k)
-                if turn_off_path:
-                    if lo_path:
-                        bl = buf[rbase + cl] if cl < sp else hf
-                        bh = buf[rbase + ch] if ch < sp else hf
-                        cl = buf[lbase + cl] if cl < sp else hf
-                        ch = buf[lbase + ch] if ch < sp else hf
-                        p <<= 1
-                    else:
-                        bl = buf[lbase + cl] if cl < sp else hf
-                        bh = buf[lbase + ch] if ch < sp else hf
-                        cl = buf[rbase + cl] if cl < sp else hf
-                        ch = buf[rbase + ch] if ch < sp else hf
-                        p = (p << 1) + 1
-                    stats.bridge_follows += 4
-                    stats.nodes_visited += 1
-                    total += max(0, bh - bl)
-                else:
-                    if lo_path:
-                        cl = buf[rbase + cl] if cl < sp else hf
-                        ch = buf[rbase + ch] if ch < sp else hf
-                        p = (p << 1) + 1
-                    else:
-                        cl = buf[lbase + cl] if cl < sp else hf
-                        ch = buf[lbase + ch] if ch < sp else hf
-                        p <<= 1
-                    stats.bridge_follows += 2
-                d += 1
-            stats.nodes_visited += 1
-            kleaf = kx[buf[p]]
-            if xlo_k <= kleaf <= xhi_k:
-                total += max(0, ch - cl)
+        for _, _, a, b in self._walk(depth, pos, xlo_k, xhi_k, lo, hi, stats):
+            if b > a:
+                total += b - a
         return int(total)
 
 
@@ -587,33 +378,11 @@ def build_cascade(points: Sequence[Point], xdim: Optional[int] = None,
     dims = pts[0].dims
     if dims < 2:
         raise ValueError("cascade needs at least two dimensions")
-    if xdim is None:
-        xdim = dims - 2
-    if ydim is None:
-        ydim = dims - 1
-    m = len(pts)
-    L = pow2ceil(m)
-    kx = [(p.coords[xdim], p.coords, p.id) for p in pts] + [phantom_key(t) for t in range(L)]
-    ky = [(p.coords[ydim], p.coords, p.id) for p in pts] + [phantom_key(t) for t in range(L)]
-    if sorted(range(m), key=kx.__getitem__) != list(range(m)):
+    xdim = dims - 2 if xdim is None else xdim
+    ydim = dims - 1 if ydim is None else ydim
+    L = pow2ceil(len(pts))
+    kx, order, _ = _key_table(pts, xdim, L)
+    if order != list(range(len(pts))):
         raise ValueError("input points must be sorted by the x-dimension composite order")
-    ry = [0] * (m + L)
-    for pos, e in enumerate(sorted(range(m), key=ky.__getitem__)):
-        ry[e] = pos
-    for t in range(L):
-        ry[m + t] = m + t
-    ids = list(range(m))
-    return CascadeStructure.build_from_ids(
-        ids, xdim, ydim, kx, ky, ry, pts, counters,
-        rank_y_np=np.asarray(ry, dtype=np.int64),
-    )
-
-
-def query_2d(cs: CascadeStructure, xlo, xhi, ylo, yhi, stats, emit) -> None:
-    """Report points of `cs` in [xlo,xhi] x [ylo,yhi]; exactly one binary search."""
-    cs.query(xlo, xhi, ylo, yhi, stats, emit)
-
-
-def count_2d(cs: CascadeStructure, xlo, xhi, ylo, yhi, stats) -> int:
-    """Count points of `cs` in [xlo,xhi] x [ylo,yhi] without enumerating them."""
-    return cs.count(xlo, xhi, ylo, yhi, stats)
+    ky, _, ry = _key_table(pts, ydim, L)
+    return CascadeStructure.build_from_ids(order, xdim, ydim, kx, ky, ry, pts, counters)

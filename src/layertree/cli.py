@@ -114,22 +114,17 @@ def _cmd_query(args) -> int:
     if args.check:
         for qi, box in enumerate(boxes):
             want = brute_force_query(points, box)
-            if args.count_only:
-                ok = results[qi] == len(want)
-                got_ids, want_ids = set(), set()
+            got = results[qi]
+            if args.count_only and got != len(want):
+                detail = f"expected count {len(want)}, got {got}"
+            elif not args.count_only and got != want:
+                got_ids, want_ids = {p.id for p in got}, {p.id for p in want}
+                detail = (f"missing ids {sorted(want_ids - got_ids)}, "
+                          f"extra ids {sorted(got_ids - want_ids)}")
             else:
-                got_ids = {p.id for p in results[qi]}
-                want_ids = {p.id for p in want}
-                ok = results[qi] == want
-            if not ok:
-                missing = sorted(want_ids - got_ids)
-                extra = sorted(got_ids - want_ids)
-                print(
-                    f"layertree: mismatch at query {qi}: "
-                    f"missing ids {missing}, extra ids {extra}",
-                    file=sys.stderr,
-                )
-                return 3
+                continue
+            print(f"layertree: mismatch at query {qi}: {detail}", file=sys.stderr)
+            return 3
 
     sys.stdout.write(write_report(results))
     return 0

@@ -80,11 +80,12 @@ def write_points(points: PointSet) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_report(results: Sequence[Union[int, Sequence[Point]]], counts_only: bool = False) -> str:
+def write_report(results: Sequence[Union[int, Sequence[Point]]]) -> str:
     """Report text: per query 'q=<i> k=<count>' plus '<id>: c_1,...,c_d' hit lines.
 
-    A plain int entry (or counts_only=True) emits the header line only.  Hit
-    lines come sorted by id; coordinates use shortest round-trip decimals.
+    A plain int entry (a count) emits the header line only.  Hit lines come
+    in the order given (LayeredRangeTree.query sorts them by id);
+    coordinates use shortest round-trip decimals.
     """
     lines = []
     for qi, res in enumerate(results):
@@ -92,7 +93,6 @@ def write_report(results: Sequence[Union[int, Sequence[Point]]], counts_only: bo
             lines.append(f"q={qi} k={res}")
             continue
         lines.append(f"q={qi} k={len(res)}")
-        if not counts_only:
-            for p in sorted(res, key=lambda p: p.id):
-                lines.append(f"{p.id}: " + ",".join(repr(c) for c in p.coords))
+        for p in res:
+            lines.append(f"{p.id}: " + ",".join(repr(c) for c in p.coords))
     return "\n".join(lines) + "\n" if lines else ""

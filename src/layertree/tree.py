@@ -21,18 +21,9 @@ from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .cascade import CascadeStructure, fill_buffers_batch_np, pow2ceil
-from .core import (
-    DimensionMismatch,
-    EmptyInput,
-    Point,
-    PointSet,
-    QueryBox,
-    composite_key,
-    high_key,
-    low_key,
-    phantom_key,
-)
+from .cascade import (CascadeStructure, _key_table, _lower_bound, fill_buffers_batch_np,
+                      merge_rows, pow2ceil)
+from .core import DimensionMismatch, EmptyInput, Point, PointSet, QueryBox, high_key, low_key
 
 
 @dataclass
@@ -106,10 +97,6 @@ class ImplicitTree:
             return self.ktab[self.ids[lo]]
         return self.ktab[self.ids[lo + ((hi - lo) >> 1) - 1]]
 
-    def leaf_entry(self, slot: int) -> int:
-        """Entry id at a leaf slot (may be a phantom id)."""
-        return self.ids[slot - (self.L - 1)]
-
     def subtree_ids(self, slot: int) -> list[int]:
         """Real entry ids under `slot`, in leaf order."""
         lo, hi = self.leaf_span(slot)
@@ -124,8 +111,7 @@ def build_implicit_tree(points: Sequence[Point], dim: int = 0) -> ImplicitTree:
         raise EmptyInput("cannot build a tree over zero points")
     m = len(pts)
     L = pow2ceil(m)
-    ktab = [composite_key(p, dim) for p in pts] + [phantom_key(t) for t in range(L)]
-    order = sorted(range(m), key=ktab.__getitem__)
+    ktab, order, _ = _key_table(pts, dim, L)
     ids = array("i", order + [m + t for t in range(m, L)])
     return ImplicitTree(dim, ids, m, ktab)
 
@@ -170,48 +156,22 @@ def canonical_subtrees(tree: ImplicitTree, lo_key: tuple, hi_key: tuple,
             out.append(split)
         return out
 
-    v = 2 * split + 1
-    while v < first_leaf:
-        stats.nodes_visited += 1
-        if lo_key <= tree.key(v):
-            out.append(2 * v + 2)
+    # side 0 follows lo_key down the left child, side 1 hi_key down the right;
+    # where a path turns to its own side, the other child lies wholly inside
+    # the range: key >= lo_key (side 0), key < hi_key (side 1)
+    for side, bound in ((0, lo_key), (1, hi_key)):
+        v = 2 * split + 1 + side
+        while v < first_leaf:
             stats.nodes_visited += 1
-            v = 2 * v + 1
-        else:
-            v = 2 * v + 2
-    stats.nodes_visited += 1
-    if lo_key <= tree.key(v) <= hi_key:
-        out.append(v)
-
-    v = 2 * split + 2
-    while v < first_leaf:
+            if (tree.key(v) < bound) == side:
+                out.append(2 * v + 2 - side)
+                stats.nodes_visited += 1
+                v = 2 * v + 1 + side
+            else:
+                v = 2 * v + 2 - side
         stats.nodes_visited += 1
-        if hi_key > tree.key(v):
-            out.append(2 * v + 1)
-            stats.nodes_visited += 1
-            v = 2 * v + 2
-        else:
-            v = 2 * v + 1
-    stats.nodes_visited += 1
-    if lo_key <= tree.key(v) <= hi_key:
-        out.append(v)
-    return out
-
-
-def merge_sorted(left: Sequence[Point], right: Sequence[Point], dim: int) -> list[Point]:
-    """Stable merge of two composite-sorted point lists; |left|+|right| moves."""
-    out: list[Point] = []
-    i, j = 0, 0
-    nl, nr = len(left), len(right)
-    while i < nl and j < nr:
-        if composite_key(left[i], dim) <= composite_key(right[j], dim):
-            out.append(left[i])
-            i += 1
-        else:
-            out.append(right[j])
-            j += 1
-    out.extend(left[i:])
-    out.extend(right[j:])
+        if lo_key <= tree.key(v) <= hi_key:
+            out.append(v)
     return out
 
 
@@ -232,34 +192,20 @@ class _Slab:
         nreal = len(self.points)
         return sum(1 for e in self.ids if e < nreal)
 
-    def _search(self, key, stats) -> int:
-        ids, ktab = self.ids, self.ktab
-        lo, hi = 0, self.L
-        while lo < hi:
-            mid = (lo + hi) >> 1
-            if ktab[ids[mid]] < key:
-                lo = mid + 1
-            else:
-                hi = mid
-        stats.binary_searches += 1
-        return lo
-
     def query_into(self, box, stats, emit):
-        lo_k = low_key(box.lo[self.dim])
         hi_k = high_key(box.hi[self.dim])
         ids, ktab, pts = self.ids, self.ktab, self.points
-        u = self._search(lo_k, stats)
-        while u < self.L:
+        lo = _lower_bound(ids, ktab, 0, self.L, low_key(box.lo[self.dim]), stats)
+        for u in range(lo, self.L):
             e = ids[u]
             if ktab[e] > hi_k:
                 break
             emit(pts[e])
             stats.reported += 1
-            u += 1
 
     def count_in(self, box, stats) -> int:
-        lo = self._search(low_key(box.lo[self.dim]), stats)
-        hi = self._search(high_key(box.hi[self.dim]), stats)
+        lo = _lower_bound(self.ids, self.ktab, 0, self.L, low_key(box.lo[self.dim]), stats)
+        hi = _lower_bound(self.ids, self.ktab, 0, self.L, high_key(box.hi[self.dim]), stats)
         return max(0, hi - lo)
 
 
@@ -343,13 +289,37 @@ class LayeredRangeTree:
                         stack.append((level + 1, sub))
 
 
-def build(points: PointSet, counters: Optional[BuildCounters] = None) -> LayeredRangeTree:
-    """Build the layered range tree.
+def _queue(groups: dict, owner: list, first: int, row, m: int, span: int, n: int) -> None:
+    """Queue one structure per chunk of width `span` over the first m ids of `row`.
 
-    The input is sorted once by the first coordinate's composite order; each
-    level's tree is then filled top-down in linear time and its associated
-    structures are built bottom-up by merging the children's already-sorted
-    next-dimension lists, leaves being trivially sorted.
+    The structure over chunk i becomes owner[first + i].  Each is filed in
+    `groups` under its padded size L as (owner, slot), its real count, and
+    its leaf row: the chunk's ids, then phantom ids n+t for padding leaves t.
+    """
+    full, part = divmod(m, span)
+    if full:
+        owners, ms, flat = groups.setdefault(span, ([], [], array("i")))
+        owners.extend((owner, s) for s in range(first, first + full))
+        ms.extend([span] * full)
+        flat.frombytes(row[: full * span].tobytes())
+    if part:
+        L = pow2ceil(part)
+        owners, ms, flat = groups.setdefault(L, ([], [], array("i")))
+        owners.append((owner, first + full))
+        ms.append(part)
+        flat.frombytes(row[full * span : m].tobytes())
+        flat.extend(range(n + part, n + L))
+
+
+def build(points: PointSet, counters: Optional[BuildCounters] = None) -> LayeredRangeTree:
+    """Build the layered range tree, one dimension at a time.
+
+    Each dimension is sorted once into a key table and an int64 rank per id.
+    The structures over dimension j are built together, grouped by padded
+    size L: each group runs one batched merge (merge_rows) of its leaf rows
+    by the ranks of dimension j+1.  On a level (j < d-2) the merged chunks,
+    real ids first, are the leaf rows of the next dimension's structures; on
+    the cascade (j = d-2) the merged rows and bridges are the buffers.
     """
     n = len(points)
     if n == 0:
@@ -357,117 +327,36 @@ def build(points: PointSet, counters: Optional[BuildCounters] = None) -> Layered
     d = points.dims
     pts = points.by_id
     maxL = pow2ceil(n)
+    tables = [_key_table(pts, j, maxL) for j in range(d)]
+    ktabs = [keys for keys, _, _ in tables]
+    if d == 1:
+        return LayeredRangeTree(points, _Slab(0, tables[0][1], n, ktabs[0], pts), ktabs)
 
-    ktabs = []
-    rtabs = []
-    rtabs_np = []
-    for j in range(d):
-        ktab = [(p.coords[j], p.coords, p.id) for p in pts]
-        ktab.extend(phantom_key(t) for t in range(maxL))
-        ktabs.append(ktab)
-        rank = [0] * (n + maxL)
-        for r, e in enumerate(sorted(range(n), key=ktab.__getitem__)):
-            rank[e] = r
-        for t in range(maxL):
-            rank[n + t] = n + t
-        rtabs.append(rank)
-        rtabs_np.append(np.asarray(rank, dtype=np.int64))
-
-    # same-shape cascades are deferred and merged in one vectorized batch
-    pending: dict[tuple[int, int], tuple[list, list]] = {}
-
-    def build_struct(ids: list[int], j: int) -> _Structure:
-        rem = d - j
-        if rem == 1:
-            return _Slab(j, ids, len(ids), ktabs[j], pts)
-        if rem == 2:
-            m = len(ids)
-            if m <= 2:
-                return CascadeStructure.build_from_ids(
-                    ids, j, j + 1, ktabs[j], ktabs[j + 1], rtabs[j + 1], pts,
-                    counters, rtabs_np[j + 1]
-                )
-            L = pow2ceil(m)
-            inst = CascadeStructure(
-                j, j + 1, m, L, L.bit_length() - 1, n, None,
-                ktabs[j], ktabs[j + 1], pts
-            )
-            group = pending.setdefault((j, L), ([], []))
-            group[0].append(inst)
-            group[1].append(ids + list(range(n + m, n + L)))
-            return inst
-
-        m = len(ids)
-        L = pow2ceil(m)
-        tree = ImplicitTree(j, array("i", ids + [n + t for t in range(m, L)]), m, ktabs[j])
-        n_slots = 2 * L - 1
-        first_leaf = L - 1
-        assoc: list = [None] * n_slots
-        lists: list = [None] * n_slots
-        rank_next = rtabs[j + 1]
-
-        if rem == 3:
-            # next level is the cascade; register instances for batched merging
-            xd, yd = j + 1, j + 2
-            ktx, kty, rty, rty_np = ktabs[xd], ktabs[yd], rtabs[yd], rtabs_np[yd]
-
-            def make_sub(sub: list[int]):
-                m2 = len(sub)
-                if m2 <= 2:
-                    return CascadeStructure.build_from_ids(
-                        sub, xd, yd, ktx, kty, rty, pts, counters, rty_np
-                    )
-                L2 = pow2ceil(m2)
-                inst = CascadeStructure(
-                    xd, yd, m2, L2, L2.bit_length() - 1, n, None, ktx, kty, pts
-                )
-                group = pending.setdefault((xd, L2), ([], []))
-                group[0].append(inst)
-                group[1].append(sub + list(range(n + m2, n + L2)))
-                return inst
-        else:
-
-            def make_sub(sub: list[int]):
-                return build_struct(sub, j + 1)
-
-        for t in range(m):
-            lists[first_leaf + t] = [ids[t]]
-        for slot in range(n_slots - 1, -1, -1):
-            if slot < first_leaf:
-                c = 2 * slot + 1
-                left, right = lists[c], lists[c + 1]
-                lists[c] = lists[c + 1] = None
-                if right is None:
-                    sub = left
-                elif left is None:
-                    sub = right
-                else:
-                    sub = []
-                    append = sub.append
-                    i, k = 0, 0
-                    nl, nr = len(left), len(right)
-                    while i < nl and k < nr:
-                        a = left[i]
-                        b = right[k]
-                        if rank_next[a] <= rank_next[b]:
-                            append(a)
-                            i += 1
-                        else:
-                            append(b)
-                            k += 1
-                    sub.extend(left[i:])
-                    sub.extend(right[k:])
-                lists[slot] = sub
-                if counters is not None and sub is not None:
-                    counters.merge_moves += len(sub)
+    root: list = [None]
+    groups: dict = {}
+    _queue(groups, root, 0, np.array(tables[0][1], dtype=np.int32), n, maxL, n)
+    for j in range(d - 1):
+        nxt: dict = {}
+        while groups:  # popped, so each group's scratch is freed once it is built
+            L, (owners, ms, flat) = groups.popitem()
+            rows = np.frombuffer(flat, dtype=np.int32).reshape(-1, L)
+            H = L.bit_length() - 1
+            if j == d - 2:
+                made = [CascadeStructure(j, j + 1, m, L, H, n, None, ktabs[j], ktabs[j + 1], pts)
+                        for m in ms]
+                fill_buffers_batch_np(made, rows, tables[j + 1][2], counters)
             else:
-                sub = lists[slot]
-            if sub is not None:
-                assoc[slot] = make_sub(sub)
-        return _Level(tree, assoc)
-
-    order = sorted(range(n), key=ktabs[0].__getitem__)
-    root = build_struct(order, 0)
-    for (j, L), (insts, rows) in pending.items():
-        fill_buffers_batch_np(insts, rows, L, rtabs_np[j + 1], counters)
-    return LayeredRangeTree(points, root, ktabs)
+                rows = merge_rows(rows, tables[j + 1][2])
+                if counters is not None:
+                    counters.merge_moves += H * sum(ms)
+                made = []
+                for g, m in enumerate(ms):
+                    assoc: list = [None] * (2 * L - 1)
+                    for r in range(H + 1):
+                        _queue(nxt, assoc, (L >> r) - 1, rows[r, g], m, 1 << r, n)
+                    tree = ImplicitTree(j, flat[g * L : (g + 1) * L], m, ktabs[j])
+                    made.append(_Level(tree, assoc))
+            for (owner, slot), struct in zip(owners, made):
+                owner[slot] = struct
+        groups = nxt
+    return LayeredRangeTree(points, root[0], ktabs)

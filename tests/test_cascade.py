@@ -10,9 +10,6 @@ from layertree import (
     box_contains,
     build_cascade,
     composite_key,
-    count_2d,
-    lower_bound,
-    query_2d,
 )
 from layertree.core import QueryBox
 
@@ -25,7 +22,7 @@ def make_cascade(coord_pairs):
 
 def collect(cs, xlo, xhi, ylo, yhi, stats=None):
     out = []
-    query_2d(cs, xlo, xhi, ylo, yhi, stats or QueryStats(), out.append)
+    cs.query(xlo, xhi, ylo, yhi, stats or QueryStats(), out.append)
     return sorted(out, key=lambda p: p.id)
 
 
@@ -34,22 +31,6 @@ def brute(pts, xlo, xhi, ylo, yhi):
         (p for p in pts if xlo <= p.coords[0] <= xhi and ylo <= p.coords[1] <= yhi),
         key=lambda p: p.id,
     )
-
-
-class TestLowerBound:
-    def test_empty(self):
-        assert lower_bound([], 5) == 0
-
-    def test_exact_hit(self):
-        assert lower_bound([1, 3, 5], 3) == 1
-
-    def test_past_end(self):
-        assert lower_bound([1, 3, 5], 6) == 3
-
-    def test_counts_exactly_one_search(self):
-        stats = QueryStats()
-        lower_bound([1, 2, 3], 2, stats)
-        assert stats.binary_searches == 1
 
 
 class TestBuild:
@@ -131,7 +112,8 @@ def exhaustive_bridge_check(cs):
 
 
 class TestBridges:
-    @pytest.mark.parametrize("n,grid", [(2, 4), (3, 4), (7, 2), (16, 5), (33, 3), (128, 7), (200, 1000)])
+    @pytest.mark.parametrize("n,grid", [(1, 3), (2, 4), (3, 4), (7, 2), (16, 5), (33, 3), (127, 9),
+                                        (128, 7), (129, 9), (200, 1000), (256, 40), (257, 40)])
     def test_exhaustive_bridge_soundness(self, n, grid):
         rng = SplitMix64(n * 31 + grid)
         cs, _ = make_cascade([(rng.next_below(grid), rng.next_below(grid)) for _ in range(n)])
@@ -196,7 +178,7 @@ class TestQuery2D:
             xlo, xhi = rng.next_below(12) - 1, rng.next_below(12) - 1
             ylo, yhi = rng.next_below(12) - 1, rng.next_below(12) - 1
             stats = QueryStats()
-            k = count_2d(cs, xlo, xhi, ylo, yhi, stats)
+            k = cs.count(xlo, xhi, ylo, yhi, stats)
             assert k == len(brute(pts, xlo, xhi, ylo, yhi))
             assert stats.binary_searches == 2
             total_counts.reported += k

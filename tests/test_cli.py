@@ -117,6 +117,14 @@ class TestQuery:
         assert "mismatch at query 0" in err
         assert "extra ids" in err
 
+    def test_count_only_mismatch_reports_counts(self, capsys, workload, monkeypatch):
+        pts, qrs = workload
+        monkeypatch.setattr(cli, "brute_force_query", lambda ps, box: [])
+        code, _, err = run(capsys, ["query", "--points", str(pts), "--dims", "2",
+                                    "--queries", str(qrs), "--count-only", "--check"])
+        assert code == 3
+        assert "mismatch at query 0: expected count 0, got 50" in err
+
     def test_determinism(self, capsys, workload):
         pts, qrs = workload
         args = ["query", "--points", str(pts), "--dims", "2", "--queries", str(qrs)]

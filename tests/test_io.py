@@ -77,13 +77,10 @@ class TestWriteReport:
         assert write_report([[p]]) == "q=0 k=1\n3: 1.0,2.0\n"
 
     def test_hits_sorted_by_id(self):
+        # hits are written in the order given; LayeredRangeTree.query gives them sorted by id
         a, b = Point((0.0, 0.0), 4), Point((1.0, 1.0), 1)
-        text = write_report([[a, b]])
-        assert text.splitlines() == ["q=0 k=2", "1: 1.0,1.0", "4: 0.0,0.0"]
-
-    def test_counts_only(self):
-        p = Point((1.0,), 0)
-        assert write_report([[p], []], counts_only=True) == "q=0 k=1\nq=1 k=0\n"
+        assert write_report([[b, a]]).splitlines() == ["q=0 k=2", "1: 1.0,1.0", "4: 0.0,0.0"]
+        assert write_report([[a, b]]).splitlines() == ["q=0 k=2", "4: 0.0,0.0", "1: 1.0,1.0"]
 
     def test_int_entries_are_count_lines(self):
         assert write_report([2, 0]) == "q=0 k=2\nq=1 k=0\n"

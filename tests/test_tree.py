@@ -1,11 +1,14 @@
+import gc
 import math
 import random
+from dataclasses import astuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from layertree import (
+    BuildCounters,
     DimensionMismatch,
     EmptyInput,
     GeneratorConfig,
@@ -18,10 +21,8 @@ from layertree import (
     build,
     build_implicit_tree,
     canonical_subtrees,
-    composite_key,
     find_split_node,
     gen_points,
-    merge_sorted,
 )
 from layertree.core import high_key, low_key
 from layertree.cascade import CascadeStructure
@@ -30,30 +31,6 @@ from layertree.tree import _Level, _Slab
 
 def pts_1d(*values):
     return [Point((float(v),), i) for i, v in enumerate(values)]
-
-
-class TestMergeSorted:
-    def test_identity(self):
-        p = Point((1.0,), 0)
-        assert merge_sorted([], [p], 0) == [p]
-        assert merge_sorted([p], [], 0) == [p]
-
-    def test_duplicates_kept_and_tiebroken(self):
-        a, b = Point((1.0, 5.0), 0), Point((1.0, 2.0), 1)
-        merged = merge_sorted([a], [b], 0)
-        assert len(merged) == 2
-        assert merged == sorted([a, b], key=lambda p: composite_key(p, 0))
-
-    @given(st.lists(st.integers(0, 9), max_size=30), st.lists(st.integers(0, 9), max_size=30))
-    def test_equals_full_resort(self, xs, ys):
-        left = [Point((float(v),), i) for i, v in enumerate(xs)]
-        right = [Point((float(v),), len(xs) + i) for i, v in enumerate(ys)]
-        key = lambda p: composite_key(p, 0)
-        left.sort(key=key)
-        right.sort(key=key)
-        merged = merge_sorted(left, right, 0)
-        assert len(merged) == len(left) + len(right)
-        assert merged == sorted(left + right, key=key)
 
 
 class TestImplicitTree:
@@ -283,3 +260,101 @@ class TestSpaceAccounting:
                             for sub in s.assoc if sub is not None)
                 levels = s.tree.L.bit_length()
                 assert total == s.tree.m * levels
+
+
+# Counter totals of fixed workloads: (merge_moves, query QueryStats, count
+# QueryStats) over 40 boxes.  The counters are the cost model, so a change to
+# how the tree is built or walked must leave every one of them unchanged.
+PINNED_COUNTERS = {
+    (2, "uniform", 64): (384, (644, 40, 561, 273), (644, 80, 1122, 273)),
+    (2, "uniform", 65): (896, (694, 40, 582, 327), (694, 80, 1164, 327)),
+    (2, "uniform", 128): (896, (756, 40, 676, 704), (756, 80, 1352, 704)),
+    (2, "uniform", 129): (2048, (818, 40, 708, 762), (818, 80, 1416, 762)),
+    (2, "grid", 64): (384, (634, 40, 526, 239), (634, 80, 1052, 239)),
+    (2, "grid", 65): (896, (617, 40, 474, 241), (617, 80, 948, 241)),
+    (2, "grid", 128): (896, (657, 40, 508, 497), (657, 80, 1016, 497)),
+    (2, "grid", 129): (2048, (774, 40, 650, 363), (774, 80, 1300, 363)),
+    (3, "uniform", 64): (1728, (1254, 186, 347, 95), (1254, 372, 694, 95)),
+    (3, "uniform", 65): (2695, (1358, 203, 379, 58), (1358, 406, 758, 58)),
+    (3, "uniform", 128): (4480, (1968, 254, 772, 213), (1968, 508, 1544, 213)),
+    (3, "uniform", 129): (6664, (1942, 231, 805, 260), (1942, 462, 1610, 260)),
+    (3, "grid", 64): (1728, (1310, 224, 299, 86), (1310, 448, 598, 86)),
+    (3, "grid", 65): (2695, (1018, 136, 188, 53), (1018, 272, 376, 53)),
+    (3, "grid", 128): (4480, (1578, 223, 425, 136), (1578, 446, 850, 136)),
+    (3, "grid", 129): (6664, (1493, 168, 484, 286), (1493, 336, 968, 286)),
+    (4, "uniform", 64): (5312, (1585, 198, 54, 46), (1585, 396, 108, 46)),
+    (4, "uniform", 65): (8078, (1412, 168, 19, 29), (1412, 336, 38, 29)),
+    (4, "uniform", 128): (15232, (2380, 327, 100, 44), (2380, 654, 200, 44)),
+    (4, "uniform", 129): (22032, (2623, 383, 161, 51), (2623, 766, 322, 51)),
+    (4, "grid", 64): (5312, (1369, 168, 24, 26), (1369, 336, 48, 26)),
+    (4, "grid", 65): (8078, (1004, 85, 29, 15), (1004, 170, 58, 15)),
+    (4, "grid", 128): (15232, (2078, 259, 63, 26), (2078, 518, 126, 26)),
+    (4, "grid", 129): (22032, (1973, 256, 80, 28), (1973, 512, 160, 28)),
+}
+
+
+class TestPinnedCounters:
+    @pytest.mark.parametrize("d,dist,n", sorted(PINNED_COUNTERS))
+    def test_counter_totals(self, d, dist, n):
+        ps = gen_points(GeneratorConfig(seed=n + 10 * d, n=n, dims=d, dist=dist, grid_side=3))
+        counters = BuildCounters()
+        tree = build(ps, counters)
+        span = 1.0 if dist == "uniform" else 3.0
+        q, c = QueryStats(), QueryStats()
+        for box in random_boxes(SplitMix64(n * d), d, span, 40):
+            tree.query(box, q)
+            tree.count(box, c)
+        got = (counters.merge_moves, astuple(q), astuple(c))
+        assert got == PINNED_COUNTERS[d, dist, n]
+
+
+class TestBuildScratch:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_build_leaves_no_cyclic_garbage(self, d):
+        # everything build allocates for itself is freed by reference counting
+        ps = gen_points(GeneratorConfig(seed=d, n=300, dims=d))
+        gc.collect()
+        gc.disable()
+        try:
+            tree = build(ps)
+            garbage = gc.collect()
+        finally:
+            gc.enable()
+        assert tree.n == 300
+        assert garbage == 0
+
+
+# finite extremes, signed zeros and the smallest subnormal, plus ordinary values
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1.7e308, -1.7e308, -1.0, 0.5, 1.0]
+
+
+@st.composite
+def fuzz_workload(draw):
+    d = draw(st.integers(1, 4))
+    n = draw(st.sampled_from([1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 64, 65]))
+    if draw(st.booleans()):
+        value = st.integers(0, 2).map(float)  # a grid of side 3: heavy duplicates
+    else:
+        value = st.sampled_from(EDGE_VALUES) | st.floats(-2.0, 2.0)
+    coord = st.tuples(*[value] * d)
+    rows = draw(st.lists(coord, min_size=n, max_size=n))
+    boxes = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=6))
+    return d, rows, boxes
+
+
+class TestFuzz:
+    @given(fuzz_workload())
+    @settings(max_examples=150, deadline=None)
+    def test_query_and_count_match_brute_force(self, workload):
+        d, rows, boxes = workload
+        ps = PointSet.from_coords(rows, d)
+        tree = build(ps)
+        for lo, hi in boxes:  # lo > hi in some dimension is a legal empty box
+            box = QueryBox(lo, hi)
+            want = brute_force_query(ps, box)
+            stats = QueryStats()
+            assert tree.query(box, stats) == want
+            if d == 2:
+                assert stats.binary_searches == 1
+            k = tree.count(box)
+            assert type(k) is int and k == len(want)
