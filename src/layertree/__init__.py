@@ -3,7 +3,9 @@
 Build once over a PointSet, then report or count the points inside closed
 axis-aligned boxes.  The last two dimensions use fractional cascading, so a 2D
 query performs exactly one binary search; higher dimensions pay one O(log n)
-canonical decomposition per extra level.  Each dimension is sorted once; every
+canonical decomposition per extra level.  Each dimension is sorted once into
+an int32 rank per point, the only key the structures compare; a query box is
+mapped to rank intervals once, with two bisections per dimension.  Every
 array built from those sorts comes out of one bottom-up merge, run in batches
 over all same-size structures of a dimension (cascade.merge_rows).
 """

@@ -18,9 +18,11 @@ arithmetic.  With L padded leaves and height H = log2(L):
     lb rows r in 1..H    left bridges, offset L*(H+r)
     rb rows r in 1..H    right bridges, offset L*(2H+r)
 
-Entries are ids into the owning point list; ids >= nreal are phantom padding
-with key (+inf, (+inf,), leaf_index), so every chunk is full, bridges are
-total, and no finite query can ever match a phantom.
+Entries are ids into the owning point list; ids >= nreal are phantom padding,
+so every chunk is full and bridges are total.  Every comparison is between
+ranks: rank_table sorts each dimension once, and rank_x / rank_y give each id
+its position in the x / y order.  A phantom id nreal+t is its own rank, after
+every real point, so no query interval of real ranks [a, b) can match it.
 
 Every buffer comes out of one merge, merge_rows: the leaf rows of all
 structures with the same L are merged together bottom-up, one vectorized
@@ -32,12 +34,14 @@ two boundary paths below the split node (CascadeStructure._walk).
 
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import EmptyInput, Point, high_key, low_key, phantom_key
+from .core import EmptyInput, Point
 
 
 def pow2ceil(n: int) -> int:
@@ -45,29 +49,33 @@ def pow2ceil(n: int) -> int:
     return 1 if n <= 1 else 1 << (n - 1).bit_length()
 
 
-def _key_table(points: Sequence[Point], dim: int, L: int):
-    """(keys, order, rank) of dimension `dim`; entry ids are positions in `points`.
+def point_matrix(points: Sequence[Point]) -> np.ndarray:
+    """Coordinates by position plus an id column, so rank_table breaks ties by id."""
+    return np.array([(*p.coords, p.id) for p in points], dtype=np.float64)
 
-    keys[e] is entry e's composite key, followed by the keys of L phantom
-    slots (id len(points)+t for padding leaf t).  order lists the real ids in
-    key order.  rank (int64) gives each id's position in that order; a
-    phantom id is its own rank, so phantoms rank after every real entry.
+
+def rank_table(coords: np.ndarray, dim: int, L: int):
+    """(order, rank, axis) of column `dim` of a coordinate matrix whose rows are ids.
+
+    order lists the ids sorted by column `dim`, then by the row in column
+    order; lexsort is stable, so remaining ties keep id order, and the order
+    is composite_key's.  rank (int32 array, indexed by id) gives each id's
+    position in that order, followed by L phantom slots: id n+t is its own
+    rank, after every real id.  axis holds column `dim` in rank order.
     """
-    n = len(points)
-    keys = [(p.coords[dim], p.coords, p.id) for p in points]
-    keys.extend(phantom_key(t) for t in range(L))
-    order = sorted(range(n), key=keys.__getitem__)
-    rank = np.arange(n + L, dtype=np.int64)
-    rank[order] = np.arange(n, dtype=np.int64)
-    return keys, order, rank
+    n = len(coords)
+    order = np.lexsort((*coords.T[::-1], coords[:, dim]))
+    rank = np.arange(n + L, dtype=np.int32)
+    rank[order] = np.arange(n, dtype=np.int32)
+    return order, array("i", rank.tobytes()), array("d", coords[order, dim].tobytes())
 
 
-def _lower_bound(ids, keys, base: int, size: int, key, stats) -> int:
-    """First u in 0..size-1 with keys[ids[base+u]] >= key, else size; one binary search."""
+def _lower_bound(ids, rank, base: int, size: int, r: int, stats) -> int:
+    """First u in 0..size-1 with rank[ids[base+u]] >= r, else size; one binary search."""
     lo, hi = 0, size
     while lo < hi:
         mid = (lo + hi) >> 1
-        if keys[ids[base + mid]] < key:
+        if rank[ids[base + mid]] < r:
             lo = mid + 1
         else:
             hi = mid
@@ -78,7 +86,7 @@ def _lower_bound(ids, keys, base: int, size: int, key, stats) -> int:
 def merge_rows(leaf_rows: np.ndarray, rank: np.ndarray) -> np.ndarray:
     """Bottom-up stable merge of G leaf rows of one power-of-two length L by `rank`.
 
-    `leaf_rows` is a (G, L) int32 array of ids; `rank` is indexed by id.
+    `leaf_rows` is a (G, L) int32 array of ids; `rank` is a rank_table rank.
     Returns a (3H+1, G, L) int32 array laid out like a buffer: [r, g] for r
     in 0..H holds row g's chunks of width 2^r, each sorted by rank; the next
     H rows, then the last H, give every entry of rows 1..H its left / right
@@ -92,6 +100,7 @@ def merge_rows(leaf_rows: np.ndarray, rank: np.ndarray) -> np.ndarray:
     """
     G, L = leaf_rows.shape
     H = L.bit_length() - 1
+    rank = np.frombuffer(rank, dtype=np.int32)
     merged = np.empty((3 * H + 1, G, L), dtype=np.int32)
     rows, lbs, rbs = merged[: H + 1], merged[H + 1 : 2 * H + 1], merged[2 * H + 1 :]
     rows[0] = leaf_rows
@@ -102,6 +111,7 @@ def merge_rows(leaf_rows: np.ndarray, rank: np.ndarray) -> np.ndarray:
         half = span >> 1
         nch = (G * L) >> r
         pr = ranks.reshape(nch, 2, half)
+        # int64 offsets: the int32 ranks widen before they are added
         offs = (np.arange(nch, dtype=np.int64) * big)[:, None]
         lflat = (pr[:, 0, :] + offs).ravel()
         rflat = (pr[:, 1, :] + offs).ravel()
@@ -146,21 +156,23 @@ class CascadeNode:
     """Inspection view of one node's array and bridges (tests, debugging)."""
 
     points: list[Optional[Point]]
-    keys: list[tuple]
+    ranks: list[int]
     left_bridge: list[int]
     right_bridge: list[int]
+    ydim: int
 
     @property
     def y_values(self) -> list[float]:
-        return [k[0] for k in self.keys]
+        """The entries' y coordinates; inf for a phantom."""
+        return [math.inf if p is None else p.coords[self.ydim] for p in self.points]
 
 
 class CascadeStructure:
     """The last-two-dimension structure: x-tree plus per-node y-arrays with bridges."""
 
-    __slots__ = ("xdim", "ydim", "m", "L", "H", "nreal", "buf", "ktab_x", "ktab_y", "points")
+    __slots__ = ("xdim", "ydim", "m", "L", "H", "nreal", "buf", "rank_x", "rank_y", "points")
 
-    def __init__(self, xdim, ydim, m, L, H, nreal, buf, ktab_x, ktab_y, points):
+    def __init__(self, xdim, ydim, m, L, H, nreal, buf, rank_x, rank_y, points):
         self.xdim = xdim
         self.ydim = ydim
         self.m = m          # real points in this structure
@@ -168,25 +180,25 @@ class CascadeStructure:
         self.H = H          # log2(L)
         self.nreal = nreal  # ids >= nreal are phantoms
         self.buf = buf
-        self.ktab_x = ktab_x
-        self.ktab_y = ktab_y
+        self.rank_x = rank_x
+        self.rank_y = rank_y
         self.points = points
 
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def build_from_ids(cls, ids, xdim, ydim, ktab_x, ktab_y, rank_y, points, counters=None):
+    def build_from_ids(cls, ids, xdim, ydim, rank_x, rank_y, points, counters=None):
         """Build from ids sorted by the x composite order: a merge batch of one.
 
-        ktab_* are key tables indexed by id and rank_y the int64 y ranks, all
-        extended with phantom slots (id nreal+t -> padding leaf t).
+        rank_x / rank_y are rank tables (rank_table) with at least L phantom
+        slots (id nreal+t -> padding leaf t).
         """
         m = len(ids)
         nreal = len(points)
         L = pow2ceil(m)
         row = np.arange(nreal, nreal + L, dtype=np.int32)
         row[:m] = ids
-        inst = cls(xdim, ydim, m, L, L.bit_length() - 1, nreal, None, ktab_x, ktab_y, points)
+        inst = cls(xdim, ydim, m, L, L.bit_length() - 1, nreal, None, rank_x, rank_y, points)
         fill_buffers_batch_np([inst], row[None, :], rank_y, counters)
         return inst
 
@@ -201,7 +213,7 @@ class CascadeStructure:
         """The x-dimension ImplicitTree view over this structure's leaves."""
         from .tree import ImplicitTree
 
-        return ImplicitTree(self.xdim, self.buf[0 : self.L], self.m, self.ktab_x)
+        return ImplicitTree(self.xdim, self.buf[0 : self.L], self.m, self.rank_x)
 
     def _locate(self, slot: int) -> tuple[int, int, int]:
         """(row r, pos, span) of a heap slot."""
@@ -217,13 +229,13 @@ class CascadeStructure:
         abase = r * L + pos * span
         eids = buf[abase : abase + span]
         pts = [self.points[e] if e < self.nreal else None for e in eids]
-        keys = [self.ktab_y[e] for e in eids]
+        ranks = [self.rank_y[e] for e in eids]
         if r == 0:
-            return CascadeNode(pts, keys, [], [])
+            return CascadeNode(pts, ranks, [], [], self.ydim)
         lbase = L * (H + r) + pos * span
         rbase = L * (2 * H + r) + pos * span
-        return CascadeNode(pts, keys, list(buf[lbase : lbase + span]),
-                           list(buf[rbase : rbase + span]))
+        return CascadeNode(pts, ranks, list(buf[lbase : lbase + span]),
+                           list(buf[rbase : rbase + span]), self.ydim)
 
     def real_entry_count(self) -> int:
         """Real (non-phantom) entries stored across all node arrays."""
@@ -238,17 +250,17 @@ class CascadeStructure:
 
     # -- queries -------------------------------------------------------------
 
-    def _find_split(self, xlo_k, xhi_k, stats) -> tuple[int, int]:
-        """(depth, pos) where the xlo/xhi descents diverge, or the leaf reached."""
-        buf, kx, L, H = self.buf, self.ktab_x, self.L, self.H
+    def _find_split(self, xa, xb, stats) -> tuple[int, int]:
+        """(depth, pos) where the descents for x ranks [xa, xb) diverge, or the leaf reached."""
+        buf, rx, L, H = self.buf, self.rank_x, self.L, self.H
         depth, pos = 0, 0
         stats.nodes_visited += 1
         while depth < H:
             span = L >> depth
-            k = kx[buf[pos * span + (span >> 1) - 1]]
-            if xhi_k <= k:
+            k = rx[buf[pos * span + (span >> 1) - 1]]
+            if xb <= k:
                 pos <<= 1
-            elif xlo_k > k:
+            elif k < xa:
                 pos = (pos << 1) + 1
             else:
                 break
@@ -256,26 +268,26 @@ class CascadeStructure:
             stats.nodes_visited += 1
         return depth, pos
 
-    def _walk(self, depth, pos, xlo_k, xhi_k, lo, hi, stats):
+    def _walk(self, depth, pos, xa, xb, lo, hi, stats):
         """Yield (abase, span, lo, hi) for each canonical node and in-range boundary leaf.
 
         (depth, pos) is the split node; lo, and hi unless it is None, are
-        positions in its array.  Each is carried down the xlo path, then the
-        xhi path, by one bridge per level, and handed over with the array
+        positions in its array.  Each is carried down the xa path, then the
+        xb path, by one bridge per level, and handed over with the array
         (offset abase, width span) of every node the x range covers whole.
         """
-        buf, kx, L, H = self.buf, self.ktab_x, self.L, self.H
+        buf, rx, L, H = self.buf, self.rank_x, self.L, self.H
         if depth == H:
-            if xlo_k <= kx[buf[pos]] <= xhi_k:
+            if xa <= rx[buf[pos]] < xb:
                 yield pos, 1, lo, hi
             return
         npos = 1 if hi is None else 2
         r = H - depth
         span = 1 << r
-        # side 0 walks the xlo path through the left child, side 1 the xhi
+        # side 0 walks the xa path through the left child, side 1 the xb
         # path through the right; own/other are the bridge rows into the
         # path's own side and into the other side
-        for side, bound in ((0, xlo_k), (1, xhi_k)):
+        for side, bound in ((0, xa), (1, xb)):
             own = (1 + side) * H * L
             other = (2 - side) * H * L
             b = own + r * L + pos * span
@@ -288,10 +300,10 @@ class CascadeStructure:
             for rr in range(r - 1, 0, -1):
                 sp = 1 << rr
                 hf = sp >> 1
-                k = kx[buf[p * sp + hf - 1]]
+                k = rx[buf[p * sp + hf - 1]]
                 b = other + rr * L + p * sp
                 # the path turns to its own side where the other child lies
-                # wholly inside the x range: k >= xlo (side 0), k < xhi (side 1)
+                # wholly inside the x range: k >= xa (side 0), k < xb (side 1)
                 if (k < bound) == side:
                     steps += 1
                     yield ((rr - 1) * L + ((p << 1) + 1 - side) * hf, hf,
@@ -306,59 +318,54 @@ class CascadeStructure:
                     e = buf[b + e] if e < sp else hf
             stats.nodes_visited += steps
             stats.bridge_follows += npos * steps
-            if xlo_k <= kx[buf[p]] <= xhi_k:
+            if xa <= rx[buf[p]] < xb:
                 yield p, 1, c, e
 
-    def query(self, xlo, xhi, ylo, yhi, stats, emit: Callable[[Point], None], probe=None):
-        """Report every point in [xlo,xhi] x [ylo,yhi] with ONE binary search.
+    def query(self, xa, xb, ya, yb, stats, emit: Callable[[Point], None], probe=None):
+        """Report every point of x rank in [xa, xb) and y rank in [ya, yb) with ONE binary search.
 
-        The single search happens at the split node for (ylo, -inf);
-        positions at every canonical node and boundary leaf follow bridges.
+        The single search happens at the split node for ya; positions at
+        every canonical node and boundary leaf follow bridges.
         `probe(abase, span, pos)`, if given, observes each carried position
         (shadow checks in tests).
         """
-        buf, ky, pts = self.buf, self.ktab_y, self.points
-        xlo_k, xhi_k = low_key(xlo), high_key(xhi)
-        yhi_k = high_key(yhi)
-        depth, pos = self._find_split(xlo_k, xhi_k, stats)
+        buf, ry, pts = self.buf, self.rank_y, self.points
+        depth, pos = self._find_split(xa, xb, stats)
         r = self.H - depth
-        q = _lower_bound(buf, ky, r * self.L + (pos << r), 1 << r, low_key(ylo), stats)
-        for abase, span, u, _ in self._walk(depth, pos, xlo_k, xhi_k, q, None, stats):
+        q = _lower_bound(buf, ry, r * self.L + (pos << r), 1 << r, ya, stats)
+        for abase, span, u, _ in self._walk(depth, pos, xa, xb, q, None, stats):
             if probe is not None:
                 probe(abase, span, u)
             for u in range(abase + u, abase + span):
                 e = buf[u]
-                if ky[e] > yhi_k:
+                if ry[e] >= yb:
                     break
                 emit(pts[e])
                 stats.reported += 1
 
-    def query_into(self, box, stats, emit):
-        """Level interface: query with this structure's two dimensions of `box`."""
-        self.query(box.lo[self.xdim], box.hi[self.xdim],
-                   box.lo[self.ydim], box.hi[self.ydim], stats, emit)
+    def query_into(self, a, b, stats, emit):
+        """Level interface: query this structure's two dimensions of the rank box [a, b)."""
+        self.query(a[self.xdim], b[self.xdim], a[self.ydim], b[self.ydim], stats, emit)
 
-    def count_in(self, box, stats) -> int:
-        """Level interface: count within this structure's two dimensions of `box`."""
-        return self.count(box.lo[self.xdim], box.hi[self.xdim],
-                          box.lo[self.ydim], box.hi[self.ydim], stats)
+    def count_in(self, a, b, stats) -> int:
+        """Level interface: count in this structure's two dimensions of the rank box [a, b)."""
+        return self.count(a[self.xdim], b[self.xdim], a[self.ydim], b[self.ydim], stats)
 
-    def count(self, xlo, xhi, ylo, yhi, stats) -> int:
-        """Count points in the box without enumerating them.
+    def count(self, xa, xb, ya, yb, stats) -> int:
+        """Count points of x rank in [xa, xb) and y rank in [ya, yb) without enumerating them.
 
-        Twin positions for (ylo, -inf) and the first entry past (yhi, +inf)
-        are found by two binary searches at the split node and then carried
-        down via bridges; each canonical node contributes their difference.
+        Twin positions, the first entries of y rank >= ya and >= yb, are found
+        by two binary searches at the split node and then carried down via
+        bridges; each canonical node contributes their difference.
         """
-        buf, ky = self.buf, self.ktab_y
-        xlo_k, xhi_k = low_key(xlo), high_key(xhi)
-        depth, pos = self._find_split(xlo_k, xhi_k, stats)
+        buf, ry = self.buf, self.rank_y
+        depth, pos = self._find_split(xa, xb, stats)
         r = self.H - depth
         abase, span = r * self.L + (pos << r), 1 << r
-        lo = _lower_bound(buf, ky, abase, span, low_key(ylo), stats)
-        hi = _lower_bound(buf, ky, abase, span, high_key(yhi), stats)
+        lo = _lower_bound(buf, ry, abase, span, ya, stats)
+        hi = _lower_bound(buf, ry, abase, span, yb, stats)
         total = 0
-        for _, _, a, b in self._walk(depth, pos, xlo_k, xhi_k, lo, hi, stats):
+        for _, _, a, b in self._walk(depth, pos, xa, xb, lo, hi, stats):
             if b > a:
                 total += b - a
         return int(total)
@@ -370,7 +377,8 @@ def build_cascade(points: Sequence[Point], xdim: Optional[int] = None,
 
     By default the last two coordinate dimensions are used.  Internal entry
     ids are positions in the input list; the input Point objects are what
-    queries emit.
+    queries emit.  Queries take rank bounds: [xlo, xhi] is [xa, xb) with xa
+    points of x < xlo and xb of x <= xhi, and likewise for y.
     """
     pts = list(points)
     if not pts:
@@ -381,8 +389,9 @@ def build_cascade(points: Sequence[Point], xdim: Optional[int] = None,
     xdim = dims - 2 if xdim is None else xdim
     ydim = dims - 1 if ydim is None else ydim
     L = pow2ceil(len(pts))
-    kx, order, _ = _key_table(pts, xdim, L)
-    if order != list(range(len(pts))):
+    coords = point_matrix(pts)
+    order, rx, _ = rank_table(coords, xdim, L)
+    if not np.array_equal(order, np.arange(len(pts))):
         raise ValueError("input points must be sorted by the x-dimension composite order")
-    ky, _, ry = _key_table(pts, ydim, L)
-    return CascadeStructure.build_from_ids(order, xdim, ydim, kx, ky, ry, pts, counters)
+    _, ry, _ = rank_table(coords, ydim, L)
+    return CascadeStructure.build_from_ids(order, xdim, ydim, rx, ry, pts, counters)

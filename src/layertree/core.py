@@ -2,9 +2,11 @@
 
 All coordinates are finite 64-bit floats.  Ties between equal coordinates are
 broken by the full coordinate tuple and then by the point id, so any point set
-is strictly totally ordered in every dimension.  +/-infinity is reserved for
-internal sentinels (phantom padding leaves, query bound keys) and rejected in
-user data.
+is strictly totally ordered in every dimension (composite_key).  The
+structures never compare these keys: each dimension is sorted once, and a
+point is known by its rank in that order.  A query box maps to a half-open
+rank interval [a, b) per dimension, the points whose coordinate lies in
+[lo, hi]; padding leaves rank after every real point, so they never match.
 """
 
 from __future__ import annotations
@@ -14,13 +16,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-
-INF = math.inf
-
-# Tiebreak tuples chosen so that for any finite value v and any real point p
-# with p.coords[dim] == v:   low_key(v) < key(p, dim) < high_key(v) < phantom.
-_LOW_TIEBREAK: tuple = ()
-_HIGH_TIEBREAK: tuple = (INF,)
 
 
 class DimensionMismatch(ValueError):
@@ -55,21 +50,6 @@ class Point:
 def composite_key(p: Point, dim: int) -> tuple:
     """Sort key of `p` in dimension `dim`: coordinate, then full tuple, then id."""
     return (p.coords[dim], p.coords, p.id)
-
-
-def low_key(value: float) -> tuple:
-    """Composite key sorting strictly before every real point with coordinate >= value."""
-    return (value, _LOW_TIEBREAK, -1)
-
-
-def high_key(value: float) -> tuple:
-    """Composite key sorting strictly after every real point with coordinate <= value."""
-    return (value, _HIGH_TIEBREAK, 0)
-
-
-def phantom_key(leaf_index: int) -> tuple:
-    """Sentinel key of the padding leaf `leaf_index`; sorts after every finite key."""
-    return (INF, _HIGH_TIEBREAK, leaf_index)
 
 
 def compare_composite(a: Point, b: Point, dim: int) -> int:

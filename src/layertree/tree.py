@@ -8,22 +8,25 @@ padded sorted array.
 
 Trees are flat arrays addressed with index arithmetic: slot 0 is the root,
 children of slot i are 2i+1 and 2i+2, the parent of slot i>0 is (i-1)//2, and
-the L padded leaves occupy slots L-1 .. 2L-2.  Padding leaves are phantoms
-with +inf sentinel keys, so they sort to the far right and can never satisfy a
-finite query.
+the L padded leaves occupy slots L-1 .. 2L-2.  Everything below
+LayeredRangeTree.rank_box works in rank space: one int32 rank table per
+dimension gives each id its position in that dimension's sorted order, and a
+box becomes a rank interval [a_j, b_j) per dimension.  Padding leaves are
+phantoms ranked after every real point, so they never fall inside one.
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .cascade import (CascadeStructure, _key_table, _lower_bound, fill_buffers_batch_np,
-                      merge_rows, pow2ceil)
-from .core import DimensionMismatch, EmptyInput, Point, PointSet, QueryBox, high_key, low_key
+from .cascade import (CascadeStructure, _lower_bound, fill_buffers_batch_np, merge_rows,
+                      point_matrix, pow2ceil, rank_table)
+from .core import DimensionMismatch, EmptyInput, Point, PointSet, QueryBox
 
 
 @dataclass
@@ -32,8 +35,10 @@ class QueryStats:
 
     nodes_visited counts every tree slot whose key a query examines plus every
     canonical subtree root it hands off to; binary_searches counts array
-    lower-bound searches; bridge_follows counts O(1) position transfers along
-    cascade bridges; reported counts emitted (or counted) points.
+    lower-bound searches inside structures, not the per-box rank mapping
+    (rank_box: two bisections per dimension on the tree's sorted coordinates);
+    bridge_follows counts O(1) position transfers along cascade bridges;
+    reported counts emitted (or counted) points.
     """
 
     nodes_visited: int = 0
@@ -50,23 +55,23 @@ class BuildCounters:
 
 
 class ImplicitTree:
-    """Full binary tree in one flat array, keyed by one dimension's composite order.
+    """Full binary tree in one flat array, keyed by one dimension's rank.
 
     `ids` is the padded leaf row (length L): real point ids in sorted order
-    followed by phantom ids.  Internal keys are not stored; the key of an
-    internal slot is the key of the rightmost leaf of its left subtree,
-    located by index arithmetic.
+    followed by phantom ids; `rank` is the dimension's rank table.  Internal
+    keys are not stored; the key of an internal slot is the rank of the
+    rightmost leaf of its left subtree, located by index arithmetic.
     """
 
-    __slots__ = ("dim", "ids", "m", "L", "H", "ktab")
+    __slots__ = ("dim", "ids", "m", "L", "H", "rank")
 
-    def __init__(self, dim: int, ids: Sequence[int], m: int, ktab: Sequence[tuple]):
+    def __init__(self, dim: int, ids: Sequence[int], m: int, rank: Sequence[int]):
         self.dim = dim
         self.ids = ids
         self.m = m
         self.L = len(ids)
         self.H = self.L.bit_length() - 1
-        self.ktab = ktab
+        self.rank = rank
 
     @property
     def leaf_count(self) -> int:
@@ -90,37 +95,36 @@ class ImplicitTree:
         span = self.L >> depth
         return pos * span, (pos + 1) * span
 
-    def key(self, slot: int) -> tuple:
-        """Split key of an internal slot; the leaf's own key at a leaf slot."""
+    def key(self, slot: int) -> int:
+        """Split rank of an internal slot; the leaf's own rank at a leaf slot."""
         lo, hi = self.leaf_span(slot)
         if hi - lo == 1:
-            return self.ktab[self.ids[lo]]
-        return self.ktab[self.ids[lo + ((hi - lo) >> 1) - 1]]
+            return self.rank[self.ids[lo]]
+        return self.rank[self.ids[lo + ((hi - lo) >> 1) - 1]]
 
     def subtree_ids(self, slot: int) -> list[int]:
-        """Real entry ids under `slot`, in leaf order."""
+        """Real entry ids under `slot`, in leaf order (the real leaves are the first m)."""
         lo, hi = self.leaf_span(slot)
-        limit = self.m
-        return [e for e in self.ids[lo:hi] if e < limit]
+        return list(self.ids[lo : min(hi, self.m)])
 
 
 def build_implicit_tree(points: Sequence[Point], dim: int = 0) -> ImplicitTree:
-    """Standalone ImplicitTree over `points` in dimension `dim` (self-owned tables)."""
+    """Standalone ImplicitTree over `points` in dimension `dim`; entry ids are positions."""
     pts = list(points)
     if not pts:
         raise EmptyInput("cannot build a tree over zero points")
     m = len(pts)
     L = pow2ceil(m)
-    ktab, order, _ = _key_table(pts, dim, L)
-    ids = array("i", order + [m + t for t in range(m, L)])
-    return ImplicitTree(dim, ids, m, ktab)
+    order, rank, _ = rank_table(point_matrix(pts), dim, L)
+    ids = array("i", order.tolist() + [m + t for t in range(m, L)])
+    return ImplicitTree(dim, ids, m, rank)
 
 
-def find_split_node(tree: ImplicitTree, lo_key: tuple, hi_key: tuple,
+def find_split_node(tree: ImplicitTree, a: int, b: int,
                     stats: Optional[QueryStats] = None) -> int:
-    """Deepest slot where the lo/hi search paths diverge, or the leaf reached.
+    """Deepest slot where the search paths for ranks [a, b) diverge, or the leaf reached.
 
-    Descent rule: go left iff the query key is <= the slot key.
+    Descent rule: left iff b <= the slot's rank, right iff the slot's rank < a.
     """
     if stats is None:
         stats = QueryStats()
@@ -129,9 +133,9 @@ def find_split_node(tree: ImplicitTree, lo_key: tuple, hi_key: tuple,
     stats.nodes_visited += 1
     while slot < last:
         k = tree.key(slot)
-        if hi_key <= k:
+        if b <= k:
             slot = 2 * slot + 1
-        elif lo_key > k:
+        elif k < a:
             slot = 2 * slot + 2
         else:
             break
@@ -139,27 +143,27 @@ def find_split_node(tree: ImplicitTree, lo_key: tuple, hi_key: tuple,
     return slot
 
 
-def canonical_subtrees(tree: ImplicitTree, lo_key: tuple, hi_key: tuple,
+def canonical_subtrees(tree: ImplicitTree, a: int, b: int,
                        stats: Optional[QueryStats] = None) -> list[int]:
-    """Disjoint subtree roots whose leaves are exactly the keys in [lo_key, hi_key].
+    """Disjoint subtree roots whose leaves are exactly the ranks in [a, b).
 
     At most 2*log2(L) slots (one slot for a single-leaf tree); phantom leaves
-    never qualify because their keys exceed every finite hi_key.
+    never qualify because their ranks are at least n >= b.
     """
     if stats is None:
         stats = QueryStats()
     out: list[int] = []
-    split = find_split_node(tree, lo_key, hi_key, stats)
+    split = find_split_node(tree, a, b, stats)
     first_leaf = tree.L - 1
     if split >= first_leaf:
-        if lo_key <= tree.key(split) <= hi_key:
+        if a <= tree.key(split) < b:
             out.append(split)
         return out
 
-    # side 0 follows lo_key down the left child, side 1 hi_key down the right;
-    # where a path turns to its own side, the other child lies wholly inside
-    # the range: key >= lo_key (side 0), key < hi_key (side 1)
-    for side, bound in ((0, lo_key), (1, hi_key)):
+    # side 0 follows a down the left child, side 1 b down the right; where a
+    # path turns to its own side, the other child lies wholly inside the
+    # range: rank >= a (side 0), rank < b (side 1)
+    for side, bound in ((0, a), (1, b)):
         v = 2 * split + 1 + side
         while v < first_leaf:
             stats.nodes_visited += 1
@@ -170,7 +174,7 @@ def canonical_subtrees(tree: ImplicitTree, lo_key: tuple, hi_key: tuple,
             else:
                 v = 2 * v + 2 - side
         stats.nodes_visited += 1
-        if lo_key <= tree.key(v) <= hi_key:
+        if a <= tree.key(v) < b:
             out.append(v)
     return out
 
@@ -178,34 +182,34 @@ def canonical_subtrees(tree: ImplicitTree, lo_key: tuple, hi_key: tuple,
 class _Slab:
     """Degenerate 1-dimensional structure: a padded sorted leaf row."""
 
-    __slots__ = ("dim", "m", "L", "ids", "ktab", "points")
+    __slots__ = ("dim", "m", "L", "ids", "rank", "points")
 
-    def __init__(self, dim, ids, m, ktab, points):
+    def __init__(self, dim, ids, m, rank, points):
         self.dim = dim
         self.m = m
         self.L = pow2ceil(m)
         self.ids = array("i", list(ids) + [len(points) + t for t in range(m, self.L)])
-        self.ktab = ktab
+        self.rank = rank
         self.points = points
 
     def real_entry_count(self) -> int:
         nreal = len(self.points)
         return sum(1 for e in self.ids if e < nreal)
 
-    def query_into(self, box, stats, emit):
-        hi_k = high_key(box.hi[self.dim])
-        ids, ktab, pts = self.ids, self.ktab, self.points
-        lo = _lower_bound(ids, ktab, 0, self.L, low_key(box.lo[self.dim]), stats)
+    def query_into(self, a, b, stats, emit):
+        hi = b[self.dim]
+        ids, rank, pts = self.ids, self.rank, self.points
+        lo = _lower_bound(ids, rank, 0, self.L, a[self.dim], stats)
         for u in range(lo, self.L):
             e = ids[u]
-            if ktab[e] > hi_k:
+            if rank[e] >= hi:
                 break
             emit(pts[e])
             stats.reported += 1
 
-    def count_in(self, box, stats) -> int:
-        lo = _lower_bound(self.ids, self.ktab, 0, self.L, low_key(box.lo[self.dim]), stats)
-        hi = _lower_bound(self.ids, self.ktab, 0, self.L, high_key(box.hi[self.dim]), stats)
+    def count_in(self, a, b, stats) -> int:
+        lo = _lower_bound(self.ids, self.rank, 0, self.L, a[self.dim], stats)
+        hi = _lower_bound(self.ids, self.rank, 0, self.L, b[self.dim], stats)
         return max(0, hi - lo)
 
 
@@ -218,20 +222,16 @@ class _Level:
         self.tree = tree
         self.assoc = assoc
 
-    def query_into(self, box, stats, emit):
+    def query_into(self, a, b, stats, emit):
         dim = self.tree.dim
-        lo_k = low_key(box.lo[dim])
-        hi_k = high_key(box.hi[dim])
-        for slot in canonical_subtrees(self.tree, lo_k, hi_k, stats):
-            self.assoc[slot].query_into(box, stats, emit)
+        for slot in canonical_subtrees(self.tree, a[dim], b[dim], stats):
+            self.assoc[slot].query_into(a, b, stats, emit)
 
-    def count_in(self, box, stats) -> int:
+    def count_in(self, a, b, stats) -> int:
         dim = self.tree.dim
-        lo_k = low_key(box.lo[dim])
-        hi_k = high_key(box.hi[dim])
         return sum(
-            self.assoc[slot].count_in(box, stats)
-            for slot in canonical_subtrees(self.tree, lo_k, hi_k, stats)
+            self.assoc[slot].count_in(a, b, stats)
+            for slot in canonical_subtrees(self.tree, a[dim], b[dim], stats)
         )
 
 
@@ -245,33 +245,38 @@ class LayeredRangeTree:
     are safe as long as each caller uses its own QueryStats accumulator.
     """
 
-    def __init__(self, pointset: PointSet, root: _Structure, key_tables: list):
+    def __init__(self, pointset: PointSet, root: _Structure, axes: list):
         self.pointset = pointset
         self.dims = pointset.dims
         self.n = len(pointset)
         self.root = root
-        self._key_tables = key_tables
+        self._axes = axes  # per dimension, the coordinates in rank order
 
     # -- queries ------------------------------------------------------------
 
-    def query(self, box: QueryBox, stats: Optional[QueryStats] = None) -> list[Point]:
-        """All points inside the closed box, sorted by id."""
+    def rank_box(self, box: QueryBox) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """`box` as rank bounds (a, b): a[j] counts coordinates < lo_j, b[j] those <= hi_j."""
         if box.dims != self.dims:
             raise DimensionMismatch(f"box of dimension {box.dims} against a {self.dims}-d tree")
+        return (tuple(map(bisect_left, self._axes, box.lo)),
+                tuple(map(bisect_right, self._axes, box.hi)))
+
+    def query(self, box: QueryBox, stats: Optional[QueryStats] = None) -> list[Point]:
+        """All points inside the closed box, sorted by id."""
+        a, b = self.rank_box(box)
         if stats is None:
             stats = QueryStats()
         out: list[Point] = []
-        self.root.query_into(box, stats, out.append)
+        self.root.query_into(a, b, stats, out.append)
         out.sort(key=lambda p: p.id)
         return out
 
     def count(self, box: QueryBox, stats: Optional[QueryStats] = None) -> int:
         """|query(box)| computed from bridge positions, without enumeration."""
-        if box.dims != self.dims:
-            raise DimensionMismatch(f"box of dimension {box.dims} against a {self.dims}-d tree")
+        a, b = self.rank_box(box)
         if stats is None:
             stats = QueryStats()
-        k = self.root.count_in(box, stats)
+        k = self.root.count_in(a, b, stats)
         stats.reported += k
         return k
 
@@ -314,9 +319,10 @@ def _queue(groups: dict, owner: list, first: int, row, m: int, span: int, n: int
 def build(points: PointSet, counters: Optional[BuildCounters] = None) -> LayeredRangeTree:
     """Build the layered range tree, one dimension at a time.
 
-    Each dimension is sorted once into a key table and an int64 rank per id.
-    The structures over dimension j are built together, grouped by padded
-    size L: each group runs one batched merge (merge_rows) of its leaf rows
+    Each dimension is sorted once (rank_table) into an int32 rank per id and
+    its coordinates in rank order; the ranks are the only keys.  The
+    structures over dimension j are built together, grouped by padded size
+    L: each group runs one batched merge (merge_rows) of its leaf rows
     by the ranks of dimension j+1.  On a level (j < d-2) the merged chunks,
     real ids first, are the leaf rows of the next dimension's structures; on
     the cascade (j = d-2) the merged rows and bridges are the buffers.
@@ -327,14 +333,14 @@ def build(points: PointSet, counters: Optional[BuildCounters] = None) -> Layered
     d = points.dims
     pts = points.by_id
     maxL = pow2ceil(n)
-    tables = [_key_table(pts, j, maxL) for j in range(d)]
-    ktabs = [keys for keys, _, _ in tables]
+    coords = points.coord_matrix()
+    orders, ranks, axes = zip(*(rank_table(coords, j, maxL) for j in range(d)))
     if d == 1:
-        return LayeredRangeTree(points, _Slab(0, tables[0][1], n, ktabs[0], pts), ktabs)
+        return LayeredRangeTree(points, _Slab(0, orders[0], n, ranks[0], pts), axes)
 
     root: list = [None]
     groups: dict = {}
-    _queue(groups, root, 0, np.array(tables[0][1], dtype=np.int32), n, maxL, n)
+    _queue(groups, root, 0, orders[0].astype(np.int32), n, maxL, n)
     for j in range(d - 1):
         nxt: dict = {}
         while groups:  # popped, so each group's scratch is freed once it is built
@@ -342,11 +348,11 @@ def build(points: PointSet, counters: Optional[BuildCounters] = None) -> Layered
             rows = np.frombuffer(flat, dtype=np.int32).reshape(-1, L)
             H = L.bit_length() - 1
             if j == d - 2:
-                made = [CascadeStructure(j, j + 1, m, L, H, n, None, ktabs[j], ktabs[j + 1], pts)
+                made = [CascadeStructure(j, j + 1, m, L, H, n, None, ranks[j], ranks[j + 1], pts)
                         for m in ms]
-                fill_buffers_batch_np(made, rows, tables[j + 1][2], counters)
+                fill_buffers_batch_np(made, rows, ranks[j + 1], counters)
             else:
-                rows = merge_rows(rows, tables[j + 1][2])
+                rows = merge_rows(rows, ranks[j + 1])
                 if counters is not None:
                     counters.merge_moves += H * sum(ms)
                 made = []
@@ -354,9 +360,9 @@ def build(points: PointSet, counters: Optional[BuildCounters] = None) -> Layered
                     assoc: list = [None] * (2 * L - 1)
                     for r in range(H + 1):
                         _queue(nxt, assoc, (L >> r) - 1, rows[r, g], m, 1 << r, n)
-                    tree = ImplicitTree(j, flat[g * L : (g + 1) * L], m, ktabs[j])
+                    tree = ImplicitTree(j, flat[g * L : (g + 1) * L], m, ranks[j])
                     made.append(_Level(tree, assoc))
             for (owner, slot), struct in zip(owners, made):
                 owner[slot] = struct
         groups = nxt
-    return LayeredRangeTree(points, root[0], ktabs)
+    return LayeredRangeTree(points, root[0], axes)

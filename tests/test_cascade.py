@@ -1,4 +1,4 @@
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 
 import pytest
 
@@ -20,9 +20,16 @@ def make_cascade(coord_pairs):
     return build_cascade(pts), pts
 
 
+def rank_args(cs, xlo, xhi, ylo, yhi):
+    """The box [xlo,xhi] x [ylo,yhi] as the rank bounds (xa, xb, ya, yb) of cs.query."""
+    xs = sorted(p.coords[cs.xdim] for p in cs.points)
+    ys = sorted(p.coords[cs.ydim] for p in cs.points)
+    return bisect_left(xs, xlo), bisect_right(xs, xhi), bisect_left(ys, ylo), bisect_right(ys, yhi)
+
+
 def collect(cs, xlo, xhi, ylo, yhi, stats=None):
     out = []
-    cs.query(xlo, xhi, ylo, yhi, stats or QueryStats(), out.append)
+    cs.query(*rank_args(cs, xlo, xhi, ylo, yhi), stats or QueryStats(), out.append)
     return sorted(out, key=lambda p: p.id)
 
 
@@ -62,12 +69,12 @@ class TestBuild:
         assert root.left_bridge == [0, 1, 1, 2]
         assert root.right_bridge == [0, 0, 1, 1]
         # linear-scan oracle for the bridge rule: smallest child index with key >= parent key
-        for t, key in enumerate(root.keys):
+        for t, key in enumerate(root.ranks):
             assert root.left_bridge[t] == next(
-                (u for u, ck in enumerate(left.keys) if ck >= key), len(left.keys)
+                (u for u, ck in enumerate(left.ranks) if ck >= key), len(left.ranks)
             )
             assert root.right_bridge[t] == next(
-                (u for u, ck in enumerate(right.keys) if ck >= key), len(right.keys)
+                (u for u, ck in enumerate(right.ranks) if ck >= key), len(right.ranks)
             )
 
     def test_entries_are_sorted_union_of_subtree(self):
@@ -82,7 +89,7 @@ class TestBuild:
                 key=lambda p: composite_key(p, 1),
             )
             assert stored == expected
-            assert node.keys == sorted(node.keys)
+            assert node.ranks == sorted(node.ranks)
 
     def test_phantoms_pad_arrays_to_full_length(self):
         cs, _ = make_cascade([(0, 0), (1, 1), (2, 2)])
@@ -90,16 +97,17 @@ class TestBuild:
         root = cs.node(0)
         assert len(root.points) == 4
         assert root.points[3] is None
-        assert root.keys[3][0] == float("inf")
+        assert root.y_values[3] == float("inf")
+        assert root.ranks[3] >= 3
 
 
 def exhaustive_bridge_check(cs):
     violations = 0
     for slot in range((cs.L - 1)):  # internal slots only
         node = cs.node(slot)
-        lkeys = cs.node(2 * slot + 1).keys
-        rkeys = cs.node(2 * slot + 2).keys
-        for t, key in enumerate(node.keys):
+        lkeys = cs.node(2 * slot + 1).ranks
+        rkeys = cs.node(2 * slot + 2).ranks
+        for t, key in enumerate(node.ranks):
             if node.left_bridge[t] != bisect_left(lkeys, key):
                 violations += 1
             if node.right_bridge[t] != bisect_left(rkeys, key):
@@ -155,20 +163,18 @@ class TestQuery2D:
 
     def test_positions_match_shadow_lower_bound(self):
         # the bridged position at every canonical node equals an independent search
-        from layertree.core import low_key
-
         rng = SplitMix64(123)
         cs, pts = make_cascade([(rng.next_below(50), rng.next_below(50)) for _ in range(200)])
         for _ in range(200):
             xlo, xhi = sorted((rng.next_below(52) - 1, rng.next_below(52) - 1))
             ylo = rng.next_below(52) - 1
             probes = []
-            cs.query(xlo, xhi, ylo, 100.0, QueryStats(), lambda p: None,
+            xa, xb, ya, yb = rank_args(cs, xlo, xhi, ylo, 100.0)
+            cs.query(xa, xb, ya, yb, QueryStats(), lambda p: None,
                      probe=lambda abase, span, q: probes.append((abase, span, q)))
-            target = low_key(float(ylo))
             for abase, span, q in probes:
-                keys = [cs.ktab_y[cs.buf[abase + u]] for u in range(span)]
-                assert q == bisect_left(keys, target)
+                ranks = [cs.rank_y[cs.buf[abase + u]] for u in range(span)]
+                assert q == bisect_left(ranks, ya)
 
     def test_count_matches_query(self):
         rng = SplitMix64(9)
@@ -178,7 +184,7 @@ class TestQuery2D:
             xlo, xhi = rng.next_below(12) - 1, rng.next_below(12) - 1
             ylo, yhi = rng.next_below(12) - 1, rng.next_below(12) - 1
             stats = QueryStats()
-            k = cs.count(xlo, xhi, ylo, yhi, stats)
+            k = cs.count(*rank_args(cs, xlo, xhi, ylo, yhi), stats)
             assert k == len(brute(pts, xlo, xhi, ylo, yhi))
             assert stats.binary_searches == 2
             total_counts.reported += k
@@ -192,17 +198,20 @@ class TestQuery2D:
     def test_boxes_via_boxed_interface(self):
         cs, pts = make_cascade([(1, 4), (2, 3), (3, 2), (4, 1)])
         box = QueryBox((1.5, 0.0), (4.0, 2.5))
+        xa, xb, ya, yb = rank_args(cs, 1.5, 4.0, 0.0, 2.5)
         out = []
-        cs.query_into(box, QueryStats(), out.append)
+        cs.query_into((xa, ya), (xb, yb), QueryStats(), out.append)
         assert sorted(out, key=lambda p: p.id) == [
             p for p in pts if box_contains(box, p)
         ]
-        assert cs.count_in(box, QueryStats()) == 2
+        assert cs.count_in((xa, ya), (xb, yb), QueryStats()) == 2
 
     def test_tree_view(self):
         cs, pts = make_cascade([(3, 0), (1, 0), (2, 0)])
         t = cs.tree
         assert t.leaf_count == 4 and t.real_count == 3
-        # leaves read left to right are nondecreasing in x
-        xs = [t.key(t.L - 1 + i)[0] for i in range(t.L)]
-        assert xs == sorted(xs)
+        # leaves read left to right are increasing in rank and nondecreasing in x
+        ranks = [t.key(t.L - 1 + i) for i in range(t.L)]
+        assert ranks == sorted(ranks)
+        xs = [pts[e].coords[0] for e in t.subtree_ids(0)]
+        assert len(xs) == 3 and xs == sorted(xs)

@@ -1,6 +1,7 @@
 import gc
-import math
+import hashlib
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import astuple
 
 import pytest
@@ -21,16 +22,22 @@ from layertree import (
     build,
     build_implicit_tree,
     canonical_subtrees,
+    composite_key,
     find_split_node,
     gen_points,
 )
-from layertree.core import high_key, low_key
-from layertree.cascade import CascadeStructure
+from layertree.cascade import CascadeStructure, point_matrix, pow2ceil, rank_table
 from layertree.tree import _Level, _Slab
 
 
 def pts_1d(*values):
     return [Point((float(v),), i) for i, v in enumerate(values)]
+
+
+def rank_bounds(values, lo, hi):
+    """The ranks [a, b) of the interval [lo, hi] over `values`, as rank_box maps a box."""
+    s = sorted(values)
+    return bisect_left(s, lo), bisect_right(s, hi)
 
 
 class TestImplicitTree:
@@ -59,9 +66,12 @@ class TestImplicitTree:
             assert t.key(slot) == left_max
 
     def test_phantoms_sit_rightmost(self):
-        t = build_implicit_tree(pts_1d(5, 1, 3))
+        pts = pts_1d(5, 1, 3)
+        t = build_implicit_tree(pts)
         assert t.leaf_count == 4
-        assert [t.key(3 + i)[0] for i in range(4)] == [1.0, 3.0, 5.0, math.inf]
+        assert [t.key(3 + i) for i in range(3)] == [0, 1, 2]
+        assert [pts[e].coords[0] for e in t.subtree_ids(0)] == [1.0, 3.0, 5.0]
+        assert t.key(6) >= len(pts)  # the phantom leaf ranks after every point
 
 
 class TestFindSplitNode:
@@ -71,43 +81,39 @@ class TestFindSplitNode:
 
     def test_range_2_3_splits_at_root(self):
         t = self.tree()
-        assert find_split_node(t, low_key(2.0), high_key(3.0)) == 0
+        assert find_split_node(t, *rank_bounds([1, 2, 3, 4], 2.0, 3.0)) == 0
 
     def test_degenerate_range_splits_at_value_boundary(self):
-        # with composite bounds, [1,1] diverges at the parent of the value-1
+        # [1,1] is the ranks [0, 1): it diverges at the parent of the value-1
         # leaf; the canonical cover is still exactly that leaf
         t = self.tree()
-        assert find_split_node(t, low_key(1.0), high_key(1.0)) == 1
-        cover = canonical_subtrees(t, low_key(1.0), high_key(1.0))
+        assert find_split_node(t, *rank_bounds([1, 2, 3, 4], 1.0, 1.0)) == 1
+        cover = canonical_subtrees(t, *rank_bounds([1, 2, 3, 4], 1.0, 1.0))
         assert cover == [3]
-        assert t.key(3)[0] == 1.0
+        assert t.subtree_ids(3) == [0]
 
     def test_range_above_all_leaves(self):
         t = self.tree()
-        slot = find_split_node(t, low_key(5.0), high_key(9.0))
+        slot = find_split_node(t, *rank_bounds([1, 2, 3, 4], 5.0, 9.0))
         assert t.is_leaf(slot)
-        assert canonical_subtrees(t, low_key(5.0), high_key(9.0)) == []
+        assert canonical_subtrees(t, *rank_bounds([1, 2, 3, 4], 5.0, 9.0)) == []
 
 
 class TestCanonicalSubtrees:
     def filtered(self, t, values, lo, hi):
         return sorted(v for v in values if lo <= v <= hi)
 
-    def cover_values(self, t, slots):
-        out = []
-        for s in slots:
-            out.extend(t.key(t.L - 1 + i)[0] for i in range(*t.leaf_span(s))
-                       if t.key(t.L - 1 + i)[0] != math.inf)
-        return sorted(out)
+    def cover_values(self, t, values, slots):
+        return sorted(values[e] for s in slots for e in t.subtree_ids(s))
 
     def test_full_range_covers_everything(self):
         t = build_implicit_tree(pts_1d(1, 2, 3, 4))
-        slots = canonical_subtrees(t, low_key(1.0), high_key(4.0))
-        assert self.cover_values(t, slots) == [1.0, 2.0, 3.0, 4.0]
+        slots = canonical_subtrees(t, *rank_bounds([1, 2, 3, 4], 1.0, 4.0))
+        assert self.cover_values(t, [1, 2, 3, 4], slots) == [1, 2, 3, 4]
 
     def test_disjoint_range_is_empty(self):
         t = build_implicit_tree(pts_1d(1, 2, 3, 4))
-        assert canonical_subtrees(t, low_key(5.0), high_key(9.0)) == []
+        assert canonical_subtrees(t, *rank_bounds([1, 2, 3, 4], 5.0, 9.0)) == []
 
     @given(
         st.lists(st.integers(0, 7), min_size=1, max_size=40),
@@ -117,12 +123,12 @@ class TestCanonicalSubtrees:
     @settings(max_examples=200)
     def test_cover_equals_filter_and_bound(self, values, lo, hi):
         t = build_implicit_tree(pts_1d(*values))
-        slots = canonical_subtrees(t, low_key(float(lo)), high_key(float(hi)))
+        slots = canonical_subtrees(t, *rank_bounds(values, lo, hi))
         # disjointness
         spans = sorted(t.leaf_span(s) for s in slots)
         for (a1, b1), (a2, b2) in zip(spans, spans[1:]):
             assert b1 <= a2
-        assert self.cover_values(t, slots) == self.filtered(t, values, lo, hi)
+        assert self.cover_values(t, values, slots) == self.filtered(t, values, lo, hi)
         assert len(slots) <= max(1, 2 * (t.leaf_count.bit_length() - 1))
 
 
@@ -148,8 +154,9 @@ class TestBuild:
         slab = tree.root
         assert isinstance(slab, _Slab)
         assert slab.L == 4
-        keys = [slab.ktab[e][0] for e in slab.ids]
-        assert keys == [1.0, 3.0, 5.0, math.inf]
+        assert [slab.rank[e] for e in slab.ids[:3]] == [0, 1, 2]
+        assert [tree.pointset.by_id[e].coords[0] for e in slab.ids[:3]] == [1.0, 3.0, 5.0]
+        assert slab.rank[slab.ids[3]] >= 3  # the phantom ranks after every point
 
     def test_d2_example_structure(self):
         tree = build(PointSet.from_coords([(1, 1), (2, 2), (3, 3), (4, 4)]))
@@ -161,7 +168,7 @@ class TestBuild:
         assert cs.node(0).left_bridge == [0, 1, 2, 2]
         assert cs.node(0).right_bridge == [0, 0, 0, 1]
         for leaf in range(3, 7):
-            assert len(cs.node(leaf).keys) == 1
+            assert len(cs.node(leaf).ranks) == 1
 
     def test_shuffled_input_builds_identical_structure(self):
         ps = gen_points(GeneratorConfig(seed=21, n=60, dims=3))
@@ -179,22 +186,25 @@ class TestBuild:
         assert snapshot(t1) == snapshot(t2)
 
     def test_level_assoc_holds_exact_subtree_points(self):
-        ps = gen_points(GeneratorConfig(seed=4, n=23, dims=3, dist="grid", grid_side=3))
-        tree = build(ps)
-        level = tree.root
-        assert isinstance(level, _Level)
-        for slot in range(level.tree.n_slots):
-            sub = level.assoc[slot]
-            ids = level.tree.subtree_ids(slot)
-            if not ids:
-                assert sub is None
-            else:
-                assert sub.m == len(ids)
-                got = []
-                sub.query_into(
-                    QueryBox((-10.0,) * 3, (10.0,) * 3), QueryStats(), got.append
-                )
-                assert sorted(p.id for p in got) == sorted(ids)
+        # every level of a d=3 and a d=4 tree; below the root, real ids run
+        # past a level's own point count m
+        for cfg in (GeneratorConfig(seed=4, n=23, dims=3, dist="grid", grid_side=3),
+                    GeneratorConfig(seed=3, n=40, dims=4)):
+            tree = build(gen_points(cfg))
+            everything = ((0,) * cfg.dims, (cfg.n,) * cfg.dims)
+            levels = [s for _, s in tree.structures() if isinstance(s, _Level)]
+            assert len(levels) > (cfg.dims == 4)
+            for level in levels:
+                for slot in range(level.tree.n_slots):
+                    sub = level.assoc[slot]
+                    ids = level.tree.subtree_ids(slot)
+                    if not ids:
+                        assert sub is None
+                        continue
+                    assert (sub.tree.m if isinstance(sub, _Level) else sub.m) == len(ids)
+                    got = []
+                    sub.query_into(*everything, QueryStats(), got.append)
+                    assert sorted(p.id for p in got) == sorted(ids)
 
 
 class TestQuery:
@@ -262,34 +272,69 @@ class TestSpaceAccounting:
                 assert total == s.tree.m * levels
 
 
+def buffer_digest(tree) -> str:
+    """sha256 of every structure's buffer (leaf row of a level) as ints, in structures() order."""
+    h = hashlib.sha256()
+    for _, s in tree.structures():
+        buf = s.buf if isinstance(s, CascadeStructure) else (
+            s.tree.ids if isinstance(s, _Level) else s.ids)
+        h.update(repr([int(e) for e in buf]).encode())
+    return h.hexdigest()
+
+
 # Counter totals of fixed workloads: (merge_moves, query QueryStats, count
-# QueryStats) over 40 boxes.  The counters are the cost model, so a change to
-# how the tree is built or walked must leave every one of them unchanged.
+# QueryStats) over 40 boxes, and the buffer_digest of the built tree.  The
+# counters are the cost model and the buffers the layout, so a change to how
+# the tree is built or walked must leave every one of them unchanged.
 PINNED_COUNTERS = {
-    (2, "uniform", 64): (384, (644, 40, 561, 273), (644, 80, 1122, 273)),
-    (2, "uniform", 65): (896, (694, 40, 582, 327), (694, 80, 1164, 327)),
-    (2, "uniform", 128): (896, (756, 40, 676, 704), (756, 80, 1352, 704)),
-    (2, "uniform", 129): (2048, (818, 40, 708, 762), (818, 80, 1416, 762)),
-    (2, "grid", 64): (384, (634, 40, 526, 239), (634, 80, 1052, 239)),
-    (2, "grid", 65): (896, (617, 40, 474, 241), (617, 80, 948, 241)),
-    (2, "grid", 128): (896, (657, 40, 508, 497), (657, 80, 1016, 497)),
-    (2, "grid", 129): (2048, (774, 40, 650, 363), (774, 80, 1300, 363)),
-    (3, "uniform", 64): (1728, (1254, 186, 347, 95), (1254, 372, 694, 95)),
-    (3, "uniform", 65): (2695, (1358, 203, 379, 58), (1358, 406, 758, 58)),
-    (3, "uniform", 128): (4480, (1968, 254, 772, 213), (1968, 508, 1544, 213)),
-    (3, "uniform", 129): (6664, (1942, 231, 805, 260), (1942, 462, 1610, 260)),
-    (3, "grid", 64): (1728, (1310, 224, 299, 86), (1310, 448, 598, 86)),
-    (3, "grid", 65): (2695, (1018, 136, 188, 53), (1018, 272, 376, 53)),
-    (3, "grid", 128): (4480, (1578, 223, 425, 136), (1578, 446, 850, 136)),
-    (3, "grid", 129): (6664, (1493, 168, 484, 286), (1493, 336, 968, 286)),
-    (4, "uniform", 64): (5312, (1585, 198, 54, 46), (1585, 396, 108, 46)),
-    (4, "uniform", 65): (8078, (1412, 168, 19, 29), (1412, 336, 38, 29)),
-    (4, "uniform", 128): (15232, (2380, 327, 100, 44), (2380, 654, 200, 44)),
-    (4, "uniform", 129): (22032, (2623, 383, 161, 51), (2623, 766, 322, 51)),
-    (4, "grid", 64): (5312, (1369, 168, 24, 26), (1369, 336, 48, 26)),
-    (4, "grid", 65): (8078, (1004, 85, 29, 15), (1004, 170, 58, 15)),
-    (4, "grid", 128): (15232, (2078, 259, 63, 26), (2078, 518, 126, 26)),
-    (4, "grid", 129): (22032, (1973, 256, 80, 28), (1973, 512, 160, 28)),
+    (2, "uniform", 64): (384, (644, 40, 561, 273), (644, 80, 1122, 273),
+        "b1992f4673764f981e59c4c8b459b1028066a622ce52b03c90e20bcfa3dd0579"),
+    (2, "uniform", 65): (896, (694, 40, 582, 327), (694, 80, 1164, 327),
+        "be9548c3b40bbfefde4d2c6036c9c23cd610fc65cc221b49281b517e28f681f2"),
+    (2, "uniform", 128): (896, (756, 40, 676, 704), (756, 80, 1352, 704),
+        "806c4cc33b7ffa60772cffde3cfa3cd34099f0c129f3a81c97ac8b592497fd70"),
+    (2, "uniform", 129): (2048, (818, 40, 708, 762), (818, 80, 1416, 762),
+        "ead4b3e856e2a95ec8a196797ef78eb56ecf6edf31523f5d5cab082cc90ec641"),
+    (2, "grid", 64): (384, (634, 40, 526, 239), (634, 80, 1052, 239),
+        "907a6cf962f7890ae1eee11fdc2885a72f66069f4e74a9cefe68f91b31fc06c5"),
+    (2, "grid", 65): (896, (617, 40, 474, 241), (617, 80, 948, 241),
+        "8d36788897140ece443b7579ba661fadebb975337364d998bd55e4069454dcaf"),
+    (2, "grid", 128): (896, (657, 40, 508, 497), (657, 80, 1016, 497),
+        "47a9ab5d34ffc16ae5dd6eb304bb065bdde76488efde03becb8347c02ef11a80"),
+    (2, "grid", 129): (2048, (774, 40, 650, 363), (774, 80, 1300, 363),
+        "8cbc8ccbd9f17e99ccbb9edc9ca865eb9066aa2da24df2d32806de3d7f385c67"),
+    (3, "uniform", 64): (1728, (1254, 186, 347, 95), (1254, 372, 694, 95),
+        "31895d932e568bd8832ed6d17597852ef7810e587d1f9def350b25dd3c7eb105"),
+    (3, "uniform", 65): (2695, (1358, 203, 379, 58), (1358, 406, 758, 58),
+        "fd137b8a1067de0158d8ce437a6059c240e796e2c8b9140b837e9626ad1e8087"),
+    (3, "uniform", 128): (4480, (1968, 254, 772, 213), (1968, 508, 1544, 213),
+        "5c9ce597b254d5dc166f29b49874d924d3af1458055292e9a81c751cb33696f7"),
+    (3, "uniform", 129): (6664, (1942, 231, 805, 260), (1942, 462, 1610, 260),
+        "2256b1126549c91e6d5281a8e3f091fac1f7507b5ec54b4c23716262542c6337"),
+    (3, "grid", 64): (1728, (1310, 224, 299, 86), (1310, 448, 598, 86),
+        "e6aabd92b036e49a385173735aa447abda51ea5b46044fb7e91c3c28ee7e4adf"),
+    (3, "grid", 65): (2695, (1018, 136, 188, 53), (1018, 272, 376, 53),
+        "934b6f2aecf9a45406036ba8067b14cc8ad941dbe5a149d7de6983ff28bf8c35"),
+    (3, "grid", 128): (4480, (1578, 223, 425, 136), (1578, 446, 850, 136),
+        "b9916118901408b5ff33c53d5171afd6da4e91a3325dfbb18aa609c6ffcc816c"),
+    (3, "grid", 129): (6664, (1493, 168, 484, 286), (1493, 336, 968, 286),
+        "773c41245eea3d1ec96cf753ff09bab97071c21196eff13fd2fb4574b978f163"),
+    (4, "uniform", 64): (5312, (1585, 198, 54, 46), (1585, 396, 108, 46),
+        "8f25f75c68049acfe673b7e50e15ff212fb95a90077cfbe3e1d563a00de36af0"),
+    (4, "uniform", 65): (8078, (1412, 168, 19, 29), (1412, 336, 38, 29),
+        "5e7deda7924e425ab0e33a05b1c528aa5bf9af93f6345775984c71bcc64d9c1b"),
+    (4, "uniform", 128): (15232, (2380, 327, 100, 44), (2380, 654, 200, 44),
+        "2c7018216d80d8bf974d2ab12d594e92ddb16d95a94d4f33b1db48087c4fa7da"),
+    (4, "uniform", 129): (22032, (2623, 383, 161, 51), (2623, 766, 322, 51),
+        "0040fe5903a7fb33fa1e102a251911f3ceec0c130ba34aeab540409b56e64c06"),
+    (4, "grid", 64): (5312, (1369, 168, 24, 26), (1369, 336, 48, 26),
+        "a09fd38068eed02a5a1f9e48b56d8dff442de3500164add2e9442315c8a1145c"),
+    (4, "grid", 65): (8078, (1004, 85, 29, 15), (1004, 170, 58, 15),
+        "0a218a9ff2698d0750de20cbb2768d82a9c801d07eb2685a1b7fcc05b5efc003"),
+    (4, "grid", 128): (15232, (2078, 259, 63, 26), (2078, 518, 126, 26),
+        "2ac736ee19c390762171cd970bda21559efa677a71a1848c017148c12864f03f"),
+    (4, "grid", 129): (22032, (1973, 256, 80, 28), (1973, 512, 160, 28),
+        "f0472bf845678f114d7dd0f70b699a42b3706c1eb0a37524109b7d1f250f74bb"),
 }
 
 
@@ -304,7 +349,7 @@ class TestPinnedCounters:
         for box in random_boxes(SplitMix64(n * d), d, span, 40):
             tree.query(box, q)
             tree.count(box, c)
-        got = (counters.merge_moves, astuple(q), astuple(c))
+        got = (counters.merge_moves, astuple(q), astuple(c), buffer_digest(tree))
         assert got == PINNED_COUNTERS[d, dist, n]
 
 
@@ -340,6 +385,25 @@ def fuzz_workload(draw):
     rows = draw(st.lists(coord, min_size=n, max_size=n))
     boxes = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=6))
     return d, rows, boxes
+
+
+class TestRankTable:
+    @given(fuzz_workload(), st.randoms())
+    @settings(max_examples=200, deadline=None)
+    def test_order_is_composite_order(self, workload, rnd):
+        d, rows, _ = workload
+        ps = PointSet.from_coords(rows, d)
+        shuffled = list(ps.points)  # positions no longer ids: ties still break by id
+        rnd.shuffle(shuffled)
+        n = len(rows)
+        for pts, coords in ((ps.by_id, ps.coord_matrix()), (shuffled, point_matrix(shuffled))):
+            for j in range(d):
+                order, rank, axis = rank_table(coords, j, pow2ceil(n))
+                want = sorted(range(n), key=lambda i: composite_key(pts[i], j))
+                assert order.tolist() == want
+                assert list(rank) == [want.index(i) for i in range(n)] + list(
+                    range(n, n + pow2ceil(n)))
+                assert list(axis) == [pts[i].coords[j] for i in want]
 
 
 class TestFuzz:
