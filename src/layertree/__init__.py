@@ -6,11 +6,14 @@ query performs exactly one binary search; higher dimensions pay one O(log n)
 canonical decomposition per extra level.  Each dimension is sorted once into
 an int32 rank per point, the only key the structures compare; a query box is
 mapped to rank intervals once, with two bisections per dimension.  Every
-array built from those sorts comes out of one bottom-up merge, run in batches
-over all same-size structures of a dimension (cascade.merge_rows).
+tree, a level's or a cascade's x-tree, is implicit in one padded leaf row
+sorted by rank and searched by one split descent (cascade._find_split).
+Every array built from the sorts comes out of one bottom-up merge, run in
+batches over all same-size structures of a dimension (cascade.merge_rows);
+build() is the one way to make a structure.
 """
 
-from .cascade import CascadeNode, CascadeStructure, build_cascade
+from .cascade import CascadeNode, CascadeStructure
 from .core import (
     DimensionMismatch,
     EmptyInput,
@@ -18,20 +21,10 @@ from .core import (
     PointSet,
     QueryBox,
     box_contains,
-    compare_composite,
     composite_key,
 )
 from .oracle import GeneratorConfig, SplitMix64, brute_force_query, gen_points, splitmix64_next
-from .tree import (
-    BuildCounters,
-    ImplicitTree,
-    LayeredRangeTree,
-    QueryStats,
-    build,
-    build_implicit_tree,
-    canonical_subtrees,
-    find_split_node,
-)
+from .tree import BuildCounters, LayeredRangeTree, QueryStats, build, canonical_subtrees
 
 __all__ = [
     "BuildCounters",
@@ -40,7 +33,6 @@ __all__ = [
     "DimensionMismatch",
     "EmptyInput",
     "GeneratorConfig",
-    "ImplicitTree",
     "LayeredRangeTree",
     "Point",
     "PointSet",
@@ -50,12 +42,8 @@ __all__ = [
     "box_contains",
     "brute_force_query",
     "build",
-    "build_cascade",
-    "build_implicit_tree",
     "canonical_subtrees",
-    "compare_composite",
     "composite_key",
-    "find_split_node",
     "gen_points",
     "splitmix64_next",
 ]

@@ -1,11 +1,18 @@
-"""Fractional cascading over the last two dimensions.
+"""Fractional cascading over the last two dimensions, and the one implicit tree.
 
-A CascadeStructure is a full binary tree over coordinate x (the second-to-last
-dimension) whose every node carries its subtree's points sorted by coordinate
-y (the last dimension), plus bridge indices linking each entry to the first
-not-smaller entry in each child's array.  A 2D query then needs exactly one
-binary search, at the split node; every other position follows bridges in
-constant time per level.
+Every tree in the package is implicit in a leaf row: L = 2^H ids sorted by
+one dimension's rank, real ids first, then phantom padding.  The node at
+(depth, pos) covers the chunk of width L >> depth starting at pos times that
+width, and it splits at the rank of the rightmost leaf of its left half.
+_find_split is the one descent over such a row; a level of the multi-level
+tree (tree._Level) is a leaf row too and searches it the same way.
+
+A CascadeStructure is that tree over coordinate x (the second-to-last
+dimension) whose every node also carries its subtree's points sorted by
+coordinate y (the last dimension), plus bridge indices linking each entry to
+the first not-smaller entry in each child's array.  A 2D query then needs
+exactly one binary search, at the split node; every other position follows
+bridges in constant time per level.
 
 Storage is a single flat int32 buffer per structure, addressed by index
 arithmetic.  With L padded leaves and height H = log2(L):
@@ -13,8 +20,7 @@ arithmetic.  With L padded leaves and height H = log2(L):
     row r in 0..H        node arrays at depth H-r, offset r*L; the array of
                          the node at (depth, pos) is the chunk of width
                          2^r starting at pos*2^r, sorted by y.  Row 0 is the
-                         leaf ids sorted by x (so it doubles as the x-tree's
-                         leaf order).
+                         leaf row, sorted by x: it is the x-tree.
     lb rows r in 1..H    left bridges, offset L*(H+r)
     rb rows r in 1..H    right bridges, offset L*(2H+r)
 
@@ -37,21 +43,16 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
-from .core import EmptyInput, Point
+from .core import Point
 
 
 def pow2ceil(n: int) -> int:
     """Smallest power of two >= n (n >= 1)."""
     return 1 if n <= 1 else 1 << (n - 1).bit_length()
-
-
-def point_matrix(points: Sequence[Point]) -> np.ndarray:
-    """Coordinates by position plus an id column, so rank_table breaks ties by id."""
-    return np.array([(*p.coords, p.id) for p in points], dtype=np.float64)
 
 
 def rank_table(coords: np.ndarray, dim: int, L: int):
@@ -81,6 +82,29 @@ def _lower_bound(ids, rank, base: int, size: int, r: int, stats) -> int:
             hi = mid
     stats.binary_searches += 1
     return lo
+
+
+def _find_split(ids, rank, L: int, a: int, b: int, stats) -> tuple[int, int]:
+    """(depth, pos) where the descents for ranks [a, b) diverge, or the leaf reached.
+
+    The tree is the leaf row ids[0:L], sorted by rank.  Descent rule: left iff
+    b <= the node's split rank, right iff the split rank < a.
+    """
+    depth, pos, span = 0, 0, L
+    stats.nodes_visited += 1
+    while span > 1:
+        half = span >> 1
+        k = rank[ids[pos * span + half - 1]]
+        if b <= k:
+            pos <<= 1
+        elif k < a:
+            pos = (pos << 1) + 1
+        else:
+            break
+        depth += 1
+        span = half
+        stats.nodes_visited += 1
+    return depth, pos
 
 
 def merge_rows(leaf_rows: np.ndarray, rank: np.ndarray) -> np.ndarray:
@@ -191,7 +215,10 @@ class CascadeStructure:
         """Build from ids sorted by the x composite order: a merge batch of one.
 
         rank_x / rank_y are rank tables (rank_table) with at least L phantom
-        slots (id nreal+t -> padding leaf t).
+        slots (id nreal+t -> padding leaf t).  build() builds every structure
+        in batches and does not call this; it stays because the traced
+        benchmark (perfbench/run.py) wraps it by name, and its result equals
+        the structure build() makes over the same ids.
         """
         m = len(ids)
         nreal = len(points)
@@ -207,13 +234,6 @@ class CascadeStructure:
     @property
     def n_slots(self) -> int:
         return 2 * self.L - 1
-
-    @property
-    def tree(self):
-        """The x-dimension ImplicitTree view over this structure's leaves."""
-        from .tree import ImplicitTree
-
-        return ImplicitTree(self.xdim, self.buf[0 : self.L], self.m, self.rank_x)
 
     def _locate(self, slot: int) -> tuple[int, int, int]:
         """(row r, pos, span) of a heap slot."""
@@ -249,24 +269,6 @@ class CascadeStructure:
         return [e for e in self.buf[pos * span : (pos + 1) * span] if e < self.nreal]
 
     # -- queries -------------------------------------------------------------
-
-    def _find_split(self, xa, xb, stats) -> tuple[int, int]:
-        """(depth, pos) where the descents for x ranks [xa, xb) diverge, or the leaf reached."""
-        buf, rx, L, H = self.buf, self.rank_x, self.L, self.H
-        depth, pos = 0, 0
-        stats.nodes_visited += 1
-        while depth < H:
-            span = L >> depth
-            k = rx[buf[pos * span + (span >> 1) - 1]]
-            if xb <= k:
-                pos <<= 1
-            elif k < xa:
-                pos = (pos << 1) + 1
-            else:
-                break
-            depth += 1
-            stats.nodes_visited += 1
-        return depth, pos
 
     def _walk(self, depth, pos, xa, xb, lo, hi, stats):
         """Yield (abase, span, lo, hi) for each canonical node and in-range boundary leaf.
@@ -330,7 +332,7 @@ class CascadeStructure:
         (shadow checks in tests).
         """
         buf, ry, pts = self.buf, self.rank_y, self.points
-        depth, pos = self._find_split(xa, xb, stats)
+        depth, pos = _find_split(buf, self.rank_x, self.L, xa, xb, stats)
         r = self.H - depth
         q = _lower_bound(buf, ry, r * self.L + (pos << r), 1 << r, ya, stats)
         for abase, span, u, _ in self._walk(depth, pos, xa, xb, q, None, stats):
@@ -359,7 +361,7 @@ class CascadeStructure:
         bridges; each canonical node contributes their difference.
         """
         buf, ry = self.buf, self.rank_y
-        depth, pos = self._find_split(xa, xb, stats)
+        depth, pos = _find_split(buf, self.rank_x, self.L, xa, xb, stats)
         r = self.H - depth
         abase, span = r * self.L + (pos << r), 1 << r
         lo = _lower_bound(buf, ry, abase, span, ya, stats)
@@ -370,28 +372,3 @@ class CascadeStructure:
                 total += b - a
         return int(total)
 
-
-def build_cascade(points: Sequence[Point], xdim: Optional[int] = None,
-                  ydim: Optional[int] = None, counters=None) -> CascadeStructure:
-    """Build a standalone CascadeStructure from points sorted by the x dimension.
-
-    By default the last two coordinate dimensions are used.  Internal entry
-    ids are positions in the input list; the input Point objects are what
-    queries emit.  Queries take rank bounds: [xlo, xhi] is [xa, xb) with xa
-    points of x < xlo and xb of x <= xhi, and likewise for y.
-    """
-    pts = list(points)
-    if not pts:
-        raise EmptyInput("cannot build a cascade over zero points")
-    dims = pts[0].dims
-    if dims < 2:
-        raise ValueError("cascade needs at least two dimensions")
-    xdim = dims - 2 if xdim is None else xdim
-    ydim = dims - 1 if ydim is None else ydim
-    L = pow2ceil(len(pts))
-    coords = point_matrix(pts)
-    order, rx, _ = rank_table(coords, xdim, L)
-    if not np.array_equal(order, np.arange(len(pts))):
-        raise ValueError("input points must be sorted by the x-dimension composite order")
-    _, ry, _ = rank_table(coords, ydim, L)
-    return CascadeStructure.build_from_ids(order, xdim, ydim, rx, ry, pts, counters)

@@ -92,7 +92,9 @@ def _cmd_gen(parser: _Parser, args) -> int:
     return 0
 
 
-def _cmd_query(args) -> int:
+def _cmd_query(parser: _Parser, args) -> int:
+    if args.dims < 1:
+        parser.error("--dims must be >= 1")
     try:
         with open(args.points, encoding="utf-8") as fh:
             points = parse_points(fh.read(), args.dims)
@@ -183,7 +185,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.command == "gen":
         return _cmd_gen(parser, args)
     if args.command == "query":
-        return _cmd_query(args)
+        return _cmd_query(parser, args)
     return _cmd_bench(parser, args)
 
 

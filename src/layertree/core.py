@@ -48,22 +48,12 @@ class Point:
 
 
 def composite_key(p: Point, dim: int) -> tuple:
-    """Sort key of `p` in dimension `dim`: coordinate, then full tuple, then id."""
-    return (p.coords[dim], p.coords, p.id)
+    """Sort key of `p` in dimension `dim`: coordinate, then full tuple, then id.
 
-
-def compare_composite(a: Point, b: Point, dim: int) -> int:
-    """Three-way composite comparison in `dim`: -1 (less), 0 (equal), 1 (greater).
-
-    Equal only for the identical point: ties on the coordinate fall through to
-    the full coordinate tuple and then to the id.
+    This defines each dimension's strict total order; cascade.rank_table
+    sorts by it, and no two distinct points have equal keys.
     """
-    if not 0 <= dim < a.dims:
-        raise IndexError(f"dim {dim} out of range for {a.dims}-dimensional point")
-    if a.dims != b.dims:
-        raise DimensionMismatch(f"points of dimension {a.dims} and {b.dims}")
-    ka, kb = composite_key(a, dim), composite_key(b, dim)
-    return -1 if ka < kb else (1 if ka > kb else 0)
+    return (p.coords[dim], p.coords, p.id)
 
 
 @dataclass(frozen=True)

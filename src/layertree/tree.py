@@ -6,13 +6,17 @@ holding exactly the non-phantom points of its subtree.  The last two
 coordinates live in a CascadeStructure; a 1-dimensional tree degenerates to a
 padded sorted array.
 
-Trees are flat arrays addressed with index arithmetic: slot 0 is the root,
-children of slot i are 2i+1 and 2i+2, the parent of slot i>0 is (i-1)//2, and
-the L padded leaves occupy slots L-1 .. 2L-2.  Everything below
-LayeredRangeTree.rank_box works in rank space: one int32 rank table per
-dimension gives each id its position in that dimension's sorted order, and a
-box becomes a rank interval [a_j, b_j) per dimension.  Padding leaves are
-phantoms ranked after every real point, so they never fall inside one.
+A level is its leaf row, the one implicit tree shape of the package (see
+cascade): L padded leaf ids sorted by rank, where the node at row r (depth
+log2(L) - r) and position pos covers the leaves pos*2^r .. (pos+1)*2^r - 1
+and splits at the rightmost leaf of its left half.  Its associated
+structures sit in heap order: slot (L >> r) - 1 + pos, so slot 0 is the root,
+the children of slot i are 2i+1 and 2i+2, and the leaves are slots L-1 ..
+2L-2.  Everything below LayeredRangeTree.rank_box works in rank space: one
+int32 rank table per dimension gives each id its position in that
+dimension's sorted order, and a box becomes a rank interval [a_j, b_j) per
+dimension.  Padding leaves are phantoms ranked after every real point, so
+they never fall inside one.
 """
 
 from __future__ import annotations
@@ -20,12 +24,12 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
-from .cascade import (CascadeStructure, _lower_bound, fill_buffers_batch_np, merge_rows,
-                      point_matrix, pow2ceil, rank_table)
+from .cascade import (CascadeStructure, _find_split, _lower_bound, fill_buffers_batch_np,
+                      merge_rows, pow2ceil, rank_table)
 from .core import DimensionMismatch, EmptyInput, Point, PointSet, QueryBox
 
 
@@ -54,128 +58,40 @@ class BuildCounters:
     merge_moves: int = 0
 
 
-class ImplicitTree:
-    """Full binary tree in one flat array, keyed by one dimension's rank.
-
-    `ids` is the padded leaf row (length L): real point ids in sorted order
-    followed by phantom ids; `rank` is the dimension's rank table.  Internal
-    keys are not stored; the key of an internal slot is the rank of the
-    rightmost leaf of its left subtree, located by index arithmetic.
-    """
-
-    __slots__ = ("dim", "ids", "m", "L", "H", "rank")
-
-    def __init__(self, dim: int, ids: Sequence[int], m: int, rank: Sequence[int]):
-        self.dim = dim
-        self.ids = ids
-        self.m = m
-        self.L = len(ids)
-        self.H = self.L.bit_length() - 1
-        self.rank = rank
-
-    @property
-    def leaf_count(self) -> int:
-        return self.L
-
-    @property
-    def real_count(self) -> int:
-        return self.m
-
-    @property
-    def n_slots(self) -> int:
-        return 2 * self.L - 1
-
-    def is_leaf(self, slot: int) -> bool:
-        return slot >= self.L - 1
-
-    def leaf_span(self, slot: int) -> tuple[int, int]:
-        """Half-open padded-leaf index range covered by `slot`'s subtree."""
-        depth = (slot + 1).bit_length() - 1
-        pos = slot - ((1 << depth) - 1)
-        span = self.L >> depth
-        return pos * span, (pos + 1) * span
-
-    def key(self, slot: int) -> int:
-        """Split rank of an internal slot; the leaf's own rank at a leaf slot."""
-        lo, hi = self.leaf_span(slot)
-        if hi - lo == 1:
-            return self.rank[self.ids[lo]]
-        return self.rank[self.ids[lo + ((hi - lo) >> 1) - 1]]
-
-    def subtree_ids(self, slot: int) -> list[int]:
-        """Real entry ids under `slot`, in leaf order (the real leaves are the first m)."""
-        lo, hi = self.leaf_span(slot)
-        return list(self.ids[lo : min(hi, self.m)])
-
-
-def build_implicit_tree(points: Sequence[Point], dim: int = 0) -> ImplicitTree:
-    """Standalone ImplicitTree over `points` in dimension `dim`; entry ids are positions."""
-    pts = list(points)
-    if not pts:
-        raise EmptyInput("cannot build a tree over zero points")
-    m = len(pts)
-    L = pow2ceil(m)
-    order, rank, _ = rank_table(point_matrix(pts), dim, L)
-    ids = array("i", order.tolist() + [m + t for t in range(m, L)])
-    return ImplicitTree(dim, ids, m, rank)
-
-
-def find_split_node(tree: ImplicitTree, a: int, b: int,
-                    stats: Optional[QueryStats] = None) -> int:
-    """Deepest slot where the search paths for ranks [a, b) diverge, or the leaf reached.
-
-    Descent rule: left iff b <= the slot's rank, right iff the slot's rank < a.
-    """
-    if stats is None:
-        stats = QueryStats()
-    slot = 0
-    last = tree.L - 1
-    stats.nodes_visited += 1
-    while slot < last:
-        k = tree.key(slot)
-        if b <= k:
-            slot = 2 * slot + 1
-        elif k < a:
-            slot = 2 * slot + 2
-        else:
-            break
-        stats.nodes_visited += 1
-    return slot
-
-
-def canonical_subtrees(tree: ImplicitTree, a: int, b: int,
+def canonical_subtrees(level: "_Level", a: int, b: int,
                        stats: Optional[QueryStats] = None) -> list[int]:
-    """Disjoint subtree roots whose leaves are exactly the ranks in [a, b).
+    """Heap slots of the disjoint subtrees whose leaves are exactly the ranks in [a, b).
 
-    At most 2*log2(L) slots (one slot for a single-leaf tree); phantom leaves
-    never qualify because their ranks are at least n >= b.
+    The node at row r, position pos of the level's leaf row is heap slot
+    (L >> r) - 1 + pos.  At most 2*log2(L) slots (one slot for a single-leaf
+    tree); phantom leaves never qualify because their ranks are at least n >= b.
     """
     if stats is None:
         stats = QueryStats()
-    out: list[int] = []
-    split = find_split_node(tree, a, b, stats)
-    first_leaf = tree.L - 1
-    if split >= first_leaf:
-        if a <= tree.key(split) < b:
-            out.append(split)
-        return out
+    ids, rank, L = level.ids, level.rank, level.L
+    depth, pos = _find_split(ids, rank, L, a, b, stats)
+    r = L.bit_length() - 1 - depth
+    if r == 0:
+        return [L - 1 + pos] if a <= rank[ids[pos]] < b else []
 
+    out: list[int] = []
     # side 0 follows a down the left child, side 1 b down the right; where a
-    # path turns to its own side, the other child lies wholly inside the
-    # range: rank >= a (side 0), rank < b (side 1)
+    # path turns to its own side, the other child, at row rr-1, lies wholly
+    # inside the range: split rank >= a (side 0), split rank < b (side 1)
     for side, bound in ((0, a), (1, b)):
-        v = 2 * split + 1 + side
-        while v < first_leaf:
-            stats.nodes_visited += 1
-            if (tree.key(v) < bound) == side:
-                out.append(2 * v + 2 - side)
-                stats.nodes_visited += 1
-                v = 2 * v + 1 + side
+        p = (pos << 1) + side
+        visits = r
+        for rr in range(r - 1, 0, -1):
+            hf = 1 << (rr - 1)
+            if (rank[ids[(2 * p + 1) * hf - 1]] < bound) == side:
+                visits += 1
+                out.append((L >> (rr - 1)) - 1 + (p << 1) + 1 - side)
+                p = (p << 1) + side
             else:
-                v = 2 * v + 2 - side
-        stats.nodes_visited += 1
-        if a <= tree.key(v) < b:
-            out.append(v)
+                p = (p << 1) + 1 - side
+        stats.nodes_visited += visits
+        if a <= rank[ids[p]] < b:
+            out.append(L - 1 + p)
     return out
 
 
@@ -214,24 +130,33 @@ class _Slab:
 
 
 class _Level:
-    """One tree level over dimension `tree.dim` with per-slot associated structures."""
+    """One tree level over dimension `dim`: its leaf row plus per-slot associated structures.
 
-    __slots__ = ("tree", "assoc")
+    `ids` is the leaf row (L = len(ids) padded leaves sorted by `rank`, the
+    first m real); assoc[slot] is the structure over the remaining dimensions
+    of heap slot `slot`'s subtree, None where that subtree holds no real id.
+    """
 
-    def __init__(self, tree: ImplicitTree, assoc: list):
-        self.tree = tree
+    __slots__ = ("dim", "ids", "m", "L", "rank", "assoc")
+
+    def __init__(self, dim: int, ids, m: int, rank, assoc: list):
+        self.dim = dim
+        self.ids = ids
+        self.m = m
+        self.L = len(ids)
+        self.rank = rank
         self.assoc = assoc
 
     def query_into(self, a, b, stats, emit):
-        dim = self.tree.dim
-        for slot in canonical_subtrees(self.tree, a[dim], b[dim], stats):
+        dim = self.dim
+        for slot in canonical_subtrees(self, a[dim], b[dim], stats):
             self.assoc[slot].query_into(a, b, stats, emit)
 
     def count_in(self, a, b, stats) -> int:
-        dim = self.tree.dim
+        dim = self.dim
         return sum(
             self.assoc[slot].count_in(a, b, stats)
-            for slot in canonical_subtrees(self.tree, a[dim], b[dim], stats)
+            for slot in canonical_subtrees(self, a[dim], b[dim], stats)
         )
 
 
@@ -360,8 +285,7 @@ def build(points: PointSet, counters: Optional[BuildCounters] = None) -> Layered
                     assoc: list = [None] * (2 * L - 1)
                     for r in range(H + 1):
                         _queue(nxt, assoc, (L >> r) - 1, rows[r, g], m, 1 << r, n)
-                    tree = ImplicitTree(j, flat[g * L : (g + 1) * L], m, ranks[j])
-                    made.append(_Level(tree, assoc))
+                    made.append(_Level(j, flat[g * L : (g + 1) * L], m, ranks[j], assoc))
             for (owner, slot), struct in zip(owners, made):
                 owner[slot] = struct
         groups = nxt

@@ -3,21 +3,25 @@ from bisect import bisect_left, bisect_right
 import pytest
 
 from layertree import (
+    BuildCounters,
+    CascadeStructure,
     EmptyInput,
-    Point,
+    GeneratorConfig,
+    PointSet,
     QueryStats,
     SplitMix64,
     box_contains,
-    build_cascade,
+    build,
     composite_key,
+    gen_points,
 )
 from layertree.core import QueryBox
 
 
 def make_cascade(coord_pairs):
-    pts = [Point((float(x), float(y)), i) for i, (x, y) in enumerate(coord_pairs)]
-    pts.sort(key=lambda p: composite_key(p, 0))
-    return build_cascade(pts), pts
+    """The 2-d tree's root cascade over the pairs, and its points by id."""
+    tree = build(PointSet.from_coords(coord_pairs))
+    return tree.root, tree.pointset.by_id
 
 
 def rank_args(cs, xlo, xhi, ylo, yhi):
@@ -49,14 +53,19 @@ class TestBuild:
         assert root.y_values == [7.0]
         assert root.left_bridge == [] and root.right_bridge == []
 
-    def test_rejects_unsorted_input(self):
-        pts = [Point((2.0, 0.0), 0), Point((1.0, 0.0), 1)]
-        with pytest.raises(ValueError):
-            build_cascade(pts)
-
     def test_rejects_empty(self):
         with pytest.raises(EmptyInput):
-            build_cascade([])
+            build(PointSet([], 2))
+
+    def test_build_from_ids_equals_build(self):
+        ps = gen_points(GeneratorConfig(seed=12, n=45, dims=2, dist="grid", grid_side=4))
+        built, counters = BuildCounters(), BuildCounters()
+        root = build(ps, built).root
+        one = CascadeStructure.build_from_ids(root.buf[: root.m], 0, 1, root.rank_x,
+                                              root.rank_y, ps.by_id, counters)
+        assert (one.m, one.L, one.H) == (root.m, root.L, root.H)
+        assert one.buf.tolist() == root.buf.tolist()
+        assert counters.merge_moves == built.merge_moves
 
     def test_hand_derived_parent_bridges(self):
         # children carry y-keys [1,5] and [3,7]; the parent merges to [1,3,5,7]
@@ -207,11 +216,13 @@ class TestQuery2D:
         assert cs.count_in((xa, ya), (xb, yb), QueryStats()) == 2
 
     def test_tree_view(self):
+        # row 0 of the buffer is the x-tree's leaf row: increasing in x rank,
+        # nondecreasing in x, real ids first
         cs, pts = make_cascade([(3, 0), (1, 0), (2, 0)])
-        t = cs.tree
-        assert t.leaf_count == 4 and t.real_count == 3
-        # leaves read left to right are increasing in rank and nondecreasing in x
-        ranks = [t.key(t.L - 1 + i) for i in range(t.L)]
+        assert cs.L == 4 and cs.m == 3
+        leaves = cs.buf[: cs.L].tolist()
+        ranks = [cs.rank_x[e] for e in leaves]
         assert ranks == sorted(ranks)
-        xs = [pts[e].coords[0] for e in t.subtree_ids(0)]
-        assert len(xs) == 3 and xs == sorted(xs)
+        xs = [pts[e].coords[0] for e in leaves[: cs.m]]
+        assert xs == [1.0, 2.0, 3.0]
+        assert leaves[cs.m] >= len(pts)

@@ -102,6 +102,13 @@ class TestQuery:
         assert code == 2
         assert "line 2" in err
 
+    def test_dims_zero_is_usage_error(self, capsys, workload):
+        pts, qrs = workload
+        code, _, err = run(capsys, ["query", "--points", str(pts), "--dims", "0",
+                                    "--queries", str(qrs)])
+        assert code == 1
+        assert "--dims must be >= 1" in err
+
     def test_missing_file_is_exit_2(self, capsys, tmp_path):
         code, _, _ = run(capsys, ["query", "--points", str(tmp_path / "nope"),
                                   "--dims", "2", "--queries", str(tmp_path / "nope")])

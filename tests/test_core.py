@@ -11,7 +11,6 @@ from layertree import (
     PointSet,
     QueryBox,
     box_contains,
-    compare_composite,
     composite_key,
 )
 
@@ -24,24 +23,24 @@ def P(*coords, id=0):
 
 
 class TestCompareComposite:
+    # the composite order is the order of composite_key tuples
     def test_coordinate_tie_breaks_on_tuple(self):
-        assert compare_composite(P(1, 2, id=0), P(1, 3, id=1), 0) == -1
+        assert composite_key(P(1, 2, id=0), 0) < composite_key(P(1, 3, id=1), 0)
 
     def test_identical_point_is_equal(self):
         p = P(1, 2, id=0)
-        assert compare_composite(p, p, 1) == 0
+        assert composite_key(p, 1) == composite_key(p, 1)
 
     def test_coordinate_decides(self):
-        assert compare_composite(P(5, 0, id=2), P(3, 9, id=0), 0) == 1
+        assert composite_key(P(5, 0, id=2), 0) > composite_key(P(3, 9, id=0), 0)
 
     def test_id_is_final_tiebreak(self):
         a, b = P(1, 2, id=0), P(1, 2, id=1)
-        assert compare_composite(a, b, 0) == -1
-        assert compare_composite(b, a, 0) == 1
+        assert composite_key(a, 0) < composite_key(b, 0)
 
     def test_dim_out_of_range(self):
         with pytest.raises(IndexError):
-            compare_composite(P(1, 2), P(3, 4), 2)
+            composite_key(P(1, 2), 2)
 
 
 class TestBoxContains:
@@ -115,12 +114,9 @@ def point_sets(draw, dims=2, max_n=40):
 class TestTotalOrder:
     @given(point_sets(), st.integers(min_value=0, max_value=1))
     def test_strict_total_order(self, pts, dim):
-        s = sorted(pts, key=lambda p: composite_key(p, dim))
-        for a, b in zip(s, s[1:]):
-            assert compare_composite(a, b, dim) == -1
-            assert compare_composite(b, a, dim) == 1
-        for p in pts:
-            assert compare_composite(p, p, dim) == 0
+        keys = sorted(composite_key(p, dim) for p in pts)
+        for a, b in zip(keys, keys[1:]):
+            assert a < b
 
     @given(point_sets(), st.integers(min_value=0, max_value=1), st.randoms())
     @settings(max_examples=50)
@@ -135,4 +131,4 @@ class TestTotalOrder:
     def test_no_two_distinct_points_equal(self, pts, dim):
         for i, a in enumerate(pts):
             for b in pts[i + 1 :]:
-                assert compare_composite(a, b, dim) != 0
+                assert composite_key(a, dim) != composite_key(b, dim)

@@ -13,25 +13,34 @@ from layertree import (
     DimensionMismatch,
     EmptyInput,
     GeneratorConfig,
-    Point,
     PointSet,
     QueryBox,
     QueryStats,
     SplitMix64,
     brute_force_query,
     build,
-    build_implicit_tree,
     canonical_subtrees,
     composite_key,
-    find_split_node,
     gen_points,
 )
-from layertree.cascade import CascadeStructure, point_matrix, pow2ceil, rank_table
+from layertree.cascade import CascadeStructure, _find_split, pow2ceil, rank_table
 from layertree.tree import _Level, _Slab
 
 
-def pts_1d(*values):
-    return [Point((float(v),), i) for i, v in enumerate(values)]
+def root_level(values):
+    """The root _Level of a d=3 tree over the points (v, 0, 0); point i has id i."""
+    return build(PointSet.from_coords([(v, 0, 0) for v in values])).root
+
+
+def slot_ids(level, slot):
+    """Real ids under heap slot `slot` of a level: its chunk of the leaf row, phantoms cut."""
+    depth = (slot + 1).bit_length() - 1
+    lo = (slot + 1 - (1 << depth)) * (level.L >> depth)
+    return list(level.ids[lo : min(lo + (level.L >> depth), level.m)])
+
+
+def split(level, a, b):
+    return _find_split(level.ids, level.rank, level.L, a, b, QueryStats())
 
 
 def rank_bounds(values, lo, hi):
@@ -40,96 +49,113 @@ def rank_bounds(values, lo, hi):
     return bisect_left(s, lo), bisect_right(s, hi)
 
 
-class TestImplicitTree:
+class TestLeafRow:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 9, 16, 31])
     def test_heap_index_laws(self, n):
-        t = build_implicit_tree(pts_1d(*range(n)))
-        L = t.leaf_count
-        assert L == 1 << max(0, (n - 1).bit_length())
-        assert t.n_slots == 2 * L - 1
-        for slot in range(t.n_slots):
-            for child in (2 * slot + 1, 2 * slot + 2):
-                if child < t.n_slots:
-                    assert (child - 1) // 2 == slot
-            assert t.is_leaf(slot) == (L - 1 <= slot <= 2 * L - 2)
+        # assoc is in heap order: 2L-1 slots, slot s holds the points of its
+        # children 2s+1 and 2s+2, and leaf slot L-1+i those of leaf i
+        level = root_level(range(n))
+        L = level.L
+        assert L == pow2ceil(n) and len(level.assoc) == 2 * L - 1
+        held = [[] if sub is None else sorted(sub.buf[: sub.m].tolist()) for sub in level.assoc]
+        for s in range(L - 1):
+            assert held[s] == sorted(held[2 * s + 1] + held[2 * s + 2])
+        for i in range(L):
+            assert held[L - 1 + i] == ([level.ids[i]] if i < n else [])
 
     @pytest.mark.parametrize("n", [1, 3, 8, 13])
     def test_leaf_scan_nondecreasing_and_internal_keys(self, n):
         rnd = random.Random(n)
-        t = build_implicit_tree(pts_1d(*(rnd.randrange(4) for _ in range(n))))
-        L = t.leaf_count
-        leaf_keys = [t.key(L - 1 + i) for i in range(L)]
-        assert leaf_keys == sorted(leaf_keys)
-        for slot in range(L - 1):
-            lo, hi = t.leaf_span(2 * slot + 1)
-            left_max = max(t.key(L - 1 + i) for i in range(lo, hi))
-            assert t.key(slot) == left_max
+        level = root_level([rnd.randrange(4) for _ in range(n)])
+        ranks = [level.rank[e] for e in level.ids]
+        assert ranks == sorted(ranks)
+        # a node splits at the largest rank of its left subtree, and the
+        # split search for that one rank stops at the node
+        for depth in range(level.L.bit_length() - 1):
+            span = level.L >> depth
+            for pos in range(1 << depth):
+                k = max(ranks[pos * span : pos * span + span // 2])
+                assert split(level, k, k + 1) == (depth, pos)
 
     def test_phantoms_sit_rightmost(self):
-        pts = pts_1d(5, 1, 3)
-        t = build_implicit_tree(pts)
-        assert t.leaf_count == 4
-        assert [t.key(3 + i) for i in range(3)] == [0, 1, 2]
-        assert [pts[e].coords[0] for e in t.subtree_ids(0)] == [1.0, 3.0, 5.0]
-        assert t.key(6) >= len(pts)  # the phantom leaf ranks after every point
+        values = [5, 1, 3]
+        level = root_level(values)
+        assert level.L == 4 and level.m == 3
+        assert [level.rank[e] for e in level.ids[:3]] == [0, 1, 2]
+        assert [values[e] for e in slot_ids(level, 0)] == [1, 3, 5]
+        assert level.rank[level.ids[3]] >= len(values)  # the phantom ranks after every point
 
 
 class TestFindSplitNode:
-    # leaves [1,2,3,4]: root splits {1,2} | {3,4}
-    def tree(self):
-        return build_implicit_tree(pts_1d(1, 2, 3, 4))
+    # leaves [1,2,3,4]: the root splits {1,2} | {3,4}
+    VALUES = [1, 2, 3, 4]
 
     def test_range_2_3_splits_at_root(self):
-        t = self.tree()
-        assert find_split_node(t, *rank_bounds([1, 2, 3, 4], 2.0, 3.0)) == 0
+        level = root_level(self.VALUES)
+        assert split(level, *rank_bounds(self.VALUES, 2.0, 3.0)) == (0, 0)
 
     def test_degenerate_range_splits_at_value_boundary(self):
         # [1,1] is the ranks [0, 1): it diverges at the parent of the value-1
         # leaf; the canonical cover is still exactly that leaf
-        t = self.tree()
-        assert find_split_node(t, *rank_bounds([1, 2, 3, 4], 1.0, 1.0)) == 1
-        cover = canonical_subtrees(t, *rank_bounds([1, 2, 3, 4], 1.0, 1.0))
+        level = root_level(self.VALUES)
+        assert split(level, *rank_bounds(self.VALUES, 1.0, 1.0)) == (1, 0)
+        cover = canonical_subtrees(level, *rank_bounds(self.VALUES, 1.0, 1.0))
         assert cover == [3]
-        assert t.subtree_ids(3) == [0]
+        assert slot_ids(level, 3) == [0]
 
     def test_range_above_all_leaves(self):
-        t = self.tree()
-        slot = find_split_node(t, *rank_bounds([1, 2, 3, 4], 5.0, 9.0))
-        assert t.is_leaf(slot)
-        assert canonical_subtrees(t, *rank_bounds([1, 2, 3, 4], 5.0, 9.0)) == []
+        level = root_level(self.VALUES)
+        depth, _ = split(level, *rank_bounds(self.VALUES, 5.0, 9.0))
+        assert depth == level.L.bit_length() - 1  # a leaf
+        assert canonical_subtrees(level, *rank_bounds(self.VALUES, 5.0, 9.0)) == []
+
+
+def check_cover(level, column, lo, hi):
+    """The canonical cover of [lo, hi] in level.dim (column: that coordinate by id).
+
+    Its slots hold disjoint id sets whose union is the level's real ids in
+    [lo, hi], and there are at most 2*log2(L) of them.
+    """
+    slots = canonical_subtrees(level, *rank_bounds(column, lo, hi))
+    cover = [e for s in slots for e in slot_ids(level, s)]
+    assert len(set(slots)) == len(slots) and len(set(cover)) == len(cover)
+    assert sorted(cover) == sorted(e for e in level.ids[: level.m] if lo <= column[e] <= hi)
+    assert len(slots) <= max(1, 2 * (level.L.bit_length() - 1))
 
 
 class TestCanonicalSubtrees:
-    def filtered(self, t, values, lo, hi):
-        return sorted(v for v in values if lo <= v <= hi)
-
-    def cover_values(self, t, values, slots):
-        return sorted(values[e] for s in slots for e in t.subtree_ids(s))
-
     def test_full_range_covers_everything(self):
-        t = build_implicit_tree(pts_1d(1, 2, 3, 4))
-        slots = canonical_subtrees(t, *rank_bounds([1, 2, 3, 4], 1.0, 4.0))
-        assert self.cover_values(t, [1, 2, 3, 4], slots) == [1, 2, 3, 4]
+        level = root_level([1, 2, 3, 4])
+        slots = canonical_subtrees(level, *rank_bounds([1, 2, 3, 4], 1.0, 4.0))
+        assert sorted(e for s in slots for e in slot_ids(level, s)) == [0, 1, 2, 3]
 
     def test_disjoint_range_is_empty(self):
-        t = build_implicit_tree(pts_1d(1, 2, 3, 4))
-        assert canonical_subtrees(t, *rank_bounds([1, 2, 3, 4], 5.0, 9.0)) == []
+        level = root_level([1, 2, 3, 4])
+        assert canonical_subtrees(level, *rank_bounds([1, 2, 3, 4], 5.0, 9.0)) == []
 
     @given(
         st.lists(st.integers(0, 7), min_size=1, max_size=40),
         st.integers(-1, 8),
         st.integers(-1, 8),
     )
-    @settings(max_examples=200)
+    @settings(max_examples=200, deadline=None)
     def test_cover_equals_filter_and_bound(self, values, lo, hi):
-        t = build_implicit_tree(pts_1d(*values))
-        slots = canonical_subtrees(t, *rank_bounds(values, lo, hi))
-        # disjointness
-        spans = sorted(t.leaf_span(s) for s in slots)
-        for (a1, b1), (a2, b2) in zip(spans, spans[1:]):
-            assert b1 <= a2
-        assert self.cover_values(t, values, slots) == self.filtered(t, values, lo, hi)
-        assert len(slots) <= max(1, 2 * (t.leaf_count.bit_length() - 1))
+        check_cover(root_level(values), values, lo, hi)
+
+    @given(
+        st.lists(st.tuples(*[st.integers(0, 3)] * 4), min_size=1, max_size=40),
+        st.integers(-1, 4),
+        st.integers(-1, 4),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_cover_below_the_root(self, rows, lo, hi):
+        # below the root a level holds a subset of the points, so its real ids
+        # run past its own point count m
+        tree = build(PointSet.from_coords(rows))
+        lower = [s for depth, s in tree.structures() if depth > 0 and isinstance(s, _Level)]
+        assert lower
+        for level in lower:
+            check_cover(level, [r[level.dim] for r in rows], lo, hi)
 
 
 def random_boxes(rng, d, span, count):
@@ -195,13 +221,13 @@ class TestBuild:
             levels = [s for _, s in tree.structures() if isinstance(s, _Level)]
             assert len(levels) > (cfg.dims == 4)
             for level in levels:
-                for slot in range(level.tree.n_slots):
+                for slot in range(2 * level.L - 1):
                     sub = level.assoc[slot]
-                    ids = level.tree.subtree_ids(slot)
+                    ids = slot_ids(level, slot)
                     if not ids:
                         assert sub is None
                         continue
-                    assert (sub.tree.m if isinstance(sub, _Level) else sub.m) == len(ids)
+                    assert sub.m == len(ids)
                     got = []
                     sub.query_into(*everything, QueryStats(), got.append)
                     assert sorted(p.id for p in got) == sorted(ids)
@@ -266,18 +292,15 @@ class TestSpaceAccounting:
             elif isinstance(s, _Slab):
                 assert s.real_entry_count() == s.m
             else:
-                total = sum(sub.m if not isinstance(sub, _Level) else sub.tree.m
-                            for sub in s.assoc if sub is not None)
-                levels = s.tree.L.bit_length()
-                assert total == s.tree.m * levels
+                total = sum(sub.m for sub in s.assoc if sub is not None)
+                assert total == s.m * s.L.bit_length()
 
 
 def buffer_digest(tree) -> str:
     """sha256 of every structure's buffer (leaf row of a level) as ints, in structures() order."""
     h = hashlib.sha256()
     for _, s in tree.structures():
-        buf = s.buf if isinstance(s, CascadeStructure) else (
-            s.tree.ids if isinstance(s, _Level) else s.ids)
+        buf = s.buf if isinstance(s, CascadeStructure) else s.ids
         h.update(repr([int(e) for e in buf]).encode())
     return h.hexdigest()
 
@@ -392,18 +415,17 @@ class TestRankTable:
     @settings(max_examples=200, deadline=None)
     def test_order_is_composite_order(self, workload, rnd):
         d, rows, _ = workload
-        ps = PointSet.from_coords(rows, d)
-        shuffled = list(ps.points)  # positions no longer ids: ties still break by id
-        rnd.shuffle(shuffled)
-        n = len(rows)
-        for pts, coords in ((ps.by_id, ps.coord_matrix()), (shuffled, point_matrix(shuffled))):
-            for j in range(d):
-                order, rank, axis = rank_table(coords, j, pow2ceil(n))
-                want = sorted(range(n), key=lambda i: composite_key(pts[i], j))
-                assert order.tolist() == want
-                assert list(rank) == [want.index(i) for i in range(n)] + list(
-                    range(n, n + pow2ceil(n)))
-                assert list(axis) == [pts[i].coords[j] for i in want]
+        shuffled = list(PointSet.from_coords(rows, d).points)
+        rnd.shuffle(shuffled)  # given in any order, the matrix rows are still ids
+        ps = PointSet(shuffled, d)
+        pts, n = ps.by_id, len(rows)
+        for j in range(d):
+            order, rank, axis = rank_table(ps.coord_matrix(), j, pow2ceil(n))
+            want = sorted(range(n), key=lambda i: composite_key(pts[i], j))
+            assert order.tolist() == want
+            assert list(rank) == [want.index(i) for i in range(n)] + list(
+                range(n, n + pow2ceil(n)))
+            assert list(axis) == [pts[i].coords[j] for i in want]
 
 
 class TestFuzz:
