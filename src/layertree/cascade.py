@@ -9,20 +9,24 @@ tree (tree._Level) is a leaf row too and searches it the same way.
 
 A CascadeStructure is that tree over coordinate x (the second-to-last
 dimension) whose every node also carries its subtree's points sorted by
-coordinate y (the last dimension), plus bridge indices linking each entry to
-the first not-smaller entry in each child's array.  A 2D query then needs
-exactly one binary search, at the split node; every other position follows
-bridges in constant time per level.
+coordinate y (the last dimension), plus a left bridge per entry: the first
+not-smaller entry in the left child's array.  A 2D query then needs exactly
+one binary search, at the split node; every other position follows bridges
+in constant time per level.
 
-Storage is a single flat int32 buffer per structure, addressed by index
-arithmetic.  With L padded leaves and height H = log2(L):
+Storage is a single flat int32 buffer of (2H+1)*L entries per structure,
+addressed by index arithmetic.  With L padded leaves and height H = log2(L):
 
     row r in 0..H        node arrays at depth H-r, offset r*L; the array of
                          the node at (depth, pos) is the chunk of width
                          2^r starting at pos*2^r, sorted by y.  Row 0 is the
                          leaf row, sorted by x: it is the x-tree.
     lb rows r in 1..H    left bridges, offset L*(H+r)
-    rb rows r in 1..H    right bridges, offset L*(2H+r)
+
+The right bridge is not stored: for the entry at position t of a node's
+array it is t - lb[t].  Ranks are distinct, so the t entries before it are
+exactly the smaller ones, and each came from one child: lb[t] from the left,
+the rest from the right.
 
 Entries are ids into the owning point list; ids >= nreal are phantom padding,
 so every chunk is full and bridges are total.  Every comparison is between
@@ -111,11 +115,10 @@ def merge_rows(leaf_rows: np.ndarray, rank: np.ndarray) -> np.ndarray:
     """Bottom-up stable merge of G leaf rows of one power-of-two length L by `rank`.
 
     `leaf_rows` is a (G, L) int32 array of ids; `rank` is a rank_table rank.
-    Returns a (3H+1, G, L) int32 array laid out like a buffer: [r, g] for r
-    in 0..H holds row g's chunks of width 2^r, each sorted by rank; the next
-    H rows, then the last H, give every entry of rows 1..H its left / right
-    bridge, the first position in that half of its chunk whose rank is not
-    smaller.
+    Returns a (2H+1, G, L) int32 array laid out like a buffer: [r, g] for r
+    in 0..H holds row g's chunks of width 2^r, each sorted by rank; the last
+    H rows give every entry of rows 1..H its left bridge, the first position
+    in the left half of its chunk whose rank is not smaller.
 
     Per row, the merge cursor of every element is its count of smaller
     elements in the sibling half (one searchsorted over all chunks at once,
@@ -125,8 +128,8 @@ def merge_rows(leaf_rows: np.ndarray, rank: np.ndarray) -> np.ndarray:
     G, L = leaf_rows.shape
     H = L.bit_length() - 1
     rank = np.frombuffer(rank, dtype=np.int32)
-    merged = np.empty((3 * H + 1, G, L), dtype=np.int32)
-    rows, lbs, rbs = merged[: H + 1], merged[H + 1 : 2 * H + 1], merged[2 * H + 1 :]
+    merged = np.empty((2 * H + 1, G, L), dtype=np.int32)
+    rows, lbs = merged[: H + 1], merged[H + 1 :]
     rows[0] = leaf_rows
     ranks = rank[rows[0]]
     big = np.int64(len(rank))
@@ -149,13 +152,10 @@ def merge_rows(leaf_rows: np.ndarray, rank: np.ndarray) -> np.ndarray:
         pid = rows[r - 1].reshape(nch, 2, half)
         out = rows[r].reshape(-1)
         lb = lbs[r - 1].reshape(-1)
-        rb = rbs[r - 1].reshape(-1)
         out[tl] = pid[:, 0, :].ravel()
         out[tr] = pid[:, 1, :].ravel()
         lb[tl] = i_w
-        rb[tl] = cr
         lb[tr] = cl
-        rb[tr] = i_w
         ranks = rank[rows[r]]
     return merged
 
@@ -253,9 +253,8 @@ class CascadeStructure:
         if r == 0:
             return CascadeNode(pts, ranks, [], [], self.ydim)
         lbase = L * (H + r) + pos * span
-        rbase = L * (2 * H + r) + pos * span
-        return CascadeNode(pts, ranks, list(buf[lbase : lbase + span]),
-                           list(buf[rbase : rbase + span]), self.ydim)
+        lb = buf[lbase : lbase + span].tolist()
+        return CascadeNode(pts, ranks, lb, [t - l for t, l in enumerate(lb)], self.ydim)
 
     def real_entry_count(self) -> int:
         """Real (non-phantom) entries stored across all node arrays."""
@@ -279,45 +278,41 @@ class CascadeStructure:
         (offset abase, width span) of every node the x range covers whole.
         """
         buf, rx, L, H = self.buf, self.rank_x, self.L, self.H
-        if depth == H:
+        r = H - depth
+        if r == 0:
             if xa <= rx[buf[pos]] < xb:
                 yield pos, 1, lo, hi
             return
         npos = 1 if hi is None else 2
-        r = H - depth
-        span = 1 << r
-        # side 0 walks the xa path through the left child, side 1 the xb
-        # path through the right; own/other are the bridge rows into the
-        # path's own side and into the other side
         for side, bound in ((0, xa), (1, xb)):
-            own = (1 + side) * H * L
-            other = (2 - side) * H * L
-            b = own + r * L + pos * span
-            c = buf[b + lo] if lo < span else span >> 1
-            e = None if hi is None else (buf[b + hi] if hi < span else span >> 1)
-            p = (pos << 1) + side
-            # each node below the split on the path, and each canonical child,
-            # costs one visit and one bridge per carried position
-            steps = r
-            for rr in range(r - 1, 0, -1):
+            # side 0 walks the xa path, side 1 the xb path; at every node the
+            # path enters the right child iff its split rank is below the
+            # bound, so at the split node (xa <= split rank < xb) side 0
+            # goes left and side 1 right
+            p, c, e, f, steps = pos, lo, hi, None, r
+            for rr in range(r, 0, -1):
                 sp = 1 << rr
                 hf = sp >> 1
-                k = rx[buf[p * sp + hf - 1]]
-                b = other + rr * L + p * sp
-                # the path turns to its own side where the other child lies
-                # wholly inside the x range: k >= xa (side 0), k < xb (side 1)
-                if (k < bound) == side:
-                    steps += 1
-                    yield ((rr - 1) * L + ((p << 1) + 1 - side) * hf, hf,
-                           buf[b + c] if c < sp else hf,
-                           None if e is None else (buf[b + e] if e < sp else hf))
-                    b = own + rr * L + p * sp
-                    p = (p << 1) + side
-                else:
-                    p = (p << 1) + 1 - side
-                c = buf[b + c] if c < sp else hf
+                go = rx[buf[p * sp + hf - 1]] < bound
+                b = (H + rr) * L + p * sp
+                # c sits at lb[c] in the left child and at c - lb[c] in the
+                # right one: s is the sibling's position, the rest the path's
+                s = buf[b + c] if c < sp else hf
+                if not go:
+                    s = c - s
+                c -= s
                 if e is not None:
-                    e = buf[b + e] if e < sp else hf
+                    f = buf[b + e] if e < sp else hf
+                    if not go:
+                        f = e - f
+                    e -= f
+                p = (p << 1) + go
+                # below the split node, a path that keeps to its own side
+                # leaves the sibling wholly inside the x range; each such
+                # canonical child costs one visit and one bridge per position
+                if go == side and rr < r:
+                    steps += 1
+                    yield (rr - 1) * L + (p ^ 1) * hf, hf, s, f
             stats.nodes_visited += steps
             stats.bridge_follows += npos * steps
             if xa <= rx[buf[p]] < xb:

@@ -100,7 +100,7 @@ def _cmd_query(parser: _Parser, args) -> int:
             points = parse_points(fh.read(), args.dims)
         with open(args.queries, encoding="utf-8") as fh:
             boxes = parse_queries(fh.read(), args.dims)
-    except (OSError, ParseError, EmptyInput) as exc:
+    except (OSError, UnicodeDecodeError, ParseError, EmptyInput) as exc:
         print(f"layertree: {exc}", file=sys.stderr)
         return 2
 

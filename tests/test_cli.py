@@ -114,6 +114,15 @@ class TestQuery:
                                   "--dims", "2", "--queries", str(tmp_path / "nope")])
         assert code == 2
 
+    @pytest.mark.parametrize("bad", ["points", "queries"])
+    def test_non_utf8_file_is_exit_2(self, capsys, workload, bad):
+        pts, qrs = workload
+        (pts if bad == "points" else qrs).write_bytes(b"\xff\n")
+        code, out, err = run(capsys, ["query", "--points", str(pts), "--dims", "2",
+                                      "--queries", str(qrs)])
+        assert code == 2 and out == ""
+        assert "can't decode byte 0xff" in err
+
     def test_mismatch_reporting_is_exit_3(self, capsys, workload, monkeypatch):
         # force a wrong oracle to exercise the mismatch path
         pts, qrs = workload

@@ -289,6 +289,8 @@ class TestSpaceAccounting:
         for _, s in tree.structures():
             if isinstance(s, CascadeStructure):
                 assert s.real_entry_count() == s.m * (s.H + 1)
+                # H+1 node-array rows and H left-bridge rows, no right bridges
+                assert len(s.buf) == (2 * s.H + 1) * s.L
             elif isinstance(s, _Slab):
                 assert s.real_entry_count() == s.m
             else:
@@ -296,11 +298,22 @@ class TestSpaceAccounting:
                 assert total == s.m * s.L.bit_length()
 
 
+def expanded_buffer(s: CascadeStructure) -> list[int]:
+    """A cascade buffer with its right bridges written out: node rows, lb rows, then t - lb.
+
+    Entry i of lb row r sits at position t = i mod 2^r of its node's array.
+    """
+    buf = [int(e) for e in s.buf]
+    lb = s.L * (s.H + 1)
+    return buf + [(i & ((1 << r) - 1)) - buf[lb + (r - 1) * s.L + i]
+                  for r in range(1, s.H + 1) for i in range(s.L)]
+
+
 def buffer_digest(tree) -> str:
-    """sha256 of every structure's buffer (leaf row of a level) as ints, in structures() order."""
+    """sha256 of every structure's expanded buffer (leaf row of a level) as ints, in structures() order."""
     h = hashlib.sha256()
     for _, s in tree.structures():
-        buf = s.buf if isinstance(s, CascadeStructure) else s.ids
+        buf = expanded_buffer(s) if isinstance(s, CascadeStructure) else s.ids
         h.update(repr([int(e) for e in buf]).encode())
     return h.hexdigest()
 
