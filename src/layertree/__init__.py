@@ -20,6 +20,7 @@ from .core import (
     Point,
     PointSet,
     QueryBox,
+    TooManyPoints,
     box_contains,
     composite_key,
 )
@@ -39,6 +40,7 @@ __all__ = [
     "QueryBox",
     "QueryStats",
     "SplitMix64",
+    "TooManyPoints",
     "box_contains",
     "brute_force_query",
     "build",

@@ -14,14 +14,21 @@ not-smaller entry in the left child's array.  A 2D query then needs exactly
 one binary search, at the split node; every other position follows bridges
 in constant time per level.
 
-Storage is a single flat int32 buffer of (2H+1)*L entries per structure,
-addressed by index arithmetic.  With L padded leaves and height H = log2(L):
+Storage: the structures over one dimension with the same L form a merge
+group of G structures, and the group keeps its buffers in one array("i") of
+G*(2H+1)*L words, laid out (G, 2H+1, L).  Structure g of the group owns the
+(2H+1)*L contiguous words from base = g*(2H+1)*L; every address below is
+base plus an offset in that buffer.  With L padded leaves and height
+H = log2(L):
 
     row r in 0..H        node arrays at depth H-r, offset r*L; the array of
                          the node at (depth, pos) is the chunk of width
                          2^r starting at pos*2^r, sorted by y.  Row 0 is the
                          leaf row, sorted by x: it is the x-tree.
     lb rows r in 1..H    left bridges, offset L*(H+r)
+
+Reading an array("i") gives a Python int, so the query loops never make a
+numpy scalar; numpy writes the array only while merge_rows builds it.
 
 The right bridge is not stored: for the entry at position t of a node's
 array it is t - lb[t].  Ranks are distinct, so the t entries before it are
@@ -39,7 +46,8 @@ structures with the same L are merged together bottom-up, one vectorized
 step per row, by each id's rank in the y order, and the merge cursors are the
 bridges.  The multi-level tree runs the same merge to sort its levels'
 subtrees by the next dimension.  Queries and counts share one walk down the
-two boundary paths below the split node (CascadeStructure._walk).
+two boundary paths below the split node (CascadeStructure._walk); a query
+emits the in-range run of each node it reaches as one slice of ids.
 """
 
 from __future__ import annotations
@@ -88,17 +96,17 @@ def _lower_bound(ids, rank, base: int, size: int, r: int, stats) -> int:
     return lo
 
 
-def _find_split(ids, rank, L: int, a: int, b: int, stats) -> tuple[int, int]:
+def _find_split(ids, rank, base: int, L: int, a: int, b: int, stats) -> tuple[int, int]:
     """(depth, pos) where the descents for ranks [a, b) diverge, or the leaf reached.
 
-    The tree is the leaf row ids[0:L], sorted by rank.  Descent rule: left iff
-    b <= the node's split rank, right iff the split rank < a.
+    The tree is the leaf row ids[base:base+L], sorted by rank.  Descent rule:
+    left iff b <= the node's split rank, right iff the split rank < a.
     """
     depth, pos, span = 0, 0, L
     stats.nodes_visited += 1
     while span > 1:
         half = span >> 1
-        k = rank[ids[pos * span + half - 1]]
+        k = rank[ids[base + pos * span + half - 1]]
         if b <= k:
             pos <<= 1
         elif k < a:
@@ -111,32 +119,36 @@ def _find_split(ids, rank, L: int, a: int, b: int, stats) -> tuple[int, int]:
     return depth, pos
 
 
-def merge_rows(leaf_rows: np.ndarray, rank: np.ndarray) -> np.ndarray:
-    """Bottom-up stable merge of G leaf rows of one power-of-two length L by `rank`.
+def merge_rows(merged: np.ndarray, rank) -> None:
+    """Bottom-up stable merge, in place, of G leaf rows of one power-of-two length L by `rank`.
 
-    `leaf_rows` is a (G, L) int32 array of ids; `rank` is a rank_table rank.
-    Returns a (2H+1, G, L) int32 array laid out like a buffer: [r, g] for r
-    in 0..H holds row g's chunks of width 2^r, each sorted by rank; the last
-    H rows give every entry of rows 1..H its left bridge, the first position
-    in the left half of its chunk whose rank is not smaller.
+    `merged` is a C-contiguous (G, R, L) int32 array whose [:, 0] holds the
+    leaf rows (ids); `rank` is a rank_table rank.  For r in 1..H, [g, r] gets
+    row g's chunks of width 2^r, each sorted by rank.  With R = 2H+1, [g]
+    becomes a buffer: [g, H+r] gives every entry of [g, r] its left bridge,
+    the first position in the left half of its chunk whose rank is not
+    smaller.  With R = H+1 (the levels of the multi-level tree) no bridge is
+    computed or written.
 
     Per row, the merge cursor of every element is its count of smaller
     elements in the sibling half (one searchsorted over all chunks at once,
     kept per-chunk by rank offsets); those cursors are both the scatter
-    positions and the bridge values.
+    positions and the bridge values.  The scatter addresses the flat array,
+    so `merged` may be a view of a group's array("i").
     """
-    G, L = leaf_rows.shape
+    G, R, L = merged.shape
     H = L.bit_length() - 1
     rank = np.frombuffer(rank, dtype=np.int32)
-    merged = np.empty((2 * H + 1, G, L), dtype=np.int32)
-    rows, lbs = merged[: H + 1], merged[H + 1 :]
-    rows[0] = leaf_rows
-    ranks = rank[rows[0]]
+    flat = merged.reshape(-1)
+    lbs = flat[H * L :] if R > H + 1 else None  # lb row r sits H rows after node row r
+    ranks = rank[merged[:, 0]]
     big = np.int64(len(rank))
+    starts = np.arange(G, dtype=np.int64) * (R * L)
     for r in range(1, H + 1):
         span = 1 << r
         half = span >> 1
-        nch = (G * L) >> r
+        nc = L >> r
+        nch = G * nc
         pr = ranks.reshape(nch, 2, half)
         # int64 offsets: the int32 ranks widen before they are added
         offs = (np.arange(nch, dtype=np.int64) * big)[:, None]
@@ -146,33 +158,42 @@ def merge_rows(leaf_rows: np.ndarray, rank: np.ndarray) -> np.ndarray:
         cr = np.searchsorted(rflat, lflat) - chunk_off
         cl = np.searchsorted(lflat, rflat) - chunk_off
         i_w = np.tile(np.arange(half, dtype=np.int64), nch)
-        base = np.repeat(np.arange(nch, dtype=np.int64) * span, half)
+        # flat address of each chunk's first entry in row r; the chunk starts
+        # stay a temporary: held in a name, they add G*L/2 int64s to the peak
+        base = np.repeat((starts[:, None] + r * L + np.arange(0, L, span, dtype=np.int64)).ravel(),
+                         half)
         tl = base + i_w + cr
         tr = base + i_w + cl
-        pid = rows[r - 1].reshape(nch, 2, half)
-        out = rows[r].reshape(-1)
-        lb = lbs[r - 1].reshape(-1)
-        out[tl] = pid[:, 0, :].ravel()
-        out[tr] = pid[:, 1, :].ravel()
-        lb[tl] = i_w
-        lb[tr] = cl
-        ranks = rank[rows[r]]
-    return merged
+        pid = merged[:, r - 1].reshape(G, nc, 2, half)
+        flat[tl] = pid[:, :, 0, :].ravel()
+        flat[tr] = pid[:, :, 1, :].ravel()
+        if lbs is not None:
+            lbs[tl] = i_w
+            lbs[tr] = cl
+        ranks = rank[merged[:, r]]
 
 
 def fill_buffers_batch_np(instances, padded_rows: np.ndarray, rank_y: np.ndarray,
                           counters=None) -> None:
-    """Merge many same-L structures at once and give each its packed buffer.
+    """Merge many same-L structures at once into one group array and hand out its buffers.
 
-    `instances` are CascadeStructures with buf=None; `padded_rows` is the
-    (G, L) int32 array of their leaf rows (ids padded with phantoms).
+    `instances` are CascadeStructures; `padded_rows` is the (G, L) int32
+    array of their leaf rows (ids padded with phantoms).  merge_rows writes
+    the group's G*(2H+1)*L words in place, through a numpy view of one
+    array("i"); instance g gets that array as buf, with base g*(2H+1)*L.
     """
     G, L = padded_rows.shape
-    bufs = merge_rows(padded_rows, rank_y).transpose(1, 0, 2).reshape(G, -1)
+    H = L.bit_length() - 1
+    words = (2 * H + 1) * L
+    buf = array("i", [0]) * (G * words)
+    merged = np.frombuffer(buf, dtype=np.int32).reshape(G, 2 * H + 1, L)
+    merged[:, 0] = padded_rows
+    merge_rows(merged, rank_y)
     if counters is not None:
-        counters.merge_moves += G * L * (L.bit_length() - 1)
+        counters.merge_moves += G * L * H
     for g, inst in enumerate(instances):
-        inst.buf = bufs[g]
+        inst.buf = buf
+        inst.base = g * words
 
 
 @dataclass
@@ -192,18 +213,25 @@ class CascadeNode:
 
 
 class CascadeStructure:
-    """The last-two-dimension structure: x-tree plus per-node y-arrays with bridges."""
+    """The last-two-dimension structure: x-tree plus per-node y-arrays with bridges.
 
-    __slots__ = ("xdim", "ydim", "m", "L", "H", "nreal", "buf", "rank_x", "rank_y", "points")
+    buf is the array("i") of its merge group, shared by the group's
+    structures; this one's (2H+1)*L words start at base (see the module
+    docstring for the layout).
+    """
 
-    def __init__(self, xdim, ydim, m, L, H, nreal, buf, rank_x, rank_y, points):
+    __slots__ = ("xdim", "ydim", "m", "L", "H", "nreal", "buf", "base", "rank_x", "rank_y",
+                 "points")
+
+    def __init__(self, xdim, ydim, m, L, H, nreal, rank_x, rank_y, points):
         self.xdim = xdim
         self.ydim = ydim
         self.m = m          # real points in this structure
         self.L = L          # padded leaf count (power of two)
         self.H = H          # log2(L)
         self.nreal = nreal  # ids >= nreal are phantoms
-        self.buf = buf
+        self.buf = None     # set with base by fill_buffers_batch_np
+        self.base = 0
         self.rank_x = rank_x
         self.rank_y = rank_y
         self.points = points
@@ -225,47 +253,27 @@ class CascadeStructure:
         L = pow2ceil(m)
         row = np.arange(nreal, nreal + L, dtype=np.int32)
         row[:m] = ids
-        inst = cls(xdim, ydim, m, L, L.bit_length() - 1, nreal, None, rank_x, rank_y, points)
+        inst = cls(xdim, ydim, m, L, L.bit_length() - 1, nreal, rank_x, rank_y, points)
         fill_buffers_batch_np([inst], row[None, :], rank_y, counters)
         return inst
 
     # -- structure access ----------------------------------------------------
 
-    @property
-    def n_slots(self) -> int:
-        return 2 * self.L - 1
-
-    def _locate(self, slot: int) -> tuple[int, int, int]:
-        """(row r, pos, span) of a heap slot."""
-        depth = (slot + 1).bit_length() - 1
-        pos = slot - ((1 << depth) - 1)
-        r = self.H - depth
-        return r, pos, 1 << r
-
     def node(self, slot: int) -> CascadeNode:
-        """Materialize one node's entries and bridges for inspection."""
-        r, pos, span = self._locate(slot)
-        buf, L, H = self.buf, self.L, self.H
-        abase = r * L + pos * span
+        """Materialize one node's entries and bridges for inspection (heap slot order)."""
+        depth = (slot + 1).bit_length() - 1
+        r = self.H - depth
+        span = 1 << r
+        buf, L = self.buf, self.L
+        abase = self.base + r * L + (slot + 1 - (1 << depth)) * span
         eids = buf[abase : abase + span]
         pts = [self.points[e] if e < self.nreal else None for e in eids]
         ranks = [self.rank_y[e] for e in eids]
         if r == 0:
             return CascadeNode(pts, ranks, [], [], self.ydim)
-        lbase = L * (H + r) + pos * span
+        lbase = abase + self.H * L
         lb = buf[lbase : lbase + span].tolist()
         return CascadeNode(pts, ranks, lb, [t - l for t, l in enumerate(lb)], self.ydim)
-
-    def real_entry_count(self) -> int:
-        """Real (non-phantom) entries stored across all node arrays."""
-        end = self.L * (self.H + 1)
-        nreal = self.nreal
-        return sum(1 for e in self.buf[0:end] if e < nreal)
-
-    def subtree_leaf_ids(self, slot: int) -> list[int]:
-        """Real point ids in the subtree of `slot`, in x order."""
-        r, pos, span = self._locate(slot)
-        return [e for e in self.buf[pos * span : (pos + 1) * span] if e < self.nreal]
 
     # -- queries -------------------------------------------------------------
 
@@ -275,15 +283,17 @@ class CascadeStructure:
         (depth, pos) is the split node; lo, and hi unless it is None, are
         positions in its array.  Each is carried down the xa path, then the
         xb path, by one bridge per level, and handed over with the array
-        (offset abase, width span) of every node the x range covers whole.
+        (address abase in buf, width span) of every node the x range covers
+        whole.
         """
-        buf, rx, L, H = self.buf, self.rank_x, self.L, self.H
+        buf, rx, L, H, base = self.buf, self.rank_x, self.L, self.H, self.base
         r = H - depth
         if r == 0:
-            if xa <= rx[buf[pos]] < xb:
-                yield pos, 1, lo, hi
+            if xa <= rx[buf[base + pos]] < xb:
+                yield base + pos, 1, lo, hi
             return
         npos = 1 if hi is None else 2
+        lbase = base + H * L
         for side, bound in ((0, xa), (1, xb)):
             # side 0 walks the xa path, side 1 the xb path; at every node the
             # path enters the right child iff its split rank is below the
@@ -293,8 +303,8 @@ class CascadeStructure:
             for rr in range(r, 0, -1):
                 sp = 1 << rr
                 hf = sp >> 1
-                go = rx[buf[p * sp + hf - 1]] < bound
-                b = (H + rr) * L + p * sp
+                go = rx[buf[base + p * sp + hf - 1]] < bound
+                b = lbase + rr * L + p * sp
                 # c sits at lb[c] in the left child and at c - lb[c] in the
                 # right one: s is the sibling's position, the rest the path's
                 s = buf[b + c] if c < sp else hf
@@ -312,33 +322,38 @@ class CascadeStructure:
                 # canonical child costs one visit and one bridge per position
                 if go == side and rr < r:
                     steps += 1
-                    yield (rr - 1) * L + (p ^ 1) * hf, hf, s, f
+                    yield base + (rr - 1) * L + (p ^ 1) * hf, hf, s, f
             stats.nodes_visited += steps
             stats.bridge_follows += npos * steps
-            if xa <= rx[buf[p]] < xb:
-                yield p, 1, c, e
+            if xa <= rx[buf[base + p]] < xb:
+                yield base + p, 1, c, e
 
-    def query(self, xa, xb, ya, yb, stats, emit: Callable[[Point], None], probe=None):
+    def query(self, xa, xb, ya, yb, stats, emit: Callable[[array], None], probe=None):
         """Report every point of x rank in [xa, xb) and y rank in [ya, yb) with ONE binary search.
 
         The single search happens at the split node for ya; positions at
-        every canonical node and boundary leaf follow bridges.
-        `probe(abase, span, pos)`, if given, observes each carried position
-        (shadow checks in tests).
+        every canonical node and boundary leaf follow bridges.  Each node's
+        run of entries of y rank below yb is emitted as one slice of buf,
+        an array("i") of point ids.  `probe(abase, span, pos)`, if given,
+        observes each carried position (shadow checks in tests).
         """
-        buf, ry, pts = self.buf, self.rank_y, self.points
-        depth, pos = _find_split(buf, self.rank_x, self.L, xa, xb, stats)
+        buf, ry = self.buf, self.rank_y
+        depth, pos = _find_split(buf, self.rank_x, self.base, self.L, xa, xb, stats)
         r = self.H - depth
-        q = _lower_bound(buf, ry, r * self.L + (pos << r), 1 << r, ya, stats)
+        q = _lower_bound(buf, ry, self.base + r * self.L + (pos << r), 1 << r, ya, stats)
         for abase, span, u, _ in self._walk(depth, pos, xa, xb, q, None, stats):
             if probe is not None:
                 probe(abase, span, u)
-            for u in range(abase + u, abase + span):
-                e = buf[u]
-                if ry[e] >= yb:
+            u += abase
+            end = abase + span
+            for v in range(u, end):
+                if ry[buf[v]] >= yb:
                     break
-                emit(pts[e])
-                stats.reported += 1
+            else:
+                v = end
+            if v > u:
+                emit(buf[u:v])
+                stats.reported += v - u
 
     def query_into(self, a, b, stats, emit):
         """Level interface: query this structure's two dimensions of the rank box [a, b)."""
@@ -356,14 +371,13 @@ class CascadeStructure:
         bridges; each canonical node contributes their difference.
         """
         buf, ry = self.buf, self.rank_y
-        depth, pos = _find_split(buf, self.rank_x, self.L, xa, xb, stats)
+        depth, pos = _find_split(buf, self.rank_x, self.base, self.L, xa, xb, stats)
         r = self.H - depth
-        abase, span = r * self.L + (pos << r), 1 << r
+        abase, span = self.base + r * self.L + (pos << r), 1 << r
         lo = _lower_bound(buf, ry, abase, span, ya, stats)
         hi = _lower_bound(buf, ry, abase, span, yb, stats)
         total = 0
         for _, _, a, b in self._walk(depth, pos, xa, xb, lo, hi, stats):
             if b > a:
                 total += b - a
-        return int(total)
-
+        return total

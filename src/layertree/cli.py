@@ -95,14 +95,17 @@ def _cmd_gen(parser: _Parser, args) -> int:
 def _cmd_query(parser: _Parser, args) -> int:
     if args.dims < 1:
         parser.error("--dims must be >= 1")
-    try:
-        with open(args.points, encoding="utf-8") as fh:
-            points = parse_points(fh.read(), args.dims)
-        with open(args.queries, encoding="utf-8") as fh:
-            boxes = parse_queries(fh.read(), args.dims)
-    except (OSError, UnicodeDecodeError, ParseError, EmptyInput) as exc:
-        print(f"layertree: {exc}", file=sys.stderr)
-        return 2
+    inputs = []
+    for path, parse in ((args.points, parse_points), (args.queries, parse_queries)):
+        try:
+            with open(path, encoding="utf-8") as fh:
+                inputs.append(parse(fh.read(), args.dims))
+        except (OSError, UnicodeDecodeError, ParseError, EmptyInput) as exc:
+            # an OSError's own text repeats the path
+            detail = (exc.strerror or exc) if isinstance(exc, OSError) else exc
+            print(f"layertree: {path}: {detail}", file=sys.stderr)
+            return 2
+    points, boxes = inputs
 
     tree = build(points)
     stats = QueryStats()

@@ -26,6 +26,10 @@ class EmptyInput(ValueError):
     """An operation that needs at least one data item received none."""
 
 
+class TooManyPoints(ValueError):
+    """A point set too large for the int32 ids and ranks of a tree."""
+
+
 @dataclass(frozen=True)
 class Point:
     """A d-tuple of finite coordinates plus a stable id."""

@@ -30,7 +30,9 @@ import numpy as np
 
 from .cascade import (CascadeStructure, _find_split, _lower_bound, fill_buffers_batch_np,
                       merge_rows, pow2ceil, rank_table)
-from .core import DimensionMismatch, EmptyInput, Point, PointSet, QueryBox
+from .core import DimensionMismatch, EmptyInput, Point, PointSet, QueryBox, TooManyPoints
+
+INT32_MAX = 2**31 - 1
 
 
 @dataclass
@@ -69,7 +71,7 @@ def canonical_subtrees(level: "_Level", a: int, b: int,
     if stats is None:
         stats = QueryStats()
     ids, rank, L = level.ids, level.rank, level.L
-    depth, pos = _find_split(ids, rank, L, a, b, stats)
+    depth, pos = _find_split(ids, rank, 0, L, a, b, stats)
     r = L.bit_length() - 1 - depth
     if r == 0:
         return [L - 1 + pos] if a <= rank[ids[pos]] < b else []
@@ -108,20 +110,19 @@ class _Slab:
         self.rank = rank
         self.points = points
 
-    def real_entry_count(self) -> int:
-        nreal = len(self.points)
-        return sum(1 for e in self.ids if e < nreal)
-
     def query_into(self, a, b, stats, emit):
+        """Emit the ids of rank in [a, b) as one slice of the leaf row."""
         hi = b[self.dim]
-        ids, rank, pts = self.ids, self.rank, self.points
+        ids, rank = self.ids, self.rank
         lo = _lower_bound(ids, rank, 0, self.L, a[self.dim], stats)
-        for u in range(lo, self.L):
-            e = ids[u]
-            if rank[e] >= hi:
+        for v in range(lo, self.L):
+            if rank[ids[v]] >= hi:
                 break
-            emit(pts[e])
-            stats.reported += 1
+        else:
+            v = self.L
+        if v > lo:
+            emit(ids[lo:v])
+            stats.reported += v - lo
 
     def count_in(self, a, b, stats) -> int:
         lo = _lower_bound(self.ids, self.rank, 0, self.L, a[self.dim], stats)
@@ -187,14 +188,17 @@ class LayeredRangeTree:
                 tuple(map(bisect_right, self._axes, box.hi)))
 
     def query(self, box: QueryBox, stats: Optional[QueryStats] = None) -> list[Point]:
-        """All points inside the closed box, sorted by id."""
+        """All points inside the closed box, sorted by id.
+
+        The structures emit runs of ids; they are sorted as ints, and only
+        then mapped to points.
+        """
         a, b = self.rank_box(box)
         if stats is None:
             stats = QueryStats()
-        out: list[Point] = []
-        self.root.query_into(a, b, stats, out.append)
-        out.sort(key=lambda p: p.id)
-        return out
+        ids = array("i")
+        self.root.query_into(a, b, stats, ids.extend)
+        return list(map(self.pointset.by_id.__getitem__, sorted(ids)))
 
     def count(self, box: QueryBox, stats: Optional[QueryStats] = None) -> int:
         """|query(box)| computed from bridge positions, without enumeration."""
@@ -249,15 +253,19 @@ def build(points: PointSet, counters: Optional[BuildCounters] = None) -> Layered
     structures over dimension j are built together, grouped by padded size
     L: each group runs one batched merge (merge_rows) of its leaf rows
     by the ranks of dimension j+1.  On a level (j < d-2) the merged chunks,
-    real ids first, are the leaf rows of the next dimension's structures; on
-    the cascade (j = d-2) the merged rows and bridges are the buffers.
+    real ids first, are the leaf rows of the next dimension's structures, and
+    no bridges are made; on the cascade (j = d-2) the merged rows and bridges
+    are the buffers, one array("i") per group.  Raises TooManyPoints, before
+    anything is allocated, when the ids and phantom ids would not fit in int32.
     """
     n = len(points)
     if n == 0:
         raise EmptyInput("cannot build a tree over zero points")
+    maxL = pow2ceil(n)
+    if n + maxL > INT32_MAX:  # ids, phantom ids n..n+maxL-1 and ranks are int32
+        raise TooManyPoints(f"{n} points and {maxL} padding slots exceed the int32 range")
     d = points.dims
     pts = points.by_id
-    maxL = pow2ceil(n)
     coords = points.coord_matrix()
     orders, ranks, axes = zip(*(rank_table(coords, j, maxL) for j in range(d)))
     if d == 1:
@@ -273,18 +281,21 @@ def build(points: PointSet, counters: Optional[BuildCounters] = None) -> Layered
             rows = np.frombuffer(flat, dtype=np.int32).reshape(-1, L)
             H = L.bit_length() - 1
             if j == d - 2:
-                made = [CascadeStructure(j, j + 1, m, L, H, n, None, ranks[j], ranks[j + 1], pts)
+                made = [CascadeStructure(j, j + 1, m, L, H, n, ranks[j], ranks[j + 1], pts)
                         for m in ms]
                 fill_buffers_batch_np(made, rows, ranks[j + 1], counters)
             else:
-                rows = merge_rows(rows, ranks[j + 1])
+                # a level keeps only its sorted rows: no bridge rows
+                merged = np.empty((len(ms), H + 1, L), dtype=np.int32)
+                merged[:, 0] = rows
+                merge_rows(merged, ranks[j + 1])
                 if counters is not None:
                     counters.merge_moves += H * sum(ms)
                 made = []
                 for g, m in enumerate(ms):
                     assoc: list = [None] * (2 * L - 1)
                     for r in range(H + 1):
-                        _queue(nxt, assoc, (L >> r) - 1, rows[r, g], m, 1 << r, n)
+                        _queue(nxt, assoc, (L >> r) - 1, merged[g, r], m, 1 << r, n)
                     made.append(_Level(j, flat[g * L : (g + 1) * L], m, ranks[j], assoc))
             for (owner, slot), struct in zip(owners, made):
                 owner[slot] = struct

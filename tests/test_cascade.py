@@ -1,3 +1,4 @@
+from array import array
 from bisect import bisect_left, bisect_right
 
 import pytest
@@ -32,9 +33,18 @@ def rank_args(cs, xlo, xhi, ylo, yhi):
 
 
 def collect(cs, xlo, xhi, ylo, yhi, stats=None):
-    out = []
-    cs.query(*rank_args(cs, xlo, xhi, ylo, yhi), stats or QueryStats(), out.append)
-    return sorted(out, key=lambda p: p.id)
+    """The points cs.query reports for the box, by id; the query emits runs of ids."""
+    ids = array("i")
+    cs.query(*rank_args(cs, xlo, xhi, ylo, yhi), stats or QueryStats(), ids.extend)
+    return [cs.points[e] for e in sorted(ids)]
+
+
+def subtree_leaf_ids(cs, slot):
+    """Real ids under heap slot `slot` of cs's x-tree, in x order: its chunk of the leaf row."""
+    depth = (slot + 1).bit_length() - 1
+    span = cs.L >> depth
+    lo = cs.base + (slot + 1 - (1 << depth)) * span
+    return [e for e in cs.buf[lo : lo + span] if e < cs.nreal]
 
 
 def brute(pts, xlo, xhi, ylo, yhi):
@@ -90,11 +100,11 @@ class TestBuild:
         rng = SplitMix64(31)
         coords = [(rng.next_below(8), rng.next_below(8)) for _ in range(37)]
         cs, pts = make_cascade(coords)
-        for slot in range(cs.n_slots):
+        for slot in range(2 * cs.L - 1):
             node = cs.node(slot)
             stored = [p for p in node.points if p is not None]
             expected = sorted(
-                (pts[e] for e in cs.subtree_leaf_ids(slot)),
+                (pts[e] for e in subtree_leaf_ids(cs, slot)),
                 key=lambda p: composite_key(p, 1),
             )
             assert stored == expected
@@ -208,11 +218,9 @@ class TestQuery2D:
         cs, pts = make_cascade([(1, 4), (2, 3), (3, 2), (4, 1)])
         box = QueryBox((1.5, 0.0), (4.0, 2.5))
         xa, xb, ya, yb = rank_args(cs, 1.5, 4.0, 0.0, 2.5)
-        out = []
-        cs.query_into((xa, ya), (xb, yb), QueryStats(), out.append)
-        assert sorted(out, key=lambda p: p.id) == [
-            p for p in pts if box_contains(box, p)
-        ]
+        ids = array("i")
+        cs.query_into((xa, ya), (xb, yb), QueryStats(), ids.extend)
+        assert [pts[e] for e in sorted(ids)] == [p for p in pts if box_contains(box, p)]
         assert cs.count_in((xa, ya), (xb, yb), QueryStats()) == 2
 
     def test_tree_view(self):

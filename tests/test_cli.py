@@ -110,9 +110,10 @@ class TestQuery:
         assert "--dims must be >= 1" in err
 
     def test_missing_file_is_exit_2(self, capsys, tmp_path):
-        code, _, _ = run(capsys, ["query", "--points", str(tmp_path / "nope"),
-                                  "--dims", "2", "--queries", str(tmp_path / "nope")])
+        code, _, err = run(capsys, ["query", "--points", str(tmp_path / "nope"),
+                                    "--dims", "2", "--queries", str(tmp_path / "nope")])
         assert code == 2
+        assert err == f"layertree: {tmp_path / 'nope'}: No such file or directory\n"
 
     @pytest.mark.parametrize("bad", ["points", "queries"])
     def test_non_utf8_file_is_exit_2(self, capsys, workload, bad):
@@ -122,6 +123,19 @@ class TestQuery:
                                       "--queries", str(qrs)])
         assert code == 2 and out == ""
         assert "can't decode byte 0xff" in err
+
+    @pytest.mark.parametrize("bad", ["points", "queries"])
+    def test_errors_name_the_file(self, capsys, workload, bad):
+        pts, qrs = workload
+        path = pts if bad == "points" else qrs
+        first = b"0.5,0.5\n" if bad == "points" else b"0,0,1,1\n"
+        for content, detail in ((first + b"1,2,3\n", "line 2: "),
+                                (b"\xff\n", "'utf-8' codec can't decode byte 0xff")):
+            path.write_bytes(content)
+            code, out, err = run(capsys, ["query", "--points", str(pts), "--dims", "2",
+                                          "--queries", str(qrs)])
+            assert code == 2 and out == ""
+            assert err.startswith(f"layertree: {path}: {detail}")
 
     def test_mismatch_reporting_is_exit_3(self, capsys, workload, monkeypatch):
         # force a wrong oracle to exercise the mismatch path

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import random
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import astuple
 
@@ -17,6 +18,7 @@ from layertree import (
     QueryBox,
     QueryStats,
     SplitMix64,
+    TooManyPoints,
     brute_force_query,
     build,
     canonical_subtrees,
@@ -40,7 +42,19 @@ def slot_ids(level, slot):
 
 
 def split(level, a, b):
-    return _find_split(level.ids, level.rank, level.L, a, b, QueryStats())
+    return _find_split(level.ids, level.rank, 0, level.L, a, b, QueryStats())
+
+
+def words(s: CascadeStructure):
+    """A cascade's own (2H+1)*L words, from its base in its group's array."""
+    return s.buf[s.base : s.base + (2 * s.H + 1) * s.L]
+
+
+def real_entry_count(s) -> int:
+    """Real (non-phantom) ids stored in a cascade's node-array rows or a slab's leaf row."""
+    if isinstance(s, _Slab):
+        return sum(1 for e in s.ids if e < len(s.points))
+    return sum(1 for e in words(s)[: s.L * (s.H + 1)] if e < s.nreal)
 
 
 def rank_bounds(values, lo, hi):
@@ -57,7 +71,7 @@ class TestLeafRow:
         level = root_level(range(n))
         L = level.L
         assert L == pow2ceil(n) and len(level.assoc) == 2 * L - 1
-        held = [[] if sub is None else sorted(sub.buf[: sub.m].tolist()) for sub in level.assoc]
+        held = [[] if sub is None else sorted(words(sub)[: sub.m]) for sub in level.assoc]
         for s in range(L - 1):
             assert held[s] == sorted(held[2 * s + 1] + held[2 * s + 2])
         for i in range(L):
@@ -175,6 +189,17 @@ class TestBuild:
         with pytest.raises(EmptyInput):
             build(PointSet([], 2))
 
+    @pytest.mark.parametrize("n", [2**30, 2**30 + 1, 2**31])
+    def test_ids_beyond_int32_are_refused_before_allocating(self, n):
+        # n + pow2ceil(n) ids and ranks must fit in int32; the stub has only a
+        # length, so build must refuse it before it reads or allocates anything
+        class Huge:
+            def __len__(self):
+                return n
+
+        with pytest.raises(TooManyPoints):
+            build(Huge())
+
     def test_d1_is_padded_sorted_array(self):
         tree = build(PointSet.from_coords([(5,), (1,), (3,)]))
         slab = tree.root
@@ -205,7 +230,8 @@ class TestBuild:
 
         def snapshot(tree):
             return sorted(
-                (lvl, type(s).__name__, list(getattr(s, "buf", getattr(s, "ids", []))))
+                (lvl, type(s).__name__,
+                 list(words(s) if isinstance(s, CascadeStructure) else s.ids))
                 for lvl, s in tree.structures()
             )
 
@@ -228,9 +254,9 @@ class TestBuild:
                         assert sub is None
                         continue
                     assert sub.m == len(ids)
-                    got = []
-                    sub.query_into(*everything, QueryStats(), got.append)
-                    assert sorted(p.id for p in got) == sorted(ids)
+                    got = array("i")  # the structures emit runs of ids
+                    sub.query_into(*everything, QueryStats(), got.extend)
+                    assert sorted(got) == sorted(ids)
 
 
 class TestQuery:
@@ -286,16 +312,25 @@ class TestSpaceAccounting:
     def test_every_instance_stores_m_times_levels(self, d, n):
         ps = gen_points(GeneratorConfig(seed=n, n=n, dims=d))
         tree = build(ps)
+        groups = {}
         for _, s in tree.structures():
             if isinstance(s, CascadeStructure):
-                assert s.real_entry_count() == s.m * (s.H + 1)
-                # H+1 node-array rows and H left-bridge rows, no right bridges
-                assert len(s.buf) == (2 * s.H + 1) * s.L
+                assert real_entry_count(s) == s.m * (s.H + 1)
+                # H+1 node-array rows and H left-bridge rows, no right bridges,
+                # at [base, base + (2H+1)L) of the group's array
+                groups.setdefault(id(s.buf), (s.buf, []))[1].append(
+                    (s.base, (2 * s.H + 1) * s.L))
             elif isinstance(s, _Slab):
-                assert s.real_entry_count() == s.m
+                assert real_entry_count(s) == s.m
             else:
                 total = sum(sub.m for sub in s.assoc if sub is not None)
                 assert total == s.m * s.L.bit_length()
+        # the cascades of one group tile its array("i") with no slack
+        for buf, runs in groups.values():
+            assert isinstance(buf, array) and buf.typecode == "i"
+            runs.sort()
+            assert [b for b, _ in runs] == [0] + [b + w for b, w in runs[:-1]]
+            assert sum(w for _, w in runs) == len(buf)
 
 
 def expanded_buffer(s: CascadeStructure) -> list[int]:
@@ -303,7 +338,7 @@ def expanded_buffer(s: CascadeStructure) -> list[int]:
 
     Entry i of lb row r sits at position t = i mod 2^r of its node's array.
     """
-    buf = [int(e) for e in s.buf]
+    buf = words(s).tolist()
     lb = s.L * (s.H + 1)
     return buf + [(i & ((1 << r) - 1)) - buf[lb + (r - 1) * s.L + i]
                   for r in range(1, s.H + 1) for i in range(s.L)]
