@@ -7,19 +7,21 @@ width, and it splits at the rank of the rightmost leaf of its left half.
 _find_split is the one descent over such a row; a level of the multi-level
 tree (tree._Level) is a leaf row too and searches it the same way.
 
-A CascadeStructure is that tree over coordinate x (the second-to-last
-dimension) whose every node also carries its subtree's points sorted by
-coordinate y (the last dimension), plus a left bridge per entry: the first
-not-smaller entry in the left child's array.  A 2D query then needs exactly
-one binary search, at the split node; every other position follows bridges
-in constant time per level.
+A cascade is that tree over coordinate x (the second-to-last dimension)
+whose every node also carries its subtree's points sorted by coordinate y
+(the last dimension), plus a left bridge per entry: the first not-smaller
+entry in the left child's array.  A 2D query then needs exactly one binary
+search, at the split node; every other position follows bridges in constant
+time per level.
 
-Storage: the structures over one dimension with the same L form a merge
-group of G structures, and the group keeps its buffers in one array("i") of
-G*(2H+1)*L words, laid out (G, 2H+1, L).  Structure g of the group owns the
-(2H+1)*L contiguous words from base = g*(2H+1)*L; every address below is
-base plus an offset in that buffer.  With L padded leaves and height
-H = log2(L):
+Storage: the cascades with the same L form a merge group, and one
+CascadeStructure object is the whole group, not one cascade.  It holds the
+group's G buffers in one array("i") of G*(2H+1)*L words, laid out
+(G, 2H+1, L), plus L, H, the two rank tables and an array("i") of each
+member's real point count.  A cascade is a (group, index) pair: member g
+owns the (2H+1)*L contiguous words from base = g*(2H+1)*L, and queries and
+counts take that base as an argument.  Every address below is base plus an
+offset in that buffer.  With L padded leaves and height H = log2(L):
 
     row r in 0..H        node arrays at depth H-r, offset r*L; the array of
                          the node at (depth, pos) is the chunk of width
@@ -41,13 +43,14 @@ ranks: rank_table sorts each dimension once, and rank_x / rank_y give each id
 its position in the x / y order.  A phantom id nreal+t is its own rank, after
 every real point, so no query interval of real ranks [a, b) can match it.
 
-Every buffer comes out of one merge, merge_rows: the leaf rows of all
-structures with the same L are merged together bottom-up, one vectorized
-step per row, by each id's rank in the y order, and the merge cursors are the
-bridges.  The multi-level tree runs the same merge to sort its levels'
-subtrees by the next dimension.  Queries and counts share one walk down the
-two boundary paths below the split node (CascadeStructure._walk); a query
-emits the in-range run of each node it reaches as one slice of ids.
+Every buffer comes out of one merge, merge_rows: the leaf rows of a group
+are merged together bottom-up by each id's rank in the y order, one stable
+argsort per row, and each entry's left bridge is the count of left-half
+entries merged before it.  The multi-level tree runs the same merge to sort
+its levels' subtrees by the next dimension.  Queries and counts share one
+walk down the two boundary paths below the split node
+(CascadeStructure._walk); a query emits the in-range run of each node it
+reaches as one slice of ids.
 """
 
 from __future__ import annotations
@@ -126,74 +129,48 @@ def merge_rows(merged: np.ndarray, rank) -> None:
     leaf rows (ids); `rank` is a rank_table rank.  For r in 1..H, [g, r] gets
     row g's chunks of width 2^r, each sorted by rank.  With R = 2H+1, [g]
     becomes a buffer: [g, H+r] gives every entry of [g, r] its left bridge,
-    the first position in the left half of its chunk whose rank is not
-    smaller.  With R = H+1 (the levels of the multi-level tree) no bridge is
-    computed or written.
+    the number of entries of the left half of its chunk with smaller rank.
+    With R = H+1 (the levels of the multi-level tree) no bridge is computed
+    or written.
 
-    Per row, the merge cursor of every element is its count of smaller
-    elements in the sibling half (one searchsorted over all chunks at once,
-    kept per-chunk by rank offsets); those cursors are both the scatter
-    positions and the bridge values.  The scatter addresses the flat array,
-    so `merged` may be a view of a group's array("i").
+    Each chunk of row r-1 at width 2^r is two runs sorted by rank, so one
+    stable argsort per row (timsort for int32: it finds the two runs and
+    merges them in linear time) gives every chunk's merge permutation perm.
+    The node row is row r-1 taken through perm.  Ranks are distinct, so the
+    entries before position t are exactly the smaller ones, and the left
+    bridge is the exclusive prefix count of perm < 2^(r-1).
     """
     G, R, L = merged.shape
     H = L.bit_length() - 1
     rank = np.frombuffer(rank, dtype=np.int32)
-    flat = merged.reshape(-1)
-    lbs = flat[H * L :] if R > H + 1 else None  # lb row r sits H rows after node row r
-    ranks = rank[merged[:, 0]]
-    big = np.int64(len(rank))
-    starts = np.arange(G, dtype=np.int64) * (R * L)
     for r in range(1, H + 1):
         span = 1 << r
-        half = span >> 1
-        nc = L >> r
-        nch = G * nc
-        pr = ranks.reshape(nch, 2, half)
-        # int64 offsets: the int32 ranks widen before they are added
-        offs = (np.arange(nch, dtype=np.int64) * big)[:, None]
-        lflat = (pr[:, 0, :] + offs).ravel()
-        rflat = (pr[:, 1, :] + offs).ravel()
-        chunk_off = np.repeat(np.arange(nch, dtype=np.int64) * half, half)
-        cr = np.searchsorted(rflat, lflat) - chunk_off
-        cl = np.searchsorted(lflat, rflat) - chunk_off
-        i_w = np.tile(np.arange(half, dtype=np.int64), nch)
-        # flat address of each chunk's first entry in row r; the chunk starts
-        # stay a temporary: held in a name, they add G*L/2 int64s to the peak
-        base = np.repeat((starts[:, None] + r * L + np.arange(0, L, span, dtype=np.int64)).ravel(),
-                         half)
-        tl = base + i_w + cr
-        tr = base + i_w + cl
-        pid = merged[:, r - 1].reshape(G, nc, 2, half)
-        flat[tl] = pid[:, :, 0, :].ravel()
-        flat[tr] = pid[:, :, 1, :].ravel()
-        if lbs is not None:
-            lbs[tl] = i_w
-            lbs[tr] = cl
-        ranks = rank[merged[:, r]]
+        prev = merged[:, r - 1].reshape(G, L >> r, span)
+        perm = np.argsort(rank[prev], axis=2, kind="stable")
+        merged[:, r] = np.take_along_axis(prev, perm, axis=2).reshape(G, L)
+        if R > H + 1:
+            left = perm < (span >> 1)
+            lb = np.cumsum(left, axis=2, dtype=np.int32)
+            lb -= left
+            merged[:, H + r] = lb.reshape(G, L)
 
 
-def fill_buffers_batch_np(instances, padded_rows: np.ndarray, rank_y: np.ndarray,
-                          counters=None) -> None:
-    """Merge many same-L structures at once into one group array and hand out its buffers.
+def fill_buffers_batch_np(padded_rows: np.ndarray, rank_y, counters=None) -> array:
+    """The array("i") of one cascade merge group: its G buffers, merged from their leaf rows.
 
-    `instances` are CascadeStructures; `padded_rows` is the (G, L) int32
-    array of their leaf rows (ids padded with phantoms).  merge_rows writes
-    the group's G*(2H+1)*L words in place, through a numpy view of one
-    array("i"); instance g gets that array as buf, with base g*(2H+1)*L.
+    `padded_rows` is the (G, L) int32 array of the members' leaf rows (ids
+    padded with phantoms).  merge_rows writes the G*(2H+1)*L words in place,
+    through a numpy view of the array.
     """
     G, L = padded_rows.shape
     H = L.bit_length() - 1
-    words = (2 * H + 1) * L
-    buf = array("i", [0]) * (G * words)
+    buf = array("i", [0]) * (G * (2 * H + 1) * L)
     merged = np.frombuffer(buf, dtype=np.int32).reshape(G, 2 * H + 1, L)
     merged[:, 0] = padded_rows
     merge_rows(merged, rank_y)
     if counters is not None:
         counters.merge_moves += G * L * H
-    for g, inst in enumerate(instances):
-        inst.buf = buf
-        inst.base = g * words
+    return buf
 
 
 @dataclass
@@ -213,25 +190,27 @@ class CascadeNode:
 
 
 class CascadeStructure:
-    """The last-two-dimension structure: x-tree plus per-node y-arrays with bridges.
+    """A cascade merge group: G structures over the last two dimensions with the same L.
 
-    buf is the array("i") of its merge group, shared by the group's
-    structures; this one's (2H+1)*L words start at base (see the module
-    docstring for the layout).
+    Each member is an x-tree plus per-node y-arrays with bridges.  All G
+    share the group's array("i") buf; member g's `words` = (2H+1)*L words
+    start at base g*words (see the module docstring for the layout), and
+    ms[g] is its real point count.  Queries and counts take the member's
+    base.  The d=2 tree's root is a group of one, at base 0.
     """
 
-    __slots__ = ("xdim", "ydim", "m", "L", "H", "nreal", "buf", "base", "rank_x", "rank_y",
+    __slots__ = ("xdim", "ydim", "L", "H", "words", "nreal", "buf", "ms", "rank_x", "rank_y",
                  "points")
 
-    def __init__(self, xdim, ydim, m, L, H, nreal, rank_x, rank_y, points):
+    def __init__(self, xdim, ydim, L, nreal, buf, ms, rank_x, rank_y, points):
         self.xdim = xdim
         self.ydim = ydim
-        self.m = m          # real points in this structure
-        self.L = L          # padded leaf count (power of two)
-        self.H = H          # log2(L)
-        self.nreal = nreal  # ids >= nreal are phantoms
-        self.buf = None     # set with base by fill_buffers_batch_np
-        self.base = 0
+        self.L = L                         # padded leaf count (power of two)
+        self.H = L.bit_length() - 1        # log2(L)
+        self.words = (2 * self.H + 1) * L  # one member's share of buf
+        self.nreal = nreal                 # ids >= nreal are phantoms
+        self.buf = buf                     # from fill_buffers_batch_np
+        self.ms = ms                       # array("i"): real points per member
         self.rank_x = rank_x
         self.rank_y = rank_y
         self.points = points
@@ -240,32 +219,31 @@ class CascadeStructure:
 
     @classmethod
     def build_from_ids(cls, ids, xdim, ydim, rank_x, rank_y, points, counters=None):
-        """Build from ids sorted by the x composite order: a merge batch of one.
+        """A group of one over ids sorted by the x composite order.
 
         rank_x / rank_y are rank tables (rank_table) with at least L phantom
-        slots (id nreal+t -> padding leaf t).  build() builds every structure
-        in batches and does not call this; it stays because the traced
-        benchmark (perfbench/run.py) wraps it by name, and its result equals
-        the structure build() makes over the same ids.
+        slots (id nreal+t -> padding leaf t).  build() builds every group
+        from its members' leaf rows and does not call this; it stays because
+        the traced benchmark (perfbench/run.py) wraps it by name, and its
+        result equals the d=2 root build() makes over the same ids.
         """
         m = len(ids)
         nreal = len(points)
         L = pow2ceil(m)
         row = np.arange(nreal, nreal + L, dtype=np.int32)
         row[:m] = ids
-        inst = cls(xdim, ydim, m, L, L.bit_length() - 1, nreal, rank_x, rank_y, points)
-        fill_buffers_batch_np([inst], row[None, :], rank_y, counters)
-        return inst
+        buf = fill_buffers_batch_np(row[None, :], rank_y, counters)
+        return cls(xdim, ydim, L, nreal, buf, array("i", [m]), rank_x, rank_y, points)
 
     # -- structure access ----------------------------------------------------
 
-    def node(self, slot: int) -> CascadeNode:
-        """Materialize one node's entries and bridges for inspection (heap slot order)."""
+    def node(self, slot: int, base: int = 0) -> CascadeNode:
+        """Materialize one node of the member at `base` for inspection (heap slot order)."""
         depth = (slot + 1).bit_length() - 1
         r = self.H - depth
         span = 1 << r
         buf, L = self.buf, self.L
-        abase = self.base + r * L + (slot + 1 - (1 << depth)) * span
+        abase = base + r * L + (slot + 1 - (1 << depth)) * span
         eids = buf[abase : abase + span]
         pts = [self.points[e] if e < self.nreal else None for e in eids]
         ranks = [self.rank_y[e] for e in eids]
@@ -277,16 +255,16 @@ class CascadeStructure:
 
     # -- queries -------------------------------------------------------------
 
-    def _walk(self, depth, pos, xa, xb, lo, hi, stats):
+    def _walk(self, base, depth, pos, xa, xb, lo, hi, stats):
         """Yield (abase, span, lo, hi) for each canonical node and in-range boundary leaf.
 
-        (depth, pos) is the split node; lo, and hi unless it is None, are
-        positions in its array.  Each is carried down the xa path, then the
-        xb path, by one bridge per level, and handed over with the array
-        (address abase in buf, width span) of every node the x range covers
-        whole.
+        base is the member's, (depth, pos) its split node; lo, and hi unless
+        it is None, are positions in its array.  Each is carried down the xa
+        path, then the xb path, by one bridge per level, and handed over with
+        the array (address abase in buf, width span) of every node the x
+        range covers whole.
         """
-        buf, rx, L, H, base = self.buf, self.rank_x, self.L, self.H, self.base
+        buf, rx, L, H = self.buf, self.rank_x, self.L, self.H
         r = H - depth
         if r == 0:
             if xa <= rx[buf[base + pos]] < xb:
@@ -328,20 +306,20 @@ class CascadeStructure:
             if xa <= rx[buf[base + p]] < xb:
                 yield base + p, 1, c, e
 
-    def query(self, xa, xb, ya, yb, stats, emit: Callable[[array], None], probe=None):
-        """Report every point of x rank in [xa, xb) and y rank in [ya, yb) with ONE binary search.
+    def query(self, base, xa, xb, ya, yb, stats, emit: Callable[[array], None], probe=None):
+        """Report the member at `base`'s points of x rank in [xa, xb), y rank in [ya, yb).
 
-        The single search happens at the split node for ya; positions at
-        every canonical node and boundary leaf follow bridges.  Each node's
-        run of entries of y rank below yb is emitted as one slice of buf,
-        an array("i") of point ids.  `probe(abase, span, pos)`, if given,
+        A query makes ONE binary search, at the split node for ya; positions
+        at every canonical node and boundary leaf follow bridges.  Each
+        node's run of entries of y rank below yb is emitted as one slice of
+        buf, an array("i") of point ids.  `probe(abase, span, pos)`, if given,
         observes each carried position (shadow checks in tests).
         """
         buf, ry = self.buf, self.rank_y
-        depth, pos = _find_split(buf, self.rank_x, self.base, self.L, xa, xb, stats)
+        depth, pos = _find_split(buf, self.rank_x, base, self.L, xa, xb, stats)
         r = self.H - depth
-        q = _lower_bound(buf, ry, self.base + r * self.L + (pos << r), 1 << r, ya, stats)
-        for abase, span, u, _ in self._walk(depth, pos, xa, xb, q, None, stats):
+        q = _lower_bound(buf, ry, base + r * self.L + (pos << r), 1 << r, ya, stats)
+        for abase, span, u, _ in self._walk(base, depth, pos, xa, xb, q, None, stats):
             if probe is not None:
                 probe(abase, span, u)
             u += abase
@@ -356,28 +334,29 @@ class CascadeStructure:
                 stats.reported += v - u
 
     def query_into(self, a, b, stats, emit):
-        """Level interface: query this structure's two dimensions of the rank box [a, b)."""
-        self.query(a[self.xdim], b[self.xdim], a[self.ydim], b[self.ydim], stats, emit)
+        """Root interface (d=2, a group of one): query the rank box [a, b)."""
+        self.query(0, a[self.xdim], b[self.xdim], a[self.ydim], b[self.ydim], stats, emit)
 
     def count_in(self, a, b, stats) -> int:
-        """Level interface: count in this structure's two dimensions of the rank box [a, b)."""
-        return self.count(a[self.xdim], b[self.xdim], a[self.ydim], b[self.ydim], stats)
+        """Root interface (d=2, a group of one): count in the rank box [a, b)."""
+        return self.count(0, a[self.xdim], b[self.xdim], a[self.ydim], b[self.ydim], stats)
 
-    def count(self, xa, xb, ya, yb, stats) -> int:
-        """Count points of x rank in [xa, xb) and y rank in [ya, yb) without enumerating them.
+    def count(self, base, xa, xb, ya, yb, stats) -> int:
+        """Count the member at `base`'s points of x rank in [xa, xb), y rank in [ya, yb).
 
-        Twin positions, the first entries of y rank >= ya and >= yb, are found
-        by two binary searches at the split node and then carried down via
-        bridges; each canonical node contributes their difference.
+        Nothing is enumerated.  Twin positions, the first entries of y rank
+        >= ya and >= yb, are found by two binary searches at the split node
+        and then carried down via bridges; each canonical node contributes
+        their difference.
         """
         buf, ry = self.buf, self.rank_y
-        depth, pos = _find_split(buf, self.rank_x, self.base, self.L, xa, xb, stats)
+        depth, pos = _find_split(buf, self.rank_x, base, self.L, xa, xb, stats)
         r = self.H - depth
-        abase, span = self.base + r * self.L + (pos << r), 1 << r
+        abase, span = base + r * self.L + (pos << r), 1 << r
         lo = _lower_bound(buf, ry, abase, span, ya, stats)
         hi = _lower_bound(buf, ry, abase, span, yb, stats)
         total = 0
-        for _, _, a, b in self._walk(depth, pos, xa, xb, lo, hi, stats):
+        for _, _, a, b in self._walk(base, depth, pos, xa, xb, lo, hi, stats):
             if b > a:
                 total += b - a
         return total

@@ -136,7 +136,7 @@ class PointSet:
     @classmethod
     def from_coords(cls, coords: Sequence[Sequence[float]], dims: Optional[int] = None) -> "PointSet":
         if dims is None:
-            if not coords:
+            if len(coords) == 0:  # an (n, d) ndarray has no truth value
                 raise EmptyInput("cannot infer dimensionality of an empty point set")
             dims = len(coords[0])
         pts = [Point(tuple(float(c) for c in row), i) for i, row in enumerate(coords)]

@@ -3,8 +3,17 @@
 Level j (for j = 0 .. d-3) is a full implicit binary tree over coordinate j
 whose every node owns an associated structure over the remaining coordinates,
 holding exactly the non-phantom points of its subtree.  The last two
-coordinates live in a CascadeStructure; a 1-dimensional tree degenerates to a
-padded sorted array.
+coordinates live in cascades; a 1-dimensional tree degenerates to a padded
+sorted array.
+
+A cascade is not an object of its own: the cascades with the same padded
+size L form one merge group, a CascadeStructure, and a cascade is a (group,
+member index) pair.  So a level over levels (d >= 4, j < d-3) holds a list of
+_Level objects, one per heap slot, while a level over cascades (j = d-3)
+holds two int arrays over its slots, the group (by log2 L) and the member
+index, and passes the member's base to CascadeStructure.query and .count.
+The d=2 tree's root is a group of one, at base 0.  build() makes one
+CascadeStructure per group, at most log2(pow2ceil(n)) + 1 of them.
 
 A level is its leaf row, the one implicit tree shape of the package (see
 cascade): L padded leaf ids sorted by rank, where the node at row r (depth
@@ -134,31 +143,59 @@ class _Level:
     """One tree level over dimension `dim`: its leaf row plus per-slot associated structures.
 
     `ids` is the leaf row (L = len(ids) padded leaves sorted by `rank`, the
-    first m real); assoc[slot] is the structure over the remaining dimensions
-    of heap slot `slot`'s subtree, None where that subtree holds no real id.
+    first m real).  A level over levels (j < d-3) keeps assoc[slot], the
+    _Level of heap slot `slot`'s subtree, None where that subtree holds no
+    real id.  A level over cascades (j = d-3) keeps no object per slot:
+    cascades[h] is the merge group of the cascades with L = 2^h (shared by
+    every such level), and the slot's cascade is member member[slot] of
+    group group[slot]; both are -1 where the subtree holds no real id.  A
+    query or count passes member[slot] * words, the member's base, to the
+    group's CascadeStructure.query / .count.
     """
 
-    __slots__ = ("dim", "ids", "m", "L", "rank", "assoc")
+    __slots__ = ("dim", "ids", "m", "L", "rank", "assoc", "cascades", "group", "member")
 
-    def __init__(self, dim: int, ids, m: int, rank, assoc: list):
+    def __init__(self, dim: int, ids, m: int, rank, cascades: Optional[list] = None):
         self.dim = dim
         self.ids = ids
         self.m = m
         self.L = len(ids)
         self.rank = rank
-        self.assoc = assoc
+        self.cascades = cascades
+        slots = 2 * self.L - 1
+        if cascades is None:
+            self.assoc: Optional[list] = [None] * slots
+            self.group = self.member = None
+        else:
+            self.assoc = None
+            self.group = array("b", [-1]) * slots
+            self.member = array("i", [-1]) * slots
 
     def query_into(self, a, b, stats, emit):
-        dim = self.dim
-        for slot in canonical_subtrees(self, a[dim], b[dim], stats):
-            self.assoc[slot].query_into(a, b, stats, emit)
+        slots = canonical_subtrees(self, a[self.dim], b[self.dim], stats)
+        if self.assoc is not None:
+            for slot in slots:
+                self.assoc[slot].query_into(a, b, stats, emit)
+            return
+        cascades, group, member = self.cascades, self.group, self.member
+        x, y = self.dim + 1, self.dim + 2
+        xa, xb, ya, yb = a[x], b[x], a[y], b[y]
+        for slot in slots:
+            cs = cascades[group[slot]]
+            cs.query(member[slot] * cs.words, xa, xb, ya, yb, stats, emit)
 
     def count_in(self, a, b, stats) -> int:
-        dim = self.dim
-        return sum(
-            self.assoc[slot].count_in(a, b, stats)
-            for slot in canonical_subtrees(self, a[dim], b[dim], stats)
-        )
+        slots = canonical_subtrees(self, a[self.dim], b[self.dim], stats)
+        if self.assoc is not None:
+            return sum(self.assoc[slot].count_in(a, b, stats) for slot in slots)
+        cascades, group, member = self.cascades, self.group, self.member
+        x, y = self.dim + 1, self.dim + 2
+        xa, xb, ya, yb = a[x], b[x], a[y], b[y]
+        total = 0
+        for slot in slots:
+            cs = cascades[group[slot]]
+            total += cs.count(member[slot] * cs.words, xa, xb, ya, yb, stats)
+        return total
 
 
 _Structure = Union[_Slab, _Level, CascadeStructure]
@@ -212,37 +249,59 @@ class LayeredRangeTree:
     # -- structure inspection -------------------------------------------------
 
     def structures(self) -> Iterator[tuple[int, object]]:
-        """Yield (level index, structure) over every tree instance, root first."""
-        stack = [(0, self.root)]
+        """Yield (level index, structure) over every tree instance, root first.
+
+        A structure is a _Slab, a _Level, or a cascade as its
+        (CascadeStructure group, member index) pair.
+        """
+        root = self.root
+        stack = [(0, (root, 0) if isinstance(root, CascadeStructure) else root)]
         while stack:
             level, node = stack.pop()
             yield level, node
-            if isinstance(node, _Level):
-                for sub in node.assoc:
-                    if sub is not None:
-                        stack.append((level + 1, sub))
+            if not isinstance(node, _Level):
+                continue
+            if node.assoc is not None:
+                stack.extend((level + 1, sub) for sub in node.assoc if sub is not None)
+            else:
+                stack.extend((level + 1, (node.cascades[h], g))
+                             for h, g in zip(node.group, node.member) if h >= 0)
 
 
-def _queue(groups: dict, owner: list, first: int, row, m: int, span: int, n: int) -> None:
+def _queue(groups: dict, owner, first: int, row, m: int, span: int, n: int) -> None:
     """Queue one structure per chunk of width `span` over the first m ids of `row`.
 
-    The structure over chunk i becomes owner[first + i].  Each is filed in
-    `groups` under its padded size L as (owner, slot), its real count, and
-    its leaf row: the chunk's ids, then phantom ids n+t for padding leaves t.
+    The structure over chunk i belongs to heap slot first + i of `owner`.
+    Each chunk is filed in `groups` under its padded size L, with its real
+    count and its leaf row: the chunk's ids, then phantom ids n+t for
+    padding leaves t.
     """
     full, part = divmod(m, span)
     if full:
-        owners, ms, flat = groups.setdefault(span, ([], [], array("i")))
-        owners.extend((owner, s) for s in range(first, first + full))
-        ms.extend([span] * full)
-        flat.frombytes(row[: full * span].tobytes())
+        _file(groups, owner, first, span, [span] * full, row[: full * span], ())
     if part:
         L = pow2ceil(part)
-        owners, ms, flat = groups.setdefault(L, ([], [], array("i")))
-        owners.append((owner, first + full))
-        ms.append(part)
-        flat.frombytes(row[full * span : m].tobytes())
-        flat.extend(range(n + part, n + L))
+        _file(groups, owner, first + full, L, [part], row[full * span : m], range(n + part, n + L))
+
+
+def _file(groups: dict, owner, first: int, L: int, ms_new: list, ids, pad) -> None:
+    """File k = len(ms_new) structures with padded size L for heap slots first .. first+k-1.
+
+    Their member indexes in group L follow the ones already there.  A _Level
+    over cascades records (log2 L, member index) for each slot at once; any
+    other owner is a list, queued as (owner, slot) to receive its structure
+    once it is built.
+    """
+    owners, ms, flat = groups.setdefault(L, ([], array("i"), array("i")))
+    k = len(ms_new)
+    if isinstance(owner, _Level):
+        owner.group[first : first + k] = array("b", [L.bit_length() - 1]) * k
+        owner.member[first : first + k] = array("i", range(len(ms), len(ms) + k))
+    else:
+        owners.extend((owner, s) for s in range(first, first + k))
+    ms.extend(ms_new)
+    flat.frombytes(ids.tobytes())
+    flat.extend(pad)
 
 
 def build(points: PointSet, counters: Optional[BuildCounters] = None) -> LayeredRangeTree:
@@ -255,7 +314,8 @@ def build(points: PointSet, counters: Optional[BuildCounters] = None) -> Layered
     by the ranks of dimension j+1.  On a level (j < d-2) the merged chunks,
     real ids first, are the leaf rows of the next dimension's structures, and
     no bridges are made; on the cascade (j = d-2) the merged rows and bridges
-    are the buffers, one array("i") per group.  Raises TooManyPoints, before
+    are the buffers, one array("i") and one CascadeStructure per group, and
+    the levels above hold (group, member index) per slot.  Raises TooManyPoints, before
     anything is allocated, when the ids and phantom ids would not fit in int32.
     """
     n = len(points)
@@ -274,30 +334,35 @@ def build(points: PointSet, counters: Optional[BuildCounters] = None) -> Layered
     root: list = [None]
     groups: dict = {}
     _queue(groups, root, 0, orders[0].astype(np.int32), n, maxL, n)
+    cascades: Optional[list] = None  # the cascade groups by log2 L, once j reaches d-3
     for j in range(d - 1):
         nxt: dict = {}
+        if j == d - 3:
+            cascades = [None] * maxL.bit_length()
         while groups:  # popped, so each group's scratch is freed once it is built
             L, (owners, ms, flat) = groups.popitem()
             rows = np.frombuffer(flat, dtype=np.int32).reshape(-1, L)
             H = L.bit_length() - 1
             if j == d - 2:
-                made = [CascadeStructure(j, j + 1, m, L, H, n, ranks[j], ranks[j + 1], pts)
-                        for m in ms]
-                fill_buffers_batch_np(made, rows, ranks[j + 1], counters)
-            else:
-                # a level keeps only its sorted rows: no bridge rows
-                merged = np.empty((len(ms), H + 1, L), dtype=np.int32)
-                merged[:, 0] = rows
-                merge_rows(merged, ranks[j + 1])
-                if counters is not None:
-                    counters.merge_moves += H * sum(ms)
-                made = []
-                for g, m in enumerate(ms):
-                    assoc: list = [None] * (2 * L - 1)
-                    for r in range(H + 1):
-                        _queue(nxt, assoc, (L >> r) - 1, merged[g, r], m, 1 << r, n)
-                    made.append(_Level(j, flat[g * L : (g + 1) * L], m, ranks[j], assoc))
-            for (owner, slot), struct in zip(owners, made):
-                owner[slot] = struct
+                buf = fill_buffers_batch_np(rows, ranks[j + 1], counters)
+                cs = CascadeStructure(j, j + 1, L, n, buf, ms, ranks[j], ranks[j + 1], pts)
+                if cascades is None:  # d = 2: the root, a group of one
+                    root[0] = cs
+                else:
+                    cascades[H] = cs
+                continue
+            # a level keeps only its sorted rows: no bridge rows
+            merged = np.empty((len(ms), H + 1, L), dtype=np.int32)
+            merged[:, 0] = rows
+            merge_rows(merged, ranks[j + 1])
+            if counters is not None:
+                counters.merge_moves += H * sum(ms)
+            for g, m in enumerate(ms):
+                level = _Level(j, flat[g * L : (g + 1) * L], m, ranks[j], cascades)
+                owner = level if cascades is not None else level.assoc
+                for r in range(H + 1):
+                    _queue(nxt, owner, (L >> r) - 1, merged[g, r], m, 1 << r, n)
+                holder, slot = owners[g]
+                holder[slot] = level
         groups = nxt
     return LayeredRangeTree(points, root[0], axes)

@@ -1,6 +1,8 @@
+import random
 from array import array
 from bisect import bisect_left, bisect_right
 
+import numpy as np
 import pytest
 
 from layertree import (
@@ -16,11 +18,12 @@ from layertree import (
     composite_key,
     gen_points,
 )
+from layertree.cascade import merge_rows
 from layertree.core import QueryBox
 
 
 def make_cascade(coord_pairs):
-    """The 2-d tree's root cascade over the pairs, and its points by id."""
+    """The 2-d tree's root over the pairs (a group of one, at base 0), and its points by id."""
     tree = build(PointSet.from_coords(coord_pairs))
     return tree.root, tree.pointset.by_id
 
@@ -35,15 +38,15 @@ def rank_args(cs, xlo, xhi, ylo, yhi):
 def collect(cs, xlo, xhi, ylo, yhi, stats=None):
     """The points cs.query reports for the box, by id; the query emits runs of ids."""
     ids = array("i")
-    cs.query(*rank_args(cs, xlo, xhi, ylo, yhi), stats or QueryStats(), ids.extend)
+    cs.query(0, *rank_args(cs, xlo, xhi, ylo, yhi), stats or QueryStats(), ids.extend)
     return [cs.points[e] for e in sorted(ids)]
 
 
 def subtree_leaf_ids(cs, slot):
-    """Real ids under heap slot `slot` of cs's x-tree, in x order: its chunk of the leaf row."""
+    """Real ids under heap slot `slot` of the x-tree at base 0, in x order: its leaf row chunk."""
     depth = (slot + 1).bit_length() - 1
     span = cs.L >> depth
-    lo = cs.base + (slot + 1 - (1 << depth)) * span
+    lo = (slot + 1 - (1 << depth)) * span
     return [e for e in cs.buf[lo : lo + span] if e < cs.nreal]
 
 
@@ -57,7 +60,7 @@ def brute(pts, xlo, xhi, ylo, yhi):
 class TestBuild:
     def test_single_point(self):
         cs, pts = make_cascade([(2, 7)])
-        assert cs.m == cs.L == 1
+        assert list(cs.ms) == [1] and cs.L == 1
         root = cs.node(0)
         assert root.points == pts
         assert root.y_values == [7.0]
@@ -71,9 +74,9 @@ class TestBuild:
         ps = gen_points(GeneratorConfig(seed=12, n=45, dims=2, dist="grid", grid_side=4))
         built, counters = BuildCounters(), BuildCounters()
         root = build(ps, built).root
-        one = CascadeStructure.build_from_ids(root.buf[: root.m], 0, 1, root.rank_x,
+        one = CascadeStructure.build_from_ids(root.buf[: root.ms[0]], 0, 1, root.rank_x,
                                               root.rank_y, ps.by_id, counters)
-        assert (one.m, one.L, one.H) == (root.m, root.L, root.H)
+        assert (one.ms, one.L, one.H) == (root.ms, root.L, root.H)
         assert one.buf.tolist() == root.buf.tolist()
         assert counters.merge_moves == built.merge_moves
 
@@ -120,12 +123,12 @@ class TestBuild:
         assert root.ranks[3] >= 3
 
 
-def exhaustive_bridge_check(cs):
+def exhaustive_bridge_check(cs, base=0):
     violations = 0
     for slot in range((cs.L - 1)):  # internal slots only
-        node = cs.node(slot)
-        lkeys = cs.node(2 * slot + 1).ranks
-        rkeys = cs.node(2 * slot + 2).ranks
+        node = cs.node(slot, base)
+        lkeys = cs.node(2 * slot + 1, base).ranks
+        rkeys = cs.node(2 * slot + 2, base).ranks
         for t, key in enumerate(node.ranks):
             if node.left_bridge[t] != bisect_left(lkeys, key):
                 violations += 1
@@ -138,6 +141,47 @@ def exhaustive_bridge_check(cs):
     return violations
 
 
+def reference_merge(leaf, rank, H):
+    """Node rows 0..H and left-bridge rows 1..H of one leaf row, from their definition.
+
+    Row r holds each chunk of width 2^r of the leaf row sorted by rank; an
+    entry's left bridge counts the chunk's left-half entries of smaller rank.
+    """
+    rows, lbs = [list(leaf)], []
+    for r in range(1, H + 1):
+        span, half = 1 << r, 1 << (r - 1)
+        row, lb = [], []
+        for c in range(0, len(leaf), span):
+            chunk = sorted(leaf[c : c + span], key=rank.__getitem__)
+            row += chunk
+            lb += [sum(rank[e] < rank[x] for e in leaf[c : c + half]) for x in chunk]
+        rows.append(row)
+        lbs.append(lb)
+    return rows, lbs
+
+
+class TestMergeRows:
+    @pytest.mark.parametrize("G", [1, 3])
+    @pytest.mark.parametrize("L", [1, 2, 8, 64])
+    @pytest.mark.parametrize("bridges", [True, False])
+    def test_equals_reference(self, G, L, bridges):
+        rnd = random.Random(G * 1000 + L)
+        H = L.bit_length() - 1
+        R = 2 * H + 1 if bridges else H + 1
+        rank = list(range(G * L))
+        ids = list(range(G * L))
+        rnd.shuffle(rank)
+        rnd.shuffle(ids)
+        merged = np.zeros((G, R, L), dtype=np.int32)
+        merged[:, 0] = np.array(ids, dtype=np.int32).reshape(G, L)
+        merge_rows(merged, array("i", rank))
+        for g in range(G):
+            rows, lbs = reference_merge(ids[g * L : (g + 1) * L], rank, H)
+            assert merged[g, : H + 1].tolist() == rows
+            if bridges:
+                assert merged[g, H + 1 :].tolist() == lbs
+
+
 class TestBridges:
     @pytest.mark.parametrize("n,grid", [(1, 3), (2, 4), (3, 4), (7, 2), (16, 5), (33, 3), (127, 9),
                                         (128, 7), (129, 9), (200, 1000), (256, 40), (257, 40)])
@@ -145,6 +189,20 @@ class TestBridges:
         rng = SplitMix64(n * 31 + grid)
         cs, _ = make_cascade([(rng.next_below(grid), rng.next_below(grid)) for _ in range(n)])
         assert exhaustive_bridge_check(cs) == 0
+
+    def test_every_member_of_every_group(self):
+        # a d=3 tree's cascades share their groups' arrays: check each member
+        # at its own base, and that its entries are its subtree's points
+        tree = build(gen_points(GeneratorConfig(seed=8, n=90, dims=3, dist="grid", grid_side=4)))
+        members = [s for _, s in tree.structures() if isinstance(s, tuple)]
+        assert any(g > 0 for _, g in members)
+        for cs, g in members:
+            base = g * cs.words
+            assert exhaustive_bridge_check(cs, base) == 0
+            leaves = cs.buf[base : base + cs.L]
+            assert sorted(p.id for p in cs.node(0, base).points if p is not None) == sorted(
+                e for e in leaves if e < cs.nreal)
+            assert len([e for e in leaves if e < cs.nreal]) == cs.ms[g]
 
 
 class TestQuery2D:
@@ -189,7 +247,7 @@ class TestQuery2D:
             ylo = rng.next_below(52) - 1
             probes = []
             xa, xb, ya, yb = rank_args(cs, xlo, xhi, ylo, 100.0)
-            cs.query(xa, xb, ya, yb, QueryStats(), lambda p: None,
+            cs.query(0, xa, xb, ya, yb, QueryStats(), lambda p: None,
                      probe=lambda abase, span, q: probes.append((abase, span, q)))
             for abase, span, q in probes:
                 ranks = [cs.rank_y[cs.buf[abase + u]] for u in range(span)]
@@ -203,7 +261,7 @@ class TestQuery2D:
             xlo, xhi = rng.next_below(12) - 1, rng.next_below(12) - 1
             ylo, yhi = rng.next_below(12) - 1, rng.next_below(12) - 1
             stats = QueryStats()
-            k = cs.count(*rank_args(cs, xlo, xhi, ylo, yhi), stats)
+            k = cs.count(0, *rank_args(cs, xlo, xhi, ylo, yhi), stats)
             assert k == len(brute(pts, xlo, xhi, ylo, yhi))
             assert stats.binary_searches == 2
             total_counts.reported += k
@@ -227,10 +285,10 @@ class TestQuery2D:
         # row 0 of the buffer is the x-tree's leaf row: increasing in x rank,
         # nondecreasing in x, real ids first
         cs, pts = make_cascade([(3, 0), (1, 0), (2, 0)])
-        assert cs.L == 4 and cs.m == 3
+        assert cs.L == 4 and list(cs.ms) == [3]
         leaves = cs.buf[: cs.L].tolist()
         ranks = [cs.rank_x[e] for e in leaves]
         assert ranks == sorted(ranks)
-        xs = [pts[e].coords[0] for e in leaves[: cs.m]]
+        xs = [pts[e].coords[0] for e in leaves[:3]]
         assert xs == [1.0, 2.0, 3.0]
-        assert leaves[cs.m] >= len(pts)
+        assert leaves[3] >= len(pts)

@@ -1,12 +1,14 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from layertree import (
     DimensionMismatch,
+    EmptyInput,
     Point,
     PointSet,
     QueryBox,
@@ -97,6 +99,19 @@ class TestValidation:
     def test_pointset_accepts_any_id_order(self):
         ps = PointSet([P(2, id=1), P(1, id=0)], 1)
         assert [p.id for p in ps.by_id] == [0, 1]
+
+    def test_from_coords_takes_an_ndarray(self):
+        coords = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
+        ps = PointSet.from_coords(coords)
+        assert ps.dims == 2
+        assert [p.coords for p in ps.by_id] == [(0.0, 1.0), (2.0, 3.0), (4.0, 5.0)]
+        assert PointSet.from_coords(np.zeros((3, 2))).dims == 2
+
+    def test_from_coords_empty_ndarray(self):
+        with pytest.raises(EmptyInput):
+            PointSet.from_coords(np.zeros((0, 3)))
+        ps = PointSet.from_coords(np.zeros((0, 3)), dims=3)
+        assert len(ps) == 0 and ps.dims == 3
 
 
 @st.composite

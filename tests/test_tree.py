@@ -45,16 +45,34 @@ def split(level, a, b):
     return _find_split(level.ids, level.rank, 0, level.L, a, b, QueryStats())
 
 
-def words(s: CascadeStructure):
-    """A cascade's own (2H+1)*L words, from its base in its group's array."""
-    return s.buf[s.base : s.base + (2 * s.H + 1) * s.L]
+def words(member) -> array:
+    """A cascade's own (2H+1)*L words: member g of group cs, from base g*cs.words."""
+    cs, g = member
+    return cs.buf[g * cs.words : (g + 1) * cs.words]
+
+
+def sub_at(level, slot):
+    """The structure of a level's heap slot: a _Level, a (group, index) cascade, or None."""
+    if level.assoc is not None:
+        return level.assoc[slot]
+    h = level.group[slot]
+    return None if h < 0 else (level.cascades[h], level.member[slot])
+
+
+def real_count(s) -> int:
+    """A structure's real point count m."""
+    if isinstance(s, tuple):
+        cs, g = s
+        return cs.ms[g]
+    return s.m
 
 
 def real_entry_count(s) -> int:
     """Real (non-phantom) ids stored in a cascade's node-array rows or a slab's leaf row."""
     if isinstance(s, _Slab):
         return sum(1 for e in s.ids if e < len(s.points))
-    return sum(1 for e in words(s)[: s.L * (s.H + 1)] if e < s.nreal)
+    cs, _ = s
+    return sum(1 for e in words(s)[: cs.L * (cs.H + 1)] if e < cs.nreal)
 
 
 def rank_bounds(values, lo, hi):
@@ -66,12 +84,13 @@ def rank_bounds(values, lo, hi):
 class TestLeafRow:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 9, 16, 31])
     def test_heap_index_laws(self, n):
-        # assoc is in heap order: 2L-1 slots, slot s holds the points of its
-        # children 2s+1 and 2s+2, and leaf slot L-1+i those of leaf i
+        # the slots are in heap order: 2L-1 slots, slot s holds the points of
+        # its children 2s+1 and 2s+2, and leaf slot L-1+i those of leaf i
         level = root_level(range(n))
         L = level.L
-        assert L == pow2ceil(n) and len(level.assoc) == 2 * L - 1
-        held = [[] if sub is None else sorted(words(sub)[: sub.m]) for sub in level.assoc]
+        assert L == pow2ceil(n) and len(level.group) == len(level.member) == 2 * L - 1
+        subs = [sub_at(level, slot) for slot in range(2 * L - 1)]
+        held = [[] if sub is None else sorted(words(sub)[: real_count(sub)]) for sub in subs]
         for s in range(L - 1):
             assert held[s] == sorted(held[2 * s + 1] + held[2 * s + 2])
         for i in range(L):
@@ -231,7 +250,7 @@ class TestBuild:
         def snapshot(tree):
             return sorted(
                 (lvl, type(s).__name__,
-                 list(words(s) if isinstance(s, CascadeStructure) else s.ids))
+                 list(words(s) if isinstance(s, tuple) else s.ids))
                 for lvl, s in tree.structures()
             )
 
@@ -248,14 +267,18 @@ class TestBuild:
             assert len(levels) > (cfg.dims == 4)
             for level in levels:
                 for slot in range(2 * level.L - 1):
-                    sub = level.assoc[slot]
+                    sub = sub_at(level, slot)
                     ids = slot_ids(level, slot)
                     if not ids:
                         assert sub is None
                         continue
-                    assert sub.m == len(ids)
+                    assert real_count(sub) == len(ids)
                     got = array("i")  # the structures emit runs of ids
-                    sub.query_into(*everything, QueryStats(), got.extend)
+                    if isinstance(sub, tuple):
+                        cs, g = sub
+                        cs.query(g * cs.words, 0, cfg.n, 0, cfg.n, QueryStats(), got.extend)
+                    else:
+                        sub.query_into(*everything, QueryStats(), got.extend)
                     assert sorted(got) == sorted(ids)
 
 
@@ -314,41 +337,60 @@ class TestSpaceAccounting:
         tree = build(ps)
         groups = {}
         for _, s in tree.structures():
-            if isinstance(s, CascadeStructure):
-                assert real_entry_count(s) == s.m * (s.H + 1)
+            if isinstance(s, tuple):
+                cs, g = s
+                assert real_entry_count(s) == cs.ms[g] * (cs.H + 1)
                 # H+1 node-array rows and H left-bridge rows, no right bridges,
                 # at [base, base + (2H+1)L) of the group's array
-                groups.setdefault(id(s.buf), (s.buf, []))[1].append(
-                    (s.base, (2 * s.H + 1) * s.L))
+                assert cs.words == (2 * cs.H + 1) * cs.L
+                groups.setdefault(id(cs), (cs, []))[1].append((g * cs.words, cs.words))
             elif isinstance(s, _Slab):
                 assert real_entry_count(s) == s.m
             else:
-                total = sum(sub.m for sub in s.assoc if sub is not None)
+                subs = (sub_at(s, slot) for slot in range(2 * s.L - 1))
+                total = sum(real_count(sub) for sub in subs if sub is not None)
                 assert total == s.m * s.L.bit_length()
-        # the cascades of one group tile its array("i") with no slack
-        for buf, runs in groups.values():
-            assert isinstance(buf, array) and buf.typecode == "i"
+        # the members of one group tile its array("i") with no slack
+        for cs, runs in groups.values():
+            assert isinstance(cs.buf, array) and cs.buf.typecode == "i"
+            assert len(runs) == len(cs.ms)
             runs.sort()
             assert [b for b, _ in runs] == [0] + [b + w for b, w in runs[:-1]]
-            assert sum(w for _, w in runs) == len(buf)
+            assert sum(w for _, w in runs) == len(cs.buf)
 
 
-def expanded_buffer(s: CascadeStructure) -> list[int]:
+    def test_one_object_per_cascade_group(self):
+        # a cascade is a (group, index) pair: build makes one CascadeStructure
+        # per merge group, at most one per padded size L, not one per cascade
+        ps = gen_points(GeneratorConfig(seed=5, n=3000, dims=3, dist="grid", grid_side=14))
+        gc.collect()
+        before = sum(isinstance(o, CascadeStructure) for o in gc.get_objects())
+        tree = build(ps)
+        gc.collect()
+        live = sum(isinstance(o, CascadeStructure) for o in gc.get_objects()) - before
+        members = [s for _, s in tree.structures() if isinstance(s, tuple)]
+        groups = {id(cs) for cs, _ in members}
+        assert live == len(groups) <= pow2ceil(3000).bit_length()
+        assert len(members) > 3000
+
+
+def expanded_buffer(member) -> list[int]:
     """A cascade buffer with its right bridges written out: node rows, lb rows, then t - lb.
 
     Entry i of lb row r sits at position t = i mod 2^r of its node's array.
     """
-    buf = words(s).tolist()
-    lb = s.L * (s.H + 1)
-    return buf + [(i & ((1 << r) - 1)) - buf[lb + (r - 1) * s.L + i]
-                  for r in range(1, s.H + 1) for i in range(s.L)]
+    cs, _ = member
+    buf = words(member).tolist()
+    lb = cs.L * (cs.H + 1)
+    return buf + [(i & ((1 << r) - 1)) - buf[lb + (r - 1) * cs.L + i]
+                  for r in range(1, cs.H + 1) for i in range(cs.L)]
 
 
 def buffer_digest(tree) -> str:
     """sha256 of every structure's expanded buffer (leaf row of a level) as ints, in structures() order."""
     h = hashlib.sha256()
     for _, s in tree.structures():
-        buf = expanded_buffer(s) if isinstance(s, CascadeStructure) else s.ids
+        buf = expanded_buffer(s) if isinstance(s, tuple) else s.ids
         h.update(repr([int(e) for e in buf]).encode())
     return h.hexdigest()
 
