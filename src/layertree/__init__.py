@@ -8,8 +8,9 @@ an int32 rank per point, the only key the structures compare; a query box is
 mapped to rank intervals once, with two bisections per dimension.  Every
 tree, a level's or a cascade's x-tree, is implicit in one padded leaf row
 sorted by rank and searched by one split descent (cascade._find_split).
-Every array built from the sorts comes out of one bottom-up merge, run in
-batches over all same-size structures of a dimension (cascade.merge_rows);
+The same-size structures of a dimension form one merge group: one object,
+built by one batched bottom-up merge (cascade.merge_rows), whose members are
+(group, member) pairs that every group kind queries and counts alike.
 build() is the one way to make a structure.
 """
 

@@ -18,10 +18,10 @@ Storage: the cascades with the same L form a merge group, and one
 CascadeStructure object is the whole group, not one cascade.  It holds the
 group's G buffers in one array("i") of G*(2H+1)*L words, laid out
 (G, 2H+1, L), plus L, H, the two rank tables and an array("i") of each
-member's real point count.  A cascade is a (group, index) pair: member g
-owns the (2H+1)*L contiguous words from base = g*(2H+1)*L, and queries and
-counts take that base as an argument.  Every address below is base plus an
-offset in that buffer.  With L padded leaves and height H = log2(L):
+member's real point count.  A cascade is a (group, member) pair: member g
+owns the words = (2H+1)*L contiguous words from base = g*words, and queries
+and counts take g and the tree's rank box.  Every address below is base
+plus an offset in that buffer.  With L padded leaves and height H = log2(L):
 
     row r in 0..H        node arrays at depth H-r, offset r*L; the array of
                          the node at (depth, pos) is the chunk of width
@@ -195,8 +195,8 @@ class CascadeStructure:
     Each member is an x-tree plus per-node y-arrays with bridges.  All G
     share the group's array("i") buf; member g's `words` = (2H+1)*L words
     start at base g*words (see the module docstring for the layout), and
-    ms[g] is its real point count.  Queries and counts take the member's
-    base.  The d=2 tree's root is a group of one, at base 0.
+    ms[g] is its real point count.  Queries and counts take g.  The d=2
+    tree's root is a group of one, member 0.
     """
 
     __slots__ = ("xdim", "ydim", "L", "H", "words", "nreal", "buf", "ms", "rank_x", "rank_y",
@@ -237,13 +237,13 @@ class CascadeStructure:
 
     # -- structure access ----------------------------------------------------
 
-    def node(self, slot: int, base: int = 0) -> CascadeNode:
-        """Materialize one node of the member at `base` for inspection (heap slot order)."""
+    def node(self, slot: int, g: int = 0) -> CascadeNode:
+        """Materialize one node of member g for inspection (heap slot order)."""
         depth = (slot + 1).bit_length() - 1
         r = self.H - depth
         span = 1 << r
         buf, L = self.buf, self.L
-        abase = base + r * L + (slot + 1 - (1 << depth)) * span
+        abase = g * self.words + r * L + (slot + 1 - (1 << depth)) * span
         eids = buf[abase : abase + span]
         pts = [self.points[e] if e < self.nreal else None for e in eids]
         ranks = [self.rank_y[e] for e in eids]
@@ -306,8 +306,8 @@ class CascadeStructure:
             if xa <= rx[buf[base + p]] < xb:
                 yield base + p, 1, c, e
 
-    def query(self, base, xa, xb, ya, yb, stats, emit: Callable[[array], None], probe=None):
-        """Report the member at `base`'s points of x rank in [xa, xb), y rank in [ya, yb).
+    def query(self, g, a, b, stats, emit: Callable[[array], None], probe=None):
+        """Report member g's points inside the rank box [a, b) in dimensions xdim, ydim.
 
         A query makes ONE binary search, at the split node for ya; positions
         at every canonical node and boundary leaf follow bridges.  Each
@@ -315,7 +315,10 @@ class CascadeStructure:
         buf, an array("i") of point ids.  `probe(abase, span, pos)`, if given,
         observes each carried position (shadow checks in tests).
         """
-        buf, ry = self.buf, self.rank_y
+        x, y = self.xdim, self.ydim
+        xa, xb = a[x], b[x]
+        ya, yb = a[y], b[y]
+        base, buf, ry = g * self.words, self.buf, self.rank_y
         depth, pos = _find_split(buf, self.rank_x, base, self.L, xa, xb, stats)
         r = self.H - depth
         q = _lower_bound(buf, ry, base + r * self.L + (pos << r), 1 << r, ya, stats)
@@ -333,30 +336,25 @@ class CascadeStructure:
                 emit(buf[u:v])
                 stats.reported += v - u
 
-    def query_into(self, a, b, stats, emit):
-        """Root interface (d=2, a group of one): query the rank box [a, b)."""
-        self.query(0, a[self.xdim], b[self.xdim], a[self.ydim], b[self.ydim], stats, emit)
-
-    def count_in(self, a, b, stats) -> int:
-        """Root interface (d=2, a group of one): count in the rank box [a, b)."""
-        return self.count(0, a[self.xdim], b[self.xdim], a[self.ydim], b[self.ydim], stats)
-
-    def count(self, base, xa, xb, ya, yb, stats) -> int:
-        """Count the member at `base`'s points of x rank in [xa, xb), y rank in [ya, yb).
+    def count(self, g, a, b, stats) -> int:
+        """Count member g's points inside the rank box [a, b), bounded as in query.
 
         Nothing is enumerated.  Twin positions, the first entries of y rank
         >= ya and >= yb, are found by two binary searches at the split node
         and then carried down via bridges; each canonical node contributes
         their difference.
         """
-        buf, ry = self.buf, self.rank_y
+        x, y = self.xdim, self.ydim
+        xa, xb = a[x], b[x]
+        ya, yb = a[y], b[y]
+        base, buf, ry = g * self.words, self.buf, self.rank_y
         depth, pos = _find_split(buf, self.rank_x, base, self.L, xa, xb, stats)
         r = self.H - depth
         abase, span = base + r * self.L + (pos << r), 1 << r
         lo = _lower_bound(buf, ry, abase, span, ya, stats)
         hi = _lower_bound(buf, ry, abase, span, yb, stats)
         total = 0
-        for _, _, a, b in self._walk(base, depth, pos, xa, xb, lo, hi, stats):
-            if b > a:
-                total += b - a
+        for _, _, u, v in self._walk(base, depth, pos, xa, xb, lo, hi, stats):
+            if v > u:
+                total += v - u
         return total

@@ -1,7 +1,8 @@
 """Text formats: point files, query files, and the report writer.
 
 Data lines hold d (points) or 2d (queries) decimal fields separated by commas
-or whitespace.  Blank lines and lines starting with '#' are skipped.  Floats
+or whitespace; a comma must stand between two fields, so ',,' and a leading or
+trailing comma are errors.  Blank lines and lines starting with '#' are skipped.  Floats
 are rendered in shortest round-trip form, so parse(write(x)) is bit-exact.
 """
 
@@ -28,6 +29,9 @@ def _data_lines(text: str):
         line = raw.rstrip("\r").strip()
         if not line or line.startswith("#"):
             continue
+        parts = line.split(",")
+        if len(parts) > 1 and not all(map(str.strip, parts)):
+            raise ParseError(lineno, "empty field")
         yield lineno, line.replace(",", " ").split()
 
 

@@ -23,16 +23,17 @@ from layertree.core import QueryBox
 
 
 def make_cascade(coord_pairs):
-    """The 2-d tree's root over the pairs (a group of one, at base 0), and its points by id."""
+    """The 2-d tree's root over the pairs (a group of one, member 0), and its points by id."""
     tree = build(PointSet.from_coords(coord_pairs))
     return tree.root, tree.pointset.by_id
 
 
 def rank_args(cs, xlo, xhi, ylo, yhi):
-    """The box [xlo,xhi] x [ylo,yhi] as the rank bounds (xa, xb, ya, yb) of cs.query."""
+    """The box [xlo,xhi] x [ylo,yhi] as the rank box (a, b) = ((xa, ya), (xb, yb)) of cs.query."""
     xs = sorted(p.coords[cs.xdim] for p in cs.points)
     ys = sorted(p.coords[cs.ydim] for p in cs.points)
-    return bisect_left(xs, xlo), bisect_right(xs, xhi), bisect_left(ys, ylo), bisect_right(ys, yhi)
+    return ((bisect_left(xs, xlo), bisect_left(ys, ylo)),
+            (bisect_right(xs, xhi), bisect_right(ys, yhi)))
 
 
 def collect(cs, xlo, xhi, ylo, yhi, stats=None):
@@ -43,7 +44,7 @@ def collect(cs, xlo, xhi, ylo, yhi, stats=None):
 
 
 def subtree_leaf_ids(cs, slot):
-    """Real ids under heap slot `slot` of the x-tree at base 0, in x order: its leaf row chunk."""
+    """Real ids under heap slot `slot` of member 0's x-tree, in x order: its leaf row chunk."""
     depth = (slot + 1).bit_length() - 1
     span = cs.L >> depth
     lo = (slot + 1 - (1 << depth)) * span
@@ -123,12 +124,12 @@ class TestBuild:
         assert root.ranks[3] >= 3
 
 
-def exhaustive_bridge_check(cs, base=0):
+def exhaustive_bridge_check(cs, g=0):
     violations = 0
     for slot in range((cs.L - 1)):  # internal slots only
-        node = cs.node(slot, base)
-        lkeys = cs.node(2 * slot + 1, base).ranks
-        rkeys = cs.node(2 * slot + 2, base).ranks
+        node = cs.node(slot, g)
+        lkeys = cs.node(2 * slot + 1, g).ranks
+        rkeys = cs.node(2 * slot + 2, g).ranks
         for t, key in enumerate(node.ranks):
             if node.left_bridge[t] != bisect_left(lkeys, key):
                 violations += 1
@@ -194,13 +195,13 @@ class TestBridges:
         # a d=3 tree's cascades share their groups' arrays: check each member
         # at its own base, and that its entries are its subtree's points
         tree = build(gen_points(GeneratorConfig(seed=8, n=90, dims=3, dist="grid", grid_side=4)))
-        members = [s for _, s in tree.structures() if isinstance(s, tuple)]
+        members = [s for _, s in tree.structures() if isinstance(s[0], CascadeStructure)]
         assert any(g > 0 for _, g in members)
         for cs, g in members:
             base = g * cs.words
-            assert exhaustive_bridge_check(cs, base) == 0
+            assert exhaustive_bridge_check(cs, g) == 0
             leaves = cs.buf[base : base + cs.L]
-            assert sorted(p.id for p in cs.node(0, base).points if p is not None) == sorted(
+            assert sorted(p.id for p in cs.node(0, g).points if p is not None) == sorted(
                 e for e in leaves if e < cs.nreal)
             assert len([e for e in leaves if e < cs.nreal]) == cs.ms[g]
 
@@ -246,8 +247,9 @@ class TestQuery2D:
             xlo, xhi = sorted((rng.next_below(52) - 1, rng.next_below(52) - 1))
             ylo = rng.next_below(52) - 1
             probes = []
-            xa, xb, ya, yb = rank_args(cs, xlo, xhi, ylo, 100.0)
-            cs.query(0, xa, xb, ya, yb, QueryStats(), lambda p: None,
+            a, b = rank_args(cs, xlo, xhi, ylo, 100.0)
+            ya = a[1]
+            cs.query(0, a, b, QueryStats(), lambda p: None,
                      probe=lambda abase, span, q: probes.append((abase, span, q)))
             for abase, span, q in probes:
                 ranks = [cs.rank_y[cs.buf[abase + u]] for u in range(span)]
@@ -273,13 +275,14 @@ class TestQuery2D:
         assert all(p is not None for p in got)
 
     def test_boxes_via_boxed_interface(self):
+        # the root takes the tree's rank box; a cascade reads its last two dimensions
         cs, pts = make_cascade([(1, 4), (2, 3), (3, 2), (4, 1)])
         box = QueryBox((1.5, 0.0), (4.0, 2.5))
-        xa, xb, ya, yb = rank_args(cs, 1.5, 4.0, 0.0, 2.5)
+        a, b = rank_args(cs, 1.5, 4.0, 0.0, 2.5)
         ids = array("i")
-        cs.query_into((xa, ya), (xb, yb), QueryStats(), ids.extend)
+        cs.query(0, a, b, QueryStats(), ids.extend)
         assert [pts[e] for e in sorted(ids)] == [p for p in pts if box_contains(box, p)]
-        assert cs.count_in((xa, ya), (xb, yb), QueryStats()) == 2
+        assert cs.count(0, a, b, QueryStats()) == 2
 
     def test_tree_view(self):
         # row 0 of the buffer is the x-tree's leaf row: increasing in x rank,

@@ -102,6 +102,17 @@ class TestQuery:
         assert code == 2
         assert "line 2" in err
 
+    def test_empty_field_is_exit_2_with_line(self, capsys, tmp_path):
+        # '1,,2' must not be read as the point (1, 2)
+        pts = tmp_path / "p.txt"
+        pts.write_text("0,0\n1,,2\n")
+        qrs = tmp_path / "q.txt"
+        qrs.write_text("0,0,1,1\n")
+        code, out, err = run(capsys, ["query", "--points", str(pts), "--dims", "2",
+                                      "--queries", str(qrs)])
+        assert code == 2 and out == ""
+        assert "line 2: empty field" in err
+
     def test_dims_zero_is_usage_error(self, capsys, workload):
         pts, qrs = workload
         code, _, err = run(capsys, ["query", "--points", str(pts), "--dims", "0",

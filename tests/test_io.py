@@ -44,6 +44,13 @@ class TestParsePoints:
         with pytest.raises(ParseError):
             parse_points("1,two\n", 2)
 
+    @pytest.mark.parametrize("line", ["1,,2", ",1,2", "1,2,", "1, ,2", "1,\t,2"])
+    def test_empty_field_rejected(self, line):
+        # the two remaining fields must not pass for a 2-d point
+        with pytest.raises(ParseError) as ei:
+            parse_points(f"0,0\n{line}\r\n", 2)
+        assert ei.value.line == 2 and ei.value.reason == "empty field"
+
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
             parse_points("# only comments\n\n", 2)
@@ -62,6 +69,12 @@ class TestParseQueries:
     def test_wrong_arity(self):
         with pytest.raises(ParseError):
             parse_queries("0,1\n", 2)
+
+    @pytest.mark.parametrize("line", ["0,,0,1,1", ",0,0,1,1", "0,0,1,1,"])
+    def test_empty_field_rejected(self, line):
+        with pytest.raises(ParseError) as ei:
+            parse_queries(f"# boxes\n{line}\n", 2)
+        assert ei.value.line == 2 and ei.value.reason == "empty field"
 
     def test_empty_input(self):
         with pytest.raises(EmptyInput):

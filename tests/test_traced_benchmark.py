@@ -4,9 +4,12 @@ perfbench/run.py --trace 1 wraps package functions where their callers look
 them up, so each of these must keep its name and its lookup:
 
 - layertree.tree.fill_buffers_batch_np and layertree.tree.canonical_subtrees
-  (module globals that build() and the levels call);
+  (module globals that build() and the levels call).  canonical_subtrees
+  takes (level, g, a, b, stats): the _Level group, the member index and one
+  dimension's rank interval; the benchmark reads args[0].L, the group's
+  padded leaf count, to bound the subtrees each call returns;
 - CascadeStructure.build_from_ids, .query and .count (class attributes that
-  every cascade call goes through);
+  every cascade call goes through, the d=2 root's included);
 - LayeredRangeTree.query and .count;
 - layertree.cli.parse_points, .parse_queries, .build and .write_report.
 
@@ -52,11 +55,13 @@ def test_traced_name_exists(owner, attr):
     assert callable(getattr(owner, attr))
 
 
-@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("d", [2, 3, 4])
 def test_cost_laws_through_traced_names(monkeypatch, d):
     # per box: one binary search per cascade query, two per cascade count,
-    # and one fill per cascade group, counted where the benchmark counts them
-    calls = {"query": 0, "count": 0, "fill": 0}
+    # one fill per cascade group, and at most max(1, 2*log2(L)) subtrees per
+    # canonical decomposition, counted where the benchmark counts them
+    calls = {"query": 0, "count": 0, "fill": 0, "canonical": 0}
+    over_law = []
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -64,13 +69,26 @@ def test_cost_laws_through_traced_names(monkeypatch, d):
             return fn(*args, **kwargs)
         return wrapped
 
+    canonical_subtrees = layertree.tree.canonical_subtrees
+
+    def canonical(*args, **kwargs):
+        # the benchmark's canonical-law observer reads args[0].L
+        calls["canonical"] += 1
+        result = canonical_subtrees(*args, **kwargs)
+        L = args[0].L
+        if len(result) > max(1, 2 * (L.bit_length() - 1)):
+            over_law.append((len(result), L))
+        return result
+
     monkeypatch.setattr(CascadeStructure, "query", counting("query", CascadeStructure.query))
     monkeypatch.setattr(CascadeStructure, "count", counting("count", CascadeStructure.count))
     monkeypatch.setattr(layertree.tree, "fill_buffers_batch_np",
                         counting("fill", layertree.tree.fill_buffers_batch_np))
+    monkeypatch.setattr(layertree.tree, "canonical_subtrees", canonical)
     ps = gen_points(GeneratorConfig(seed=d, n=400, dims=d, dist="grid", grid_side=6))
     tree = build(ps)
-    assert calls["fill"] == len({id(s[0]) for _, s in tree.structures() if isinstance(s, tuple)})
+    assert calls["fill"] == len({id(s) for _, (s, _) in tree.structures()
+                                 if isinstance(s, CascadeStructure)})
     rng = SplitMix64(d)
     queried = 0
     for _ in range(60):
@@ -85,6 +103,8 @@ def test_cost_laws_through_traced_names(monkeypatch, d):
         tree.count(box, stats)
         assert stats.binary_searches == 2 * calls["count"]
     assert queried > 0
+    assert not over_law
+    assert (calls["canonical"] > 0) == (d > 2)
 
 
 def test_traced_run_has_no_failures_or_law_violations():

@@ -30,19 +30,27 @@ from layertree.tree import _Level, _Slab
 
 
 def root_level(values):
-    """The root _Level of a d=3 tree over the points (v, 0, 0); point i has id i."""
-    return build(PointSet.from_coords([(v, 0, 0) for v in values])).root
+    """(root group, 0): member 0 of a d=3 tree over the points (v, 0, 0); point i has id i."""
+    return build(PointSet.from_coords([(v, 0, 0) for v in values])).root, 0
 
 
-def slot_ids(level, slot):
+def row(member) -> array:
+    """The leaf row of member g of a _Level group (or of a _Slab): L ids from g*L."""
+    s, g = member
+    return s.ids[g * s.L : (g + 1) * s.L]
+
+
+def slot_ids(member, slot):
     """Real ids under heap slot `slot` of a level: its chunk of the leaf row, phantoms cut."""
+    level, g = member
     depth = (slot + 1).bit_length() - 1
     lo = (slot + 1 - (1 << depth)) * (level.L >> depth)
-    return list(level.ids[lo : min(lo + (level.L >> depth), level.m)])
+    return list(row(member)[lo : min(lo + (level.L >> depth), level.ms[g])])
 
 
-def split(level, a, b):
-    return _find_split(level.ids, level.rank, 0, level.L, a, b, QueryStats())
+def split(member, a, b):
+    level, g = member
+    return _find_split(level.ids, level.rank, g * level.L, level.L, a, b, QueryStats())
 
 
 def words(member) -> array:
@@ -51,28 +59,30 @@ def words(member) -> array:
     return cs.buf[g * cs.words : (g + 1) * cs.words]
 
 
-def sub_at(level, slot):
-    """The structure of a level's heap slot: a _Level, a (group, index) cascade, or None."""
-    if level.assoc is not None:
-        return level.assoc[slot]
-    h = level.group[slot]
-    return None if h < 0 else (level.cascades[h], level.member[slot])
+def sub_at(member, slot):
+    """The structure of a level's heap slot as its (group, member) pair, or None."""
+    level, g = member
+    k = g * (2 * level.L - 1) + slot
+    h = level.group[k]
+    return None if h < 0 else (level.subs[h], level.member[k])
 
 
-def real_count(s) -> int:
+def real_count(member) -> int:
     """A structure's real point count m."""
-    if isinstance(s, tuple):
-        cs, g = s
-        return cs.ms[g]
-    return s.m
+    s, g = member
+    return s.m if isinstance(s, _Slab) else s.ms[g]
 
 
-def real_entry_count(s) -> int:
+def real_entry_count(member) -> int:
     """Real (non-phantom) ids stored in a cascade's node-array rows or a slab's leaf row."""
+    s, _ = member
     if isinstance(s, _Slab):
         return sum(1 for e in s.ids if e < len(s.points))
-    cs, _ = s
-    return sum(1 for e in words(s)[: cs.L * (cs.H + 1)] if e < cs.nreal)
+    return sum(1 for e in words(member)[: s.L * (s.H + 1)] if e < s.nreal)
+
+
+def is_cascade(member) -> bool:
+    return isinstance(member[0], CascadeStructure)
 
 
 def rank_bounds(values, lo, hi):
@@ -86,10 +96,11 @@ class TestLeafRow:
     def test_heap_index_laws(self, n):
         # the slots are in heap order: 2L-1 slots, slot s holds the points of
         # its children 2s+1 and 2s+2, and leaf slot L-1+i those of leaf i
-        level = root_level(range(n))
+        member = root_level(range(n))
+        level, _ = member
         L = level.L
         assert L == pow2ceil(n) and len(level.group) == len(level.member) == 2 * L - 1
-        subs = [sub_at(level, slot) for slot in range(2 * L - 1)]
+        subs = [sub_at(member, slot) for slot in range(2 * L - 1)]
         held = [[] if sub is None else sorted(words(sub)[: real_count(sub)]) for sub in subs]
         for s in range(L - 1):
             assert held[s] == sorted(held[2 * s + 1] + held[2 * s + 2])
@@ -99,8 +110,9 @@ class TestLeafRow:
     @pytest.mark.parametrize("n", [1, 3, 8, 13])
     def test_leaf_scan_nondecreasing_and_internal_keys(self, n):
         rnd = random.Random(n)
-        level = root_level([rnd.randrange(4) for _ in range(n)])
-        ranks = [level.rank[e] for e in level.ids]
+        member = root_level([rnd.randrange(4) for _ in range(n)])
+        level, _ = member
+        ranks = [level.rank[e] for e in row(member)]
         assert ranks == sorted(ranks)
         # a node splits at the largest rank of its left subtree, and the
         # split search for that one rank stops at the node
@@ -108,14 +120,15 @@ class TestLeafRow:
             span = level.L >> depth
             for pos in range(1 << depth):
                 k = max(ranks[pos * span : pos * span + span // 2])
-                assert split(level, k, k + 1) == (depth, pos)
+                assert split(member, k, k + 1) == (depth, pos)
 
     def test_phantoms_sit_rightmost(self):
         values = [5, 1, 3]
-        level = root_level(values)
-        assert level.L == 4 and level.m == 3
+        member = root_level(values)
+        level, _ = member
+        assert level.L == 4 and list(level.ms) == [3]
         assert [level.rank[e] for e in level.ids[:3]] == [0, 1, 2]
-        assert [values[e] for e in slot_ids(level, 0)] == [1, 3, 5]
+        assert [values[e] for e in slot_ids(member, 0)] == [1, 3, 5]
         assert level.rank[level.ids[3]] >= len(values)  # the phantom ranks after every point
 
 
@@ -124,47 +137,48 @@ class TestFindSplitNode:
     VALUES = [1, 2, 3, 4]
 
     def test_range_2_3_splits_at_root(self):
-        level = root_level(self.VALUES)
-        assert split(level, *rank_bounds(self.VALUES, 2.0, 3.0)) == (0, 0)
+        member = root_level(self.VALUES)
+        assert split(member, *rank_bounds(self.VALUES, 2.0, 3.0)) == (0, 0)
 
     def test_degenerate_range_splits_at_value_boundary(self):
         # [1,1] is the ranks [0, 1): it diverges at the parent of the value-1
         # leaf; the canonical cover is still exactly that leaf
-        level = root_level(self.VALUES)
-        assert split(level, *rank_bounds(self.VALUES, 1.0, 1.0)) == (1, 0)
-        cover = canonical_subtrees(level, *rank_bounds(self.VALUES, 1.0, 1.0))
+        member = root_level(self.VALUES)
+        assert split(member, *rank_bounds(self.VALUES, 1.0, 1.0)) == (1, 0)
+        cover = canonical_subtrees(*member, *rank_bounds(self.VALUES, 1.0, 1.0))
         assert cover == [3]
-        assert slot_ids(level, 3) == [0]
+        assert slot_ids(member, 3) == [0]
 
     def test_range_above_all_leaves(self):
-        level = root_level(self.VALUES)
-        depth, _ = split(level, *rank_bounds(self.VALUES, 5.0, 9.0))
-        assert depth == level.L.bit_length() - 1  # a leaf
-        assert canonical_subtrees(level, *rank_bounds(self.VALUES, 5.0, 9.0)) == []
+        member = root_level(self.VALUES)
+        depth, _ = split(member, *rank_bounds(self.VALUES, 5.0, 9.0))
+        assert depth == member[0].L.bit_length() - 1  # a leaf
+        assert canonical_subtrees(*member, *rank_bounds(self.VALUES, 5.0, 9.0)) == []
 
 
-def check_cover(level, column, lo, hi):
+def check_cover(member, column, lo, hi):
     """The canonical cover of [lo, hi] in level.dim (column: that coordinate by id).
 
     Its slots hold disjoint id sets whose union is the level's real ids in
     [lo, hi], and there are at most 2*log2(L) of them.
     """
-    slots = canonical_subtrees(level, *rank_bounds(column, lo, hi))
-    cover = [e for s in slots for e in slot_ids(level, s)]
+    level, g = member
+    slots = canonical_subtrees(level, g, *rank_bounds(column, lo, hi))
+    cover = [e for s in slots for e in slot_ids(member, s)]
     assert len(set(slots)) == len(slots) and len(set(cover)) == len(cover)
-    assert sorted(cover) == sorted(e for e in level.ids[: level.m] if lo <= column[e] <= hi)
+    assert sorted(cover) == sorted(e for e in row(member)[: level.ms[g]] if lo <= column[e] <= hi)
     assert len(slots) <= max(1, 2 * (level.L.bit_length() - 1))
 
 
 class TestCanonicalSubtrees:
     def test_full_range_covers_everything(self):
-        level = root_level([1, 2, 3, 4])
-        slots = canonical_subtrees(level, *rank_bounds([1, 2, 3, 4], 1.0, 4.0))
-        assert sorted(e for s in slots for e in slot_ids(level, s)) == [0, 1, 2, 3]
+        member = root_level([1, 2, 3, 4])
+        slots = canonical_subtrees(*member, *rank_bounds([1, 2, 3, 4], 1.0, 4.0))
+        assert sorted(e for s in slots for e in slot_ids(member, s)) == [0, 1, 2, 3]
 
     def test_disjoint_range_is_empty(self):
-        level = root_level([1, 2, 3, 4])
-        assert canonical_subtrees(level, *rank_bounds([1, 2, 3, 4], 5.0, 9.0)) == []
+        member = root_level([1, 2, 3, 4])
+        assert canonical_subtrees(*member, *rank_bounds([1, 2, 3, 4], 5.0, 9.0)) == []
 
     @given(
         st.lists(st.integers(0, 7), min_size=1, max_size=40),
@@ -185,10 +199,10 @@ class TestCanonicalSubtrees:
         # below the root a level holds a subset of the points, so its real ids
         # run past its own point count m
         tree = build(PointSet.from_coords(rows))
-        lower = [s for depth, s in tree.structures() if depth > 0 and isinstance(s, _Level)]
+        lower = [s for depth, s in tree.structures() if depth > 0 and isinstance(s[0], _Level)]
         assert lower
-        for level in lower:
-            check_cover(level, [r[level.dim] for r in rows], lo, hi)
+        for member in lower:
+            check_cover(member, [r[member[0].dim] for r in rows], lo, hi)
 
 
 def random_boxes(rng, d, span, count):
@@ -249,8 +263,7 @@ class TestBuild:
 
         def snapshot(tree):
             return sorted(
-                (lvl, type(s).__name__,
-                 list(words(s) if isinstance(s, tuple) else s.ids))
+                (lvl, type(s[0]).__name__, list(words(s) if is_cascade(s) else row(s)))
                 for lvl, s in tree.structures()
             )
 
@@ -263,22 +276,19 @@ class TestBuild:
                     GeneratorConfig(seed=3, n=40, dims=4)):
             tree = build(gen_points(cfg))
             everything = ((0,) * cfg.dims, (cfg.n,) * cfg.dims)
-            levels = [s for _, s in tree.structures() if isinstance(s, _Level)]
+            levels = [s for _, s in tree.structures() if isinstance(s[0], _Level)]
             assert len(levels) > (cfg.dims == 4)
-            for level in levels:
-                for slot in range(2 * level.L - 1):
-                    sub = sub_at(level, slot)
-                    ids = slot_ids(level, slot)
+            for member in levels:
+                for slot in range(2 * member[0].L - 1):
+                    sub = sub_at(member, slot)
+                    ids = slot_ids(member, slot)
                     if not ids:
                         assert sub is None
                         continue
                     assert real_count(sub) == len(ids)
                     got = array("i")  # the structures emit runs of ids
-                    if isinstance(sub, tuple):
-                        cs, g = sub
-                        cs.query(g * cs.words, 0, cfg.n, 0, cfg.n, QueryStats(), got.extend)
-                    else:
-                        sub.query_into(*everything, QueryStats(), got.extend)
+                    group, g = sub
+                    group.query(g, *everything, QueryStats(), got.extend)
                     assert sorted(got) == sorted(ids)
 
 
@@ -337,19 +347,19 @@ class TestSpaceAccounting:
         tree = build(ps)
         groups = {}
         for _, s in tree.structures():
-            if isinstance(s, tuple):
+            if is_cascade(s):
                 cs, g = s
                 assert real_entry_count(s) == cs.ms[g] * (cs.H + 1)
                 # H+1 node-array rows and H left-bridge rows, no right bridges,
                 # at [base, base + (2H+1)L) of the group's array
                 assert cs.words == (2 * cs.H + 1) * cs.L
                 groups.setdefault(id(cs), (cs, []))[1].append((g * cs.words, cs.words))
-            elif isinstance(s, _Slab):
-                assert real_entry_count(s) == s.m
+            elif isinstance(s[0], _Slab):
+                assert real_entry_count(s) == real_count(s)
             else:
-                subs = (sub_at(s, slot) for slot in range(2 * s.L - 1))
+                subs = (sub_at(s, slot) for slot in range(2 * s[0].L - 1))
                 total = sum(real_count(sub) for sub in subs if sub is not None)
-                assert total == s.m * s.L.bit_length()
+                assert total == real_count(s) * s[0].L.bit_length()
         # the members of one group tile its array("i") with no slack
         for cs, runs in groups.values():
             assert isinstance(cs.buf, array) and cs.buf.typecode == "i"
@@ -368,10 +378,27 @@ class TestSpaceAccounting:
         tree = build(ps)
         gc.collect()
         live = sum(isinstance(o, CascadeStructure) for o in gc.get_objects()) - before
-        members = [s for _, s in tree.structures() if isinstance(s, tuple)]
+        members = [s for _, s in tree.structures() if is_cascade(s)]
         groups = {id(cs) for cs, _ in members}
         assert live == len(groups) <= pow2ceil(3000).bit_length()
         assert len(members) > 3000
+
+    def test_one_object_per_level_group(self):
+        # a level tree is a (group, member) pair too: at d=4, dimension 0 is
+        # the root, a group of one, and dimension 1 has at most one _Level
+        # group per padded size L, not one object per level tree
+        n = 2000
+        ps = gen_points(GeneratorConfig(seed=6, n=n, dims=4))
+        gc.collect()
+        before = sum(isinstance(o, _Level) for o in gc.get_objects())
+        tree = build(ps)
+        gc.collect()
+        live = sum(isinstance(o, _Level) for o in gc.get_objects()) - before
+        levels = [(depth, s) for depth, s in tree.structures() if isinstance(s[0], _Level)]
+        by_dim = [{id(s) for depth, (s, _) in levels if depth == j} for j in (0, 1)]
+        assert live == len(by_dim[0]) + len(by_dim[1])
+        assert len(by_dim[0]) == 1 and len(by_dim[1]) <= pow2ceil(n).bit_length()
+        assert len(levels) > n
 
 
 def expanded_buffer(member) -> list[int]:
@@ -390,7 +417,7 @@ def buffer_digest(tree) -> str:
     """sha256 of every structure's expanded buffer (leaf row of a level) as ints, in structures() order."""
     h = hashlib.sha256()
     for _, s in tree.structures():
-        buf = expanded_buffer(s) if isinstance(s, tuple) else s.ids
+        buf = expanded_buffer(s) if is_cascade(s) else row(s)
         h.update(repr([int(e) for e in buf]).encode())
     return h.hexdigest()
 
