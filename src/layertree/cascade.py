@@ -17,11 +17,12 @@ time per level.
 Storage: the cascades with the same L form a merge group, and one
 CascadeStructure object is the whole group, not one cascade.  It holds the
 group's G buffers in one array("i") of G*(2H+1)*L words, laid out
-(G, 2H+1, L), plus L, H, the two rank tables and an array("i") of each
-member's real point count.  A cascade is a (group, member) pair: member g
-owns the words = (2H+1)*L contiguous words from base = g*words, and queries
-and counts take g and the tree's rank box.  Every address below is base
-plus an offset in that buffer.  With L padded leaves and height H = log2(L):
+(G, 2H+1, L), plus L, H and the two rank tables; a member's real point
+count is the number of real ids in its leaf row.  A cascade is a (group,
+member) pair: member g owns the words = (2H+1)*L contiguous words from
+base = g*words, and queries and counts take g and the tree's rank box.
+Every address below is base plus an offset in that buffer.  With L padded
+leaves and height H = log2(L):
 
     row r in 0..H        node arrays at depth H-r, offset r*L; the array of
                          the node at (depth, pos) is the chunk of width
@@ -37,11 +38,11 @@ array it is t - lb[t].  Ranks are distinct, so the t entries before it are
 exactly the smaller ones, and each came from one child: lb[t] from the left,
 the rest from the right.
 
-Entries are ids into the owning point list; ids >= nreal are phantom padding,
-so every chunk is full and bridges are total.  Every comparison is between
-ranks: rank_table sorts each dimension once, and rank_x / rank_y give each id
-its position in the x / y order.  A phantom id nreal+t is its own rank, after
-every real point, so no query interval of real ranks [a, b) can match it.
+Entries are ids into the owning list of n points; ids >= n are phantom
+padding, so every chunk is full and bridges are total.  Every comparison is
+between ranks: rank_table sorts each dimension once, and rank_x / rank_y give
+each id its position in the x / y order.  A phantom id n+t is its own rank,
+after every real point, so no real rank interval [a, b) can match it.
 
 Every buffer comes out of one merge, merge_rows: the leaf rows of a group
 are merged together bottom-up by each id's rank in the y order, one stable
@@ -194,23 +195,19 @@ class CascadeStructure:
 
     Each member is an x-tree plus per-node y-arrays with bridges.  All G
     share the group's array("i") buf; member g's `words` = (2H+1)*L words
-    start at base g*words (see the module docstring for the layout), and
-    ms[g] is its real point count.  Queries and counts take g.  The d=2
-    tree's root is a group of one, member 0.
+    start at base g*words (see the module docstring for the layout); queries
+    and counts take g.  The d=2 tree's root is a group of one, member 0.
     """
 
-    __slots__ = ("xdim", "ydim", "L", "H", "words", "nreal", "buf", "ms", "rank_x", "rank_y",
-                 "points")
+    __slots__ = ("xdim", "ydim", "L", "H", "words", "buf", "rank_x", "rank_y", "points")
 
-    def __init__(self, xdim, ydim, L, nreal, buf, ms, rank_x, rank_y, points):
+    def __init__(self, xdim, ydim, L, buf, rank_x, rank_y, points):
         self.xdim = xdim
         self.ydim = ydim
         self.L = L                         # padded leaf count (power of two)
         self.H = L.bit_length() - 1        # log2(L)
         self.words = (2 * self.H + 1) * L  # one member's share of buf
-        self.nreal = nreal                 # ids >= nreal are phantoms
         self.buf = buf                     # from fill_buffers_batch_np
-        self.ms = ms                       # array("i"): real points per member
         self.rank_x = rank_x
         self.rank_y = rank_y
         self.points = points
@@ -222,18 +219,17 @@ class CascadeStructure:
         """A group of one over ids sorted by the x composite order.
 
         rank_x / rank_y are rank tables (rank_table) with at least L phantom
-        slots (id nreal+t -> padding leaf t).  build() builds every group
-        from its members' leaf rows and does not call this; it stays because
-        the traced benchmark (perfbench/run.py) wraps it by name, and its
-        result equals the d=2 root build() makes over the same ids.
+        slots (id n+t -> padding leaf t).  build() builds every group from
+        its members' leaf rows and does not call this; it stays because the
+        traced benchmark (perfbench/run.py) wraps it by name, and its result
+        equals the d=2 root build() makes over the same ids.
         """
-        m = len(ids)
-        nreal = len(points)
+        m, n = len(ids), len(points)
         L = pow2ceil(m)
-        row = np.arange(nreal, nreal + L, dtype=np.int32)
+        row = np.arange(n, n + L, dtype=np.int32)
         row[:m] = ids
         buf = fill_buffers_batch_np(row[None, :], rank_y, counters)
-        return cls(xdim, ydim, L, nreal, buf, array("i", [m]), rank_x, rank_y, points)
+        return cls(xdim, ydim, L, buf, rank_x, rank_y, points)
 
     # -- structure access ----------------------------------------------------
 
@@ -245,7 +241,7 @@ class CascadeStructure:
         buf, L = self.buf, self.L
         abase = g * self.words + r * L + (slot + 1 - (1 << depth)) * span
         eids = buf[abase : abase + span]
-        pts = [self.points[e] if e < self.nreal else None for e in eids]
+        pts = [self.points[e] if e < len(self.points) else None for e in eids]
         ranks = [self.rank_y[e] for e in eids]
         if r == 0:
             return CascadeNode(pts, ranks, [], [], self.ydim)
@@ -306,14 +302,13 @@ class CascadeStructure:
             if xa <= rx[buf[base + p]] < xb:
                 yield base + p, 1, c, e
 
-    def query(self, g, a, b, stats, emit: Callable[[array], None], probe=None):
+    def query(self, g, a, b, stats, emit: Callable[[array], None]):
         """Report member g's points inside the rank box [a, b) in dimensions xdim, ydim.
 
         A query makes ONE binary search, at the split node for ya; positions
         at every canonical node and boundary leaf follow bridges.  Each
         node's run of entries of y rank below yb is emitted as one slice of
-        buf, an array("i") of point ids.  `probe(abase, span, pos)`, if given,
-        observes each carried position (shadow checks in tests).
+        buf, an array("i") of point ids.
         """
         x, y = self.xdim, self.ydim
         xa, xb = a[x], b[x]
@@ -323,8 +318,6 @@ class CascadeStructure:
         r = self.H - depth
         q = _lower_bound(buf, ry, base + r * self.L + (pos << r), 1 << r, ya, stats)
         for abase, span, u, _ in self._walk(base, depth, pos, xa, xb, q, None, stats):
-            if probe is not None:
-                probe(abase, span, u)
             u += abase
             end = abase + span
             for v in range(u, end):

@@ -12,6 +12,7 @@ rank interval [a, b) per dimension, the points whose coordinate lies in
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -42,9 +43,12 @@ class Point:
             raise ValueError("point needs at least one coordinate")
         if self.id < 0:
             raise ValueError("point id must be nonnegative")
-        for c in self.coords:
-            if not math.isfinite(c):
-                raise ValueError(f"non-finite coordinate {c!r} in point {self.id}")
+        try:
+            for c in self.coords:
+                if not math.isfinite(c):
+                    raise ValueError(f"non-finite coordinate {c!r} in point {self.id}")
+        except OverflowError:
+            raise ValueError(f"coordinate {c!r} in point {self.id} overflows a float") from None
 
     @property
     def dims(self) -> int:
@@ -75,17 +79,16 @@ class QueryBox:
             raise DimensionMismatch(f"lo has {len(self.lo)} entries, hi has {len(self.hi)}")
         if len(self.lo) < 1:
             raise ValueError("box needs at least one dimension")
-        for v in (*self.lo, *self.hi):
-            if not math.isfinite(v):
-                raise ValueError(f"non-finite box bound {v!r}")
+        try:
+            for v in (*self.lo, *self.hi):
+                if not math.isfinite(v):
+                    raise ValueError(f"non-finite box bound {v!r}")
+        except OverflowError:
+            raise ValueError(f"box bound {v!r} overflows a float") from None
 
     @property
     def dims(self) -> int:
         return len(self.lo)
-
-    def is_empty_interval(self) -> bool:
-        """True if some dimension has lo_j > hi_j (the box matches nothing)."""
-        return any(l > h for l, h in zip(self.lo, self.hi))
 
 
 def box_contains(box: QueryBox, p: Point) -> bool:
@@ -139,7 +142,11 @@ class PointSet:
             if len(coords) == 0:  # an (n, d) ndarray has no truth value
                 raise EmptyInput("cannot infer dimensionality of an empty point set")
             dims = len(coords[0])
-        pts = [Point(tuple(float(c) for c in row), i) for i, row in enumerate(coords)]
+        try:
+            pts = [Point(tuple(float(c) for c in row), i) for i, row in enumerate(coords)]
+        except OverflowError:
+            big = next(c for row in coords for c in row if abs(c) > sys.float_info.max)
+            raise ValueError(f"coordinate {big!r} overflows a float") from None
         return cls(pts, dims)
 
     def coord_matrix(self) -> np.ndarray:

@@ -3,7 +3,7 @@
 Level j (for j = 0 .. d-3) is a full implicit binary tree over coordinate j
 whose every node owns an associated structure over the remaining coordinates,
 holding exactly the non-phantom points of its subtree.  The last two
-coordinates live in cascades; a 1-dimensional tree is a padded sorted array.
+coordinates live in cascades; a 1-dimensional tree is its rank order.
 
 The structures over one dimension with the same padded size L form one merge
 group, a _Level or a CascadeStructure, and a structure is a (group, member)
@@ -34,8 +34,8 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .cascade import (CascadeStructure, _find_split, _lower_bound, fill_buffers_batch_np,
-                      merge_rows, pow2ceil, rank_table)
+from .cascade import (CascadeStructure, _find_split, fill_buffers_batch_np, merge_rows,
+                      pow2ceil, rank_table)
 from .core import DimensionMismatch, EmptyInput, Point, PointSet, QueryBox, TooManyPoints
 
 INT32_MAX = 2**31 - 1
@@ -48,7 +48,7 @@ class QueryStats:
     nodes_visited counts every tree slot whose key a query examines plus every
     canonical subtree root it hands off to; binary_searches counts array
     lower-bound searches inside structures, not the per-box rank mapping
-    (rank_box: two bisections per dimension on the tree's sorted coordinates);
+    (rank_box: two bisections per dimension, the whole search at d=1);
     bridge_follows counts O(1) position transfers along cascade bridges;
     reported counts emitted (or counted) points.
     """
@@ -113,58 +113,42 @@ def canonical_subtrees(level: "_Level", g: int, a: int, b: int,
 
 
 class _Slab:
-    """Degenerate 1-dimensional structure: a padded sorted leaf row (a group of one)."""
+    """The d=1 structure (a group of one): ids[v] is the id of rank v, so [a, b) is ids[a:b]."""
 
-    __slots__ = ("dim", "m", "L", "ids", "rank", "points")
+    __slots__ = ("ids",)
 
-    def __init__(self, dim, ids, m, rank, points):
-        self.dim = dim
-        self.m = m
-        self.L = pow2ceil(m)
-        self.ids = array("i", list(ids) + [len(points) + t for t in range(m, self.L)])
-        self.rank = rank
-        self.points = points
+    def __init__(self, ids):
+        self.ids = ids
 
     def query(self, g, a, b, stats, emit):
-        """Emit the ids of rank in [a, b) as one slice of the leaf row (g is 0)."""
-        hi = b[self.dim]
-        ids, rank = self.ids, self.rank
-        lo = _lower_bound(ids, rank, 0, self.L, a[self.dim], stats)
-        for v in range(lo, self.L):
-            if rank[ids[v]] >= hi:
-                break
-        else:
-            v = self.L
-        if v > lo:
-            emit(ids[lo:v])
-            stats.reported += v - lo
+        lo, hi = a[0], b[0]
+        if hi > lo:
+            emit(self.ids[lo:hi])
+            stats.reported += hi - lo
 
     def count(self, g, a, b, stats) -> int:
-        lo = _lower_bound(self.ids, self.rank, 0, self.L, a[self.dim], stats)
-        hi = _lower_bound(self.ids, self.rank, 0, self.L, b[self.dim], stats)
-        return max(0, hi - lo)
+        return max(0, b[0] - a[0])
 
 
 class _Level:
     """A level merge group: the G level trees over dimension `dim` with the same L.
 
-    Member g's leaf row is ids[g*L : (g+1)*L]: L padded leaves sorted by
-    `rank`, the first ms[g] real.  Its heap slot s is slot k = g*(2L-1) + s
-    of the group, whose structure is member member[k] of subs[group[k]] (both
-    -1 where the subtree holds no real id).  subs, the next dimension's groups
-    by log2 L, is shared by the whole dimension.
+    Member g < G = len(ids) // L has the leaf row ids[g*L : (g+1)*L]: L ids
+    sorted by `rank`, real ids first, then phantoms (ids >= n).  Its heap slot
+    s is slot k = g*(2L-1) + s of the group, whose structure is member
+    member[k] of subs[group[k]] (both -1 where the subtree holds no real id).
+    subs, the next dimension's groups by log2 L, is shared by the dimension.
     """
 
-    __slots__ = ("dim", "ids", "ms", "L", "rank", "subs", "group", "member")
+    __slots__ = ("dim", "ids", "L", "rank", "subs", "group", "member")
 
-    def __init__(self, dim: int, ids, ms, L: int, rank, subs: list):
+    def __init__(self, dim: int, ids, L: int, rank, subs: list):
         self.dim = dim
         self.ids = ids
-        self.ms = ms
         self.L = L
         self.rank = rank
         self.subs = subs
-        self.group = array("b", [-1]) * (len(ms) * (2 * L - 1))
+        self.group = array("b", [-1]) * (len(ids) // L * (2 * L - 1))
         self.member = array("i", [-1]) * len(self.group)
 
     def query(self, g, a, b, stats, emit):
@@ -305,7 +289,8 @@ def build(points: PointSet, counters: Optional[BuildCounters] = None) -> Layered
     coords = points.coord_matrix()
     orders, ranks, axes = zip(*(rank_table(coords, j, maxL) for j in range(d)))
     if d == 1:
-        return LayeredRangeTree(points, _Slab(0, orders[0], n, ranks[0], pts), axes)
+        slab = _Slab(array("i", orders[0].astype(np.int32).tobytes()))
+        return LayeredRangeTree(points, slab, axes)
 
     tops = [[None] * maxL.bit_length() for _ in range(d - 1)]
     groups: dict = {}
@@ -318,15 +303,15 @@ def build(points: PointSet, counters: Optional[BuildCounters] = None) -> Layered
             H = L.bit_length() - 1
             if j == d - 2:
                 buf = fill_buffers_batch_np(rows, ranks[j + 1], counters)
-                tops[j][H] = CascadeStructure(j, j + 1, L, n, buf, ms, ranks[j], ranks[j + 1], pts)
+                tops[j][H] = CascadeStructure(j, j + 1, L, buf, ranks[j], ranks[j + 1], pts)
                 continue
-            # a level keeps only its sorted rows: no bridge rows
+            # a level keeps only its leaf rows, sized exactly: no bridge rows
             merged = np.empty((len(ms), H + 1, L), dtype=np.int32)
             merged[:, 0] = rows
             merge_rows(merged, ranks[j + 1])
             if counters is not None:
                 counters.merge_moves += H * sum(ms)
-            level = tops[j][H] = _Level(j, flat, ms, L, ranks[j], tops[j + 1])
+            level = tops[j][H] = _Level(j, array("i", flat), L, ranks[j], tops[j + 1])
             for g, m in enumerate(ms):
                 for r in range(H + 1):
                     _queue(nxt, level, g * (2 * L - 1) + (L >> r) - 1, merged[g, r], m, 1 << r, n)

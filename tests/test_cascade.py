@@ -48,7 +48,7 @@ def subtree_leaf_ids(cs, slot):
     depth = (slot + 1).bit_length() - 1
     span = cs.L >> depth
     lo = (slot + 1 - (1 << depth)) * span
-    return [e for e in cs.buf[lo : lo + span] if e < cs.nreal]
+    return [e for e in cs.buf[lo : lo + span] if e < len(cs.points)]
 
 
 def brute(pts, xlo, xhi, ylo, yhi):
@@ -61,7 +61,7 @@ def brute(pts, xlo, xhi, ylo, yhi):
 class TestBuild:
     def test_single_point(self):
         cs, pts = make_cascade([(2, 7)])
-        assert list(cs.ms) == [1] and cs.L == 1
+        assert cs.buf[: cs.L].tolist() == [0] and cs.L == 1  # one real leaf
         root = cs.node(0)
         assert root.points == pts
         assert root.y_values == [7.0]
@@ -75,9 +75,9 @@ class TestBuild:
         ps = gen_points(GeneratorConfig(seed=12, n=45, dims=2, dist="grid", grid_side=4))
         built, counters = BuildCounters(), BuildCounters()
         root = build(ps, built).root
-        one = CascadeStructure.build_from_ids(root.buf[: root.ms[0]], 0, 1, root.rank_x,
+        one = CascadeStructure.build_from_ids(root.buf[: len(ps)], 0, 1, root.rank_x,
                                               root.rank_y, ps.by_id, counters)
-        assert (one.ms, one.L, one.H) == (root.ms, root.L, root.H)
+        assert (one.L, one.H, one.words) == (root.L, root.H, root.words)
         assert one.buf.tolist() == root.buf.tolist()
         assert counters.merge_moves == built.merge_moves
 
@@ -200,10 +200,10 @@ class TestBridges:
         for cs, g in members:
             base = g * cs.words
             assert exhaustive_bridge_check(cs, g) == 0
-            leaves = cs.buf[base : base + cs.L]
-            assert sorted(p.id for p in cs.node(0, g).points if p is not None) == sorted(
-                e for e in leaves if e < cs.nreal)
-            assert len([e for e in leaves if e < cs.nreal]) == cs.ms[g]
+            leaves = cs.buf[base : base + cs.L].tolist()
+            real = [e for e in leaves if e < len(cs.points)]
+            assert sorted(p.id for p in cs.node(0, g).points if p is not None) == sorted(real)
+            assert leaves[: len(real)] == real  # real ids first, then phantoms
 
 
 class TestQuery2D:
@@ -239,21 +239,33 @@ class TestQuery2D:
                     for yhi in (-1.0, 1.0, 2.5, 3.0):
                         assert collect(cs, xlo, xhi, ylo, yhi) == brute(pts, xlo, xhi, ylo, yhi)
 
-    def test_positions_match_shadow_lower_bound(self):
-        # the bridged position at every canonical node equals an independent search
+    def test_positions_match_shadow_lower_bound(self, monkeypatch):
+        # the bridged position at every canonical node equals an independent
+        # search; the walk's yields are observed on their way to the query
+        probes = []
+        walk = CascadeStructure._walk
+
+        def observed(self, *args):
+            for abase, span, lo, hi in walk(self, *args):
+                probes.append((abase, span, lo))
+                yield abase, span, lo, hi
+
+        monkeypatch.setattr(CascadeStructure, "_walk", observed)
         rng = SplitMix64(123)
         cs, pts = make_cascade([(rng.next_below(50), rng.next_below(50)) for _ in range(200)])
+        seen = 0
         for _ in range(200):
             xlo, xhi = sorted((rng.next_below(52) - 1, rng.next_below(52) - 1))
             ylo = rng.next_below(52) - 1
-            probes = []
+            probes.clear()
             a, b = rank_args(cs, xlo, xhi, ylo, 100.0)
             ya = a[1]
-            cs.query(0, a, b, QueryStats(), lambda p: None,
-                     probe=lambda abase, span, q: probes.append((abase, span, q)))
+            cs.query(0, a, b, QueryStats(), lambda p: None)
             for abase, span, q in probes:
                 ranks = [cs.rank_y[cs.buf[abase + u]] for u in range(span)]
                 assert q == bisect_left(ranks, ya)
+            seen += len(probes)
+        assert seen > 200  # the wrapper observed the query's walk
 
     def test_count_matches_query(self):
         rng = SplitMix64(9)
@@ -288,8 +300,8 @@ class TestQuery2D:
         # row 0 of the buffer is the x-tree's leaf row: increasing in x rank,
         # nondecreasing in x, real ids first
         cs, pts = make_cascade([(3, 0), (1, 0), (2, 0)])
-        assert cs.L == 4 and list(cs.ms) == [3]
         leaves = cs.buf[: cs.L].tolist()
+        assert cs.L == 4 and sum(e < len(pts) for e in leaves) == 3
         ranks = [cs.rank_x[e] for e in leaves]
         assert ranks == sorted(ranks)
         xs = [pts[e].coords[0] for e in leaves[:3]]

@@ -82,6 +82,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             QueryBox((0.0, bad), (1.0, 1.0))
 
+    @pytest.mark.parametrize("make", [
+        lambda: Point((10**400,), 0),
+        lambda: QueryBox((10**400,), (1.0,)),
+        lambda: PointSet.from_coords([(1.0,), (10**400,)]),
+    ], ids=["point", "box", "from_coords"])
+    def test_huge_coordinate_is_value_error(self, make):
+        # 10**400 overflows a float: a ValueError that names it, not an OverflowError
+        with pytest.raises(ValueError, match="1" + "0" * 400):
+            make()
+
     def test_box_needs_matching_arity(self):
         with pytest.raises(DimensionMismatch):
             QueryBox((0.0,), (1.0, 2.0))

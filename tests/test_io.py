@@ -64,7 +64,6 @@ class TestParseQueries:
     def test_empty_interval_is_valid(self):
         boxes = parse_queries("5,0,1,9\n", 2)
         assert boxes[0].lo == (5.0, 0.0) and boxes[0].hi == (1.0, 9.0)
-        assert boxes[0].is_empty_interval()
 
     def test_wrong_arity(self):
         with pytest.raises(ParseError):

@@ -1,6 +1,8 @@
 import gc
 import hashlib
+import json
 import random
+import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import astuple
@@ -28,6 +30,8 @@ from layertree import (
 from layertree.cascade import CascadeStructure, _find_split, pow2ceil, rank_table
 from layertree.tree import _Level, _Slab
 
+import structure_dump
+
 
 def root_level(values):
     """(root group, 0): member 0 of a d=3 tree over the points (v, 0, 0); point i has id i."""
@@ -35,17 +39,18 @@ def root_level(values):
 
 
 def row(member) -> array:
-    """The leaf row of member g of a _Level group (or of a _Slab): L ids from g*L."""
+    """The leaf row of member g of a _Level group: L ids from g*L."""
     s, g = member
     return s.ids[g * s.L : (g + 1) * s.L]
 
 
-def slot_ids(member, slot):
-    """Real ids under heap slot `slot` of a level: its chunk of the leaf row, phantoms cut."""
-    level, g = member
+def slot_ids(member, slot, n):
+    """Real ids under heap slot `slot` of a level: its chunk of the leaf row, ids >= n cut."""
+    level, _ = member
     depth = (slot + 1).bit_length() - 1
-    lo = (slot + 1 - (1 << depth)) * (level.L >> depth)
-    return list(row(member)[lo : min(lo + (level.L >> depth), level.ms[g])])
+    span = level.L >> depth
+    lo = (slot + 1 - (1 << depth)) * span
+    return [e for e in row(member)[lo : lo + span] if e < n]
 
 
 def split(member, a, b):
@@ -67,18 +72,16 @@ def sub_at(member, slot):
     return None if h < 0 else (level.subs[h], level.member[k])
 
 
-def real_count(member) -> int:
-    """A structure's real point count m."""
-    s, g = member
-    return s.m if isinstance(s, _Slab) else s.ms[g]
+def real_count(member, n) -> int:
+    """A structure's real point count m: the ids < n in its leaf row."""
+    leaves = words(member)[: member[0].L] if is_cascade(member) else row(member)
+    return sum(1 for e in leaves if e < n)
 
 
-def real_entry_count(member) -> int:
-    """Real (non-phantom) ids stored in a cascade's node-array rows or a slab's leaf row."""
-    s, _ = member
-    if isinstance(s, _Slab):
-        return sum(1 for e in s.ids if e < len(s.points))
-    return sum(1 for e in words(member)[: s.L * (s.H + 1)] if e < s.nreal)
+def real_entry_count(member, n) -> int:
+    """Real (non-phantom, < n) ids stored in a cascade's node-array rows."""
+    cs, _ = member
+    return sum(1 for e in words(member)[: cs.L * (cs.H + 1)] if e < n)
 
 
 def is_cascade(member) -> bool:
@@ -101,7 +104,7 @@ class TestLeafRow:
         L = level.L
         assert L == pow2ceil(n) and len(level.group) == len(level.member) == 2 * L - 1
         subs = [sub_at(member, slot) for slot in range(2 * L - 1)]
-        held = [[] if sub is None else sorted(words(sub)[: real_count(sub)]) for sub in subs]
+        held = [[] if sub is None else sorted(words(sub)[: real_count(sub, n)]) for sub in subs]
         for s in range(L - 1):
             assert held[s] == sorted(held[2 * s + 1] + held[2 * s + 2])
         for i in range(L):
@@ -126,9 +129,9 @@ class TestLeafRow:
         values = [5, 1, 3]
         member = root_level(values)
         level, _ = member
-        assert level.L == 4 and list(level.ms) == [3]
+        assert level.L == 4 and real_count(member, len(values)) == 3
         assert [level.rank[e] for e in level.ids[:3]] == [0, 1, 2]
-        assert [values[e] for e in slot_ids(member, 0)] == [1, 3, 5]
+        assert [values[e] for e in slot_ids(member, 0, len(values))] == [1, 3, 5]
         assert level.rank[level.ids[3]] >= len(values)  # the phantom ranks after every point
 
 
@@ -147,7 +150,7 @@ class TestFindSplitNode:
         assert split(member, *rank_bounds(self.VALUES, 1.0, 1.0)) == (1, 0)
         cover = canonical_subtrees(*member, *rank_bounds(self.VALUES, 1.0, 1.0))
         assert cover == [3]
-        assert slot_ids(member, 3) == [0]
+        assert slot_ids(member, 3, len(self.VALUES)) == [0]
 
     def test_range_above_all_leaves(self):
         member = root_level(self.VALUES)
@@ -164,9 +167,10 @@ def check_cover(member, column, lo, hi):
     """
     level, g = member
     slots = canonical_subtrees(level, g, *rank_bounds(column, lo, hi))
-    cover = [e for s in slots for e in slot_ids(member, s)]
+    cover = [e for s in slots for e in slot_ids(member, s, len(column))]
     assert len(set(slots)) == len(slots) and len(set(cover)) == len(cover)
-    assert sorted(cover) == sorted(e for e in row(member)[: level.ms[g]] if lo <= column[e] <= hi)
+    assert sorted(cover) == sorted(e for e in slot_ids(member, 0, len(column))
+                                   if lo <= column[e] <= hi)
     assert len(slots) <= max(1, 2 * (level.L.bit_length() - 1))
 
 
@@ -174,7 +178,7 @@ class TestCanonicalSubtrees:
     def test_full_range_covers_everything(self):
         member = root_level([1, 2, 3, 4])
         slots = canonical_subtrees(*member, *rank_bounds([1, 2, 3, 4], 1.0, 4.0))
-        assert sorted(e for s in slots for e in slot_ids(member, s)) == [0, 1, 2, 3]
+        assert sorted(e for s in slots for e in slot_ids(member, s, 4)) == [0, 1, 2, 3]
 
     def test_disjoint_range_is_empty(self):
         member = root_level([1, 2, 3, 4])
@@ -233,14 +237,21 @@ class TestBuild:
         with pytest.raises(TooManyPoints):
             build(Huge())
 
-    def test_d1_is_padded_sorted_array(self):
-        tree = build(PointSet.from_coords([(5,), (1,), (3,)]))
+    def test_d1_is_the_rank_order(self):
+        # the d=1 tree is its coordinate's order, unpadded, and a query is the
+        # slice between rank_box's bisections: no search inside the structure
+        ps = PointSet.from_coords([(5,), (1,), (3,), (1,), (8,)])
+        tree = build(ps)
         slab = tree.root
-        assert isinstance(slab, _Slab)
-        assert slab.L == 4
-        assert [slab.rank[e] for e in slab.ids[:3]] == [0, 1, 2]
-        assert [tree.pointset.by_id[e].coords[0] for e in slab.ids[:3]] == [1.0, 3.0, 5.0]
-        assert slab.rank[slab.ids[3]] >= 3  # the phantom ranks after every point
+        assert isinstance(slab, _Slab) and slab.__slots__ == ("ids",)
+        assert isinstance(slab.ids, array) and slab.ids.typecode == "i"
+        assert slab.ids.tolist() == [1, 3, 2, 0, 4]
+        for lo, hi in ((0, 9), (1, 3), (2, 4), (9, 10), (4, 2), (1, 1)):
+            box = QueryBox((lo,), (hi,))
+            k = len(brute_force_query(ps, box))
+            q, c = QueryStats(), QueryStats()
+            assert len(tree.query(box, q)) == k and tree.count(box, c) == k
+            assert astuple(q) == astuple(c) == (0, 0, 0, k)
 
     def test_d2_example_structure(self):
         tree = build(PointSet.from_coords([(1, 1), (2, 2), (3, 3), (4, 4)]))
@@ -281,11 +292,11 @@ class TestBuild:
             for member in levels:
                 for slot in range(2 * member[0].L - 1):
                     sub = sub_at(member, slot)
-                    ids = slot_ids(member, slot)
+                    ids = slot_ids(member, slot, cfg.n)
                     if not ids:
                         assert sub is None
                         continue
-                    assert real_count(sub) == len(ids)
+                    assert real_count(sub, cfg.n) == len(ids)
                     got = array("i")  # the structures emit runs of ids
                     group, g = sub
                     group.query(g, *everything, QueryStats(), got.extend)
@@ -349,21 +360,21 @@ class TestSpaceAccounting:
         for _, s in tree.structures():
             if is_cascade(s):
                 cs, g = s
-                assert real_entry_count(s) == cs.ms[g] * (cs.H + 1)
+                assert real_entry_count(s, n) == real_count(s, n) * (cs.H + 1)
                 # H+1 node-array rows and H left-bridge rows, no right bridges,
                 # at [base, base + (2H+1)L) of the group's array
                 assert cs.words == (2 * cs.H + 1) * cs.L
                 groups.setdefault(id(cs), (cs, []))[1].append((g * cs.words, cs.words))
             elif isinstance(s[0], _Slab):
-                assert real_entry_count(s) == real_count(s)
+                assert sorted(s[0].ids) == list(range(n))  # each point once, no padding
             else:
                 subs = (sub_at(s, slot) for slot in range(2 * s[0].L - 1))
-                total = sum(real_count(sub) for sub in subs if sub is not None)
-                assert total == real_count(s) * s[0].L.bit_length()
+                total = sum(real_count(sub, n) for sub in subs if sub is not None)
+                assert total == real_count(s, n) * s[0].L.bit_length()
         # the members of one group tile its array("i") with no slack
         for cs, runs in groups.values():
             assert isinstance(cs.buf, array) and cs.buf.typecode == "i"
-            assert len(runs) == len(cs.ms)
+            assert len(runs) == len(cs.buf) // cs.words  # every member is reached
             runs.sort()
             assert [b for b, _ in runs] == [0] + [b + w for b, w in runs[:-1]]
             assert sum(w for _, w in runs) == len(cs.buf)
@@ -400,25 +411,40 @@ class TestSpaceAccounting:
         assert len(by_dim[0]) == 1 and len(by_dim[1]) <= pow2ceil(n).bit_length()
         assert len(levels) > n
 
+    def test_level_rows_have_no_slack(self):
+        # each level group's leaf rows are sized exactly: no array growth slack
+        ps = gen_points(GeneratorConfig(seed=6, n=2000, dims=4))
+        tree = build(ps)
+        groups = {id(s): s for _, (s, _) in tree.structures() if isinstance(s, _Level)}
+        assert len(groups) > 1
+        empty = sys.getsizeof(array("i"))
+        for level in groups.values():
+            assert sys.getsizeof(level.ids) == empty + level.ids.itemsize * len(level.ids)
 
-def expanded_buffer(member) -> list[int]:
-    """A cascade buffer with its right bridges written out: node rows, lb rows, then t - lb.
 
-    Entry i of lb row r sits at position t = i mod 2^r of its node's array.
-    """
-    cs, _ = member
-    buf = words(member).tolist()
-    lb = cs.L * (cs.H + 1)
-    return buf + [(i & ((1 << r) - 1)) - buf[lb + (r - 1) * cs.L + i]
-                  for r in range(1, cs.H + 1) for i in range(cs.L)]
+class TestStructureDump:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_smallest_cases(self, d):
+        # the differential dump (tests/structure_dump.py) on its smallest
+        # cases: it runs, it is JSON, and its answers are the oracle's
+        for dist in structure_dump.DISTS:
+            got = json.loads(json.dumps(structure_dump.dump_case(d, dist, 1)))
+            ps = structure_dump.case_points(d, dist, 1)
+            boxes = structure_dump.case_boxes(d, dist, 1)
+            assert len(boxes) == structure_dump.BOXES
+            assert got["answers"] == [[[p.id for p in brute_force_query(ps, box)],
+                                       len(brute_force_query(ps, box))] for box in boxes]
+            assert [kind for _, kind, _ in got["structures"]][0] == (
+                "_Slab" if d == 1 else "CascadeStructure" if d == 2 else "_Level")
+            assert got["query_stats"][3] == got["count_stats"][3] == sum(
+                k for _, k in got["answers"])
 
 
 def buffer_digest(tree) -> str:
     """sha256 of every structure's expanded buffer (leaf row of a level) as ints, in structures() order."""
     h = hashlib.sha256()
     for _, s in tree.structures():
-        buf = expanded_buffer(s) if is_cascade(s) else row(s)
-        h.update(repr([int(e) for e in buf]).encode())
+        h.update(repr(structure_dump.structure_row(*s)).encode())
     return h.hexdigest()
 
 
@@ -509,10 +535,6 @@ class TestBuildScratch:
         assert garbage == 0
 
 
-# finite extremes, signed zeros and the smallest subnormal, plus ordinary values
-EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1.7e308, -1.7e308, -1.0, 0.5, 1.0]
-
-
 @st.composite
 def fuzz_workload(draw):
     d = draw(st.integers(1, 4))
@@ -520,7 +542,7 @@ def fuzz_workload(draw):
     if draw(st.booleans()):
         value = st.integers(0, 2).map(float)  # a grid of side 3: heavy duplicates
     else:
-        value = st.sampled_from(EDGE_VALUES) | st.floats(-2.0, 2.0)
+        value = st.sampled_from(structure_dump.EDGE_VALUES) | st.floats(-2.0, 2.0)
     coord = st.tuples(*[value] * d)
     rows = draw(st.lists(coord, min_size=n, max_size=n))
     boxes = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=6))
