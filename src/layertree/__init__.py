@@ -1,17 +1,20 @@
 """Static d-dimensional orthogonal range searching with layered range trees.
 
 Build once over a PointSet, then report or count the points inside closed
-axis-aligned boxes.  The last two dimensions use fractional cascading, so a 2D
-query performs exactly one binary search; higher dimensions pay one O(log n)
-canonical decomposition per extra level.  Each dimension is sorted once into
-an int32 rank per point, the only key the structures compare; a query box is
-mapped to rank intervals once, with two bisections per dimension.  Every
-tree, a level's or a cascade's x-tree, is implicit in one padded leaf row
-sorted by rank and searched by one split descent (cascade._find_split).
-The same-size structures of a dimension form one merge group: one object,
-built by one batched bottom-up merge (cascade.merge_rows), whose members are
-(group, member) pairs that every group kind queries and counts alike.
-build() is the one way to make a structure.
+axis-aligned boxes.  A PointSet is one checked n-by-d float64 coordinate
+matrix; build() reads only the matrix, and a Point object is made only for
+a reported hit, once per id.  The last two dimensions use fractional
+cascading, so a 2D query performs exactly one binary search; higher
+dimensions pay one O(log n) canonical decomposition per extra level.  Each
+dimension is sorted once into an int32 rank per point, the only key the
+structures compare; a query box is mapped to rank intervals once, with two
+bisections per dimension.  Every tree, a level's or a cascade's x-tree, is
+implicit in one padded leaf row sorted by rank and searched by one split
+descent (cascade._find_split).  The same-size structures of a dimension form
+one merge group: one object, built by one batched bottom-up merge
+(cascade.merge_rows), whose members are (group, member) pairs that every
+group kind queries and counts alike.  build() is the one way to make a
+structure.
 """
 
 from .cascade import CascadeNode, CascadeStructure

@@ -38,7 +38,7 @@ array it is t - lb[t].  Ranks are distinct, so the t entries before it are
 exactly the smaller ones, and each came from one child: lb[t] from the left,
 the rest from the right.
 
-Entries are ids into the owning list of n points; ids >= n are phantom
+Entries are ids into the owning PointSet of n points; ids >= n are phantom
 padding, so every chunk is full and bridges are total.  Every comparison is
 between ranks: rank_table sorts each dimension once, and rank_x / rank_y give
 each id its position in the x / y order.  A phantom id n+t is its own rank,
@@ -210,7 +210,7 @@ class CascadeStructure:
         self.buf = buf                     # from fill_buffers_batch_np
         self.rank_x = rank_x
         self.rank_y = rank_y
-        self.points = points
+        self.points = points               # the PointSet; only node() reads it
 
     # -- construction -------------------------------------------------------
 
@@ -241,7 +241,8 @@ class CascadeStructure:
         buf, L = self.buf, self.L
         abase = g * self.words + r * L + (slot + 1 - (1 << depth)) * span
         eids = buf[abase : abase + span]
-        pts = [self.points[e] if e < len(self.points) else None for e in eids]
+        n = len(self.points)
+        pts = [self.points.point(e) if e < n else None for e in eids]
         ranks = [self.rank_y[e] for e in eids]
         if r == 0:
             return CascadeNode(pts, ranks, [], [], self.ydim)

@@ -12,7 +12,7 @@ import sys
 import time
 from typing import Optional
 
-from .core import EmptyInput, Point, PointSet, QueryBox
+from .core import EmptyInput, PointSet, QueryBox
 from .io import ParseError, parse_points, parse_queries, write_points, write_report
 from .oracle import GeneratorConfig, SplitMix64, brute_force_query, gen_points
 from .tree import QueryStats, build
@@ -155,8 +155,7 @@ def _cmd_bench(parser: _Parser, args) -> int:
     print(BENCH_HEADER)
     for n in sizes:
         rng = SplitMix64(args.seed)
-        pts = [Point(tuple(rng.next_float() for _ in range(d)), i) for i in range(n)]
-        points = PointSet(pts, d)
+        points = PointSet.from_coords([[rng.next_float() for _ in range(d)] for _ in range(n)], d)
 
         t0 = time.perf_counter()
         tree = build(points)

@@ -1,19 +1,22 @@
 """Points, query boxes and the composite total order shared by every structure.
 
-All coordinates are finite 64-bit floats.  Ties between equal coordinates are
-broken by the full coordinate tuple and then by the point id, so any point set
-is strictly totally ordered in every dimension (composite_key).  The
-structures never compare these keys: each dimension is sorted once, and a
-point is known by its rank in that order.  A query box maps to a half-open
-rank interval [a, b) per dimension, the points whose coordinate lies in
-[lo, hi]; padding leaves rank after every real point, so they never match.
+All coordinates are finite 64-bit floats.  A point set is one checked n-by-d
+float64 matrix, row i holding point i; the structures read only the matrix,
+and a Point object is made only for a hit a caller asks for (PointSet.take).
+Ties between equal coordinates are broken by the full coordinate tuple and
+then by the point id, so any point set is strictly totally ordered in every
+dimension (composite_key).  The structures never compare these keys: each
+dimension is sorted once, and a point is known by its rank in that order.  A
+query box maps to a half-open rank interval [a, b) per dimension, the points
+whose coordinate lies in [lo, hi]; padding leaves rank after every real
+point, so they never match.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -49,6 +52,13 @@ class Point:
                     raise ValueError(f"non-finite coordinate {c!r} in point {self.id}")
         except OverflowError:
             raise ValueError(f"coordinate {c!r} in point {self.id} overflows a float") from None
+
+    @classmethod
+    def _unchecked(cls, coords: tuple[float, ...], id: int) -> "Point":
+        """A Point whose coordinates are already known to be finite floats: a checked matrix row."""
+        p = cls.__new__(cls)
+        p.__dict__.update(coords=coords, id=id)
+        return p
 
     @property
     def dims(self) -> int:
@@ -98,46 +108,99 @@ def box_contains(box: QueryBox, p: Point) -> bool:
     return all(l <= c <= h for l, c, h in zip(box.lo, p.coords, box.hi))
 
 
-@dataclass
 class PointSet:
     """An immutable collection of points sharing one dimensionality.
 
     Ids are exactly 0..n-1 (in any order: a shuffled permutation of a point
-    set is the same set).  Use from_coords() to build one from raw tuples;
-    parsers and generators renumber on ingestion.
+    set is the same set).  The point set is its n-by-d float64 coordinate
+    matrix, row i for id i (coord_matrix); build() reads only that.  Use
+    from_coords() to make one from raw rows: the rows are copied into the
+    matrix and checked once, and a Point is made only when a caller asks
+    for its id (point, take), then kept, so repeat requests return the same
+    object.  PointSet(points, dims) takes ready-made Points; `points`,
+    `by_id` and iteration give all n Points, making those not made yet.
+    Parsers and generators renumber on ingestion.
     """
 
-    points: list[Point]
-    dims: int
-    _by_id: Optional[list] = field(default=None, repr=False, compare=False)
-    _matrix: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        n = len(self.points)
+    def __init__(self, points: Sequence[Point], dims: int):
+        n = len(points)
         by_id: list = [None] * n
-        for p in self.points:
-            if p.dims != self.dims:
-                raise DimensionMismatch(
-                    f"point {p.id} has {p.dims} coordinates, expected {self.dims}"
-                )
+        for p in points:
+            if p.dims != dims:
+                raise DimensionMismatch(f"point {p.id} has {p.dims} coordinates, expected {dims}")
             if p.id >= n or by_id[p.id] is not None:
                 raise ValueError(f"point ids must form 0..{n - 1} without repeats")
             by_id[p.id] = p
-        self._by_id = by_id
+        self.dims = dims
+        self._points = points    # every Point, in the order given; None until all are made
+        self._by_id = by_id      # the Points made so far, by id; None for one not made yet
+        self._matrix: Optional[np.ndarray] = None
+
+    @classmethod
+    def _of_matrix(cls, m: np.ndarray) -> "PointSet":
+        """A point set over a checked (n, d) float64 matrix of finite values, n, d >= 1."""
+        ps = cls.__new__(cls)
+        m.flags.writeable = False
+        ps.dims = m.shape[1]
+        ps._points = None
+        ps._by_id = [None] * len(m)
+        ps._matrix = m
+        return ps
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self._by_id)
 
     def __iter__(self):
         return iter(self.points)
 
     @property
+    def points(self) -> list:
+        """Every Point: in the order given to PointSet(), else by id."""
+        if self._points is None:
+            self.take(range(len(self)))
+            self._points = self._by_id
+        return self._points
+
+    @property
     def by_id(self) -> list:
-        """Points indexed by id."""
+        """Every Point, indexed by id."""
+        self.points  # makes every Point not made yet
         return self._by_id
+
+    def point(self, i: int) -> Point:
+        """The Point of id i, made from matrix row i on first request."""
+        p = self._by_id[i]
+        if p is None:  # two threads may both make one; they are equal, and either is kept
+            p = self._by_id[i] = Point._unchecked(tuple(self._matrix[i].tolist()), i)
+        return p
+
+    def take(self, ids: Sequence[int]) -> list:
+        """The Points of a sequence of ids, in its order; each made on first request."""
+        out = list(map(self._by_id.__getitem__, ids))
+        if all(out):  # a Point is true, a slot not made yet is None
+            return out
+        point = self.point
+        return [p or point(i) for p, i in zip(out, ids)]
 
     @classmethod
     def from_coords(cls, coords: Sequence[Sequence[float]], dims: Optional[int] = None) -> "PointSet":
+        """A point set whose point i has the coordinates of row i of `coords` (copied).
+
+        The rows are converted into one float64 matrix and checked at once.
+        If that fails, they are made into Points one by one, which raises
+        the error of the first bad row.
+        """
+        # an ndarray of strings, objects or dates takes the per-point path,
+        # whose float() defines their conversion
+        if getattr(coords, "dtype", np.dtype(np.float64)).kind in "biuf":
+            try:
+                m = np.array(coords, dtype=np.float64, order="C")
+            except (TypeError, ValueError, OverflowError):
+                pass
+            else:
+                if (m.ndim == 2 and m.size and dims in (None, m.shape[1])
+                        and np.isfinite(m).all()):
+                    return cls._of_matrix(m)
         if dims is None:
             if len(coords) == 0:  # an (n, d) ndarray has no truth value
                 raise EmptyInput("cannot infer dimensionality of an empty point set")
@@ -150,9 +213,9 @@ class PointSet:
         return cls(pts, dims)
 
     def coord_matrix(self) -> np.ndarray:
-        """n-by-d float64 matrix of coordinates in id order, built lazily and cached."""
-        if self._matrix is None:
-            self._matrix = np.array(
-                [p.coords for p in self._by_id], dtype=np.float64
-            ).reshape(len(self.points), self.dims)
+        """The read-only n-by-d float64 matrix of coordinates in id order."""
+        if self._matrix is None:  # made from the Points given to PointSet()
+            m = np.array([p.coords for p in self._by_id], dtype=np.float64)
+            self._matrix = m.reshape(len(self), self.dims)
+            self._matrix.flags.writeable = False
         return self._matrix

@@ -54,13 +54,10 @@ def parse_points(text: str, dims: int) -> PointSet:
     """Parse a point file; ids are assigned 0..n-1 in file order."""
     if dims < 1:
         raise ValueError("dims must be >= 1")
-    pts = []
-    for lineno, fields in _data_lines(text):
-        coords = _parse_fields(lineno, fields, dims)
-        pts.append(Point(tuple(coords), len(pts)))
-    if not pts:
+    rows = [_parse_fields(lineno, fields, dims) for lineno, fields in _data_lines(text)]
+    if not rows:
         raise EmptyInput("no data lines in point file")
-    return PointSet(pts, dims)
+    return PointSet.from_coords(rows, dims)
 
 
 def parse_queries(text: str, dims: int) -> list[QueryBox]:
@@ -77,10 +74,13 @@ def parse_queries(text: str, dims: int) -> list[QueryBox]:
 
 
 def write_points(points: PointSet) -> str:
-    """Point file text for a point set (round-trips exactly through parse_points)."""
+    """Point file text for a point set, one line per id in id order.
+
+    It round-trips exactly, ids included, through parse_points.  The lines
+    come from the coordinate matrix, so no Point is made.
+    """
     lines = [f"# layertree points n={len(points)} dims={points.dims}"]
-    for p in points:
-        lines.append(",".join(repr(c) for c in p.coords))
+    lines.extend(",".join(map(repr, row)) for row in points.coord_matrix().tolist())
     return "\n".join(lines) + "\n"
 
 

@@ -76,28 +76,38 @@ class GeneratorConfig:
             raise ValueError("grid side must be >= 1")
 
 
+def _splitmix64_stream(seed: int, count: int) -> np.ndarray:
+    """The first `count` outputs of SplitMix64(seed) as a uint64 array.
+
+    splitmix64_next vectorized: the k-th state is seed + k*gamma, and uint64
+    arithmetic wraps mod 2^64 as the scalar code masks.
+    """
+    z = np.uint64(seed & _MASK64) + np.uint64(_GAMMA) * np.arange(1, count + 1, dtype=np.uint64)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+    return z ^ (z >> np.uint64(31))
+
+
 def gen_points(cfg: GeneratorConfig) -> PointSet:
     """Draw cfg.n points coordinate-by-coordinate from one splitmix64 stream.
 
-    Ids are 0..n-1 in generation order.  Bit-reproducible for a given cfg.
+    Ids are 0..n-1 in generation order.  Bit-reproducible for a given cfg,
+    and bit-identical to drawing each coordinate with SplitMix64.next_float
+    (uniform) or float(next_below(grid_side)) (grid).
     """
-    rng = SplitMix64(cfg.seed)
-    pts = []
+    out = _splitmix64_stream(cfg.seed, cfg.n * cfg.dims).reshape(cfg.n, cfg.dims)
     if cfg.dist == "uniform":
-        for i in range(cfg.n):
-            pts.append(Point(tuple(rng.next_float() for _ in range(cfg.dims)), i))
+        coords = out.astype(np.float64) / _TWO64
     else:
-        g = cfg.grid_side
-        for i in range(cfg.n):
-            pts.append(Point(tuple(float(rng.next_below(g)) for _ in range(cfg.dims)), i))
-    return PointSet(pts, cfg.dims)
+        coords = (out % np.uint64(cfg.grid_side)).astype(np.float64)
+    return PointSet.from_coords(coords, cfg.dims)
 
 
 def brute_force_query(points: PointSet, box: QueryBox) -> list[Point]:
     """Linear filter of the point set by box containment, sorted by id.
 
-    Vectorized over the cached coordinate matrix; the result is identical to
-    filtering with box_contains point by point.
+    Vectorized over the coordinate matrix; only the hits are made Points.
+    The result is identical to filtering with box_contains point by point.
     """
     if box.dims != points.dims:
         raise DimensionMismatch(
@@ -109,5 +119,4 @@ def brute_force_query(points: PointSet, box: QueryBox) -> list[Point]:
     lo = np.asarray(box.lo, dtype=np.float64)
     hi = np.asarray(box.hi, dtype=np.float64)
     mask = np.all((m >= lo) & (m <= hi), axis=1)
-    by_id = points.by_id
-    return [by_id[i] for i in np.nonzero(mask)[0]]
+    return points.take(np.flatnonzero(mask).tolist())

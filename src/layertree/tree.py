@@ -195,14 +195,14 @@ class LayeredRangeTree:
         """All points inside the closed box, sorted by id.
 
         The structures emit runs of ids; they are sorted as ints, and only
-        then mapped to points.
+        then mapped to points, which the point set makes on a first hit.
         """
         a, b = self.rank_box(box)
         if stats is None:
             stats = QueryStats()
         ids = array("i")
         self.root.query(0, a, b, stats, ids.extend)
-        return list(map(self.pointset.by_id.__getitem__, sorted(ids)))
+        return self.pointset.take(sorted(ids))
 
     def count(self, box: QueryBox, stats: Optional[QueryStats] = None) -> int:
         """|query(box)| computed from bridge positions, without enumeration."""
@@ -285,7 +285,6 @@ def build(points: PointSet, counters: Optional[BuildCounters] = None) -> Layered
     if n + maxL > INT32_MAX:  # ids, phantom ids n..n+maxL-1 and ranks are int32
         raise TooManyPoints(f"{n} points and {maxL} padding slots exceed the int32 range")
     d = points.dims
-    pts = points.by_id
     coords = points.coord_matrix()
     orders, ranks, axes = zip(*(rank_table(coords, j, maxL) for j in range(d)))
     if d == 1:
@@ -303,7 +302,7 @@ def build(points: PointSet, counters: Optional[BuildCounters] = None) -> Layered
             H = L.bit_length() - 1
             if j == d - 2:
                 buf = fill_buffers_batch_np(rows, ranks[j + 1], counters)
-                tops[j][H] = CascadeStructure(j, j + 1, L, buf, ranks[j], ranks[j + 1], pts)
+                tops[j][H] = CascadeStructure(j, j + 1, L, buf, ranks[j], ranks[j + 1], points)
                 continue
             # a level keeps only its leaf rows, sized exactly: no bridge rows
             merged = np.empty((len(ms), H + 1, L), dtype=np.int32)

@@ -3,13 +3,15 @@
     PYTHONPATH=src python tests/structure_dump.py OUT.json
 
 builds one tree per case of CASES and writes, per case, every structure's
-expanded cascade buffer or leaf row in structures() order, 30 boxes' id lists
+expanded cascade buffer or leaf row in structures() order, 30 boxes' hits
 and counts (a third of the boxes have lo > hi in one dimension), the four
-QueryStats totals of the queries and of the counts, and merge_moves.  It
-reads only structures(), a cascade group's buf, words, L and H, and a level's
-or slab's ids (and L where it has one), so the same file runs on two versions
-of the package; diffing their outputs shows every change in layout, answer
-or cost counter.  One case is written per line.  tests/test_tree.py pins a
+QueryStats totals of the queries and of the counts, and merge_moves.  A hit
+is its id and its coordinates as float.hex strings, so a lost -0.0 or a
+rounding change shows too.  It reads only structures(), a cascade group's
+buf, words, L and H, a level's or slab's ids (and L where it has one), and
+the hits' id and coords, so the same file runs on two versions of the
+package; diffing their outputs shows every change in layout, answer or cost
+counter.  One case is written per line.  tests/test_tree.py pins a
 digest of structure_row over fixed trees and runs the smallest cases.
 """
 
@@ -76,11 +78,16 @@ def structure_row(s, g: int) -> list:
     return s.ids[g * L : (g + 1) * L].tolist()
 
 
+def hit(p) -> list:
+    """A reported point as [id, [float.hex of each coordinate]]."""
+    return [p.id, [c.hex() for c in p.coords]]
+
+
 def dump_case(d: int, dist: str, n: int) -> dict:
     counters = BuildCounters()
     tree = build(case_points(d, dist, n), counters)
     q, c = QueryStats(), QueryStats()
-    answers = [([p.id for p in tree.query(box, q)], tree.count(box, c))
+    answers = [(list(map(hit, tree.query(box, q))), tree.count(box, c))
                for box in case_boxes(d, dist, n)]
     return {
         "case": [d, dist, n],

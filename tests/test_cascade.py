@@ -40,7 +40,7 @@ def collect(cs, xlo, xhi, ylo, yhi, stats=None):
     """The points cs.query reports for the box, by id; the query emits runs of ids."""
     ids = array("i")
     cs.query(0, *rank_args(cs, xlo, xhi, ylo, yhi), stats or QueryStats(), ids.extend)
-    return [cs.points[e] for e in sorted(ids)]
+    return cs.points.take(sorted(ids))
 
 
 def subtree_leaf_ids(cs, slot):
@@ -76,7 +76,7 @@ class TestBuild:
         built, counters = BuildCounters(), BuildCounters()
         root = build(ps, built).root
         one = CascadeStructure.build_from_ids(root.buf[: len(ps)], 0, 1, root.rank_x,
-                                              root.rank_y, ps.by_id, counters)
+                                              root.rank_y, ps, counters)
         assert (one.L, one.H, one.words) == (root.L, root.H, root.words)
         assert one.buf.tolist() == root.buf.tolist()
         assert counters.merge_moves == built.merge_moves

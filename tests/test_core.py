@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 
@@ -12,7 +13,9 @@ from layertree import (
     Point,
     PointSet,
     QueryBox,
+    brute_force_query,
     box_contains,
+    build,
     composite_key,
 )
 
@@ -122,6 +125,106 @@ class TestValidation:
             PointSet.from_coords(np.zeros((0, 3)))
         ps = PointSet.from_coords(np.zeros((0, 3)), dims=3)
         assert len(ps) == 0 and ps.dims == 3
+
+
+def per_point(rows, dims=None) -> PointSet:
+    """The per-point reference: one checked Point per row, handed to PointSet()."""
+    pts = [Point(tuple(float(c) for c in row), i) for i, row in enumerate(rows)]
+    return PointSet(pts, len(pts[0].coords) if dims is None else dims)
+
+
+def live_points() -> int:
+    return sum(type(o) is Point for o in gc.get_objects())
+
+
+HUGE = "1" + "0" * 400
+
+
+class TestMatrixPath:
+    # from_coords keeps one checked float64 matrix and makes no Point; its
+    # coordinates must be the per-point path's, bit for bit
+    @pytest.mark.parametrize("coords", [
+        [(-0.0, 0.0), (5e-324, -5e-324), (1.7e308, -1.7e308)],
+        [[2**53 + 1, 2**63 + 1], [-(2**63 + 1), 3]],
+        ((0.5, -0.0), [1, 2]),
+        np.array([[2**53 + 1, -(2**62) - 1], [2**63 - 1, 0]], dtype=np.int64),
+        np.array([[0.1, -0.0], [3.4e38, 1e-45]], dtype=np.float32),
+    ], ids=["extremes", "big-ints", "tuple-and-list", "int64", "float32"])
+    def test_same_coordinates_as_per_point_path(self, coords):
+        before = live_points()
+        ps = PointSet.from_coords(coords)
+        assert live_points() == before
+        want = [[c.hex() for c in p.coords] for p in per_point(coords).by_id]
+        assert [[c.hex() for c in row] for row in ps.coord_matrix().tolist()] == want
+        assert [[c.hex() for c in p.coords] for p in ps.by_id] == want
+
+    @pytest.mark.parametrize("coords, dims, exc, msg", [
+        ([(1.0, 2.0), (math.nan, 0.0)], None, ValueError, "non-finite coordinate nan in point 1"),
+        ([(1.0, 2.0), (0.0, math.inf)], None, ValueError, "non-finite coordinate inf in point 1"),
+        ([(-math.inf, 2.0)], None, ValueError, "non-finite coordinate -inf in point 0"),
+        (np.array([[1.0], [np.inf]], dtype=np.float32), None, ValueError,
+         "non-finite coordinate inf in point 1"),
+        ([(1.0,), (10**400,)], None, ValueError, f"coordinate {HUGE} overflows a float"),
+        ([(1.0, 2), (3, -10**400)], 2, ValueError, f"coordinate -{HUGE} overflows a float"),
+        ([(1.0, 2.0), (3.0,)], None, DimensionMismatch, "point 1 has 1 coordinates, expected 2"),
+        ([(1.0,), (3.0, 4.0)], None, DimensionMismatch, "point 1 has 2 coordinates, expected 1"),
+        ([(), ()], None, ValueError, "point needs at least one coordinate"),
+        (np.zeros((2, 0)), None, ValueError, "point needs at least one coordinate"),
+        ([(1.0, 2.0)], 3, DimensionMismatch, "point 0 has 2 coordinates, expected 3"),
+        (np.zeros((2, 3)), 2, DimensionMismatch, "point 0 has 3 coordinates, expected 2"),
+        ([], None, EmptyInput, "cannot infer dimensionality of an empty point set"),
+        (np.zeros((0, 2)), None, EmptyInput, "cannot infer dimensionality of an empty point set"),
+        (np.array([["2017-01-01"]], dtype="datetime64[D]"), None, TypeError,
+         "float() argument must be a string or a real number, not 'datetime.date'"),
+    ], ids=["nan", "inf", "-inf", "inf-float32", "huge", "-huge", "ragged-short",
+            "ragged-long", "zero-width", "zero-width-ndarray", "dims", "dims-ndarray",
+            "empty", "empty-ndarray", "dates"])
+    def test_errors_are_the_per_point_paths(self, coords, dims, exc, msg):
+        with pytest.raises(exc) as info:
+            PointSet.from_coords(coords, dims)
+        assert type(info.value) is exc and str(info.value) == msg
+
+    def test_empty_with_dims_is_an_empty_set(self):
+        ps = PointSet.from_coords([], 2)
+        assert len(ps) == 0 and ps.dims == 2 and ps.by_id == [] and list(ps) == []
+
+    def test_copies_an_ndarray(self):
+        coords = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0], [6.0, 7.0]])
+        ps = PointSet.from_coords(coords)
+        tree, box = build(ps), QueryBox((0.0, 0.0), (4.0, 5.0))
+        coords[:] = 9.0
+        assert [p.coords for p in tree.query(box)] == [(0.0, 1.0), (2.0, 3.0), (4.0, 5.0)]
+        assert tree.count(box) == 3
+        assert [p.coords for p in brute_force_query(ps, box)] == [(0.0, 1.0), (2.0, 3.0), (4.0, 5.0)]
+        assert not ps.coord_matrix().flags.writeable
+
+    def test_points_by_id_and_iteration_give_every_point_in_id_order(self):
+        rows = [(3.0, 1.0), (1.0, 2.0), (2.0, 0.5)]
+        for first in ("points", "by_id", "iter"):
+            ps = PointSet.from_coords(rows)
+            got = list(ps) if first == "iter" else getattr(ps, first)
+            assert got == [Point(r, i) for i, r in enumerate(rows)]
+            assert ps.points == ps.by_id == list(ps) == got
+
+    def test_repeat_queries_return_the_same_points(self):
+        ps = PointSet.from_coords([(i % 7, i % 5) for i in range(60)])
+        tree, box = build(ps), QueryBox((1.0, 1.0), (4.0, 3.0))
+        first, again = tree.query(box), tree.query(box)
+        assert len(first) > 10
+        assert all(a is b for a, b in zip(first, again))
+        assert all(p is ps.by_id[p.id] for p in first)
+        assert brute_force_query(ps, box) == first
+        assert all(a is b for a, b in zip(brute_force_query(ps, box), first))
+
+    def test_build_and_count_make_no_point(self):
+        rows = [(i % 7, i % 5, i % 3) for i in range(200)]
+        before = live_points()
+        ps = PointSet.from_coords(rows)
+        tree = build(ps)
+        assert tree.count(QueryBox((1.0, 1.0, 0.0), (4.0, 3.0, 2.0))) > 0
+        assert live_points() == before
+        assert len(tree.query(QueryBox((1.0, 1.0, 0.0), (4.0, 3.0, 2.0)))) > 0
+        assert live_points() > before
 
 
 @st.composite

@@ -105,3 +105,11 @@ class TestRoundTrip:
         back = parse_points(write_points(ps), 3)
         assert [p.coords for p in back] == [p.coords for p in ps]
         assert [p.id for p in back] == [p.id for p in ps]
+
+    def test_ids_round_trip_from_any_order(self):
+        # lines are written in id order, whatever order the Points were given in
+        rows = [(0.5, -0.0), (1.7e308, 5e-324), (-1.0, 2.0)]
+        ps = PointSet([Point(rows[i], i) for i in (2, 0, 1)], 2)
+        back = parse_points(write_points(ps), 2)
+        assert [[c.hex() for c in p.coords] for p in back.by_id] == [
+            [c.hex() for c in r] for r in rows]

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -72,6 +74,26 @@ class TestGenPoints:
     def test_ids_are_generation_order(self):
         ps = gen_points(GeneratorConfig(seed=3, n=10, dims=1))
         assert [p.id for p in ps] == list(range(10))
+
+    @pytest.mark.parametrize("seed", [0, 9, 2**64 - 5])
+    @pytest.mark.parametrize("dist", ["uniform", "grid"])
+    def test_is_the_scalar_stream_bit_for_bit(self, seed, dist):
+        # the vectorized generator draws what SplitMix64 draws, coordinate by coordinate
+        rng = SplitMix64(seed)
+        draw = rng.next_float if dist == "uniform" else lambda: float(rng.next_below(5))
+        want = [[draw().hex() for _ in range(3)] for _ in range(300)]
+        ps = gen_points(GeneratorConfig(seed=seed, n=300, dims=3, dist=dist, grid_side=5))
+        assert [[c.hex() for c in p.coords] for p in ps] == want
+
+    @pytest.mark.parametrize("dist, digest", [
+        ("uniform", "97b6fb9afa4ab94faecea6fec9c47c98de66f51fcec8c5a0b8b7d492c84a9c1f"),
+        ("grid", "9c5048f3d77eb5ed5a1041bea9776a34ae77e910150d11d3a1ae0a5f1788c0db"),
+    ])
+    def test_pinned_output_at_seed_2_64_minus_5(self, dist, digest):
+        # sha256 of the float.hex coordinates the scalar generator drew for this config
+        ps = gen_points(GeneratorConfig(seed=2**64 - 5, n=500, dims=3, dist=dist, grid_side=5))
+        got = repr([[c.hex() for c in p.coords] for p in ps.by_id])
+        assert hashlib.sha256(got.encode()).hexdigest() == digest
 
     def test_grid_duplicates_are_likely(self):
         ps = gen_points(GeneratorConfig(seed=11, n=200, dims=2, dist="grid", grid_side=4))

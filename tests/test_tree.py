@@ -432,7 +432,7 @@ class TestStructureDump:
             ps = structure_dump.case_points(d, dist, 1)
             boxes = structure_dump.case_boxes(d, dist, 1)
             assert len(boxes) == structure_dump.BOXES
-            assert got["answers"] == [[[p.id for p in brute_force_query(ps, box)],
+            assert got["answers"] == [[list(map(structure_dump.hit, brute_force_query(ps, box))),
                                        len(brute_force_query(ps, box))] for box in boxes]
             assert [kind for _, kind, _ in got["structures"]][0] == (
                 "_Slab" if d == 1 else "CascadeStructure" if d == 2 else "_Level")
