@@ -40,14 +40,17 @@ the rest from the right.
 
 Entries are ids into the owning PointSet of n points; ids >= n are phantom
 padding, so every chunk is full and bridges are total.  Every comparison is
-between ranks: rank_table sorts each dimension once, and rank_x / rank_y give
-each id its position in the x / y order.  A phantom id n+t is its own rank,
-after every real point, so no real rank interval [a, b) can match it.
+between ranks, and rank_x / rank_y give each id its position in the x / y
+order.  rank_tables makes every dimension's table from one shared row
+order, (c_0 .. c_{d-1}, id), with default (unstable) numpy sorts that tie
+only equal keys.  A phantom id n+t is its own rank, after every real point,
+so no real rank interval [a, b) can match it.
 
 Every buffer comes out of one merge, merge_rows: the leaf rows of a group
 are merged together bottom-up by each id's rank in the y order, one stable
-argsort per row, and each entry's left bridge is the count of left-half
-entries merged before it.  The multi-level tree runs the same merge to sort
+argsort per row, and each entry's left bridge follows in closed form from
+where the merge took it: its index in the left run, or its position minus
+its index in the right run.  The multi-level tree runs the same merge to sort
 its levels' subtrees by the next dimension.  Queries and counts share one
 walk down the two boundary paths below the split node
 (CascadeStructure._walk); a query emits the in-range run of each node it
@@ -71,20 +74,60 @@ def pow2ceil(n: int) -> int:
     return 1 if n <= 1 else 1 << (n - 1).bit_length()
 
 
-def rank_table(coords: np.ndarray, dim: int, L: int):
-    """(order, rank, axis) of column `dim` of a coordinate matrix whose rows are ids.
+def _dense_rank(keys: np.ndarray) -> np.ndarray:
+    """Each entry's dense rank: equal keys share one, and ranks follow key order.
 
-    order lists the ids sorted by column `dim`, then by the row in column
-    order; lexsort is stable, so remaining ties keep id order, and the order
-    is composite_key's.  rank (int32 array, indexed by id) gives each id's
-    position in that order, followed by L phantom slots: id n+t is its own
-    rank, after every real id.  axis holds column `dim` in rank order.
+    One default (unstable) argsort and a cumsum of the steps between sorted
+    neighbours; the ranks are int64, below len(keys).  Floats compare with
+    ==, so -0.0 and 0.0 share a rank.
     """
-    n = len(coords)
-    order = np.lexsort((*coords.T[::-1], coords[:, dim]))
-    rank = np.arange(n + L, dtype=np.int32)
-    rank[order] = np.arange(n, dtype=np.int32)
-    return order, array("i", rank.tobytes()), array("d", coords[order, dim].tobytes())
+    order = np.argsort(keys)
+    s = keys[order]
+    step = np.empty(len(keys), dtype=np.int64)
+    step[0] = 0
+    np.not_equal(s[1:], s[:-1], out=step[1:])
+    np.cumsum(step, out=step)
+    dense = np.empty_like(step)
+    dense[order] = step
+    return dense
+
+
+def rank_tables(coords: np.ndarray, L: int) -> list[tuple[np.ndarray, array, array]]:
+    """(order, rank, axis) for each column of a coordinate matrix whose rows are ids.
+
+    For column j, order (int32) lists the ids in composite_key order: by
+    column j, then by the row in column order, then by id.  rank (an
+    array("i") indexed by id) gives each id's position in that order,
+    followed by L phantom slots: id n+t is its own rank, after every real
+    id.  axis (an array("d")) holds column j in rank order.
+
+    Every dimension shares one row order, (c_0 .. c_{d-1}, id).  Each column
+    gets a dense rank, and folding them in, key = dense(key*n + dense_j),
+    keeps a dense rank of the whole row below n, so key*n + id sorts the
+    rows.  That row order is dimension 0's; dimension j sorts
+    dense_j*n + row rank.  Each sort either ties only equal keys or has
+    distinct keys, so none has to be stable.
+    """
+    n, d = coords.shape
+    dense = [_dense_rank(coords[:, j]) for j in range(d)]
+    key = dense[0]
+    for j in range(1, d):
+        key = _dense_rank(key * n + dense[j])
+    ids = np.arange(n, dtype=np.int64)
+    row = np.argsort(key * n + ids)
+    row_rank = np.empty_like(row)
+    row_rank[row] = ids
+    ids32, phantoms = ids.astype(np.int32), np.arange(n, n + L, dtype=np.int32)
+    tables = []
+    for j in range(d):
+        order = row if j == 0 else np.argsort(dense[j] * n + row_rank)
+        rank, axis = array("i", [0]) * (n + L), array("d", [0.0]) * n
+        r = np.frombuffer(rank, dtype=np.int32)
+        r[order] = ids32
+        r[n:] = phantoms
+        np.frombuffer(axis)[:] = coords[:, j][order]
+        tables.append((order.astype(np.int32), rank, axis))
+    return tables
 
 
 def _lower_bound(ids, rank, base: int, size: int, r: int, stats) -> int:
@@ -127,33 +170,47 @@ def merge_rows(merged: np.ndarray, rank) -> None:
     """Bottom-up stable merge, in place, of G leaf rows of one power-of-two length L by `rank`.
 
     `merged` is a C-contiguous (G, R, L) int32 array whose [:, 0] holds the
-    leaf rows (ids); `rank` is a rank_table rank.  For r in 1..H, [g, r] gets
-    row g's chunks of width 2^r, each sorted by rank.  With R = 2H+1, [g]
-    becomes a buffer: [g, H+r] gives every entry of [g, r] its left bridge,
-    the number of entries of the left half of its chunk with smaller rank.
-    With R = H+1 (the levels of the multi-level tree) no bridge is computed
-    or written.
+    leaf rows (ids); `rank` is a rank_tables rank.  For r in 1..H, [g, r]
+    gets row g's chunks of width 2^r, each sorted by rank.  With R = 2H+1,
+    [g] becomes a buffer: [g, H+r] gives every entry of [g, r] its left
+    bridge, the number of entries of the left half of its chunk with
+    smaller rank.  With R = H+1 (the levels of the multi-level tree) no
+    bridge is computed or written.
 
     Each chunk of row r-1 at width 2^r is two runs sorted by rank, so one
     stable argsort per row (timsort for int32: it finds the two runs and
     merges them in linear time) gives every chunk's merge permutation perm.
-    The node row is row r-1 taken through perm.  Ranks are distinct, so the
-    entries before position t are exactly the smaller ones, and the left
-    bridge is the exclusive prefix count of perm < 2^(r-1).
+    The row and its ranks are carried as flat contiguous copies, and the
+    next row is one 1-D gather of them at perm plus each chunk's start.
+
+    Ranks are distinct, so the entries before merged position t are exactly
+    the smaller ones, and the left bridge has a closed form.  An entry from
+    left-run index i = perm has the i left entries before it; one from
+    right-run index j = perm - 2^(r-1) has t - j.  Both are
+    min(perm, t + 2^(r-1) - perm): a left entry has t >= i, and a right
+    one has t - j <= 2^(r-1) <= perm.  So no prefix count is needed.
     """
     G, R, L = merged.shape
     H = L.bit_length() - 1
-    rank = np.frombuffer(rank, dtype=np.int32)
+    pos = np.arange(G * L, dtype=np.int32).reshape(G, L)  # t and the chunk start are its bits
+    cur = np.ascontiguousarray(merged[:, 0]).reshape(-1)
+    keys = np.frombuffer(rank, dtype=np.int32)[cur]
     for r in range(1, H + 1):
-        span = 1 << r
-        prev = merged[:, r - 1].reshape(G, L >> r, span)
-        perm = np.argsort(rank[prev], axis=2, kind="stable")
-        merged[:, r] = np.take_along_axis(prev, perm, axis=2).reshape(G, L)
+        span, half = 1 << r, 1 << (r - 1)
+        perm = np.argsort(keys.reshape(-1, span), axis=1, kind="stable").reshape(G, L)
         if R > H + 1:
-            left = perm < (span >> 1)
-            lb = np.cumsum(left, axis=2, dtype=np.int32)
-            lb -= left
-            merged[:, H + r] = lb.reshape(G, L)
+            p = perm.astype(np.int32)
+            lb = merged[:, H + r]
+            np.bitwise_and(pos, span - 1, out=lb)
+            lb += half
+            lb -= p
+            np.minimum(lb, p, out=lb)
+            del p
+        perm += pos & -span  # each entry's source position in the flat row
+        cur = cur[perm.reshape(-1)]
+        keys = keys[perm.reshape(-1)]
+        del perm  # before the next argsort makes its own: 8 bytes an entry
+        merged[:, r] = cur.reshape(G, L)
 
 
 def fill_buffers_batch_np(padded_rows: np.ndarray, rank_y, counters=None) -> array:
@@ -218,7 +275,7 @@ class CascadeStructure:
     def build_from_ids(cls, ids, xdim, ydim, rank_x, rank_y, points, counters=None):
         """A group of one over ids sorted by the x composite order.
 
-        rank_x / rank_y are rank tables (rank_table) with at least L phantom
+        rank_x / rank_y are rank tables (rank_tables) with at least L phantom
         slots (id n+t -> padding leaf t).  build() builds every group from
         its members' leaf rows and does not call this; it stays because the
         traced benchmark (perfbench/run.py) wraps it by name, and its result

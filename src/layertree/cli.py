@@ -155,7 +155,7 @@ def _cmd_bench(parser: _Parser, args) -> int:
     print(BENCH_HEADER)
     for n in sizes:
         rng = SplitMix64(args.seed)
-        points = PointSet.from_coords([[rng.next_float() for _ in range(d)] for _ in range(n)], d)
+        points = PointSet.from_coords(rng.next_floats(n * d).reshape(n, d), d)
 
         t0 = time.perf_counter()
         tree = build(points)

@@ -5,9 +5,10 @@ float64 matrix, row i holding point i; the structures read only the matrix,
 and a Point object is made only for a hit a caller asks for (PointSet.take).
 Ties between equal coordinates are broken by the full coordinate tuple and
 then by the point id, so any point set is strictly totally ordered in every
-dimension (composite_key).  The structures never compare these keys: each
-dimension is sorted once, and a point is known by its rank in that order.  A
-query box maps to a half-open rank interval [a, b) per dimension, the points
+dimension (composite_key).  The structures never compare these keys: the
+rows are sorted once by (coords, id), each dimension's order is that row
+order under its own coordinate (cascade.rank_tables), and a point is known
+by its rank in each dimension's order.  A query box maps to a half-open rank interval [a, b) per dimension, the points
 whose coordinate lies in [lo, hi]; padding leaves rank after every real
 point, so they never match.
 """
@@ -68,8 +69,10 @@ class Point:
 def composite_key(p: Point, dim: int) -> tuple:
     """Sort key of `p` in dimension `dim`: coordinate, then full tuple, then id.
 
-    This defines each dimension's strict total order; cascade.rank_table
-    sorts by it, and no two distinct points have equal keys.
+    This defines each dimension's strict total order, and no two distinct
+    points have equal keys.  cascade.rank_tables gives the same order
+    without comparing tuples: every dimension shares the row order by
+    (coords, id), and dimension dim sorts by coordinate, then row rank.
     """
     return (p.coords[dim], p.coords, p.id)
 

@@ -46,6 +46,16 @@ class SplitMix64:
         """Uniform in [0, 1): output / 2^64."""
         return self.next_u64() / _TWO64
 
+    def next_floats(self, count: int) -> np.ndarray:
+        """The next `count` next_float() draws as one float64 array, bit for bit.
+
+        The state after k steps is state + k*gamma, so the outputs come from
+        _splitmix64_stream and the state jumps ahead by count*gamma.
+        """
+        out = _splitmix64_stream(self.state, count).astype(np.float64) / _TWO64
+        self.state = (self.state + count * _GAMMA) & _MASK64
+        return out
+
     def next_below(self, bound: int) -> int:
         """Output mod bound (bound >= 1); biased but fine for test workloads."""
         return self.next_u64() % bound

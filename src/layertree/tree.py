@@ -35,7 +35,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .cascade import (CascadeStructure, _find_split, fill_buffers_batch_np, merge_rows,
-                      pow2ceil, rank_table)
+                      pow2ceil, rank_tables)
 from .core import DimensionMismatch, EmptyInput, Point, PointSet, QueryBox, TooManyPoints
 
 INT32_MAX = 2**31 - 1
@@ -267,16 +267,19 @@ def _file(groups: dict, owner, first: int, L: int, ms_new: list, ids, pad) -> No
 def build(points: PointSet, counters: Optional[BuildCounters] = None) -> LayeredRangeTree:
     """Build the layered range tree, one dimension at a time.
 
-    Each dimension is sorted once (rank_table) into an int32 rank per id and
-    its coordinates in rank order; the ranks are the only keys.  The
-    structures over dimension j are built as groups by padded size L, listed
-    in tops[j] by log2 L: each group runs one batched merge (merge_rows) of
-    its leaf rows by the ranks of dimension j+1.  On a level (j < d-2) the
-    group is a _Level; its merged chunks, real ids first, are the leaf rows
-    of the structures in tops[j+1], and no bridges are made.  On the cascade
-    (j = d-2) the merged rows and bridges are the buffers, one array("i") per
-    CascadeStructure.  Raises TooManyPoints, before anything is allocated,
-    when the ids and phantom ids would not fit in int32.
+    rank_tables sorts the rows once by (coords, id) and orders each
+    dimension by its coordinate, then that row rank, into an int32 rank per
+    id and its coordinates in rank order; the ranks are the only keys.  Only
+    dimension 0's order is kept, as the root's leaf row; the other orders
+    are dropped before any merge.  The structures over dimension j are built
+    as groups by padded size L, listed in tops[j] by log2 L: each group runs
+    one batched merge (merge_rows) of its leaf rows by the ranks of
+    dimension j+1.  On a level (j < d-2) the group is a _Level; its merged
+    chunks, real ids first, are the leaf rows of the structures in
+    tops[j+1], and no bridges are made.  On the cascade (j = d-2) the merged
+    rows and bridges are the buffers, one array("i") per CascadeStructure.
+    Raises TooManyPoints, before anything is allocated, when the ids and
+    phantom ids would not fit in int32.
     """
     n = len(points)
     if n == 0:
@@ -285,15 +288,16 @@ def build(points: PointSet, counters: Optional[BuildCounters] = None) -> Layered
     if n + maxL > INT32_MAX:  # ids, phantom ids n..n+maxL-1 and ranks are int32
         raise TooManyPoints(f"{n} points and {maxL} padding slots exceed the int32 range")
     d = points.dims
-    coords = points.coord_matrix()
-    orders, ranks, axes = zip(*(rank_table(coords, j, maxL) for j in range(d)))
+    orders, ranks, axes = zip(*rank_tables(points.coord_matrix(), maxL))
+    order = orders[0]
+    del orders  # no merge needs the other dimensions' orders
     if d == 1:
-        slab = _Slab(array("i", orders[0].astype(np.int32).tobytes()))
-        return LayeredRangeTree(points, slab, axes)
+        return LayeredRangeTree(points, _Slab(array("i", order.tobytes())), axes)
 
     tops = [[None] * maxL.bit_length() for _ in range(d - 1)]
     groups: dict = {}
-    _queue(groups, None, 0, orders[0].astype(np.int32), n, maxL, n)
+    _queue(groups, None, 0, order, n, maxL, n)
+    del order
     for j in range(d - 1):
         nxt: dict = {}
         while groups:  # popped, so each group's scratch is freed once it is built

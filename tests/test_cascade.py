@@ -155,10 +155,30 @@ def reference_merge(leaf, rank, H):
         for c in range(0, len(leaf), span):
             chunk = sorted(leaf[c : c + span], key=rank.__getitem__)
             row += chunk
-            lb += [sum(rank[e] < rank[x] for e in leaf[c : c + half]) for x in chunk]
+            left = sorted(rank[e] for e in leaf[c : c + half])
+            lb += [bisect_left(left, rank[x]) for x in chunk]
         rows.append(row)
         lbs.append(lb)
     return rows, lbs
+
+
+def build_style_rows(G, L, seed):
+    """(leaf rows, rank) shaped as build() makes a group: real ids first, then phantoms.
+
+    Member g holds 1..L distinct real ids out of n = G*L in any order, padded
+    with the phantom ids n+m .. n+L-1; rank ranks the real ids in a random
+    order and gives each phantom its own id as rank.
+    """
+    rnd = random.Random(seed)
+    n = G * L
+    rank = list(range(n))
+    rnd.shuffle(rank)
+    rank += range(n, n + L)
+    rows = []
+    for _ in range(G):
+        m = rnd.randint(1, L)
+        rows.append(rnd.sample(range(n), m) + list(range(n + m, n + L)))
+    return rows, rank
 
 
 class TestMergeRows:
@@ -181,6 +201,26 @@ class TestMergeRows:
             assert merged[g, : H + 1].tolist() == rows
             if bridges:
                 assert merged[g, H + 1 :].tolist() == lbs
+
+    @pytest.mark.parametrize("G", [1, 2, 7])
+    @pytest.mark.parametrize("L", [1, 2, 4, 32, 256, 4096])
+    def test_build_style_rows(self, G, L):
+        H = L.bit_length() - 1
+        rows, rank = build_style_rows(G, L, seed=G * 10007 + L)
+        leaf = np.array(rows, dtype=np.int32)
+        bridged = np.zeros((G, 2 * H + 1, L), dtype=np.int32)
+        bridged[:, 0] = leaf
+        merge_rows(bridged, array("i", rank))
+        plain = np.zeros((G, H + 1, L), dtype=np.int32)  # R = H+1: room for no bridge row
+        plain[:, 0] = leaf
+        merge_rows(plain, array("i", rank))
+        assert bridged.dtype == plain.dtype == np.int32
+        assert (bridged[:, 0] == leaf).all() and (plain[:, 0] == leaf).all()
+        for g in range(G):
+            want_rows, want_lbs = reference_merge(rows[g], rank, H)
+            assert bridged[g, : H + 1].tolist() == want_rows
+            assert bridged[g, H + 1 :].tolist() == want_lbs
+            assert plain[g].tolist() == want_rows
 
 
 class TestBridges:

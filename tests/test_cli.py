@@ -198,6 +198,19 @@ class TestBench:
         ]
         assert stable(out1) == stable(out2)
 
+    def test_non_timing_columns_pinned(self, capsys):
+        # the points are drawn in one vectorized call and the boxes continue
+        # the same splitmix64 stream; these rows were written by drawing
+        # every coordinate with next_float (seed 2**64 - 59 wraps the state)
+        args = ["bench", "--dims", "3", "--sizes", "1,100,129", "--queries", "40",
+                "--seed", str(2**64 - 59), "--selectivity", "0.05"]
+        _, out, _ = run(capsys, args)
+        rows = [[c for i, c in enumerate(r.split(",")) if i not in (2, 4)]
+                for r in out.splitlines()[1:]]
+        assert rows == [["1", "3", "40", "1.3", "0.3", "0.0", "0"],
+                        ["100", "3", "40", "49.9", "5.825", "22.35", "186"],
+                        ["129", "3", "40", "59.4", "6.65", "28.675", "241"]]
+
     @pytest.mark.parametrize(
         "argv",
         [

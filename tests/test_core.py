@@ -218,6 +218,9 @@ class TestMatrixPath:
 
     def test_build_and_count_make_no_point(self):
         rows = [(i % 7, i % 5, i % 3) for i in range(200)]
+        # a collection during build would free Points that earlier tests left
+        # in cyclic garbage and lower the count; collect them first
+        gc.collect()
         before = live_points()
         ps = PointSet.from_coords(rows)
         tree = build(ps)

@@ -1,5 +1,6 @@
 import hashlib
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -48,6 +49,16 @@ class TestSplitMix64:
         assert 0 <= state <= MASK
         assert 0 <= out <= MASK
         assert (state, out) == reference_splitmix64(MASK)
+
+    @pytest.mark.parametrize("seed", [0, 9, 2**64 - 5])
+    @pytest.mark.parametrize("count", [0, 1, 7, 300])
+    def test_next_floats_is_next_float_repeated(self, seed, count):
+        a, b = SplitMix64(seed), SplitMix64(seed)
+        got = a.next_floats(count)
+        assert got.dtype == np.float64 and got.shape == (count,)
+        assert [x.hex() for x in got.tolist()] == [b.next_float().hex() for _ in range(count)]
+        assert a.state == b.state
+        assert a.next_u64() == b.next_u64()
 
     def test_float_in_unit_interval(self):
         rng = SplitMix64(9)

@@ -7,6 +7,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import astuple
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,7 +28,7 @@ from layertree import (
     composite_key,
     gen_points,
 )
-from layertree.cascade import CascadeStructure, _find_split, pow2ceil, rank_table
+from layertree.cascade import CascadeStructure, _find_split, pow2ceil, rank_tables
 from layertree.tree import _Level, _Slab
 
 import structure_dump
@@ -558,13 +559,51 @@ class TestRankTable:
         rnd.shuffle(shuffled)  # given in any order, the matrix rows are still ids
         ps = PointSet(shuffled, d)
         pts, n = ps.by_id, len(rows)
+        tables = rank_tables(ps.coord_matrix(), pow2ceil(n))
         for j in range(d):
-            order, rank, axis = rank_table(ps.coord_matrix(), j, pow2ceil(n))
+            order, rank, axis = tables[j]
             want = sorted(range(n), key=lambda i: composite_key(pts[i], j))
             assert order.tolist() == want
             assert list(rank) == [want.index(i) for i in range(n)] + list(
                 range(n, n + pow2ceil(n)))
             assert list(axis) == [pts[i].coords[j] for i in want]
+
+
+def edge_rows(kind, d, n):
+    """n rows of d coordinates for the deterministic rank-table cases.
+
+    "zeros": -0.0 and 0.0 only, both in every column once n >= 2;
+    "identical": one row n times, -0.0 included; "extremes": the smallest
+    subnormals and largest finite floats of both signs, with the zeros.
+    """
+    if kind == "identical":
+        return [[-0.0, 1.7e308, 5e-324, 0.0][:d]] * n
+    pool = {"zeros": [0.0, -0.0],
+            "extremes": [5e-324, -5e-324, 1.7e308, -1.7e308, 0.0, -0.0]}[kind]
+    rng = SplitMix64(1009 * d + n)
+    rows = [[pool[rng.next_below(len(pool))] for _ in range(d)] for _ in range(n)]
+    if n >= 2:
+        rows[0], rows[1] = [-0.0] * d, [0.0] * d
+    return rows
+
+
+class TestRankTableEdges:
+    @pytest.mark.parametrize("kind", ["zeros", "identical", "extremes"])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 64, 65])
+    def test_tables_follow_composite_key(self, kind, d, n):
+        ps = PointSet.from_coords(edge_rows(kind, d, n), d)
+        pts, L = ps.by_id, pow2ceil(n)
+        tables = rank_tables(ps.coord_matrix(), L)
+        assert len(tables) == d
+        for j, (order, rank, axis) in enumerate(tables):
+            want = sorted(range(n), key=lambda i: composite_key(pts[i], j))
+            assert order.dtype == np.int32 and order.tolist() == want
+            where = {i: v for v, i in enumerate(want)}
+            assert rank.typecode == "i"
+            assert list(rank) == [where[i] for i in range(n)] + list(range(n, n + L))
+            # float.hex tells -0.0 from 0.0: each slot holds its own point's coordinate
+            assert [x.hex() for x in axis] == [pts[i].coords[j].hex() for i in want]
 
 
 class TestFuzz:
