@@ -2,21 +2,22 @@
 
 Build once over a PointSet, then report or count the points inside closed
 axis-aligned boxes.  A PointSet is one checked n-by-d float64 coordinate
-matrix; build() reads only the matrix, and a Point object is made only for a
-reported hit, once per id.  The last two dimensions use fractional
-cascading, so a 2D query performs exactly one binary search; higher
-dimensions pay one O(log n) canonical decomposition per extra level.  The
-points are sorted once by (coords, id); each dimension orders them by its
-coordinate, then that shared row rank, into an int32 rank per point, the
-only key the structures compare (cascade.rank_tables).  A query box is
-mapped to rank intervals once, with two bisections per dimension.  Every
-tree, a level's or a cascade's x-tree, is implicit in one padded leaf row
-sorted by rank and searched by one split descent (cascade._find_split).  The
-same-size structures of a dimension form one merge group: one object, built
-by one batched bottom-up merge (cascade.merge_rows: a stable argsort per
-row, whose permutation gives each cascade bridge in closed form), whose
-members are (group, member) pairs that every group kind queries and counts
-alike.  build() is the one way to make a structure.
+matrix; build() reads only the matrix, the structures hold only ids and
+ranks, and a Point object is made only for a reported hit, once per id.  The
+last two dimensions use fractional cascading, so a 2D query performs exactly
+one binary search; higher dimensions pay one O(log n) canonical
+decomposition per extra level.  The points are sorted once by (coords, id);
+each dimension orders them by its coordinate, then that shared row rank,
+into an int32 rank per point, the only key the structures compare
+(cascade.rank_tables).  A query box is mapped to rank intervals once, with
+two bisections per dimension.  Every tree, a level's or a cascade's x-tree,
+is implicit in one padded leaf row sorted by rank and searched by one split
+descent (cascade._find_split).  The same-size structures of a dimension form
+one merge group: one object, built by one batched bottom-up merge
+(cascade.merge_rows: a stable argsort per row, whose permutation gives each
+cascade bridge in closed form), whose members are (group, member) pairs that
+every group kind queries and counts alike.  build() is the one way to make a
+structure.
 """
 
 from .cascade import CascadeNode, CascadeStructure

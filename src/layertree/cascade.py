@@ -8,7 +8,7 @@ _find_split is the one descent over such a row; a level of the multi-level
 tree (tree._Level) is a leaf row too and searches it the same way.
 
 A cascade is that tree over coordinate x (the second-to-last dimension)
-whose every node also carries its subtree's points sorted by coordinate y
+whose every node also carries its subtree's ids sorted by coordinate y
 (the last dimension), plus a left bridge per entry: the first not-smaller
 entry in the left child's array.  A 2D query then needs exactly one binary
 search, at the split node; every other position follows bridges in constant
@@ -38,13 +38,13 @@ array it is t - lb[t].  Ranks are distinct, so the t entries before it are
 exactly the smaller ones, and each came from one child: lb[t] from the left,
 the rest from the right.
 
-Entries are ids into the owning PointSet of n points; ids >= n are phantom
-padding, so every chunk is full and bridges are total.  Every comparison is
-between ranks, and rank_x / rank_y give each id its position in the x / y
-order.  rank_tables makes every dimension's table from one shared row
-order, (c_0 .. c_{d-1}, id), with default (unstable) numpy sorts that tie
-only equal keys.  A phantom id n+t is its own rank, after every real point,
-so no real rank interval [a, b) can match it.
+Entries are point ids 0..n-1; ids >= n are phantom padding, so every chunk
+is full and bridges are total.  Nothing here knows a point or a coordinate:
+every comparison is between ranks, and rank_x / rank_y give each id its
+position in the x / y order.  rank_tables makes every dimension's table from
+one shared row order, (c_0 .. c_{d-1}, id), with default (unstable) numpy
+sorts that tie only equal keys.  A phantom id n+t is its own rank, after
+every real point, so no real rank interval [a, b) can match it.
 
 Every buffer comes out of one merge, merge_rows: the leaf rows of a group
 are merged together bottom-up by each id's rank in the y order, one stable
@@ -59,14 +59,11 @@ reaches as one slice of ids.
 
 from __future__ import annotations
 
-import math
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
-
-from .core import Point
 
 
 def pow2ceil(n: int) -> int:
@@ -233,18 +230,12 @@ def fill_buffers_batch_np(padded_rows: np.ndarray, rank_y, counters=None) -> arr
 
 @dataclass
 class CascadeNode:
-    """Inspection view of one node's array and bridges (tests, debugging)."""
+    """Inspection view of one node: its ids (phantoms >= n) in y order, their y ranks, bridges."""
 
-    points: list[Optional[Point]]
+    ids: list[int]
     ranks: list[int]
     left_bridge: list[int]
     right_bridge: list[int]
-    ydim: int
-
-    @property
-    def y_values(self) -> list[float]:
-        """The entries' y coordinates; inf for a phantom."""
-        return [math.inf if p is None else p.coords[self.ydim] for p in self.points]
 
 
 class CascadeStructure:
@@ -256,9 +247,9 @@ class CascadeStructure:
     and counts take g.  The d=2 tree's root is a group of one, member 0.
     """
 
-    __slots__ = ("xdim", "ydim", "L", "H", "words", "buf", "rank_x", "rank_y", "points")
+    __slots__ = ("xdim", "ydim", "L", "H", "words", "buf", "rank_x", "rank_y")
 
-    def __init__(self, xdim, ydim, L, buf, rank_x, rank_y, points):
+    def __init__(self, xdim, ydim, L, buf, rank_x, rank_y):
         self.xdim = xdim
         self.ydim = ydim
         self.L = L                         # padded leaf count (power of two)
@@ -267,13 +258,12 @@ class CascadeStructure:
         self.buf = buf                     # from fill_buffers_batch_np
         self.rank_x = rank_x
         self.rank_y = rank_y
-        self.points = points               # the PointSet; only node() reads it
 
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def build_from_ids(cls, ids, xdim, ydim, rank_x, rank_y, points, counters=None):
-        """A group of one over ids sorted by the x composite order.
+    def build_from_ids(cls, ids, xdim, ydim, rank_x, rank_y, n, counters=None):
+        """A group of one over ids, out of n points, sorted by the x composite order.
 
         rank_x / rank_y are rank tables (rank_tables) with at least L phantom
         slots (id n+t -> padding leaf t).  build() builds every group from
@@ -281,31 +271,29 @@ class CascadeStructure:
         traced benchmark (perfbench/run.py) wraps it by name, and its result
         equals the d=2 root build() makes over the same ids.
         """
-        m, n = len(ids), len(points)
+        m = len(ids)
         L = pow2ceil(m)
         row = np.arange(n, n + L, dtype=np.int32)
         row[:m] = ids
         buf = fill_buffers_batch_np(row[None, :], rank_y, counters)
-        return cls(xdim, ydim, L, buf, rank_x, rank_y, points)
+        return cls(xdim, ydim, L, buf, rank_x, rank_y)
 
     # -- structure access ----------------------------------------------------
 
     def node(self, slot: int, g: int = 0) -> CascadeNode:
-        """Materialize one node of member g for inspection (heap slot order)."""
+        """One node of member g for inspection (heap slot order): ids, y ranks, bridges."""
         depth = (slot + 1).bit_length() - 1
         r = self.H - depth
         span = 1 << r
         buf, L = self.buf, self.L
         abase = g * self.words + r * L + (slot + 1 - (1 << depth)) * span
-        eids = buf[abase : abase + span]
-        n = len(self.points)
-        pts = [self.points.point(e) if e < n else None for e in eids]
-        ranks = [self.rank_y[e] for e in eids]
+        ids = buf[abase : abase + span].tolist()
+        ranks = [self.rank_y[e] for e in ids]
         if r == 0:
-            return CascadeNode(pts, ranks, [], [], self.ydim)
+            return CascadeNode(ids, ranks, [], [])
         lbase = abase + self.H * L
         lb = buf[lbase : lbase + span].tolist()
-        return CascadeNode(pts, ranks, lb, [t - l for t, l in enumerate(lb)], self.ydim)
+        return CascadeNode(ids, ranks, lb, [t - l for t, l in enumerate(lb)])
 
     # -- queries -------------------------------------------------------------
 
@@ -361,7 +349,7 @@ class CascadeStructure:
                 yield base + p, 1, c, e
 
     def query(self, g, a, b, stats, emit: Callable[[array], None]):
-        """Report member g's points inside the rank box [a, b) in dimensions xdim, ydim.
+        """Emit the ids of member g's points inside the rank box [a, b) in dimensions xdim, ydim.
 
         A query makes ONE binary search, at the split node for ya; positions
         at every canonical node and boundary leaf follow bridges.  Each

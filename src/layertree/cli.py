@@ -1,13 +1,14 @@
 """Command-line front end: gen, query, bench.
 
-Exit codes: 0 success, 1 usage error, 2 parse/read-write error, 3 oracle
-mismatch under --check.  All commands are deterministic for fixed flags
-(timing columns excepted).
+Exit codes: 0 success, 1 usage error, 2 parse/read-write error (stdout
+included), 3 oracle mismatch under --check.  All commands are deterministic
+for fixed flags (timing columns excepted).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from typing import Optional
@@ -184,11 +185,17 @@ def _cmd_bench(parser: _Parser, args) -> int:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "gen":
-        return _cmd_gen(parser, args)
-    if args.command == "query":
-        return _cmd_query(parser, args)
-    return _cmd_bench(parser, args)
+    command = {"gen": _cmd_gen, "query": _cmd_query, "bench": _cmd_bench}[args.command]
+    try:
+        code = command(parser, args)
+        sys.stdout.flush()
+    except OSError as exc:  # the commands handle their input and --out errors themselves
+        print(f"layertree: cannot write to stdout: {exc.strerror or exc}", file=sys.stderr)
+        if sys.stdout is sys.__stdout__:
+            # the unwritten rest stays buffered: the flush at exit must not fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
+    return code
 
 
 def console_main() -> None:

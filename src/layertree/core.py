@@ -1,16 +1,18 @@
 """Points, query boxes and the composite total order shared by every structure.
 
 All coordinates are finite 64-bit floats.  A point set is one checked n-by-d
-float64 matrix, row i holding point i; the structures read only the matrix,
-and a Point object is made only for a hit a caller asks for (PointSet.take).
-Ties between equal coordinates are broken by the full coordinate tuple and
-then by the point id, so any point set is strictly totally ordered in every
+float64 matrix, row i holding point i.  Below the two calls that return
+Points (LayeredRangeTree.query, brute_force_query) nothing knows a Point:
+the structures hold ids and ranks, build() reads only the matrix, and a
+Point is made only for a hit a caller asks for (PointSet.take).  Ties
+between equal coordinates are broken by the full coordinate tuple and then
+by the point id, so any point set is strictly totally ordered in every
 dimension (composite_key).  The structures never compare these keys: the
 rows are sorted once by (coords, id), each dimension's order is that row
 order under its own coordinate (cascade.rank_tables), and a point is known
-by its rank in each dimension's order.  A query box maps to a half-open rank interval [a, b) per dimension, the points
-whose coordinate lies in [lo, hi]; padding leaves rank after every real
-point, so they never match.
+by its rank in each dimension's order.  A query box maps to a half-open rank
+interval [a, b) per dimension, the points whose coordinate lies in [lo, hi];
+padding leaves rank after every real point, so they never match.
 """
 
 from __future__ import annotations
@@ -115,13 +117,15 @@ class PointSet:
     """An immutable collection of points sharing one dimensionality.
 
     Ids are exactly 0..n-1 (in any order: a shuffled permutation of a point
-    set is the same set).  The point set is its n-by-d float64 coordinate
-    matrix, row i for id i (coord_matrix); build() reads only that.  Use
-    from_coords() to make one from raw rows: the rows are copied into the
-    matrix and checked once, and a Point is made only when a caller asks
-    for its id (point, take), then kept, so repeat requests return the same
-    object.  PointSet(points, dims) takes ready-made Points; `points`,
-    `by_id` and iteration give all n Points, making those not made yet.
+    set is the same set).  The point set is its read-only n-by-d float64
+    coordinate matrix, row i for id i (coord_matrix); build() reads only
+    that.  Use from_coords() to make one from raw rows: the rows are copied
+    into the matrix and checked once, and a Point is made only when a caller
+    asks for its id (point, take), then kept, so repeat requests return the
+    same object.  PointSet(points, dims) checks ready-made Points and builds
+    the matrix from them; it keeps no reference to the caller's sequence, so
+    changing that afterwards changes nothing here.  `points`, `by_id` and
+    iteration give all n Points in id order, making those not made yet.
     Parsers and generators renumber on ingestion.
     """
 
@@ -134,21 +138,22 @@ class PointSet:
             if p.id >= n or by_id[p.id] is not None:
                 raise ValueError(f"point ids must form 0..{n - 1} without repeats")
             by_id[p.id] = p
-        self.dims = dims
-        self._points = points    # every Point, in the order given; None until all are made
-        self._by_id = by_id      # the Points made so far, by id; None for one not made yet
-        self._matrix: Optional[np.ndarray] = None
+        m = np.array([p.coords for p in by_id], dtype=np.float64).reshape(n, dims)
+        self._adopt(m, by_id, by_id)
 
     @classmethod
     def _of_matrix(cls, m: np.ndarray) -> "PointSet":
         """A point set over a checked (n, d) float64 matrix of finite values, n, d >= 1."""
         ps = cls.__new__(cls)
-        m.flags.writeable = False
-        ps.dims = m.shape[1]
-        ps._points = None
-        ps._by_id = [None] * len(m)
-        ps._matrix = m
+        ps._adopt(m, [None] * len(m), None)
         return ps
+
+    def _adopt(self, m: np.ndarray, by_id: list, every: Optional[list]) -> None:
+        m.flags.writeable = False
+        self.dims = m.shape[1]
+        self._matrix = m
+        self._by_id = by_id  # the Points made so far, by id; None for one not made yet
+        self._every = every  # by_id once every Point is made, else None
 
     def __len__(self) -> int:
         return len(self._by_id)
@@ -158,17 +163,16 @@ class PointSet:
 
     @property
     def points(self) -> list:
-        """Every Point: in the order given to PointSet(), else by id."""
-        if self._points is None:
+        """Every Point, in id order."""
+        if self._every is None:
             self.take(range(len(self)))
-            self._points = self._by_id
-        return self._points
+            self._every = self._by_id
+        return self._every
 
     @property
     def by_id(self) -> list:
-        """Every Point, indexed by id."""
-        self.points  # makes every Point not made yet
-        return self._by_id
+        """Every Point, indexed by id (the same list as points)."""
+        return self.points
 
     def point(self, i: int) -> Point:
         """The Point of id i, made from matrix row i on first request."""
@@ -217,8 +221,4 @@ class PointSet:
 
     def coord_matrix(self) -> np.ndarray:
         """The read-only n-by-d float64 matrix of coordinates in id order."""
-        if self._matrix is None:  # made from the Points given to PointSet()
-            m = np.array([p.coords for p in self._by_id], dtype=np.float64)
-            self._matrix = m.reshape(len(self), self.dims)
-            self._matrix.flags.writeable = False
         return self._matrix

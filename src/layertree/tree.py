@@ -292,7 +292,9 @@ def build(points: PointSet, counters: Optional[BuildCounters] = None) -> Layered
     order = orders[0]
     del orders  # no merge needs the other dimensions' orders
     if d == 1:
-        return LayeredRangeTree(points, _Slab(array("i", order.tobytes())), axes)
+        ids = array("i", [0]) * n  # sized exactly: array(typecode, bytes) keeps growth slack
+        np.frombuffer(ids, dtype=np.int32)[:] = order
+        return LayeredRangeTree(points, _Slab(ids), axes)
 
     tops = [[None] * maxL.bit_length() for _ in range(d - 1)]
     groups: dict = {}
@@ -306,7 +308,7 @@ def build(points: PointSet, counters: Optional[BuildCounters] = None) -> Layered
             H = L.bit_length() - 1
             if j == d - 2:
                 buf = fill_buffers_batch_np(rows, ranks[j + 1], counters)
-                tops[j][H] = CascadeStructure(j, j + 1, L, buf, ranks[j], ranks[j + 1], points)
+                tops[j][H] = CascadeStructure(j, j + 1, L, buf, ranks[j], ranks[j + 1])
                 continue
             # a level keeps only its leaf rows, sized exactly: no bridge rows
             merged = np.empty((len(ms), H + 1, L), dtype=np.int32)

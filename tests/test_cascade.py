@@ -1,3 +1,6 @@
+import ast
+import gc
+import math
 import random
 from array import array
 from bisect import bisect_left, bisect_right
@@ -5,11 +8,13 @@ from bisect import bisect_left, bisect_right
 import numpy as np
 import pytest
 
+import layertree.cascade
 from layertree import (
     BuildCounters,
     CascadeStructure,
     EmptyInput,
     GeneratorConfig,
+    Point,
     PointSet,
     QueryStats,
     SplitMix64,
@@ -23,32 +28,44 @@ from layertree.core import QueryBox
 
 
 def make_cascade(coord_pairs):
-    """The 2-d tree's root over the pairs (a group of one, member 0), and its points by id."""
+    """The 2-d tree's root over the pairs (a group of one, member 0), and its point set."""
     tree = build(PointSet.from_coords(coord_pairs))
-    return tree.root, tree.pointset.by_id
+    return tree.root, tree.pointset
 
 
-def rank_args(cs, xlo, xhi, ylo, yhi):
+def y_values(cs, ps, node):
+    """A node's y coordinates, read from the point set's matrix; inf for a phantom."""
+    ys = ps.coord_matrix()[:, cs.ydim].tolist()
+    return [ys[e] if e < len(ps) else math.inf for e in node.ids]
+
+
+def real_points(ps, ids):
+    """The Points of the real ids among `ids`, in their order; phantoms (ids >= n) dropped."""
+    return ps.take([e for e in ids if e < len(ps)])
+
+
+def rank_args(cs, ps, xlo, xhi, ylo, yhi):
     """The box [xlo,xhi] x [ylo,yhi] as the rank box (a, b) = ((xa, ya), (xb, yb)) of cs.query."""
-    xs = sorted(p.coords[cs.xdim] for p in cs.points)
-    ys = sorted(p.coords[cs.ydim] for p in cs.points)
+    m = ps.coord_matrix()
+    xs = sorted(m[:, cs.xdim].tolist())
+    ys = sorted(m[:, cs.ydim].tolist())
     return ((bisect_left(xs, xlo), bisect_left(ys, ylo)),
             (bisect_right(xs, xhi), bisect_right(ys, yhi)))
 
 
-def collect(cs, xlo, xhi, ylo, yhi, stats=None):
+def collect(cs, ps, xlo, xhi, ylo, yhi, stats=None):
     """The points cs.query reports for the box, by id; the query emits runs of ids."""
     ids = array("i")
-    cs.query(0, *rank_args(cs, xlo, xhi, ylo, yhi), stats or QueryStats(), ids.extend)
-    return cs.points.take(sorted(ids))
+    cs.query(0, *rank_args(cs, ps, xlo, xhi, ylo, yhi), stats or QueryStats(), ids.extend)
+    return ps.take(sorted(ids))
 
 
-def subtree_leaf_ids(cs, slot):
+def subtree_leaf_ids(cs, n, slot):
     """Real ids under heap slot `slot` of member 0's x-tree, in x order: its leaf row chunk."""
     depth = (slot + 1).bit_length() - 1
     span = cs.L >> depth
     lo = (slot + 1 - (1 << depth)) * span
-    return [e for e in cs.buf[lo : lo + span] if e < len(cs.points)]
+    return [e for e in cs.buf[lo : lo + span] if e < n]
 
 
 def brute(pts, xlo, xhi, ylo, yhi):
@@ -60,11 +77,11 @@ def brute(pts, xlo, xhi, ylo, yhi):
 
 class TestBuild:
     def test_single_point(self):
-        cs, pts = make_cascade([(2, 7)])
+        cs, ps = make_cascade([(2, 7)])
         assert cs.buf[: cs.L].tolist() == [0] and cs.L == 1  # one real leaf
         root = cs.node(0)
-        assert root.points == pts
-        assert root.y_values == [7.0]
+        assert ps.take(root.ids) == ps.points
+        assert y_values(cs, ps, root) == [7.0]
         assert root.left_bridge == [] and root.right_bridge == []
 
     def test_rejects_empty(self):
@@ -76,19 +93,19 @@ class TestBuild:
         built, counters = BuildCounters(), BuildCounters()
         root = build(ps, built).root
         one = CascadeStructure.build_from_ids(root.buf[: len(ps)], 0, 1, root.rank_x,
-                                              root.rank_y, ps, counters)
+                                              root.rank_y, len(ps), counters)
         assert (one.L, one.H, one.words) == (root.L, root.H, root.words)
         assert one.buf.tolist() == root.buf.tolist()
         assert counters.merge_moves == built.merge_moves
 
     def test_hand_derived_parent_bridges(self):
         # children carry y-keys [1,5] and [3,7]; the parent merges to [1,3,5,7]
-        cs, _ = make_cascade([(0, 1), (1, 5), (2, 3), (3, 7)])
+        cs, ps = make_cascade([(0, 1), (1, 5), (2, 3), (3, 7)])
         root = cs.node(0)
         left, right = cs.node(1), cs.node(2)
-        assert left.y_values == [1.0, 5.0]
-        assert right.y_values == [3.0, 7.0]
-        assert root.y_values == [1.0, 3.0, 5.0, 7.0]
+        assert y_values(cs, ps, left) == [1.0, 5.0]
+        assert y_values(cs, ps, right) == [3.0, 7.0]
+        assert y_values(cs, ps, root) == [1.0, 3.0, 5.0, 7.0]
         assert root.left_bridge == [0, 1, 1, 2]
         assert root.right_bridge == [0, 0, 1, 1]
         # linear-scan oracle for the bridge rule: smallest child index with key >= parent key
@@ -103,25 +120,45 @@ class TestBuild:
     def test_entries_are_sorted_union_of_subtree(self):
         rng = SplitMix64(31)
         coords = [(rng.next_below(8), rng.next_below(8)) for _ in range(37)]
-        cs, pts = make_cascade(coords)
+        cs, ps = make_cascade(coords)
         for slot in range(2 * cs.L - 1):
             node = cs.node(slot)
-            stored = [p for p in node.points if p is not None]
+            stored = real_points(ps, node.ids)
             expected = sorted(
-                (pts[e] for e in subtree_leaf_ids(cs, slot)),
+                (ps.by_id[e] for e in subtree_leaf_ids(cs, len(ps), slot)),
                 key=lambda p: composite_key(p, 1),
             )
             assert stored == expected
             assert node.ranks == sorted(node.ranks)
 
     def test_phantoms_pad_arrays_to_full_length(self):
-        cs, _ = make_cascade([(0, 0), (1, 1), (2, 2)])
+        cs, ps = make_cascade([(0, 0), (1, 1), (2, 2)])
         assert cs.L == 4
         root = cs.node(0)
-        assert len(root.points) == 4
-        assert root.points[3] is None
-        assert root.y_values[3] == float("inf")
+        assert len(root.ids) == 4
+        assert root.ids[3] >= len(ps)  # a phantom
+        assert y_values(cs, ps, root)[3] == float("inf")
         assert root.ranks[3] >= 3
+
+
+class TestIdsOnly:
+    # the cascades hold ids and ranks: Points are made only at the edge
+    def test_node_makes_no_point(self):
+        tree = build(gen_points(GeneratorConfig(seed=3, n=300, dims=3, dist="grid", grid_side=5)))
+        members = [s for _, s in tree.structures() if isinstance(s[0], CascadeStructure)]
+        gc.collect()
+        before = sum(type(o) is Point for o in gc.get_objects())
+        for cs, g in members:
+            for slot in range(2 * cs.L - 1):
+                cs.node(slot, g)
+        assert sum(type(o) is Point for o in gc.get_objects()) == before
+
+    def test_cascade_imports_nothing_from_core(self):
+        with open(layertree.cascade.__file__, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        imported = [n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
+        imported += [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
+        assert imported and not [m for m in imported if m and m.split(".")[-1] == "core"]
 
 
 def exhaustive_bridge_check(cs, g=0):
@@ -235,49 +272,50 @@ class TestBridges:
         # a d=3 tree's cascades share their groups' arrays: check each member
         # at its own base, and that its entries are its subtree's points
         tree = build(gen_points(GeneratorConfig(seed=8, n=90, dims=3, dist="grid", grid_side=4)))
+        n = len(tree.pointset)
         members = [s for _, s in tree.structures() if isinstance(s[0], CascadeStructure)]
         assert any(g > 0 for _, g in members)
         for cs, g in members:
             base = g * cs.words
             assert exhaustive_bridge_check(cs, g) == 0
             leaves = cs.buf[base : base + cs.L].tolist()
-            real = [e for e in leaves if e < len(cs.points)]
-            assert sorted(p.id for p in cs.node(0, g).points if p is not None) == sorted(real)
+            real = [e for e in leaves if e < n]
+            assert sorted(p.id for p in real_points(tree.pointset, cs.node(0, g).ids)) == sorted(real)
             assert leaves[: len(real)] == real  # real ids first, then phantoms
 
 
 class TestQuery2D:
     def test_basic_box(self):
-        cs, _ = make_cascade([(1, 1), (2, 2), (3, 3)])
-        got = collect(cs, 1, 2, 1, 2)
+        cs, ps = make_cascade([(1, 1), (2, 2), (3, 3)])
+        got = collect(cs, ps, 1, 2, 1, 2)
         assert [(p.coords) for p in got] == [(1.0, 1.0), (2.0, 2.0)]
 
     def test_empty_y_range_still_one_search(self):
-        cs, _ = make_cascade([(1, 1), (2, 2), (3, 3)])
+        cs, ps = make_cascade([(1, 1), (2, 2), (3, 3)])
         stats = QueryStats()
-        assert collect(cs, 0, 4, 10, 20, stats) == []
+        assert collect(cs, ps, 0, 4, 10, 20, stats) == []
         assert stats.binary_searches == 1
 
     def test_one_search_law_random(self):
         rng = SplitMix64(77)
-        cs, pts = make_cascade([(rng.next_below(30), rng.next_below(30)) for _ in range(100)])
+        cs, ps = make_cascade([(rng.next_below(30), rng.next_below(30)) for _ in range(100)])
         for _ in range(500):
             xlo, xhi = rng.next_below(32) - 1, rng.next_below(32) - 1
             ylo, yhi = rng.next_below(32) - 1, rng.next_below(32) - 1
             stats = QueryStats()
-            got = collect(cs, xlo, xhi, ylo, yhi, stats)
+            got = collect(cs, ps, xlo, xhi, ylo, yhi, stats)
             assert stats.binary_searches == 1
-            assert got == brute(pts, xlo, xhi, ylo, yhi)
+            assert got == brute(ps, xlo, xhi, ylo, yhi)
             assert stats.reported == len(got)
 
     def test_oracle_agreement_with_duplicates(self):
         rng = SplitMix64(5)
-        cs, pts = make_cascade([(rng.next_below(4), rng.next_below(4)) for _ in range(64)])
+        cs, ps = make_cascade([(rng.next_below(4), rng.next_below(4)) for _ in range(64)])
         for xlo in (-0.5, 0.0, 1.0, 2.5, 3.0):
             for xhi in (-0.5, 1.0, 2.0, 3.0, 4.0):
                 for ylo in (0.0, 0.5, 2.0, 3.0):
                     for yhi in (-1.0, 1.0, 2.5, 3.0):
-                        assert collect(cs, xlo, xhi, ylo, yhi) == brute(pts, xlo, xhi, ylo, yhi)
+                        assert collect(cs, ps, xlo, xhi, ylo, yhi) == brute(ps, xlo, xhi, ylo, yhi)
 
     def test_positions_match_shadow_lower_bound(self, monkeypatch):
         # the bridged position at every canonical node equals an independent
@@ -292,13 +330,13 @@ class TestQuery2D:
 
         monkeypatch.setattr(CascadeStructure, "_walk", observed)
         rng = SplitMix64(123)
-        cs, pts = make_cascade([(rng.next_below(50), rng.next_below(50)) for _ in range(200)])
+        cs, ps = make_cascade([(rng.next_below(50), rng.next_below(50)) for _ in range(200)])
         seen = 0
         for _ in range(200):
             xlo, xhi = sorted((rng.next_below(52) - 1, rng.next_below(52) - 1))
             ylo = rng.next_below(52) - 1
             probes.clear()
-            a, b = rank_args(cs, xlo, xhi, ylo, 100.0)
+            a, b = rank_args(cs, ps, xlo, xhi, ylo, 100.0)
             ya = a[1]
             cs.query(0, a, b, QueryStats(), lambda p: None)
             for abase, span, q in probes:
@@ -309,28 +347,29 @@ class TestQuery2D:
 
     def test_count_matches_query(self):
         rng = SplitMix64(9)
-        cs, pts = make_cascade([(rng.next_below(10), rng.next_below(10)) for _ in range(90)])
+        cs, ps = make_cascade([(rng.next_below(10), rng.next_below(10)) for _ in range(90)])
         total_counts = QueryStats()
         for _ in range(300):
             xlo, xhi = rng.next_below(12) - 1, rng.next_below(12) - 1
             ylo, yhi = rng.next_below(12) - 1, rng.next_below(12) - 1
             stats = QueryStats()
-            k = cs.count(0, *rank_args(cs, xlo, xhi, ylo, yhi), stats)
-            assert k == len(brute(pts, xlo, xhi, ylo, yhi))
+            k = cs.count(0, *rank_args(cs, ps, xlo, xhi, ylo, yhi), stats)
+            assert k == len(brute(ps, xlo, xhi, ylo, yhi))
             assert stats.binary_searches == 2
             total_counts.reported += k
 
     def test_phantoms_never_emitted(self):
-        cs, pts = make_cascade([(i, i % 3) for i in range(13)])  # pads to L=16
-        got = collect(cs, -100, 100, -100, 100)
-        assert got == pts
+        cs, ps = make_cascade([(i, i % 3) for i in range(13)])  # pads to L=16
+        got = collect(cs, ps, -100, 100, -100, 100)
+        assert got == ps.points
         assert all(p is not None for p in got)
 
     def test_boxes_via_boxed_interface(self):
         # the root takes the tree's rank box; a cascade reads its last two dimensions
-        cs, pts = make_cascade([(1, 4), (2, 3), (3, 2), (4, 1)])
+        cs, ps = make_cascade([(1, 4), (2, 3), (3, 2), (4, 1)])
+        pts = ps.by_id
         box = QueryBox((1.5, 0.0), (4.0, 2.5))
-        a, b = rank_args(cs, 1.5, 4.0, 0.0, 2.5)
+        a, b = rank_args(cs, ps, 1.5, 4.0, 0.0, 2.5)
         ids = array("i")
         cs.query(0, a, b, QueryStats(), ids.extend)
         assert [pts[e] for e in sorted(ids)] == [p for p in pts if box_contains(box, p)]
@@ -339,7 +378,8 @@ class TestQuery2D:
     def test_tree_view(self):
         # row 0 of the buffer is the x-tree's leaf row: increasing in x rank,
         # nondecreasing in x, real ids first
-        cs, pts = make_cascade([(3, 0), (1, 0), (2, 0)])
+        cs, ps = make_cascade([(3, 0), (1, 0), (2, 0)])
+        pts = ps.by_id
         leaves = cs.buf[: cs.L].tolist()
         assert cs.L == 4 and sum(e < len(pts) for e in leaves) == 3
         ranks = [cs.rank_x[e] for e in leaves]

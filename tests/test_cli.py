@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from layertree import cli
@@ -225,3 +229,29 @@ class TestBench:
     def test_usage_errors(self, capsys, argv):
         code, _, _ = run(capsys, argv)
         assert code == 1
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+class TestStdoutWriteError:
+    # a full stdout is a write error: exit 2 and one stderr line, with no
+    # traceback and no "Exception ignored" from the flush at interpreter exit
+    @pytest.mark.parametrize("command", ["gen", "query", "bench"])
+    def test_full_stdout_is_exit_2(self, tmp_path, command):
+        pts, qrs = tmp_path / "p.txt", tmp_path / "q.txt"
+        pts.write_text("0,0\n0.5,0.5\n1,1\n")
+        qrs.write_text("0,0,1,1\n")
+        argv = {
+            "gen": ["gen", "--n", "3", "--dims", "2", "--seed", "7"],
+            "query": ["query", "--points", str(pts), "--dims", "2", "--queries", str(qrs)],
+            "bench": ["bench", "--dims", "2", "--sizes", "16", "--queries", "2", "--seed", "1"],
+        }[command]
+        env = dict(os.environ, PYTHONPATH=SRC)
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "layertree"] + argv, stdout=full,
+                                  stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("layertree: cannot write to stdout: ")
+        assert proc.stderr.count("\n") == 1  # no traceback, nothing ignored at exit

@@ -113,6 +113,26 @@ class TestValidation:
         ps = PointSet([P(2, id=1), P(1, id=0)], 1)
         assert [p.id for p in ps.by_id] == [0, 1]
 
+    def test_shuffled_pointset_iterates_in_id_order(self):
+        pts = [P(i % 7, i % 3, id=i) for i in range(40)]
+        shuffled = list(pts)
+        random.Random(5).shuffle(shuffled)
+        ps = PointSet(shuffled, 2)
+        assert list(ps) == ps.points == ps.by_id == pts
+        assert ps.coord_matrix().tolist() == [list(p.coords) for p in pts]
+
+    def test_pointset_owns_its_points(self):
+        # changing the caller's list afterwards changes nothing in the set
+        pts = [P(1, 2, id=0), P(3, 4, id=1)]
+        ps = PointSet(pts, 2)
+        want = list(pts)
+        pts.append(Point((9.0, 9.0), 7))
+        pts[0] = Point((5.0, 5.0), 0)
+        assert len(ps) == 2
+        assert ps.points == ps.by_id == list(ps) == want
+        assert ps.by_id[0] is want[0]
+        assert ps.coord_matrix().tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
     def test_from_coords_takes_an_ndarray(self):
         coords = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
         ps = PointSet.from_coords(coords)

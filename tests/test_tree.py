@@ -258,9 +258,10 @@ class TestBuild:
         tree = build(PointSet.from_coords([(1, 1), (2, 2), (3, 3), (4, 4)]))
         cs = tree.root
         assert isinstance(cs, CascadeStructure)
-        assert cs.node(0).y_values == [1.0, 2.0, 3.0, 4.0]
-        assert cs.node(1).y_values == [1.0, 2.0]
-        assert cs.node(2).y_values == [3.0, 4.0]
+        ys = tree.pointset.coord_matrix()[:, cs.ydim].tolist()  # all 4 ids are real
+        assert [ys[e] for e in cs.node(0).ids] == [1.0, 2.0, 3.0, 4.0]
+        assert [ys[e] for e in cs.node(1).ids] == [1.0, 2.0]
+        assert [ys[e] for e in cs.node(2).ids] == [3.0, 4.0]
         assert cs.node(0).left_bridge == [0, 1, 2, 2]
         assert cs.node(0).right_bridge == [0, 0, 0, 1]
         for leaf in range(3, 7):
@@ -421,6 +422,13 @@ class TestSpaceAccounting:
         empty = sys.getsizeof(array("i"))
         for level in groups.values():
             assert sys.getsizeof(level.ids) == empty + level.ids.itemsize * len(level.ids)
+
+    def test_slab_ids_have_no_slack(self):
+        # the d = 1 tree's rank order is sized exactly too
+        n = 1000
+        tree = build(gen_points(GeneratorConfig(seed=6, n=n, dims=1)))
+        assert isinstance(tree.root, _Slab)
+        assert sys.getsizeof(tree.root.ids) == sys.getsizeof(array("i")) + 4 * n
 
 
 class TestStructureDump:
