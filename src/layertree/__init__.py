@@ -2,13 +2,15 @@
 
 Build once over a PointSet, then report or count the points inside closed
 axis-aligned boxes.  A PointSet is one checked n-by-d float64 coordinate
-matrix; build() reads only the matrix, the structures hold only ids and
+matrix; build() reads only the matrix, the structures hold only labels and
 ranks, and a Point object is made only for a reported hit, once per id.  The
 last two dimensions use fractional cascading, so a 2D query performs exactly
 one binary search; higher dimensions pay one O(log n) canonical
 decomposition per extra level.  The points are sorted once by (coords, id);
-each dimension orders them by its coordinate, then that shared row rank,
-into an int32 rank per point, the only key the structures compare
+each dimension orders them by its coordinate, then that shared row rank.  A
+point's label is its rank in the last dimension, and an int32 table per
+other dimension ranks each label; labels and ranks are the only keys the
+structures compare, and the tree maps labels to ids only for a query's hits
 (cascade.rank_tables).  A query box is mapped to rank intervals once, with
 two bisections per dimension.  Every tree, a level's or a cascade's x-tree,
 is implicit in one padded leaf row sorted by rank and searched by one split

@@ -1,24 +1,33 @@
 """Fractional cascading over the last two dimensions, and the one implicit tree.
 
-Every tree in the package is implicit in a leaf row: L = 2^H ids sorted by
-one dimension's rank, real ids first, then phantom padding.  The node at
+Every structure stores a point as its label, its rank in the last dimension
+(y), so a stored entry is its own y key.  rank_tables makes the labels, the
+id map from label to point id, and a label-indexed rank table for every
+other dimension, from one shared row order, (c_0 .. c_{d-1}, id), with
+default (unstable) numpy sorts that tie only equal keys.  Labels n+t are
+phantom padding, each its own rank in every dimension, after every real
+point, so no real rank interval [a, b) can match one.  Nothing here knows a
+point or a coordinate.
+
+Every tree in the package is implicit in a leaf row: L = 2^H labels sorted
+by one dimension's rank, real labels first, then phantoms.  The node at
 (depth, pos) covers the chunk of width L >> depth starting at pos times that
 width, and it splits at the rank of the rightmost leaf of its left half.
 _find_split is the one descent over such a row; a level of the multi-level
 tree (tree._Level) is a leaf row too and searches it the same way.
 
 A cascade is that tree over coordinate x (the second-to-last dimension)
-whose every node also carries its subtree's ids sorted by coordinate y
-(the last dimension), plus a left bridge per entry: the first not-smaller
-entry in the left child's array.  A 2D query then needs exactly one binary
-search, at the split node; every other position follows bridges in constant
+whose every node also carries its subtree's labels in ascending (y) order,
+plus a left bridge per entry: the first not-smaller entry in the left
+child's array.  A 2D query then needs exactly one binary search, a bisect of
+the split node's array; every other position follows bridges in constant
 time per level.
 
 Storage: the cascades with the same L form a merge group, and one
 CascadeStructure object is the whole group, not one cascade.  It holds the
 group's G buffers in one array("i") of G*(2H+1)*L words, laid out
-(G, 2H+1, L), plus L, H and the two rank tables; a member's real point
-count is the number of real ids in its leaf row.  A cascade is a (group,
+(G, 2H+1, L), plus L, H and the x rank table; a member's real point count
+is the number of real labels in its leaf row.  A cascade is a (group,
 member) pair: member g owns the words = (2H+1)*L contiguous words from
 base = g*words, and queries and counts take g and the tree's rank box.
 Every address below is base plus an offset in that buffer.  With L padded
@@ -26,7 +35,7 @@ leaves and height H = log2(L):
 
     row r in 0..H        node arrays at depth H-r, offset r*L; the array of
                          the node at (depth, pos) is the chunk of width
-                         2^r starting at pos*2^r, sorted by y.  Row 0 is the
+                         2^r starting at pos*2^r, ascending.  Row 0 is the
                          leaf row, sorted by x: it is the x-tree.
     lb rows r in 1..H    left bridges, offset L*(H+r)
 
@@ -34,32 +43,24 @@ Reading an array("i") gives a Python int, so the query loops never make a
 numpy scalar; numpy writes the array only while merge_rows builds it.
 
 The right bridge is not stored: for the entry at position t of a node's
-array it is t - lb[t].  Ranks are distinct, so the t entries before it are
+array it is t - lb[t].  Labels are distinct, so the t entries before it are
 exactly the smaller ones, and each came from one child: lb[t] from the left,
-the rest from the right.
-
-Entries are point ids 0..n-1; ids >= n are phantom padding, so every chunk
-is full and bridges are total.  Nothing here knows a point or a coordinate:
-every comparison is between ranks, and rank_x / rank_y give each id its
-position in the x / y order.  rank_tables makes every dimension's table from
-one shared row order, (c_0 .. c_{d-1}, id), with default (unstable) numpy
-sorts that tie only equal keys.  A phantom id n+t is its own rank, after
-every real point, so no real rank interval [a, b) can match it.
+the rest from the right; every chunk is full, so bridges are total.
 
 Every buffer comes out of one merge, merge_rows: the leaf rows of a group
-are merged together bottom-up by each id's rank in the y order, one stable
-argsort per row, and each entry's left bridge follows in closed form from
-where the merge took it: its index in the left run, or its position minus
-its index in the right run.  The multi-level tree runs the same merge to sort
-its levels' subtrees by the next dimension.  Queries and counts share one
-walk down the two boundary paths below the split node
+are merged together bottom-up by the labels themselves, one stable argsort
+per row, and each entry's left bridge follows in closed form from where the
+merge took it.  The multi-level tree runs the same merge by a rank table to
+sort its levels' subtrees by the next dimension.  Queries and counts share
+one walk down the two boundary paths below the split node
 (CascadeStructure._walk); a query emits the in-range run of each node it
-reaches as one slice of ids.
+reaches as one slice of labels.
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable
 
@@ -89,14 +90,16 @@ def _dense_rank(keys: np.ndarray) -> np.ndarray:
     return dense
 
 
-def rank_tables(coords: np.ndarray, L: int) -> list[tuple[np.ndarray, array, array]]:
-    """(order, rank, axis) for each column of a coordinate matrix whose rows are ids.
+def rank_tables(coords: np.ndarray, L: int) -> tuple[array, np.ndarray, list[array], list[array]]:
+    """(ids, row, ranks, axes): the labels of a coordinate matrix whose rows are ids.
 
-    For column j, order (int32) lists the ids in composite_key order: by
-    column j, then by the row in column order, then by id.  rank (an
-    array("i") indexed by id) gives each id's position in that order,
-    followed by L phantom slots: id n+t is its own rank, after every real
-    id.  axis (an array("d")) holds column j in rank order.
+    Dimension j's order is composite_key's: by column j, then by the row in
+    column order, then by id.  A label is a position in the last order, and
+    ids (an array("i") of n) is that order: ids[label] is the id.  row
+    (int32) is dimension 0's order in labels, the root's leaf row.  For
+    j < d-1, ranks[j] (an array("i") indexed by label) gives each position
+    in order j, then L phantom slots: label n+t is its own rank.  axes[j]
+    (an array("d")) holds column j in order j.
 
     Every dimension shares one row order, (c_0 .. c_{d-1}, id).  Each column
     gets a dense rank, and folding them in, key = dense(key*n + dense_j),
@@ -110,40 +113,34 @@ def rank_tables(coords: np.ndarray, L: int) -> list[tuple[np.ndarray, array, arr
     key = dense[0]
     for j in range(1, d):
         key = _dense_rank(key * n + dense[j])
-    ids = np.arange(n, dtype=np.int64)
-    row = np.argsort(key * n + ids)
+    seq = np.arange(n, dtype=np.int64)
+    row = np.argsort(key * n + seq)
     row_rank = np.empty_like(row)
-    row_rank[row] = ids
-    ids32, phantoms = ids.astype(np.int32), np.arange(n, n + L, dtype=np.int32)
-    tables = []
+    row_rank[row] = seq
+    last = row if d == 1 else np.argsort(dense[-1] * n + row_rank)
+    ids = array("i", [0]) * n
+    np.frombuffer(ids, dtype=np.int32)[:] = last
+    label = np.empty(n, dtype=np.int32)
+    label[last] = seq
+    ranks, axes = [], []
     for j in range(d):
-        order = row if j == 0 else np.argsort(dense[j] * n + row_rank)
-        rank, axis = array("i", [0]) * (n + L), array("d", [0.0]) * n
-        r = np.frombuffer(rank, dtype=np.int32)
-        r[order] = ids32
-        r[n:] = phantoms
+        order = row if j == 0 else last if j == d - 1 else np.argsort(dense[j] * n + row_rank)
+        axis = array("d", [0.0]) * n
         np.frombuffer(axis)[:] = coords[:, j][order]
-        tables.append((order.astype(np.int32), rank, axis))
-    return tables
-
-
-def _lower_bound(ids, rank, base: int, size: int, r: int, stats) -> int:
-    """First u in 0..size-1 with rank[ids[base+u]] >= r, else size; one binary search."""
-    lo, hi = 0, size
-    while lo < hi:
-        mid = (lo + hi) >> 1
-        if rank[ids[base + mid]] < r:
-            lo = mid + 1
-        else:
-            hi = mid
-    stats.binary_searches += 1
-    return lo
+        axes.append(axis)
+        if j < d - 1:
+            rank = array("i", [0]) * (n + L)
+            r = np.frombuffer(rank, dtype=np.int32)
+            r[label[order]] = seq
+            r[n:] = np.arange(n, n + L, dtype=np.int32)
+            ranks.append(rank)
+    return ids, label[row], ranks, axes
 
 
 def _find_split(ids, rank, base: int, L: int, a: int, b: int, stats) -> tuple[int, int]:
     """(depth, pos) where the descents for ranks [a, b) diverge, or the leaf reached.
 
-    The tree is the leaf row ids[base:base+L], sorted by rank.  Descent rule:
+    The tree is the leaf row ids[base:base+L] of labels, sorted by rank.  Descent rule:
     left iff b <= the node's split rank, right iff the split rank < a.
     """
     depth, pos, span = 0, 0, L
@@ -163,12 +160,13 @@ def _find_split(ids, rank, base: int, L: int, a: int, b: int, stats) -> tuple[in
     return depth, pos
 
 
-def merge_rows(merged: np.ndarray, rank) -> None:
+def merge_rows(merged: np.ndarray, rank=None) -> None:
     """Bottom-up stable merge, in place, of G leaf rows of one power-of-two length L by `rank`.
 
     `merged` is a C-contiguous (G, R, L) int32 array whose [:, 0] holds the
-    leaf rows (ids); `rank` is a rank_tables rank.  For r in 1..H, [g, r]
-    gets row g's chunks of width 2^r, each sorted by rank.  With R = 2H+1,
+    leaf rows (labels); `rank` is a rank_tables rank, or None (a cascade's)
+    for the labels themselves.  For r in 1..H, [g, r] gets row g's chunks
+    of width 2^r, each sorted by rank.  With R = 2H+1,
     [g] becomes a buffer: [g, H+r] gives every entry of [g, r] its left
     bridge, the number of entries of the left half of its chunk with
     smaller rank.  With R = H+1 (the levels of the multi-level tree) no
@@ -177,8 +175,8 @@ def merge_rows(merged: np.ndarray, rank) -> None:
     Each chunk of row r-1 at width 2^r is two runs sorted by rank, so one
     stable argsort per row (timsort for int32: it finds the two runs and
     merges them in linear time) gives every chunk's merge permutation perm.
-    The row and its ranks are carried as flat contiguous copies, and the
-    next row is one 1-D gather of them at perm plus each chunk's start.
+    The row and its ranks (unless they are the row) are carried as flat
+    contiguous copies; the next row is one 1-D gather at perm plus each chunk's start.
 
     Ranks are distinct, so the entries before merged position t are exactly
     the smaller ones, and the left bridge has a closed form.  An entry from
@@ -191,7 +189,7 @@ def merge_rows(merged: np.ndarray, rank) -> None:
     H = L.bit_length() - 1
     pos = np.arange(G * L, dtype=np.int32).reshape(G, L)  # t and the chunk start are its bits
     cur = np.ascontiguousarray(merged[:, 0]).reshape(-1)
-    keys = np.frombuffer(rank, dtype=np.int32)[cur]
+    keys = cur if rank is None else np.frombuffer(rank, dtype=np.int32)[cur]
     for r in range(1, H + 1):
         span, half = 1 << r, 1 << (r - 1)
         perm = np.argsort(keys.reshape(-1, span), axis=1, kind="stable").reshape(G, L)
@@ -205,24 +203,24 @@ def merge_rows(merged: np.ndarray, rank) -> None:
             del p
         perm += pos & -span  # each entry's source position in the flat row
         cur = cur[perm.reshape(-1)]
-        keys = keys[perm.reshape(-1)]
+        keys = cur if rank is None else keys[perm.reshape(-1)]
         del perm  # before the next argsort makes its own: 8 bytes an entry
         merged[:, r] = cur.reshape(G, L)
 
 
-def fill_buffers_batch_np(padded_rows: np.ndarray, rank_y, counters=None) -> array:
+def fill_buffers_batch_np(padded_rows: np.ndarray, counters=None) -> array:
     """The array("i") of one cascade merge group: its G buffers, merged from their leaf rows.
 
-    `padded_rows` is the (G, L) int32 array of the members' leaf rows (ids
-    padded with phantoms).  merge_rows writes the G*(2H+1)*L words in place,
-    through a numpy view of the array.
+    `padded_rows` is the (G, L) int32 array of the members' leaf rows (labels
+    padded with phantoms).  merge_rows merges them by the labels themselves
+    and writes the G*(2H+1)*L words in place, through a numpy view of the array.
     """
     G, L = padded_rows.shape
     H = L.bit_length() - 1
     buf = array("i", [0]) * (G * (2 * H + 1) * L)
     merged = np.frombuffer(buf, dtype=np.int32).reshape(G, 2 * H + 1, L)
     merged[:, 0] = padded_rows
-    merge_rows(merged, rank_y)
+    merge_rows(merged)
     if counters is not None:
         counters.merge_moves += G * L * H
     return buf
@@ -230,9 +228,8 @@ def fill_buffers_batch_np(padded_rows: np.ndarray, rank_y, counters=None) -> arr
 
 @dataclass
 class CascadeNode:
-    """Inspection view of one node: its ids (phantoms >= n) in y order, their y ranks, bridges."""
+    """Inspection view of one node: its labels (y ranks; phantoms >= n) in order, and bridges."""
 
-    ids: list[int]
     ranks: list[int]
     left_bridge: list[int]
     right_bridge: list[int]
@@ -241,15 +238,15 @@ class CascadeNode:
 class CascadeStructure:
     """A cascade merge group: G structures over the last two dimensions with the same L.
 
-    Each member is an x-tree plus per-node y-arrays with bridges.  All G
+    Each member is an x-tree plus per-node label arrays with bridges.  All G
     share the group's array("i") buf; member g's `words` = (2H+1)*L words
     start at base g*words (see the module docstring for the layout); queries
     and counts take g.  The d=2 tree's root is a group of one, member 0.
     """
 
-    __slots__ = ("xdim", "ydim", "L", "H", "words", "buf", "rank_x", "rank_y")
+    __slots__ = ("xdim", "ydim", "L", "H", "words", "buf", "rank_x")
 
-    def __init__(self, xdim, ydim, L, buf, rank_x, rank_y):
+    def __init__(self, xdim, ydim, L, buf, rank_x):
         self.xdim = xdim
         self.ydim = ydim
         self.L = L                         # padded leaf count (power of two)
@@ -257,43 +254,41 @@ class CascadeStructure:
         self.words = (2 * self.H + 1) * L  # one member's share of buf
         self.buf = buf                     # from fill_buffers_batch_np
         self.rank_x = rank_x
-        self.rank_y = rank_y
 
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def build_from_ids(cls, ids, xdim, ydim, rank_x, rank_y, n, counters=None):
-        """A group of one over ids, out of n points, sorted by the x composite order.
+    def build_from_ids(cls, ids, xdim, ydim, rank_x, n, counters=None):
+        """A group of one over the labels ids, out of n points, sorted by the x composite order.
 
-        rank_x / rank_y are rank tables (rank_tables) with at least L phantom
-        slots (id n+t -> padding leaf t).  build() builds every group from
-        its members' leaf rows and does not call this; it stays because the
+        rank_x is a rank table (rank_tables) with at least L phantom slots
+        (label n+t -> padding leaf t).  build() builds every group from its
+        members' leaf rows and does not call this; it stays because the
         traced benchmark (perfbench/run.py) wraps it by name, and its result
-        equals the d=2 root build() makes over the same ids.
+        equals the d=2 root build() makes over the same labels.
         """
         m = len(ids)
         L = pow2ceil(m)
         row = np.arange(n, n + L, dtype=np.int32)
         row[:m] = ids
-        buf = fill_buffers_batch_np(row[None, :], rank_y, counters)
-        return cls(xdim, ydim, L, buf, rank_x, rank_y)
+        buf = fill_buffers_batch_np(row[None, :], counters)
+        return cls(xdim, ydim, L, buf, rank_x)
 
     # -- structure access ----------------------------------------------------
 
     def node(self, slot: int, g: int = 0) -> CascadeNode:
-        """One node of member g for inspection (heap slot order): ids, y ranks, bridges."""
+        """One node of member g for inspection (heap slot order): labels and bridges."""
         depth = (slot + 1).bit_length() - 1
         r = self.H - depth
         span = 1 << r
         buf, L = self.buf, self.L
         abase = g * self.words + r * L + (slot + 1 - (1 << depth)) * span
-        ids = buf[abase : abase + span].tolist()
-        ranks = [self.rank_y[e] for e in ids]
+        ranks = buf[abase : abase + span].tolist()
         if r == 0:
-            return CascadeNode(ids, ranks, [], [])
+            return CascadeNode(ranks, [], [])
         lbase = abase + self.H * L
         lb = buf[lbase : lbase + span].tolist()
-        return CascadeNode(ids, ranks, lb, [t - l for t, l in enumerate(lb)])
+        return CascadeNode(ranks, lb, [t - l for t, l in enumerate(lb)])
 
     # -- queries -------------------------------------------------------------
 
@@ -349,25 +344,27 @@ class CascadeStructure:
                 yield base + p, 1, c, e
 
     def query(self, g, a, b, stats, emit: Callable[[array], None]):
-        """Emit the ids of member g's points inside the rank box [a, b) in dimensions xdim, ydim.
+        """Emit member g's labels inside the rank box [a, b) in dimensions xdim, ydim.
 
-        A query makes ONE binary search, at the split node for ya; positions
-        at every canonical node and boundary leaf follow bridges.  Each
-        node's run of entries of y rank below yb is emitted as one slice of
-        buf, an array("i") of point ids.
+        A query makes ONE binary search, a bisect of the split node's array
+        for ya; positions at every canonical node and boundary leaf follow
+        bridges.  Each node's run of labels below yb is emitted as one slice
+        of buf, an array("i").
         """
         x, y = self.xdim, self.ydim
         xa, xb = a[x], b[x]
         ya, yb = a[y], b[y]
-        base, buf, ry = g * self.words, self.buf, self.rank_y
+        base, buf = g * self.words, self.buf
         depth, pos = _find_split(buf, self.rank_x, base, self.L, xa, xb, stats)
         r = self.H - depth
-        q = _lower_bound(buf, ry, base + r * self.L + (pos << r), 1 << r, ya, stats)
+        abase = base + r * self.L + (pos << r)
+        q = bisect_left(buf, ya, abase, abase + (1 << r)) - abase
+        stats.binary_searches += 1
         for abase, span, u, _ in self._walk(base, depth, pos, xa, xb, q, None, stats):
             u += abase
             end = abase + span
             for v in range(u, end):
-                if ry[buf[v]] >= yb:
+                if buf[v] >= yb:
                     break
             else:
                 v = end
@@ -378,20 +375,22 @@ class CascadeStructure:
     def count(self, g, a, b, stats) -> int:
         """Count member g's points inside the rank box [a, b), bounded as in query.
 
-        Nothing is enumerated.  Twin positions, the first entries of y rank
-        >= ya and >= yb, are found by two binary searches at the split node
-        and then carried down via bridges; each canonical node contributes
-        their difference.
+        Nothing is enumerated.  Twin positions, the first labels >= ya and
+        >= yb, are found by two bisects of the split node's array and then
+        carried down via bridges; each canonical node contributes their
+        difference.
         """
         x, y = self.xdim, self.ydim
         xa, xb = a[x], b[x]
         ya, yb = a[y], b[y]
-        base, buf, ry = g * self.words, self.buf, self.rank_y
+        base, buf = g * self.words, self.buf
         depth, pos = _find_split(buf, self.rank_x, base, self.L, xa, xb, stats)
         r = self.H - depth
-        abase, span = base + r * self.L + (pos << r), 1 << r
-        lo = _lower_bound(buf, ry, abase, span, ya, stats)
-        hi = _lower_bound(buf, ry, abase, span, yb, stats)
+        abase = base + r * self.L + (pos << r)
+        end = abase + (1 << r)
+        lo = bisect_left(buf, ya, abase, end) - abase
+        hi = bisect_left(buf, yb, abase, end) - abase
+        stats.binary_searches += 2
         total = 0
         for _, _, u, v in self._walk(base, depth, pos, xa, xb, lo, hi, stats):
             if v > u:

@@ -3,16 +3,17 @@
 All coordinates are finite 64-bit floats.  A point set is one checked n-by-d
 float64 matrix, row i holding point i.  Below the two calls that return
 Points (LayeredRangeTree.query, brute_force_query) nothing knows a Point:
-the structures hold ids and ranks, build() reads only the matrix, and a
+the structures hold labels and ranks, build() reads only the matrix, and a
 Point is made only for a hit a caller asks for (PointSet.take).  Ties
 between equal coordinates are broken by the full coordinate tuple and then
 by the point id, so any point set is strictly totally ordered in every
 dimension (composite_key).  The structures never compare these keys: the
 rows are sorted once by (coords, id), each dimension's order is that row
 order under its own coordinate (cascade.rank_tables), and a point is known
-by its rank in each dimension's order.  A query box maps to a half-open rank
-interval [a, b) per dimension, the points whose coordinate lies in [lo, hi];
-padding leaves rank after every real point, so they never match.
+by its rank in each dimension's order; its rank in the last one is its
+label.  A query box maps to a half-open rank interval [a, b) per dimension,
+the points whose coordinate lies in [lo, hi]; padding leaves rank after
+every real point, so they never match.
 """
 
 from __future__ import annotations

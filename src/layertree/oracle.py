@@ -108,8 +108,9 @@ def gen_points(cfg: GeneratorConfig) -> PointSet:
     out = _splitmix64_stream(cfg.seed, cfg.n * cfg.dims).reshape(cfg.n, cfg.dims)
     if cfg.dist == "uniform":
         coords = out.astype(np.float64) / _TWO64
-    else:
-        coords = (out % np.uint64(cfg.grid_side)).astype(np.float64)
+    else:  # a side past the uint64 range leaves each draw as it is, as next_below does
+        g = cfg.grid_side
+        coords = (out if g > _MASK64 else out % np.uint64(g)).astype(np.float64)
     return PointSet.from_coords(coords, cfg.dims)
 
 

@@ -13,16 +13,16 @@ and count(g, a, b, stats) for member g and the rank box [a, b); the root is
 member 0 of a group of one.
 
 A level is its leaf row, the one implicit tree shape of the package (see
-cascade): L padded leaf ids sorted by rank, where the node at row r (depth
-log2(L) - r) and position pos covers the leaves pos*2^r .. (pos+1)*2^r - 1
-and splits at the rightmost leaf of its left half.  Its associated
-structures sit in heap order: slot (L >> r) - 1 + pos, so slot 0 is the root,
-the children of slot i are 2i+1 and 2i+2, and the leaves are slots L-1 ..
-2L-2.  Everything below LayeredRangeTree.rank_box works in rank space: one
-int32 rank table per dimension gives each id its position in that
-dimension's sorted order, and a box becomes a rank interval [a_j, b_j) per
-dimension.  Padding leaves are phantoms ranked after every real point, so
-they never fall inside one.
+cascade): L padded leaf labels sorted by rank, where the node at row r
+(depth log2(L) - r) and position pos covers the leaves pos*2^r ..
+(pos+1)*2^r - 1 and splits at the rightmost leaf of its left half.  Its
+associated structures sit in heap order: slot (L >> r) - 1 + pos, so slot 0
+is the root, the children of slot i are 2i+1 and 2i+2, and the leaves are
+slots L-1 .. 2L-2.  Everything below LayeredRangeTree.rank_box works in rank
+space: the structures hold and emit labels (ranks in the last dimension),
+one int32 table per other dimension ranks each label, and a box becomes a
+rank interval [a_j, b_j) per dimension.  Padding leaves are phantoms ranked
+after every real point, so they never fall inside one.
 """
 
 from __future__ import annotations
@@ -46,8 +46,8 @@ class QueryStats:
     """Operation counters accumulated over one or more queries.
 
     nodes_visited counts every tree slot whose key a query examines plus every
-    canonical subtree root it hands off to; binary_searches counts array
-    lower-bound searches inside structures, not the per-box rank mapping
+    canonical subtree root it hands off to; binary_searches counts bisects
+    of a cascade's split-node array, not the per-box rank mapping
     (rank_box: two bisections per dimension, the whole search at d=1);
     bridge_follows counts O(1) position transfers along cascade bridges;
     reported counts emitted (or counted) points.
@@ -75,7 +75,7 @@ def canonical_subtrees(level: "_Level", g: int, a: int, b: int,
                        stats: Optional[QueryStats] = None) -> list[int]:
     """Heap slots of member g's disjoint subtrees whose leaves are exactly the ranks in [a, b).
 
-    Member g's leaf row starts at g*L in level.ids.  The node at row r,
+    Member g's leaf row of labels starts at g*L in level.ids.  The node at row r,
     position pos of that row is heap slot (L >> r) - 1 + pos, in 0 .. 2L-2.
     At most 2*log2(L) slots (one slot for a single-leaf tree); phantom leaves
     never qualify because their ranks are at least n >= b.
@@ -113,17 +113,14 @@ def canonical_subtrees(level: "_Level", g: int, a: int, b: int,
 
 
 class _Slab:
-    """The d=1 structure (a group of one): ids[v] is the id of rank v, so [a, b) is ids[a:b]."""
+    """The d=1 structure (a group of one): its labels are its ranks, so [a, b) is range(a, b)."""
 
-    __slots__ = ("ids",)
-
-    def __init__(self, ids):
-        self.ids = ids
+    __slots__ = ()
 
     def query(self, g, a, b, stats, emit):
         lo, hi = a[0], b[0]
         if hi > lo:
-            emit(self.ids[lo:hi])
+            emit(range(lo, hi))
             stats.reported += hi - lo
 
     def count(self, g, a, b, stats) -> int:
@@ -133,10 +130,10 @@ class _Slab:
 class _Level:
     """A level merge group: the G level trees over dimension `dim` with the same L.
 
-    Member g < G = len(ids) // L has the leaf row ids[g*L : (g+1)*L]: L ids
-    sorted by `rank`, real ids first, then phantoms (ids >= n).  Its heap slot
-    s is slot k = g*(2L-1) + s of the group, whose structure is member
-    member[k] of subs[group[k]] (both -1 where the subtree holds no real id).
+    Member g < G = len(ids) // L has the leaf row ids[g*L : (g+1)*L]: L labels
+    sorted by `rank`, real labels first, then phantoms (labels >= n).  Its
+    heap slot s is slot k = g*(2L-1) + s of the group, whose structure is
+    member member[k] of subs[group[k]] (both -1 where the subtree is empty).
     subs, the next dimension's groups by log2 L, is shared by the dimension.
     """
 
@@ -175,11 +172,12 @@ class LayeredRangeTree:
     are safe as long as each caller uses its own QueryStats accumulator.
     """
 
-    def __init__(self, pointset: PointSet, root, axes: list):
+    def __init__(self, pointset: PointSet, root, ids: array, axes: list):
         self.pointset = pointset
         self.dims = pointset.dims
         self.n = len(pointset)
         self.root = root  # member 0 of a group of one
+        self.ids = ids  # the id map: ids[label] is the id of the point with that label
         self._axes = axes  # per dimension, the coordinates in rank order
 
     # -- queries ------------------------------------------------------------
@@ -194,15 +192,15 @@ class LayeredRangeTree:
     def query(self, box: QueryBox, stats: Optional[QueryStats] = None) -> list[Point]:
         """All points inside the closed box, sorted by id.
 
-        The structures emit runs of ids; they are sorted as ints, and only
-        then mapped to points, which the point set makes on a first hit.
+        The structures emit runs of labels; they are mapped to ids, sorted as
+        ints, and only then to points, which the point set makes on a first hit.
         """
         a, b = self.rank_box(box)
         if stats is None:
             stats = QueryStats()
-        ids = array("i")
-        self.root.query(0, a, b, stats, ids.extend)
-        return self.pointset.take(sorted(ids))
+        labels = array("i")
+        self.root.query(0, a, b, stats, labels.extend)
+        return self.pointset.take(sorted(map(self.ids.__getitem__, labels)))
 
     def count(self, box: QueryBox, stats: Optional[QueryStats] = None) -> int:
         """|query(box)| computed from bridge positions, without enumeration."""
@@ -233,12 +231,12 @@ class LayeredRangeTree:
 
 
 def _queue(groups: dict, owner, first: int, row, m: int, span: int, n: int) -> None:
-    """Queue one structure per chunk of width `span` over the first m ids of `row`.
+    """Queue one structure per chunk of width `span` over the first m labels of `row`.
 
     The structure over chunk i belongs to slot first + i of `owner`, a
     _Level group, or to no owner (the root).  Each chunk is filed in `groups`
     under its padded size L, with its real count and its leaf row: the
-    chunk's ids, then phantom ids n+t for padding leaves t.
+    chunk's labels, then phantom labels n+t for padding leaves t.
     """
     full, part = divmod(m, span)
     if full:
@@ -248,7 +246,7 @@ def _queue(groups: dict, owner, first: int, row, m: int, span: int, n: int) -> N
         _file(groups, owner, first + full, L, [part], row[full * span : m], range(n + part, n + L))
 
 
-def _file(groups: dict, owner, first: int, L: int, ms_new: list, ids, pad) -> None:
+def _file(groups: dict, owner, first: int, L: int, ms_new: list, labels, pad) -> None:
     """File k = len(ms_new) structures with padded size L for slots first .. first+k-1.
 
     Their member indexes in group L follow the ones already there; the
@@ -260,46 +258,43 @@ def _file(groups: dict, owner, first: int, L: int, ms_new: list, ids, pad) -> No
         owner.group[first : first + k] = array("b", [L.bit_length() - 1]) * k
         owner.member[first : first + k] = array("i", range(len(ms), len(ms) + k))
     ms.extend(ms_new)
-    flat.frombytes(ids.tobytes())
+    flat.frombytes(labels.tobytes())
     flat.extend(pad)
 
 
 def build(points: PointSet, counters: Optional[BuildCounters] = None) -> LayeredRangeTree:
     """Build the layered range tree, one dimension at a time.
 
-    rank_tables sorts the rows once by (coords, id) and orders each
-    dimension by its coordinate, then that row rank, into an int32 rank per
-    id and its coordinates in rank order; the ranks are the only keys.  Only
-    dimension 0's order is kept, as the root's leaf row; the other orders
-    are dropped before any merge.  The structures over dimension j are built
-    as groups by padded size L, listed in tops[j] by log2 L: each group runs
-    one batched merge (merge_rows) of its leaf rows by the ranks of
-    dimension j+1.  On a level (j < d-2) the group is a _Level; its merged
-    chunks, real ids first, are the leaf rows of the structures in
-    tops[j+1], and no bridges are made.  On the cascade (j = d-2) the merged
-    rows and bridges are the buffers, one array("i") per CascadeStructure.
-    Raises TooManyPoints, before anything is allocated, when the ids and
-    phantom ids would not fit in int32.
+    rank_tables sorts the rows once by (coords, id), orders each dimension
+    by its coordinate, then that row rank, and labels each point by its
+    last-dimension rank.  It returns the id map, the root's leaf row, an
+    int32 rank per label for every other dimension and each dimension's
+    coordinates in rank order; labels and ranks are the only keys.  The
+    structures over dimension j are built as groups by padded size L, listed
+    in tops[j] by log2 L: each group runs one batched merge (merge_rows) of
+    its leaf rows by the ranks of dimension j+1.  On a level (j < d-2) the
+    group is a _Level; its merged chunks, real labels first, are the leaf
+    rows of the structures in tops[j+1], and no bridges are made.  On the
+    cascade (j = d-2) the labels are the keys: the merged rows and bridges
+    are the buffers, one array("i") per CascadeStructure.  Raises
+    TooManyPoints, before anything is allocated, when the labels and
+    phantom labels would not fit in int32.
     """
     n = len(points)
     if n == 0:
         raise EmptyInput("cannot build a tree over zero points")
     maxL = pow2ceil(n)
-    if n + maxL > INT32_MAX:  # ids, phantom ids n..n+maxL-1 and ranks are int32
+    if n + maxL > INT32_MAX:  # labels, phantom labels n..n+maxL-1 and ranks are int32
         raise TooManyPoints(f"{n} points and {maxL} padding slots exceed the int32 range")
     d = points.dims
-    orders, ranks, axes = zip(*rank_tables(points.coord_matrix(), maxL))
-    order = orders[0]
-    del orders  # no merge needs the other dimensions' orders
+    ids, row, ranks, axes = rank_tables(points.coord_matrix(), maxL)
     if d == 1:
-        ids = array("i", [0]) * n  # sized exactly: array(typecode, bytes) keeps growth slack
-        np.frombuffer(ids, dtype=np.int32)[:] = order
-        return LayeredRangeTree(points, _Slab(ids), axes)
+        return LayeredRangeTree(points, _Slab(), ids, axes)
 
     tops = [[None] * maxL.bit_length() for _ in range(d - 1)]
     groups: dict = {}
-    _queue(groups, None, 0, order, n, maxL, n)
-    del order
+    _queue(groups, None, 0, row, n, maxL, n)
+    del row
     for j in range(d - 1):
         nxt: dict = {}
         while groups:  # popped, so each group's scratch is freed once it is built
@@ -307,8 +302,8 @@ def build(points: PointSet, counters: Optional[BuildCounters] = None) -> Layered
             rows = np.frombuffer(flat, dtype=np.int32).reshape(-1, L)
             H = L.bit_length() - 1
             if j == d - 2:
-                buf = fill_buffers_batch_np(rows, ranks[j + 1], counters)
-                tops[j][H] = CascadeStructure(j, j + 1, L, buf, ranks[j], ranks[j + 1])
+                buf = fill_buffers_batch_np(rows, counters)
+                tops[j][H] = CascadeStructure(j, j + 1, L, buf, ranks[j])
                 continue
             # a level keeps only its leaf rows, sized exactly: no bridge rows
             merged = np.empty((len(ms), H + 1, L), dtype=np.int32)
@@ -321,4 +316,4 @@ def build(points: PointSet, counters: Optional[BuildCounters] = None) -> Layered
                 for r in range(H + 1):
                     _queue(nxt, level, g * (2 * L - 1) + (L >> r) - 1, merged[g, r], m, 1 << r, n)
         groups = nxt
-    return LayeredRangeTree(points, tops[0][maxL.bit_length() - 1], axes)
+    return LayeredRangeTree(points, tops[0][maxL.bit_length() - 1], ids, axes)

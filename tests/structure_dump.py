@@ -7,12 +7,15 @@ expanded cascade buffer or leaf row in structures() order, 30 boxes' hits
 and counts (a third of the boxes have lo > hi in one dimension), the four
 QueryStats totals of the queries and of the counts, and merge_moves.  A hit
 is its id and its coordinates as float.hex strings, so a lost -0.0 or a
-rounding change shows too.  It reads only structures(), a cascade group's
-buf, words, L and H, a level's or slab's ids (and L where it has one), and
-the hits' id and coords, so the same file runs on two versions of the
-package; diffing their outputs shows every change in layout, answer or cost
-counter.  One case is written per line.  tests/test_tree.py pins a
-digest of structure_row over fixed trees and runs the smallest cases.
+rounding change shows too.  The structures store point labels (ranks in the
+last dimension); the dump writes each stored label below n as its point id,
+read from the tree's id map, and bridges and phantoms as stored.  It reads
+only structures(), the tree's ids, a cascade group's buf, words, L and H, a
+level's ids and L, and the hits' id and coords.  Diffing the outputs of two
+versions of the package, each dumped by its own copy of this file, shows
+every change in layout, answer or cost counter.  One case is written per
+line.  tests/test_tree.py pins a digest of structure_row over fixed trees
+and runs the smallest cases.
 """
 
 import json
@@ -62,20 +65,26 @@ def case_boxes(d: int, dist: str, n: int) -> list:
     return boxes
 
 
-def structure_row(s, g: int) -> list:
+def structure_row(s, g: int, ids) -> list:
     """Member g's expanded cascade buffer, or the leaf row of a level or slab member.
 
     The expanded buffer is the node rows, the lb rows, then the right bridges
     t - lb: entry i of lb row r sits at position t = i mod 2^r of its node's
-    array.
+    array.  Node-row and leaf-row labels below n = len(ids) are written as
+    the ids the tree's id map gives them; the slab's leaf row is every label
+    in order.
     """
+    n = len(ids)
+    to_id = lambda e: ids[e] if e < n else e
     if hasattr(s, "buf"):
         words = s.buf[g * s.words : (g + 1) * s.words].tolist()
         lb = s.L * (s.H + 1)
-        return words + [(i & ((1 << r) - 1)) - words[lb + (r - 1) * s.L + i]
-                        for r in range(1, s.H + 1) for i in range(s.L)]
-    L = getattr(s, "L", len(s.ids))
-    return s.ids[g * L : (g + 1) * L].tolist()
+        return list(map(to_id, words[:lb])) + words[lb:] + [
+            (i & ((1 << r) - 1)) - words[lb + (r - 1) * s.L + i]
+            for r in range(1, s.H + 1) for i in range(s.L)]
+    if hasattr(s, "L"):
+        return list(map(to_id, s.ids[g * s.L : (g + 1) * s.L]))
+    return ids.tolist()
 
 
 def hit(p) -> list:
@@ -91,7 +100,7 @@ def dump_case(d: int, dist: str, n: int) -> dict:
                for box in case_boxes(d, dist, n)]
     return {
         "case": [d, dist, n],
-        "structures": [[level, type(s).__name__, structure_row(s, g)]
+        "structures": [[level, type(s).__name__, structure_row(s, g, tree.ids)]
                        for level, (s, g) in tree.structures()],
         "answers": answers,
         "query_stats": list(astuple(q)),

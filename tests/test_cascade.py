@@ -28,20 +28,20 @@ from layertree.core import QueryBox
 
 
 def make_cascade(coord_pairs):
-    """The 2-d tree's root over the pairs (a group of one, member 0), and its point set."""
+    """The 2-d tree's root over the pairs (a group of one, member 0), its point set and id map."""
     tree = build(PointSet.from_coords(coord_pairs))
-    return tree.root, tree.pointset
+    return tree.root, tree.pointset, tree.ids
 
 
-def y_values(cs, ps, node):
+def y_values(cs, ps, ids, node):
     """A node's y coordinates, read from the point set's matrix; inf for a phantom."""
     ys = ps.coord_matrix()[:, cs.ydim].tolist()
-    return [ys[e] if e < len(ps) else math.inf for e in node.ids]
+    return [ys[ids[e]] if e < len(ps) else math.inf for e in node.ranks]
 
 
-def real_points(ps, ids):
-    """The Points of the real ids among `ids`, in their order; phantoms (ids >= n) dropped."""
-    return ps.take([e for e in ids if e < len(ps)])
+def real_points(ps, ids, labels):
+    """The Points of the real labels among `labels`, in their order; phantoms (>= n) dropped."""
+    return ps.take([ids[e] for e in labels if e < len(ps)])
 
 
 def rank_args(cs, ps, xlo, xhi, ylo, yhi):
@@ -53,15 +53,15 @@ def rank_args(cs, ps, xlo, xhi, ylo, yhi):
             (bisect_right(xs, xhi), bisect_right(ys, yhi)))
 
 
-def collect(cs, ps, xlo, xhi, ylo, yhi, stats=None):
-    """The points cs.query reports for the box, by id; the query emits runs of ids."""
-    ids = array("i")
-    cs.query(0, *rank_args(cs, ps, xlo, xhi, ylo, yhi), stats or QueryStats(), ids.extend)
-    return ps.take(sorted(ids))
+def collect(cs, ps, ids, xlo, xhi, ylo, yhi, stats=None):
+    """The points cs.query reports for the box, by id; the query emits runs of labels."""
+    labels = array("i")
+    cs.query(0, *rank_args(cs, ps, xlo, xhi, ylo, yhi), stats or QueryStats(), labels.extend)
+    return ps.take(sorted(ids[e] for e in labels))
 
 
-def subtree_leaf_ids(cs, n, slot):
-    """Real ids under heap slot `slot` of member 0's x-tree, in x order: its leaf row chunk."""
+def subtree_leaf_labels(cs, n, slot):
+    """Real labels under heap slot `slot` of member 0's x-tree, in x order: its leaf row chunk."""
     depth = (slot + 1).bit_length() - 1
     span = cs.L >> depth
     lo = (slot + 1 - (1 << depth)) * span
@@ -77,11 +77,11 @@ def brute(pts, xlo, xhi, ylo, yhi):
 
 class TestBuild:
     def test_single_point(self):
-        cs, ps = make_cascade([(2, 7)])
+        cs, ps, ids = make_cascade([(2, 7)])
         assert cs.buf[: cs.L].tolist() == [0] and cs.L == 1  # one real leaf
         root = cs.node(0)
-        assert ps.take(root.ids) == ps.points
-        assert y_values(cs, ps, root) == [7.0]
+        assert ps.take([ids[e] for e in root.ranks]) == ps.points
+        assert y_values(cs, ps, ids, root) == [7.0]
         assert root.left_bridge == [] and root.right_bridge == []
 
     def test_rejects_empty(self):
@@ -93,19 +93,19 @@ class TestBuild:
         built, counters = BuildCounters(), BuildCounters()
         root = build(ps, built).root
         one = CascadeStructure.build_from_ids(root.buf[: len(ps)], 0, 1, root.rank_x,
-                                              root.rank_y, len(ps), counters)
+                                              len(ps), counters)
         assert (one.L, one.H, one.words) == (root.L, root.H, root.words)
         assert one.buf.tolist() == root.buf.tolist()
         assert counters.merge_moves == built.merge_moves
 
     def test_hand_derived_parent_bridges(self):
         # children carry y-keys [1,5] and [3,7]; the parent merges to [1,3,5,7]
-        cs, ps = make_cascade([(0, 1), (1, 5), (2, 3), (3, 7)])
+        cs, ps, ids = make_cascade([(0, 1), (1, 5), (2, 3), (3, 7)])
         root = cs.node(0)
         left, right = cs.node(1), cs.node(2)
-        assert y_values(cs, ps, left) == [1.0, 5.0]
-        assert y_values(cs, ps, right) == [3.0, 7.0]
-        assert y_values(cs, ps, root) == [1.0, 3.0, 5.0, 7.0]
+        assert y_values(cs, ps, ids, left) == [1.0, 5.0]
+        assert y_values(cs, ps, ids, right) == [3.0, 7.0]
+        assert y_values(cs, ps, ids, root) == [1.0, 3.0, 5.0, 7.0]
         assert root.left_bridge == [0, 1, 1, 2]
         assert root.right_bridge == [0, 0, 1, 1]
         # linear-scan oracle for the bridge rule: smallest child index with key >= parent key
@@ -120,29 +120,29 @@ class TestBuild:
     def test_entries_are_sorted_union_of_subtree(self):
         rng = SplitMix64(31)
         coords = [(rng.next_below(8), rng.next_below(8)) for _ in range(37)]
-        cs, ps = make_cascade(coords)
+        cs, ps, ids = make_cascade(coords)
         for slot in range(2 * cs.L - 1):
             node = cs.node(slot)
-            stored = real_points(ps, node.ids)
+            stored = real_points(ps, ids, node.ranks)
             expected = sorted(
-                (ps.by_id[e] for e in subtree_leaf_ids(cs, len(ps), slot)),
+                (ps.by_id[ids[e]] for e in subtree_leaf_labels(cs, len(ps), slot)),
                 key=lambda p: composite_key(p, 1),
             )
             assert stored == expected
             assert node.ranks == sorted(node.ranks)
 
     def test_phantoms_pad_arrays_to_full_length(self):
-        cs, ps = make_cascade([(0, 0), (1, 1), (2, 2)])
+        cs, ps, ids = make_cascade([(0, 0), (1, 1), (2, 2)])
         assert cs.L == 4
         root = cs.node(0)
-        assert len(root.ids) == 4
-        assert root.ids[3] >= len(ps)  # a phantom
-        assert y_values(cs, ps, root)[3] == float("inf")
+        assert len(root.ranks) == 4
+        assert root.ranks[3] >= len(ps)  # a phantom
+        assert y_values(cs, ps, ids, root)[3] == float("inf")
         assert root.ranks[3] >= 3
 
 
 class TestIdsOnly:
-    # the cascades hold ids and ranks: Points are made only at the edge
+    # the cascades hold labels and ranks: ids and Points are made only at the edge
     def test_node_makes_no_point(self):
         tree = build(gen_points(GeneratorConfig(seed=3, n=300, dims=3, dist="grid", grid_side=5)))
         members = [s for _, s in tree.structures() if isinstance(s[0], CascadeStructure)]
@@ -239,6 +239,25 @@ class TestMergeRows:
             if bridges:
                 assert merged[g, H + 1 :].tolist() == lbs
 
+    @pytest.mark.parametrize("G", [1, 3])
+    @pytest.mark.parametrize("L", [1, 2, 8, 64])
+    @pytest.mark.parametrize("bridges", [True, False])
+    def test_identity_keys(self, G, L, bridges):
+        # a cascade's entries are labels, its own keys: no rank table is passed
+        rnd = random.Random(G * 1000 + L + 7)
+        H = L.bit_length() - 1
+        R = 2 * H + 1 if bridges else H + 1
+        labels = list(range(G * L))
+        rnd.shuffle(labels)
+        merged = np.zeros((G, R, L), dtype=np.int32)
+        merged[:, 0] = np.array(labels, dtype=np.int32).reshape(G, L)
+        merge_rows(merged)
+        for g in range(G):
+            rows, lbs = reference_merge(labels[g * L : (g + 1) * L], range(G * L), H)
+            assert merged[g, : H + 1].tolist() == rows
+            if bridges:
+                assert merged[g, H + 1 :].tolist() == lbs
+
     @pytest.mark.parametrize("G", [1, 2, 7])
     @pytest.mark.parametrize("L", [1, 2, 4, 32, 256, 4096])
     def test_build_style_rows(self, G, L):
@@ -265,7 +284,7 @@ class TestBridges:
                                         (128, 7), (129, 9), (200, 1000), (256, 40), (257, 40)])
     def test_exhaustive_bridge_soundness(self, n, grid):
         rng = SplitMix64(n * 31 + grid)
-        cs, _ = make_cascade([(rng.next_below(grid), rng.next_below(grid)) for _ in range(n)])
+        cs, _, _ = make_cascade([(rng.next_below(grid), rng.next_below(grid)) for _ in range(n)])
         assert exhaustive_bridge_check(cs) == 0
 
     def test_every_member_of_every_group(self):
@@ -280,42 +299,44 @@ class TestBridges:
             assert exhaustive_bridge_check(cs, g) == 0
             leaves = cs.buf[base : base + cs.L].tolist()
             real = [e for e in leaves if e < n]
-            assert sorted(p.id for p in real_points(tree.pointset, cs.node(0, g).ids)) == sorted(real)
-            assert leaves[: len(real)] == real  # real ids first, then phantoms
+            stored = real_points(tree.pointset, tree.ids, cs.node(0, g).ranks)
+            assert sorted(p.id for p in stored) == sorted(tree.ids[e] for e in real)
+            assert leaves[: len(real)] == real  # real labels first, then phantoms
 
 
 class TestQuery2D:
     def test_basic_box(self):
-        cs, ps = make_cascade([(1, 1), (2, 2), (3, 3)])
-        got = collect(cs, ps, 1, 2, 1, 2)
+        cs, ps, ids = make_cascade([(1, 1), (2, 2), (3, 3)])
+        got = collect(cs, ps, ids, 1, 2, 1, 2)
         assert [(p.coords) for p in got] == [(1.0, 1.0), (2.0, 2.0)]
 
     def test_empty_y_range_still_one_search(self):
-        cs, ps = make_cascade([(1, 1), (2, 2), (3, 3)])
+        cs, ps, ids = make_cascade([(1, 1), (2, 2), (3, 3)])
         stats = QueryStats()
-        assert collect(cs, ps, 0, 4, 10, 20, stats) == []
+        assert collect(cs, ps, ids, 0, 4, 10, 20, stats) == []
         assert stats.binary_searches == 1
 
     def test_one_search_law_random(self):
         rng = SplitMix64(77)
-        cs, ps = make_cascade([(rng.next_below(30), rng.next_below(30)) for _ in range(100)])
+        cs, ps, ids = make_cascade([(rng.next_below(30), rng.next_below(30)) for _ in range(100)])
         for _ in range(500):
             xlo, xhi = rng.next_below(32) - 1, rng.next_below(32) - 1
             ylo, yhi = rng.next_below(32) - 1, rng.next_below(32) - 1
             stats = QueryStats()
-            got = collect(cs, ps, xlo, xhi, ylo, yhi, stats)
+            got = collect(cs, ps, ids, xlo, xhi, ylo, yhi, stats)
             assert stats.binary_searches == 1
             assert got == brute(ps, xlo, xhi, ylo, yhi)
             assert stats.reported == len(got)
 
     def test_oracle_agreement_with_duplicates(self):
         rng = SplitMix64(5)
-        cs, ps = make_cascade([(rng.next_below(4), rng.next_below(4)) for _ in range(64)])
+        cs, ps, ids = make_cascade([(rng.next_below(4), rng.next_below(4)) for _ in range(64)])
         for xlo in (-0.5, 0.0, 1.0, 2.5, 3.0):
             for xhi in (-0.5, 1.0, 2.0, 3.0, 4.0):
                 for ylo in (0.0, 0.5, 2.0, 3.0):
                     for yhi in (-1.0, 1.0, 2.5, 3.0):
-                        assert collect(cs, ps, xlo, xhi, ylo, yhi) == brute(ps, xlo, xhi, ylo, yhi)
+                        got = collect(cs, ps, ids, xlo, xhi, ylo, yhi)
+                        assert got == brute(ps, xlo, xhi, ylo, yhi)
 
     def test_positions_match_shadow_lower_bound(self, monkeypatch):
         # the bridged position at every canonical node equals an independent
@@ -330,7 +351,7 @@ class TestQuery2D:
 
         monkeypatch.setattr(CascadeStructure, "_walk", observed)
         rng = SplitMix64(123)
-        cs, ps = make_cascade([(rng.next_below(50), rng.next_below(50)) for _ in range(200)])
+        cs, ps, ids = make_cascade([(rng.next_below(50), rng.next_below(50)) for _ in range(200)])
         seen = 0
         for _ in range(200):
             xlo, xhi = sorted((rng.next_below(52) - 1, rng.next_below(52) - 1))
@@ -340,14 +361,14 @@ class TestQuery2D:
             ya = a[1]
             cs.query(0, a, b, QueryStats(), lambda p: None)
             for abase, span, q in probes:
-                ranks = [cs.rank_y[cs.buf[abase + u]] for u in range(span)]
+                ranks = cs.buf[abase : abase + span].tolist()  # labels are y ranks
                 assert q == bisect_left(ranks, ya)
             seen += len(probes)
         assert seen > 200  # the wrapper observed the query's walk
 
     def test_count_matches_query(self):
         rng = SplitMix64(9)
-        cs, ps = make_cascade([(rng.next_below(10), rng.next_below(10)) for _ in range(90)])
+        cs, ps, ids = make_cascade([(rng.next_below(10), rng.next_below(10)) for _ in range(90)])
         total_counts = QueryStats()
         for _ in range(300):
             xlo, xhi = rng.next_below(12) - 1, rng.next_below(12) - 1
@@ -359,31 +380,32 @@ class TestQuery2D:
             total_counts.reported += k
 
     def test_phantoms_never_emitted(self):
-        cs, ps = make_cascade([(i, i % 3) for i in range(13)])  # pads to L=16
-        got = collect(cs, ps, -100, 100, -100, 100)
+        cs, ps, ids = make_cascade([(i, i % 3) for i in range(13)])  # pads to L=16
+        got = collect(cs, ps, ids, -100, 100, -100, 100)
         assert got == ps.points
         assert all(p is not None for p in got)
 
     def test_boxes_via_boxed_interface(self):
         # the root takes the tree's rank box; a cascade reads its last two dimensions
-        cs, ps = make_cascade([(1, 4), (2, 3), (3, 2), (4, 1)])
+        cs, ps, ids = make_cascade([(1, 4), (2, 3), (3, 2), (4, 1)])
         pts = ps.by_id
         box = QueryBox((1.5, 0.0), (4.0, 2.5))
         a, b = rank_args(cs, ps, 1.5, 4.0, 0.0, 2.5)
-        ids = array("i")
-        cs.query(0, a, b, QueryStats(), ids.extend)
-        assert [pts[e] for e in sorted(ids)] == [p for p in pts if box_contains(box, p)]
+        labels = array("i")
+        cs.query(0, a, b, QueryStats(), labels.extend)
+        assert [pts[e] for e in sorted(ids[e] for e in labels)] == [
+            p for p in pts if box_contains(box, p)]
         assert cs.count(0, a, b, QueryStats()) == 2
 
     def test_tree_view(self):
         # row 0 of the buffer is the x-tree's leaf row: increasing in x rank,
-        # nondecreasing in x, real ids first
-        cs, ps = make_cascade([(3, 0), (1, 0), (2, 0)])
+        # nondecreasing in x, real labels first
+        cs, ps, ids = make_cascade([(3, 0), (1, 0), (2, 0)])
         pts = ps.by_id
         leaves = cs.buf[: cs.L].tolist()
         assert cs.L == 4 and sum(e < len(pts) for e in leaves) == 3
         ranks = [cs.rank_x[e] for e in leaves]
         assert ranks == sorted(ranks)
-        xs = [pts[e].coords[0] for e in leaves[:3]]
+        xs = [pts[ids[e]].coords[0] for e in leaves[:3]]
         assert xs == [1.0, 2.0, 3.0]
         assert leaves[3] >= len(pts)

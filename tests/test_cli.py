@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from layertree import cli
+from layertree import SplitMix64, cli
 from layertree.cli import BENCH_HEADER, main
 
 
@@ -31,6 +31,15 @@ class TestGen:
         assert code == 0
         data = [l for l in out.splitlines() if not l.startswith("#")]
         assert all(l == "0.0,0.0,0.0" for l in data)
+
+    def test_grid_side_beyond_uint64(self, capsys):
+        # a side of 2^64 leaves every draw as it is, as SplitMix64.next_below does
+        code, out, err = run(capsys, ["gen", "--n", "3", "--dims", "2", "--seed", "1",
+                                      "--dist", "grid:18446744073709551616"])
+        assert code == 0 and err == ""
+        rng = SplitMix64(1)
+        want = [f"{float(rng.next_u64())!r},{float(rng.next_u64())!r}" for _ in range(3)]
+        assert [l for l in out.splitlines() if not l.startswith("#")] == want
 
     def test_n_zero_is_usage_error(self, capsys):
         code, _, err = run(capsys, ["gen", "--n", "0", "--dims", "2", "--seed", "1"])

@@ -87,13 +87,16 @@ class TestGenPoints:
         assert [p.id for p in ps] == list(range(10))
 
     @pytest.mark.parametrize("seed", [0, 9, 2**64 - 5])
-    @pytest.mark.parametrize("dist", ["uniform", "grid"])
-    def test_is_the_scalar_stream_bit_for_bit(self, seed, dist):
-        # the vectorized generator draws what SplitMix64 draws, coordinate by coordinate
+    @pytest.mark.parametrize("dist, side", [("uniform", 5), ("grid", 5), ("grid", 2**64),
+                                            ("grid", 2**64 + 5)],
+                             ids=["uniform", "grid", "grid-side-2**64", "grid-side-2**64+5"])
+    def test_is_the_scalar_stream_bit_for_bit(self, seed, dist, side):
+        # the vectorized generator draws what SplitMix64 draws, coordinate by
+        # coordinate, for grid sides below and beyond the uint64 range
         rng = SplitMix64(seed)
-        draw = rng.next_float if dist == "uniform" else lambda: float(rng.next_below(5))
+        draw = rng.next_float if dist == "uniform" else lambda: float(rng.next_below(side))
         want = [[draw().hex() for _ in range(3)] for _ in range(300)]
-        ps = gen_points(GeneratorConfig(seed=seed, n=300, dims=3, dist=dist, grid_side=5))
+        ps = gen_points(GeneratorConfig(seed=seed, n=300, dims=3, dist=dist, grid_side=side))
         assert [[c.hex() for c in p.coords] for p in ps] == want
 
     @pytest.mark.parametrize("dist, digest", [

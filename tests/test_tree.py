@@ -34,19 +34,24 @@ from layertree.tree import _Level, _Slab
 import structure_dump
 
 
+def level_tree(values):
+    """A d=3 tree over the points (v, 0, 0); point i has id i."""
+    return build(PointSet.from_coords([(v, 0, 0) for v in values]))
+
+
 def root_level(values):
-    """(root group, 0): member 0 of a d=3 tree over the points (v, 0, 0); point i has id i."""
-    return build(PointSet.from_coords([(v, 0, 0) for v in values])).root, 0
+    """(root group, 0): member 0 of level_tree(values)."""
+    return level_tree(values).root, 0
 
 
 def row(member) -> array:
-    """The leaf row of member g of a _Level group: L ids from g*L."""
+    """The leaf row of member g of a _Level group: L labels from g*L."""
     s, g = member
     return s.ids[g * s.L : (g + 1) * s.L]
 
 
-def slot_ids(member, slot, n):
-    """Real ids under heap slot `slot` of a level: its chunk of the leaf row, ids >= n cut."""
+def slot_labels(member, slot, n):
+    """Real labels under heap slot `slot` of a level: its chunk of the leaf row, labels >= n cut."""
     level, _ = member
     depth = (slot + 1).bit_length() - 1
     span = level.L >> depth
@@ -74,13 +79,13 @@ def sub_at(member, slot):
 
 
 def real_count(member, n) -> int:
-    """A structure's real point count m: the ids < n in its leaf row."""
+    """A structure's real point count m: the labels < n in its leaf row."""
     leaves = words(member)[: member[0].L] if is_cascade(member) else row(member)
     return sum(1 for e in leaves if e < n)
 
 
 def real_entry_count(member, n) -> int:
-    """Real (non-phantom, < n) ids stored in a cascade's node-array rows."""
+    """Real (non-phantom, < n) labels stored in a cascade's node-array rows."""
     cs, _ = member
     return sum(1 for e in words(member)[: cs.L * (cs.H + 1)] if e < n)
 
@@ -128,11 +133,12 @@ class TestLeafRow:
 
     def test_phantoms_sit_rightmost(self):
         values = [5, 1, 3]
-        member = root_level(values)
+        tree = level_tree(values)
+        member = tree.root, 0
         level, _ = member
         assert level.L == 4 and real_count(member, len(values)) == 3
         assert [level.rank[e] for e in level.ids[:3]] == [0, 1, 2]
-        assert [values[e] for e in slot_ids(member, 0, len(values))] == [1, 3, 5]
+        assert [values[tree.ids[e]] for e in slot_labels(member, 0, len(values))] == [1, 3, 5]
         assert level.rank[level.ids[3]] >= len(values)  # the phantom ranks after every point
 
 
@@ -147,11 +153,12 @@ class TestFindSplitNode:
     def test_degenerate_range_splits_at_value_boundary(self):
         # [1,1] is the ranks [0, 1): it diverges at the parent of the value-1
         # leaf; the canonical cover is still exactly that leaf
-        member = root_level(self.VALUES)
+        tree = level_tree(self.VALUES)
+        member = tree.root, 0
         assert split(member, *rank_bounds(self.VALUES, 1.0, 1.0)) == (1, 0)
         cover = canonical_subtrees(*member, *rank_bounds(self.VALUES, 1.0, 1.0))
         assert cover == [3]
-        assert slot_ids(member, 3, len(self.VALUES)) == [0]
+        assert [tree.ids[e] for e in slot_labels(member, 3, len(self.VALUES))] == [0]
 
     def test_range_above_all_leaves(self):
         member = root_level(self.VALUES)
@@ -160,18 +167,20 @@ class TestFindSplitNode:
         assert canonical_subtrees(*member, *rank_bounds(self.VALUES, 5.0, 9.0)) == []
 
 
-def check_cover(member, column, lo, hi):
+def check_cover(member, ids, column, lo, hi):
     """The canonical cover of [lo, hi] in level.dim (column: that coordinate by id).
 
     Its slots hold disjoint id sets whose union is the level's real ids in
-    [lo, hi], and there are at most 2*log2(L) of them.
+    [lo, hi], and there are at most 2*log2(L) of them.  ids is the tree's
+    id map, from the labels the slots hold.
     """
     level, g = member
+    n = len(column)
     slots = canonical_subtrees(level, g, *rank_bounds(column, lo, hi))
-    cover = [e for s in slots for e in slot_ids(member, s, len(column))]
+    cover = [ids[e] for s in slots for e in slot_labels(member, s, n)]
     assert len(set(slots)) == len(slots) and len(set(cover)) == len(cover)
-    assert sorted(cover) == sorted(e for e in slot_ids(member, 0, len(column))
-                                   if lo <= column[e] <= hi)
+    assert sorted(cover) == sorted(ids[e] for e in slot_labels(member, 0, n)
+                                   if lo <= column[ids[e]] <= hi)
     assert len(slots) <= max(1, 2 * (level.L.bit_length() - 1))
 
 
@@ -179,7 +188,7 @@ class TestCanonicalSubtrees:
     def test_full_range_covers_everything(self):
         member = root_level([1, 2, 3, 4])
         slots = canonical_subtrees(*member, *rank_bounds([1, 2, 3, 4], 1.0, 4.0))
-        assert sorted(e for s in slots for e in slot_ids(member, s, 4)) == [0, 1, 2, 3]
+        assert sorted(e for s in slots for e in slot_labels(member, s, 4)) == [0, 1, 2, 3]
 
     def test_disjoint_range_is_empty(self):
         member = root_level([1, 2, 3, 4])
@@ -192,7 +201,8 @@ class TestCanonicalSubtrees:
     )
     @settings(max_examples=200, deadline=None)
     def test_cover_equals_filter_and_bound(self, values, lo, hi):
-        check_cover(root_level(values), values, lo, hi)
+        tree = level_tree(values)
+        check_cover((tree.root, 0), tree.ids, values, lo, hi)
 
     @given(
         st.lists(st.tuples(*[st.integers(0, 3)] * 4), min_size=1, max_size=40),
@@ -201,13 +211,13 @@ class TestCanonicalSubtrees:
     )
     @settings(max_examples=100, deadline=None)
     def test_cover_below_the_root(self, rows, lo, hi):
-        # below the root a level holds a subset of the points, so its real ids
-        # run past its own point count m
+        # below the root a level holds a subset of the points, so its real
+        # labels run past its own point count m
         tree = build(PointSet.from_coords(rows))
         lower = [s for depth, s in tree.structures() if depth > 0 and isinstance(s[0], _Level)]
         assert lower
         for member in lower:
-            check_cover(member, [r[member[0].dim] for r in rows], lo, hi)
+            check_cover(member, tree.ids, [r[member[0].dim] for r in rows], lo, hi)
 
 
 def random_boxes(rng, d, span, count):
@@ -239,14 +249,15 @@ class TestBuild:
             build(Huge())
 
     def test_d1_is_the_rank_order(self):
-        # the d=1 tree is its coordinate's order, unpadded, and a query is the
-        # slice between rank_box's bisections: no search inside the structure
+        # the d=1 tree's labels are its ranks, so it keeps nothing: the id map
+        # is the coordinate's order, unpadded, and a query is the label range
+        # between rank_box's bisections: no search inside the structure
         ps = PointSet.from_coords([(5,), (1,), (3,), (1,), (8,)])
         tree = build(ps)
         slab = tree.root
-        assert isinstance(slab, _Slab) and slab.__slots__ == ("ids",)
-        assert isinstance(slab.ids, array) and slab.ids.typecode == "i"
-        assert slab.ids.tolist() == [1, 3, 2, 0, 4]
+        assert isinstance(slab, _Slab) and slab.__slots__ == ()
+        assert isinstance(tree.ids, array) and tree.ids.typecode == "i"
+        assert tree.ids.tolist() == [1, 3, 2, 0, 4]
         for lo, hi in ((0, 9), (1, 3), (2, 4), (9, 10), (4, 2), (1, 1)):
             box = QueryBox((lo,), (hi,))
             k = len(brute_force_query(ps, box))
@@ -258,10 +269,10 @@ class TestBuild:
         tree = build(PointSet.from_coords([(1, 1), (2, 2), (3, 3), (4, 4)]))
         cs = tree.root
         assert isinstance(cs, CascadeStructure)
-        ys = tree.pointset.coord_matrix()[:, cs.ydim].tolist()  # all 4 ids are real
-        assert [ys[e] for e in cs.node(0).ids] == [1.0, 2.0, 3.0, 4.0]
-        assert [ys[e] for e in cs.node(1).ids] == [1.0, 2.0]
-        assert [ys[e] for e in cs.node(2).ids] == [3.0, 4.0]
+        ys = tree.pointset.coord_matrix()[:, cs.ydim].tolist()  # all 4 labels are real
+        assert [ys[tree.ids[e]] for e in cs.node(0).ranks] == [1.0, 2.0, 3.0, 4.0]
+        assert [ys[tree.ids[e]] for e in cs.node(1).ranks] == [1.0, 2.0]
+        assert [ys[tree.ids[e]] for e in cs.node(2).ranks] == [3.0, 4.0]
         assert cs.node(0).left_bridge == [0, 1, 2, 2]
         assert cs.node(0).right_bridge == [0, 0, 0, 1]
         for leaf in range(3, 7):
@@ -283,8 +294,8 @@ class TestBuild:
         assert snapshot(t1) == snapshot(t2)
 
     def test_level_assoc_holds_exact_subtree_points(self):
-        # every level of a d=3 and a d=4 tree; below the root, real ids run
-        # past a level's own point count m
+        # every level of a d=3 and a d=4 tree; below the root, real labels
+        # run past a level's own point count m
         for cfg in (GeneratorConfig(seed=4, n=23, dims=3, dist="grid", grid_side=3),
                     GeneratorConfig(seed=3, n=40, dims=4)):
             tree = build(gen_points(cfg))
@@ -294,15 +305,15 @@ class TestBuild:
             for member in levels:
                 for slot in range(2 * member[0].L - 1):
                     sub = sub_at(member, slot)
-                    ids = slot_ids(member, slot, cfg.n)
-                    if not ids:
+                    labels = slot_labels(member, slot, cfg.n)
+                    if not labels:
                         assert sub is None
                         continue
-                    assert real_count(sub, cfg.n) == len(ids)
-                    got = array("i")  # the structures emit runs of ids
+                    assert real_count(sub, cfg.n) == len(labels)
+                    got = array("i")  # the structures emit runs of labels
                     group, g = sub
                     group.query(g, *everything, QueryStats(), got.extend)
-                    assert sorted(got) == sorted(ids)
+                    assert sorted(got) == sorted(labels)
 
 
 class TestQuery:
@@ -368,7 +379,7 @@ class TestSpaceAccounting:
                 assert cs.words == (2 * cs.H + 1) * cs.L
                 groups.setdefault(id(cs), (cs, []))[1].append((g * cs.words, cs.words))
             elif isinstance(s[0], _Slab):
-                assert sorted(s[0].ids) == list(range(n))  # each point once, no padding
+                assert sorted(tree.ids) == list(range(n))  # each point once, no padding
             else:
                 subs = (sub_at(s, slot) for slot in range(2 * s[0].L - 1))
                 total = sum(real_count(sub, n) for sub in subs if sub is not None)
@@ -424,11 +435,39 @@ class TestSpaceAccounting:
             assert sys.getsizeof(level.ids) == empty + level.ids.itemsize * len(level.ids)
 
     def test_slab_ids_have_no_slack(self):
-        # the d = 1 tree's rank order is sized exactly too
+        # the id map, the last dimension's order (at d = 1 the rank order the
+        # slab kept), is sized exactly at every dimension
         n = 1000
-        tree = build(gen_points(GeneratorConfig(seed=6, n=n, dims=1)))
-        assert isinstance(tree.root, _Slab)
-        assert sys.getsizeof(tree.root.ids) == sys.getsizeof(array("i")) + 4 * n
+        for d in (1, 2, 3, 4):
+            tree = build(gen_points(GeneratorConfig(seed=6, n=n, dims=d)))
+            assert isinstance(tree.root, _Slab) == (d == 1)
+            assert len(tree.ids) == n
+            assert sys.getsizeof(tree.ids) == sys.getsizeof(array("i")) + 4 * n
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_no_last_dimension_table(self, d):
+        # every rank table a structure holds is one of dimensions 0 .. d-2,
+        # and a cascade's node arrays ascend in their labels, which bisect_left
+        # on the buffer relies on
+        ps = gen_points(GeneratorConfig(seed=7, n=70, dims=d, dist="grid", grid_side=3))
+        tree = build(ps)
+        _, _, ranks, _ = rank_tables(ps.coord_matrix(), pow2ceil(len(ps)))
+        assert len(ranks) == d - 1
+        held = {}
+        for _, (s, g) in tree.structures():
+            if isinstance(s, _Slab):
+                assert s.__slots__ == ()
+            elif isinstance(s, _Level):
+                held[id(s.rank)] = (s.dim, s.rank)
+            else:
+                assert not hasattr(s, "rank_y") and (s.xdim, s.ydim) == (d - 2, d - 1)
+                held[id(s.rank_x)] = (s.xdim, s.rank_x)
+                for slot in range(2 * s.L - 1):
+                    labels = s.node(slot, g).ranks
+                    assert all(u < v for u, v in zip(labels, labels[1:]))
+        assert sorted(dim for dim, _ in held.values()) == list(range(d - 1))
+        for dim, table in held.values():
+            assert table == ranks[dim]
 
 
 class TestStructureDump:
@@ -453,7 +492,7 @@ def buffer_digest(tree) -> str:
     """sha256 of every structure's expanded buffer (leaf row of a level) as ints, in structures() order."""
     h = hashlib.sha256()
     for _, s in tree.structures():
-        h.update(repr(structure_dump.structure_row(*s)).encode())
+        h.update(repr(structure_dump.structure_row(*s, tree.ids)).encode())
     return h.hexdigest()
 
 
@@ -567,14 +606,16 @@ class TestRankTable:
         rnd.shuffle(shuffled)  # given in any order, the matrix rows are still ids
         ps = PointSet(shuffled, d)
         pts, n = ps.by_id, len(rows)
-        tables = rank_tables(ps.coord_matrix(), pow2ceil(n))
-        for j in range(d):
-            order, rank, axis = tables[j]
-            want = sorted(range(n), key=lambda i: composite_key(pts[i], j))
-            assert order.tolist() == want
-            assert list(rank) == [want.index(i) for i in range(n)] + list(
+        ids, row, ranks, axes = rank_tables(ps.coord_matrix(), pow2ceil(n))
+        want = [sorted(range(n), key=lambda i: composite_key(pts[i], j)) for j in range(d)]
+        assert ids.tolist() == want[-1]  # a label is the last dimension's rank
+        assert row.tolist() == [want[-1].index(i) for i in want[0]]
+        assert len(ranks) == d - 1
+        for j in range(d - 1):
+            assert list(ranks[j]) == [want[j].index(ids[v]) for v in range(n)] + list(
                 range(n, n + pow2ceil(n)))
-            assert list(axis) == [pts[i].coords[j] for i in want]
+        for j in range(d):
+            assert list(axes[j]) == [pts[i].coords[j] for i in want[j]]
 
 
 def edge_rows(kind, d, n):
@@ -602,16 +643,18 @@ class TestRankTableEdges:
     def test_tables_follow_composite_key(self, kind, d, n):
         ps = PointSet.from_coords(edge_rows(kind, d, n), d)
         pts, L = ps.by_id, pow2ceil(n)
-        tables = rank_tables(ps.coord_matrix(), L)
-        assert len(tables) == d
-        for j, (order, rank, axis) in enumerate(tables):
-            want = sorted(range(n), key=lambda i: composite_key(pts[i], j))
-            assert order.dtype == np.int32 and order.tolist() == want
-            where = {i: v for v, i in enumerate(want)}
+        ids, row, ranks, axes = rank_tables(ps.coord_matrix(), L)
+        assert len(ranks) == d - 1 and len(axes) == d
+        want = [sorted(range(n), key=lambda i: composite_key(pts[i], j)) for j in range(d)]
+        where = [{i: v for v, i in enumerate(w)} for w in want]
+        assert ids.typecode == "i" and ids.tolist() == want[-1]
+        assert row.dtype == np.int32 and row.tolist() == [where[-1][i] for i in want[0]]
+        for j, rank in enumerate(ranks):
             assert rank.typecode == "i"
-            assert list(rank) == [where[i] for i in range(n)] + list(range(n, n + L))
+            assert list(rank) == [where[j][ids[v]] for v in range(n)] + list(range(n, n + L))
+        for j, axis in enumerate(axes):
             # float.hex tells -0.0 from 0.0: each slot holds its own point's coordinate
-            assert [x.hex() for x in axis] == [pts[i].coords[j].hex() for i in want]
+            assert [x.hex() for x in axis] == [pts[i].coords[j].hex() for i in want[j]]
 
 
 class TestFuzz:
