@@ -18,8 +18,9 @@ descent (cascade._find_split).  The same-size structures of a dimension form
 one merge group: one object, built by one batched bottom-up merge
 (cascade.merge_rows: a stable argsort per row, whose permutation gives each
 cascade bridge in closed form), whose members are (group, member) pairs that
-every group kind queries and counts alike.  build() is the one way to make a
-structure.
+every group kind queries and counts alike.  Only the level nodes a query can
+take as canonical get an associated structure, and a level finds one by
+arithmetic on the node's slot.  build() is the one way to make a structure.
 """
 
 from .cascade import CascadeNode, CascadeStructure

@@ -1,14 +1,15 @@
 """The multi-level range tree.
 
-Level j (for j = 0 .. d-3) is a full implicit binary tree over coordinate j
-whose every node owns an associated structure over the remaining coordinates,
-holding exactly the non-phantom points of its subtree.  The last two
-coordinates live in cascades; a 1-dimensional tree is its rank order.
+Level j (for j = 0 .. d-3) is a full implicit binary tree over coordinate j.
+Each node a query can take as canonical (_reachable) owns an associated
+structure over the remaining coordinates, holding exactly the points of its
+subtree; no other node has one.  The last two coordinates live in cascades;
+a 1-dimensional tree is its rank order.
 
 The structures over one dimension with the same padded size L form one merge
 group, a _Level or a CascadeStructure, and a structure is a (group, member)
-pair.  A node's associated structure is the pair its level records for the
-node's slot.  Every group, and the _Slab, answers query(g, a, b, stats, emit)
+pair.  A level finds a node's structure by arithmetic on its slot (see
+_Level).  Every group, and the _Slab, answers query(g, a, b, stats, emit)
 and count(g, a, b, stats) for member g and the rank box [a, b); the root is
 member 0 of a group of one.
 
@@ -16,8 +17,8 @@ A level is its leaf row, the one implicit tree shape of the package (see
 cascade): L padded leaf labels sorted by rank, where the node at row r
 (depth log2(L) - r) and position pos covers the leaves pos*2^r ..
 (pos+1)*2^r - 1 and splits at the rightmost leaf of its left half.  Its
-associated structures sit in heap order: slot (L >> r) - 1 + pos, so slot 0
-is the root, the children of slot i are 2i+1 and 2i+2, and the leaves are
+nodes are numbered in heap order: slot (L >> r) - 1 + pos, so slot 0 is the
+root, the children of slot i are 2i+1 and 2i+2, and the leaves are
 slots L-1 .. 2L-2.  Everything below LayeredRangeTree.rank_box works in rank
 space: the structures hold and emit labels (ranks in the last dimension),
 one int32 table per other dimension ranks each label, and a box becomes a
@@ -64,8 +65,8 @@ class BuildCounters:
     """Construction-cost accounting: elements appended by bottom-up merges.
 
     merge_moves counts a cascade merge's padded entries too (G*L*H per group
-    of G, H = log2 L), but only a level merge's real ones (H times the sum of
-    its members' real counts).
+    of G, H = log2 L), but only a level merge's real ones (H*m per member:
+    m = n at the root, L below it, where no member holds a phantom).
     """
 
     merge_moves: int = 0
@@ -112,6 +113,22 @@ def canonical_subtrees(level: "_Level", g: int, a: int, b: int,
     return out
 
 
+def _reachable(L: int, m: int, r: int) -> range:
+    """Positions of the row-r chunks canonical_subtrees can return, for a member with m real leaves.
+
+    Only these slots get a structure.  Above the leaves, canonical_subtrees
+    returns right children off the a path, in the split node's left subtree,
+    and left children off the b path, in its right one: two or more rows
+    below the split node, and never a chunk holding a phantom (rank >= n >=
+    b).  So the leftmost and the rightmost chunk of a row, on the tree's
+    outer spines, are never returned; every other full chunk is, for some
+    [a, b).  That leaves rows 0 .. max(0, H-2).
+    """
+    if r == 0:
+        return range(m)
+    return range(1, min(m >> r, (L >> r) - 1))
+
+
 class _Slab:
     """The d=1 structure (a group of one): its labels are its ranks, so [a, b) is range(a, b)."""
 
@@ -131,37 +148,44 @@ class _Level:
     """A level merge group: the G level trees over dimension `dim` with the same L.
 
     Member g < G = len(ids) // L has the leaf row ids[g*L : (g+1)*L]: L labels
-    sorted by `rank`, real labels first, then phantoms (labels >= n).  Its
-    heap slot s is slot k = g*(2L-1) + s of the group, whose structure is
-    member member[k] of subs[group[k]] (both -1 where the subtree is empty).
-    subs, the next dimension's groups by log2 L, is shared by the dimension.
+    sorted by `rank`, its m real labels first, then phantoms (labels >= n):
+    only the root holds phantoms, so m is n there and L below.  subs lists
+    the next dimension's groups by log2 L.  Slot s at depth t, if _reachable,
+    has the structure first[t] + g*per[t] + s of subs[log2(L) - t], where
+    per[t] counts one member's structures at depth t.
     """
 
-    __slots__ = ("dim", "ids", "L", "rank", "subs", "group", "member")
+    __slots__ = ("dim", "ids", "L", "m", "rank", "subs", "first", "per")
 
-    def __init__(self, dim: int, ids, L: int, rank, subs: list):
+    def __init__(self, dim: int, ids, L: int, m: int, rank, subs: list):
         self.dim = dim
         self.ids = ids
         self.L = L
+        self.m = m
         self.rank = rank
         self.subs = subs
-        self.group = array("b", [-1]) * (len(ids) // L * (2 * L - 1))
-        self.member = array("i", [-1]) * len(self.group)
+        self.first, self.per = [0] * L.bit_length(), [0] * L.bit_length()  # set by build
+
+    def slots(self, g: int) -> Iterator[tuple[int, tuple[object, int]]]:
+        """Yield (slot, (group, member)) for every slot of member g that has a structure."""
+        H = self.L.bit_length() - 1
+        for t in range(H + 1):
+            top = (1 << t) - 1  # the slot at depth t, position 0
+            for pos in _reachable(self.L, self.m, H - t):
+                yield top + pos, (self.subs[H - t], self.first[t] + g * self.per[t] + top + pos)
 
     def query(self, g, a, b, stats, emit):
-        subs, group, member = self.subs, self.group, self.member
-        first = g * (2 * self.L - 1)
-        for k in canonical_subtrees(self, g, a[self.dim], b[self.dim], stats):
-            k += first
-            subs[group[k]].query(member[k], a, b, stats, emit)
+        subs, first, per, H = self.subs, self.first, self.per, self.L.bit_length() - 1
+        for s in canonical_subtrees(self, g, a[self.dim], b[self.dim], stats):
+            t = (s + 1).bit_length() - 1
+            subs[H - t].query(first[t] + g * per[t] + s, a, b, stats, emit)
 
     def count(self, g, a, b, stats) -> int:
-        subs, group, member = self.subs, self.group, self.member
-        first = g * (2 * self.L - 1)
+        subs, first, per, H = self.subs, self.first, self.per, self.L.bit_length() - 1
         total = 0
-        for k in canonical_subtrees(self, g, a[self.dim], b[self.dim], stats):
-            k += first
-            total += subs[group[k]].count(member[k], a, b, stats)
+        for s in canonical_subtrees(self, g, a[self.dim], b[self.dim], stats):
+            t = (s + 1).bit_length() - 1
+            total += subs[H - t].count(first[t] + g * per[t] + s, a, b, stats)
         return total
 
 
@@ -217,7 +241,8 @@ class LayeredRangeTree:
         """Yield (level index, (group, member)) over every tree instance, root first.
 
         The group is a _Slab, a _Level or a CascadeStructure; the root is
-        member 0 of a group of one.
+        member 0 of a group of one.  The order is depth first: the
+        structures of a level member's slots follow it, last slot first.
         """
         stack = [(0, (self.root, 0))]
         while stack:
@@ -225,41 +250,7 @@ class LayeredRangeTree:
             yield level, node
             s, g = node
             if isinstance(s, _Level):
-                k, w = g * (2 * s.L - 1), 2 * s.L - 1
-                stack.extend((level + 1, (s.subs[h], m))
-                             for h, m in zip(s.group[k : k + w], s.member[k : k + w]) if h >= 0)
-
-
-def _queue(groups: dict, owner, first: int, row, m: int, span: int, n: int) -> None:
-    """Queue one structure per chunk of width `span` over the first m labels of `row`.
-
-    The structure over chunk i belongs to slot first + i of `owner`, a
-    _Level group, or to no owner (the root).  Each chunk is filed in `groups`
-    under its padded size L, with its real count and its leaf row: the
-    chunk's labels, then phantom labels n+t for padding leaves t.
-    """
-    full, part = divmod(m, span)
-    if full:
-        _file(groups, owner, first, span, [span] * full, row[: full * span], ())
-    if part:
-        L = pow2ceil(part)
-        _file(groups, owner, first + full, L, [part], row[full * span : m], range(n + part, n + L))
-
-
-def _file(groups: dict, owner, first: int, L: int, ms_new: list, labels, pad) -> None:
-    """File k = len(ms_new) structures with padded size L for slots first .. first+k-1.
-
-    Their member indexes in group L follow the ones already there; the
-    owner, unless None, records (log2 L, member index) for each slot.
-    """
-    ms, flat = groups.setdefault(L, (array("i"), array("i")))
-    k = len(ms_new)
-    if owner is not None:
-        owner.group[first : first + k] = array("b", [L.bit_length() - 1]) * k
-        owner.member[first : first + k] = array("i", range(len(ms), len(ms) + k))
-    ms.extend(ms_new)
-    flat.frombytes(labels.tobytes())
-    flat.extend(pad)
+                stack.extend((level + 1, sub) for _, sub in s.slots(g))
 
 
 def build(points: PointSet, counters: Optional[BuildCounters] = None) -> LayeredRangeTree:
@@ -273,8 +264,9 @@ def build(points: PointSet, counters: Optional[BuildCounters] = None) -> Layered
     structures over dimension j are built as groups by padded size L, listed
     in tops[j] by log2 L: each group runs one batched merge (merge_rows) of
     its leaf rows by the ranks of dimension j+1.  On a level (j < d-2) the
-    group is a _Level; its merged chunks, real labels first, are the leaf
-    rows of the structures in tops[j+1], and no bridges are made.  On the
+    group is a _Level, and no bridges are made.  Its merged row r, cut to
+    the chunks _reachable keeps, is as it stands the leaf rows of structures
+    with L = 2^r in tops[j+1]; they hold no phantom.  On the
     cascade (j = d-2) the labels are the keys: the merged rows and bridges
     are the buffers, one array("i") per CascadeStructure.  Raises
     TooManyPoints, before anything is allocated, when the labels and
@@ -292,28 +284,34 @@ def build(points: PointSet, counters: Optional[BuildCounters] = None) -> Layered
         return LayeredRangeTree(points, _Slab(), ids, axes)
 
     tops = [[None] * maxL.bit_length() for _ in range(d - 1)]
-    groups: dict = {}
-    _queue(groups, None, 0, row, n, maxL, n)
+    # per L, the leaf rows of its members in member order; phantom n+t pads the root's leaf t
+    groups = {maxL: [np.concatenate((row, np.arange(2 * n, n + maxL, dtype=np.int32)))]}
     del row
     for j in range(d - 1):
         nxt: dict = {}
         while groups:  # popped, so each group's scratch is freed once it is built
-            L, (ms, flat) = groups.popitem()
-            rows = np.frombuffer(flat, dtype=np.int32).reshape(-1, L)
+            L, pieces = groups.popitem()
+            rows = np.concatenate(pieces).reshape(-1, L)
+            del pieces
             H = L.bit_length() - 1
             if j == d - 2:
-                buf = fill_buffers_batch_np(rows, counters)
-                tops[j][H] = CascadeStructure(j, j + 1, L, buf, ranks[j])
+                tops[j][H] = CascadeStructure(j, j + 1, L, fill_buffers_batch_np(rows, counters), ranks[j])
                 continue
-            # a level keeps only its leaf rows, sized exactly: no bridge rows
-            merged = np.empty((len(ms), H + 1, L), dtype=np.int32)
+            G, m = len(rows), (n if j == 0 else L)  # only the root member holds phantoms
+            merged = np.empty((G, H + 1, L), dtype=np.int32)
             merged[:, 0] = rows
             merge_rows(merged, ranks[j + 1])
             if counters is not None:
-                counters.merge_moves += H * sum(ms)
-            level = tops[j][H] = _Level(j, array("i", flat), L, ranks[j], tops[j + 1])
-            for g, m in enumerate(ms):
-                for r in range(H + 1):
-                    _queue(nxt, level, g * (2 * L - 1) + (L >> r) - 1, merged[g, r], m, 1 << r, n)
+                counters.merge_moves += H * G * m
+            flat = array("i", [0]) * rows.size  # a level keeps only its leaf rows, sized exactly
+            np.frombuffer(flat, dtype=np.int32)[:] = rows.reshape(-1)
+            level = tops[j][H] = _Level(j, flat, L, m, ranks[j], tops[j + 1])
+            for r in range(H + 1):
+                chunks, span, t = _reachable(L, m, r), 1 << r, H - r
+                if chunks:
+                    pieces = nxt.setdefault(span, [])
+                    level.first[t] = (sum(map(len, pieces)) >> r) - chunks.start + 1 - (1 << t)
+                    level.per[t] = len(chunks)
+                    pieces.append(merged[:, r, chunks.start << r : chunks.stop << r].flatten())
         groups = nxt
     return LayeredRangeTree(points, tops[0][maxL.bit_length() - 1], ids, axes)

@@ -1,21 +1,28 @@
 """Differential dump: every structure a tree builds and every answer it gives.
 
     PYTHONPATH=src python tests/structure_dump.py OUT.json
+    PYTHONPATH=src python tests/structure_dump.py --compare BASE.json HEAD.json
 
-builds one tree per case of CASES and writes, per case, every structure's
-expanded cascade buffer or leaf row in structures() order, 30 boxes' hits
-and counts (a third of the boxes have lo > hi in one dimension), the four
-QueryStats totals of the queries and of the counts, and merge_moves.  A hit
-is its id and its coordinates as float.hex strings, so a lost -0.0 or a
-rounding change shows too.  The structures store point labels (ranks in the
-last dimension); the dump writes each stored label below n as its point id,
-read from the tree's id map, and bridges and phantoms as stored.  It reads
-only structures(), the tree's ids, a cascade group's buf, words, L and H, a
-level's ids and L, and the hits' id and coords.  Diffing the outputs of two
+The first form builds one tree per case of CASES and writes, per case,
+every structure's expanded cascade buffer or leaf row in structures()
+order, 30 boxes' hits and counts (a third of the boxes have lo > hi in one
+dimension), the four QueryStats totals of the queries and of the counts,
+and merge_moves.  A hit is its id and its coordinates as float.hex
+strings, so a lost -0.0 or a rounding change shows too.  The structures
+store point labels (ranks in the last dimension); the dump writes each
+stored label below n as its point id, read from the tree's id map, and
+bridges and phantoms as stored.  It reads only structures(), the tree's
+ids, a cascade group's buf, words, L and H, a level's ids and L, and the
+hits' id and coords.  Diffing the outputs of two
 versions of the package, each dumped by its own copy of this file, shows
 every change in layout, answer or cost counter.  One case is written per
-line.  tests/test_tree.py pins a digest of structure_row over fixed trees
-and runs the smallest cases.
+line.  Which structures exist is layout too: a level slot that no query
+can reach has no structure, so it is in no dump, and a change to which
+slots are built shows in structures and merge_moves only.  The second form
+exits 1, naming each case, when a case of BASE is missing from HEAD or its
+answers, query_stats or count_stats differ; CI runs it on every pull
+request against the base commit's dump.  tests/test_tree.py pins a digest
+of structure_row over fixed trees and runs the smallest cases.
 """
 
 import json
@@ -109,9 +116,30 @@ def dump_case(d: int, dist: str, n: int) -> dict:
     }
 
 
+SAME = ("answers", "query_stats", "count_stats")  # what no layout change may alter
+
+
+def compare(base: list, head: list) -> list:
+    """One line per case of base that head lacks or whose SAME fields differ."""
+    by_case = {tuple(c["case"]): c for c in head}
+    out = []
+    for c in base:
+        h = by_case.get(tuple(c["case"]))
+        if h is None:
+            out.append(f"{c['case']}: missing")
+        else:
+            out.extend(f"{c['case']}: {k} differ" for k in SAME if c[k] != h[k])
+    return out
+
+
 def main(argv: list) -> int:
+    if len(argv) == 3 and argv[0] == "--compare":
+        with open(argv[1]) as f, open(argv[2]) as g:
+            diffs = compare(json.load(f), json.load(g))
+        print("\n".join(diffs) or "answers, query_stats and count_stats are unchanged")
+        return 1 if diffs else 0
     if len(argv) != 1:
-        print("usage: structure_dump.py OUT.json", file=sys.stderr)
+        print("usage: structure_dump.py OUT.json | --compare BASE.json HEAD.json", file=sys.stderr)
         return 2
     with open(argv[0], "w") as f:
         f.write("[\n" + ",\n".join(json.dumps(dump_case(*case)) for case in CASES) + "\n]\n")

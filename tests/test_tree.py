@@ -70,14 +70,6 @@ def words(member) -> array:
     return cs.buf[g * cs.words : (g + 1) * cs.words]
 
 
-def sub_at(member, slot):
-    """The structure of a level's heap slot as its (group, member) pair, or None."""
-    level, g = member
-    k = g * (2 * level.L - 1) + slot
-    h = level.group[k]
-    return None if h < 0 else (level.subs[h], level.member[k])
-
-
 def real_count(member, n) -> int:
     """A structure's real point count m: the labels < n in its leaf row."""
     leaves = words(member)[: member[0].L] if is_cascade(member) else row(member)
@@ -103,18 +95,22 @@ def rank_bounds(values, lo, hi):
 class TestLeafRow:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 9, 16, 31])
     def test_heap_index_laws(self, n):
-        # the slots are in heap order: 2L-1 slots, slot s holds the points of
-        # its children 2s+1 and 2s+2, and leaf slot L-1+i those of leaf i
+        # the slots are in heap order: 2L-1 slots, slot s covers the leaf-row
+        # chunks of its children 2s+1 and 2s+2, and leaf slot L-1+i leaf i;
+        # a slot with a structure holds exactly its chunk's points
         member = root_level(range(n))
         level, _ = member
         L = level.L
-        assert L == pow2ceil(n) and len(level.group) == len(level.member) == 2 * L - 1
-        subs = [sub_at(member, slot) for slot in range(2 * L - 1)]
-        held = [[] if sub is None else sorted(words(sub)[: real_count(sub, n)]) for sub in subs]
+        assert L == pow2ceil(n) and len(level.first) == len(level.per) == L.bit_length()
+        chunks = [slot_labels(member, slot, n) for slot in range(2 * L - 1)]
         for s in range(L - 1):
-            assert held[s] == sorted(held[2 * s + 1] + held[2 * s + 2])
+            assert chunks[s] == chunks[2 * s + 1] + chunks[2 * s + 2]
         for i in range(L):
-            assert held[L - 1 + i] == ([level.ids[i]] if i < n else [])
+            assert chunks[L - 1 + i] == ([level.ids[i]] if i < n else [])
+        built = dict(level.slots(0))
+        assert set(range(L - 1, L - 1 + n)) <= set(built)  # every real leaf
+        for slot, sub in built.items():
+            assert sorted(words(sub)[: real_count(sub, n)]) == sorted(chunks[slot])
 
     @pytest.mark.parametrize("n", [1, 3, 8, 13])
     def test_leaf_scan_nondecreasing_and_internal_keys(self, n):
@@ -220,6 +216,39 @@ class TestCanonicalSubtrees:
             check_cover(member, tree.ids, [r[member[0].dim] for r in rows], lo, hi)
 
 
+class TestReachableSlots:
+    @pytest.mark.parametrize("d", [3, 4])
+    @pytest.mark.parametrize("dist", ["uniform", "grid"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 16, 17, 33])
+    def test_structures_are_exactly_the_canonical_slots(self, d, dist, n):
+        # over every rank interval 0 <= a <= b <= n, the slots canonical_subtrees
+        # returns for a level member are exactly the ones with a structure, and
+        # each holds exactly its chunk's points; the slots of all members map
+        # one to one onto the members of the next dimension's groups
+        tree = build(gen_points(GeneratorConfig(seed=n + d, n=n, dims=d, dist=dist, grid_side=3)))
+        everything = ((0,) * d, (n,) * d)
+        levels = [s for _, s in tree.structures() if isinstance(s[0], _Level)]
+        assert levels
+        held = {}
+        for member in levels:
+            level, g = member
+            reached = set()
+            for a in range(n + 1):
+                for b in range(a, n + 1):
+                    reached.update(canonical_subtrees(level, g, a, b))
+            built = dict(level.slots(g))
+            assert set(built) == reached
+            for slot, (group, h) in built.items():
+                got = array("i")
+                group.query(h, *everything, QueryStats(), got.extend)
+                assert sorted(got) == sorted(slot_labels(member, slot, n))
+                held.setdefault(id(group), (group, []))[1].append(h)
+        for group, members in held.values():
+            size = (len(group.buf) // group.words if isinstance(group, CascadeStructure)
+                    else len(group.ids) // group.L)
+            assert sorted(members) == list(range(size))
+
+
 def random_boxes(rng, d, span, count):
     boxes = []
     for _ in range(count):
@@ -303,13 +332,9 @@ class TestBuild:
             levels = [s for _, s in tree.structures() if isinstance(s[0], _Level)]
             assert len(levels) > (cfg.dims == 4)
             for member in levels:
-                for slot in range(2 * member[0].L - 1):
-                    sub = sub_at(member, slot)
+                for slot, sub in member[0].slots(member[1]):
                     labels = slot_labels(member, slot, cfg.n)
-                    if not labels:
-                        assert sub is None
-                        continue
-                    assert real_count(sub, cfg.n) == len(labels)
+                    assert labels and real_count(sub, cfg.n) == len(labels)
                     got = array("i")  # the structures emit runs of labels
                     group, g = sub
                     group.query(g, *everything, QueryStats(), got.extend)
@@ -381,9 +406,12 @@ class TestSpaceAccounting:
             elif isinstance(s[0], _Slab):
                 assert sorted(tree.ids) == list(range(n))  # each point once, no padding
             else:
-                subs = (sub_at(s, slot) for slot in range(2 * s[0].L - 1))
-                total = sum(real_count(sub, n) for sub in subs if sub is not None)
-                assert total == real_count(s, n) * s[0].L.bit_length()
+                # the m*levels law, summed over the slots that have a structure:
+                # each holds its chunk's m points, and m*levels bounds the sum
+                built = list(s[0].slots(s[1]))
+                total = sum(real_count(sub, n) for _, sub in built)
+                assert total == sum(len(slot_labels(s, slot, n)) for slot, _ in built)
+                assert total <= real_count(s, n) * s[0].L.bit_length()
         # the members of one group tile its array("i") with no slack
         for cs, runs in groups.values():
             assert isinstance(cs.buf, array) and cs.buf.typecode == "i"
@@ -487,6 +515,20 @@ class TestStructureDump:
             assert got["query_stats"][3] == got["count_stats"][3] == sum(
                 k for _, k in got["answers"])
 
+    def test_compare_flags_only_answers_and_stats(self):
+        # the CI check against the base commit: a layout change (structures,
+        # merge_moves) passes; a changed answer or counter, or a lost case, fails
+        base = json.loads(json.dumps([structure_dump.dump_case(3, "grid", n) for n in (1, 2)]))
+        head = json.loads(json.dumps(base))
+        head[0]["structures"], head[0]["merge_moves"] = [], -1
+        assert structure_dump.compare(base, head) == []
+        head[0]["count_stats"][0] += 1
+        head[1]["answers"] = []
+        assert structure_dump.compare(base, head) == [
+            "[3, 'grid', 1]: count_stats differ", "[3, 'grid', 2]: answers differ"]
+        assert structure_dump.compare(base, head[:1]) == [
+            "[3, 'grid', 1]: count_stats differ", "[3, 'grid', 2]: missing"]
+
 
 def buffer_digest(tree) -> str:
     """sha256 of every structure's expanded buffer (leaf row of a level) as ints, in structures() order."""
@@ -498,8 +540,11 @@ def buffer_digest(tree) -> str:
 
 # Counter totals of fixed workloads: (merge_moves, query QueryStats, count
 # QueryStats) over 40 boxes, and the buffer_digest of the built tree.  The
-# counters are the cost model and the buffers the layout, so a change to how
-# the tree is built or walked must leave every one of them unchanged.
+# QueryStats are the cost model: a change to how the tree is built or walked
+# must leave them unchanged.  merge_moves and the digest pin the layout, so
+# they change only with it: at d >= 3 they follow which level slots have a
+# structure, and merge_moves is H*m summed over the level members plus
+# G*L*H per cascade group.
 PINNED_COUNTERS = {
     (2, "uniform", 64): (384, (644, 40, 561, 273), (644, 80, 1122, 273),
         "b1992f4673764f981e59c4c8b459b1028066a622ce52b03c90e20bcfa3dd0579"),
@@ -517,38 +562,38 @@ PINNED_COUNTERS = {
         "47a9ab5d34ffc16ae5dd6eb304bb065bdde76488efde03becb8347c02ef11a80"),
     (2, "grid", 129): (2048, (774, 40, 650, 363), (774, 80, 1300, 363),
         "8cbc8ccbd9f17e99ccbb9edc9ca865eb9066aa2da24df2d32806de3d7f385c67"),
-    (3, "uniform", 64): (1728, (1254, 186, 347, 95), (1254, 372, 694, 95),
-        "31895d932e568bd8832ed6d17597852ef7810e587d1f9def350b25dd3c7eb105"),
-    (3, "uniform", 65): (2695, (1358, 203, 379, 58), (1358, 406, 758, 58),
-        "fd137b8a1067de0158d8ce437a6059c240e796e2c8b9140b837e9626ad1e8087"),
-    (3, "uniform", 128): (4480, (1968, 254, 772, 213), (1968, 508, 1544, 213),
-        "5c9ce597b254d5dc166f29b49874d924d3af1458055292e9a81c751cb33696f7"),
-    (3, "uniform", 129): (6664, (1942, 231, 805, 260), (1942, 462, 1610, 260),
-        "2256b1126549c91e6d5281a8e3f091fac1f7507b5ec54b4c23716262542c6337"),
-    (3, "grid", 64): (1728, (1310, 224, 299, 86), (1310, 448, 598, 86),
-        "e6aabd92b036e49a385173735aa447abda51ea5b46044fb7e91c3c28ee7e4adf"),
-    (3, "grid", 65): (2695, (1018, 136, 188, 53), (1018, 272, 376, 53),
-        "934b6f2aecf9a45406036ba8067b14cc8ad941dbe5a149d7de6983ff28bf8c35"),
-    (3, "grid", 128): (4480, (1578, 223, 425, 136), (1578, 446, 850, 136),
-        "b9916118901408b5ff33c53d5171afd6da4e91a3325dfbb18aa609c6ffcc816c"),
-    (3, "grid", 129): (6664, (1493, 168, 484, 286), (1493, 336, 968, 286),
-        "773c41245eea3d1ec96cf753ff09bab97071c21196eff13fd2fb4574b978f163"),
-    (4, "uniform", 64): (5312, (1585, 198, 54, 46), (1585, 396, 108, 46),
-        "8f25f75c68049acfe673b7e50e15ff212fb95a90077cfbe3e1d563a00de36af0"),
-    (4, "uniform", 65): (8078, (1412, 168, 19, 29), (1412, 336, 38, 29),
-        "5e7deda7924e425ab0e33a05b1c528aa5bf9af93f6345775984c71bcc64d9c1b"),
-    (4, "uniform", 128): (15232, (2380, 327, 100, 44), (2380, 654, 200, 44),
-        "2c7018216d80d8bf974d2ab12d594e92ddb16d95a94d4f33b1db48087c4fa7da"),
-    (4, "uniform", 129): (22032, (2623, 383, 161, 51), (2623, 766, 322, 51),
-        "0040fe5903a7fb33fa1e102a251911f3ceec0c130ba34aeab540409b56e64c06"),
-    (4, "grid", 64): (5312, (1369, 168, 24, 26), (1369, 336, 48, 26),
-        "a09fd38068eed02a5a1f9e48b56d8dff442de3500164add2e9442315c8a1145c"),
-    (4, "grid", 65): (8078, (1004, 85, 29, 15), (1004, 170, 58, 15),
-        "0a218a9ff2698d0750de20cbb2768d82a9c801d07eb2685a1b7fcc05b5efc003"),
-    (4, "grid", 128): (15232, (2078, 259, 63, 26), (2078, 518, 126, 26),
-        "2ac736ee19c390762171cd970bda21559efa677a71a1848c017148c12864f03f"),
-    (4, "grid", 129): (22032, (1973, 256, 80, 28), (1973, 512, 160, 28),
-        "f0472bf845678f114d7dd0f70b699a42b3706c1eb0a37524109b7d1f250f74bb"),
+    (3, "uniform", 64): (828, (1254, 186, 347, 95), (1254, 372, 694, 95),
+        "1a8541ba43a44731760b6bd8843598986412eea5dec45ad08903efd446124d75"),
+    (3, "uniform", 65): (1157, (1358, 203, 379, 58), (1358, 406, 758, 58),
+        "8fe82f902f790d187359a63bee62865ad6780696b74a26acede056dc689f6c8d"),
+    (3, "uniform", 128): (2300, (1968, 254, 772, 213), (1968, 508, 1544, 213),
+        "f0fa2dd3d259c87153d0e05706ff139e859942fcdb3e895d8e2f66aff8bb52b3"),
+    (3, "uniform", 129): (3078, (1942, 231, 805, 260), (1942, 462, 1610, 260),
+        "a1c78efdb1207e827232db7871cab93ae5d7c3492c541d616ba36502d7270a30"),
+    (3, "grid", 64): (828, (1310, 224, 299, 86), (1310, 448, 598, 86),
+        "9fdabb386cbf97b01538a91480a6697a0e85c1babffb77bed0e2a93b64bdbee1"),
+    (3, "grid", 65): (1157, (1018, 136, 188, 53), (1018, 272, 376, 53),
+        "f73718f3d80e9f1534ac174ba99c2ed80b8e63ce9d8448a377dd5471f45cb66a"),
+    (3, "grid", 128): (2300, (1578, 223, 425, 136), (1578, 446, 850, 136),
+        "8a79d3bf1f3e842f8005f814709b6232332a0a8a51cc3fd14308e9af28f17430"),
+    (3, "grid", 129): (3078, (1493, 168, 484, 286), (1493, 336, 968, 286),
+        "c75dac8ce42d52218caa5e6122518d168193fc0b77ddf96b1a0e17a80ead3b19"),
+    (4, "uniform", 64): (908, (1585, 198, 54, 46), (1585, 396, 108, 46),
+        "a6c57bd0955c203fbd3968089f80a4bb5c5857edf54cd6041442e097f2137ad9"),
+    (4, "uniform", 65): (1393, (1412, 168, 19, 29), (1412, 336, 38, 29),
+        "5a9a6da5b8df4b7b012a9ecd26c623bc5d1739fb5a8fdc81a5df5af11a817a03"),
+    (4, "uniform", 128): (2772, (2380, 327, 100, 44), (2380, 654, 200, 44),
+        "999e7fd3ae2bbf78a2c26d4533e825a5ccaf835a4580e596b64cc20f2189bbfd"),
+    (4, "uniform", 129): (4150, (2623, 383, 161, 51), (2623, 766, 322, 51),
+        "4b7d9a7abf49cb4f1530f893d04c638004bcca7500a3d0bb5469774415e102c3"),
+    (4, "grid", 64): (908, (1369, 168, 24, 26), (1369, 336, 48, 26),
+        "62d59e13e7fabc0b6fa77d8ffc1f8f0280ae1ac8f797c6f8ed31dcf50ffa80ca"),
+    (4, "grid", 65): (1393, (1004, 85, 29, 15), (1004, 170, 58, 15),
+        "2af5cc760e8e905950357a3eaf65ffac925f3b1d976bea87918a614e5af89f1e"),
+    (4, "grid", 128): (2772, (2078, 259, 63, 26), (2078, 518, 126, 26),
+        "d9884bead111c70e13652fe55648c3bc053f21e89e20d6f220958d7053d5c78f"),
+    (4, "grid", 129): (4150, (1973, 256, 80, 28), (1973, 512, 160, 28),
+        "6f14496c703847344db075736473bc9b2d02f8e0232ea1511f2ce57774254ced"),
 }
 
 
