@@ -14,33 +14,27 @@ structures compare, and the tree maps labels to ids only for a query's hits
 (cascade.rank_tables).  A query box is mapped to rank intervals once, with
 two bisections per dimension.  Every tree, a level's or a cascade's x-tree,
 is implicit in one padded leaf row sorted by rank and searched by one split
-descent (cascade._find_split).  The same-size structures of a dimension form
-one merge group: one object, built by one batched bottom-up merge
-(cascade.merge_rows: a stable argsort per row, whose permutation gives each
-cascade bridge in closed form), whose members are (group, member) pairs that
-every group kind queries and counts alike.  Only the level nodes a query can
-take as canonical get an associated structure, and a level finds one by
-arithmetic on the node's slot.  build() is the one way to make a structure.
+descent and one boundary walk (cascade._find_split, cascade._walk); only a
+cascade's walk carries y positions along bridges.  The same-size structures
+of a dimension form one merge group: one object, built by one batched
+bottom-up merge (cascade.merge_rows: a stable argsort per row, whose
+permutation gives each cascade bridge in closed form), whose members are
+(group, member) pairs that every group kind queries and counts alike.  Only
+the level nodes a query can take as canonical get an associated structure,
+and a level finds one by arithmetic on the node's slot.  build() is the one
+way to make a structure.
+
+The package exports what the CLI, the benchmark and the cost laws use.
+Structure internals such as cascade.CascadeStructure and helpers such as
+core.composite_key are imported from their modules.
 """
 
-from .cascade import CascadeNode, CascadeStructure
-from .core import (
-    DimensionMismatch,
-    EmptyInput,
-    Point,
-    PointSet,
-    QueryBox,
-    TooManyPoints,
-    box_contains,
-    composite_key,
-)
-from .oracle import GeneratorConfig, SplitMix64, brute_force_query, gen_points, splitmix64_next
+from .core import DimensionMismatch, EmptyInput, Point, PointSet, QueryBox, TooManyPoints
+from .oracle import GeneratorConfig, SplitMix64, brute_force_query, gen_points
 from .tree import BuildCounters, LayeredRangeTree, QueryStats, build, canonical_subtrees
 
 __all__ = [
     "BuildCounters",
-    "CascadeNode",
-    "CascadeStructure",
     "DimensionMismatch",
     "EmptyInput",
     "GeneratorConfig",
@@ -51,13 +45,10 @@ __all__ = [
     "QueryStats",
     "SplitMix64",
     "TooManyPoints",
-    "box_contains",
     "brute_force_query",
     "build",
     "canonical_subtrees",
-    "composite_key",
     "gen_points",
-    "splitmix64_next",
 ]
 
 __version__ = "0.1.0"

@@ -13,8 +13,10 @@ Every tree in the package is implicit in a leaf row: L = 2^H labels sorted
 by one dimension's rank, real labels first, then phantoms.  The node at
 (depth, pos) covers the chunk of width L >> depth starting at pos times that
 width, and it splits at the rank of the rightmost leaf of its left half.
-_find_split is the one descent over such a row; a level of the multi-level
-tree (tree._Level) is a leaf row too and searches it the same way.
+_find_split is the one descent over such a row to the split node of a rank
+interval, and _walk the one walk below it down the two boundary paths,
+yielding the nodes the interval covers whole.  A level of the multi-level
+tree (tree._Level) is a leaf row too and runs both the same way.
 
 A cascade is that tree over coordinate x (the second-to-last dimension)
 whose every node also carries its subtree's labels in ascending (y) order,
@@ -51,10 +53,9 @@ Every buffer comes out of one merge, merge_rows: the leaf rows of a group
 are merged together bottom-up by the labels themselves, one stable argsort
 per row, and each entry's left bridge follows in closed form from where the
 merge took it.  The multi-level tree runs the same merge by a rank table to
-sort its levels' subtrees by the next dimension.  Queries and counts share
-one walk down the two boundary paths below the split node
-(CascadeStructure._walk); a query emits the in-range run of each node it
-reaches as one slice of labels.
+sort its levels' subtrees by the next dimension.  Queries and counts run
+_walk with y positions, carried by bridges (a level runs it without); a
+query emits the in-range run of each node it reaches as one slice of labels.
 """
 
 from __future__ import annotations
@@ -158,6 +159,62 @@ def _find_split(ids, rank, base: int, L: int, a: int, b: int, stats) -> tuple[in
         span = half
         stats.nodes_visited += 1
     return depth, pos
+
+
+def _walk(ids, rank, base: int, L: int, depth: int, pos: int, a: int, b: int, lo, hi, stats):
+    """Yield (row, pos, lo, hi) for each canonical node and in-range boundary leaf.
+
+    The tree is _find_split's, and (depth, pos) its split node for [a, b).
+    The walk goes down the a path, then the b path, and yields each node
+    the range covers whole as its row and its position in that row.  When lo
+    is not None, the tree is a cascade member's (ids is its buf, base its
+    base): lo, and hi unless it is None, are positions in the split node's
+    array, carried down each path by one left bridge per level and yielded
+    as positions in each node's array.  A level passes None for both and
+    gets None back.
+    """
+    r = L.bit_length() - 1 - depth
+    if r == 0:
+        if a <= rank[ids[base + pos]] < b:
+            yield 0, pos, lo, hi
+        return
+    npos = 0 if lo is None else 1 if hi is None else 2
+    s = f = None  # the sibling's positions, set at every step when carried
+    lbase = base + (r + depth) * L  # the lb rows: lb row rr starts at lbase + rr*L
+    for side, bound in ((0, a), (1, b)):
+        # side 0 walks the a path, side 1 the b path; at every node the path
+        # enters the right child iff its split rank is below the bound, so at
+        # the split node (a <= split rank < b) side 0 goes left and side 1 right
+        p, c, e, steps = pos, lo, hi, r
+        for rr in range(r, 0, -1):
+            sp = 1 << rr
+            hf = sp >> 1
+            at = p * sp  # the node's chunk, in the leaf row and in lb row rr
+            go = rank[ids[base + at + hf - 1]] < bound
+            if c is not None:
+                # c sits at lb[c] in the left child and at c - lb[c] in the
+                # right one: s is the sibling's position, the rest the path's
+                lb = lbase + rr * L + at
+                s = ids[lb + c] if c < sp else hf
+                if not go:
+                    s = c - s
+                c -= s
+                if e is not None:
+                    f = ids[lb + e] if e < sp else hf
+                    if not go:
+                        f = e - f
+                    e -= f
+            p = (p << 1) + go
+            # below the split node, a path that keeps to its own side leaves
+            # the sibling wholly inside the range; each such canonical child
+            # costs one visit and one bridge per position
+            if go == side and rr < r:
+                steps += 1
+                yield rr - 1, p ^ 1, s, f
+        stats.nodes_visited += steps
+        stats.bridge_follows += npos * steps
+        if a <= rank[ids[base + p]] < b:
+            yield 0, p, c, e
 
 
 def merge_rows(merged: np.ndarray, rank=None) -> None:
@@ -292,57 +349,6 @@ class CascadeStructure:
 
     # -- queries -------------------------------------------------------------
 
-    def _walk(self, base, depth, pos, xa, xb, lo, hi, stats):
-        """Yield (abase, span, lo, hi) for each canonical node and in-range boundary leaf.
-
-        base is the member's, (depth, pos) its split node; lo, and hi unless
-        it is None, are positions in its array.  Each is carried down the xa
-        path, then the xb path, by one bridge per level, and handed over with
-        the array (address abase in buf, width span) of every node the x
-        range covers whole.
-        """
-        buf, rx, L, H = self.buf, self.rank_x, self.L, self.H
-        r = H - depth
-        if r == 0:
-            if xa <= rx[buf[base + pos]] < xb:
-                yield base + pos, 1, lo, hi
-            return
-        npos = 1 if hi is None else 2
-        lbase = base + H * L
-        for side, bound in ((0, xa), (1, xb)):
-            # side 0 walks the xa path, side 1 the xb path; at every node the
-            # path enters the right child iff its split rank is below the
-            # bound, so at the split node (xa <= split rank < xb) side 0
-            # goes left and side 1 right
-            p, c, e, f, steps = pos, lo, hi, None, r
-            for rr in range(r, 0, -1):
-                sp = 1 << rr
-                hf = sp >> 1
-                go = rx[buf[base + p * sp + hf - 1]] < bound
-                b = lbase + rr * L + p * sp
-                # c sits at lb[c] in the left child and at c - lb[c] in the
-                # right one: s is the sibling's position, the rest the path's
-                s = buf[b + c] if c < sp else hf
-                if not go:
-                    s = c - s
-                c -= s
-                if e is not None:
-                    f = buf[b + e] if e < sp else hf
-                    if not go:
-                        f = e - f
-                    e -= f
-                p = (p << 1) + go
-                # below the split node, a path that keeps to its own side
-                # leaves the sibling wholly inside the x range; each such
-                # canonical child costs one visit and one bridge per position
-                if go == side and rr < r:
-                    steps += 1
-                    yield base + (rr - 1) * L + (p ^ 1) * hf, hf, s, f
-            stats.nodes_visited += steps
-            stats.bridge_follows += npos * steps
-            if xa <= rx[buf[base + p]] < xb:
-                yield base + p, 1, c, e
-
     def query(self, g, a, b, stats, emit: Callable[[array], None]):
         """Emit member g's labels inside the rank box [a, b) in dimensions xdim, ydim.
 
@@ -354,15 +360,16 @@ class CascadeStructure:
         x, y = self.xdim, self.ydim
         xa, xb = a[x], b[x]
         ya, yb = a[y], b[y]
-        base, buf = g * self.words, self.buf
-        depth, pos = _find_split(buf, self.rank_x, base, self.L, xa, xb, stats)
+        base, buf, rx, L = g * self.words, self.buf, self.rank_x, self.L
+        depth, pos = _find_split(buf, rx, base, L, xa, xb, stats)
         r = self.H - depth
-        abase = base + r * self.L + (pos << r)
+        abase = base + r * L + (pos << r)
         q = bisect_left(buf, ya, abase, abase + (1 << r)) - abase
         stats.binary_searches += 1
-        for abase, span, u, _ in self._walk(base, depth, pos, xa, xb, q, None, stats):
+        for row, p, u, _ in _walk(buf, rx, base, L, depth, pos, xa, xb, q, None, stats):
+            abase = base + row * L + (p << row)
             u += abase
-            end = abase + span
+            end = abase + (1 << row)
             for v in range(u, end):
                 if buf[v] >= yb:
                     break
@@ -383,16 +390,16 @@ class CascadeStructure:
         x, y = self.xdim, self.ydim
         xa, xb = a[x], b[x]
         ya, yb = a[y], b[y]
-        base, buf = g * self.words, self.buf
-        depth, pos = _find_split(buf, self.rank_x, base, self.L, xa, xb, stats)
+        base, buf, rx, L = g * self.words, self.buf, self.rank_x, self.L
+        depth, pos = _find_split(buf, rx, base, L, xa, xb, stats)
         r = self.H - depth
-        abase = base + r * self.L + (pos << r)
+        abase = base + r * L + (pos << r)
         end = abase + (1 << r)
         lo = bisect_left(buf, ya, abase, end) - abase
         hi = bisect_left(buf, yb, abase, end) - abase
         stats.binary_searches += 2
         total = 0
-        for _, _, u, v in self._walk(base, depth, pos, xa, xb, lo, hi, stats):
+        for _, _, u, v in _walk(buf, rx, base, L, depth, pos, xa, xb, lo, hi, stats):
             if v > u:
                 total += v - u
         return total

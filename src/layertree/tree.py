@@ -19,11 +19,13 @@ cascade): L padded leaf labels sorted by rank, where the node at row r
 (pos+1)*2^r - 1 and splits at the rightmost leaf of its left half.  Its
 nodes are numbered in heap order: slot (L >> r) - 1 + pos, so slot 0 is the
 root, the children of slot i are 2i+1 and 2i+2, and the leaves are
-slots L-1 .. 2L-2.  Everything below LayeredRangeTree.rank_box works in rank
-space: the structures hold and emit labels (ranks in the last dimension),
-one int32 table per other dimension ranks each label, and a box becomes a
-rank interval [a_j, b_j) per dimension.  Padding leaves are phantoms ranked
-after every real point, so they never fall inside one.
+slots L-1 .. 2L-2.  A level's canonical decomposition is a cascade's walk
+down the two boundary paths (cascade._walk) with no positions to carry.
+Everything below LayeredRangeTree.rank_box works in rank space: the
+structures hold and emit labels (ranks in the last dimension), one int32
+table per other dimension ranks each label, and a box becomes a rank
+interval [a_j, b_j) per dimension.  Padding leaves are phantoms ranked after
+every real point, so they never fall inside one.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .cascade import (CascadeStructure, _find_split, fill_buffers_batch_np, merge_rows,
+from .cascade import (CascadeStructure, _find_split, _walk, fill_buffers_batch_np, merge_rows,
                       pow2ceil, rank_tables)
 from .core import DimensionMismatch, EmptyInput, Point, PointSet, QueryBox, TooManyPoints
 
@@ -76,41 +78,21 @@ def canonical_subtrees(level: "_Level", g: int, a: int, b: int,
                        stats: Optional[QueryStats] = None) -> list[int]:
     """Heap slots of member g's disjoint subtrees whose leaves are exactly the ranks in [a, b).
 
-    Member g's leaf row of labels starts at g*L in level.ids.  The node at row r,
-    position pos of that row is heap slot (L >> r) - 1 + pos, in 0 .. 2L-2.
-    At most 2*log2(L) slots (one slot for a single-leaf tree); phantom leaves
-    never qualify because their ranks are at least n >= b.
+    Member g's leaf row of labels starts at g*L in level.ids.  The split
+    descent and the boundary walk are a cascade's (cascade._find_split and
+    cascade._walk), run with no positions, since a level has no bridges.
+    The node at row r, position pos of that row is heap slot
+    (L >> r) - 1 + pos, in 0 .. 2L-2.  At most 2*log2(L) slots (one slot for
+    a single-leaf tree); phantom leaves never qualify because their ranks
+    are at least n >= b.
     """
     if stats is None:
         stats = QueryStats()
     ids, rank, L = level.ids, level.rank, level.L
     base = g * L
     depth, pos = _find_split(ids, rank, base, L, a, b, stats)
-    r = L.bit_length() - 1 - depth
-    if r == 0:
-        return [L - 1 + pos] if a <= rank[ids[base + pos]] < b else []
-
-    out: list[int] = []
-    # side 0 follows a down the left child, side 1 b down the right; where a
-    # path turns to its own side, the other child, at row rr-1, lies wholly
-    # inside the range: split rank >= a (side 0), split rank < b (side 1).
-    # The node at row rr, position p splits at leaf (2p+1)*hf - 1 of the row.
-    last = base - 1
-    for side, bound in ((0, a), (1, b)):
-        p = (pos << 1) + side
-        visits = r
-        for rr in range(r - 1, 0, -1):
-            hf = 1 << (rr - 1)
-            if (rank[ids[last + (2 * p + 1) * hf]] < bound) == side:
-                visits += 1
-                out.append((L >> (rr - 1)) - 1 + (p << 1) + 1 - side)
-                p = (p << 1) + side
-            else:
-                p = (p << 1) + 1 - side
-        stats.nodes_visited += visits
-        if a <= rank[ids[base + p]] < b:
-            out.append(L - 1 + p)
-    return out
+    walk = _walk(ids, rank, base, L, depth, pos, a, b, None, None, stats)
+    return [(L >> row) - 1 + p for row, p, _, _ in walk]
 
 
 def _reachable(L: int, m: int, r: int) -> range:

@@ -11,20 +11,17 @@ import pytest
 import layertree.cascade
 from layertree import (
     BuildCounters,
-    CascadeStructure,
     EmptyInput,
     GeneratorConfig,
     Point,
     PointSet,
     QueryStats,
     SplitMix64,
-    box_contains,
     build,
-    composite_key,
     gen_points,
 )
-from layertree.cascade import merge_rows
-from layertree.core import QueryBox
+from layertree.cascade import CascadeStructure, merge_rows
+from layertree.core import QueryBox, box_contains, composite_key
 
 
 def make_cascade(coord_pairs):
@@ -339,32 +336,43 @@ class TestQuery2D:
                         assert got == brute(ps, xlo, xhi, ylo, yhi)
 
     def test_positions_match_shadow_lower_bound(self, monkeypatch):
-        # the bridged position at every canonical node equals an independent
-        # search; the walk's yields are observed on their way to the query
+        # every bridged position at every canonical node and boundary leaf
+        # equals an independent search: the query's one for ya, the count's
+        # two for ya and yb; the walk's yields are observed on their way
         probes = []
-        walk = CascadeStructure._walk
+        walk = layertree.cascade._walk
 
-        def observed(self, *args):
-            for abase, span, lo, hi in walk(self, *args):
-                probes.append((abase, span, lo))
-                yield abase, span, lo, hi
+        def observed(*args):
+            for row, p, lo, hi in walk(*args):
+                probes.append((row, p, lo, hi))
+                yield row, p, lo, hi
 
-        monkeypatch.setattr(CascadeStructure, "_walk", observed)
+        def node_ranks(row, p):
+            abase = row * cs.L + (p << row)  # member 0's node array at (row, p)
+            return cs.buf[abase : abase + (1 << row)].tolist()  # labels are y ranks
+
+        monkeypatch.setattr(layertree.cascade, "_walk", observed)
         rng = SplitMix64(123)
         cs, ps, ids = make_cascade([(rng.next_below(50), rng.next_below(50)) for _ in range(200)])
-        seen = 0
+        seen = counted = 0
         for _ in range(200):
             xlo, xhi = sorted((rng.next_below(52) - 1, rng.next_below(52) - 1))
-            ylo = rng.next_below(52) - 1
+            ylo, yhi = rng.next_below(52) - 1, rng.next_below(52) - 1
             probes.clear()
             a, b = rank_args(cs, ps, xlo, xhi, ylo, 100.0)
             ya = a[1]
             cs.query(0, a, b, QueryStats(), lambda p: None)
-            for abase, span, q in probes:
-                ranks = cs.buf[abase : abase + span].tolist()  # labels are y ranks
-                assert q == bisect_left(ranks, ya)
+            for row, p, q, hi in probes:
+                assert q == bisect_left(node_ranks(row, p), ya) and hi is None
             seen += len(probes)
-        assert seen > 200  # the wrapper observed the query's walk
+            probes.clear()
+            a, b = rank_args(cs, ps, xlo, xhi, ylo, yhi)  # yhi < ylo in about half
+            cs.count(0, a, b, QueryStats())
+            for row, p, lo, hi in probes:
+                ranks = node_ranks(row, p)
+                assert (lo, hi) == (bisect_left(ranks, a[1]), bisect_left(ranks, b[1]))
+            counted += len(probes)
+        assert seen > 200 and counted > 200  # the wrapper observed both walks
 
     def test_count_matches_query(self):
         rng = SplitMix64(9)

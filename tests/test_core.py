@@ -14,10 +14,9 @@ from layertree import (
     PointSet,
     QueryBox,
     brute_force_query,
-    box_contains,
     build,
-    composite_key,
 )
+from layertree.core import box_contains, composite_key
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 small_coord = st.integers(min_value=0, max_value=3).map(float)

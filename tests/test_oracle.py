@@ -12,11 +12,11 @@ from layertree import (
     PointSet,
     QueryBox,
     SplitMix64,
-    box_contains,
     brute_force_query,
     gen_points,
-    splitmix64_next,
 )
+from layertree.core import box_contains
+from layertree.oracle import splitmix64_next
 
 MASK = (1 << 64) - 1
 

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import importlib
 import json
 import random
 import sys
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import layertree
 from layertree import (
     BuildCounters,
     DimensionMismatch,
@@ -25,10 +27,10 @@ from layertree import (
     brute_force_query,
     build,
     canonical_subtrees,
-    composite_key,
     gen_points,
 )
 from layertree.cascade import CascadeStructure, _find_split, pow2ceil, rank_tables
+from layertree.core import composite_key
 from layertree.tree import _Level, _Slab
 
 import structure_dump
@@ -90,6 +92,26 @@ def rank_bounds(values, lo, hi):
     """The ranks [a, b) of the interval [lo, hi] over `values`, as rank_box maps a box."""
     s = sorted(values)
     return bisect_left(s, lo), bisect_right(s, hi)
+
+
+class TestPublicNames:
+    # the package exports what the CLI, the benchmark and the laws use; the
+    # rest is imported from its own module, not from the package
+    def test_all_is_exactly_the_public_api(self):
+        assert sorted(layertree.__all__) == [
+            "BuildCounters", "DimensionMismatch", "EmptyInput", "GeneratorConfig",
+            "LayeredRangeTree", "Point", "PointSet", "QueryBox", "QueryStats", "SplitMix64",
+            "TooManyPoints", "brute_force_query", "build", "canonical_subtrees", "gen_points"]
+        assert all(callable(getattr(layertree, name)) for name in layertree.__all__)
+
+    @pytest.mark.parametrize("module,name", [("cascade", "CascadeNode"),
+                                             ("cascade", "CascadeStructure"),
+                                             ("core", "composite_key"),
+                                             ("core", "box_contains"),
+                                             ("oracle", "splitmix64_next")])
+    def test_dropped_names_import_from_their_modules(self, module, name):
+        assert callable(getattr(importlib.import_module(f"layertree.{module}"), name))
+        assert not hasattr(layertree, name)
 
 
 class TestLeafRow:
