@@ -13,9 +13,11 @@ other dimension ranks each label; labels and ranks are the only keys the
 structures compare, and the tree maps labels to ids only for a query's hits
 (cascade.rank_tables).  A query box is mapped to rank intervals once, with
 two bisections per dimension.  Every tree, a level's or a cascade's x-tree,
-is implicit in one padded leaf row sorted by rank and searched by one split
-descent and one boundary walk (cascade._find_split, cascade._walk); only a
-cascade's walk carries y positions along bridges.  The same-size structures
+is implicit in one padded leaf row sorted by rank and searched by one walk
+(cascade._walk): a split descent, then the two boundary paths.  Only a
+cascade's walk takes y bounds: it bisects the split node's array for them
+and carries the positions along bridges.  The walk alone counts work and
+the tree alone counts results (QueryStats).  The same-size structures
 of a dimension form one merge group: one object, built by one batched
 bottom-up merge (cascade.merge_rows: a stable argsort per row, whose
 permutation gives each cascade bridge in closed form), whose members are

@@ -13,10 +13,10 @@ Every tree in the package is implicit in a leaf row: L = 2^H labels sorted
 by one dimension's rank, real labels first, then phantoms.  The node at
 (depth, pos) covers the chunk of width L >> depth starting at pos times that
 width, and it splits at the rank of the rightmost leaf of its left half.
-_find_split is the one descent over such a row to the split node of a rank
-interval, and _walk the one walk below it down the two boundary paths,
-yielding the nodes the interval covers whole.  A level of the multi-level
-tree (tree._Level) is a leaf row too and runs both the same way.
+_walk is the one walk over such a row: it descends (_find_split) to the
+split node of a rank interval, then down the two boundary paths, yielding
+the nodes the interval covers whole.  A level of the multi-level tree
+(tree._Level) is a leaf row too and runs the same walk.
 
 A cascade is that tree over coordinate x (the second-to-last dimension)
 whose every node also carries its subtree's labels in ascending (y) order,
@@ -31,7 +31,8 @@ group's G buffers in one array("i") of G*(2H+1)*L words, laid out
 (G, 2H+1, L), plus L, H and the x rank table; a member's real point count
 is the number of real labels in its leaf row.  A cascade is a (group,
 member) pair: member g owns the words = (2H+1)*L contiguous words from
-base = g*words, and queries and counts take g and the tree's rank box.
+base = g*words, and queries and counts take g and the tree's rank box,
+of which they read the last two dimensions.
 Every address below is base plus an offset in that buffer.  With L padded
 leaves and height H = log2(L):
 
@@ -53,9 +54,11 @@ Every buffer comes out of one merge, merge_rows: the leaf rows of a group
 are merged together bottom-up by the labels themselves, one stable argsort
 per row, and each entry's left bridge follows in closed form from where the
 merge took it.  The multi-level tree runs the same merge by a rank table to
-sort its levels' subtrees by the next dimension.  Queries and counts run
-_walk with y positions, carried by bridges (a level runs it without); a
-query emits the in-range run of each node it reaches as one slice of labels.
+sort its levels' subtrees by the next dimension.  A query or a count is
+one _walk with y bounds: the walk makes the split node's bisects, one for
+a query and two for a count, and carries the positions they find by
+bridges (a level walks without).  A query emits the in-range run of each
+node it reaches as one slice of labels.
 """
 
 from __future__ import annotations
@@ -161,24 +164,34 @@ def _find_split(ids, rank, base: int, L: int, a: int, b: int, stats) -> tuple[in
     return depth, pos
 
 
-def _walk(ids, rank, base: int, L: int, depth: int, pos: int, a: int, b: int, lo, hi, stats):
-    """Yield (row, pos, lo, hi) for each canonical node and in-range boundary leaf.
+def _walk(ids, rank, base: int, L: int, a: int, b: int, ya, yb, stats):
+    """Yield (row, pos, lo, hi) for each canonical node and in-range boundary leaf of [a, b).
 
-    The tree is _find_split's, and (depth, pos) its split node for [a, b).
-    The walk goes down the a path, then the b path, and yields each node
-    the range covers whole as its row and its position in that row.  When lo
-    is not None, the tree is a cascade member's (ids is its buf, base its
-    base): lo, and hi unless it is None, are positions in the split node's
-    array, carried down each path by one left bridge per level and yielded
-    as positions in each node's array.  A level passes None for both and
-    gets None back.
+    The tree is _find_split's leaf row.  The walk descends (_find_split) to
+    the split node of [a, b), goes down the a path, then the b path, and
+    yields each node the range covers whole as its row and its position in
+    that row.  When ya is not
+    None, the tree is a cascade member's (ids is its buf, base its base):
+    the walk bisects the split node's array for ya, and for yb unless it is
+    None, and carries the positions found, lo and hi, down each path by one
+    left bridge per level, yielding them as positions in each node's array.
+    These are a cascade's only binary searches.  A level passes None for
+    both and gets None back.
     """
+    depth, pos = _find_split(ids, rank, base, L, a, b, stats)
     r = L.bit_length() - 1 - depth
+    lo = hi = None
+    if ya is not None:
+        at = base + r * L + (pos << r)  # the split node's array
+        lo = bisect_left(ids, ya, at, at + (1 << r)) - at
+        if yb is not None:
+            hi = bisect_left(ids, yb, at, at + (1 << r)) - at
+    npos = 0 if lo is None else 1 if hi is None else 2  # positions carried, one bisect each
+    stats.binary_searches += npos
     if r == 0:
         if a <= rank[ids[base + pos]] < b:
             yield 0, pos, lo, hi
         return
-    npos = 0 if lo is None else 1 if hi is None else 2
     s = f = None  # the sibling's positions, set at every step when carried
     lbase = base + (r + depth) * L  # the lb rows: lb row rr starts at lbase + rr*L
     for side, bound in ((0, a), (1, b)):
@@ -297,15 +310,14 @@ class CascadeStructure:
 
     Each member is an x-tree plus per-node label arrays with bridges.  All G
     share the group's array("i") buf; member g's `words` = (2H+1)*L words
-    start at base g*words (see the module docstring for the layout); queries
-    and counts take g.  The d=2 tree's root is a group of one, member 0.
+    start at base g*words (see the module docstring for the layout).  A
+    query or count of member g is one _walk over the last two dimensions of
+    the tree's rank box.  The d=2 tree's root is a group of one, member 0.
     """
 
-    __slots__ = ("xdim", "ydim", "L", "H", "words", "buf", "rank_x")
+    __slots__ = ("L", "H", "words", "buf", "rank_x")
 
-    def __init__(self, xdim, ydim, L, buf, rank_x):
-        self.xdim = xdim
-        self.ydim = ydim
+    def __init__(self, L, buf, rank_x):
         self.L = L                         # padded leaf count (power of two)
         self.H = L.bit_length() - 1        # log2(L)
         self.words = (2 * self.H + 1) * L  # one member's share of buf
@@ -315,7 +327,7 @@ class CascadeStructure:
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def build_from_ids(cls, ids, xdim, ydim, rank_x, n, counters=None):
+    def build_from_ids(cls, ids, rank_x, n, counters=None):
         """A group of one over the labels ids, out of n points, sorted by the x composite order.
 
         rank_x is a rank table (rank_tables) with at least L phantom slots
@@ -329,7 +341,7 @@ class CascadeStructure:
         row = np.arange(n, n + L, dtype=np.int32)
         row[:m] = ids
         buf = fill_buffers_batch_np(row[None, :], counters)
-        return cls(xdim, ydim, L, buf, rank_x)
+        return cls(L, buf, rank_x)
 
     # -- structure access ----------------------------------------------------
 
@@ -350,26 +362,18 @@ class CascadeStructure:
     # -- queries -------------------------------------------------------------
 
     def query(self, g, a, b, stats, emit: Callable[[array], None]):
-        """Emit member g's labels inside the rank box [a, b) in dimensions xdim, ydim.
+        """Emit member g's labels inside the rank box [a, b) in its last two dimensions (x, y).
 
-        A query makes ONE binary search, a bisect of the split node's array
+        The walk makes ONE binary search, a bisect of the split node's array
         for ya; positions at every canonical node and boundary leaf follow
         bridges.  Each node's run of labels below yb is emitted as one slice
         of buf, an array("i").
         """
-        x, y = self.xdim, self.ydim
-        xa, xb = a[x], b[x]
-        ya, yb = a[y], b[y]
-        base, buf, rx, L = g * self.words, self.buf, self.rank_x, self.L
-        depth, pos = _find_split(buf, rx, base, L, xa, xb, stats)
-        r = self.H - depth
-        abase = base + r * L + (pos << r)
-        q = bisect_left(buf, ya, abase, abase + (1 << r)) - abase
-        stats.binary_searches += 1
-        for row, p, u, _ in _walk(buf, rx, base, L, depth, pos, xa, xb, q, None, stats):
-            abase = base + row * L + (p << row)
-            u += abase
-            end = abase + (1 << row)
+        base, buf, L, yb = g * self.words, self.buf, self.L, b[-1]
+        for row, p, u, _ in _walk(buf, self.rank_x, base, L, a[-2], b[-2], a[-1], None, stats):
+            at = base + row * L + (p << row)
+            u += at
+            end = at + (1 << row)
             for v in range(u, end):
                 if buf[v] >= yb:
                     break
@@ -377,29 +381,18 @@ class CascadeStructure:
                 v = end
             if v > u:
                 emit(buf[u:v])
-                stats.reported += v - u
 
     def count(self, g, a, b, stats) -> int:
         """Count member g's points inside the rank box [a, b), bounded as in query.
 
-        Nothing is enumerated.  Twin positions, the first labels >= ya and
-        >= yb, are found by two bisects of the split node's array and then
-        carried down via bridges; each canonical node contributes their
+        Nothing is enumerated.  The walk bisects the split node's array for
+        the twin positions, the first labels >= ya and >= yb, and carries
+        them down via bridges; each canonical node contributes their
         difference.
         """
-        x, y = self.xdim, self.ydim
-        xa, xb = a[x], b[x]
-        ya, yb = a[y], b[y]
-        base, buf, rx, L = g * self.words, self.buf, self.rank_x, self.L
-        depth, pos = _find_split(buf, rx, base, L, xa, xb, stats)
-        r = self.H - depth
-        abase = base + r * L + (pos << r)
-        end = abase + (1 << r)
-        lo = bisect_left(buf, ya, abase, end) - abase
-        hi = bisect_left(buf, yb, abase, end) - abase
-        stats.binary_searches += 2
         total = 0
-        for _, _, u, v in _walk(buf, rx, base, L, depth, pos, xa, xb, lo, hi, stats):
+        for _, _, u, v in _walk(self.buf, self.rank_x, g * self.words, self.L,
+                                a[-2], b[-2], a[-1], b[-1], stats):
             if v > u:
                 total += v - u
         return total

@@ -124,8 +124,6 @@ def brute_force_query(points: PointSet, box: QueryBox) -> list[Point]:
         raise DimensionMismatch(
             f"box of dimension {box.dims}, point set of dimension {points.dims}"
         )
-    if len(points) == 0:
-        return []
     m = points.coord_matrix()
     lo = np.asarray(box.lo, dtype=np.float64)
     hi = np.asarray(box.hi, dtype=np.float64)

@@ -20,7 +20,7 @@ cascade): L padded leaf labels sorted by rank, where the node at row r
 nodes are numbered in heap order: slot (L >> r) - 1 + pos, so slot 0 is the
 root, the children of slot i are 2i+1 and 2i+2, and the leaves are
 slots L-1 .. 2L-2.  A level's canonical decomposition is a cascade's walk
-down the two boundary paths (cascade._walk) with no positions to carry.
+(cascade._walk) with no y bounds and so no positions to carry.
 Everything below LayeredRangeTree.rank_box works in rank space: the
 structures hold and emit labels (ranks in the last dimension), one int32
 table per other dimension ranks each label, and a box becomes a rank
@@ -37,8 +37,8 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .cascade import (CascadeStructure, _find_split, _walk, fill_buffers_batch_np, merge_rows,
-                      pow2ceil, rank_tables)
+from .cascade import (CascadeStructure, _walk, fill_buffers_batch_np, merge_rows, pow2ceil,
+                      rank_tables)
 from .core import DimensionMismatch, EmptyInput, Point, PointSet, QueryBox, TooManyPoints
 
 INT32_MAX = 2**31 - 1
@@ -48,12 +48,15 @@ INT32_MAX = 2**31 - 1
 class QueryStats:
     """Operation counters accumulated over one or more queries.
 
-    nodes_visited counts every tree slot whose key a query examines plus every
-    canonical subtree root it hands off to; binary_searches counts bisects
-    of a cascade's split-node array, not the per-box rank mapping
-    (rank_box: two bisections per dimension, the whole search at d=1);
-    bridge_follows counts O(1) position transfers along cascade bridges;
-    reported counts emitted (or counted) points.
+    Only the walk (cascade._find_split and cascade._walk) counts work, and
+    only LayeredRangeTree.query and .count count results; no structure
+    writes a counter.  nodes_visited (_find_split and _walk) counts every
+    tree slot whose key a query examines plus every canonical subtree root
+    it hands off to; binary_searches (_walk) counts bisects of a cascade's
+    split-node array, not the per-box rank mapping (rank_box: two
+    bisections per dimension, the whole search at d=1); bridge_follows
+    (_walk) counts O(1) position transfers along cascade bridges; reported
+    (LayeredRangeTree.query and .count) counts reported (or counted) points.
     """
 
     nodes_visited: int = 0
@@ -78,20 +81,17 @@ def canonical_subtrees(level: "_Level", g: int, a: int, b: int,
                        stats: Optional[QueryStats] = None) -> list[int]:
     """Heap slots of member g's disjoint subtrees whose leaves are exactly the ranks in [a, b).
 
-    Member g's leaf row of labels starts at g*L in level.ids.  The split
-    descent and the boundary walk are a cascade's (cascade._find_split and
-    cascade._walk), run with no positions, since a level has no bridges.
-    The node at row r, position pos of that row is heap slot
+    Member g's leaf row of labels starts at g*L in level.ids.  The walk is
+    a cascade's (cascade._walk), run with no y bounds, since a level has no
+    bridges.  The node at row r, position pos of that row is heap slot
     (L >> r) - 1 + pos, in 0 .. 2L-2.  At most 2*log2(L) slots (one slot for
     a single-leaf tree); phantom leaves never qualify because their ranks
     are at least n >= b.
     """
     if stats is None:
         stats = QueryStats()
-    ids, rank, L = level.ids, level.rank, level.L
-    base = g * L
-    depth, pos = _find_split(ids, rank, base, L, a, b, stats)
-    walk = _walk(ids, rank, base, L, depth, pos, a, b, None, None, stats)
+    L = level.L
+    walk = _walk(level.ids, level.rank, g * L, L, a, b, None, None, stats)
     return [(L >> row) - 1 + p for row, p, _, _ in walk]
 
 
@@ -117,10 +117,7 @@ class _Slab:
     __slots__ = ()
 
     def query(self, g, a, b, stats, emit):
-        lo, hi = a[0], b[0]
-        if hi > lo:
-            emit(range(lo, hi))
-            stats.reported += hi - lo
+        emit(range(a[0], b[0]))
 
     def count(self, g, a, b, stats) -> int:
         return max(0, b[0] - a[0])
@@ -198,14 +195,16 @@ class LayeredRangeTree:
     def query(self, box: QueryBox, stats: Optional[QueryStats] = None) -> list[Point]:
         """All points inside the closed box, sorted by id.
 
-        The structures emit runs of labels; they are mapped to ids, sorted as
-        ints, and only then to points, which the point set makes on a first hit.
+        The structures emit runs of labels; they are counted as reported,
+        mapped to ids, sorted as ints, and only then to points, which the
+        point set makes on a first hit.
         """
         a, b = self.rank_box(box)
         if stats is None:
             stats = QueryStats()
         labels = array("i")
         self.root.query(0, a, b, stats, labels.extend)
+        stats.reported += len(labels)
         return self.pointset.take(sorted(map(self.ids.__getitem__, labels)))
 
     def count(self, box: QueryBox, stats: Optional[QueryStats] = None) -> int:
@@ -277,7 +276,7 @@ def build(points: PointSet, counters: Optional[BuildCounters] = None) -> Layered
             del pieces
             H = L.bit_length() - 1
             if j == d - 2:
-                tops[j][H] = CascadeStructure(j, j + 1, L, fill_buffers_batch_np(rows, counters), ranks[j])
+                tops[j][H] = CascadeStructure(L, fill_buffers_batch_np(rows, counters), ranks[j])
                 continue
             G, m = len(rows), (n if j == 0 else L)  # only the root member holds phantoms
             merged = np.empty((G, H + 1, L), dtype=np.int32)

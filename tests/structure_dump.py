@@ -21,16 +21,14 @@ can reach has no structure, so it is in no dump, and a change to which
 slots are built shows in structures and merge_moves only.  The second form
 exits 1, naming each case, when a case of BASE is missing from HEAD or its
 answers, query_stats or count_stats differ; CI runs it on every pull
-request against the base commit's dump.  tests/test_tree.py pins a digest
+request against the base commit's dump.  It reads only the two files, so
+only the first form imports layertree.  tests/test_tree.py pins a digest
 of structure_row over fixed trees and runs the smallest cases.
 """
 
 import json
 import sys
 from dataclasses import astuple
-
-from layertree import (BuildCounters, GeneratorConfig, PointSet, QueryBox, QueryStats,
-                       SplitMix64, build, gen_points)
 
 # finite extremes, signed zeros and the smallest subnormal, plus ordinary values
 EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1.7e308, -1.7e308, -1.0, 0.5, 1.0]
@@ -41,7 +39,9 @@ CASES = [(d, dist, n) for d in (1, 2, 3, 4) for dist in DISTS for n in SIZES
 BOXES = 30
 
 
-def case_points(d: int, dist: str, n: int) -> PointSet:
+def case_points(d: int, dist: str, n: int):
+    from layertree import GeneratorConfig, PointSet, SplitMix64, gen_points
+
     seed = 1000 * d + n
     if dist == "edge":
         rng = SplitMix64(seed)
@@ -53,6 +53,8 @@ def case_points(d: int, dist: str, n: int) -> PointSet:
 
 def case_boxes(d: int, dist: str, n: int) -> list:
     """BOXES boxes; every third one has lo > hi (or lo = hi) in dimension i mod d."""
+    from layertree import QueryBox, SplitMix64
+
     rng = SplitMix64(7 * n + d)
     if dist == "edge":
         draw = lambda: EDGE_VALUES[rng.next_below(len(EDGE_VALUES))]
@@ -100,6 +102,8 @@ def hit(p) -> list:
 
 
 def dump_case(d: int, dist: str, n: int) -> dict:
+    from layertree import BuildCounters, QueryStats, build
+
     counters = BuildCounters()
     tree = build(case_points(d, dist, n), counters)
     q, c = QueryStats(), QueryStats()

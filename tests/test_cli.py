@@ -46,6 +46,11 @@ class TestGen:
         assert code == 1
         assert "--n" in err
 
+    def test_dims_zero_is_usage_error(self, capsys):
+        code, _, err = run(capsys, ["gen", "--n", "3", "--dims", "0", "--seed", "1"])
+        assert code == 1
+        assert "--dims must be >= 1" in err
+
     @pytest.mark.parametrize("dist", ["grid:", "grid:0", "gaussian"])
     def test_bad_dist_is_usage_error(self, capsys, dist):
         code, _, _ = run(capsys, ["gen", "--n", "1", "--dims", "1", "--seed", "1",
@@ -233,11 +238,14 @@ class TestBench:
             ["bench", "--dims", "2", "--sizes", "64", "--queries", "5", "--seed", "1",
              "--selectivity", "1.5"],
             ["bench", "--dims", "0", "--sizes", "64", "--queries", "5", "--seed", "1"],
+            ["bench", "--dims", "2", "--sizes", "64,x", "--queries", "5", "--seed", "1"],
         ],
     )
     def test_usage_errors(self, capsys, argv):
-        code, _, _ = run(capsys, argv)
+        code, _, err = run(capsys, argv)
         assert code == 1
+        if "64,x" in argv:  # a size that is not an integer is named
+            assert "bad --sizes '64,x'" in err
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")

@@ -94,9 +94,17 @@ class TestValidation:
         with pytest.raises(ValueError, match="1" + "0" * 400):
             make()
 
+    def test_point_rejects_negative_id(self):
+        with pytest.raises(ValueError, match="point id must be nonnegative"):
+            Point((1.0,), -1)
+
     def test_box_needs_matching_arity(self):
         with pytest.raises(DimensionMismatch):
             QueryBox((0.0,), (1.0, 2.0))
+
+    def test_box_needs_a_dimension(self):
+        with pytest.raises(ValueError, match="box needs at least one dimension"):
+            QueryBox((), ())
 
     def test_pointset_rejects_mixed_dims(self):
         with pytest.raises(DimensionMismatch):

@@ -3,6 +3,7 @@ import hashlib
 import importlib
 import json
 import random
+import subprocess
 import sys
 from array import array
 from bisect import bisect_left, bisect_right
@@ -320,7 +321,7 @@ class TestBuild:
         tree = build(PointSet.from_coords([(1, 1), (2, 2), (3, 3), (4, 4)]))
         cs = tree.root
         assert isinstance(cs, CascadeStructure)
-        ys = tree.pointset.coord_matrix()[:, cs.ydim].tolist()  # all 4 labels are real
+        ys = tree.pointset.coord_matrix()[:, -1].tolist()  # all 4 labels are real
         assert [ys[tree.ids[e]] for e in cs.node(0).ranks] == [1.0, 2.0, 3.0, 4.0]
         assert [ys[tree.ids[e]] for e in cs.node(1).ranks] == [1.0, 2.0]
         assert [ys[tree.ids[e]] for e in cs.node(2).ranks] == [3.0, 4.0]
@@ -496,9 +497,10 @@ class TestSpaceAccounting:
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_no_last_dimension_table(self, d):
-        # every rank table a structure holds is one of dimensions 0 .. d-2,
-        # and a cascade's node arrays ascend in their labels, which bisect_left
-        # on the buffer relies on
+        # every rank table a structure holds is one of dimensions 0 .. d-2
+        # (a cascade's is d-2's; it keeps no dimension numbers), and a
+        # cascade's node arrays ascend in their labels, which bisect_left on
+        # the buffer relies on
         ps = gen_points(GeneratorConfig(seed=7, n=70, dims=d, dist="grid", grid_side=3))
         tree = build(ps)
         _, _, ranks, _ = rank_tables(ps.coord_matrix(), pow2ceil(len(ps)))
@@ -510,8 +512,8 @@ class TestSpaceAccounting:
             elif isinstance(s, _Level):
                 held[id(s.rank)] = (s.dim, s.rank)
             else:
-                assert not hasattr(s, "rank_y") and (s.xdim, s.ydim) == (d - 2, d - 1)
-                held[id(s.rank_x)] = (s.xdim, s.rank_x)
+                assert not any(hasattr(s, k) for k in ("rank_y", "xdim", "ydim"))
+                held[id(s.rank_x)] = (d - 2, s.rank_x)
                 for slot in range(2 * s.L - 1):
                     labels = s.node(slot, g).ranks
                     assert all(u < v for u, v in zip(labels, labels[1:]))
@@ -550,6 +552,18 @@ class TestStructureDump:
             "[3, 'grid', 1]: count_stats differ", "[3, 'grid', 2]: answers differ"]
         assert structure_dump.compare(base, head[:1]) == [
             "[3, 'grid', 1]: count_stats differ", "[3, 'grid', 2]: missing"]
+
+    def test_compare_needs_no_package(self, tmp_path):
+        # comparing two dumps reads only the files: the compare form runs
+        # where layertree cannot be imported
+        dump = tmp_path / "dump.json"
+        dump.write_text(json.dumps([structure_dump.dump_case(2, "grid", 3)]))
+        script = ("import runpy, sys; sys.modules['layertree'] = None; "
+                  f"sys.argv = ['structure_dump.py', '--compare', {str(dump)!r}, {str(dump)!r}]; "
+                  f"runpy.run_path({structure_dump.__file__!r}, run_name='__main__')")
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=60)
+        assert done.returncode == 0, done.stderr
 
 
 def buffer_digest(tree) -> str:
