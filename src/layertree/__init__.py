@@ -23,7 +23,7 @@ bottom-up merge (cascade.merge_rows: a stable argsort per row, whose
 permutation gives each cascade bridge in closed form), whose members are
 (group, member) pairs that every group kind queries and counts alike.  Only
 the level nodes a query can take as canonical get an associated structure,
-and a level finds one by arithmetic on the node's slot.  build() is the one
+and a level finds one by arithmetic on the node's (row, pos) name.  build() is the one
 way to make a structure.
 
 The package exports what the CLI, the benchmark and the cost laws use.

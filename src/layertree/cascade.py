@@ -10,9 +10,10 @@ point, so no real rank interval [a, b) can match one.  Nothing here knows a
 point or a coordinate.
 
 Every tree in the package is implicit in a leaf row: L = 2^H labels sorted
-by one dimension's rank, real labels first, then phantoms.  The node at
-(depth, pos) covers the chunk of width L >> depth starting at pos times that
-width, and it splits at the rank of the rightmost leaf of its left half.
+by one dimension's rank, real labels first, then phantoms.  A node is named
+by its row and its position in that row: node (r, pos) covers leaves
+pos*2^r .. (pos+1)*2^r - 1, and it splits at the rank of the rightmost leaf
+of its left half.
 _walk is the one walk over such a row: it descends (_find_split) to the
 split node of a rank interval, then down the two boundary paths, yielding
 the nodes the interval covers whole.  A level of the multi-level tree
@@ -36,10 +37,10 @@ of which they read the last two dimensions.
 Every address below is base plus an offset in that buffer.  With L padded
 leaves and height H = log2(L):
 
-    row r in 0..H        node arrays at depth H-r, offset r*L; the array of
-                         the node at (depth, pos) is the chunk of width
-                         2^r starting at pos*2^r, ascending.  Row 0 is the
-                         leaf row, sorted by x: it is the x-tree.
+    row r in 0..H        node arrays, offset r*L; the array of node
+                         (r, pos) is the chunk of width 2^r starting at
+                         pos*2^r, ascending.  Row 0 is the leaf row,
+                         sorted by x: it is the x-tree.
     lb rows r in 1..H    left bridges, offset L*(H+r)
 
 Reading an array("i") gives a Python int, so the query loops never make a
@@ -142,26 +143,24 @@ def rank_tables(coords: np.ndarray, L: int) -> tuple[array, np.ndarray, list[arr
 
 
 def _find_split(ids, rank, base: int, L: int, a: int, b: int, stats) -> tuple[int, int]:
-    """(depth, pos) where the descents for ranks [a, b) diverge, or the leaf reached.
+    """(row, pos) of the node where the descents for ranks [a, b) diverge, or the leaf reached.
 
     The tree is the leaf row ids[base:base+L] of labels, sorted by rank.  Descent rule:
     left iff b <= the node's split rank, right iff the split rank < a.
     """
-    depth, pos, span = 0, 0, L
+    r, pos = L.bit_length() - 1, 0
     stats.nodes_visited += 1
-    while span > 1:
-        half = span >> 1
-        k = rank[ids[base + pos * span + half - 1]]
+    while r:
+        k = rank[ids[base + ((2 * pos + 1) << (r - 1)) - 1]]
         if b <= k:
             pos <<= 1
         elif k < a:
             pos = (pos << 1) + 1
         else:
             break
-        depth += 1
-        span = half
+        r -= 1
         stats.nodes_visited += 1
-    return depth, pos
+    return r, pos
 
 
 def _walk(ids, rank, base: int, L: int, a: int, b: int, ya, yb, stats):
@@ -178,8 +177,7 @@ def _walk(ids, rank, base: int, L: int, a: int, b: int, ya, yb, stats):
     These are a cascade's only binary searches.  A level passes None for
     both and gets None back.
     """
-    depth, pos = _find_split(ids, rank, base, L, a, b, stats)
-    r = L.bit_length() - 1 - depth
+    r, pos = _find_split(ids, rank, base, L, a, b, stats)
     lo = hi = None
     if ya is not None:
         at = base + r * L + (pos << r)  # the split node's array
@@ -193,7 +191,7 @@ def _walk(ids, rank, base: int, L: int, a: int, b: int, ya, yb, stats):
             yield 0, pos, lo, hi
         return
     s = f = None  # the sibling's positions, set at every step when carried
-    lbase = base + (r + depth) * L  # the lb rows: lb row rr starts at lbase + rr*L
+    lbase = base + (L.bit_length() - 1) * L  # the lb rows: lb row rr starts at lbase + rr*L
     for side, bound in ((0, a), (1, b)):
         # side 0 walks the a path, side 1 the b path; at every node the path
         # enters the right child iff its split rank is below the bound, so at
@@ -345,15 +343,13 @@ class CascadeStructure:
 
     # -- structure access ----------------------------------------------------
 
-    def node(self, slot: int, g: int = 0) -> CascadeNode:
-        """One node of member g for inspection (heap slot order): labels and bridges."""
-        depth = (slot + 1).bit_length() - 1
-        r = self.H - depth
-        span = 1 << r
+    def node(self, row: int, pos: int, g: int = 0) -> CascadeNode:
+        """Node (row, pos) of member g for inspection: its labels and bridges."""
+        span = 1 << row
         buf, L = self.buf, self.L
-        abase = g * self.words + r * L + (slot + 1 - (1 << depth)) * span
+        abase = g * self.words + row * L + pos * span
         ranks = buf[abase : abase + span].tolist()
-        if r == 0:
+        if row == 0:
             return CascadeNode(ranks, [], [])
         lbase = abase + self.H * L
         lb = buf[lbase : lbase + span].tolist()

@@ -125,8 +125,8 @@ class PointSet:
     asks for its id (point, take), then kept, so repeat requests return the
     same object.  PointSet(points, dims) checks ready-made Points and builds
     the matrix from them; it keeps no reference to the caller's sequence, so
-    changing that afterwards changes nothing here.  `points`, `by_id` and
-    iteration give all n Points in id order, making those not made yet.
+    changing that afterwards changes nothing here.  `points` and iteration
+    give all n Points in id order, making those not made yet.
     Parsers and generators renumber on ingestion.
     """
 
@@ -170,20 +170,27 @@ class PointSet:
             self._every = self._by_id
         return self._every
 
-    @property
-    def by_id(self) -> list:
-        """Every Point, indexed by id (the same list as points)."""
-        return self.points
-
     def point(self, i: int) -> Point:
-        """The Point of id i, made from matrix row i on first request."""
+        """The Point of id i, made from matrix row i on first request.
+
+        Raises IndexError unless 0 <= i < n, so no Point is made or kept
+        under an id that is not its row.
+        """
+        if not 0 <= i < len(self._by_id):
+            raise IndexError(f"point id {i} outside 0..{len(self._by_id) - 1}")
         p = self._by_id[i]
         if p is None:  # two threads may both make one; they are equal, and either is kept
             p = self._by_id[i] = Point._unchecked(tuple(self._matrix[i].tolist()), i)
         return p
 
     def take(self, ids: Sequence[int]) -> list:
-        """The Points of a sequence of ids, in its order; each made on first request."""
+        """The Points of a sequence of ids, in its order; each made on first request.
+
+        Each id whose Point is not made yet goes through point, which
+        refuses one outside 0..n-1; the others index the list of Points with
+        no check of their own, so a call whose Points are all made does no
+        Python work per id.
+        """
         out = list(map(self._by_id.__getitem__, ids))
         if all(out):  # a Point is true, a slot not made yet is None
             return out

@@ -8,18 +8,15 @@ a 1-dimensional tree is its rank order.
 
 The structures over one dimension with the same padded size L form one merge
 group, a _Level or a CascadeStructure, and a structure is a (group, member)
-pair.  A level finds a node's structure by arithmetic on its slot (see
-_Level).  Every group, and the _Slab, answers query(g, a, b, stats, emit)
-and count(g, a, b, stats) for member g and the rank box [a, b); the root is
-member 0 of a group of one.
+pair.  A level finds a node's structure by arithmetic on its (row, pos)
+name (see _Level).  Every group, and the _Slab, answers
+query(g, a, b, stats, emit) and count(g, a, b, stats) for member g and the
+rank box [a, b); the root is member 0 of a group of one.
 
 A level is its leaf row, the one implicit tree shape of the package (see
-cascade): L padded leaf labels sorted by rank, where the node at row r
-(depth log2(L) - r) and position pos covers the leaves pos*2^r ..
-(pos+1)*2^r - 1 and splits at the rightmost leaf of its left half.  Its
-nodes are numbered in heap order: slot (L >> r) - 1 + pos, so slot 0 is the
-root, the children of slot i are 2i+1 and 2i+2, and the leaves are
-slots L-1 .. 2L-2.  A level's canonical decomposition is a cascade's walk
+cascade): L padded leaf labels sorted by rank, where node (r, pos) covers
+leaves pos*2^r .. (pos+1)*2^r - 1 and splits at the rightmost leaf of its
+left half.  A level's canonical decomposition is a cascade's walk
 (cascade._walk) with no y bounds and so no positions to carry.
 Everything below LayeredRangeTree.rank_box works in rank space: the
 structures hold and emit labels (ranks in the last dimension), one int32
@@ -51,7 +48,7 @@ class QueryStats:
     Only the walk (cascade._find_split and cascade._walk) counts work, and
     only LayeredRangeTree.query and .count count results; no structure
     writes a counter.  nodes_visited (_find_split and _walk) counts every
-    tree slot whose key a query examines plus every canonical subtree root
+    tree node whose key a query examines plus every canonical subtree root
     it hands off to; binary_searches (_walk) counts bisects of a cascade's
     split-node array, not the per-box rank mapping (rank_box: two
     bisections per dimension, the whole search at d=1); bridge_follows
@@ -78,27 +75,25 @@ class BuildCounters:
 
 
 def canonical_subtrees(level: "_Level", g: int, a: int, b: int,
-                       stats: Optional[QueryStats] = None) -> list[int]:
-    """Heap slots of member g's disjoint subtrees whose leaves are exactly the ranks in [a, b).
+                       stats: Optional[QueryStats] = None) -> list[tuple[int, int]]:
+    """(row, pos) of member g's disjoint subtrees whose leaves are exactly the ranks in [a, b).
 
     Member g's leaf row of labels starts at g*L in level.ids.  The walk is
     a cascade's (cascade._walk), run with no y bounds, since a level has no
-    bridges.  The node at row r, position pos of that row is heap slot
-    (L >> r) - 1 + pos, in 0 .. 2L-2.  At most 2*log2(L) slots (one slot for
-    a single-leaf tree); phantom leaves never qualify because their ranks
-    are at least n >= b.
+    bridges.  At most 2*log2(L) nodes (one for a single-leaf tree); phantom
+    leaves never qualify because their ranks are at least n >= b.
     """
     if stats is None:
         stats = QueryStats()
     L = level.L
     walk = _walk(level.ids, level.rank, g * L, L, a, b, None, None, stats)
-    return [(L >> row) - 1 + p for row, p, _, _ in walk]
+    return [(row, p) for row, p, _, _ in walk]
 
 
 def _reachable(L: int, m: int, r: int) -> range:
     """Positions of the row-r chunks canonical_subtrees can return, for a member with m real leaves.
 
-    Only these slots get a structure.  Above the leaves, canonical_subtrees
+    Only these nodes get a structure.  Above the leaves, canonical_subtrees
     returns right children off the a path, in the split node's left subtree,
     and left children off the b path, in its right one: two or more rows
     below the split node, and never a chunk holding a phantom (rank >= n >=
@@ -129,9 +124,9 @@ class _Level:
     Member g < G = len(ids) // L has the leaf row ids[g*L : (g+1)*L]: L labels
     sorted by `rank`, its m real labels first, then phantoms (labels >= n):
     only the root holds phantoms, so m is n there and L below.  subs lists
-    the next dimension's groups by log2 L.  Slot s at depth t, if _reachable,
-    has the structure first[t] + g*per[t] + s of subs[log2(L) - t], where
-    per[t] counts one member's structures at depth t.
+    the next dimension's groups by log2 L.  Node (r, pos), if _reachable,
+    has the structure first[r] + g*per[r] + pos of subs[r], where per[r]
+    counts one member's structures in row r.
     """
 
     __slots__ = ("dim", "ids", "L", "m", "rank", "subs", "first", "per")
@@ -145,26 +140,25 @@ class _Level:
         self.subs = subs
         self.first, self.per = [0] * L.bit_length(), [0] * L.bit_length()  # set by build
 
-    def slots(self, g: int) -> Iterator[tuple[int, tuple[object, int]]]:
-        """Yield (slot, (group, member)) for every slot of member g that has a structure."""
-        H = self.L.bit_length() - 1
-        for t in range(H + 1):
-            top = (1 << t) - 1  # the slot at depth t, position 0
-            for pos in _reachable(self.L, self.m, H - t):
-                yield top + pos, (self.subs[H - t], self.first[t] + g * self.per[t] + top + pos)
+    def slots(self, g: int) -> Iterator[tuple[tuple[int, int], tuple[object, int]]]:
+        """Yield ((row, pos), (group, member)) for each node of member g with a structure.
+
+        Rows run from the root's down to the leaves', positions ascending.
+        """
+        for r in range(self.L.bit_length() - 1, -1, -1):
+            for pos in _reachable(self.L, self.m, r):
+                yield (r, pos), (self.subs[r], self.first[r] + g * self.per[r] + pos)
 
     def query(self, g, a, b, stats, emit):
-        subs, first, per, H = self.subs, self.first, self.per, self.L.bit_length() - 1
-        for s in canonical_subtrees(self, g, a[self.dim], b[self.dim], stats):
-            t = (s + 1).bit_length() - 1
-            subs[H - t].query(first[t] + g * per[t] + s, a, b, stats, emit)
+        subs, first, per = self.subs, self.first, self.per
+        for r, p in canonical_subtrees(self, g, a[self.dim], b[self.dim], stats):
+            subs[r].query(first[r] + g * per[r] + p, a, b, stats, emit)
 
     def count(self, g, a, b, stats) -> int:
-        subs, first, per, H = self.subs, self.first, self.per, self.L.bit_length() - 1
+        subs, first, per = self.subs, self.first, self.per
         total = 0
-        for s in canonical_subtrees(self, g, a[self.dim], b[self.dim], stats):
-            t = (s + 1).bit_length() - 1
-            total += subs[H - t].count(first[t] + g * per[t] + s, a, b, stats)
+        for r, p in canonical_subtrees(self, g, a[self.dim], b[self.dim], stats):
+            total += subs[r].count(first[r] + g * per[r] + p, a, b, stats)
         return total
 
 
@@ -223,7 +217,7 @@ class LayeredRangeTree:
 
         The group is a _Slab, a _Level or a CascadeStructure; the root is
         member 0 of a group of one.  The order is depth first: the
-        structures of a level member's slots follow it, last slot first.
+        structures of a level member's nodes follow it, last node first.
         """
         stack = [(0, (self.root, 0))]
         while stack:
@@ -288,11 +282,11 @@ def build(points: PointSet, counters: Optional[BuildCounters] = None) -> Layered
             np.frombuffer(flat, dtype=np.int32)[:] = rows.reshape(-1)
             level = tops[j][H] = _Level(j, flat, L, m, ranks[j], tops[j + 1])
             for r in range(H + 1):
-                chunks, span, t = _reachable(L, m, r), 1 << r, H - r
+                chunks = _reachable(L, m, r)
                 if chunks:
-                    pieces = nxt.setdefault(span, [])
-                    level.first[t] = (sum(map(len, pieces)) >> r) - chunks.start + 1 - (1 << t)
-                    level.per[t] = len(chunks)
+                    pieces = nxt.setdefault(1 << r, [])
+                    level.first[r] = (sum(map(len, pieces)) >> r) - chunks.start
+                    level.per[r] = len(chunks)
                     pieces.append(merged[:, r, chunks.start << r : chunks.stop << r].flatten())
         groups = nxt
     return LayeredRangeTree(points, tops[0][maxL.bit_length() - 1], ids, axes)

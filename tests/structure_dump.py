@@ -16,12 +16,14 @@ ids, a cascade group's buf, words, L and H, a level's ids and L, and the
 hits' id and coords.  Diffing the outputs of two
 versions of the package, each dumped by its own copy of this file, shows
 every change in layout, answer or cost counter.  One case is written per
-line.  Which structures exist is layout too: a level slot that no query
+line.  Which structures exist is layout too: a level node that no query
 can reach has no structure, so it is in no dump, and a change to which
-slots are built shows in structures and merge_moves only.  The second form
+nodes are built shows in structures and merge_moves only.  The second form
 exits 1, naming each case, when a case of BASE is missing from HEAD or its
-answers, query_stats or count_stats differ; CI runs it on every pull
-request against the base commit's dump.  It reads only the two files, so
+answers, query_stats or count_stats differ.  It also names, without
+failing, each case whose structures or merge_moves differ, so a layout
+change shows in its output.  CI runs it on every pull request against the
+base commit's dump.  It reads only the two files, so
 only the first form imports layertree.  tests/test_tree.py pins a digest
 of structure_row over fixed trees and runs the smallest cases.
 """
@@ -121,10 +123,11 @@ def dump_case(d: int, dist: str, n: int) -> dict:
 
 
 SAME = ("answers", "query_stats", "count_stats")  # what no layout change may alter
+LAYOUT = ("structures", "merge_moves")  # what a layout change alters
 
 
-def compare(base: list, head: list) -> list:
-    """One line per case of base that head lacks or whose SAME fields differ."""
+def compare(base: list, head: list, fields: tuple = SAME) -> list:
+    """One line per case of base that head lacks, and per one of its `fields` that differs."""
     by_case = {tuple(c["case"]): c for c in head}
     out = []
     for c in base:
@@ -132,15 +135,19 @@ def compare(base: list, head: list) -> list:
         if h is None:
             out.append(f"{c['case']}: missing")
         else:
-            out.extend(f"{c['case']}: {k} differ" for k in SAME if c[k] != h[k])
+            out.extend(f"{c['case']}: {k} differ" for k in fields if c[k] != h[k])
     return out
 
 
 def main(argv: list) -> int:
     if len(argv) == 3 and argv[0] == "--compare":
         with open(argv[1]) as f, open(argv[2]) as g:
-            diffs = compare(json.load(f), json.load(g))
+            base, head = json.load(f), json.load(g)
+        diffs = compare(base, head)
+        moved = [line for line in compare(base, head, LAYOUT) if line not in diffs]
         print("\n".join(diffs) or "answers, query_stats and count_stats are unchanged")
+        print("\n".join(["layout changes (not a failure):"] + moved) if moved
+              else "structures and merge_moves are unchanged")
         return 1 if diffs else 0
     if len(argv) != 1:
         print("usage: structure_dump.py OUT.json | --compare BASE.json HEAD.json", file=sys.stderr)

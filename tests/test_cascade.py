@@ -57,12 +57,14 @@ def collect(cs, ps, ids, xlo, xhi, ylo, yhi, stats=None):
     return ps.take(sorted(ids[e] for e in labels))
 
 
-def subtree_leaf_labels(cs, n, slot):
-    """Real labels under heap slot `slot` of member 0's x-tree, in x order: its leaf row chunk."""
-    depth = (slot + 1).bit_length() - 1
-    span = cs.L >> depth
-    lo = (slot + 1 - (1 << depth)) * span
-    return [e for e in cs.buf[lo : lo + span] if e < n]
+def subtree_leaf_labels(cs, n, r, pos):
+    """Real labels under node (r, pos) of member 0's x-tree, in x order: its leaf row chunk."""
+    return [e for e in cs.buf[pos << r : (pos + 1) << r] if e < n]
+
+
+def all_nodes(L):
+    """Every node (r, pos) of a tree over L leaves, root row first."""
+    return [(r, p) for r in range(L.bit_length() - 1, -1, -1) for p in range(L >> r)]
 
 
 def brute(pts, xlo, xhi, ylo, yhi):
@@ -76,7 +78,7 @@ class TestBuild:
     def test_single_point(self):
         cs, ps, ids = make_cascade([(2, 7)])
         assert cs.buf[: cs.L].tolist() == [0] and cs.L == 1  # one real leaf
-        root = cs.node(0)
+        root = cs.node(0, 0)
         assert ps.take([ids[e] for e in root.ranks]) == ps.points
         assert y_values(cs, ps, ids, root) == [7.0]
         assert root.left_bridge == [] and root.right_bridge == []
@@ -95,10 +97,11 @@ class TestBuild:
         assert counters.merge_moves == built.merge_moves
 
     def test_hand_derived_parent_bridges(self):
-        # children carry y-keys [1,5] and [3,7]; the parent merges to [1,3,5,7]
+        # children (1, 0) and (1, 1) carry y-keys [1,5] and [3,7]; the parent,
+        # the root (2, 0), merges to [1,3,5,7]
         cs, ps, ids = make_cascade([(0, 1), (1, 5), (2, 3), (3, 7)])
-        root = cs.node(0)
-        left, right = cs.node(1), cs.node(2)
+        root = cs.node(2, 0)
+        left, right = cs.node(1, 0), cs.node(1, 1)
         assert y_values(cs, ps, ids, left) == [1.0, 5.0]
         assert y_values(cs, ps, ids, right) == [3.0, 7.0]
         assert y_values(cs, ps, ids, root) == [1.0, 3.0, 5.0, 7.0]
@@ -117,11 +120,11 @@ class TestBuild:
         rng = SplitMix64(31)
         coords = [(rng.next_below(8), rng.next_below(8)) for _ in range(37)]
         cs, ps, ids = make_cascade(coords)
-        for slot in range(2 * cs.L - 1):
-            node = cs.node(slot)
+        for r, p in all_nodes(cs.L):
+            node = cs.node(r, p)
             stored = real_points(ps, ids, node.ranks)
             expected = sorted(
-                (ps.by_id[ids[e]] for e in subtree_leaf_labels(cs, len(ps), slot)),
+                (ps.points[ids[e]] for e in subtree_leaf_labels(cs, len(ps), r, p)),
                 key=lambda p: composite_key(p, 1),
             )
             assert stored == expected
@@ -130,7 +133,7 @@ class TestBuild:
     def test_phantoms_pad_arrays_to_full_length(self):
         cs, ps, ids = make_cascade([(0, 0), (1, 1), (2, 2)])
         assert cs.L == 4
-        root = cs.node(0)
+        root = cs.node(2, 0)
         assert len(root.ranks) == 4
         assert root.ranks[3] >= len(ps)  # a phantom
         assert y_values(cs, ps, ids, root)[3] == float("inf")
@@ -145,8 +148,8 @@ class TestIdsOnly:
         gc.collect()
         before = sum(type(o) is Point for o in gc.get_objects())
         for cs, g in members:
-            for slot in range(2 * cs.L - 1):
-                cs.node(slot, g)
+            for r, p in all_nodes(cs.L):
+                cs.node(r, p, g)
         assert sum(type(o) is Point for o in gc.get_objects()) == before
 
     def test_cascade_imports_nothing_from_core(self):
@@ -159,10 +162,12 @@ class TestIdsOnly:
 
 def exhaustive_bridge_check(cs, g=0):
     violations = 0
-    for slot in range((cs.L - 1)):  # internal slots only
-        node = cs.node(slot, g)
-        lkeys = cs.node(2 * slot + 1, g).ranks
-        rkeys = cs.node(2 * slot + 2, g).ranks
+    for r, p in all_nodes(cs.L):
+        if r == 0:  # internal nodes only
+            continue
+        node = cs.node(r, p, g)
+        lkeys = cs.node(r - 1, 2 * p, g).ranks
+        rkeys = cs.node(r - 1, 2 * p + 1, g).ranks
         for t, key in enumerate(node.ranks):
             if node.left_bridge[t] != bisect_left(lkeys, key):
                 violations += 1
@@ -295,7 +300,7 @@ class TestBridges:
             assert exhaustive_bridge_check(cs, g) == 0
             leaves = cs.buf[base : base + cs.L].tolist()
             real = [e for e in leaves if e < n]
-            stored = real_points(tree.pointset, tree.ids, cs.node(0, g).ranks)
+            stored = real_points(tree.pointset, tree.ids, cs.node(cs.H, 0, g).ranks)
             assert sorted(p.id for p in stored) == sorted(tree.ids[e] for e in real)
             assert leaves[: len(real)] == real  # real labels first, then phantoms
 
@@ -375,15 +380,14 @@ class TestQuery2D:
     def test_count_matches_query(self):
         rng = SplitMix64(9)
         cs, ps, ids = make_cascade([(rng.next_below(10), rng.next_below(10)) for _ in range(90)])
-        total_counts = QueryStats()
         for _ in range(300):
             xlo, xhi = rng.next_below(12) - 1, rng.next_below(12) - 1
             ylo, yhi = rng.next_below(12) - 1, rng.next_below(12) - 1
             stats = QueryStats()
             k = cs.count(0, *rank_args(cs, ps, xlo, xhi, ylo, yhi), stats)
+            assert k == len(collect(cs, ps, ids, xlo, xhi, ylo, yhi))
             assert k == len(brute(ps, xlo, xhi, ylo, yhi))
             assert stats.binary_searches == 2
-            total_counts.reported += k
 
     def test_phantoms_never_emitted(self):
         cs, ps, ids = make_cascade([(i, i % 3) for i in range(13)])  # pads to L=16
@@ -394,7 +398,7 @@ class TestQuery2D:
     def test_boxes_via_boxed_interface(self):
         # the root takes the tree's rank box; a cascade reads its last two dimensions
         cs, ps, ids = make_cascade([(1, 4), (2, 3), (3, 2), (4, 1)])
-        pts = ps.by_id
+        pts = ps.points
         box = QueryBox((1.5, 0.0), (4.0, 2.5))
         a, b = rank_args(cs, ps, 1.5, 4.0, 0.0, 2.5)
         labels = array("i")
@@ -407,7 +411,7 @@ class TestQuery2D:
         # row 0 of the buffer is the x-tree's leaf row: increasing in x rank,
         # nondecreasing in x, real labels first
         cs, ps, ids = make_cascade([(3, 0), (1, 0), (2, 0)])
-        pts = ps.by_id
+        pts = ps.points
         leaves = cs.buf[: cs.L].tolist()
         assert cs.L == 4 and sum(e < len(pts) for e in leaves) == 3
         ranks = [cs.rank_x[e] for e in leaves]

@@ -118,14 +118,14 @@ class TestValidation:
 
     def test_pointset_accepts_any_id_order(self):
         ps = PointSet([P(2, id=1), P(1, id=0)], 1)
-        assert [p.id for p in ps.by_id] == [0, 1]
+        assert [p.id for p in ps.points] == [0, 1]
 
     def test_shuffled_pointset_iterates_in_id_order(self):
         pts = [P(i % 7, i % 3, id=i) for i in range(40)]
         shuffled = list(pts)
         random.Random(5).shuffle(shuffled)
         ps = PointSet(shuffled, 2)
-        assert list(ps) == ps.points == ps.by_id == pts
+        assert list(ps) == ps.points == pts
         assert ps.coord_matrix().tolist() == [list(p.coords) for p in pts]
 
     def test_pointset_owns_its_points(self):
@@ -136,15 +136,15 @@ class TestValidation:
         pts.append(Point((9.0, 9.0), 7))
         pts[0] = Point((5.0, 5.0), 0)
         assert len(ps) == 2
-        assert ps.points == ps.by_id == list(ps) == want
-        assert ps.by_id[0] is want[0]
+        assert ps.points == list(ps) == want
+        assert ps.points[0] is want[0]
         assert ps.coord_matrix().tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
     def test_from_coords_takes_an_ndarray(self):
         coords = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
         ps = PointSet.from_coords(coords)
         assert ps.dims == 2
-        assert [p.coords for p in ps.by_id] == [(0.0, 1.0), (2.0, 3.0), (4.0, 5.0)]
+        assert [p.coords for p in ps.points] == [(0.0, 1.0), (2.0, 3.0), (4.0, 5.0)]
         assert PointSet.from_coords(np.zeros((3, 2))).dims == 2
 
     def test_from_coords_empty_ndarray(self):
@@ -181,9 +181,9 @@ class TestMatrixPath:
         before = live_points()
         ps = PointSet.from_coords(coords)
         assert live_points() == before
-        want = [[c.hex() for c in p.coords] for p in per_point(coords).by_id]
+        want = [[c.hex() for c in p.coords] for p in per_point(coords).points]
         assert [[c.hex() for c in row] for row in ps.coord_matrix().tolist()] == want
-        assert [[c.hex() for c in p.coords] for p in ps.by_id] == want
+        assert [[c.hex() for c in p.coords] for p in ps.points] == want
 
     @pytest.mark.parametrize("coords, dims, exc, msg", [
         ([(1.0, 2.0), (math.nan, 0.0)], None, ValueError, "non-finite coordinate nan in point 1"),
@@ -213,7 +213,7 @@ class TestMatrixPath:
 
     def test_empty_with_dims_is_an_empty_set(self):
         ps = PointSet.from_coords([], 2)
-        assert len(ps) == 0 and ps.dims == 2 and ps.by_id == [] and list(ps) == []
+        assert len(ps) == 0 and ps.dims == 2 and ps.points == [] and list(ps) == []
 
     def test_copies_an_ndarray(self):
         coords = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0], [6.0, 7.0]])
@@ -227,11 +227,12 @@ class TestMatrixPath:
 
     def test_points_by_id_and_iteration_give_every_point_in_id_order(self):
         rows = [(3.0, 1.0), (1.0, 2.0), (2.0, 0.5)]
-        for first in ("points", "by_id", "iter"):
+        for first in ("points", "iter"):
             ps = PointSet.from_coords(rows)
-            got = list(ps) if first == "iter" else getattr(ps, first)
+            got = list(ps) if first == "iter" else ps.points
             assert got == [Point(r, i) for i, r in enumerate(rows)]
-            assert ps.points == ps.by_id == list(ps) == got
+            assert ps.points == list(ps) == got
+        assert not hasattr(ps, "by_id")  # points is the one name for the list
 
     def test_repeat_queries_return_the_same_points(self):
         ps = PointSet.from_coords([(i % 7, i % 5) for i in range(60)])
@@ -239,9 +240,22 @@ class TestMatrixPath:
         first, again = tree.query(box), tree.query(box)
         assert len(first) > 10
         assert all(a is b for a, b in zip(first, again))
-        assert all(p is ps.by_id[p.id] for p in first)
+        assert all(p is ps.points[p.id] for p in first)
         assert brute_force_query(ps, box) == first
         assert all(a is b for a, b in zip(brute_force_query(ps, box), first))
+
+    def test_out_of_range_ids_make_no_point(self):
+        # an id outside 0..n-1 is refused before a Point is made under it, so
+        # a later query still reports the last point under its own id
+        ps = PointSet.from_coords([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)])
+        for bad in (-1, -3, 3):
+            with pytest.raises(IndexError):
+                ps.point(bad)
+        with pytest.raises(IndexError):
+            ps.take([0, -1])  # through point: the Point of id 2 is not made yet
+        got = build(ps).query(QueryBox((0.0, 0.0), (2.0, 2.0)))
+        assert [p.id for p in got] == [0, 1, 2]
+        assert got[-1] == Point((2.0, 2.0), 2) and ps.point(2) is got[-1]
 
     def test_build_and_count_make_no_point(self):
         rows = [(i % 7, i % 5, i % 3) for i in range(200)]

@@ -111,5 +111,5 @@ class TestRoundTrip:
         rows = [(0.5, -0.0), (1.7e308, 5e-324), (-1.0, 2.0)]
         ps = PointSet([Point(rows[i], i) for i in (2, 0, 1)], 2)
         back = parse_points(write_points(ps), 2)
-        assert [[c.hex() for c in p.coords] for p in back.by_id] == [
+        assert [[c.hex() for c in p.coords] for p in back.points] == [
             [c.hex() for c in r] for r in rows]

@@ -80,7 +80,7 @@ class TestGenPoints:
     def test_first_coordinate_is_first_stream_output(self):
         ps = gen_points(GeneratorConfig(seed=42, n=100, dims=3))
         _, first = splitmix64_next(42)
-        assert ps.by_id[0].coords[0] == first / 2**64
+        assert ps.points[0].coords[0] == first / 2**64
 
     def test_ids_are_generation_order(self):
         ps = gen_points(GeneratorConfig(seed=3, n=10, dims=1))
@@ -106,7 +106,7 @@ class TestGenPoints:
     def test_pinned_output_at_seed_2_64_minus_5(self, dist, digest):
         # sha256 of the float.hex coordinates the scalar generator drew for this config
         ps = gen_points(GeneratorConfig(seed=2**64 - 5, n=500, dims=3, dist=dist, grid_side=5))
-        got = repr([[c.hex() for c in p.coords] for p in ps.by_id])
+        got = repr([[c.hex() for c in p.coords] for p in ps.points])
         assert hashlib.sha256(got.encode()).hexdigest() == digest
 
     def test_grid_duplicates_are_likely(self):
@@ -130,7 +130,7 @@ class TestBruteForce:
 
     def test_bounding_box_returns_all(self):
         ps = gen_points(GeneratorConfig(seed=2, n=30, dims=2))
-        assert brute_force_query(ps, QueryBox((0.0, 0.0), (1.0, 1.0))) == ps.by_id
+        assert brute_force_query(ps, QueryBox((0.0, 0.0), (1.0, 1.0))) == ps.points
 
     def test_single_point(self):
         ps = PointSet([Point((0.5, 0.5), 0)], 2)

@@ -6,8 +6,9 @@ them up, so each of these must keep its name and its lookup:
 - layertree.tree.fill_buffers_batch_np and layertree.tree.canonical_subtrees
   (module globals that build() and the levels call).  canonical_subtrees
   takes (level, g, a, b, stats): the _Level group, the member index and one
-  dimension's rank interval; the benchmark reads args[0].L, the group's
-  padded leaf count, to bound the subtrees each call returns;
+  dimension's rank interval, and returns each canonical node as (row, pos).
+  To bound the subtrees each call returns, the benchmark reads args[0].L,
+  the group's padded leaf count, and of the result only len(result);
 - CascadeStructure.build_from_ids, .query and .count (class attributes that
   every cascade call goes through, the d=2 root's included);
 - LayeredRangeTree.query and .count;

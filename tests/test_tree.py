@@ -53,13 +53,14 @@ def row(member) -> array:
     return s.ids[g * s.L : (g + 1) * s.L]
 
 
-def slot_labels(member, slot, n):
-    """Real labels under heap slot `slot` of a level: its chunk of the leaf row, labels >= n cut."""
-    level, _ = member
-    depth = (slot + 1).bit_length() - 1
-    span = level.L >> depth
-    lo = (slot + 1 - (1 << depth)) * span
-    return [e for e in row(member)[lo : lo + span] if e < n]
+def node_labels(member, r, pos, n):
+    """Real labels under node (r, pos) of a level: its chunk of the leaf row, labels >= n cut."""
+    return [e for e in row(member)[pos << r : (pos + 1) << r] if e < n]
+
+
+def all_nodes(L):
+    """Every node (r, pos) of a tree over L leaves, root row first."""
+    return [(r, p) for r in range(L.bit_length() - 1, -1, -1) for p in range(L >> r)]
 
 
 def split(member, a, b):
@@ -118,22 +119,26 @@ class TestPublicNames:
 class TestLeafRow:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 9, 16, 31])
     def test_heap_index_laws(self, n):
-        # the slots are in heap order: 2L-1 slots, slot s covers the leaf-row
-        # chunks of its children 2s+1 and 2s+2, and leaf slot L-1+i leaf i;
-        # a slot with a structure holds exactly its chunk's points
+        # 2L-1 nodes (r, p): chunk(r, p) = chunk(r-1, 2p) + chunk(r-1, 2p+1),
+        # and chunk(0, i) is leaf i; a node with a structure holds exactly its
+        # chunk's points, and slots() lists them rows H..0, positions ascending
         member = root_level(range(n))
         level, _ = member
         L = level.L
         assert L == pow2ceil(n) and len(level.first) == len(level.per) == L.bit_length()
-        chunks = [slot_labels(member, slot, n) for slot in range(2 * L - 1)]
-        for s in range(L - 1):
-            assert chunks[s] == chunks[2 * s + 1] + chunks[2 * s + 2]
+        nodes = all_nodes(L)
+        assert len(nodes) == 2 * L - 1
+        chunks = {(r, p): node_labels(member, r, p, n) for r, p in nodes}
+        for r, p in nodes:
+            if r > 0:
+                assert chunks[r, p] == chunks[r - 1, 2 * p] + chunks[r - 1, 2 * p + 1]
         for i in range(L):
-            assert chunks[L - 1 + i] == ([level.ids[i]] if i < n else [])
+            assert chunks[0, i] == ([level.ids[i]] if i < n else [])
         built = dict(level.slots(0))
-        assert set(range(L - 1, L - 1 + n)) <= set(built)  # every real leaf
-        for slot, sub in built.items():
-            assert sorted(words(sub)[: real_count(sub, n)]) == sorted(chunks[slot])
+        assert list(built) == [node for node in nodes if node in built]
+        assert {(0, i) for i in range(n)} <= set(built)  # every real leaf
+        for node, sub in built.items():
+            assert sorted(words(sub)[: real_count(sub, n)]) == sorted(chunks[node])
 
     @pytest.mark.parametrize("n", [1, 3, 8, 13])
     def test_leaf_scan_nondecreasing_and_internal_keys(self, n):
@@ -144,11 +149,10 @@ class TestLeafRow:
         assert ranks == sorted(ranks)
         # a node splits at the largest rank of its left subtree, and the
         # split search for that one rank stops at the node
-        for depth in range(level.L.bit_length() - 1):
-            span = level.L >> depth
-            for pos in range(1 << depth):
-                k = max(ranks[pos * span : pos * span + span // 2])
-                assert split(member, k, k + 1) == (depth, pos)
+        for r in range(1, level.L.bit_length()):
+            for pos in range(level.L >> r):
+                k = max(ranks[pos << r : (2 * pos + 1) << (r - 1)])
+                assert split(member, k, k + 1) == (r, pos)
 
     def test_phantoms_sit_rightmost(self):
         values = [5, 1, 3]
@@ -157,17 +161,17 @@ class TestLeafRow:
         level, _ = member
         assert level.L == 4 and real_count(member, len(values)) == 3
         assert [level.rank[e] for e in level.ids[:3]] == [0, 1, 2]
-        assert [values[tree.ids[e]] for e in slot_labels(member, 0, len(values))] == [1, 3, 5]
+        assert [values[tree.ids[e]] for e in node_labels(member, 2, 0, len(values))] == [1, 3, 5]
         assert level.rank[level.ids[3]] >= len(values)  # the phantom ranks after every point
 
 
 class TestFindSplitNode:
-    # leaves [1,2,3,4]: the root splits {1,2} | {3,4}
+    # leaves [1,2,3,4]: the root, node (2, 0), splits {1,2} | {3,4}
     VALUES = [1, 2, 3, 4]
 
     def test_range_2_3_splits_at_root(self):
         member = root_level(self.VALUES)
-        assert split(member, *rank_bounds(self.VALUES, 2.0, 3.0)) == (0, 0)
+        assert split(member, *rank_bounds(self.VALUES, 2.0, 3.0)) == (2, 0)
 
     def test_degenerate_range_splits_at_value_boundary(self):
         # [1,1] is the ranks [0, 1): it diverges at the parent of the value-1
@@ -176,38 +180,38 @@ class TestFindSplitNode:
         member = tree.root, 0
         assert split(member, *rank_bounds(self.VALUES, 1.0, 1.0)) == (1, 0)
         cover = canonical_subtrees(*member, *rank_bounds(self.VALUES, 1.0, 1.0))
-        assert cover == [3]
-        assert [tree.ids[e] for e in slot_labels(member, 3, len(self.VALUES))] == [0]
+        assert cover == [(0, 0)]
+        assert [tree.ids[e] for e in node_labels(member, 0, 0, len(self.VALUES))] == [0]
 
     def test_range_above_all_leaves(self):
         member = root_level(self.VALUES)
-        depth, _ = split(member, *rank_bounds(self.VALUES, 5.0, 9.0))
-        assert depth == member[0].L.bit_length() - 1  # a leaf
+        r, _ = split(member, *rank_bounds(self.VALUES, 5.0, 9.0))
+        assert r == 0  # a leaf
         assert canonical_subtrees(*member, *rank_bounds(self.VALUES, 5.0, 9.0)) == []
 
 
 def check_cover(member, ids, column, lo, hi):
     """The canonical cover of [lo, hi] in level.dim (column: that coordinate by id).
 
-    Its slots hold disjoint id sets whose union is the level's real ids in
-    [lo, hi], and there are at most 2*log2(L) of them.  ids is the tree's
-    id map, from the labels the slots hold.
+    Its nodes (r, pos) hold disjoint id sets whose union is the level's real
+    ids in [lo, hi], and there are at most 2*log2(L) of them.  ids is the
+    tree's id map, from the labels the nodes hold.
     """
     level, g = member
-    n = len(column)
-    slots = canonical_subtrees(level, g, *rank_bounds(column, lo, hi))
-    cover = [ids[e] for s in slots for e in slot_labels(member, s, n)]
-    assert len(set(slots)) == len(slots) and len(set(cover)) == len(cover)
-    assert sorted(cover) == sorted(ids[e] for e in slot_labels(member, 0, n)
+    n, H = len(column), level.L.bit_length() - 1
+    nodes = canonical_subtrees(level, g, *rank_bounds(column, lo, hi))
+    cover = [ids[e] for r, p in nodes for e in node_labels(member, r, p, n)]
+    assert len(set(nodes)) == len(nodes) and len(set(cover)) == len(cover)
+    assert sorted(cover) == sorted(ids[e] for e in node_labels(member, H, 0, n)
                                    if lo <= column[ids[e]] <= hi)
-    assert len(slots) <= max(1, 2 * (level.L.bit_length() - 1))
+    assert len(nodes) <= max(1, 2 * H)
 
 
 class TestCanonicalSubtrees:
     def test_full_range_covers_everything(self):
         member = root_level([1, 2, 3, 4])
-        slots = canonical_subtrees(*member, *rank_bounds([1, 2, 3, 4], 1.0, 4.0))
-        assert sorted(e for s in slots for e in slot_labels(member, s, 4)) == [0, 1, 2, 3]
+        nodes = canonical_subtrees(*member, *rank_bounds([1, 2, 3, 4], 1.0, 4.0))
+        assert sorted(e for r, p in nodes for e in node_labels(member, r, p, 4)) == [0, 1, 2, 3]
 
     def test_disjoint_range_is_empty(self):
         member = root_level([1, 2, 3, 4])
@@ -244,10 +248,11 @@ class TestReachableSlots:
     @pytest.mark.parametrize("dist", ["uniform", "grid"])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 16, 17, 33])
     def test_structures_are_exactly_the_canonical_slots(self, d, dist, n):
-        # over every rank interval 0 <= a <= b <= n, the slots canonical_subtrees
-        # returns for a level member are exactly the ones with a structure, and
-        # each holds exactly its chunk's points; the slots of all members map
-        # one to one onto the members of the next dimension's groups
+        # over every rank interval 0 <= a <= b <= n, the nodes (r, pos) that
+        # canonical_subtrees returns for a level member are exactly the ones
+        # with a structure, and each holds exactly its chunk's points; the
+        # nodes of all members map one to one onto the members of the next
+        # dimension's groups
         tree = build(gen_points(GeneratorConfig(seed=n + d, n=n, dims=d, dist=dist, grid_side=3)))
         everything = ((0,) * d, (n,) * d)
         levels = [s for _, s in tree.structures() if isinstance(s[0], _Level)]
@@ -261,10 +266,10 @@ class TestReachableSlots:
                     reached.update(canonical_subtrees(level, g, a, b))
             built = dict(level.slots(g))
             assert set(built) == reached
-            for slot, (group, h) in built.items():
+            for (r, p), (group, h) in built.items():
                 got = array("i")
                 group.query(h, *everything, QueryStats(), got.extend)
-                assert sorted(got) == sorted(slot_labels(member, slot, n))
+                assert sorted(got) == sorted(node_labels(member, r, p, n))
                 held.setdefault(id(group), (group, []))[1].append(h)
         for group, members in held.values():
             size = (len(group.buf) // group.words if isinstance(group, CascadeStructure)
@@ -322,13 +327,14 @@ class TestBuild:
         cs = tree.root
         assert isinstance(cs, CascadeStructure)
         ys = tree.pointset.coord_matrix()[:, -1].tolist()  # all 4 labels are real
-        assert [ys[tree.ids[e]] for e in cs.node(0).ranks] == [1.0, 2.0, 3.0, 4.0]
-        assert [ys[tree.ids[e]] for e in cs.node(1).ranks] == [1.0, 2.0]
-        assert [ys[tree.ids[e]] for e in cs.node(2).ranks] == [3.0, 4.0]
-        assert cs.node(0).left_bridge == [0, 1, 2, 2]
-        assert cs.node(0).right_bridge == [0, 0, 0, 1]
-        for leaf in range(3, 7):
-            assert len(cs.node(leaf).ranks) == 1
+        # L = 4: the root is node (2, 0), its children (1, 0) and (1, 1)
+        assert [ys[tree.ids[e]] for e in cs.node(2, 0).ranks] == [1.0, 2.0, 3.0, 4.0]
+        assert [ys[tree.ids[e]] for e in cs.node(1, 0).ranks] == [1.0, 2.0]
+        assert [ys[tree.ids[e]] for e in cs.node(1, 1).ranks] == [3.0, 4.0]
+        assert cs.node(2, 0).left_bridge == [0, 1, 2, 2]
+        assert cs.node(2, 0).right_bridge == [0, 0, 0, 1]
+        for leaf in range(4):
+            assert len(cs.node(0, leaf).ranks) == 1
 
     def test_shuffled_input_builds_identical_structure(self):
         ps = gen_points(GeneratorConfig(seed=21, n=60, dims=3))
@@ -355,8 +361,8 @@ class TestBuild:
             levels = [s for _, s in tree.structures() if isinstance(s[0], _Level)]
             assert len(levels) > (cfg.dims == 4)
             for member in levels:
-                for slot, sub in member[0].slots(member[1]):
-                    labels = slot_labels(member, slot, cfg.n)
+                for (r, p), sub in member[0].slots(member[1]):
+                    labels = node_labels(member, r, p, cfg.n)
                     assert labels and real_count(sub, cfg.n) == len(labels)
                     got = array("i")  # the structures emit runs of labels
                     group, g = sub
@@ -390,7 +396,7 @@ class TestQuery:
         ps = gen_points(GeneratorConfig(seed=6, n=130, dims=2, dist="grid", grid_side=2))
         tree = build(ps)
         got = tree.query(QueryBox((-1.0, -1.0), (3.0, 3.0)))
-        assert got == ps.by_id
+        assert got == ps.points
         assert tree.count(QueryBox((-1.0, -1.0), (3.0, 3.0))) == 130
 
     def test_dimension_mismatch(self):
@@ -429,11 +435,11 @@ class TestSpaceAccounting:
             elif isinstance(s[0], _Slab):
                 assert sorted(tree.ids) == list(range(n))  # each point once, no padding
             else:
-                # the m*levels law, summed over the slots that have a structure:
+                # the m*levels law, summed over the nodes that have a structure:
                 # each holds its chunk's m points, and m*levels bounds the sum
                 built = list(s[0].slots(s[1]))
                 total = sum(real_count(sub, n) for _, sub in built)
-                assert total == sum(len(slot_labels(s, slot, n)) for slot, _ in built)
+                assert total == sum(len(node_labels(s, r, p, n)) for (r, p), _ in built)
                 assert total <= real_count(s, n) * s[0].L.bit_length()
         # the members of one group tile its array("i") with no slack
         for cs, runs in groups.values():
@@ -514,8 +520,8 @@ class TestSpaceAccounting:
             else:
                 assert not any(hasattr(s, k) for k in ("rank_y", "xdim", "ydim"))
                 held[id(s.rank_x)] = (d - 2, s.rank_x)
-                for slot in range(2 * s.L - 1):
-                    labels = s.node(slot, g).ranks
+                for r, p in all_nodes(s.L):
+                    labels = s.node(r, p, g).ranks
                     assert all(u < v for u, v in zip(labels, labels[1:]))
         assert sorted(dim for dim, _ in held.values()) == list(range(d - 1))
         for dim, table in held.values():
@@ -539,13 +545,24 @@ class TestStructureDump:
             assert got["query_stats"][3] == got["count_stats"][3] == sum(
                 k for _, k in got["answers"])
 
-    def test_compare_flags_only_answers_and_stats(self):
+    def test_compare_flags_only_answers_and_stats(self, tmp_path, capsys):
         # the CI check against the base commit: a layout change (structures,
-        # merge_moves) passes; a changed answer or counter, or a lost case, fails
+        # merge_moves) passes but is named; a changed answer or counter, or a
+        # lost case, fails
         base = json.loads(json.dumps([structure_dump.dump_case(3, "grid", n) for n in (1, 2)]))
         head = json.loads(json.dumps(base))
         head[0]["structures"], head[0]["merge_moves"] = [], -1
         assert structure_dump.compare(base, head) == []
+        moved = ["[3, 'grid', 1]: structures differ", "[3, 'grid', 1]: merge_moves differ"]
+        assert structure_dump.compare(base, head, structure_dump.LAYOUT) == moved
+        (tmp_path / "base.json").write_text(json.dumps(base))
+        (tmp_path / "head.json").write_text(json.dumps(head))
+        argv = ["--compare", str(tmp_path / "base.json"), str(tmp_path / "head.json")]
+        assert structure_dump.main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[-2:] == moved
+        assert structure_dump.main(argv[:2] + argv[1:2]) == 0  # base against itself
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "structures and merge_moves are unchanged")
         head[0]["count_stats"][0] += 1
         head[1]["answers"] = []
         assert structure_dump.compare(base, head) == [
@@ -578,7 +595,7 @@ def buffer_digest(tree) -> str:
 # QueryStats) over 40 boxes, and the buffer_digest of the built tree.  The
 # QueryStats are the cost model: a change to how the tree is built or walked
 # must leave them unchanged.  merge_moves and the digest pin the layout, so
-# they change only with it: at d >= 3 they follow which level slots have a
+# they change only with it: at d >= 3 they follow which level nodes have a
 # structure, and merge_moves is H*m summed over the level members plus
 # G*L*H per cascade group.
 PINNED_COUNTERS = {
@@ -686,7 +703,7 @@ class TestRankTable:
         shuffled = list(PointSet.from_coords(rows, d).points)
         rnd.shuffle(shuffled)  # given in any order, the matrix rows are still ids
         ps = PointSet(shuffled, d)
-        pts, n = ps.by_id, len(rows)
+        pts, n = ps.points, len(rows)
         ids, row, ranks, axes = rank_tables(ps.coord_matrix(), pow2ceil(n))
         want = [sorted(range(n), key=lambda i: composite_key(pts[i], j)) for j in range(d)]
         assert ids.tolist() == want[-1]  # a label is the last dimension's rank
@@ -723,7 +740,7 @@ class TestRankTableEdges:
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 64, 65])
     def test_tables_follow_composite_key(self, kind, d, n):
         ps = PointSet.from_coords(edge_rows(kind, d, n), d)
-        pts, L = ps.by_id, pow2ceil(n)
+        pts, L = ps.points, pow2ceil(n)
         ids, row, ranks, axes = rank_tables(ps.coord_matrix(), L)
         assert len(ranks) == d - 1 and len(axes) == d
         want = [sorted(range(n), key=lambda i: composite_key(pts[i], j)) for j in range(d)]
