@@ -4,10 +4,11 @@ Every structure stores a point as its label, its rank in the last dimension
 (y), so a stored entry is its own y key.  rank_tables makes the labels, the
 id map from label to point id, and a label-indexed rank table for every
 other dimension, from one shared row order, (c_0 .. c_{d-1}, id), with
-default (unstable) numpy sorts that tie only equal keys.  Labels n+t are
-phantom padding, each its own rank in every dimension, after every real
-point, so no real rank interval [a, b) can match one.  Nothing here knows a
-point or a coordinate.
+default (unstable) numpy sorts that tie only equal keys.  A phantom is leaf
+t >= n, its own label and its own rank in every dimension, so labels, ranks
+and leaf positions run over 0..L-1, L = pow2ceil(n), and a phantom sorts after
+every real point, where no real rank interval [a, b) can match it.  Nothing
+here knows a point or a coordinate.
 
 Every tree in the package is implicit in a leaf row: L = 2^H labels sorted
 by one dimension's rank, real labels first, then phantoms.  A node is named
@@ -95,16 +96,17 @@ def _dense_rank(keys: np.ndarray) -> np.ndarray:
     return dense
 
 
-def rank_tables(coords: np.ndarray, L: int) -> tuple[array, np.ndarray, list[array], list[array]]:
+def rank_tables(coords: np.ndarray) -> tuple[array, np.ndarray, list[array], list[array]]:
     """(ids, row, ranks, axes): the labels of a coordinate matrix whose rows are ids.
 
     Dimension j's order is composite_key's: by column j, then by the row in
     column order, then by id.  A label is a position in the last order, and
-    ids (an array("i") of n) is that order: ids[label] is the id.  row
-    (int32) is dimension 0's order in labels, the root's leaf row.  For
-    j < d-1, ranks[j] (an array("i") indexed by label) gives each position
-    in order j, then L phantom slots: label n+t is its own rank.  axes[j]
-    (an array("d")) holds column j in order j.
+    ids (an array("i") of n) is that order: ids[label] is the id.  A phantom
+    is leaf t >= n, label t and rank t, t < L = pow2ceil(n).  row (int32, L
+    long) is the root's leaf row: dimension 0's order in labels, then the
+    phantoms.  For j < d-1, ranks[j] (an array("i") of L, indexed by label)
+    gives each label its position in order j.  axes[j] (an array("d")) holds
+    column j in order j.
 
     Every dimension shares one row order, (c_0 .. c_{d-1}, id).  Each column
     gets a dense rank, and folding them in, key = dense(key*n + dense_j),
@@ -125,7 +127,7 @@ def rank_tables(coords: np.ndarray, L: int) -> tuple[array, np.ndarray, list[arr
     last = row if d == 1 else np.argsort(dense[-1] * n + row_rank)
     ids = array("i", [0]) * n
     np.frombuffer(ids, dtype=np.int32)[:] = last
-    label = np.empty(n, dtype=np.int32)
+    label = np.arange(pow2ceil(n), dtype=np.int32)  # by id; entry t >= n is phantom t's
     label[last] = seq
     ranks, axes = [], []
     for j in range(d):
@@ -134,12 +136,12 @@ def rank_tables(coords: np.ndarray, L: int) -> tuple[array, np.ndarray, list[arr
         np.frombuffer(axis)[:] = coords[:, j][order]
         axes.append(axis)
         if j < d - 1:
-            rank = array("i", [0]) * (n + L)
+            rank = array("i", [0]) * len(label)
             r = np.frombuffer(rank, dtype=np.int32)
             r[label[order]] = seq
-            r[n:] = np.arange(n, n + L, dtype=np.int32)
+            r[n:] = label[n:]
             ranks.append(rank)
-    return ids, label[row], ranks, axes
+    return ids, np.concatenate((label[row], label[n:])), ranks, axes
 
 
 def _find_split(ids, rank, base: int, L: int, a: int, b: int, stats) -> tuple[int, int]:
@@ -325,21 +327,19 @@ class CascadeStructure:
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def build_from_ids(cls, ids, rank_x, n, counters=None):
-        """A group of one over the labels ids, out of n points, sorted by the x composite order.
+    def build_from_ids(cls, ids, rank_x, counters=None):
+        """A group of one over the labels ids, sorted by the x composite order.
 
-        rank_x is a rank table (rank_tables) with at least L phantom slots
-        (label n+t -> padding leaf t).  build() builds every group from its
-        members' leaf rows and does not call this; it stays because the
-        traced benchmark (perfbench/run.py) wraps it by name, and its result
-        equals the d=2 root build() makes over the same labels.
+        ids holds each label 0..m-1 once, and the leaf row pads it to
+        L = pow2ceil(m): a phantom is leaf t >= m and label t, which rank_x
+        (a rank_tables rank, L long) ranks t.  build() builds every group
+        from its members' leaf rows and does not call this; it stays because
+        the traced benchmark (perfbench/run.py) wraps it by name, and its
+        result equals the d=2 root build() makes over the same labels.
         """
-        m = len(ids)
-        L = pow2ceil(m)
-        row = np.arange(n, n + L, dtype=np.int32)
-        row[:m] = ids
-        buf = fill_buffers_batch_np(row[None, :], counters)
-        return cls(L, buf, rank_x)
+        row = np.arange(pow2ceil(len(ids)), dtype=np.int32)
+        row[: len(ids)] = ids
+        return cls(len(row), fill_buffers_batch_np(row[None, :], counters), rank_x)
 
     # -- structure access ----------------------------------------------------
 

@@ -140,21 +140,20 @@ class PointSet:
                 raise ValueError(f"point ids must form 0..{n - 1} without repeats")
             by_id[p.id] = p
         m = np.array([p.coords for p in by_id], dtype=np.float64).reshape(n, dims)
-        self._adopt(m, by_id, by_id)
+        self._adopt(m, by_id)
 
     @classmethod
     def _of_matrix(cls, m: np.ndarray) -> "PointSet":
         """A point set over a checked (n, d) float64 matrix of finite values, n, d >= 1."""
         ps = cls.__new__(cls)
-        ps._adopt(m, [None] * len(m), None)
+        ps._adopt(m, [None] * len(m))
         return ps
 
-    def _adopt(self, m: np.ndarray, by_id: list, every: Optional[list]) -> None:
+    def _adopt(self, m: np.ndarray, by_id: list) -> None:
         m.flags.writeable = False
         self.dims = m.shape[1]
         self._matrix = m
         self._by_id = by_id  # the Points made so far, by id; None for one not made yet
-        self._every = every  # by_id once every Point is made, else None
 
     def __len__(self) -> int:
         return len(self._by_id)
@@ -165,10 +164,7 @@ class PointSet:
     @property
     def points(self) -> list:
         """Every Point, in id order."""
-        if self._every is None:
-            self.take(range(len(self)))
-            self._every = self._by_id
-        return self._every
+        return self.take(range(len(self)))
 
     def point(self, i: int) -> Point:
         """The Point of id i, made from matrix row i on first request.
@@ -186,11 +182,12 @@ class PointSet:
     def take(self, ids: Sequence[int]) -> list:
         """The Points of a sequence of ids, in its order; each made on first request.
 
-        Each id whose Point is not made yet goes through point, which
-        refuses one outside 0..n-1; the others index the list of Points with
-        no check of their own, so a call whose Points are all made does no
-        Python work per id.
+        Raises IndexError for an id outside 0..n-1: indexing the list of
+        Points refuses one >= n, and one min() over the ids one below 0,
+        so a call whose Points are all made does no Python work per id.
         """
+        if ids and min(ids) < 0:  # min's default= keyword costs more than the test
+            raise IndexError(f"point id {min(ids)} outside 0..{len(self._by_id) - 1}")
         out = list(map(self._by_id.__getitem__, ids))
         if all(out):  # a Point is true, a slot not made yet is None
             return out

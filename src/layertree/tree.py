@@ -21,8 +21,9 @@ left half.  A level's canonical decomposition is a cascade's walk
 Everything below LayeredRangeTree.rank_box works in rank space: the
 structures hold and emit labels (ranks in the last dimension), one int32
 table per other dimension ranks each label, and a box becomes a rank
-interval [a_j, b_j) per dimension.  Padding leaves are phantoms ranked after
-every real point, so they never fall inside one.
+interval [a_j, b_j) per dimension.  A phantom is leaf t >= n of the root, its
+own label and its own rank in every dimension (cascade.rank_tables), so it
+ranks after every real point and never falls inside one.
 """
 
 from __future__ import annotations
@@ -233,10 +234,12 @@ def build(points: PointSet, counters: Optional[BuildCounters] = None) -> Layered
 
     rank_tables sorts the rows once by (coords, id), orders each dimension
     by its coordinate, then that row rank, and labels each point by its
-    last-dimension rank.  It returns the id map, the root's leaf row, an
-    int32 rank per label for every other dimension and each dimension's
-    coordinates in rank order; labels and ranks are the only keys.  The
-    structures over dimension j are built as groups by padded size L, listed
+    last-dimension rank.  It returns the id map, the root's leaf row
+    (padded to L = pow2ceil(n): a phantom is leaf t >= n, its own label and
+    its own rank in every dimension), an int32 rank per label for every
+    other dimension and each dimension's coordinates in rank order; labels
+    and ranks are the only keys.  The structures over dimension j are built
+    as groups by padded size L, listed
     in tops[j] by log2 L: each group runs one batched merge (merge_rows) of
     its leaf rows by the ranks of dimension j+1.  On a level (j < d-2) the
     group is a _Level, and no bridges are made.  Its merged row r, cut to
@@ -244,23 +247,22 @@ def build(points: PointSet, counters: Optional[BuildCounters] = None) -> Layered
     with L = 2^r in tops[j+1]; they hold no phantom.  On the
     cascade (j = d-2) the labels are the keys: the merged rows and bridges
     are the buffers, one array("i") per CascadeStructure.  Raises
-    TooManyPoints, before anything is allocated, when the labels and
-    phantom labels would not fit in int32.
+    TooManyPoints, before anything is allocated, unless n < 2^30.
     """
     n = len(points)
     if n == 0:
         raise EmptyInput("cannot build a tree over zero points")
     maxL = pow2ceil(n)
-    if n + maxL > INT32_MAX:  # labels, phantom labels n..n+maxL-1 and ranks are int32
+    # n < 2^30: labels and ranks (< maxL) and merge_rows' bridge sums (< 1.5*maxL) fit int32
+    if n + maxL > INT32_MAX:
         raise TooManyPoints(f"{n} points and {maxL} padding slots exceed the int32 range")
     d = points.dims
-    ids, row, ranks, axes = rank_tables(points.coord_matrix(), maxL)
+    ids, row, ranks, axes = rank_tables(points.coord_matrix())
     if d == 1:
         return LayeredRangeTree(points, _Slab(), ids, axes)
 
     tops = [[None] * maxL.bit_length() for _ in range(d - 1)]
-    # per L, the leaf rows of its members in member order; phantom n+t pads the root's leaf t
-    groups = {maxL: [np.concatenate((row, np.arange(2 * n, n + maxL, dtype=np.int32)))]}
+    groups = {maxL: [row]}  # per L, the leaf rows of its members in member order
     del row
     for j in range(d - 1):
         nxt: dict = {}
@@ -288,5 +290,6 @@ def build(points: PointSet, counters: Optional[BuildCounters] = None) -> Layered
                     level.first[r] = (sum(map(len, pieces)) >> r) - chunks.start
                     level.per[r] = len(chunks)
                     pieces.append(merged[:, r, chunks.start << r : chunks.stop << r].flatten())
+            del merged  # its rows are carved: free it before the next groups are built
         groups = nxt
     return LayeredRangeTree(points, tops[0][maxL.bit_length() - 1], ids, axes)

@@ -91,7 +91,7 @@ class TestBuild:
         ps = gen_points(GeneratorConfig(seed=12, n=45, dims=2, dist="grid", grid_side=4))
         built, counters = BuildCounters(), BuildCounters()
         root = build(ps, built).root
-        one = CascadeStructure.build_from_ids(root.buf[: len(ps)], root.rank_x, len(ps), counters)
+        one = CascadeStructure.build_from_ids(root.buf[: len(ps)], root.rank_x, counters)
         assert (one.L, one.H, one.words) == (root.L, root.H, root.words)
         assert one.buf.tolist() == root.buf.tolist()
         assert counters.merge_moves == built.merge_moves

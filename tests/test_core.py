@@ -257,6 +257,17 @@ class TestMatrixPath:
         assert [p.id for p in got] == [0, 1, 2]
         assert got[-1] == Point((2.0, 2.0), 2) and ps.point(2) is got[-1]
 
+    def test_negative_ids_are_refused_when_every_point_is_made(self):
+        # with every Point made, take indexes the list directly: a negative id
+        # must still raise, not count back from the last point
+        ps = PointSet.from_coords([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)])
+        assert len(ps.points) == 3
+        for bad in ([-1], [-3], [0, 2, -1]):
+            with pytest.raises(IndexError):
+                ps.take(bad)
+        assert ps.take([]) == []
+        assert ps.take([2, 0]) == [ps.point(2), ps.point(0)]
+
     def test_build_and_count_make_no_point(self):
         rows = [(i % 7, i % 5, i % 3) for i in range(200)]
         # a collection during build would free Points that earlier tests left

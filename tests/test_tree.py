@@ -296,8 +296,9 @@ class TestBuild:
 
     @pytest.mark.parametrize("n", [2**30, 2**30 + 1, 2**31])
     def test_ids_beyond_int32_are_refused_before_allocating(self, n):
-        # n + pow2ceil(n) ids and ranks must fit in int32; the stub has only a
-        # length, so build must refuse it before it reads or allocates anything
+        # build takes n < 2^30 only, so ids, labels, ranks and a merge's
+        # bridges fit in int32; the stub has only a length, so build must
+        # refuse it before it reads or allocates anything
         class Huge:
             def __len__(self):
                 return n
@@ -449,6 +450,25 @@ class TestSpaceAccounting:
             assert [b for b, _ in runs] == [0] + [b + w for b, w in runs[:-1]]
             assert sum(w for _, w in runs) == len(cs.buf)
 
+    @pytest.mark.parametrize("d,n", [(2, 1), (2, 100), (3, 64), (3, 65), (4, 33)])
+    def test_one_index_space(self, d, n):
+        # a phantom is leaf t >= n, its own label and its own rank: every rank
+        # table is a permutation of 0..L-1 fixing each phantom, and the root's
+        # leaf row holds phantom t at leaf t
+        ps = gen_points(GeneratorConfig(seed=n, n=n, dims=d, dist="grid", grid_side=5))
+        tree, L = build(ps), pow2ceil(n)
+        tables = {}
+        for _, (s, _) in tree.structures():
+            table = s.rank if isinstance(s, _Level) else s.rank_x
+            tables[id(table)] = table
+        assert len(tables) == d - 1
+        for table in tables.values():
+            assert len(table) == L and sorted(table) == list(range(L))
+            assert list(table[n:]) == list(range(n, L))
+        root = tree.root
+        leaves = (root.ids if isinstance(root, _Level) else root.buf)[:L].tolist()
+        assert sorted(leaves) == list(range(L)) and leaves[n:] == list(range(n, L))
+
 
     def test_one_object_per_cascade_group(self):
         # a cascade is a (group, index) pair: build makes one CascadeStructure
@@ -509,7 +529,7 @@ class TestSpaceAccounting:
         # the buffer relies on
         ps = gen_points(GeneratorConfig(seed=7, n=70, dims=d, dist="grid", grid_side=3))
         tree = build(ps)
-        _, _, ranks, _ = rank_tables(ps.coord_matrix(), pow2ceil(len(ps)))
+        _, _, ranks, _ = rank_tables(ps.coord_matrix())
         assert len(ranks) == d - 1
         held = {}
         for _, (s, g) in tree.structures():
@@ -602,51 +622,51 @@ PINNED_COUNTERS = {
     (2, "uniform", 64): (384, (644, 40, 561, 273), (644, 80, 1122, 273),
         "b1992f4673764f981e59c4c8b459b1028066a622ce52b03c90e20bcfa3dd0579"),
     (2, "uniform", 65): (896, (694, 40, 582, 327), (694, 80, 1164, 327),
-        "be9548c3b40bbfefde4d2c6036c9c23cd610fc65cc221b49281b517e28f681f2"),
+        "c63a6469e39ed235947139072c1a42b2c1b3494b24aff81af9ebdf9f46dba40f"),
     (2, "uniform", 128): (896, (756, 40, 676, 704), (756, 80, 1352, 704),
         "806c4cc33b7ffa60772cffde3cfa3cd34099f0c129f3a81c97ac8b592497fd70"),
     (2, "uniform", 129): (2048, (818, 40, 708, 762), (818, 80, 1416, 762),
-        "ead4b3e856e2a95ec8a196797ef78eb56ecf6edf31523f5d5cab082cc90ec641"),
+        "525970b35ae2eb2f24ac0337339f82d375074a78403371441a5f8151c4468ec7"),
     (2, "grid", 64): (384, (634, 40, 526, 239), (634, 80, 1052, 239),
         "907a6cf962f7890ae1eee11fdc2885a72f66069f4e74a9cefe68f91b31fc06c5"),
     (2, "grid", 65): (896, (617, 40, 474, 241), (617, 80, 948, 241),
-        "8d36788897140ece443b7579ba661fadebb975337364d998bd55e4069454dcaf"),
+        "f49c4c9a4b01e09fb97bbf70ac6cab7735df2b8afea2be2e4119580d6bd3ff2c"),
     (2, "grid", 128): (896, (657, 40, 508, 497), (657, 80, 1016, 497),
         "47a9ab5d34ffc16ae5dd6eb304bb065bdde76488efde03becb8347c02ef11a80"),
     (2, "grid", 129): (2048, (774, 40, 650, 363), (774, 80, 1300, 363),
-        "8cbc8ccbd9f17e99ccbb9edc9ca865eb9066aa2da24df2d32806de3d7f385c67"),
+        "468a7cc82a2711374381a498cc7359de01c4b01a1457455d97ddf8324f47259a"),
     (3, "uniform", 64): (828, (1254, 186, 347, 95), (1254, 372, 694, 95),
         "1a8541ba43a44731760b6bd8843598986412eea5dec45ad08903efd446124d75"),
     (3, "uniform", 65): (1157, (1358, 203, 379, 58), (1358, 406, 758, 58),
-        "8fe82f902f790d187359a63bee62865ad6780696b74a26acede056dc689f6c8d"),
+        "128dfcfecb48eb0da0b1f7ac1977bc1e2eb79d0c5d837f93700e34d555314191"),
     (3, "uniform", 128): (2300, (1968, 254, 772, 213), (1968, 508, 1544, 213),
         "f0fa2dd3d259c87153d0e05706ff139e859942fcdb3e895d8e2f66aff8bb52b3"),
     (3, "uniform", 129): (3078, (1942, 231, 805, 260), (1942, 462, 1610, 260),
-        "a1c78efdb1207e827232db7871cab93ae5d7c3492c541d616ba36502d7270a30"),
+        "5a79ca8a7074dcbe4eb713393ae7f824d829e441cdb7cbc8e25e63fa4472b047"),
     (3, "grid", 64): (828, (1310, 224, 299, 86), (1310, 448, 598, 86),
         "9fdabb386cbf97b01538a91480a6697a0e85c1babffb77bed0e2a93b64bdbee1"),
     (3, "grid", 65): (1157, (1018, 136, 188, 53), (1018, 272, 376, 53),
-        "f73718f3d80e9f1534ac174ba99c2ed80b8e63ce9d8448a377dd5471f45cb66a"),
+        "963a7b54c203d196f112e4feac4042c90addf93ac5e36ff1ee9730e990a596a3"),
     (3, "grid", 128): (2300, (1578, 223, 425, 136), (1578, 446, 850, 136),
         "8a79d3bf1f3e842f8005f814709b6232332a0a8a51cc3fd14308e9af28f17430"),
     (3, "grid", 129): (3078, (1493, 168, 484, 286), (1493, 336, 968, 286),
-        "c75dac8ce42d52218caa5e6122518d168193fc0b77ddf96b1a0e17a80ead3b19"),
+        "2c7d2f8a8dca3329eb6c633820683ced0eb437a3e6aed470fccef0f6ad90c886"),
     (4, "uniform", 64): (908, (1585, 198, 54, 46), (1585, 396, 108, 46),
         "a6c57bd0955c203fbd3968089f80a4bb5c5857edf54cd6041442e097f2137ad9"),
     (4, "uniform", 65): (1393, (1412, 168, 19, 29), (1412, 336, 38, 29),
-        "5a9a6da5b8df4b7b012a9ecd26c623bc5d1739fb5a8fdc81a5df5af11a817a03"),
+        "f3e85b736e79a9e2e80987148bed8b77eb27efe2fd1d4a54c96c3616a741822e"),
     (4, "uniform", 128): (2772, (2380, 327, 100, 44), (2380, 654, 200, 44),
         "999e7fd3ae2bbf78a2c26d4533e825a5ccaf835a4580e596b64cc20f2189bbfd"),
     (4, "uniform", 129): (4150, (2623, 383, 161, 51), (2623, 766, 322, 51),
-        "4b7d9a7abf49cb4f1530f893d04c638004bcca7500a3d0bb5469774415e102c3"),
+        "bbbc3f86a5a884738339c752521d7fd96b3a2513a0cc7bb12c74314ace578032"),
     (4, "grid", 64): (908, (1369, 168, 24, 26), (1369, 336, 48, 26),
         "62d59e13e7fabc0b6fa77d8ffc1f8f0280ae1ac8f797c6f8ed31dcf50ffa80ca"),
     (4, "grid", 65): (1393, (1004, 85, 29, 15), (1004, 170, 58, 15),
-        "2af5cc760e8e905950357a3eaf65ffac925f3b1d976bea87918a614e5af89f1e"),
+        "335d4594ef242e0669923ec260278fefb87ba2bcbb21712226946cc2a8417bb8"),
     (4, "grid", 128): (2772, (2078, 259, 63, 26), (2078, 518, 126, 26),
         "d9884bead111c70e13652fe55648c3bc053f21e89e20d6f220958d7053d5c78f"),
     (4, "grid", 129): (4150, (1973, 256, 80, 28), (1973, 512, 160, 28),
-        "6f14496c703847344db075736473bc9b2d02f8e0232ea1511f2ce57774254ced"),
+        "eb9e68c44073a734b32a653c8139fe489edd0844c79a81fbcb366783f83eff55"),
 }
 
 
@@ -704,14 +724,16 @@ class TestRankTable:
         rnd.shuffle(shuffled)  # given in any order, the matrix rows are still ids
         ps = PointSet(shuffled, d)
         pts, n = ps.points, len(rows)
-        ids, row, ranks, axes = rank_tables(ps.coord_matrix(), pow2ceil(n))
+        L = pow2ceil(n)
+        ids, row, ranks, axes = rank_tables(ps.coord_matrix())
         want = [sorted(range(n), key=lambda i: composite_key(pts[i], j)) for j in range(d)]
         assert ids.tolist() == want[-1]  # a label is the last dimension's rank
-        assert row.tolist() == [want[-1].index(i) for i in want[0]]
+        # the root's leaf row, then phantom t at leaf t: its own label
+        assert row.tolist() == [want[-1].index(i) for i in want[0]] + list(range(n, L))
         assert len(ranks) == d - 1
         for j in range(d - 1):
             assert list(ranks[j]) == [want[j].index(ids[v]) for v in range(n)] + list(
-                range(n, n + pow2ceil(n)))
+                range(n, L))
         for j in range(d):
             assert list(axes[j]) == [pts[i].coords[j] for i in want[j]]
 
@@ -741,15 +763,16 @@ class TestRankTableEdges:
     def test_tables_follow_composite_key(self, kind, d, n):
         ps = PointSet.from_coords(edge_rows(kind, d, n), d)
         pts, L = ps.points, pow2ceil(n)
-        ids, row, ranks, axes = rank_tables(ps.coord_matrix(), L)
+        ids, row, ranks, axes = rank_tables(ps.coord_matrix())
         assert len(ranks) == d - 1 and len(axes) == d
         want = [sorted(range(n), key=lambda i: composite_key(pts[i], j)) for j in range(d)]
         where = [{i: v for v, i in enumerate(w)} for w in want]
         assert ids.typecode == "i" and ids.tolist() == want[-1]
-        assert row.dtype == np.int32 and row.tolist() == [where[-1][i] for i in want[0]]
+        assert row.dtype == np.int32
+        assert row.tolist() == [where[-1][i] for i in want[0]] + list(range(n, L))
         for j, rank in enumerate(ranks):
             assert rank.typecode == "i"
-            assert list(rank) == [where[j][ids[v]] for v in range(n)] + list(range(n, n + L))
+            assert list(rank) == [where[j][ids[v]] for v in range(n)] + list(range(n, L))
         for j, axis in enumerate(axes):
             # float.hex tells -0.0 from 0.0: each slot holds its own point's coordinate
             assert [x.hex() for x in axis] == [pts[i].coords[j].hex() for i in want[j]]
