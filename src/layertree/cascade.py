@@ -29,38 +29,44 @@ time per level.
 
 Storage: the cascades with the same L form a merge group, and one
 CascadeStructure object is the whole group, not one cascade.  It holds the
-group's G buffers in one array("i") of G*(2H+1)*L words, laid out
-(G, 2H+1, L), plus L, H and the x rank table; a member's real point count
-is the number of real labels in its leaf row.  A cascade is a (group,
-member) pair: member g owns the words = (2H+1)*L contiguous words from
-base = g*words, and queries and counts take g and the tree's rank box,
-of which they read the last two dimensions.
-Every address below is base plus an offset in that buffer.  With L padded
+group's labels in one array("i") buf of G*(H+1)*L words, laid out (G, H+1,
+L), and its left bridges in one array per bridge row, plus L, H and the x
+rank table; a member's real point count is the number of real labels in
+its leaf row.  A cascade is a (group, member) pair: member g owns the
+words = (H+1)*L contiguous words of buf from base = g*words, and the L
+entries from g*L of every bridge row.  Queries and counts take g and the
+tree's rank box, of which they read the last two dimensions.  With L padded
 leaves and height H = log2(L):
 
-    row r in 0..H        node arrays, offset r*L; the array of node
-                         (r, pos) is the chunk of width 2^r starting at
-                         pos*2^r, ascending.  Row 0 is the leaf row,
-                         sorted by x: it is the x-tree.
-    lb rows r in 1..H    left bridges, offset L*(H+r)
+    buf row r in 0..H      node arrays, at base + r*L; the array of node
+                           (r, pos) is the chunk of width 2^r starting at
+                           pos*2^r, ascending.  Row 0 is the leaf row,
+                           sorted by x: it is the x-tree.
+    bridges[r], r in 1..H  left bridges, one per entry of row r, at g*L
+                           plus the entry's position in the row.  A row-r
+                           bridge is at most 2^(r-1), so bridges[r] has the
+                           narrowest typecode that holds that: "B" (one
+                           byte) for r <= 8, "H" (two) for r <= 16, "i"
+                           (four) above.  bridges[0] is empty: a leaf has
+                           no bridge.
 
-Reading an array("i") gives a Python int, so the query loops never make a
-numpy scalar; numpy writes the array only while merge_rows builds it.
+Reading any of the arrays gives a Python int, so the query loops never make
+a numpy scalar; numpy writes them only while merge_rows builds them.
 
 The right bridge is not stored: for the entry at position t of a node's
 array it is t - lb[t].  Labels are distinct, so the t entries before it are
 exactly the smaller ones, and each came from one child: lb[t] from the left,
 the rest from the right; every chunk is full, so bridges are total.
 
-Every buffer comes out of one merge, merge_rows: the leaf rows of a group
-are merged together bottom-up by the labels themselves, one stable argsort
-per row, and each entry's left bridge follows in closed form from where the
-merge took it.  The multi-level tree runs the same merge by a rank table to
-sort its levels' subtrees by the next dimension.  A query or a count is
-one _walk with y bounds: the walk makes the split node's bisects, one for
-a query and two for a count, and carries the positions they find by
-bridges (a level walks without).  A query emits the in-range run of each
-node it reaches as one slice of labels.
+Every buffer and bridge row comes out of one merge, merge_rows: the leaf
+rows of a group are merged together bottom-up by the labels themselves, one
+stable argsort per row, and each entry's left bridge follows in closed form
+from where the merge took it.  The multi-level tree runs the same merge by
+a rank table to sort its levels' subtrees by the next dimension, and gets
+no bridges.  A query or a count is one _walk with y bounds: the walk makes
+the split node's bisects, one for a query and two for a count, and carries
+the positions they find by bridges (a level walks without).  A query emits
+the in-range run of each node it reaches as one slice of labels.
 """
 
 from __future__ import annotations
@@ -165,19 +171,20 @@ def _find_split(ids, rank, base: int, L: int, a: int, b: int, stats) -> tuple[in
     return r, pos
 
 
-def _walk(ids, rank, base: int, L: int, a: int, b: int, ya, yb, stats):
+def _walk(ids, rank, base: int, L: int, a: int, b: int, ya, yb, stats, bridges=None, off=0):
     """Yield (row, pos, lo, hi) for each canonical node and in-range boundary leaf of [a, b).
 
     The tree is _find_split's leaf row.  The walk descends (_find_split) to
     the split node of [a, b), goes down the a path, then the b path, and
     yields each node the range covers whole as its row and its position in
     that row.  When ya is not
-    None, the tree is a cascade member's (ids is its buf, base its base):
-    the walk bisects the split node's array for ya, and for yb unless it is
-    None, and carries the positions found, lo and hi, down each path by one
-    left bridge per level, yielding them as positions in each node's array.
-    These are a cascade's only binary searches.  A level passes None for
-    both and gets None back.
+    None, the tree is a cascade member's (ids is its buf, base its base,
+    bridges its group's bridge rows and off its g*L): the walk bisects the
+    split node's array for ya, and for yb unless it is None, and carries the
+    positions found, lo and hi, down each path by one left bridge per level,
+    yielding them as positions in each node's array.  These are a cascade's
+    only binary searches.  A level passes None for ya and yb, and no
+    bridges, and gets None back.
     """
     r, pos = _find_split(ids, rank, base, L, a, b, stats)
     lo = hi = None
@@ -193,7 +200,6 @@ def _walk(ids, rank, base: int, L: int, a: int, b: int, ya, yb, stats):
             yield 0, pos, lo, hi
         return
     s = f = None  # the sibling's positions, set at every step when carried
-    lbase = base + (L.bit_length() - 1) * L  # the lb rows: lb row rr starts at lbase + rr*L
     for side, bound in ((0, a), (1, b)):
         # side 0 walks the a path, side 1 the b path; at every node the path
         # enters the right child iff its split rank is below the bound, so at
@@ -202,18 +208,18 @@ def _walk(ids, rank, base: int, L: int, a: int, b: int, ya, yb, stats):
         for rr in range(r, 0, -1):
             sp = 1 << rr
             hf = sp >> 1
-            at = p * sp  # the node's chunk, in the leaf row and in lb row rr
+            at = p * sp  # the node's chunk, in the leaf row and in bridge row rr
             go = rank[ids[base + at + hf - 1]] < bound
             if c is not None:
                 # c sits at lb[c] in the left child and at c - lb[c] in the
                 # right one: s is the sibling's position, the rest the path's
-                lb = lbase + rr * L + at
-                s = ids[lb + c] if c < sp else hf
+                lb, o = bridges[rr], off + at
+                s = lb[o + c] if c < sp else hf
                 if not go:
                     s = c - s
                 c -= s
                 if e is not None:
-                    f = ids[lb + e] if e < sp else hf
+                    f = lb[o + e] if e < sp else hf
                     if not go:
                         f = e - f
                     e -= f
@@ -230,17 +236,19 @@ def _walk(ids, rank, base: int, L: int, a: int, b: int, ya, yb, stats):
             yield 0, p, c, e
 
 
-def merge_rows(merged: np.ndarray, rank=None) -> None:
+def merge_rows(merged: np.ndarray, rank=None) -> list[array] | None:
     """Bottom-up stable merge, in place, of G leaf rows of one power-of-two length L by `rank`.
 
-    `merged` is a C-contiguous (G, R, L) int32 array whose [:, 0] holds the
-    leaf rows (labels); `rank` is a rank_tables rank, or None (a cascade's)
-    for the labels themselves.  For r in 1..H, [g, r] gets row g's chunks
-    of width 2^r, each sorted by rank.  With R = 2H+1,
-    [g] becomes a buffer: [g, H+r] gives every entry of [g, r] its left
-    bridge, the number of entries of the left half of its chunk with
-    smaller rank.  With R = H+1 (the levels of the multi-level tree) no
-    bridge is computed or written.
+    `merged` is a C-contiguous (G, H+1, L) int32 array whose [:, 0] holds the
+    leaf rows (labels); for r in 1..H, [g, r] gets row g's chunks of width
+    2^r, each sorted by rank.  `rank` is a rank_tables rank, for the levels
+    of the multi-level tree: no bridge is computed, and None is returned.
+    Or it is None, for a cascade: the labels are their own keys, and the
+    result is the bridges, H+1 arrays.  bridges[r], r in 1..H, holds G*L
+    entries: at g*L + t, the left bridge of [g, r, t], the number of
+    entries of the left half of its chunk with a smaller label, at most
+    2^(r-1).  Its typecode is the narrowest that holds that: "B" for r <= 8,
+    "H" for r <= 16, "i" above.  bridges[0] is empty.
 
     Each chunk of row r-1 at width 2^r is two runs sorted by rank, so one
     stable argsort per row (timsort for int32: it finds the two runs and
@@ -253,47 +261,56 @@ def merge_rows(merged: np.ndarray, rank=None) -> None:
     left-run index i = perm has the i left entries before it; one from
     right-run index j = perm - 2^(r-1) has t - j.  Both are
     min(perm, t + 2^(r-1) - perm): a left entry has t >= i, and a right
-    one has t - j <= 2^(r-1) <= perm.  So no prefix count is needed.
+    one has t - j <= 2^(r-1) <= perm.  So no prefix count is needed.  Each
+    row's closed form is worked in int32 and copied into its narrow array
+    at once, so one int32 bridge row is live at a time.
     """
-    G, R, L = merged.shape
+    G, _, L = merged.shape
     H = L.bit_length() - 1
     pos = np.arange(G * L, dtype=np.int32).reshape(G, L)  # t and the chunk start are its bits
     cur = np.ascontiguousarray(merged[:, 0]).reshape(-1)
     keys = cur if rank is None else np.frombuffer(rank, dtype=np.int32)[cur]
+    bridges = [array("B")] if rank is None else None
     for r in range(1, H + 1):
         span, half = 1 << r, 1 << (r - 1)
         perm = np.argsort(keys.reshape(-1, span), axis=1, kind="stable").reshape(G, L)
-        if R > H + 1:
+        if bridges is not None:
+            code = "B" if r <= 8 else "H" if r <= 16 else "i"
             p = perm.astype(np.int32)
-            lb = merged[:, H + r]
-            np.bitwise_and(pos, span - 1, out=lb)
+            lb = pos & (span - 1)
             lb += half
             lb -= p
             np.minimum(lb, p, out=lb)
-            del p
+            del p  # before the narrow row is made
+            narrow = array(code, [0]) * (G * L)
+            np.frombuffer(narrow, dtype=code)[:] = lb.reshape(-1)  # in 0..2^(r-1): nothing wraps
+            del lb  # before the gather below
+            bridges.append(narrow)
         perm += pos & -span  # each entry's source position in the flat row
         cur = cur[perm.reshape(-1)]
         keys = cur if rank is None else keys[perm.reshape(-1)]
         del perm  # before the next argsort makes its own: 8 bytes an entry
         merged[:, r] = cur.reshape(G, L)
+    return bridges
 
 
-def fill_buffers_batch_np(padded_rows: np.ndarray, counters=None) -> array:
-    """The array("i") of one cascade merge group: its G buffers, merged from their leaf rows.
+def fill_buffers_batch_np(padded_rows: np.ndarray, counters=None) -> tuple[array, list[array]]:
+    """(buf, bridges) of one cascade merge group: its G members, merged from their leaf rows.
 
     `padded_rows` is the (G, L) int32 array of the members' leaf rows (labels
-    padded with phantoms).  merge_rows merges them by the labels themselves
-    and writes the G*(2H+1)*L words in place, through a numpy view of the array.
+    padded with phantoms).  merge_rows merges them by the labels themselves,
+    writes the G*(H+1)*L labels of buf, an array("i"), in place through a
+    numpy view, and returns the H narrow bridge rows (after an empty row 0).
     """
     G, L = padded_rows.shape
     H = L.bit_length() - 1
-    buf = array("i", [0]) * (G * (2 * H + 1) * L)
-    merged = np.frombuffer(buf, dtype=np.int32).reshape(G, 2 * H + 1, L)
+    buf = array("i", [0]) * (G * (H + 1) * L)
+    merged = np.frombuffer(buf, dtype=np.int32).reshape(G, H + 1, L)
     merged[:, 0] = padded_rows
-    merge_rows(merged)
+    bridges = merge_rows(merged)
     if counters is not None:
         counters.merge_moves += G * L * H
-    return buf
+    return buf, bridges
 
 
 @dataclass
@@ -309,19 +326,22 @@ class CascadeStructure:
     """A cascade merge group: G structures over the last two dimensions with the same L.
 
     Each member is an x-tree plus per-node label arrays with bridges.  All G
-    share the group's array("i") buf; member g's `words` = (2H+1)*L words
-    start at base g*words (see the module docstring for the layout).  A
-    query or count of member g is one _walk over the last two dimensions of
-    the tree's rank box.  The d=2 tree's root is a group of one, member 0.
+    share the group's array("i") buf of labels, where member g's `words` =
+    (H+1)*L words start at base g*words, and its bridge rows, where member
+    g's L bridges of row r start at g*L of bridges[r] (see the module
+    docstring for the layout).  A query or count of member g is one _walk
+    over the last two dimensions of the tree's rank box.  The d=2 tree's
+    root is a group of one, member 0.
     """
 
-    __slots__ = ("L", "H", "words", "buf", "rank_x")
+    __slots__ = ("L", "H", "words", "buf", "bridges", "rank_x")
 
-    def __init__(self, L, buf, rank_x):
-        self.L = L                         # padded leaf count (power of two)
-        self.H = L.bit_length() - 1        # log2(L)
-        self.words = (2 * self.H + 1) * L  # one member's share of buf
-        self.buf = buf                     # from fill_buffers_batch_np
+    def __init__(self, L, buf, bridges, rank_x):
+        self.L = L                      # padded leaf count (power of two)
+        self.H = L.bit_length() - 1     # log2(L)
+        self.words = (self.H + 1) * L   # one member's share of buf
+        self.buf = buf                  # labels, from fill_buffers_batch_np
+        self.bridges = bridges          # bridge rows, likewise
         self.rank_x = rank_x
 
     # -- construction -------------------------------------------------------
@@ -339,20 +359,18 @@ class CascadeStructure:
         """
         row = np.arange(pow2ceil(len(ids)), dtype=np.int32)
         row[: len(ids)] = ids
-        return cls(len(row), fill_buffers_batch_np(row[None, :], counters), rank_x)
+        return cls(len(row), *fill_buffers_batch_np(row[None, :], counters), rank_x)
 
     # -- structure access ----------------------------------------------------
 
     def node(self, row: int, pos: int, g: int = 0) -> CascadeNode:
         """Node (row, pos) of member g for inspection: its labels and bridges."""
-        span = 1 << row
-        buf, L = self.buf, self.L
-        abase = g * self.words + row * L + pos * span
-        ranks = buf[abase : abase + span].tolist()
-        if row == 0:
-            return CascadeNode(ranks, [], [])
-        lbase = abase + self.H * L
-        lb = buf[lbase : lbase + span].tolist()
+        span, L = 1 << row, self.L
+        at = pos * span
+        abase = g * self.words + row * L + at
+        ranks = self.buf[abase : abase + span].tolist()
+        lbase = g * L + at
+        lb = self.bridges[row][lbase : lbase + span].tolist() if row else []
         return CascadeNode(ranks, lb, [t - l for t, l in enumerate(lb)])
 
     # -- queries -------------------------------------------------------------
@@ -366,7 +384,8 @@ class CascadeStructure:
         of buf, an array("i").
         """
         base, buf, L, yb = g * self.words, self.buf, self.L, b[-1]
-        for row, p, u, _ in _walk(buf, self.rank_x, base, L, a[-2], b[-2], a[-1], None, stats):
+        for row, p, u, _ in _walk(buf, self.rank_x, base, L, a[-2], b[-2], a[-1], None, stats,
+                                  self.bridges, g * L):
             at = base + row * L + (p << row)
             u += at
             end = at + (1 << row)
@@ -387,8 +406,9 @@ class CascadeStructure:
         difference.
         """
         total = 0
-        for _, _, u, v in _walk(self.buf, self.rank_x, g * self.words, self.L,
-                                a[-2], b[-2], a[-1], b[-1], stats):
+        L = self.L
+        for _, _, u, v in _walk(self.buf, self.rank_x, g * self.words, L,
+                                a[-2], b[-2], a[-1], b[-1], stats, self.bridges, g * L):
             if v > u:
                 total += v - u
         return total

@@ -245,9 +245,10 @@ def build(points: PointSet, counters: Optional[BuildCounters] = None) -> Layered
     group is a _Level, and no bridges are made.  Its merged row r, cut to
     the chunks _reachable keeps, is as it stands the leaf rows of structures
     with L = 2^r in tops[j+1]; they hold no phantom.  On the
-    cascade (j = d-2) the labels are the keys: the merged rows and bridges
-    are the buffers, one array("i") per CascadeStructure.  Raises
-    TooManyPoints, before anything is allocated, unless n < 2^30.
+    cascade (j = d-2) the labels are the keys: the merged rows are one
+    array("i") per CascadeStructure, and its bridges one narrow array per
+    bridge row.  Raises TooManyPoints, before anything is allocated, unless
+    n < 2^30.
     """
     n = len(points)
     if n == 0:
@@ -272,7 +273,7 @@ def build(points: PointSet, counters: Optional[BuildCounters] = None) -> Layered
             del pieces
             H = L.bit_length() - 1
             if j == d - 2:
-                tops[j][H] = CascadeStructure(L, fill_buffers_batch_np(rows, counters), ranks[j])
+                tops[j][H] = CascadeStructure(L, *fill_buffers_batch_np(rows, counters), ranks[j])
                 continue
             G, m = len(rows), (n if j == 0 else L)  # only the root member holds phantoms
             merged = np.empty((G, H + 1, L), dtype=np.int32)

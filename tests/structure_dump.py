@@ -12,8 +12,8 @@ strings, so a lost -0.0 or a rounding change shows too.  The structures
 store point labels (ranks in the last dimension); the dump writes each
 stored label below n as its point id, read from the tree's id map, and
 bridges and phantoms as stored.  It reads only structures(), the tree's
-ids, a cascade group's buf, words, L and H, a level's ids and L, and the
-hits' id and coords.  Diffing the outputs of two
+ids, a cascade group's buf, bridges, words, L and H, a level's ids and L,
+and the hits' id and coords.  Diffing the outputs of two
 versions of the package, each dumped by its own copy of this file, shows
 every change in layout, answer or cost counter.  One case is written per
 line.  Which structures exist is layout too: a level node that no query
@@ -81,18 +81,18 @@ def structure_row(s, g: int, ids) -> list:
 
     The expanded buffer is the node rows, the lb rows, then the right bridges
     t - lb: entry i of lb row r sits at position t = i mod 2^r of its node's
-    array.  Node-row and leaf-row labels below n = len(ids) are written as
-    the ids the tree's id map gives them; the slab's leaf row is every label
-    in order.
+    array.  The node rows are member g's words of buf, and lb row r its L
+    entries of bridges[r].  Node-row and leaf-row labels below n = len(ids)
+    are written as the ids the tree's id map gives them; the slab's leaf row
+    is every label in order.
     """
     n = len(ids)
     to_id = lambda e: ids[e] if e < n else e
     if hasattr(s, "buf"):
-        words = s.buf[g * s.words : (g + 1) * s.words].tolist()
-        lb = s.L * (s.H + 1)
-        return list(map(to_id, words[:lb])) + words[lb:] + [
-            (i & ((1 << r) - 1)) - words[lb + (r - 1) * s.L + i]
-            for r in range(1, s.H + 1) for i in range(s.L)]
+        lbs = [s.bridges[r][g * s.L : (g + 1) * s.L].tolist() for r in range(1, s.H + 1)]
+        nodes = list(map(to_id, s.buf[g * s.words : (g + 1) * s.words]))
+        return nodes + [e for lb in lbs for e in lb] + [
+            (i & ((1 << r) - 1)) - lb[i] for r, lb in enumerate(lbs, 1) for i in range(s.L)]
     if hasattr(s, "L"):
         return list(map(to_id, s.ids[g * s.L : (g + 1) * s.L]))
     return ids.tolist()

@@ -20,7 +20,7 @@ from layertree import (
     build,
     gen_points,
 )
-from layertree.cascade import CascadeStructure, merge_rows
+from layertree.cascade import CascadeStructure, merge_rows, pow2ceil
 from layertree.core import QueryBox, box_contains, composite_key
 
 
@@ -94,6 +94,7 @@ class TestBuild:
         one = CascadeStructure.build_from_ids(root.buf[: len(ps)], root.rank_x, counters)
         assert (one.L, one.H, one.words) == (root.L, root.H, root.words)
         assert one.buf.tolist() == root.buf.tolist()
+        assert typed(one.bridges) == typed(root.bridges)
         assert counters.merge_moves == built.merge_moves
 
     def test_hand_derived_parent_bridges(self):
@@ -200,23 +201,33 @@ def reference_merge(leaf, rank, H):
     return rows, lbs
 
 
-def build_style_rows(G, L, seed):
-    """(leaf rows, rank) shaped as build() makes a group: real ids first, then phantoms.
+def typed(bridges):
+    """A group's bridge rows as (typecode, values) pairs."""
+    return [(lb.typecode, lb.tolist()) for lb in bridges]
 
-    Member g holds 1..L distinct real ids out of n = G*L in any order, padded
-    with the phantom ids n+m .. n+L-1; rank ranks the real ids in a random
-    order and gives each phantom its own id as rank.
+
+def member_bridges(bridges, g, L):
+    """Member g's left-bridge rows 1..H, as reference_merge gives them: its L entries of each."""
+    return [lb[g * L : (g + 1) * L].tolist() for lb in bridges[1:]]
+
+
+def build_style_rows(G, L, seed):
+    """(leaf rows, rank) shaped as build() makes a merge group over L leaves.
+
+    A group of one is the root: its n = m real labels, L/2 < m <= L (m = 1
+    at L = 1), in random order, then phantom t at leaf t for t in m..L-1.  A
+    larger group lies below the root: each member holds L distinct real
+    labels out of n, L <= n <= G*L, and no phantom.  rank is pow2ceil(n)
+    long: it ranks the real labels in a random order and phantom t as t.
     """
     rnd = random.Random(seed)
-    n = G * L
-    rank = list(range(n))
-    rnd.shuffle(rank)
-    rank += range(n, n + L)
-    rows = []
-    for _ in range(G):
-        m = rnd.randint(1, L)
-        rows.append(rnd.sample(range(n), m) + list(range(n + m, n + L)))
-    return rows, rank
+    if G == 1:
+        n = rnd.randint(L // 2 + 1, L)
+        rows = [rnd.sample(range(n), n) + list(range(n, L))]
+    else:
+        n = rnd.randint(L, G * L)
+        rows = [rnd.sample(range(n), L) for _ in range(G)]
+    return rows, rnd.sample(range(n), n) + list(range(n, pow2ceil(n)))
 
 
 class TestMergeRows:
@@ -224,60 +235,94 @@ class TestMergeRows:
     @pytest.mark.parametrize("L", [1, 2, 8, 64])
     @pytest.mark.parametrize("bridges", [True, False])
     def test_equals_reference(self, G, L, bridges):
+        # a level's merge (a rank table) makes no bridge; a cascade's merges
+        # labels, its own keys, so the bridged case merges each id's rank
         rnd = random.Random(G * 1000 + L)
         H = L.bit_length() - 1
-        R = 2 * H + 1 if bridges else H + 1
         rank = list(range(G * L))
         ids = list(range(G * L))
         rnd.shuffle(rank)
         rnd.shuffle(ids)
-        merged = np.zeros((G, R, L), dtype=np.int32)
-        merged[:, 0] = np.array(ids, dtype=np.int32).reshape(G, L)
-        merge_rows(merged, array("i", rank))
+        merged = np.zeros((G, H + 1, L), dtype=np.int32)
+        if bridges:
+            merged[:, 0] = np.array([rank[e] for e in ids], dtype=np.int32).reshape(G, L)
+            got = merge_rows(merged)
+        else:
+            merged[:, 0] = np.array(ids, dtype=np.int32).reshape(G, L)
+            assert merge_rows(merged, array("i", rank)) is None
         for g in range(G):
             rows, lbs = reference_merge(ids[g * L : (g + 1) * L], rank, H)
-            assert merged[g, : H + 1].tolist() == rows
             if bridges:
-                assert merged[g, H + 1 :].tolist() == lbs
+                rows = [[rank[e] for e in row] for row in rows]
+                assert member_bridges(got, g, L) == lbs
+            assert merged[g].tolist() == rows
 
     @pytest.mark.parametrize("G", [1, 3])
     @pytest.mark.parametrize("L", [1, 2, 8, 64])
     @pytest.mark.parametrize("bridges", [True, False])
     def test_identity_keys(self, G, L, bridges):
-        # a cascade's entries are labels, its own keys: no rank table is passed
+        # a cascade's entries are labels, its own keys: no rank table is
+        # passed, and bridges come back; the identity table merges the same
+        # rows and makes none
         rnd = random.Random(G * 1000 + L + 7)
         H = L.bit_length() - 1
-        R = 2 * H + 1 if bridges else H + 1
         labels = list(range(G * L))
         rnd.shuffle(labels)
-        merged = np.zeros((G, R, L), dtype=np.int32)
+        merged = np.zeros((G, H + 1, L), dtype=np.int32)
         merged[:, 0] = np.array(labels, dtype=np.int32).reshape(G, L)
-        merge_rows(merged)
+        got = merge_rows(merged) if bridges else merge_rows(merged, array("i", range(G * L)))
+        assert (got is None) != bridges
         for g in range(G):
             rows, lbs = reference_merge(labels[g * L : (g + 1) * L], range(G * L), H)
-            assert merged[g, : H + 1].tolist() == rows
+            assert merged[g].tolist() == rows
             if bridges:
-                assert merged[g, H + 1 :].tolist() == lbs
+                assert member_bridges(got, g, L) == lbs
 
     @pytest.mark.parametrize("G", [1, 2, 7])
     @pytest.mark.parametrize("L", [1, 2, 4, 32, 256, 4096])
     def test_build_style_rows(self, G, L):
+        # a level merges the rows by rank; a cascade merges them as labels,
+        # each entry's rank, so phantom t stays label t
         H = L.bit_length() - 1
         rows, rank = build_style_rows(G, L, seed=G * 10007 + L)
         leaf = np.array(rows, dtype=np.int32)
-        bridged = np.zeros((G, 2 * H + 1, L), dtype=np.int32)
-        bridged[:, 0] = leaf
-        merge_rows(bridged, array("i", rank))
-        plain = np.zeros((G, H + 1, L), dtype=np.int32)  # R = H+1: room for no bridge row
+        labels = np.array([[rank[e] for e in row] for row in rows], dtype=np.int32)
+        plain = np.zeros((G, H + 1, L), dtype=np.int32)
         plain[:, 0] = leaf
-        merge_rows(plain, array("i", rank))
+        assert merge_rows(plain, array("i", rank)) is None
+        bridged = np.zeros((G, H + 1, L), dtype=np.int32)
+        bridged[:, 0] = labels
+        bridges = merge_rows(bridged)
         assert bridged.dtype == plain.dtype == np.int32
-        assert (bridged[:, 0] == leaf).all() and (plain[:, 0] == leaf).all()
+        assert (bridged[:, 0] == labels).all() and (plain[:, 0] == leaf).all()
+        assert len(bridges) == H + 1 and not bridges[0]
         for g in range(G):
             want_rows, want_lbs = reference_merge(rows[g], rank, H)
-            assert bridged[g, : H + 1].tolist() == want_rows
-            assert bridged[g, H + 1 :].tolist() == want_lbs
             assert plain[g].tolist() == want_rows
+            assert bridged[g].tolist() == [[rank[e] for e in row] for row in want_rows]
+            assert member_bridges(bridges, g, L) == want_lbs
+
+    @pytest.mark.parametrize("H", [9, 17])
+    def test_bridge_typecode_boundaries(self, H):
+        # a row-r bridge is at most 2^(r-1): rows 1-8 are bytes, 9-16 two
+        # bytes, 17 on four.  The largest label sits last, so the last chunk
+        # of every row has its maximum in the right half, and that entry's
+        # bridge is the bound itself
+        L = 1 << H
+        merged = np.zeros((1, H + 1, L), dtype=np.int32)
+        merged[0, 0, :-1] = np.random.default_rng(H).permutation(L - 1)
+        merged[0, 0, -1] = L - 1
+        bridges = merge_rows(merged)
+        assert len(bridges) == H + 1 and not bridges[0]
+        for r in range(1, H + 1):
+            span, half = 1 << r, 1 << (r - 1)
+            assert bridges[r].typecode == ("B" if r <= 8 else "H" if r <= 16 else "i")
+            # the closed form in int32, from each chunk's merge permutation
+            perm = np.argsort(merged[0, r - 1].reshape(-1, span), axis=1, kind="stable")
+            t = np.arange(span)
+            want = np.minimum(perm, t + half - perm).astype(np.int32).reshape(-1)
+            got = np.frombuffer(bridges[r], dtype=bridges[r].typecode)
+            assert (got == want).all() and got.max() == half == want.max()
 
 
 class TestBridges:

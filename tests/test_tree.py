@@ -69,9 +69,15 @@ def split(member, a, b):
 
 
 def words(member) -> array:
-    """A cascade's own (2H+1)*L words: member g of group cs, from base g*cs.words."""
+    """A cascade's own (H+1)*L words of labels: member g of group cs, from base g*cs.words."""
     cs, g = member
     return cs.buf[g * cs.words : (g + 1) * cs.words]
+
+
+def bridge_rows(member) -> list:
+    """A cascade's left-bridge rows 1..H: member g's L entries of each of its group's rows."""
+    cs, g = member
+    return [lb[g * cs.L : (g + 1) * cs.L].tolist() for lb in cs.bridges[1:]]
 
 
 def real_count(member, n) -> int:
@@ -82,8 +88,7 @@ def real_count(member, n) -> int:
 
 def real_entry_count(member, n) -> int:
     """Real (non-phantom, < n) labels stored in a cascade's node-array rows."""
-    cs, _ = member
-    return sum(1 for e in words(member)[: cs.L * (cs.H + 1)] if e < n)
+    return sum(1 for e in words(member) if e < n)
 
 
 def is_cascade(member) -> bool:
@@ -346,7 +351,8 @@ class TestBuild:
 
         def snapshot(tree):
             return sorted(
-                (lvl, type(s[0]).__name__, list(words(s) if is_cascade(s) else row(s)))
+                (lvl, type(s[0]).__name__,
+                 (list(words(s)), bridge_rows(s)) if is_cascade(s) else list(row(s)))
                 for lvl, s in tree.structures()
             )
 
@@ -420,7 +426,7 @@ class TestQuery:
 
 
 class TestSpaceAccounting:
-    @pytest.mark.parametrize("d,n", [(1, 37), (2, 100), (3, 64), (4, 33)])
+    @pytest.mark.parametrize("d,n", [(1, 37), (2, 100), (3, 64), (4, 33), (2, 600), (2, 65537)])
     def test_every_instance_stores_m_times_levels(self, d, n):
         ps = gen_points(GeneratorConfig(seed=n, n=n, dims=d))
         tree = build(ps)
@@ -429,9 +435,9 @@ class TestSpaceAccounting:
             if is_cascade(s):
                 cs, g = s
                 assert real_entry_count(s, n) == real_count(s, n) * (cs.H + 1)
-                # H+1 node-array rows and H left-bridge rows, no right bridges,
-                # at [base, base + (2H+1)L) of the group's array
-                assert cs.words == (2 * cs.H + 1) * cs.L
+                # H+1 node-array rows of labels at [base, base + (H+1)L) of
+                # the group's array("i"); bridges have rows of their own
+                assert cs.words == (cs.H + 1) * cs.L
                 groups.setdefault(id(cs), (cs, []))[1].append((g * cs.words, cs.words))
             elif isinstance(s[0], _Slab):
                 assert sorted(tree.ids) == list(range(n))  # each point once, no padding
@@ -442,13 +448,21 @@ class TestSpaceAccounting:
                 total = sum(real_count(sub, n) for _, sub in built)
                 assert total == sum(len(node_labels(s, r, p, n)) for (r, p), _ in built)
                 assert total <= real_count(s, n) * s[0].L.bit_length()
-        # the members of one group tile its array("i") with no slack
+        # the G members of one group tile its array("i") of G*(H+1)*L labels
+        # with no slack, and its H left-bridge rows (no right bridges) take
+        # exactly G*L*w(r) bytes each: w = 1, 2, 4 for r <= 8, <= 16, above
+        width = lambda r: 1 if r <= 8 else 2 if r <= 16 else 4
         for cs, runs in groups.values():
+            G = len(runs)  # every member is reached
             assert isinstance(cs.buf, array) and cs.buf.typecode == "i"
-            assert len(runs) == len(cs.buf) // cs.words  # every member is reached
+            assert len(cs.buf) == G * (cs.H + 1) * cs.L
             runs.sort()
             assert [b for b, _ in runs] == [0] + [b + w for b, w in runs[:-1]]
             assert sum(w for _, w in runs) == len(cs.buf)
+            assert len(cs.bridges) == cs.H + 1 and not cs.bridges[0]
+            assert [len(lb) for lb in cs.bridges[1:]] == [G * cs.L] * cs.H
+            assert (sum(len(lb) * lb.itemsize for lb in cs.bridges)
+                    == G * cs.L * sum(map(width, range(1, cs.H + 1))))
 
     @pytest.mark.parametrize("d,n", [(2, 1), (2, 100), (3, 64), (3, 65), (4, 33)])
     def test_one_index_space(self, d, n):
