@@ -27,8 +27,8 @@ and a level finds one by arithmetic on the node's (row, pos) name.  build() is t
 way to make a structure.
 
 The package exports what the CLI, the benchmark and the cost laws use.
-Structure internals such as cascade.CascadeStructure and helpers such as
-core.composite_key are imported from their modules.
+Structure internals such as cascade.CascadeStructure are imported from their
+modules.  Dimension j orders points by coordinate j, then coordinates, then id.
 """
 
 from .core import DimensionMismatch, EmptyInput, Point, PointSet, QueryBox, TooManyPoints

@@ -73,7 +73,6 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -105,14 +104,14 @@ def _dense_rank(keys: np.ndarray) -> np.ndarray:
 def rank_tables(coords: np.ndarray) -> tuple[array, np.ndarray, list[array], list[array]]:
     """(ids, row, ranks, axes): the labels of a coordinate matrix whose rows are ids.
 
-    Dimension j's order is composite_key's: by column j, then by the row in
-    column order, then by id.  A label is a position in the last order, and
-    ids (an array("i") of n) is that order: ids[label] is the id.  A phantom
-    is leaf t >= n, label t and rank t, t < L = pow2ceil(n).  row (int32, L
-    long) is the root's leaf row: dimension 0's order in labels, then the
-    phantoms.  For j < d-1, ranks[j] (an array("i") of L, indexed by label)
-    gives each label its position in order j.  axes[j] (an array("d")) holds
-    column j in order j.
+    Dimension j's order is by column j, then by the coordinate tuple, then
+    by id.  A label is a position in the last order, and ids (an array("i")
+    of n) is that order: ids[label] is the id.  A phantom is leaf t >= n,
+    label t and rank t, t < L = pow2ceil(n).  row (int32, L long) is the
+    root's leaf row: dimension 0's order in labels, then the phantoms.  For
+    j < d-1, ranks[j] (an array("i") of L, indexed by label) gives each
+    label its position in order j.  axes[j] (an array("d")) holds column j
+    in order j.
 
     Every dimension shares one row order, (c_0 .. c_{d-1}, id).  Each column
     gets a dense rank, and folding them in, key = dense(key*n + dense_j),
@@ -294,32 +293,24 @@ def merge_rows(merged: np.ndarray, rank=None) -> list[array] | None:
     return bridges
 
 
-def fill_buffers_batch_np(padded_rows: np.ndarray, counters=None) -> tuple[array, list[array]]:
+def fill_buffers_batch_np(handed: list, counters=None) -> tuple[array, list[array]]:
     """(buf, bridges) of one cascade merge group: its G members, merged from their leaf rows.
 
-    `padded_rows` is the (G, L) int32 array of the members' leaf rows (labels
-    padded with phantoms).  merge_rows merges them by the labels themselves,
-    writes the G*(H+1)*L labels of buf, an array("i"), in place through a
-    numpy view, and returns the H narrow bridge rows (after an empty row 0).
+    `handed` is a list of one (G, L) int32 array, the members' leaf rows
+    (labels padded with phantoms); it is popped, so the rows are freed once
+    copied into buf.  merge_rows merges them by the labels themselves, writes
+    the G*(H+1)*L labels of buf, an array("i"), in place through a numpy
+    view, and returns the H narrow bridge rows (after an empty row 0).
     """
-    G, L = padded_rows.shape
+    G, L = handed[0].shape
     H = L.bit_length() - 1
     buf = array("i", [0]) * (G * (H + 1) * L)
     merged = np.frombuffer(buf, dtype=np.int32).reshape(G, H + 1, L)
-    merged[:, 0] = padded_rows
+    merged[:, 0] = handed.pop()
     bridges = merge_rows(merged)
     if counters is not None:
         counters.merge_moves += G * L * H
     return buf, bridges
-
-
-@dataclass
-class CascadeNode:
-    """Inspection view of one node: its labels (y ranks; phantoms >= n) in order, and bridges."""
-
-    ranks: list[int]
-    left_bridge: list[int]
-    right_bridge: list[int]
 
 
 class CascadeStructure:
@@ -359,19 +350,7 @@ class CascadeStructure:
         """
         row = np.arange(pow2ceil(len(ids)), dtype=np.int32)
         row[: len(ids)] = ids
-        return cls(len(row), *fill_buffers_batch_np(row[None, :], counters), rank_x)
-
-    # -- structure access ----------------------------------------------------
-
-    def node(self, row: int, pos: int, g: int = 0) -> CascadeNode:
-        """Node (row, pos) of member g for inspection: its labels and bridges."""
-        span, L = 1 << row, self.L
-        at = pos * span
-        abase = g * self.words + row * L + at
-        ranks = self.buf[abase : abase + span].tolist()
-        lbase = g * L + at
-        lb = self.bridges[row][lbase : lbase + span].tolist() if row else []
-        return CascadeNode(ranks, lb, [t - l for t, l in enumerate(lb)])
+        return cls(len(row), *fill_buffers_batch_np([row[None, :]], counters), rank_x)
 
     # -- queries -------------------------------------------------------------
 

@@ -110,12 +110,8 @@ def _cmd_query(parser: _Parser, args) -> int:
 
     tree = build(points)
     stats = QueryStats()
-    results: list = []
-    for box in boxes:
-        if args.count_only:
-            results.append(tree.count(box, stats))
-        else:
-            results.append(tree.query(box, stats))
+    answer = tree.count if args.count_only else tree.query
+    results = [answer(box, stats) for box in boxes]
 
     if args.check:
         for qi, box in enumerate(boxes):

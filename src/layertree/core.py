@@ -7,18 +7,20 @@ the structures hold labels and ranks, build() reads only the matrix, and a
 Point is made only for a hit a caller asks for (PointSet.take).  Ties
 between equal coordinates are broken by the full coordinate tuple and then
 by the point id, so any point set is strictly totally ordered in every
-dimension (composite_key).  The structures never compare these keys: the
-rows are sorted once by (coords, id), each dimension's order is that row
-order under its own coordinate (cascade.rank_tables), and a point is known
-by its rank in each dimension's order; its rank in the last one is its
-label.  A query box maps to a half-open rank interval [a, b) per dimension,
-the points whose coordinate lies in [lo, hi]; padding leaves rank after
-every real point, so they never match.
+dimension j: by coordinate j, then the coordinate tuple, then the id.  The
+structures never compare these keys: the rows are sorted once by (coords,
+id), each dimension's order is that row order under its own coordinate
+(cascade.rank_tables), and a point is known by its rank in each
+dimension's order; its rank in the last one is its label.  A query box
+maps to a half-open rank interval [a, b) per dimension, the points whose
+coordinate lies in [lo, hi]; padding leaves rank after every real point,
+so they never match.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -69,17 +71,6 @@ class Point:
         return len(self.coords)
 
 
-def composite_key(p: Point, dim: int) -> tuple:
-    """Sort key of `p` in dimension `dim`: coordinate, then full tuple, then id.
-
-    This defines each dimension's strict total order, and no two distinct
-    points have equal keys.  cascade.rank_tables gives the same order
-    without comparing tuples: every dimension shares the row order by
-    (coords, id), and dimension dim sorts by coordinate, then row rank.
-    """
-    return (p.coords[dim], p.coords, p.id)
-
-
 @dataclass(frozen=True)
 class QueryBox:
     """Closed axis-aligned box: one [lo_j, hi_j] interval per dimension.
@@ -105,13 +96,6 @@ class QueryBox:
     @property
     def dims(self) -> int:
         return len(self.lo)
-
-
-def box_contains(box: QueryBox, p: Point) -> bool:
-    """True iff lo_j <= p.coords[j] <= hi_j for every dimension j."""
-    if box.dims != p.dims:
-        raise DimensionMismatch(f"box of dimension {box.dims}, point of dimension {p.dims}")
-    return all(l <= c <= h for l, c, h in zip(box.lo, p.coords, box.hi))
 
 
 class PointSet:
@@ -172,6 +156,7 @@ class PointSet:
         Raises IndexError unless 0 <= i < n, so no Point is made or kept
         under an id that is not its row.
         """
+        i = operator.index(i)  # a numpy integer id is kept as the int it stands for
         if not 0 <= i < len(self._by_id):
             raise IndexError(f"point id {i} outside 0..{len(self._by_id) - 1}")
         p = self._by_id[i]
@@ -186,7 +171,7 @@ class PointSet:
         Points refuses one >= n, and one min() over the ids one below 0,
         so a call whose Points are all made does no Python work per id.
         """
-        if ids and min(ids) < 0:  # min's default= keyword costs more than the test
+        if len(ids) and min(ids) < 0:  # an ndarray has no truth value; min's default= costs more
             raise IndexError(f"point id {min(ids)} outside 0..{len(self._by_id) - 1}")
         out = list(map(self._by_id.__getitem__, ids))
         if all(out):  # a Point is true, a slot not made yet is None

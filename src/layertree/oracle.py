@@ -118,7 +118,7 @@ def brute_force_query(points: PointSet, box: QueryBox) -> list[Point]:
     """Linear filter of the point set by box containment, sorted by id.
 
     Vectorized over the coordinate matrix; only the hits are made Points.
-    The result is identical to filtering with box_contains point by point.
+    The result is identical to testing lo_j <= c_j <= hi_j point by point.
     """
     if box.dims != points.dims:
         raise DimensionMismatch(

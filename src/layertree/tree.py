@@ -82,7 +82,8 @@ def canonical_subtrees(level: "_Level", g: int, a: int, b: int,
     Member g's leaf row of labels starts at g*L in level.ids.  The walk is
     a cascade's (cascade._walk), run with no y bounds, since a level has no
     bridges.  At most 2*log2(L) nodes (one for a single-leaf tree); phantom
-    leaves never qualify because their ranks are at least n >= b.
+    leaves never qualify because their ranks are at least n >= b.  The
+    package exports it because the canonical-subtree law is stated on it.
     """
     if stats is None:
         stats = QueryStats()
@@ -273,7 +274,9 @@ def build(points: PointSet, counters: Optional[BuildCounters] = None) -> Layered
             del pieces
             H = L.bit_length() - 1
             if j == d - 2:
-                tops[j][H] = CascadeStructure(L, *fill_buffers_batch_np(rows, counters), ranks[j])
+                handed = [rows]
+                del rows  # the fill pops them and frees them once they are copied
+                tops[j][H] = CascadeStructure(L, *fill_buffers_batch_np(handed, counters), ranks[j])
                 continue
             G, m = len(rows), (n if j == 0 else L)  # only the root member holds phantoms
             merged = np.empty((G, H + 1, L), dtype=np.int32)
@@ -291,6 +294,6 @@ def build(points: PointSet, counters: Optional[BuildCounters] = None) -> Layered
                     level.first[r] = (sum(map(len, pieces)) >> r) - chunks.start
                     level.per[r] = len(chunks)
                     pieces.append(merged[:, r, chunks.start << r : chunks.stop << r].flatten())
-            del merged  # its rows are carved: free it before the next groups are built
+            del merged, rows  # carved and copied: free them before the next groups are built
         groups = nxt
     return LayeredRangeTree(points, tops[0][maxL.bit_length() - 1], ids, axes)

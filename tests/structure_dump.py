@@ -26,10 +26,18 @@ change shows in its output.  CI runs it on every pull request against the
 base commit's dump.  It reads only the two files, so
 only the first form imports layertree.  tests/test_tree.py pins a digest
 of structure_row over fixed trees and runs the smallest cases.
+
+It is also the tests' one reader of structure layout: the reference order
+and box filter over Points (composite_key, box_contains), a cascade
+member's words, bridge_rows and node (r, pos), a cascade or level member's
+leaf_row and the real labels of its subtree (r, pos), all_nodes of a tree,
+and a member's query output as a list (collect).  Its top level imports
+nothing from layertree.
 """
 
 import json
 import sys
+from collections import namedtuple
 from dataclasses import astuple
 
 # finite extremes, signed zeros and the smallest subnormal, plus ordinary values
@@ -76,25 +84,90 @@ def case_boxes(d: int, dist: str, n: int) -> list:
     return boxes
 
 
+def composite_key(p, dim: int) -> tuple:
+    """Point p's key in dimension dim: coordinate, then full tuple, then id; never shared."""
+    return (p.coords[dim], p.coords, p.id)
+
+
+def box_contains(box, p) -> bool:
+    """True iff lo_j <= p.coords[j] <= hi_j for every dimension j of QueryBox box."""
+    from layertree import DimensionMismatch
+
+    if box.dims != p.dims:
+        raise DimensionMismatch(f"box of dimension {box.dims}, point of dimension {p.dims}")
+    return all(l <= c <= h for l, c, h in zip(box.lo, p.coords, box.hi))
+
+
+def all_nodes(L: int) -> list:
+    """Every node (r, pos) of a tree over L leaves, root row first."""
+    return [(r, p) for r in range(L.bit_length() - 1, -1, -1) for p in range(L >> r)]
+
+
+def words(cs, g: int = 0):
+    """Member g's (H+1)*L labels: its words of the group's buf, from base g*words."""
+    return cs.buf[g * cs.words : (g + 1) * cs.words]
+
+
+def bridge_rows(cs, g: int = 0) -> list:
+    """Member g's left-bridge rows 1..H, as lists: its L entries of each of cs.bridges[1:]."""
+    return [lb[g * cs.L : (g + 1) * cs.L].tolist() for lb in cs.bridges[1:]]
+
+
+def leaf_row(s, g: int = 0):
+    """Member g's L leaf labels: row 0 of a cascade's words, or its chunk of a level's ids."""
+    if hasattr(s, "buf"):
+        return s.buf[g * s.words : g * s.words + s.L]
+    return s.ids[g * s.L : (g + 1) * s.L]
+
+
+def subtree(s, g: int, r: int, pos: int, n: int) -> list:
+    """The real labels (< n) under node (r, pos) of member g, in leaf order: its leaf row chunk."""
+    return [e for e in leaf_row(s, g)[pos << r : (pos + 1) << r] if e < n]
+
+
+# a cascade node's labels (y ranks; phantoms >= n) in order, and its bridges
+CascadeNode = namedtuple("CascadeNode", "ranks left_bridge right_bridge")
+
+
+def node(cs, row: int, pos: int, g: int = 0) -> CascadeNode:
+    """Node (row, pos) of member g: the chunks at pos*2^row of its node row and lb row."""
+    span = 1 << row
+    at = g * cs.words + row * cs.L + pos * span  # its labels in buf
+    lat = g * cs.L + pos * span  # its bridges in bridges[row]
+    lb = cs.bridges[row][lat : lat + span].tolist() if row else []
+    return CascadeNode(cs.buf[at : at + span].tolist(), lb, [t - l for t, l in enumerate(lb)])
+
+
+def collect(group, g: int, a, b, stats=None) -> list:
+    """The labels member g of a group emits for the rank box [a, b), as a plain list.
+
+    A list takes an emitted slice of any typecode, or a range; the walk counts into stats.
+    """
+    from layertree import QueryStats
+
+    out: list = []
+    group.query(g, a, b, QueryStats() if stats is None else stats, out.extend)
+    return out
+
+
 def structure_row(s, g: int, ids) -> list:
     """Member g's expanded cascade buffer, or the leaf row of a level or slab member.
 
     The expanded buffer is the node rows, the lb rows, then the right bridges
     t - lb: entry i of lb row r sits at position t = i mod 2^r of its node's
-    array.  The node rows are member g's words of buf, and lb row r its L
-    entries of bridges[r].  Node-row and leaf-row labels below n = len(ids)
-    are written as the ids the tree's id map gives them; the slab's leaf row
-    is every label in order.
+    array.  The node rows are member g's words, and lb row r its bridge
+    row r.  Node-row and leaf-row labels below n = len(ids) are written as
+    the ids the tree's id map gives them; the slab's leaf row is every label
+    in order.
     """
     n = len(ids)
     to_id = lambda e: ids[e] if e < n else e
     if hasattr(s, "buf"):
-        lbs = [s.bridges[r][g * s.L : (g + 1) * s.L].tolist() for r in range(1, s.H + 1)]
-        nodes = list(map(to_id, s.buf[g * s.words : (g + 1) * s.words]))
-        return nodes + [e for lb in lbs for e in lb] + [
+        lbs = bridge_rows(s, g)
+        return list(map(to_id, words(s, g))) + [e for lb in lbs for e in lb] + [
             (i & ((1 << r) - 1)) - lb[i] for r, lb in enumerate(lbs, 1) for i in range(s.L)]
     if hasattr(s, "L"):
-        return list(map(to_id, s.ids[g * s.L : (g + 1) * s.L]))
+        return list(map(to_id, leaf_row(s, g)))
     return ids.tolist()
 
 

@@ -4,6 +4,7 @@ import math
 import random
 from array import array
 from bisect import bisect_left, bisect_right
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,11 +18,15 @@ from layertree import (
     PointSet,
     QueryStats,
     SplitMix64,
+    brute_force_query,
     build,
     gen_points,
 )
 from layertree.cascade import CascadeStructure, merge_rows, pow2ceil
-from layertree.core import QueryBox, box_contains, composite_key
+from layertree.core import QueryBox
+
+from structure_dump import (all_nodes, box_contains, bridge_rows, collect, composite_key, leaf_row,
+                            node, subtree)
 
 
 def make_cascade(coord_pairs):
@@ -30,10 +35,10 @@ def make_cascade(coord_pairs):
     return tree.root, tree.pointset, tree.ids
 
 
-def y_values(cs, ps, ids, node):
+def y_values(cs, ps, ids, at):
     """A node's y coordinates, read from the point set's matrix; inf for a phantom."""
     ys = ps.coord_matrix()[:, -1].tolist()
-    return [ys[ids[e]] if e < len(ps) else math.inf for e in node.ranks]
+    return [ys[ids[e]] if e < len(ps) else math.inf for e in at.ranks]
 
 
 def real_points(ps, ids, labels):
@@ -50,35 +55,17 @@ def rank_args(cs, ps, xlo, xhi, ylo, yhi):
             (bisect_right(xs, xhi), bisect_right(ys, yhi)))
 
 
-def collect(cs, ps, ids, xlo, xhi, ylo, yhi, stats=None):
+def hits(cs, ps, ids, xlo, xhi, ylo, yhi, stats=None):
     """The points cs.query reports for the box, by id; the query emits runs of labels."""
-    labels = array("i")
-    cs.query(0, *rank_args(cs, ps, xlo, xhi, ylo, yhi), stats or QueryStats(), labels.extend)
+    labels = collect(cs, 0, *rank_args(cs, ps, xlo, xhi, ylo, yhi), stats)
     return ps.take(sorted(ids[e] for e in labels))
-
-
-def subtree_leaf_labels(cs, n, r, pos):
-    """Real labels under node (r, pos) of member 0's x-tree, in x order: its leaf row chunk."""
-    return [e for e in cs.buf[pos << r : (pos + 1) << r] if e < n]
-
-
-def all_nodes(L):
-    """Every node (r, pos) of a tree over L leaves, root row first."""
-    return [(r, p) for r in range(L.bit_length() - 1, -1, -1) for p in range(L >> r)]
-
-
-def brute(pts, xlo, xhi, ylo, yhi):
-    return sorted(
-        (p for p in pts if xlo <= p.coords[0] <= xhi and ylo <= p.coords[1] <= yhi),
-        key=lambda p: p.id,
-    )
 
 
 class TestBuild:
     def test_single_point(self):
         cs, ps, ids = make_cascade([(2, 7)])
         assert cs.buf[: cs.L].tolist() == [0] and cs.L == 1  # one real leaf
-        root = cs.node(0, 0)
+        root = node(cs, 0, 0)
         assert ps.take([ids[e] for e in root.ranks]) == ps.points
         assert y_values(cs, ps, ids, root) == [7.0]
         assert root.left_bridge == [] and root.right_bridge == []
@@ -101,8 +88,8 @@ class TestBuild:
         # children (1, 0) and (1, 1) carry y-keys [1,5] and [3,7]; the parent,
         # the root (2, 0), merges to [1,3,5,7]
         cs, ps, ids = make_cascade([(0, 1), (1, 5), (2, 3), (3, 7)])
-        root = cs.node(2, 0)
-        left, right = cs.node(1, 0), cs.node(1, 1)
+        root = node(cs, 2, 0)
+        left, right = node(cs, 1, 0), node(cs, 1, 1)
         assert y_values(cs, ps, ids, left) == [1.0, 5.0]
         assert y_values(cs, ps, ids, right) == [3.0, 7.0]
         assert y_values(cs, ps, ids, root) == [1.0, 3.0, 5.0, 7.0]
@@ -122,19 +109,18 @@ class TestBuild:
         coords = [(rng.next_below(8), rng.next_below(8)) for _ in range(37)]
         cs, ps, ids = make_cascade(coords)
         for r, p in all_nodes(cs.L):
-            node = cs.node(r, p)
-            stored = real_points(ps, ids, node.ranks)
+            ranks = node(cs, r, p).ranks
             expected = sorted(
-                (ps.points[ids[e]] for e in subtree_leaf_labels(cs, len(ps), r, p)),
+                (ps.points[ids[e]] for e in subtree(cs, 0, r, p, len(ps))),
                 key=lambda p: composite_key(p, 1),
             )
-            assert stored == expected
-            assert node.ranks == sorted(node.ranks)
+            assert real_points(ps, ids, ranks) == expected
+            assert ranks == sorted(ranks)
 
     def test_phantoms_pad_arrays_to_full_length(self):
         cs, ps, ids = make_cascade([(0, 0), (1, 1), (2, 2)])
         assert cs.L == 4
-        root = cs.node(2, 0)
+        root = node(cs, 2, 0)
         assert len(root.ranks) == 4
         assert root.ranks[3] >= len(ps)  # a phantom
         assert y_values(cs, ps, ids, root)[3] == float("inf")
@@ -144,13 +130,14 @@ class TestBuild:
 class TestIdsOnly:
     # the cascades hold labels and ranks: ids and Points are made only at the edge
     def test_node_makes_no_point(self):
+        # reading every node of every cascade (structure_dump.node) makes no Point
         tree = build(gen_points(GeneratorConfig(seed=3, n=300, dims=3, dist="grid", grid_side=5)))
         members = [s for _, s in tree.structures() if isinstance(s[0], CascadeStructure)]
         gc.collect()
         before = sum(type(o) is Point for o in gc.get_objects())
         for cs, g in members:
             for r, p in all_nodes(cs.L):
-                cs.node(r, p, g)
+                node(cs, r, p, g)
         assert sum(type(o) is Point for o in gc.get_objects()) == before
 
     def test_cascade_imports_nothing_from_core(self):
@@ -166,17 +153,17 @@ def exhaustive_bridge_check(cs, g=0):
     for r, p in all_nodes(cs.L):
         if r == 0:  # internal nodes only
             continue
-        node = cs.node(r, p, g)
-        lkeys = cs.node(r - 1, 2 * p, g).ranks
-        rkeys = cs.node(r - 1, 2 * p + 1, g).ranks
-        for t, key in enumerate(node.ranks):
-            if node.left_bridge[t] != bisect_left(lkeys, key):
+        at = node(cs, r, p, g)
+        lkeys = node(cs, r - 1, 2 * p, g).ranks
+        rkeys = node(cs, r - 1, 2 * p + 1, g).ranks
+        for t, key in enumerate(at.ranks):
+            if at.left_bridge[t] != bisect_left(lkeys, key):
                 violations += 1
-            if node.right_bridge[t] != bisect_left(rkeys, key):
+            if at.right_bridge[t] != bisect_left(rkeys, key):
                 violations += 1
-        if any(a > b for a, b in zip(node.left_bridge, node.left_bridge[1:])):
+        if any(a > b for a, b in zip(at.left_bridge, at.left_bridge[1:])):
             violations += 1
-        if any(a > b for a, b in zip(node.right_bridge, node.right_bridge[1:])):
+        if any(a > b for a, b in zip(at.right_bridge, at.right_bridge[1:])):
             violations += 1
     return violations
 
@@ -204,11 +191,6 @@ def reference_merge(leaf, rank, H):
 def typed(bridges):
     """A group's bridge rows as (typecode, values) pairs."""
     return [(lb.typecode, lb.tolist()) for lb in bridges]
-
-
-def member_bridges(bridges, g, L):
-    """Member g's left-bridge rows 1..H, as reference_merge gives them: its L entries of each."""
-    return [lb[g * L : (g + 1) * L].tolist() for lb in bridges[1:]]
 
 
 def build_style_rows(G, L, seed):
@@ -243,18 +225,19 @@ class TestMergeRows:
         ids = list(range(G * L))
         rnd.shuffle(rank)
         rnd.shuffle(ids)
+        leaves = np.array(ids, dtype=np.int32).reshape(G, L)
         merged = np.zeros((G, H + 1, L), dtype=np.int32)
         if bridges:
-            merged[:, 0] = np.array([rank[e] for e in ids], dtype=np.int32).reshape(G, L)
+            merged[:, 0] = np.array(rank, dtype=np.int32)[leaves]
             got = merge_rows(merged)
         else:
-            merged[:, 0] = np.array(ids, dtype=np.int32).reshape(G, L)
+            merged[:, 0] = leaves
             assert merge_rows(merged, array("i", rank)) is None
         for g in range(G):
-            rows, lbs = reference_merge(ids[g * L : (g + 1) * L], rank, H)
+            rows, lbs = reference_merge(leaves[g].tolist(), rank, H)
             if bridges:
                 rows = [[rank[e] for e in row] for row in rows]
-                assert member_bridges(got, g, L) == lbs
+                assert bridge_rows(SimpleNamespace(bridges=got, L=L), g) == lbs
             assert merged[g].tolist() == rows
 
     @pytest.mark.parametrize("G", [1, 3])
@@ -268,15 +251,16 @@ class TestMergeRows:
         H = L.bit_length() - 1
         labels = list(range(G * L))
         rnd.shuffle(labels)
+        leaves = np.array(labels, dtype=np.int32).reshape(G, L)
         merged = np.zeros((G, H + 1, L), dtype=np.int32)
-        merged[:, 0] = np.array(labels, dtype=np.int32).reshape(G, L)
+        merged[:, 0] = leaves
         got = merge_rows(merged) if bridges else merge_rows(merged, array("i", range(G * L)))
         assert (got is None) != bridges
         for g in range(G):
-            rows, lbs = reference_merge(labels[g * L : (g + 1) * L], range(G * L), H)
+            rows, lbs = reference_merge(leaves[g].tolist(), range(G * L), H)
             assert merged[g].tolist() == rows
             if bridges:
-                assert member_bridges(got, g, L) == lbs
+                assert bridge_rows(SimpleNamespace(bridges=got, L=L), g) == lbs
 
     @pytest.mark.parametrize("G", [1, 2, 7])
     @pytest.mark.parametrize("L", [1, 2, 4, 32, 256, 4096])
@@ -300,7 +284,7 @@ class TestMergeRows:
             want_rows, want_lbs = reference_merge(rows[g], rank, H)
             assert plain[g].tolist() == want_rows
             assert bridged[g].tolist() == [[rank[e] for e in row] for row in want_rows]
-            assert member_bridges(bridges, g, L) == want_lbs
+            assert bridge_rows(SimpleNamespace(bridges=bridges, L=L), g) == want_lbs
 
     @pytest.mark.parametrize("H", [9, 17])
     def test_bridge_typecode_boundaries(self, H):
@@ -341,11 +325,10 @@ class TestBridges:
         members = [s for _, s in tree.structures() if isinstance(s[0], CascadeStructure)]
         assert any(g > 0 for _, g in members)
         for cs, g in members:
-            base = g * cs.words
             assert exhaustive_bridge_check(cs, g) == 0
-            leaves = cs.buf[base : base + cs.L].tolist()
+            leaves = leaf_row(cs, g).tolist()
             real = [e for e in leaves if e < n]
-            stored = real_points(tree.pointset, tree.ids, cs.node(cs.H, 0, g).ranks)
+            stored = real_points(tree.pointset, tree.ids, node(cs, cs.H, 0, g).ranks)
             assert sorted(p.id for p in stored) == sorted(tree.ids[e] for e in real)
             assert leaves[: len(real)] == real  # real labels first, then phantoms
 
@@ -353,13 +336,13 @@ class TestBridges:
 class TestQuery2D:
     def test_basic_box(self):
         cs, ps, ids = make_cascade([(1, 1), (2, 2), (3, 3)])
-        got = collect(cs, ps, ids, 1, 2, 1, 2)
+        got = hits(cs, ps, ids, 1, 2, 1, 2)
         assert [(p.coords) for p in got] == [(1.0, 1.0), (2.0, 2.0)]
 
     def test_empty_y_range_still_one_search(self):
         cs, ps, ids = make_cascade([(1, 1), (2, 2), (3, 3)])
         stats = QueryStats()
-        assert collect(cs, ps, ids, 0, 4, 10, 20, stats) == []
+        assert hits(cs, ps, ids, 0, 4, 10, 20, stats) == []
         assert stats.binary_searches == 1
 
     def test_one_search_law_random(self):
@@ -369,9 +352,9 @@ class TestQuery2D:
             xlo, xhi = rng.next_below(32) - 1, rng.next_below(32) - 1
             ylo, yhi = rng.next_below(32) - 1, rng.next_below(32) - 1
             stats = QueryStats()
-            got = collect(cs, ps, ids, xlo, xhi, ylo, yhi, stats)
+            got = hits(cs, ps, ids, xlo, xhi, ylo, yhi, stats)
             assert stats.binary_searches == 1
-            assert got == brute(ps, xlo, xhi, ylo, yhi)
+            assert got == brute_force_query(ps, QueryBox((xlo, ylo), (xhi, yhi)))
 
     def test_oracle_agreement_with_duplicates(self):
         rng = SplitMix64(5)
@@ -380,8 +363,8 @@ class TestQuery2D:
             for xhi in (-0.5, 1.0, 2.0, 3.0, 4.0):
                 for ylo in (0.0, 0.5, 2.0, 3.0):
                     for yhi in (-1.0, 1.0, 2.5, 3.0):
-                        got = collect(cs, ps, ids, xlo, xhi, ylo, yhi)
-                        assert got == brute(ps, xlo, xhi, ylo, yhi)
+                        got = hits(cs, ps, ids, xlo, xhi, ylo, yhi)
+                        assert got == brute_force_query(ps, QueryBox((xlo, ylo), (xhi, yhi)))
 
     def test_positions_match_shadow_lower_bound(self, monkeypatch):
         # every bridged position at every canonical node and boundary leaf
@@ -395,10 +378,6 @@ class TestQuery2D:
                 probes.append((row, p, lo, hi))
                 yield row, p, lo, hi
 
-        def node_ranks(row, p):
-            abase = row * cs.L + (p << row)  # member 0's node array at (row, p)
-            return cs.buf[abase : abase + (1 << row)].tolist()  # labels are y ranks
-
         monkeypatch.setattr(layertree.cascade, "_walk", observed)
         rng = SplitMix64(123)
         cs, ps, ids = make_cascade([(rng.next_below(50), rng.next_below(50)) for _ in range(200)])
@@ -411,13 +390,13 @@ class TestQuery2D:
             ya = a[1]
             cs.query(0, a, b, QueryStats(), lambda p: None)
             for row, p, q, hi in probes:
-                assert q == bisect_left(node_ranks(row, p), ya) and hi is None
+                assert q == bisect_left(node(cs, row, p).ranks, ya) and hi is None
             seen += len(probes)
             probes.clear()
             a, b = rank_args(cs, ps, xlo, xhi, ylo, yhi)  # yhi < ylo in about half
             cs.count(0, a, b, QueryStats())
             for row, p, lo, hi in probes:
-                ranks = node_ranks(row, p)
+                ranks = node(cs, row, p).ranks  # labels are y ranks
                 assert (lo, hi) == (bisect_left(ranks, a[1]), bisect_left(ranks, b[1]))
             counted += len(probes)
         assert seen > 200 and counted > 200  # the wrapper observed both walks
@@ -430,13 +409,13 @@ class TestQuery2D:
             ylo, yhi = rng.next_below(12) - 1, rng.next_below(12) - 1
             stats = QueryStats()
             k = cs.count(0, *rank_args(cs, ps, xlo, xhi, ylo, yhi), stats)
-            assert k == len(collect(cs, ps, ids, xlo, xhi, ylo, yhi))
-            assert k == len(brute(ps, xlo, xhi, ylo, yhi))
+            assert k == len(hits(cs, ps, ids, xlo, xhi, ylo, yhi))
+            assert k == len(brute_force_query(ps, QueryBox((xlo, ylo), (xhi, yhi))))
             assert stats.binary_searches == 2
 
     def test_phantoms_never_emitted(self):
         cs, ps, ids = make_cascade([(i, i % 3) for i in range(13)])  # pads to L=16
-        got = collect(cs, ps, ids, -100, 100, -100, 100)
+        got = hits(cs, ps, ids, -100, 100, -100, 100)
         assert got == ps.points
         assert all(p is not None for p in got)
 
@@ -446,8 +425,7 @@ class TestQuery2D:
         pts = ps.points
         box = QueryBox((1.5, 0.0), (4.0, 2.5))
         a, b = rank_args(cs, ps, 1.5, 4.0, 0.0, 2.5)
-        labels = array("i")
-        cs.query(0, a, b, QueryStats(), labels.extend)
+        labels = collect(cs, 0, a, b)
         assert [pts[e] for e in sorted(ids[e] for e in labels)] == [
             p for p in pts if box_contains(box, p)]
         assert cs.count(0, a, b, QueryStats()) == 2

@@ -1,4 +1,5 @@
 import gc
+import json
 import math
 import random
 
@@ -16,7 +17,7 @@ from layertree import (
     brute_force_query,
     build,
 )
-from layertree.core import box_contains, composite_key
+from structure_dump import box_contains, composite_key
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 small_coord = st.integers(min_value=0, max_value=3).map(float)
@@ -267,6 +268,18 @@ class TestMatrixPath:
                 ps.take(bad)
         assert ps.take([]) == []
         assert ps.take([2, 0]) == [ps.point(2), ps.point(0)]
+
+    def test_numpy_integer_ids(self):
+        # an integer ndarray of ids takes like a list, and a Point made for a
+        # numpy integer id has an int id, which every later query reports
+        rows = [(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)]
+        ps = PointSet.from_coords(rows)
+        got = ps.take(np.array([2, 0]))
+        assert got == ps.take([2, 0]) and [type(p.id) for p in got] == [int, int]
+        ps = PointSet.from_coords(rows)
+        assert type(ps.point(np.int64(1)).id) is int
+        hits = build(ps).query(QueryBox((0.0, 0.0), (2.0, 2.0)))
+        assert json.dumps([p.id for p in hits]) == "[0, 1, 2]"
 
     def test_build_and_count_make_no_point(self):
         rows = [(i % 7, i % 5, i % 3) for i in range(200)]

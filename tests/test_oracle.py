@@ -15,8 +15,8 @@ from layertree import (
     brute_force_query,
     gen_points,
 )
-from layertree.core import box_contains
 from layertree.oracle import splitmix64_next
+from structure_dump import box_contains
 
 MASK = (1 << 64) - 1
 

@@ -31,10 +31,11 @@ from layertree import (
     gen_points,
 )
 from layertree.cascade import CascadeStructure, _find_split, pow2ceil, rank_tables
-from layertree.core import composite_key
 from layertree.tree import _Level, _Slab
 
 import structure_dump
+from structure_dump import (all_nodes, bridge_rows, collect, composite_key, leaf_row, node,
+                            subtree, words)
 
 
 def level_tree(values):
@@ -47,48 +48,15 @@ def root_level(values):
     return level_tree(values).root, 0
 
 
-def row(member) -> array:
-    """The leaf row of member g of a _Level group: L labels from g*L."""
-    s, g = member
-    return s.ids[g * s.L : (g + 1) * s.L]
-
-
-def node_labels(member, r, pos, n):
-    """Real labels under node (r, pos) of a level: its chunk of the leaf row, labels >= n cut."""
-    return [e for e in row(member)[pos << r : (pos + 1) << r] if e < n]
-
-
-def all_nodes(L):
-    """Every node (r, pos) of a tree over L leaves, root row first."""
-    return [(r, p) for r in range(L.bit_length() - 1, -1, -1) for p in range(L >> r)]
-
-
 def split(member, a, b):
-    level, g = member
-    return _find_split(level.ids, level.rank, g * level.L, level.L, a, b, QueryStats())
-
-
-def words(member) -> array:
-    """A cascade's own (H+1)*L words of labels: member g of group cs, from base g*cs.words."""
-    cs, g = member
-    return cs.buf[g * cs.words : (g + 1) * cs.words]
-
-
-def bridge_rows(member) -> list:
-    """A cascade's left-bridge rows 1..H: member g's L entries of each of its group's rows."""
-    cs, g = member
-    return [lb[g * cs.L : (g + 1) * cs.L].tolist() for lb in cs.bridges[1:]]
+    """The split node of ranks [a, b) in a level member's leaf row."""
+    level, _ = member
+    return _find_split(leaf_row(*member), level.rank, 0, level.L, a, b, QueryStats())
 
 
 def real_count(member, n) -> int:
     """A structure's real point count m: the labels < n in its leaf row."""
-    leaves = words(member)[: member[0].L] if is_cascade(member) else row(member)
-    return sum(1 for e in leaves if e < n)
-
-
-def real_entry_count(member, n) -> int:
-    """Real (non-phantom, < n) labels stored in a cascade's node-array rows."""
-    return sum(1 for e in words(member) if e < n)
+    return sum(1 for e in leaf_row(*member) if e < n)
 
 
 def is_cascade(member) -> bool:
@@ -111,14 +79,20 @@ class TestPublicNames:
             "TooManyPoints", "brute_force_query", "build", "canonical_subtrees", "gen_points"]
         assert all(callable(getattr(layertree, name)) for name in layertree.__all__)
 
-    @pytest.mark.parametrize("module,name", [("cascade", "CascadeNode"),
-                                             ("cascade", "CascadeStructure"),
-                                             ("core", "composite_key"),
-                                             ("core", "box_contains"),
+    @pytest.mark.parametrize("module,name", [("cascade", "CascadeStructure"),
                                              ("oracle", "splitmix64_next")])
     def test_dropped_names_import_from_their_modules(self, module, name):
         assert callable(getattr(importlib.import_module(f"layertree.{module}"), name))
         assert not hasattr(layertree, name)
+
+    @pytest.mark.parametrize("name", ["CascadeNode", "composite_key", "box_contains", "node"])
+    def test_test_only_names_left_the_package(self, name):
+        # only tests read them (tests/structure_dump.py): no package module or class has them
+        modules = [layertree] + [importlib.import_module(f"layertree.{m}") for m in
+                                 ("cascade", "cli", "core", "io", "oracle", "tree")]
+        owners = modules + [v for m in modules for v in vars(m).values() if isinstance(v, type)]
+        assert not [o for o in owners if hasattr(o, name)]
+        assert callable(getattr(structure_dump, name))
 
 
 class TestLeafRow:
@@ -133,24 +107,24 @@ class TestLeafRow:
         assert L == pow2ceil(n) and len(level.first) == len(level.per) == L.bit_length()
         nodes = all_nodes(L)
         assert len(nodes) == 2 * L - 1
-        chunks = {(r, p): node_labels(member, r, p, n) for r, p in nodes}
+        chunks = {(r, p): subtree(*member, r, p, n) for r, p in nodes}
         for r, p in nodes:
             if r > 0:
                 assert chunks[r, p] == chunks[r - 1, 2 * p] + chunks[r - 1, 2 * p + 1]
         for i in range(L):
             assert chunks[0, i] == ([level.ids[i]] if i < n else [])
         built = dict(level.slots(0))
-        assert list(built) == [node for node in nodes if node in built]
+        assert list(built) == [at for at in nodes if at in built]
         assert {(0, i) for i in range(n)} <= set(built)  # every real leaf
-        for node, sub in built.items():
-            assert sorted(words(sub)[: real_count(sub, n)]) == sorted(chunks[node])
+        for at, sub in built.items():
+            assert sorted(words(*sub)[: real_count(sub, n)]) == sorted(chunks[at])
 
     @pytest.mark.parametrize("n", [1, 3, 8, 13])
     def test_leaf_scan_nondecreasing_and_internal_keys(self, n):
         rnd = random.Random(n)
         member = root_level([rnd.randrange(4) for _ in range(n)])
         level, _ = member
-        ranks = [level.rank[e] for e in row(member)]
+        ranks = [level.rank[e] for e in leaf_row(*member)]
         assert ranks == sorted(ranks)
         # a node splits at the largest rank of its left subtree, and the
         # split search for that one rank stops at the node
@@ -166,7 +140,7 @@ class TestLeafRow:
         level, _ = member
         assert level.L == 4 and real_count(member, len(values)) == 3
         assert [level.rank[e] for e in level.ids[:3]] == [0, 1, 2]
-        assert [values[tree.ids[e]] for e in node_labels(member, 2, 0, len(values))] == [1, 3, 5]
+        assert [values[tree.ids[e]] for e in subtree(*member, 2, 0, len(values))] == [1, 3, 5]
         assert level.rank[level.ids[3]] >= len(values)  # the phantom ranks after every point
 
 
@@ -186,7 +160,7 @@ class TestFindSplitNode:
         assert split(member, *rank_bounds(self.VALUES, 1.0, 1.0)) == (1, 0)
         cover = canonical_subtrees(*member, *rank_bounds(self.VALUES, 1.0, 1.0))
         assert cover == [(0, 0)]
-        assert [tree.ids[e] for e in node_labels(member, 0, 0, len(self.VALUES))] == [0]
+        assert [tree.ids[e] for e in subtree(*member, 0, 0, len(self.VALUES))] == [0]
 
     def test_range_above_all_leaves(self):
         member = root_level(self.VALUES)
@@ -205,9 +179,9 @@ def check_cover(member, ids, column, lo, hi):
     level, g = member
     n, H = len(column), level.L.bit_length() - 1
     nodes = canonical_subtrees(level, g, *rank_bounds(column, lo, hi))
-    cover = [ids[e] for r, p in nodes for e in node_labels(member, r, p, n)]
+    cover = [ids[e] for r, p in nodes for e in subtree(*member, r, p, n)]
     assert len(set(nodes)) == len(nodes) and len(set(cover)) == len(cover)
-    assert sorted(cover) == sorted(ids[e] for e in node_labels(member, H, 0, n)
+    assert sorted(cover) == sorted(ids[e] for e in subtree(*member, H, 0, n)
                                    if lo <= column[ids[e]] <= hi)
     assert len(nodes) <= max(1, 2 * H)
 
@@ -216,7 +190,7 @@ class TestCanonicalSubtrees:
     def test_full_range_covers_everything(self):
         member = root_level([1, 2, 3, 4])
         nodes = canonical_subtrees(*member, *rank_bounds([1, 2, 3, 4], 1.0, 4.0))
-        assert sorted(e for r, p in nodes for e in node_labels(member, r, p, 4)) == [0, 1, 2, 3]
+        assert sorted(e for r, p in nodes for e in subtree(*member, r, p, 4)) == [0, 1, 2, 3]
 
     def test_disjoint_range_is_empty(self):
         member = root_level([1, 2, 3, 4])
@@ -272,9 +246,8 @@ class TestReachableSlots:
             built = dict(level.slots(g))
             assert set(built) == reached
             for (r, p), (group, h) in built.items():
-                got = array("i")
-                group.query(h, *everything, QueryStats(), got.extend)
-                assert sorted(got) == sorted(node_labels(member, r, p, n))
+                got = collect(group, h, *everything)
+                assert sorted(got) == sorted(subtree(*member, r, p, n))
                 held.setdefault(id(group), (group, []))[1].append(h)
         for group, members in held.values():
             size = (len(group.buf) // group.words if isinstance(group, CascadeStructure)
@@ -334,13 +307,13 @@ class TestBuild:
         assert isinstance(cs, CascadeStructure)
         ys = tree.pointset.coord_matrix()[:, -1].tolist()  # all 4 labels are real
         # L = 4: the root is node (2, 0), its children (1, 0) and (1, 1)
-        assert [ys[tree.ids[e]] for e in cs.node(2, 0).ranks] == [1.0, 2.0, 3.0, 4.0]
-        assert [ys[tree.ids[e]] for e in cs.node(1, 0).ranks] == [1.0, 2.0]
-        assert [ys[tree.ids[e]] for e in cs.node(1, 1).ranks] == [3.0, 4.0]
-        assert cs.node(2, 0).left_bridge == [0, 1, 2, 2]
-        assert cs.node(2, 0).right_bridge == [0, 0, 0, 1]
+        assert [ys[tree.ids[e]] for e in node(cs, 2, 0).ranks] == [1.0, 2.0, 3.0, 4.0]
+        assert [ys[tree.ids[e]] for e in node(cs, 1, 0).ranks] == [1.0, 2.0]
+        assert [ys[tree.ids[e]] for e in node(cs, 1, 1).ranks] == [3.0, 4.0]
+        assert node(cs, 2, 0).left_bridge == [0, 1, 2, 2]
+        assert node(cs, 2, 0).right_bridge == [0, 0, 0, 1]
         for leaf in range(4):
-            assert len(cs.node(0, leaf).ranks) == 1
+            assert len(node(cs, 0, leaf).ranks) == 1
 
     def test_shuffled_input_builds_identical_structure(self):
         ps = gen_points(GeneratorConfig(seed=21, n=60, dims=3))
@@ -352,7 +325,7 @@ class TestBuild:
         def snapshot(tree):
             return sorted(
                 (lvl, type(s[0]).__name__,
-                 (list(words(s)), bridge_rows(s)) if is_cascade(s) else list(row(s)))
+                 (list(words(*s)), bridge_rows(*s)) if is_cascade(s) else list(leaf_row(*s)))
                 for lvl, s in tree.structures()
             )
 
@@ -369,12 +342,9 @@ class TestBuild:
             assert len(levels) > (cfg.dims == 4)
             for member in levels:
                 for (r, p), sub in member[0].slots(member[1]):
-                    labels = node_labels(member, r, p, cfg.n)
+                    labels = subtree(*member, r, p, cfg.n)
                     assert labels and real_count(sub, cfg.n) == len(labels)
-                    got = array("i")  # the structures emit runs of labels
-                    group, g = sub
-                    group.query(g, *everything, QueryStats(), got.extend)
-                    assert sorted(got) == sorted(labels)
+                    assert sorted(collect(*sub, *everything)) == sorted(labels)
 
 
 class TestQuery:
@@ -434,7 +404,8 @@ class TestSpaceAccounting:
         for _, s in tree.structures():
             if is_cascade(s):
                 cs, g = s
-                assert real_entry_count(s, n) == real_count(s, n) * (cs.H + 1)
+                # real (non-phantom, < n) labels in the node-array rows
+                assert sum(1 for e in words(*s) if e < n) == real_count(s, n) * (cs.H + 1)
                 # H+1 node-array rows of labels at [base, base + (H+1)L) of
                 # the group's array("i"); bridges have rows of their own
                 assert cs.words == (cs.H + 1) * cs.L
@@ -446,7 +417,7 @@ class TestSpaceAccounting:
                 # each holds its chunk's m points, and m*levels bounds the sum
                 built = list(s[0].slots(s[1]))
                 total = sum(real_count(sub, n) for _, sub in built)
-                assert total == sum(len(node_labels(s, r, p, n)) for (r, p), _ in built)
+                assert total == sum(len(subtree(*s, r, p, n)) for (r, p), _ in built)
                 assert total <= real_count(s, n) * s[0].L.bit_length()
         # the G members of one group tile its array("i") of G*(H+1)*L labels
         # with no slack, and its H left-bridge rows (no right bridges) take
@@ -555,7 +526,7 @@ class TestSpaceAccounting:
                 assert not any(hasattr(s, k) for k in ("rank_y", "xdim", "ydim"))
                 held[id(s.rank_x)] = (d - 2, s.rank_x)
                 for r, p in all_nodes(s.L):
-                    labels = s.node(r, p, g).ranks
+                    labels = node(s, r, p, g).ranks
                     assert all(u < v for u, v in zip(labels, labels[1:]))
         assert sorted(dim for dim, _ in held.values()) == list(range(d - 1))
         for dim, table in held.values():
