@@ -8,23 +8,24 @@ last two dimensions use fractional cascading, so a 2D query performs exactly
 one binary search; higher dimensions pay one O(log n) canonical
 decomposition per extra level.  The points are sorted once by (coords, id);
 each dimension orders them by its coordinate, then that shared row rank.  A
-point's label is its rank in the last dimension, and an int32 table per
-other dimension ranks each label; labels and ranks are the only keys the
+point's label is its rank in the last dimension, and a table per other
+dimension ranks each label; labels and ranks are the only keys the
 structures compare, and the tree maps labels to ids only for a query's hits
-(cascade.rank_tables).  A query box is mapped to rank intervals once, with
-two bisections per dimension.  Every tree, a level's or a cascade's x-tree,
-is implicit in one padded leaf row sorted by rank and searched by one walk
-(cascade._walk): a split descent, then the two boundary paths.  Only a
-cascade's walk takes y bounds: it bisects the split node's array for them
-and carries the positions along bridges.  The walk alone counts work and
-the tree alone counts results (QueryStats).  The same-size structures
-of a dimension form one merge group: one object, built by one batched
-bottom-up merge (cascade.merge_rows: a stable argsort per row, whose
-permutation gives each cascade bridge in closed form), whose members are
-(group, member) pairs that every group kind queries and counts alike.  Only
-the level nodes a query can take as canonical get an associated structure,
-and a level finds one by arithmetic on the node's (row, pos) name.  build() is the one
-way to make a structure.
+(cascade.rank_tables).  All of them are stored two bytes wide when the padded
+size pow2ceil(n) is at most 2^16, else four (LayeredRangeTree.code).  A query
+box is mapped to rank intervals once, with two bisections per dimension.
+Every tree, a level's or a cascade's x-tree, is implicit in one padded leaf
+row sorted by rank and searched by one walk (cascade._walk): a
+split descent, then the two boundary paths.  Only a cascade's walk takes y
+bounds: it bisects the split node's array for them and carries the positions
+along bridges.  The walk alone counts work and the tree alone counts results
+(QueryStats).  The same-size structures of a dimension form one merge group:
+one object, built by one batched bottom-up merge (cascade.merge_rows: a
+stable argsort per row, whose permutation gives each cascade bridge in
+closed form), whose members are (group, member) pairs that every group kind
+queries and counts alike.  Only the level nodes a query can take as canonical
+get an associated structure, and a level finds one by arithmetic on the
+node's (row, pos) name.  build() is the one way to make a structure.
 
 The package exports what the CLI, the benchmark and the cost laws use.
 Structure internals such as cascade.CascadeStructure are imported from their

@@ -8,7 +8,9 @@ default (unstable) numpy sorts that tie only equal keys.  A phantom is leaf
 t >= n, its own label and its own rank in every dimension, so labels, ranks
 and leaf positions run over 0..L-1, L = pow2ceil(n), and a phantom sorts after
 every real point, where no real rank interval [a, b) can match it.  Nothing
-here knows a point or a coordinate.
+here knows a point or a coordinate.  Since every one of them is below L, a
+tree stores all its labels, ranks, ids and leaf rows at one index width,
+index_code(L): "H" (two bytes) when L <= 2^16, else "i" (four).
 
 Every tree in the package is implicit in a leaf row: L = 2^H labels sorted
 by one dimension's rank, real labels first, then phantoms.  A node is named
@@ -29,14 +31,15 @@ time per level.
 
 Storage: the cascades with the same L form a merge group, and one
 CascadeStructure object is the whole group, not one cascade.  It holds the
-group's labels in one array("i") buf of G*(H+1)*L words, laid out (G, H+1,
-L), and its left bridges in one array per bridge row, plus L, H and the x
-rank table; a member's real point count is the number of real labels in
-its leaf row.  A cascade is a (group, member) pair: member g owns the
-words = (H+1)*L contiguous words of buf from base = g*words, and the L
-entries from g*L of every bridge row.  Queries and counts take g and the
-tree's rank box, of which they read the last two dimensions.  With L padded
-leaves and height H = log2(L):
+group's labels in one array buf of G*(H+1)*L words at the tree's index
+width (typecode "H" or "i", from the tree's padded size, not the group's),
+laid out (G, H+1, L), and its left bridges in one array per bridge row,
+plus L, H and the x rank table; a member's real point count is the number
+of real labels in its leaf row.  A cascade is a (group, member) pair:
+member g owns the words = (H+1)*L contiguous words of buf from base =
+g*words, and the L entries from g*L of every bridge row.  Queries and
+counts take g and the tree's rank box, of which they read the last two
+dimensions.  With L padded leaves and height H = log2(L):
 
     buf row r in 0..H      node arrays, at base + r*L; the array of node
                            (r, pos) is the chunk of width 2^r starting at
@@ -83,6 +86,14 @@ def pow2ceil(n: int) -> int:
     return 1 if n <= 1 else 1 << (n - 1).bit_length()
 
 
+def index_code(L: int) -> str:
+    """The typecode of a tree's labels, ranks, ids and leaf rows, all below L = pow2ceil(n).
+
+    "H" (two bytes, unsigned) when L <= 2^16, so that every one fits, else "i".
+    """
+    return "H" if L <= 1 << 16 else "i"
+
+
 def _dense_rank(keys: np.ndarray) -> np.ndarray:
     """Each entry's dense rank: equal keys share one, and ranks follow key order.
 
@@ -105,13 +116,13 @@ def rank_tables(coords: np.ndarray) -> tuple[array, np.ndarray, list[array], lis
     """(ids, row, ranks, axes): the labels of a coordinate matrix whose rows are ids.
 
     Dimension j's order is by column j, then by the coordinate tuple, then
-    by id.  A label is a position in the last order, and ids (an array("i")
-    of n) is that order: ids[label] is the id.  A phantom is leaf t >= n,
+    by id.  A label is a position in the last order, and ids (an array of
+    n) is that order: ids[label] is the id.  A phantom is leaf t >= n,
     label t and rank t, t < L = pow2ceil(n).  row (int32, L long) is the
     root's leaf row: dimension 0's order in labels, then the phantoms.  For
-    j < d-1, ranks[j] (an array("i") of L, indexed by label) gives each
-    label its position in order j.  axes[j] (an array("d")) holds column j
-    in order j.
+    j < d-1, ranks[j] (an array of L, indexed by label) gives each label
+    its position in order j.  ids and ranks have typecode index_code(L).
+    axes[j] (an array("d")) holds column j in order j.
 
     Every dimension shares one row order, (c_0 .. c_{d-1}, id).  Each column
     gets a dense rank, and folding them in, key = dense(key*n + dense_j),
@@ -130,8 +141,9 @@ def rank_tables(coords: np.ndarray) -> tuple[array, np.ndarray, list[array], lis
     row_rank = np.empty_like(row)
     row_rank[row] = seq
     last = row if d == 1 else np.argsort(dense[-1] * n + row_rank)
-    ids = array("i", [0]) * n
-    np.frombuffer(ids, dtype=np.int32)[:] = last
+    code = index_code(pow2ceil(n))
+    ids = array(code, [0]) * n
+    np.frombuffer(ids, dtype=code)[:] = last
     label = np.arange(pow2ceil(n), dtype=np.int32)  # by id; entry t >= n is phantom t's
     label[last] = seq
     ranks, axes = [], []
@@ -141,8 +153,8 @@ def rank_tables(coords: np.ndarray) -> tuple[array, np.ndarray, list[array], lis
         np.frombuffer(axis)[:] = coords[:, j][order]
         axes.append(axis)
         if j < d - 1:
-            rank = array("i", [0]) * len(label)
-            r = np.frombuffer(rank, dtype=np.int32)
+            rank = array(code, [0]) * len(label)
+            r = np.frombuffer(rank, dtype=code)
             r[label[order]] = seq
             r[n:] = label[n:]
             ranks.append(rank)
@@ -238,10 +250,11 @@ def _walk(ids, rank, base: int, L: int, a: int, b: int, ya, yb, stats, bridges=N
 def merge_rows(merged: np.ndarray, rank=None) -> list[array] | None:
     """Bottom-up stable merge, in place, of G leaf rows of one power-of-two length L by `rank`.
 
-    `merged` is a C-contiguous (G, H+1, L) int32 array whose [:, 0] holds the
-    leaf rows (labels); for r in 1..H, [g, r] gets row g's chunks of width
-    2^r, each sorted by rank.  `rank` is a rank_tables rank, for the levels
-    of the multi-level tree: no bridge is computed, and None is returned.
+    `merged` is a C-contiguous (G, H+1, L) int32 or uint16 array whose
+    [:, 0] holds the leaf rows (labels); for r in 1..H, [g, r] gets row g's
+    chunks of width 2^r, each sorted by rank.  `rank` is a rank_tables rank
+    (of either typecode), for the levels of the multi-level tree: no bridge
+    is computed, and None is returned.
     Or it is None, for a cascade: the labels are their own keys, and the
     result is the bridges, H+1 arrays.  bridges[r], r in 1..H, holds G*L
     entries: at g*L + t, the left bridge of [g, r, t], the number of
@@ -253,7 +266,12 @@ def merge_rows(merged: np.ndarray, rank=None) -> list[array] | None:
     stable argsort per row (timsort for int32: it finds the two runs and
     merges them in linear time) gives every chunk's merge permutation perm.
     The row and its ranks (unless they are the row) are carried as flat
-    contiguous copies; the next row is one 1-D gather at perm plus each chunk's start.
+    contiguous int32 copies, whatever merged's width; the next row is one
+    1-D gather at perm plus each chunk's start, and only its write into
+    merged narrows it.  The keys stay int32 on purpose: numpy's stable
+    argsort of 16-bit integers is a radix sort, which pays its passes for
+    every chunk and does not use the two runs; at spans 2 to 16 over rows
+    of L = 2^15 it ran 5 to 9 times slower than int32 timsort.
 
     Ranks are distinct, so the entries before merged position t are exactly
     the smaller ones, and the left bridge has a closed form.  An entry from
@@ -267,8 +285,9 @@ def merge_rows(merged: np.ndarray, rank=None) -> list[array] | None:
     G, _, L = merged.shape
     H = L.bit_length() - 1
     pos = np.arange(G * L, dtype=np.int32).reshape(G, L)  # t and the chunk start are its bits
-    cur = np.ascontiguousarray(merged[:, 0]).reshape(-1)
-    keys = cur if rank is None else np.frombuffer(rank, dtype=np.int32)[cur]
+    cur = np.ascontiguousarray(merged[:, 0], dtype=np.int32).reshape(-1)
+    keys = cur if rank is None else np.frombuffer(rank, dtype=rank.typecode)[cur].astype(
+        np.int32, copy=False)
     bridges = [array("B")] if rank is None else None
     for r in range(1, H + 1):
         span, half = 1 << r, 1 << (r - 1)
@@ -293,19 +312,20 @@ def merge_rows(merged: np.ndarray, rank=None) -> list[array] | None:
     return bridges
 
 
-def fill_buffers_batch_np(handed: list, counters=None) -> tuple[array, list[array]]:
+def fill_buffers_batch_np(handed: list, counters, code: str) -> tuple[array, list[array]]:
     """(buf, bridges) of one cascade merge group: its G members, merged from their leaf rows.
 
-    `handed` is a list of one (G, L) int32 array, the members' leaf rows
+    `handed` is a list of one (G, L) integer array, the members' leaf rows
     (labels padded with phantoms); it is popped, so the rows are freed once
     copied into buf.  merge_rows merges them by the labels themselves, writes
-    the G*(H+1)*L labels of buf, an array("i"), in place through a numpy
-    view, and returns the H narrow bridge rows (after an empty row 0).
+    the G*(H+1)*L labels of buf, an array of typecode `code` (the tree's
+    index width, "H" or "i"), in place through a numpy view, and returns the
+    H narrow bridge rows (after an empty row 0).
     """
     G, L = handed[0].shape
     H = L.bit_length() - 1
-    buf = array("i", [0]) * (G * (H + 1) * L)
-    merged = np.frombuffer(buf, dtype=np.int32).reshape(G, H + 1, L)
+    buf = array(code, [0]) * (G * (H + 1) * L)
+    merged = np.frombuffer(buf, dtype=code).reshape(G, H + 1, L)
     merged[:, 0] = handed.pop()
     bridges = merge_rows(merged)
     if counters is not None:
@@ -317,7 +337,8 @@ class CascadeStructure:
     """A cascade merge group: G structures over the last two dimensions with the same L.
 
     Each member is an x-tree plus per-node label arrays with bridges.  All G
-    share the group's array("i") buf of labels, where member g's `words` =
+    share the group's buf of labels, an array at the tree's index width
+    ("H" or "i"), where member g's `words` =
     (H+1)*L words start at base g*words, and its bridge rows, where member
     g's L bridges of row r start at g*L of bridges[r] (see the module
     docstring for the layout).  A query or count of member g is one _walk
@@ -346,11 +367,13 @@ class CascadeStructure:
         (a rank_tables rank, L long) ranks t.  build() builds every group
         from its members' leaf rows and does not call this; it stays because
         the traced benchmark (perfbench/run.py) wraps it by name, and its
-        result equals the d=2 root build() makes over the same labels.
+        result equals the d=2 root build() makes over the same labels, at
+        the same index width.
         """
         row = np.arange(pow2ceil(len(ids)), dtype=np.int32)
         row[: len(ids)] = ids
-        return cls(len(row), *fill_buffers_batch_np([row[None, :]], counters), rank_x)
+        return cls(len(row), *fill_buffers_batch_np([row[None, :]], counters, index_code(len(row))),
+                   rank_x)
 
     # -- queries -------------------------------------------------------------
 
@@ -360,7 +383,7 @@ class CascadeStructure:
         The walk makes ONE binary search, a bisect of the split node's array
         for ya; positions at every canonical node and boundary leaf follow
         bridges.  Each node's run of labels below yb is emitted as one slice
-        of buf, an array("i").
+        of buf, an array of the tree's typecode ("H" or "i").
         """
         base, buf, L, yb = g * self.words, self.buf, self.L, b[-1]
         for row, p, u, _ in _walk(buf, self.rank_x, base, L, a[-2], b[-2], a[-1], None, stats,

@@ -19,11 +19,14 @@ leaves pos*2^r .. (pos+1)*2^r - 1 and splits at the rightmost leaf of its
 left half.  A level's canonical decomposition is a cascade's walk
 (cascade._walk) with no y bounds and so no positions to carry.
 Everything below LayeredRangeTree.rank_box works in rank space: the
-structures hold and emit labels (ranks in the last dimension), one int32
-table per other dimension ranks each label, and a box becomes a rank
-interval [a_j, b_j) per dimension.  A phantom is leaf t >= n of the root, its
-own label and its own rank in every dimension (cascade.rank_tables), so it
-ranks after every real point and never falls inside one.
+structures hold and emit labels (ranks in the last dimension), one table
+per other dimension ranks each label, and a box becomes a rank interval
+[a_j, b_j) per dimension.  Labels, ranks, ids and leaf rows are all below
+L = pow2ceil(n), so a tree stores them at one width, LayeredRangeTree.code:
+"H" (two bytes) when L <= 2^16, else "i".  A phantom is leaf t >= n of the
+root, its own label and its own rank in every dimension
+(cascade.rank_tables), so it ranks after every real point and never falls
+inside one.
 """
 
 from __future__ import annotations
@@ -179,6 +182,15 @@ class LayeredRangeTree:
         self.ids = ids  # the id map: ids[label] is the id of the point with that label
         self._axes = axes  # per dimension, the coordinates in rank order
 
+    @property
+    def code(self) -> str:
+        """The typecode of every label, rank, id and leaf row array of the tree.
+
+        "H" if pow2ceil(n) <= 2^16, else "i": rank_tables chooses it from
+        the padded size, and it is read from the id map, so nothing sets it.
+        """
+        return self.ids.typecode
+
     # -- queries ------------------------------------------------------------
 
     def rank_box(self, box: QueryBox) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -191,14 +203,15 @@ class LayeredRangeTree:
     def query(self, box: QueryBox, stats: Optional[QueryStats] = None) -> list[Point]:
         """All points inside the closed box, sorted by id.
 
-        The structures emit runs of labels; they are counted as reported,
+        The structures emit runs of labels, slices at the tree's typecode,
+        into one array of that typecode; they are counted as reported,
         mapped to ids, sorted as ints, and only then to points, which the
         point set makes on a first hit.
         """
         a, b = self.rank_box(box)
         if stats is None:
             stats = QueryStats()
-        labels = array("i")
+        labels = array(self.code)
         self.root.query(0, a, b, stats, labels.extend)
         stats.reported += len(labels)
         return self.pointset.take(sorted(map(self.ids.__getitem__, labels)))
@@ -237,19 +250,22 @@ def build(points: PointSet, counters: Optional[BuildCounters] = None) -> Layered
     by its coordinate, then that row rank, and labels each point by its
     last-dimension rank.  It returns the id map, the root's leaf row
     (padded to L = pow2ceil(n): a phantom is leaf t >= n, its own label and
-    its own rank in every dimension), an int32 rank per label for every
-    other dimension and each dimension's coordinates in rank order; labels
-    and ranks are the only keys.  The structures over dimension j are built
-    as groups by padded size L, listed
-    in tops[j] by log2 L: each group runs one batched merge (merge_rows) of
-    its leaf rows by the ranks of dimension j+1.  On a level (j < d-2) the
-    group is a _Level, and no bridges are made.  Its merged row r, cut to
-    the chunks _reachable keeps, is as it stands the leaf rows of structures
-    with L = 2^r in tops[j+1]; they hold no phantom.  On the
-    cascade (j = d-2) the labels are the keys: the merged rows are one
-    array("i") per CascadeStructure, and its bridges one narrow array per
-    bridge row.  Raises TooManyPoints, before anything is allocated, unless
-    n < 2^30.
+    its own rank in every dimension), a rank per label for every other
+    dimension and each dimension's coordinates in rank order; labels and
+    ranks are the only keys.  The tree's one index width, the typecode
+    rank_tables gives the id map and the rank tables (cascade.index_code:
+    "H" if maxL <= 2^16, else "i"), also types every level's leaf rows and
+    merge scratch and every cascade's labels; bridge rows keep their own
+    narrow typecodes.  The structures over dimension j are built as groups
+    by padded size L, listed in tops[j] by log2 L: each group runs one
+    batched merge (merge_rows) of its leaf rows by the ranks of dimension
+    j+1.  On a level (j < d-2) the group is a _Level, and no bridges are
+    made.  Its merged row r, cut to the chunks _reachable keeps, is as it
+    stands the leaf rows of structures with L = 2^r in tops[j+1]; they hold
+    no phantom.  On the cascade (j = d-2) the labels are the keys: the
+    merged rows are one array per CascadeStructure, and its bridges one
+    narrow array per bridge row.  Raises TooManyPoints, before anything is
+    allocated, unless n < 2^30.
     """
     n = len(points)
     if n == 0:
@@ -260,6 +276,7 @@ def build(points: PointSet, counters: Optional[BuildCounters] = None) -> Layered
         raise TooManyPoints(f"{n} points and {maxL} padding slots exceed the int32 range")
     d = points.dims
     ids, row, ranks, axes = rank_tables(points.coord_matrix())
+    code = ids.typecode  # the tree's one index width, index_code(maxL)
     if d == 1:
         return LayeredRangeTree(points, _Slab(), ids, axes)
 
@@ -276,16 +293,17 @@ def build(points: PointSet, counters: Optional[BuildCounters] = None) -> Layered
             if j == d - 2:
                 handed = [rows]
                 del rows  # the fill pops them and frees them once they are copied
-                tops[j][H] = CascadeStructure(L, *fill_buffers_batch_np(handed, counters), ranks[j])
+                tops[j][H] = CascadeStructure(L, *fill_buffers_batch_np(handed, counters, code),
+                                              ranks[j])
                 continue
             G, m = len(rows), (n if j == 0 else L)  # only the root member holds phantoms
-            merged = np.empty((G, H + 1, L), dtype=np.int32)
+            merged = np.empty((G, H + 1, L), dtype=code)
             merged[:, 0] = rows
             merge_rows(merged, ranks[j + 1])
             if counters is not None:
                 counters.merge_moves += H * G * m
-            flat = array("i", [0]) * rows.size  # a level keeps only its leaf rows, sized exactly
-            np.frombuffer(flat, dtype=np.int32)[:] = rows.reshape(-1)
+            flat = array(code, [0]) * rows.size  # a level keeps only its leaf rows, sized exactly
+            np.frombuffer(flat, dtype=code)[:] = rows.reshape(-1)
             level = tops[j][H] = _Level(j, flat, L, m, ranks[j], tops[j + 1])
             for r in range(H + 1):
                 chunks = _reachable(L, m, r)

@@ -3,36 +3,36 @@
     PYTHONPATH=src python tests/structure_dump.py OUT.json
     PYTHONPATH=src python tests/structure_dump.py --compare BASE.json HEAD.json
 
-The first form builds one tree per case of CASES and writes, per case,
-every structure's expanded cascade buffer or leaf row in structures()
-order, 30 boxes' hits and counts (a third of the boxes have lo > hi in one
-dimension), the four QueryStats totals of the queries and of the counts,
-and merge_moves.  A hit is its id and its coordinates as float.hex
-strings, so a lost -0.0 or a rounding change shows too.  The structures
-store point labels (ranks in the last dimension); the dump writes each
-stored label below n as its point id, read from the tree's id map, and
-bridges and phantoms as stored.  It reads only structures(), the tree's
-ids, a cascade group's buf, bridges, words, L and H, a level's ids and L,
-and the hits' id and coords.  Diffing the outputs of two
-versions of the package, each dumped by its own copy of this file, shows
-every change in layout, answer or cost counter.  One case is written per
-line.  Which structures exist is layout too: a level node that no query
-can reach has no structure, so it is in no dump, and a change to which
-nodes are built shows in structures and merge_moves only.  The second form
-exits 1, naming each case, when a case of BASE is missing from HEAD or its
-answers, query_stats or count_stats differ.  It also names, without
-failing, each case whose structures or merge_moves differ, so a layout
-change shows in its output.  CI runs it on every pull request against the
-base commit's dump.  It reads only the two files, so
-only the first form imports layertree.  tests/test_tree.py pins a digest
-of structure_row over fixed trees and runs the smallest cases.
+The first form builds one tree per case of CASES and writes, per case, every
+structure's expanded cascade buffer or leaf row in structures() order, the
+typecodes of the tree's arrays (widths), 30 boxes' hits and counts (a third
+of the boxes have lo > hi in one dimension), the four QueryStats totals of
+the queries and of the counts, and merge_moves.  A hit is its id and its
+coordinates as float.hex strings, so a lost -0.0 or a rounding change shows
+too.  The structures store point labels (ranks in the last dimension); the
+dump writes each stored label below n as its point id, read from the tree's
+id map, and bridges and phantoms as stored.  It reads only structures(), the
+tree's ids and dims, a cascade group's buf, bridges, words, L, H and rank_x,
+a level's ids, L, dim and rank, and the hits' id and coords.  Diffing the
+outputs of two versions of the package, each dumped by its own copy of this
+file, shows every change in layout, answer or cost counter.  One case is
+written per line.  Which structures exist is layout too: a level node that no
+query can reach has no structure, so it is in no dump, and a change to which
+nodes are built shows in structures, widths and merge_moves only.  The second
+form exits 1, naming each case, when a case of BASE is missing from HEAD or
+its answers, query_stats or count_stats differ.  It also names, without
+failing, each case whose structures, widths or merge_moves differ (or that
+one file lacks), so a layout or width change shows in its output.  CI runs it
+on every pull request against the base commit's dump.  It reads only the two
+files, so only the first form imports layertree.  tests/test_tree.py pins a
+digest of structure_row over fixed trees and runs the smallest cases.
 
 It is also the tests' one reader of structure layout: the reference order
-and box filter over Points (composite_key, box_contains), a cascade
-member's words, bridge_rows and node (r, pos), a cascade or level member's
-leaf_row and the real labels of its subtree (r, pos), all_nodes of a tree,
-and a member's query output as a list (collect).  Its top level imports
-nothing from layertree.
+and box filter over Points (composite_key, box_contains), a cascade member's
+words, bridge_rows and node (r, pos), a cascade or level member's leaf_row
+and the real labels of its subtree (r, pos), a group's members, all_nodes of
+a tree, and a member's query output as a list (collect).  Its top level
+imports nothing from layertree.
 """
 
 import json
@@ -113,6 +113,13 @@ def bridge_rows(cs, g: int = 0) -> list:
     return [lb[g * cs.L : (g + 1) * cs.L].tolist() for lb in cs.bridges[1:]]
 
 
+def members(group) -> int:
+    """The member count G of a cascade or level group: its labels over one member's share."""
+    if hasattr(group, "buf"):
+        return len(group.buf) // group.words
+    return len(group.ids) // group.L
+
+
 def leaf_row(s, g: int = 0):
     """Member g's L leaf labels: row 0 of a cascade's words, or its chunk of a level's ids."""
     if hasattr(s, "buf"):
@@ -171,6 +178,28 @@ def structure_row(s, g: int, ids) -> list:
     return ids.tolist()
 
 
+def widths(tree) -> dict:
+    """The typecodes of a tree's arrays, each group once, in structures() order.
+
+    ids is the id map's, ranks each rank table's by dimension, levels each
+    level group's leaf rows', and cascades each cascade group's labels' with
+    its bridge rows' 1..H as one string.
+    """
+    ranks, levels, cascades, seen = {}, [], [], set()
+    for _, (s, _) in tree.structures():
+        if id(s) in seen or not hasattr(s, "L"):  # each group once; the slab holds no array
+            continue
+        seen.add(id(s))
+        if hasattr(s, "buf"):
+            ranks[tree.dims - 2] = s.rank_x.typecode
+            cascades.append([s.buf.typecode, "".join(lb.typecode for lb in s.bridges[1:])])
+        else:
+            ranks[s.dim] = s.rank.typecode
+            levels.append(s.ids.typecode)
+    return {"ids": tree.ids.typecode, "ranks": [ranks[j] for j in sorted(ranks)],
+            "levels": levels, "cascades": cascades}
+
+
 def hit(p) -> list:
     """A reported point as [id, [float.hex of each coordinate]]."""
     return [p.id, [c.hex() for c in p.coords]]
@@ -188,6 +217,7 @@ def dump_case(d: int, dist: str, n: int) -> dict:
         "case": [d, dist, n],
         "structures": [[level, type(s).__name__, structure_row(s, g, tree.ids)]
                        for level, (s, g) in tree.structures()],
+        "widths": widths(tree),
         "answers": answers,
         "query_stats": list(astuple(q)),
         "count_stats": list(astuple(c)),
@@ -196,11 +226,15 @@ def dump_case(d: int, dist: str, n: int) -> dict:
 
 
 SAME = ("answers", "query_stats", "count_stats")  # what no layout change may alter
-LAYOUT = ("structures", "merge_moves")  # what a layout change alters
+LAYOUT = ("structures", "widths", "merge_moves")  # what a layout change alters
 
 
 def compare(base: list, head: list, fields: tuple = SAME) -> list:
-    """One line per case of base that head lacks, and per one of its `fields` that differs."""
+    """One line per case of base that head lacks, and per one of its `fields` that differs.
+
+    A field that only one of the two has differs: a dump made before the
+    field existed lacks it.
+    """
     by_case = {tuple(c["case"]): c for c in head}
     out = []
     for c in base:
@@ -208,7 +242,7 @@ def compare(base: list, head: list, fields: tuple = SAME) -> list:
         if h is None:
             out.append(f"{c['case']}: missing")
         else:
-            out.extend(f"{c['case']}: {k} differ" for k in fields if c[k] != h[k])
+            out.extend(f"{c['case']}: {k} differ" for k in fields if c.get(k) != h.get(k))
     return out
 
 
@@ -220,7 +254,7 @@ def main(argv: list) -> int:
         moved = [line for line in compare(base, head, LAYOUT) if line not in diffs]
         print("\n".join(diffs) or "answers, query_stats and count_stats are unchanged")
         print("\n".join(["layout changes (not a failure):"] + moved) if moved
-              else "structures and merge_moves are unchanged")
+              else "structures, widths and merge_moves are unchanged")
         return 1 if diffs else 0
     if len(argv) != 1:
         print("usage: structure_dump.py OUT.json | --compare BASE.json HEAD.json", file=sys.stderr)

@@ -286,6 +286,27 @@ class TestMergeRows:
             assert bridged[g].tolist() == [[rank[e] for e in row] for row in want_rows]
             assert bridge_rows(SimpleNamespace(bridges=bridges, L=L), g) == want_lbs
 
+    @pytest.mark.parametrize("G,L", [(1, 1), (3, 2), (3, 64), (2, 4096), (1, 65536)])
+    @pytest.mark.parametrize("ranked", [True, False])
+    def test_narrow_buffer(self, G, L, ranked):
+        # a tree with pow2ceil(n) <= 2^16 merges into a uint16 ("H") view:
+        # only the writes narrow, so its rows and bridges are the int32
+        # merge's, with a rank table (a level) and without (a cascade, whose
+        # labels are each entry's rank)
+        H = L.bit_length() - 1
+        rows, rank = build_style_rows(G, L, seed=G * 31 + L)
+        if not ranked:
+            rows = [[rank[e] for e in row] for row in rows]
+        got = {}
+        for code in ("i", "H"):
+            buf = array(code, [0]) * (G * (H + 1) * L)
+            merged = np.frombuffer(buf, dtype=code).reshape(G, H + 1, L)
+            merged[:, 0] = rows
+            bridges = merge_rows(merged, array(code, rank) if ranked else None)
+            got[code] = buf.tolist(), None if bridges is None else typed(bridges)
+        assert (got["H"][1] is None) == ranked
+        assert got["H"] == got["i"]
+
     @pytest.mark.parametrize("H", [9, 17])
     def test_bridge_typecode_boundaries(self, H):
         # a row-r bridge is at most 2^(r-1): rows 1-8 are bytes, 9-16 two

@@ -34,8 +34,8 @@ from layertree.cascade import CascadeStructure, _find_split, pow2ceil, rank_tabl
 from layertree.tree import _Level, _Slab
 
 import structure_dump
-from structure_dump import (all_nodes, bridge_rows, collect, composite_key, leaf_row, node,
-                            subtree, words)
+from structure_dump import (all_nodes, bridge_rows, collect, composite_key, leaf_row, members,
+                            node, subtree, words)
 
 
 def level_tree(values):
@@ -249,10 +249,8 @@ class TestReachableSlots:
                 got = collect(group, h, *everything)
                 assert sorted(got) == sorted(subtree(*member, r, p, n))
                 held.setdefault(id(group), (group, []))[1].append(h)
-        for group, members in held.values():
-            size = (len(group.buf) // group.words if isinstance(group, CascadeStructure)
-                    else len(group.ids) // group.L)
-            assert sorted(members) == list(range(size))
+        for group, held_members in held.values():
+            assert sorted(held_members) == list(range(members(group)))
 
 
 def random_boxes(rng, d, span, count):
@@ -292,7 +290,7 @@ class TestBuild:
         tree = build(ps)
         slab = tree.root
         assert isinstance(slab, _Slab) and slab.__slots__ == ()
-        assert isinstance(tree.ids, array) and tree.ids.typecode == "i"
+        assert isinstance(tree.ids, array) and tree.ids.typecode == tree.code == "H"
         assert tree.ids.tolist() == [1, 3, 2, 0, 4]
         for lo, hi in ((0, 9), (1, 3), (2, 4), (9, 10), (4, 2), (1, 1)):
             box = QueryBox((lo,), (hi,))
@@ -395,6 +393,53 @@ class TestQuery:
         assert cstats.reported == len(got)
 
 
+class TestIndexWidth:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n,code", [(2**16 - 1, "H"), (2**16, "H"), (2**16 + 1, "i")])
+    def test_width_boundary(self, d, n, code):
+        # every label, rank, id and leaf position is below L = pow2ceil(n), so
+        # they share two bytes while L <= 2^16.  Label 65535 is then the
+        # largest one stored: a phantom at n = 2^16 - 1, a real point at
+        # n = 2^16, and it reads back unwrapped from every array holding it
+        ps = gen_points(GeneratorConfig(seed=n + d, n=n, dims=d))
+        tree, L = build(ps), pow2ceil(n)
+        assert tree.code == code
+        assert tree.ids.typecode == code and len(tree.ids) == n
+        assert max(tree.ids) == n - 1  # id 65535 is stored at n = 2^16
+        if d > 1:
+            groups = {id(s): s for _, (s, _) in tree.structures()}.values()
+            tables = {id(t): t for t in (s.rank if isinstance(s, _Level) else s.rank_x
+                                         for s in groups)}
+            assert len(tables) == d - 1
+            for table in tables.values():
+                assert table.typecode == code and sorted(table) == list(range(L))
+                assert table[n:].tolist() == list(range(n, L))  # phantom t ranks t
+            leaves = leaf_row(tree.root)
+            assert leaves.typecode == code and sorted(leaves) == list(range(L))
+            assert leaves[n:].tolist() == list(range(n, L))  # phantom t is leaf t
+            for cs in (s for s in groups if isinstance(s, CascadeStructure)):
+                assert cs.buf.typecode == code
+                # a d=2 root's top row is every label in order; below a level
+                # a cascade holds real labels only
+                assert max(cs.buf) == (L - 1 if d == 2 else n - 1)
+                if d == 2:
+                    assert cs.buf[cs.H * L :].tolist() == list(range(L))
+        # the largest label's point is reported, mapped through ids; the
+        # other boxes hold about 50 points each
+        rng = SplitMix64(n * d)
+        side = (50 / n) ** (1 / d)
+        top = tuple(ps.coord_matrix()[tree.ids[n - 1]].tolist())
+        boxes = [QueryBox(tuple(c - 1e-9 for c in top), tuple(c + 1e-9 for c in top))]
+        for _ in range(19):
+            lo = tuple(rng.next_float() * (1 - side) for _ in range(d))
+            boxes.append(QueryBox(lo, tuple(c + side for c in lo)))
+        for box in boxes:
+            want = brute_force_query(ps, box)
+            assert tree.query(box) == want and tree.count(box) == len(want)
+        assert tree.ids[n - 1] in [p.id for p in tree.query(boxes[0])]
+        assert tree.count(QueryBox((0.0,) * d, (1.0,) * d)) == n
+
+
 class TestSpaceAccounting:
     @pytest.mark.parametrize("d,n", [(1, 37), (2, 100), (3, 64), (4, 33), (2, 600), (2, 65537)])
     def test_every_instance_stores_m_times_levels(self, d, n):
@@ -407,7 +452,7 @@ class TestSpaceAccounting:
                 # real (non-phantom, < n) labels in the node-array rows
                 assert sum(1 for e in words(*s) if e < n) == real_count(s, n) * (cs.H + 1)
                 # H+1 node-array rows of labels at [base, base + (H+1)L) of
-                # the group's array("i"); bridges have rows of their own
+                # the group's label array; bridges have rows of their own
                 assert cs.words == (cs.H + 1) * cs.L
                 groups.setdefault(id(cs), (cs, []))[1].append((g * cs.words, cs.words))
             elif isinstance(s[0], _Slab):
@@ -419,14 +464,19 @@ class TestSpaceAccounting:
                 total = sum(real_count(sub, n) for _, sub in built)
                 assert total == sum(len(subtree(*s, r, p, n)) for (r, p), _ in built)
                 assert total <= real_count(s, n) * s[0].L.bit_length()
-        # the G members of one group tile its array("i") of G*(H+1)*L labels
-        # with no slack, and its H left-bridge rows (no right bridges) take
-        # exactly G*L*w(r) bytes each: w = 1, 2, 4 for r <= 8, <= 16, above
+        # the G members of one group tile its label array of G*(H+1)*L
+        # entries, typed by the tree's one index width, with no slack, and
+        # its H left-bridge rows (no right bridges) take exactly G*L*w(r)
+        # bytes each: w = 1, 2, 4 for r <= 8, <= 16, above
         width = lambda r: 1 if r <= 8 else 2 if r <= 16 else 4
+        assert tree.code == ("H" if pow2ceil(n) <= 2**16 else "i")
         for cs, runs in groups.values():
             G = len(runs)  # every member is reached
-            assert isinstance(cs.buf, array) and cs.buf.typecode == "i"
+            assert isinstance(cs.buf, array) and cs.buf.typecode == tree.code
             assert len(cs.buf) == G * (cs.H + 1) * cs.L
+            assert cs.buf.itemsize == {"H": 2, "i": 4}[tree.code]
+            assert sys.getsizeof(cs.buf) == (sys.getsizeof(array(tree.code))
+                                             + len(cs.buf) * cs.buf.itemsize)
             runs.sort()
             assert [b for b, _ in runs] == [0] + [b + w for b, w in runs[:-1]]
             assert sum(w for _, w in runs) == len(cs.buf)
@@ -487,24 +537,27 @@ class TestSpaceAccounting:
         assert len(levels) > n
 
     def test_level_rows_have_no_slack(self):
-        # each level group's leaf rows are sized exactly: no array growth slack
+        # each level group's leaf rows are sized exactly, at the tree's
+        # width: no array growth slack
         ps = gen_points(GeneratorConfig(seed=6, n=2000, dims=4))
         tree = build(ps)
         groups = {id(s): s for _, (s, _) in tree.structures() if isinstance(s, _Level)}
         assert len(groups) > 1
-        empty = sys.getsizeof(array("i"))
+        empty = sys.getsizeof(array(tree.code))
         for level in groups.values():
+            assert level.ids.typecode == tree.code
             assert sys.getsizeof(level.ids) == empty + level.ids.itemsize * len(level.ids)
 
     def test_slab_ids_have_no_slack(self):
         # the id map, the last dimension's order (at d = 1 the rank order the
-        # slab kept), is sized exactly at every dimension
+        # slab kept), is sized exactly at every dimension, at the tree's width
         n = 1000
         for d in (1, 2, 3, 4):
             tree = build(gen_points(GeneratorConfig(seed=6, n=n, dims=d)))
             assert isinstance(tree.root, _Slab) == (d == 1)
-            assert len(tree.ids) == n
-            assert sys.getsizeof(tree.ids) == sys.getsizeof(array("i")) + 4 * n
+            assert len(tree.ids) == n and tree.ids.typecode == tree.code == "H"
+            assert sys.getsizeof(tree.ids) == (sys.getsizeof(array(tree.code))
+                                               + tree.ids.itemsize * n)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_no_last_dimension_table(self, d):
@@ -567,13 +620,34 @@ class TestStructureDump:
         assert capsys.readouterr().out.splitlines()[-2:] == moved
         assert structure_dump.main(argv[:2] + argv[1:2]) == 0  # base against itself
         assert capsys.readouterr().out.splitlines()[-1] == (
-            "structures and merge_moves are unchanged")
+            "structures, widths and merge_moves are unchanged")
         head[0]["count_stats"][0] += 1
         head[1]["answers"] = []
         assert structure_dump.compare(base, head) == [
             "[3, 'grid', 1]: count_stats differ", "[3, 'grid', 2]: answers differ"]
         assert structure_dump.compare(base, head[:1]) == [
             "[3, 'grid', 1]: count_stats differ", "[3, 'grid', 2]: missing"]
+
+    def test_compare_names_a_width_change(self, tmp_path, capsys):
+        # the dump records each array's typecode; a changed width, or a base
+        # dumped before the field existed, is named as a layout change and
+        # does not fail
+        base = json.loads(json.dumps([structure_dump.dump_case(3, "grid", 9)]))
+        assert base[0]["widths"] == {"ids": "H", "ranks": ["H", "H"], "levels": ["H"],
+                                     "cascades": [["H", ""], ["H", "B"], ["H", "BB"]]}
+        wide = json.loads(json.dumps(base))
+        wide[0]["widths"]["cascades"][0][0] = "i"
+        old = json.loads(json.dumps(base))
+        del old[0]["widths"]
+        for other in (wide, old):
+            assert structure_dump.compare(other, base) == []
+            assert structure_dump.compare(other, base, structure_dump.LAYOUT) == [
+                "[3, 'grid', 9]: widths differ"]
+            (tmp_path / "base.json").write_text(json.dumps(other))
+            (tmp_path / "head.json").write_text(json.dumps(base))
+            assert structure_dump.main(
+                ["--compare", str(tmp_path / "base.json"), str(tmp_path / "head.json")]) == 0
+            assert capsys.readouterr().out.splitlines()[-1] == "[3, 'grid', 9]: widths differ"
 
     def test_compare_needs_no_package(self, tmp_path):
         # comparing two dumps reads only the files: the compare form runs
@@ -752,11 +826,12 @@ class TestRankTableEdges:
         assert len(ranks) == d - 1 and len(axes) == d
         want = [sorted(range(n), key=lambda i: composite_key(pts[i], j)) for j in range(d)]
         where = [{i: v for v, i in enumerate(w)} for w in want]
-        assert ids.typecode == "i" and ids.tolist() == want[-1]
+        code = "H" if L <= 2**16 else "i"  # the index width chosen from L = pow2ceil(n)
+        assert ids.typecode == code and ids.tolist() == want[-1]
         assert row.dtype == np.int32
         assert row.tolist() == [where[-1][i] for i in want[0]] + list(range(n, L))
         for j, rank in enumerate(ranks):
-            assert rank.typecode == "i"
+            assert rank.typecode == code
             assert list(rank) == [where[j][ids[v]] for v in range(n)] + list(range(n, L))
         for j, axis in enumerate(axes):
             # float.hex tells -0.0 from 0.0: each slot holds its own point's coordinate
