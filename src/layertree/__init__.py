@@ -11,9 +11,9 @@ each dimension orders them by its coordinate, then that shared row rank.  A
 point's label is its rank in the last dimension, and a table per other
 dimension ranks each label; labels and ranks are the only keys the
 structures compare, and the tree maps labels to ids only for a query's hits
-(cascade.rank_tables).  All of them are stored two bytes wide when the padded
-size pow2ceil(n) is at most 2^16, else four (LayeredRangeTree.code).  A query
-box is mapped to rank intervals once, with two bisections per dimension.
+(cascade.rank_tables).  All of them are stored at one index width
+(LayeredRangeTree.code; see Widths in cascade).  A query box is mapped to
+rank intervals once, with two bisections per dimension.
 Every tree, a level's or a cascade's x-tree, is implicit in one padded leaf
 row sorted by rank and searched by one walk (cascade._walk): a
 split descent, then the two boundary paths.  Only a cascade's walk takes y

@@ -21,10 +21,10 @@ left half.  A level's canonical decomposition is a cascade's walk
 Everything below LayeredRangeTree.rank_box works in rank space: the
 structures hold and emit labels (ranks in the last dimension), one table
 per other dimension ranks each label, and a box becomes a rank interval
-[a_j, b_j) per dimension.  Labels, ranks, ids and leaf rows are all below
-L = pow2ceil(n), so a tree stores them at one width, LayeredRangeTree.code:
-"H" (two bytes) when L <= 2^16, else "i".  A phantom is leaf t >= n of the
-root, its own label and its own rank in every dimension
+[a_j, b_j) per dimension.  A tree stores its labels, ranks and ids at one
+index width, LayeredRangeTree.code, and every group's rows under one
+address rule (see Storage and Widths in cascade).  A phantom is leaf t >= n
+of the root, its own label and its own rank in every dimension
 (cascade.rank_tables), so it ranks after every real point and never falls
 inside one.
 """
@@ -34,12 +34,13 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, Optional
 
 import numpy as np
 
-from .cascade import (CascadeStructure, _walk, fill_buffers_batch_np, merge_rows, pow2ceil,
-                      rank_tables)
+from .cascade import (CascadeStructure, _walk, fill_buffers_batch_np, merge_rows, packed,
+                      pow2ceil, rank_tables)
 from .core import DimensionMismatch, EmptyInput, Point, PointSet, QueryBox, TooManyPoints
 
 INT32_MAX = 2**31 - 1
@@ -82,17 +83,15 @@ def canonical_subtrees(level: "_Level", g: int, a: int, b: int,
                        stats: Optional[QueryStats] = None) -> list[tuple[int, int]]:
     """(row, pos) of member g's disjoint subtrees whose leaves are exactly the ranks in [a, b).
 
-    Member g's leaf row of labels starts at g*L in level.ids.  The walk is
-    a cascade's (cascade._walk), run with no y bounds, since a level has no
-    bridges.  At most 2*log2(L) nodes (one for a single-leaf tree); phantom
-    leaves never qualify because their ranks are at least n >= b.  The
-    package exports it because the canonical-subtree law is stated on it.
+    The walk is a cascade's (cascade._walk) over member g's leaf row, run
+    with no y bounds, since a level has no bridges.  At most 2*log2(L) nodes
+    (one for a single-leaf tree); phantom leaves never qualify because their
+    ranks are at least n >= b.  The package exports it because the
+    canonical-subtree law is stated on it.
     """
     if stats is None:
         stats = QueryStats()
-    L = level.L
-    walk = _walk(level.ids, level.rank, g * L, L, a, b, None, None, stats)
-    return [(row, p) for row, p, _, _ in walk]
+    return [(row, p) for row, p, _, _ in _walk(level, g, a, b, None, None, stats)]
 
 
 def _reachable(L: int, m: int, r: int) -> range:
@@ -126,19 +125,19 @@ class _Slab:
 class _Level:
     """A level merge group: the G level trees over dimension `dim` with the same L.
 
-    Member g < G = len(ids) // L has the leaf row ids[g*L : (g+1)*L]: L labels
-    sorted by `rank`, its m real labels first, then phantoms (labels >= n):
-    only the root holds phantoms, so m is n there and L below.  subs lists
+    rows = [row 0] holds only the leaf rows: member g < G = len(rows[0]) // L
+    has L labels from g*L, sorted by `rank`, its m real labels first, then
+    phantoms (labels >= n): only the root holds phantoms, so m is n there and L below.  subs lists
     the next dimension's groups by log2 L.  Node (r, pos), if _reachable,
     has the structure first[r] + g*per[r] + pos of subs[r], where per[r]
     counts one member's structures in row r.
     """
 
-    __slots__ = ("dim", "ids", "L", "m", "rank", "subs", "first", "per")
+    __slots__ = ("dim", "rows", "L", "m", "rank", "subs", "first", "per")
 
-    def __init__(self, dim: int, ids, L: int, m: int, rank, subs: list):
+    def __init__(self, dim: int, rows: list, L: int, m: int, rank, subs: list):
         self.dim = dim
-        self.ids = ids
+        self.rows = rows
         self.L = L
         self.m = m
         self.rank = rank
@@ -184,10 +183,10 @@ class LayeredRangeTree:
 
     @property
     def code(self) -> str:
-        """The typecode of every label, rank, id and leaf row array of the tree.
+        """The tree's index width: the typecode of every label, rank and id array of it.
 
-        "H" if pow2ceil(n) <= 2^16, else "i": rank_tables chooses it from
-        the padded size, and it is read from the id map, so nothing sets it.
+        rank_tables chooses it from the padded size (cascade.index_code), and
+        it is read from the id map, so nothing sets it.
         """
         return self.ids.typecode
 
@@ -248,24 +247,20 @@ def build(points: PointSet, counters: Optional[BuildCounters] = None) -> Layered
 
     rank_tables sorts the rows once by (coords, id), orders each dimension
     by its coordinate, then that row rank, and labels each point by its
-    last-dimension rank.  It returns the id map, the root's leaf row
-    (padded to L = pow2ceil(n): a phantom is leaf t >= n, its own label and
-    its own rank in every dimension), a rank per label for every other
+    last-dimension rank.  It returns the id map, the root's leaf row padded
+    with phantoms to L = pow2ceil(n), a rank per label for every other
     dimension and each dimension's coordinates in rank order; labels and
-    ranks are the only keys.  The tree's one index width, the typecode
-    rank_tables gives the id map and the rank tables (cascade.index_code:
-    "H" if maxL <= 2^16, else "i"), also types every level's leaf rows and
-    merge scratch and every cascade's labels; bridge rows keep their own
-    narrow typecodes.  The structures over dimension j are built as groups
-    by padded size L, listed in tops[j] by log2 L: each group runs one
-    batched merge (merge_rows) of its leaf rows by the ranks of dimension
-    j+1.  On a level (j < d-2) the group is a _Level, and no bridges are
-    made.  Its merged row r, cut to the chunks _reachable keeps, is as it
-    stands the leaf rows of structures with L = 2^r in tops[j+1]; they hold
-    no phantom.  On the cascade (j = d-2) the labels are the keys: the
-    merged rows are one array per CascadeStructure, and its bridges one
-    narrow array per bridge row.  Raises TooManyPoints, before anything is
-    allocated, unless n < 2^30.
+    ranks are the only keys.  The structures over dimension j are built as
+    groups by padded size L, listed in tops[j] by log2 L.  Each group's
+    leaf rows are concatenated into the one array that keeps them, at the
+    tree's index width, and the group runs one batched merge (merge_rows)
+    of them.  On a level (j < d-2) the group is a _Level and merges by the
+    ranks of dimension j+1, with no bridges.  Each merged row r, cut to the
+    chunks _reachable keeps, is as it stands the leaf rows of structures
+    with L = 2^r in tops[j+1]; they hold no phantom.  On the cascade
+    (j = d-2) the labels are the keys, and the group keeps every merged row
+    and its bridge row (see Storage in cascade).  Raises TooManyPoints,
+    before anything is allocated, unless n < 2^30.
     """
     n = len(points)
     if n == 0:
@@ -285,33 +280,30 @@ def build(points: PointSet, counters: Optional[BuildCounters] = None) -> Layered
     del row
     for j in range(d - 1):
         nxt: dict = {}
-        while groups:  # popped, so each group's scratch is freed once it is built
+        while groups:  # popped, so each group's pieces are freed once it is built
             L, pieces = groups.popitem()
-            rows = np.concatenate(pieces).reshape(-1, L)
+            leaves = packed(code, *pieces)
             del pieces
             H = L.bit_length() - 1
             if j == d - 2:
-                handed = [rows]
-                del rows  # the fill pops them and frees them once they are copied
-                tops[j][H] = CascadeStructure(L, *fill_buffers_batch_np(handed, counters, code),
+                tops[j][H] = CascadeStructure(L, *fill_buffers_batch_np(leaves, L, counters),
                                               ranks[j])
                 continue
-            G, m = len(rows), (n if j == 0 else L)  # only the root member holds phantoms
-            merged = np.empty((G, H + 1, L), dtype=code)
-            merged[:, 0] = rows
-            merge_rows(merged, ranks[j + 1])
+            G, m = len(leaves) // L, (n if j == 0 else L)  # only the root member holds phantoms
             if counters is not None:
                 counters.merge_moves += H * G * m
-            flat = array(code, [0]) * rows.size  # a level keeps only its leaf rows, sized exactly
-            np.frombuffer(flat, dtype=code)[:] = rows.reshape(-1)
-            level = tops[j][H] = _Level(j, flat, L, m, ranks[j], tops[j + 1])
-            for r in range(H + 1):
+            level = tops[j][H] = _Level(j, [leaves], L, m, ranks[j], tops[j + 1])
+            r = 0  # kept by hand, so no iterator's tuple holds the previous row (see merge_rows)
+            for row, _ in chain([(np.frombuffer(leaves, dtype=code), None)],
+                                merge_rows(leaves, L, ranks[j + 1])):
                 chunks = _reachable(L, m, r)
                 if chunks:
                     pieces = nxt.setdefault(1 << r, [])
                     level.first[r] = (sum(map(len, pieces)) >> r) - chunks.start
                     level.per[r] = len(chunks)
-                    pieces.append(merged[:, r, chunks.start << r : chunks.stop << r].flatten())
-            del merged, rows  # carved and copied: free them before the next groups are built
+                    pieces.append(row.reshape(G, L)[:, chunks.start << r : chunks.stop << r]
+                                  .astype(code).reshape(-1))
+                del row  # before the next merge step
+                r += 1
         groups = nxt
     return LayeredRangeTree(points, tops[0][maxL.bit_length() - 1], ids, axes)

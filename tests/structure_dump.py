@@ -4,7 +4,7 @@
     PYTHONPATH=src python tests/structure_dump.py --compare BASE.json HEAD.json
 
 The first form builds one tree per case of CASES and writes, per case, every
-structure's expanded cascade buffer or leaf row in structures() order, the
+structure's expanded cascade rows or leaf row in structures() order, the
 typecodes of the tree's arrays (widths), 30 boxes' hits and counts (a third
 of the boxes have lo > hi in one dimension), the four QueryStats totals of
 the queries and of the counts, and merge_moves.  A hit is its id and its
@@ -12,8 +12,8 @@ coordinates as float.hex strings, so a lost -0.0 or a rounding change shows
 too.  The structures store point labels (ranks in the last dimension); the
 dump writes each stored label below n as its point id, read from the tree's
 id map, and bridges and phantoms as stored.  It reads only structures(), the
-tree's ids and dims, a cascade group's buf, bridges, words, L, H and rank_x,
-a level's ids, L, dim and rank, and the hits' id and coords.  Diffing the
+tree's ids and dims, every group's rows, L and rank, a cascade group's
+bridges, a level's dim, and the hits' id and coords.  Diffing the
 outputs of two versions of the package, each dumped by its own copy of this
 file, shows every change in layout, answer or cost counter.  One case is
 written per line.  Which structures exist is layout too: a level node that no
@@ -29,14 +29,16 @@ digest of structure_row over fixed trees and runs the smallest cases.
 
 It is also the tests' one reader of structure layout: the reference order
 and box filter over Points (composite_key, box_contains), a cascade member's
-words, bridge_rows and node (r, pos), a cascade or level member's leaf_row
+bridge_rows and node (r, pos), a cascade or level member's words, leaf_row
 and the real labels of its subtree (r, pos), a group's members, all_nodes of
-a tree, and a member's query output as a list (collect).  Its top level
+a tree, and a member's query output as a list (collect).  They read every
+row of either group kind by one rule: member g's entries start at g*L.  Its top level
 imports nothing from layertree.
 """
 
 import json
 import sys
+from array import array
 from collections import namedtuple
 from dataclasses import astuple
 
@@ -103,9 +105,12 @@ def all_nodes(L: int) -> list:
     return [(r, p) for r in range(L.bit_length() - 1, -1, -1) for p in range(L >> r)]
 
 
-def words(cs, g: int = 0):
-    """Member g's (H+1)*L labels: its words of the group's buf, from base g*words."""
-    return cs.buf[g * cs.words : (g + 1) * cs.words]
+def words(s, g: int = 0):
+    """Member g's labels, row by row: its L of each of s.rows (a level's one row is its leaves)."""
+    out = array(s.rows[0].typecode)
+    for row in s.rows:
+        out += row[g * s.L : (g + 1) * s.L]
+    return out
 
 
 def bridge_rows(cs, g: int = 0) -> list:
@@ -114,17 +119,13 @@ def bridge_rows(cs, g: int = 0) -> list:
 
 
 def members(group) -> int:
-    """The member count G of a cascade or level group: its labels over one member's share."""
-    if hasattr(group, "buf"):
-        return len(group.buf) // group.words
-    return len(group.ids) // group.L
+    """The member count G of a cascade or level group: its leaf row entries over L."""
+    return len(group.rows[0]) // group.L
 
 
 def leaf_row(s, g: int = 0):
-    """Member g's L leaf labels: row 0 of a cascade's words, or its chunk of a level's ids."""
-    if hasattr(s, "buf"):
-        return s.buf[g * s.words : g * s.words + s.L]
-    return s.ids[g * s.L : (g + 1) * s.L]
+    """Member g's L leaf labels, from g*L of a cascade's or a level's row 0."""
+    return s.rows[0][g * s.L : (g + 1) * s.L]
 
 
 def subtree(s, g: int, r: int, pos: int, n: int) -> list:
@@ -139,10 +140,10 @@ CascadeNode = namedtuple("CascadeNode", "ranks left_bridge right_bridge")
 def node(cs, row: int, pos: int, g: int = 0) -> CascadeNode:
     """Node (row, pos) of member g: the chunks at pos*2^row of its node row and lb row."""
     span = 1 << row
-    at = g * cs.words + row * cs.L + pos * span  # its labels in buf
-    lat = g * cs.L + pos * span  # its bridges in bridges[row]
-    lb = cs.bridges[row][lat : lat + span].tolist() if row else []
-    return CascadeNode(cs.buf[at : at + span].tolist(), lb, [t - l for t, l in enumerate(lb)])
+    at = g * cs.L + pos * span  # in rows[row] and in bridges[row]
+    lb = cs.bridges[row][at : at + span].tolist() if row else []
+    return CascadeNode(cs.rows[row][at : at + span].tolist(), lb,
+                       [t - l for t, l in enumerate(lb)])
 
 
 def collect(group, g: int, a, b, stats=None) -> list:
@@ -158,24 +159,23 @@ def collect(group, g: int, a, b, stats=None) -> list:
 
 
 def structure_row(s, g: int, ids) -> list:
-    """Member g's expanded cascade buffer, or the leaf row of a level or slab member.
+    """Member g's expanded cascade rows, or the leaf row of a level or slab member.
 
-    The expanded buffer is the node rows, the lb rows, then the right bridges
-    t - lb: entry i of lb row r sits at position t = i mod 2^r of its node's
-    array.  The node rows are member g's words, and lb row r its bridge
-    row r.  Node-row and leaf-row labels below n = len(ids) are written as
-    the ids the tree's id map gives them; the slab's leaf row is every label
-    in order.
+    The expansion is the node rows (member g's words), the lb rows (its
+    bridge rows), then the right bridges t - lb: entry i of lb row r sits
+    at position t = i mod 2^r of its node's array.  A level's words are its
+    leaf row.  Labels below n = len(ids) are written as the ids the tree's
+    id map gives them; the slab's leaf row is every label in order.
     """
+    if not hasattr(s, "L"):
+        return ids.tolist()
     n = len(ids)
-    to_id = lambda e: ids[e] if e < n else e
-    if hasattr(s, "buf"):
+    row = [ids[e] if e < n else e for e in words(s, g)]
+    if hasattr(s, "bridges"):
         lbs = bridge_rows(s, g)
-        return list(map(to_id, words(s, g))) + [e for lb in lbs for e in lb] + [
+        row += [e for lb in lbs for e in lb] + [
             (i & ((1 << r) - 1)) - lb[i] for r, lb in enumerate(lbs, 1) for i in range(s.L)]
-    if hasattr(s, "L"):
-        return list(map(to_id, leaf_row(s, g)))
-    return ids.tolist()
+    return row
 
 
 def widths(tree) -> dict:
@@ -190,12 +190,11 @@ def widths(tree) -> dict:
         if id(s) in seen or not hasattr(s, "L"):  # each group once; the slab holds no array
             continue
         seen.add(id(s))
-        if hasattr(s, "buf"):
-            ranks[tree.dims - 2] = s.rank_x.typecode
-            cascades.append([s.buf.typecode, "".join(lb.typecode for lb in s.bridges[1:])])
+        ranks[getattr(s, "dim", tree.dims - 2)] = s.rank.typecode  # a cascade's is d-2's
+        if hasattr(s, "bridges"):
+            cascades.append([s.rows[0].typecode, "".join(lb.typecode for lb in s.bridges[1:])])
         else:
-            ranks[s.dim] = s.rank.typecode
-            levels.append(s.ids.typecode)
+            levels.append(s.rows[0].typecode)
     return {"ids": tree.ids.typecode, "ranks": [ranks[j] for j in sorted(ranks)],
             "levels": levels, "cascades": cascades}
 

@@ -2,6 +2,7 @@ import ast
 import gc
 import math
 import random
+import weakref
 from array import array
 from bisect import bisect_left, bisect_right
 from types import SimpleNamespace
@@ -22,7 +23,7 @@ from layertree import (
     build,
     gen_points,
 )
-from layertree.cascade import CascadeStructure, merge_rows, pow2ceil
+from layertree.cascade import CascadeStructure, fill_buffers_batch_np, merge_rows, pow2ceil
 from layertree.core import QueryBox
 
 from structure_dump import (all_nodes, box_contains, bridge_rows, collect, composite_key, leaf_row,
@@ -64,7 +65,7 @@ def hits(cs, ps, ids, xlo, xhi, ylo, yhi, stats=None):
 class TestBuild:
     def test_single_point(self):
         cs, ps, ids = make_cascade([(2, 7)])
-        assert cs.buf[: cs.L].tolist() == [0] and cs.L == 1  # one real leaf
+        assert leaf_row(cs).tolist() == [0] and cs.L == 1  # one real leaf
         root = node(cs, 0, 0)
         assert ps.take([ids[e] for e in root.ranks]) == ps.points
         assert y_values(cs, ps, ids, root) == [7.0]
@@ -78,9 +79,9 @@ class TestBuild:
         ps = gen_points(GeneratorConfig(seed=12, n=45, dims=2, dist="grid", grid_side=4))
         built, counters = BuildCounters(), BuildCounters()
         root = build(ps, built).root
-        one = CascadeStructure.build_from_ids(root.buf[: len(ps)], root.rank_x, counters)
-        assert (one.L, one.H, one.words) == (root.L, root.H, root.words)
-        assert one.buf.tolist() == root.buf.tolist()
+        one = CascadeStructure.build_from_ids(leaf_row(root)[: len(ps)], root.rank, counters)
+        assert (one.L, one.H) == (root.L, root.H)
+        assert typed(one.rows) == typed(root.rows)
         assert typed(one.bridges) == typed(root.bridges)
         assert counters.merge_moves == built.merge_moves
 
@@ -188,9 +189,27 @@ def reference_merge(leaf, rank, H):
     return rows, lbs
 
 
-def typed(bridges):
-    """A group's bridge rows as (typecode, values) pairs."""
-    return [(lb.typecode, lb.tolist()) for lb in bridges]
+def typed(rows):
+    """A group's label or bridge rows as (typecode, values) pairs."""
+    return [(row.typecode, row.tolist()) for row in rows]
+
+
+def merge_all(leaves, L, rank=None):
+    """merge_rows run out over flat leaf rows: rows 0..H as a (G, H+1, L) int32 array, and bridges.
+
+    The bridges are an empty row 0, then each yielded bridge row; a level
+    (a rank table given) gets None for every row, and None back.
+    """
+    rows, lbs = [np.asarray(leaves, dtype=np.int32)], []
+    for row, lb in merge_rows(leaves, L, rank):
+        assert row.dtype == np.int32 and row.shape == rows[0].shape
+        rows.append(row)
+        lbs.append(lb)
+    merged = np.stack(rows).reshape(len(rows), -1, L).transpose(1, 0, 2)
+    if rank is not None:
+        assert lbs == [None] * (len(rows) - 1)
+        return merged, None
+    return merged, [array("B")] + lbs
 
 
 def build_style_rows(G, L, seed):
@@ -226,13 +245,11 @@ class TestMergeRows:
         rnd.shuffle(rank)
         rnd.shuffle(ids)
         leaves = np.array(ids, dtype=np.int32).reshape(G, L)
-        merged = np.zeros((G, H + 1, L), dtype=np.int32)
         if bridges:
-            merged[:, 0] = np.array(rank, dtype=np.int32)[leaves]
-            got = merge_rows(merged)
+            merged, got = merge_all(np.array(rank, dtype=np.int32)[leaves].reshape(-1), L)
         else:
-            merged[:, 0] = leaves
-            assert merge_rows(merged, array("i", rank)) is None
+            merged, got = merge_all(leaves.reshape(-1), L, array("i", rank))
+            assert got is None
         for g in range(G):
             rows, lbs = reference_merge(leaves[g].tolist(), rank, H)
             if bridges:
@@ -252,9 +269,8 @@ class TestMergeRows:
         labels = list(range(G * L))
         rnd.shuffle(labels)
         leaves = np.array(labels, dtype=np.int32).reshape(G, L)
-        merged = np.zeros((G, H + 1, L), dtype=np.int32)
-        merged[:, 0] = leaves
-        got = merge_rows(merged) if bridges else merge_rows(merged, array("i", range(G * L)))
+        rank = None if bridges else array("i", range(G * L))
+        merged, got = merge_all(leaves.reshape(-1), L, rank)
         assert (got is None) != bridges
         for g in range(G):
             rows, lbs = reference_merge(leaves[g].tolist(), range(G * L), H)
@@ -271,13 +287,9 @@ class TestMergeRows:
         rows, rank = build_style_rows(G, L, seed=G * 10007 + L)
         leaf = np.array(rows, dtype=np.int32)
         labels = np.array([[rank[e] for e in row] for row in rows], dtype=np.int32)
-        plain = np.zeros((G, H + 1, L), dtype=np.int32)
-        plain[:, 0] = leaf
-        assert merge_rows(plain, array("i", rank)) is None
-        bridged = np.zeros((G, H + 1, L), dtype=np.int32)
-        bridged[:, 0] = labels
-        bridges = merge_rows(bridged)
-        assert bridged.dtype == plain.dtype == np.int32
+        plain, none = merge_all(leaf.reshape(-1), L, array("i", rank))
+        bridged, bridges = merge_all(labels.reshape(-1), L)
+        assert none is None and bridged.dtype == plain.dtype == np.int32
         assert (bridged[:, 0] == labels).all() and (plain[:, 0] == leaf).all()
         assert len(bridges) == H + 1 and not bridges[0]
         for g in range(G):
@@ -289,23 +301,49 @@ class TestMergeRows:
     @pytest.mark.parametrize("G,L", [(1, 1), (3, 2), (3, 64), (2, 4096), (1, 65536)])
     @pytest.mark.parametrize("ranked", [True, False])
     def test_narrow_buffer(self, G, L, ranked):
-        # a tree with pow2ceil(n) <= 2^16 merges into a uint16 ("H") view:
-        # only the writes narrow, so its rows and bridges are the int32
-        # merge's, with a rank table (a level) and without (a cascade, whose
-        # labels are each entry's rank)
-        H = L.bit_length() - 1
+        # a tree with pow2ceil(n) <= 2^16 keeps uint16 ("H") leaf rows: the
+        # merge reads them as int32, and only the packing of each row
+        # narrows, so its rows and bridges are the int32 merge's, with a
+        # rank table (a level) and without (a cascade, whose labels are each
+        # entry's rank, packed by its fill at the leaves' typecode)
         rows, rank = build_style_rows(G, L, seed=G * 31 + L)
         if not ranked:
             rows = [[rank[e] for e in row] for row in rows]
         got = {}
         for code in ("i", "H"):
-            buf = array(code, [0]) * (G * (H + 1) * L)
-            merged = np.frombuffer(buf, dtype=code).reshape(G, H + 1, L)
-            merged[:, 0] = rows
-            bridges = merge_rows(merged, array(code, rank) if ranked else None)
-            got[code] = buf.tolist(), None if bridges is None else typed(bridges)
+            leaves = array(code, [e for row in rows for e in row])
+            if ranked:
+                merged, none = merge_all(leaves, L, array(code, rank))
+                got[code] = merged.tolist(), none
+            else:
+                label_rows, bridges = fill_buffers_batch_np(leaves, L, None)
+                assert {row.typecode for row in label_rows} == {code}
+                assert [len(row) for row in label_rows] == [G * L] * L.bit_length()
+                got[code] = [row.tolist() for row in label_rows], typed(bridges)
         assert (got["H"][1] is None) == ranked
         assert got["H"] == got["i"]
+
+    @pytest.mark.parametrize("G,ranked", [(3, True), (1, False), (3, False)])
+    def test_streaming_keeps_no_old_row(self, G, ranked):
+        # merge_rows yields one row at a time and keeps no reference to it:
+        # once the consumer drops a row, the next step frees it, for a level
+        # (a rank table) and for a cascade alike.  A for loop's variable
+        # would hold the row through the step, so the rows are taken by next
+        L = 64
+        rows, rank = build_style_rows(G, L, seed=G * 7 + ranked)
+        if not ranked:
+            rows = [[rank[e] for e in row] for row in rows]
+        merge = merge_rows(array("i", [e for row in rows for e in row]), L,
+                           array("i", rank) if ranked else None)
+        dead = []
+        row, lb = next(merge)
+        while row is not None:
+            assert (lb is None) == ranked
+            held = weakref.ref(row)
+            del row, lb
+            row, lb = next(merge, (None, None))
+            dead.append(held() is None)
+        assert dead == [True] * (L.bit_length() - 1)
 
     @pytest.mark.parametrize("H", [9, 17])
     def test_bridge_typecode_boundaries(self, H):
@@ -314,10 +352,8 @@ class TestMergeRows:
         # of every row has its maximum in the right half, and that entry's
         # bridge is the bound itself
         L = 1 << H
-        merged = np.zeros((1, H + 1, L), dtype=np.int32)
-        merged[0, 0, :-1] = np.random.default_rng(H).permutation(L - 1)
-        merged[0, 0, -1] = L - 1
-        bridges = merge_rows(merged)
+        leaves = np.append(np.random.default_rng(H).permutation(L - 1), L - 1)
+        merged, bridges = merge_all(leaves, L)
         assert len(bridges) == H + 1 and not bridges[0]
         for r in range(1, H + 1):
             span, half = 1 << r, 1 << (r - 1)
@@ -452,13 +488,13 @@ class TestQuery2D:
         assert cs.count(0, a, b, QueryStats()) == 2
 
     def test_tree_view(self):
-        # row 0 of the buffer is the x-tree's leaf row: increasing in x rank,
+        # label row 0 is the x-tree's leaf row: increasing in x rank,
         # nondecreasing in x, real labels first
         cs, ps, ids = make_cascade([(3, 0), (1, 0), (2, 0)])
         pts = ps.points
-        leaves = cs.buf[: cs.L].tolist()
+        leaves = leaf_row(cs).tolist()
         assert cs.L == 4 and sum(e < len(pts) for e in leaves) == 3
-        ranks = [cs.rank_x[e] for e in leaves]
+        ranks = [cs.rank[e] for e in leaves]
         assert ranks == sorted(ranks)
         xs = [pts[ids[e]].coords[0] for e in leaves[:3]]
         assert xs == [1.0, 2.0, 3.0]

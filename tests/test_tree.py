@@ -112,7 +112,7 @@ class TestLeafRow:
             if r > 0:
                 assert chunks[r, p] == chunks[r - 1, 2 * p] + chunks[r - 1, 2 * p + 1]
         for i in range(L):
-            assert chunks[0, i] == ([level.ids[i]] if i < n else [])
+            assert chunks[0, i] == ([level.rows[0][i]] if i < n else [])
         built = dict(level.slots(0))
         assert list(built) == [at for at in nodes if at in built]
         assert {(0, i) for i in range(n)} <= set(built)  # every real leaf
@@ -139,9 +139,10 @@ class TestLeafRow:
         member = tree.root, 0
         level, _ = member
         assert level.L == 4 and real_count(member, len(values)) == 3
-        assert [level.rank[e] for e in level.ids[:3]] == [0, 1, 2]
+        leaves = leaf_row(*member)
+        assert [level.rank[e] for e in leaves[:3]] == [0, 1, 2]
         assert [values[tree.ids[e]] for e in subtree(*member, 2, 0, len(values))] == [1, 3, 5]
-        assert level.rank[level.ids[3]] >= len(values)  # the phantom ranks after every point
+        assert level.rank[leaves[3]] >= len(values)  # the phantom ranks after every point
 
 
 class TestFindSplitNode:
@@ -408,8 +409,7 @@ class TestIndexWidth:
         assert max(tree.ids) == n - 1  # id 65535 is stored at n = 2^16
         if d > 1:
             groups = {id(s): s for _, (s, _) in tree.structures()}.values()
-            tables = {id(t): t for t in (s.rank if isinstance(s, _Level) else s.rank_x
-                                         for s in groups)}
+            tables = {id(s.rank): s.rank for s in groups}
             assert len(tables) == d - 1
             for table in tables.values():
                 assert table.typecode == code and sorted(table) == list(range(L))
@@ -418,12 +418,12 @@ class TestIndexWidth:
             assert leaves.typecode == code and sorted(leaves) == list(range(L))
             assert leaves[n:].tolist() == list(range(n, L))  # phantom t is leaf t
             for cs in (s for s in groups if isinstance(s, CascadeStructure)):
-                assert cs.buf.typecode == code
+                assert {row.typecode for row in cs.rows} == {code}
                 # a d=2 root's top row is every label in order; below a level
                 # a cascade holds real labels only
-                assert max(cs.buf) == (L - 1 if d == 2 else n - 1)
+                assert max(map(max, cs.rows)) == (L - 1 if d == 2 else n - 1)
                 if d == 2:
-                    assert cs.buf[cs.H * L :].tolist() == list(range(L))
+                    assert cs.rows[cs.H].tolist() == list(range(L))
         # the largest label's point is reported, mapped through ids; the
         # other boxes hold about 50 points each
         rng = SplitMix64(n * d)
@@ -451,10 +451,7 @@ class TestSpaceAccounting:
                 cs, g = s
                 # real (non-phantom, < n) labels in the node-array rows
                 assert sum(1 for e in words(*s) if e < n) == real_count(s, n) * (cs.H + 1)
-                # H+1 node-array rows of labels at [base, base + (H+1)L) of
-                # the group's label array; bridges have rows of their own
-                assert cs.words == (cs.H + 1) * cs.L
-                groups.setdefault(id(cs), (cs, []))[1].append((g * cs.words, cs.words))
+                groups.setdefault(id(cs), (cs, []))[1].append(g)
             elif isinstance(s[0], _Slab):
                 assert sorted(tree.ids) == list(range(n))  # each point once, no padding
             else:
@@ -464,26 +461,26 @@ class TestSpaceAccounting:
                 total = sum(real_count(sub, n) for _, sub in built)
                 assert total == sum(len(subtree(*s, r, p, n)) for (r, p), _ in built)
                 assert total <= real_count(s, n) * s[0].L.bit_length()
-        # the G members of one group tile its label array of G*(H+1)*L
-        # entries, typed by the tree's one index width, with no slack, and
-        # its H left-bridge rows (no right bridges) take exactly G*L*w(r)
-        # bytes each: w = 1, 2, 4 for r <= 8, <= 16, above
+        # the G members of one group tile each of its rows, member g's L
+        # entries from g*L: each of its H+1 label rows holds G*L entries at
+        # the tree's one index width and each of its H left-bridge rows (no
+        # right bridges) G*L at w(r) bytes, w = 1, 2, 4 for r <= 8, <= 16,
+        # above, with no slack in any row
         width = lambda r: 1 if r <= 8 else 2 if r <= 16 else 4
         assert tree.code == ("H" if pow2ceil(n) <= 2**16 else "i")
-        for cs, runs in groups.values():
-            G = len(runs)  # every member is reached
-            assert isinstance(cs.buf, array) and cs.buf.typecode == tree.code
-            assert len(cs.buf) == G * (cs.H + 1) * cs.L
-            assert cs.buf.itemsize == {"H": 2, "i": 4}[tree.code]
-            assert sys.getsizeof(cs.buf) == (sys.getsizeof(array(tree.code))
-                                             + len(cs.buf) * cs.buf.itemsize)
-            runs.sort()
-            assert [b for b, _ in runs] == [0] + [b + w for b, w in runs[:-1]]
-            assert sum(w for _, w in runs) == len(cs.buf)
+        no_slack = lambda a: sys.getsizeof(a) == (sys.getsizeof(array(a.typecode))
+                                                  + len(a) * a.itemsize)
+        for cs, held in groups.values():
+            G = len(held)
+            assert sorted(held) == list(range(G))  # every member is reached
+            assert len(cs.rows) == cs.H + 1
+            for row in cs.rows:
+                assert isinstance(row, array) and row.typecode == tree.code
+                assert len(row) == G * cs.L and no_slack(row)
+                assert row.itemsize == {"H": 2, "i": 4}[tree.code]
             assert len(cs.bridges) == cs.H + 1 and not cs.bridges[0]
-            assert [len(lb) for lb in cs.bridges[1:]] == [G * cs.L] * cs.H
-            assert (sum(len(lb) * lb.itemsize for lb in cs.bridges)
-                    == G * cs.L * sum(map(width, range(1, cs.H + 1))))
+            for r, lb in enumerate(cs.bridges[1:], 1):
+                assert len(lb) == G * cs.L and lb.itemsize == width(r) and no_slack(lb)
 
     @pytest.mark.parametrize("d,n", [(2, 1), (2, 100), (3, 64), (3, 65), (4, 33)])
     def test_one_index_space(self, d, n):
@@ -494,14 +491,13 @@ class TestSpaceAccounting:
         tree, L = build(ps), pow2ceil(n)
         tables = {}
         for _, (s, _) in tree.structures():
-            table = s.rank if isinstance(s, _Level) else s.rank_x
-            tables[id(table)] = table
+            tables[id(s.rank)] = s.rank
         assert len(tables) == d - 1
         for table in tables.values():
             assert len(table) == L and sorted(table) == list(range(L))
             assert list(table[n:]) == list(range(n, L))
         root = tree.root
-        leaves = (root.ids if isinstance(root, _Level) else root.buf)[:L].tolist()
+        leaves = leaf_row(root).tolist()
         assert sorted(leaves) == list(range(L)) and leaves[n:] == list(range(n, L))
 
 
@@ -537,16 +533,17 @@ class TestSpaceAccounting:
         assert len(levels) > n
 
     def test_level_rows_have_no_slack(self):
-        # each level group's leaf rows are sized exactly, at the tree's
-        # width: no array growth slack
+        # each level group keeps one row, its leaf rows, sized exactly at
+        # the tree's width: no array growth slack
         ps = gen_points(GeneratorConfig(seed=6, n=2000, dims=4))
         tree = build(ps)
         groups = {id(s): s for _, (s, _) in tree.structures() if isinstance(s, _Level)}
         assert len(groups) > 1
         empty = sys.getsizeof(array(tree.code))
         for level in groups.values():
-            assert level.ids.typecode == tree.code
-            assert sys.getsizeof(level.ids) == empty + level.ids.itemsize * len(level.ids)
+            (leaves,) = level.rows
+            assert leaves.typecode == tree.code and len(leaves) % level.L == 0
+            assert sys.getsizeof(leaves) == empty + leaves.itemsize * len(leaves)
 
     def test_slab_ids_have_no_slack(self):
         # the id map, the last dimension's order (at d = 1 the rank order the
@@ -577,7 +574,7 @@ class TestSpaceAccounting:
                 held[id(s.rank)] = (s.dim, s.rank)
             else:
                 assert not any(hasattr(s, k) for k in ("rank_y", "xdim", "ydim"))
-                held[id(s.rank_x)] = (d - 2, s.rank_x)
+                held[id(s.rank)] = (d - 2, s.rank)
                 for r, p in all_nodes(s.L):
                     labels = node(s, r, p, g).ranks
                     assert all(u < v for u, v in zip(labels, labels[1:]))
