@@ -249,33 +249,31 @@ def _walk(group, g: int, a: int, b: int, ya, yb, stats):
             yield 0, p, c, e
 
 
-def merge_rows(leaves, L: int, rank=None) -> Iterator[tuple[np.ndarray, array | None]]:
+def merge_rows(leaves: array, L: int, rank=None) -> Iterator[tuple[array, array | None]]:
     """Yield rows 1..H of a bottom-up stable merge of G leaf rows of length L by `rank`.
 
-    `leaves` (an array or a numpy array, of any integer type) holds the G*L
-    leaf labels, member g's at g*L.  Each yield is (row, lb) for r = 1..H:
-    row is the merged row r as flat int32, whose member g's chunks of width
-    2^r are each sorted by rank.  `rank` is a rank_tables rank (of either
-    typecode), for the levels of the multi-level tree: lb is None.  Or it is
-    None, for a cascade: the labels are their own keys, and lb is the
-    bridge row r, packed narrow (see Widths above).  At g*L + t it holds the
-    left bridge of the row's entry there, the number of entries of the left
-    half of its chunk with a smaller label, at most 2^(r-1).
-
-    A consumer that drops each row before it asks for the next keeps one
-    live, so it counts rows by hand, not by enumerate or zip: CPython reuses
-    their result tuple, which holds the previous row through the next step.
+    `leaves` (an array at the tree's index width) holds the G*L leaf
+    labels, member g's at g*L.  Each yield is (row, lb) for r = 1..H: row
+    is the merged row r, packed at the leaves' typecode, whose member g's
+    chunks of width 2^r are each sorted by rank.  Only packed rows leave
+    the merge, and a consumer may stop early: the rows it did not ask for
+    are never merged.  `rank` is a rank_tables rank (of either typecode),
+    for the levels of the multi-level tree: lb is None.  Or it is None, for
+    a cascade: the labels are their own keys, and lb is the bridge row r,
+    packed narrow (see Widths above).  At g*L + t it holds the left bridge
+    of the row's entry there, the number of entries of the left half of
+    its chunk with a smaller label, at most 2^(r-1).
 
     Each chunk of row r-1 at width 2^r is two runs sorted by rank, so one
     stable argsort per row (timsort for int32: it finds the two runs and
     merges them in linear time) gives every chunk's merge permutation perm.
-    The row and its ranks (unless they are the row) are carried as flat
-    int32 arrays, whatever the leaves' width; the next row is one 1-D
-    gather at perm plus each chunk's start.  The keys stay int32 on
-    purpose: numpy's stable argsort of 16-bit integers is a radix sort,
-    which pays its passes for every chunk and does not use the two runs; at
-    spans 2 to 16 over rows of L = 2^15 it ran 5 to 9 times slower than
-    int32 timsort.
+    The row and its ranks (unless they are the row) are carried inside as
+    flat int32 arrays, whatever the leaves' width; the next row is one 1-D
+    gather at perm plus each chunk's start, and it is packed as it leaves.
+    The keys stay int32 on purpose: numpy's stable argsort of 16-bit
+    integers is a radix sort, which pays its passes for every chunk and
+    does not use the two runs; at spans 2 to 16 over rows of L = 2^15 it
+    ran 5 to 9 times slower than int32 timsort.
 
     Ranks are distinct, so the entries before merged position t are exactly
     the smaller ones, and the left bridge has a closed form.  An entry from
@@ -306,23 +304,20 @@ def merge_rows(leaves, L: int, rank=None) -> Iterator[tuple[np.ndarray, array | 
         cur = cur[perm]
         keys = cur if rank is None else keys[perm]
         del perm  # before the next argsort makes its own: 8 bytes an entry
-        yield cur, lb
+        yield packed(leaves.typecode, cur), lb
 
 
-def fill_buffers_batch_np(leaves: array, L: int, counters) -> tuple[list[array], list[array]]:
+def fill_buffers_batch_np(leaves: array, L: int) -> tuple[list[array], list[array]]:
     """(rows, bridges) of one cascade merge group: its G members, merged from their leaf rows.
 
     `leaves` holds the members' leaf rows (labels padded with phantoms),
-    member g's at g*L, at the tree's index width; it is kept as rows[0].
-    Each label row merge_rows yields is packed at that width as it comes.
+    member g's at g*L, at the tree's index width; it is kept as rows[0],
+    and every row merge_rows yields after it.
     """
     rows, bridges = [leaves], [array("B")]
     for row, lb in merge_rows(leaves, L):
-        rows.append(packed(leaves.typecode, row))
+        rows.append(row)
         bridges.append(lb)
-        del row  # so the next merge step frees it (see merge_rows)
-    if counters is not None:
-        counters.merge_moves += len(leaves) * (len(rows) - 1)
     return rows, bridges
 
 
@@ -337,11 +332,10 @@ class CascadeStructure:
     group of one, member 0.
     """
 
-    __slots__ = ("L", "H", "rows", "bridges", "rank")
+    __slots__ = ("L", "rows", "bridges", "rank")
 
     def __init__(self, L, rows, bridges, rank):
         self.L = L                      # padded leaf count (power of two)
-        self.H = L.bit_length() - 1     # log2(L)
         self.rows = rows                # label rows 0..H, from fill_buffers_batch_np
         self.bridges = bridges          # bridge rows, likewise
         self.rank = rank
@@ -349,7 +343,7 @@ class CascadeStructure:
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def build_from_ids(cls, ids, rank, counters=None):
+    def build_from_ids(cls, ids, rank):
         """A group of one over the labels ids, sorted by the x composite order.
 
         ids holds each label 0..m-1 once, and the leaf row pads it to
@@ -362,7 +356,7 @@ class CascadeStructure:
         """
         L = pow2ceil(len(ids))
         leaves = packed(index_code(L), np.asarray(ids), np.arange(len(ids), L))
-        return cls(L, *fill_buffers_batch_np(leaves, L, counters), rank)
+        return cls(L, *fill_buffers_batch_np(leaves, L), rank)
 
     # -- queries -------------------------------------------------------------
 

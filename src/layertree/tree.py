@@ -34,7 +34,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from typing import Iterator, Optional
 
 import numpy as np
@@ -71,9 +71,10 @@ class QueryStats:
 class BuildCounters:
     """Construction-cost accounting: elements appended by bottom-up merges.
 
-    merge_moves counts a cascade merge's padded entries too (G*L*H per group
-    of G, H = log2 L), but only a level merge's real ones (H*m per member:
-    m = n at the root, L below it, where no member holds a phantom).
+    merge_moves counts every entry a merge step writes, phantoms included:
+    len(leaves) per merged row, for the H rows of a cascade group and the
+    max(0, H-2) rows of a level group that _reachable cuts from (H = log2 L).
+    build counts it, once per group.
     """
 
     merge_moves: int = 0
@@ -255,12 +256,14 @@ def build(points: PointSet, counters: Optional[BuildCounters] = None) -> Layered
     leaf rows are concatenated into the one array that keeps them, at the
     tree's index width, and the group runs one batched merge (merge_rows)
     of them.  On a level (j < d-2) the group is a _Level and merges by the
-    ranks of dimension j+1, with no bridges.  Each merged row r, cut to the
-    chunks _reachable keeps, is as it stands the leaf rows of structures
-    with L = 2^r in tops[j+1]; they hold no phantom.  On the cascade
-    (j = d-2) the labels are the keys, and the group keeps every merged row
-    and its bridge row (see Storage in cascade).  Raises TooManyPoints,
-    before anything is allocated, unless n < 2^30.
+    ranks of dimension j+1, with no bridges, and stops after row
+    max(0, H-2), the last row _reachable cuts chunks from.  Each row r, cut
+    to those chunks, is as it stands the leaf rows of structures with
+    L = 2^r in tops[j+1]; they hold no phantom.  On the cascade (j = d-2)
+    the labels are the keys, and the group keeps every merged row and its
+    bridge row (see Storage in cascade).  counters, if given, gets each
+    group's merge work (see BuildCounters).  Raises TooManyPoints, before
+    anything is allocated, unless n < 2^30.
     """
     n = len(points)
     if n == 0:
@@ -285,25 +288,23 @@ def build(points: PointSet, counters: Optional[BuildCounters] = None) -> Layered
             leaves = packed(code, *pieces)
             del pieces
             H = L.bit_length() - 1
+            merged = H if j == d - 2 else max(0, H - 2)  # rows past H-2 hold no reachable chunk
+            if counters is not None:
+                counters.merge_moves += merged * len(leaves)
             if j == d - 2:
-                tops[j][H] = CascadeStructure(L, *fill_buffers_batch_np(leaves, L, counters),
-                                              ranks[j])
+                tops[j][H] = CascadeStructure(L, *fill_buffers_batch_np(leaves, L), ranks[j])
                 continue
             G, m = len(leaves) // L, (n if j == 0 else L)  # only the root member holds phantoms
-            if counters is not None:
-                counters.merge_moves += H * G * m
             level = tops[j][H] = _Level(j, [leaves], L, m, ranks[j], tops[j + 1])
-            r = 0  # kept by hand, so no iterator's tuple holds the previous row (see merge_rows)
-            for row, _ in chain([(np.frombuffer(leaves, dtype=code), None)],
-                                merge_rows(leaves, L, ranks[j + 1])):
+            for r, (row, _) in enumerate(islice(chain([(leaves, None)],
+                                                      merge_rows(leaves, L, ranks[j + 1])),
+                                                merged + 1)):
                 chunks = _reachable(L, m, r)
-                if chunks:
-                    pieces = nxt.setdefault(1 << r, [])
-                    level.first[r] = (sum(map(len, pieces)) >> r) - chunks.start
-                    level.per[r] = len(chunks)
-                    pieces.append(row.reshape(G, L)[:, chunks.start << r : chunks.stop << r]
-                                  .astype(code).reshape(-1))
-                del row  # before the next merge step
-                r += 1
+                pieces = nxt.setdefault(1 << r, [])
+                level.first[r] = (sum(map(len, pieces)) >> r) - chunks.start
+                level.per[r] = len(chunks)
+                pieces.append(np.frombuffer(row, dtype=code).reshape(G, L)
+                              [:, chunks.start << r : chunks.stop << r].copy().reshape(-1))
+                del row  # so no row stays bound after the loop
         groups = nxt
     return LayeredRangeTree(points, tops[0][maxL.bit_length() - 1], ids, axes)

@@ -12,7 +12,6 @@ import pytest
 
 import layertree.cascade
 from layertree import (
-    BuildCounters,
     EmptyInput,
     GeneratorConfig,
     Point,
@@ -77,13 +76,11 @@ class TestBuild:
 
     def test_build_from_ids_equals_build(self):
         ps = gen_points(GeneratorConfig(seed=12, n=45, dims=2, dist="grid", grid_side=4))
-        built, counters = BuildCounters(), BuildCounters()
-        root = build(ps, built).root
-        one = CascadeStructure.build_from_ids(leaf_row(root)[: len(ps)], root.rank, counters)
-        assert (one.L, one.H) == (root.L, root.H)
+        root = build(ps).root
+        one = CascadeStructure.build_from_ids(leaf_row(root)[: len(ps)], root.rank)
+        assert (one.L, one.L.bit_length() - 1) == (root.L, root.L.bit_length() - 1)
         assert typed(one.rows) == typed(root.rows)
         assert typed(one.bridges) == typed(root.bridges)
-        assert counters.merge_moves == built.merge_moves
 
     def test_hand_derived_parent_bridges(self):
         # children (1, 0) and (1, 1) carry y-keys [1,5] and [3,7]; the parent,
@@ -195,15 +192,19 @@ def typed(rows):
 
 
 def merge_all(leaves, L, rank=None):
-    """merge_rows run out over flat leaf rows: rows 0..H as a (G, H+1, L) int32 array, and bridges.
+    """merge_rows run out over flat leaf rows: rows 0..H as a (G, H+1, L) array, and bridges.
 
-    The bridges are an empty row 0, then each yielded bridge row; a level
-    (a rank table given) gets None for every row, and None back.
+    The leaves are handed to merge_rows as an array, "i" unless they are
+    one already, and every row comes back packed at its typecode.  The
+    bridges are an empty row 0, then each yielded bridge row; a level (a
+    rank table given) gets None for every row, and None back.
     """
-    rows, lbs = [np.asarray(leaves, dtype=np.int32)], []
+    if not isinstance(leaves, array):
+        leaves = array("i", np.asarray(leaves, dtype=np.int32).tobytes())
+    rows, lbs = [np.asarray(leaves)], []
     for row, lb in merge_rows(leaves, L, rank):
-        assert row.dtype == np.int32 and row.shape == rows[0].shape
-        rows.append(row)
+        assert row.typecode == leaves.typecode and len(row) == len(leaves)
+        rows.append(np.asarray(row))
         lbs.append(lb)
     merged = np.stack(rows).reshape(len(rows), -1, L).transpose(1, 0, 2)
     if rank is not None:
@@ -316,7 +317,7 @@ class TestMergeRows:
                 merged, none = merge_all(leaves, L, array(code, rank))
                 got[code] = merged.tolist(), none
             else:
-                label_rows, bridges = fill_buffers_batch_np(leaves, L, None)
+                label_rows, bridges = fill_buffers_batch_np(leaves, L)
                 assert {row.typecode for row in label_rows} == {code}
                 assert [len(row) for row in label_rows] == [G * L] * L.bit_length()
                 got[code] = [row.tolist() for row in label_rows], typed(bridges)
@@ -385,7 +386,8 @@ class TestBridges:
             assert exhaustive_bridge_check(cs, g) == 0
             leaves = leaf_row(cs, g).tolist()
             real = [e for e in leaves if e < n]
-            stored = real_points(tree.pointset, tree.ids, node(cs, cs.H, 0, g).ranks)
+            top = node(cs, cs.L.bit_length() - 1, 0, g)
+            stored = real_points(tree.pointset, tree.ids, top.ranks)
             assert sorted(p.id for p in stored) == sorted(tree.ids[e] for e in real)
             assert leaves[: len(real)] == real  # real labels first, then phantoms
 

@@ -5,6 +5,8 @@ import json
 import random
 import subprocess
 import sys
+import types
+import weakref
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import astuple
@@ -30,8 +32,8 @@ from layertree import (
     canonical_subtrees,
     gen_points,
 )
-from layertree.cascade import CascadeStructure, _find_split, pow2ceil, rank_tables
-from layertree.tree import _Level, _Slab
+from layertree.cascade import CascadeStructure, _find_split, merge_rows, pow2ceil, rank_tables
+from layertree.tree import _Level, _reachable, _Slab
 
 import structure_dump
 from structure_dump import (all_nodes, bridge_rows, collect, composite_key, leaf_row, members,
@@ -423,7 +425,7 @@ class TestIndexWidth:
                 # a cascade holds real labels only
                 assert max(map(max, cs.rows)) == (L - 1 if d == 2 else n - 1)
                 if d == 2:
-                    assert cs.rows[cs.H].tolist() == list(range(L))
+                    assert cs.rows[cs.L.bit_length() - 1].tolist() == list(range(L))
         # the largest label's point is reported, mapped through ids; the
         # other boxes hold about 50 points each
         rng = SplitMix64(n * d)
@@ -450,7 +452,7 @@ class TestSpaceAccounting:
             if is_cascade(s):
                 cs, g = s
                 # real (non-phantom, < n) labels in the node-array rows
-                assert sum(1 for e in words(*s) if e < n) == real_count(s, n) * (cs.H + 1)
+                assert sum(1 for e in words(*s) if e < n) == real_count(s, n) * cs.L.bit_length()
                 groups.setdefault(id(cs), (cs, []))[1].append(g)
             elif isinstance(s[0], _Slab):
                 assert sorted(tree.ids) == list(range(n))  # each point once, no padding
@@ -473,12 +475,12 @@ class TestSpaceAccounting:
         for cs, held in groups.values():
             G = len(held)
             assert sorted(held) == list(range(G))  # every member is reached
-            assert len(cs.rows) == cs.H + 1
+            assert len(cs.rows) == cs.L.bit_length()
             for row in cs.rows:
                 assert isinstance(row, array) and row.typecode == tree.code
                 assert len(row) == G * cs.L and no_slack(row)
                 assert row.itemsize == {"H": 2, "i": 4}[tree.code]
-            assert len(cs.bridges) == cs.H + 1 and not cs.bridges[0]
+            assert len(cs.bridges) == cs.L.bit_length() and not cs.bridges[0]
             for r, lb in enumerate(cs.bridges[1:], 1):
                 assert len(lb) == G * cs.L and lb.itemsize == width(r) and no_slack(lb)
 
@@ -672,8 +674,8 @@ def buffer_digest(tree) -> str:
 # QueryStats are the cost model: a change to how the tree is built or walked
 # must leave them unchanged.  merge_moves and the digest pin the layout, so
 # they change only with it: at d >= 3 they follow which level nodes have a
-# structure, and merge_moves is H*m summed over the level members plus
-# G*L*H per cascade group.
+# structure, and merge_moves is max(0, H-2)*G*L per level group plus H*G*L
+# per cascade group (see BuildCounters).
 PINNED_COUNTERS = {
     (2, "uniform", 64): (384, (644, 40, 561, 273), (644, 80, 1122, 273),
         "b1992f4673764f981e59c4c8b459b1028066a622ce52b03c90e20bcfa3dd0579"),
@@ -691,37 +693,37 @@ PINNED_COUNTERS = {
         "47a9ab5d34ffc16ae5dd6eb304bb065bdde76488efde03becb8347c02ef11a80"),
     (2, "grid", 129): (2048, (774, 40, 650, 363), (774, 80, 1300, 363),
         "468a7cc82a2711374381a498cc7359de01c4b01a1457455d97ddf8324f47259a"),
-    (3, "uniform", 64): (828, (1254, 186, 347, 95), (1254, 372, 694, 95),
+    (3, "uniform", 64): (700, (1254, 186, 347, 95), (1254, 372, 694, 95),
         "1a8541ba43a44731760b6bd8843598986412eea5dec45ad08903efd446124d75"),
-    (3, "uniform", 65): (1157, (1358, 203, 379, 58), (1358, 406, 758, 58),
+    (3, "uniform", 65): (1342, (1358, 203, 379, 58), (1358, 406, 758, 58),
         "128dfcfecb48eb0da0b1f7ac1977bc1e2eb79d0c5d837f93700e34d555314191"),
-    (3, "uniform", 128): (2300, (1968, 254, 772, 213), (1968, 508, 1544, 213),
+    (3, "uniform", 128): (2044, (1968, 254, 772, 213), (1968, 508, 1544, 213),
         "f0fa2dd3d259c87153d0e05706ff139e859942fcdb3e895d8e2f66aff8bb52b3"),
-    (3, "uniform", 129): (3078, (1942, 231, 805, 260), (1942, 462, 1610, 260),
+    (3, "uniform", 129): (3582, (1942, 231, 805, 260), (1942, 462, 1610, 260),
         "5a79ca8a7074dcbe4eb713393ae7f824d829e441cdb7cbc8e25e63fa4472b047"),
-    (3, "grid", 64): (828, (1310, 224, 299, 86), (1310, 448, 598, 86),
+    (3, "grid", 64): (700, (1310, 224, 299, 86), (1310, 448, 598, 86),
         "9fdabb386cbf97b01538a91480a6697a0e85c1babffb77bed0e2a93b64bdbee1"),
-    (3, "grid", 65): (1157, (1018, 136, 188, 53), (1018, 272, 376, 53),
+    (3, "grid", 65): (1342, (1018, 136, 188, 53), (1018, 272, 376, 53),
         "963a7b54c203d196f112e4feac4042c90addf93ac5e36ff1ee9730e990a596a3"),
-    (3, "grid", 128): (2300, (1578, 223, 425, 136), (1578, 446, 850, 136),
+    (3, "grid", 128): (2044, (1578, 223, 425, 136), (1578, 446, 850, 136),
         "8a79d3bf1f3e842f8005f814709b6232332a0a8a51cc3fd14308e9af28f17430"),
-    (3, "grid", 129): (3078, (1493, 168, 484, 286), (1493, 336, 968, 286),
+    (3, "grid", 129): (3582, (1493, 168, 484, 286), (1493, 336, 968, 286),
         "2c7d2f8a8dca3329eb6c633820683ced0eb437a3e6aed470fccef0f6ad90c886"),
-    (4, "uniform", 64): (908, (1585, 198, 54, 46), (1585, 396, 108, 46),
+    (4, "uniform", 64): (448, (1585, 198, 54, 46), (1585, 396, 108, 46),
         "a6c57bd0955c203fbd3968089f80a4bb5c5857edf54cd6041442e097f2137ad9"),
-    (4, "uniform", 65): (1393, (1412, 168, 19, 29), (1412, 336, 38, 29),
+    (4, "uniform", 65): (1124, (1412, 168, 19, 29), (1412, 336, 38, 29),
         "f3e85b736e79a9e2e80987148bed8b77eb27efe2fd1d4a54c96c3616a741822e"),
-    (4, "uniform", 128): (2772, (2380, 327, 100, 44), (2380, 654, 200, 44),
+    (4, "uniform", 128): (1608, (2380, 327, 100, 44), (2380, 654, 200, 44),
         "999e7fd3ae2bbf78a2c26d4533e825a5ccaf835a4580e596b64cc20f2189bbfd"),
-    (4, "uniform", 129): (4150, (2623, 383, 161, 51), (2623, 766, 322, 51),
+    (4, "uniform", 129): (3496, (2623, 383, 161, 51), (2623, 766, 322, 51),
         "bbbc3f86a5a884738339c752521d7fd96b3a2513a0cc7bb12c74314ace578032"),
-    (4, "grid", 64): (908, (1369, 168, 24, 26), (1369, 336, 48, 26),
+    (4, "grid", 64): (448, (1369, 168, 24, 26), (1369, 336, 48, 26),
         "62d59e13e7fabc0b6fa77d8ffc1f8f0280ae1ac8f797c6f8ed31dcf50ffa80ca"),
-    (4, "grid", 65): (1393, (1004, 85, 29, 15), (1004, 170, 58, 15),
+    (4, "grid", 65): (1124, (1004, 85, 29, 15), (1004, 170, 58, 15),
         "335d4594ef242e0669923ec260278fefb87ba2bcbb21712226946cc2a8417bb8"),
-    (4, "grid", 128): (2772, (2078, 259, 63, 26), (2078, 518, 126, 26),
+    (4, "grid", 128): (1608, (2078, 259, 63, 26), (2078, 518, 126, 26),
         "d9884bead111c70e13652fe55648c3bc053f21e89e20d6f220958d7053d5c78f"),
-    (4, "grid", 129): (4150, (1973, 256, 80, 28), (1973, 512, 160, 28),
+    (4, "grid", 129): (3496, (1973, 256, 80, 28), (1973, 512, 160, 28),
         "eb9e68c44073a734b32a653c8139fe489edd0844c79a81fbcb366783f83eff55"),
 }
 
@@ -755,6 +757,71 @@ class TestBuildScratch:
             gc.enable()
         assert tree.n == 300
         assert garbage == 0
+
+
+MERGE_SIZES = [1, 2, 3, 5, 64, 65, 128, 129]
+
+
+def merged_rows(group) -> int:
+    """The rows a group's merge makes: H for a cascade, max(0, H-2) for a level."""
+    H = group.L.bit_length() - 1
+    return H if isinstance(group, CascadeStructure) else max(0, H - 2)
+
+
+def live_merges() -> list:
+    """The merge_rows generators still alive and not run out, found by the collector."""
+    return [o for o in gc.get_objects() if isinstance(o, types.GeneratorType)
+            and o.gi_code is merge_rows.__code__ and o.gi_frame is not None]
+
+
+class TestMergeWork:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("n", MERGE_SIZES)
+    def test_merge_work_law(self, d, n):
+        # merge_moves is every entry a merge step writes, phantoms included:
+        # each group's G*L entries once per merged row
+        counters = BuildCounters()
+        tree = build(gen_points(GeneratorConfig(seed=n + 10 * d, n=n, dims=d)), counters)
+        groups = {id(s): s for _, (s, _) in tree.structures()}.values()
+        assert counters.merge_moves == sum(merged_rows(s) * len(s.rows[0]) for s in groups)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("n", MERGE_SIZES)
+    def test_level_merges_stop_at_last_kept_row(self, monkeypatch, d, n):
+        # a level takes from merge_rows only the rows _reachable cuts chunks
+        # from, and drops its merge before any other merge starts, a level's
+        # or a cascade fill's: a stopped generator kept alive holds its int32
+        # rows through the next group
+        taken, started = {}, []
+
+        def tally(rows, key):
+            for item in rows:
+                taken[key] += 1
+                yield item
+
+        def checked(leaves, L, rank=None):
+            assert all(gen() is None or gen().gi_frame is None for gen in started)
+            return merge_rows(leaves, L, rank)
+
+        def counting(leaves, L, rank=None):
+            rows = checked(leaves, L, rank)
+            started.append(weakref.ref(rows))
+            taken[id(leaves)] = 0
+            return tally(rows, id(leaves))
+
+        monkeypatch.setattr(layertree.tree, "merge_rows", counting)
+        monkeypatch.setattr(layertree.cascade, "merge_rows", checked)
+        before = live_merges()  # held, so their ids stay theirs
+        tree = build(gen_points(GeneratorConfig(seed=n + 10 * d, n=n, dims=d)))
+        levels = {id(s.rows[0]): s for _, (s, _) in tree.structures() if isinstance(s, _Level)}
+        assert taken.keys() == levels.keys()  # each level's merge, keyed by its leaves
+        for key, level in levels.items():
+            assert taken[key] == merged_rows(level)
+            for r in range(taken[key] + 1):
+                assert _reachable(level.L, level.m, r)
+            assert not _reachable(level.L, level.m, taken[key] + 1)
+        assert all(gen() is None for gen in started)
+        assert {id(gen) for gen in live_merges()} <= {id(gen) for gen in before}
 
 
 @st.composite
