@@ -10,8 +10,9 @@ decomposition per extra level.  The points are sorted once by (coords, id);
 each dimension orders them by its coordinate, then that shared row rank.  A
 point's label is its rank in the last dimension, and a table per other
 dimension ranks each label; labels and ranks are the only keys the
-structures compare, and the tree maps labels to ids only for a query's hits
-(cascade.rank_tables).  All of them are stored at one index width
+structures compare, and the tree maps labels to ids (cascade.rank_tables)
+only for a query's hits, by one numpy gather and sort from tree.GATHER_MIN
+hits on.  Labels, ranks and ids are stored at one index width
 (LayeredRangeTree.code; see Widths in cascade).  A query box is mapped to
 rank intervals once, with two bisections per dimension.
 Every tree, a level's or a cascade's x-tree, is implicit in one padded leaf

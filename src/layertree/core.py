@@ -4,7 +4,8 @@ All coordinates are finite 64-bit floats.  A point set is one checked n-by-d
 float64 matrix, row i holding point i.  Below the two calls that return
 Points (LayeredRangeTree.query, brute_force_query) nothing knows a Point:
 the structures hold labels and ranks, build() reads only the matrix, and a
-Point is made only for a hit a caller asks for (PointSet.take).  Ties
+Point is made only for a hit a caller asks for (PointSet.take, which
+checks the caller's ids, or PointSet._points for the tree's own).  Ties
 between equal coordinates are broken by the full coordinate tuple and then
 by the point id, so any point set is strictly totally ordered in every
 dimension j: by coordinate j, then the coordinate tuple, then the id.  The
@@ -167,12 +168,22 @@ class PointSet:
     def take(self, ids: Sequence[int]) -> list:
         """The Points of a sequence of ids, in its order; each made on first request.
 
-        Raises IndexError for an id outside 0..n-1: indexing the list of
-        Points refuses one >= n, and one min() over the ids one below 0,
-        so a call whose Points are all made does no Python work per id.
+        The public entry, so it checks the caller's ids: it raises
+        IndexError for an id outside 0..n-1.  One min() over the ids refuses
+        one below 0, and _points' indexing of the list of Points one >= n.
         """
         if len(ids) and min(ids) < 0:  # an ndarray has no truth value; min's default= costs more
             raise IndexError(f"point id {min(ids)} outside 0..{len(self._by_id) - 1}")
+        return self._points(ids)
+
+    def _points(self, ids: Sequence[int]) -> list:
+        """take without its check: for ids a caller knows are in 0..n-1.
+
+        LayeredRangeTree.query reads its ids from its own id map, so it
+        skips take's scan.  A negative id would index from the end, so only
+        callers whose ids are valid by construction call this.  A call whose
+        Points are all made does no Python work per id.
+        """
         out = list(map(self._by_id.__getitem__, ids))
         if all(out):  # a Point is true, a slot not made yet is None
             return out

@@ -44,6 +44,12 @@ from .cascade import (CascadeStructure, _walk, fill_buffers_batch_np, merge_rows
 from .core import DimensionMismatch, EmptyInput, Point, PointSet, QueryBox, TooManyPoints
 
 INT32_MAX = 2**31 - 1
+# From this many hits on, query maps and sorts ids in numpy; below it, in
+# Python.  The numpy gather and sort cost about 2.0 us plus 0.013 us per hit,
+# the map and sort about 0.09-0.1 us per hit: 2.2 against 1.5 us at 16 hits and
+# 2.4 against 2.7 at 28, on "H" and "i" trees alike (n = 2^16 - 1 and 1e5,
+# random labels, best of 7; CPython 3.11, numpy 2.4, 2-vCPU x86-64 VM).
+GATHER_MIN = 26
 
 
 @dataclass
@@ -205,16 +211,26 @@ class LayeredRangeTree:
 
         The structures emit runs of labels, slices at the tree's typecode,
         into one array of that typecode; they are counted as reported,
-        mapped to ids, sorted as ints, and only then to points, which the
-        point set makes on a first hit.
+        mapped to ids and sorted, and only then to points, which the point
+        set makes on a first hit.  From GATHER_MIN hits on, one numpy gather
+        through the id map and one numpy sort do the mapping; below it,
+        where numpy's fixed cost per call dominates, a Python map and
+        sorted() do.  Either way the ids are Python ints.  The ids come from
+        the tree's own id map, so they go to the points unchecked
+        (PointSet._points).
         """
         a, b = self.rank_box(box)
         if stats is None:
             stats = QueryStats()
-        labels = array(self.code)
+        code = self.code
+        labels = array(code)
         self.root.query(0, a, b, stats, labels.extend)
         stats.reported += len(labels)
-        return self.pointset.take(sorted(map(self.ids.__getitem__, labels)))
+        if len(labels) >= GATHER_MIN:
+            ids = np.sort(np.frombuffer(self.ids, dtype=code)[np.frombuffer(labels, dtype=code)]).tolist()
+        else:
+            ids = sorted(map(self.ids.__getitem__, labels))
+        return self.pointset._points(ids)
 
     def count(self, box: QueryBox, stats: Optional[QueryStats] = None) -> int:
         """|query(box)| computed from bridge positions, without enumeration."""

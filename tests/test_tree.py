@@ -33,7 +33,7 @@ from layertree import (
     gen_points,
 )
 from layertree.cascade import CascadeStructure, _find_split, merge_rows, pow2ceil, rank_tables
-from layertree.tree import _Level, _reachable, _Slab
+from layertree.tree import GATHER_MIN, _Level, _reachable, _Slab
 
 import structure_dump
 from structure_dump import (all_nodes, bridge_rows, collect, composite_key, leaf_row, members,
@@ -394,6 +394,60 @@ class TestQuery:
         cstats = QueryStats()
         tree.count(box, cstats)
         assert cstats.reported == len(got)
+
+
+def first_dim_boxes(coords, ks):
+    """One box per k in ks holding exactly k points: a run of the sorted first coordinates.
+
+    The other dimensions span [-1, 2], beyond every coordinate of `coords`
+    (drawn from [0, 1)), and the first coordinates are distinct.
+    """
+    xs = np.sort(coords[:, 0])
+    d, boxes = coords.shape[1], []
+    for i, k in enumerate(ks):
+        s = (i + 1) * len(xs) // (len(ks) + 1)
+        boxes.append(QueryBox((float(xs[s]),) + (-1.0,) * (d - 1),
+                              (float(xs[s + k - 1]),) + (2.0,) * (d - 1)))
+    return boxes
+
+
+class TestIdPaths:
+    """query maps hits to ids in Python below GATHER_MIN and by one numpy gather from it on."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n,code", [(2**16 - 1, "H"), (2**16 + 1, "i")])
+    def test_both_paths_agree_at_the_crossover(self, d, n, code):
+        coords = np.random.default_rng(d).random((n, d))
+        ps = PointSet.from_coords(coords)  # fresh: query makes every Point it reports
+        tree = build(ps)
+        assert tree.code == code
+        ks = [GATHER_MIN - 1, GATHER_MIN, GATHER_MIN + 1]
+        for k, box in zip(ks, first_dim_boxes(coords, ks)):
+            got = tree.query(box)
+            assert len(got) == k and tree.count(box) == k
+            assert [type(p.id) for p in got] == [int] * k  # not numpy integers
+            assert got == brute_force_query(ps, box)
+            again = tree.query(box)
+            assert all(a is b for a, b in zip(got, again)) and len(again) == k
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_query_does_not_check_its_own_ids(self, monkeypatch, d):
+        # the ids come from the tree's id map, so query skips take's scan;
+        # take itself still refuses bad ids (tests/test_core.py)
+        coords = np.random.default_rng(10 + d).random((500, d))
+        ps = PointSet.from_coords(coords)
+        tree = build(ps)
+
+        def refuse(self, ids):
+            raise AssertionError("query called PointSet.take")
+
+        monkeypatch.setattr(PointSet, "take", refuse)
+        ks = [1, GATHER_MIN - 1, GATHER_MIN, 3 * GATHER_MIN]
+        boxes = first_dim_boxes(coords, ks)
+        got = [tree.query(box) for box in boxes]
+        monkeypatch.undo()
+        for k, box, hits in zip(ks, boxes, got):
+            assert len(hits) == k and hits == brute_force_query(ps, box)
 
 
 class TestIndexWidth:
