@@ -2,19 +2,19 @@
 
 Build once over a PointSet, then report or count the points inside closed
 axis-aligned boxes.  A PointSet is one checked n-by-d float64 coordinate
-matrix; build() reads only the matrix, the structures hold only labels and
-ranks, and a Point object is made only for a reported hit, once per id.  The
-last two dimensions use fractional cascading, so a 2D query performs exactly
-one binary search; higher dimensions pay one O(log n) canonical
-decomposition per extra level.  The points are sorted once by (coords, id);
-each dimension orders them by its coordinate, then that shared row rank.  A
-point's label is its rank in the last dimension, and a table per other
-dimension ranks each label; labels and ranks are the only keys the
-structures compare, and the tree maps labels to ids (cascade.rank_tables)
-only for a query's hits, by one numpy gather and sort from tree.GATHER_MIN
-hits on.  Labels, ranks and ids are stored at one index width
-(LayeredRangeTree.code; see Widths in cascade).  A query box is mapped to
-rank intervals once, with two bisections per dimension.
+matrix, made only by PointSet.from_coords; build() reads only the matrix,
+the structures hold only labels and ranks, and a Point is only a result,
+made for a reported hit, once per id.  The last two dimensions use
+fractional cascading, so a 2D query performs exactly one binary search;
+higher dimensions pay one O(log n) canonical decomposition per extra level.
+The points are sorted once by (coords, id); each dimension orders them by
+its coordinate, then that shared row rank.  A point's label is its rank in
+the last dimension, and a table per other dimension ranks each label; labels
+and ranks are the only keys the structures compare, and the tree maps labels
+to ids (cascade.rank_tables) only for a query's hits, by one numpy gather
+and sort from tree.GATHER_MIN hits on.  Labels, ranks and ids are stored at
+one index width (LayeredRangeTree.code; see Widths in cascade).  A query box
+is mapped to rank intervals once, with two bisections per dimension.
 Every tree, a level's or a cascade's x-tree, is implicit in one padded leaf
 row sorted by rank and searched by one walk (cascade._walk): a
 split descent, then the two boundary paths.  Only a cascade's walk takes y
@@ -30,11 +30,15 @@ node's (row, pos) name.  build() is the one way to make a structure.
 
 The package exports what the CLI, the benchmark and the cost laws use.
 Structure internals such as cascade.CascadeStructure are imported from their
-modules.  Dimension j orders points by coordinate j, then coordinates, then id.
+modules.  PointSet(points, dims) and Point's own checks are gone, and so are
+SplitMix64 and oracle.splitmix64_next: gen_points draws from the vectorized
+oracle._splitmix64_stream, and the scalar generator it is tested against is
+in tests/structure_dump.py.  Dimension j orders points by coordinate j, then
+coordinates, then id.
 """
 
 from .core import DimensionMismatch, EmptyInput, Point, PointSet, QueryBox, TooManyPoints
-from .oracle import GeneratorConfig, SplitMix64, brute_force_query, gen_points
+from .oracle import GeneratorConfig, brute_force_query, gen_points
 from .tree import BuildCounters, LayeredRangeTree, QueryStats, build, canonical_subtrees
 
 __all__ = [
@@ -47,7 +51,6 @@ __all__ = [
     "PointSet",
     "QueryBox",
     "QueryStats",
-    "SplitMix64",
     "TooManyPoints",
     "brute_force_query",
     "build",

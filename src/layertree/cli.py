@@ -15,7 +15,7 @@ from typing import Optional
 
 from .core import EmptyInput, PointSet, QueryBox
 from .io import ParseError, parse_points, parse_queries, write_points, write_report
-from .oracle import GeneratorConfig, SplitMix64, brute_force_query, gen_points
+from .oracle import GeneratorConfig, brute_force_query, gen_points
 from .tree import QueryStats, build
 
 BENCH_HEADER = "n,d,build_ms,queries,avg_query_us,avg_nodes_visited,avg_binary_searches,avg_bridge_follows,total_k"
@@ -151,17 +151,17 @@ def _cmd_bench(parser: _Parser, args) -> int:
     side = f ** (1.0 / d)
     print(BENCH_HEADER)
     for n in sizes:
-        rng = SplitMix64(args.seed)
-        points = PointSet.from_coords(rng.next_floats(n * d).reshape(n, d), d)
+        # one stream per size: its first n rows are the points, and the next
+        # rows, scaled by 1 - side, are the boxes' lo corners
+        m = gen_points(GeneratorConfig(args.seed, n + args.queries, d)).coord_matrix()
+        points = PointSet.from_coords(m[:n], d)
 
         t0 = time.perf_counter()
         tree = build(points)
         build_ms = (time.perf_counter() - t0) * 1e3
 
-        boxes = []
-        for _ in range(args.queries):
-            lo = tuple(rng.next_float() * (1.0 - side) for _ in range(d))
-            boxes.append(QueryBox(lo, tuple(v + side for v in lo)))
+        boxes = [QueryBox(lo, tuple(v + side for v in lo))
+                 for lo in map(tuple, (m[n:] * (1.0 - side)).tolist())]
 
         stats = QueryStats()
         t0 = time.perf_counter()

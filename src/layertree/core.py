@@ -1,11 +1,12 @@
 """Points, query boxes and the composite total order shared by every structure.
 
 All coordinates are finite 64-bit floats.  A point set is one checked n-by-d
-float64 matrix, row i holding point i.  Below the two calls that return
-Points (LayeredRangeTree.query, brute_force_query) nothing knows a Point:
-the structures hold labels and ranks, build() reads only the matrix, and a
-Point is made only for a hit a caller asks for (PointSet.take, which
-checks the caller's ids, or PointSet._points for the tree's own).  Ties
+float64 matrix, column-major, row i holding point i; PointSet.from_coords is
+the one way to make one.  A Point is a result, never an input: below the two
+calls that return Points (LayeredRangeTree.query, brute_force_query) nothing
+knows one, build() reads only the matrix, and a Point is made only for a hit
+a caller asks for (PointSet.take, which checks the caller's ids, or
+PointSet._points for the tree's own).  Ties
 between equal coordinates are broken by the full coordinate tuple and then
 by the point id, so any point set is strictly totally ordered in every
 dimension j: by coordinate j, then the coordinate tuple, then the id.  The
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import math
 import operator
-import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -41,31 +41,12 @@ class TooManyPoints(ValueError):
     """A point set too large for the int32 ids and ranks of a tree."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Point:
-    """A d-tuple of finite coordinates plus a stable id."""
+    """A result: one PointSet row's coordinates and id, made only by PointSet.point; no checks."""
 
     coords: tuple[float, ...]
     id: int
-
-    def __post_init__(self):
-        if len(self.coords) < 1:
-            raise ValueError("point needs at least one coordinate")
-        if self.id < 0:
-            raise ValueError("point id must be nonnegative")
-        try:
-            for c in self.coords:
-                if not math.isfinite(c):
-                    raise ValueError(f"non-finite coordinate {c!r} in point {self.id}")
-        except OverflowError:
-            raise ValueError(f"coordinate {c!r} in point {self.id} overflows a float") from None
-
-    @classmethod
-    def _unchecked(cls, coords: tuple[float, ...], id: int) -> "Point":
-        """A Point whose coordinates are already known to be finite floats: a checked matrix row."""
-        p = cls.__new__(cls)
-        p.__dict__.update(coords=coords, id=id)
-        return p
 
     @property
     def dims(self) -> int:
@@ -102,43 +83,15 @@ class QueryBox:
 class PointSet:
     """An immutable collection of points sharing one dimensionality.
 
-    Ids are exactly 0..n-1 (in any order: a shuffled permutation of a point
-    set is the same set).  The point set is its read-only n-by-d float64
-    coordinate matrix, row i for id i (coord_matrix); build() reads only
-    that.  Use from_coords() to make one from raw rows: the rows are copied
-    into the matrix and checked once, and a Point is made only when a caller
-    asks for its id (point, take), then kept, so repeat requests return the
-    same object.  PointSet(points, dims) checks ready-made Points and builds
-    the matrix from them; it keeps no reference to the caller's sequence, so
-    changing that afterwards changes nothing here.  `points` and iteration
-    give all n Points in id order, making those not made yet.
-    Parsers and generators renumber on ingestion.
+    The point set is its read-only n-by-d float64 coordinate matrix, row i
+    for id i (coord_matrix), kept column-major so that a filter over one
+    coordinate reads contiguous memory; build() reads only the matrix.
+    from_coords() is the one way to make one: the caller's rows are copied
+    into the matrix and checked once, and ids are row positions.  A Point
+    is made only when a caller asks for its id (point, take), then kept, so
+    repeat requests return the same object.  `points` and iteration give
+    all n Points in id order, making those not made yet.
     """
-
-    def __init__(self, points: Sequence[Point], dims: int):
-        n = len(points)
-        by_id: list = [None] * n
-        for p in points:
-            if p.dims != dims:
-                raise DimensionMismatch(f"point {p.id} has {p.dims} coordinates, expected {dims}")
-            if p.id >= n or by_id[p.id] is not None:
-                raise ValueError(f"point ids must form 0..{n - 1} without repeats")
-            by_id[p.id] = p
-        m = np.array([p.coords for p in by_id], dtype=np.float64).reshape(n, dims)
-        self._adopt(m, by_id)
-
-    @classmethod
-    def _of_matrix(cls, m: np.ndarray) -> "PointSet":
-        """A point set over a checked (n, d) float64 matrix of finite values, n, d >= 1."""
-        ps = cls.__new__(cls)
-        ps._adopt(m, [None] * len(m))
-        return ps
-
-    def _adopt(self, m: np.ndarray, by_id: list) -> None:
-        m.flags.writeable = False
-        self.dims = m.shape[1]
-        self._matrix = m
-        self._by_id = by_id  # the Points made so far, by id; None for one not made yet
 
     def __len__(self) -> int:
         return len(self._by_id)
@@ -162,7 +115,7 @@ class PointSet:
             raise IndexError(f"point id {i} outside 0..{len(self._by_id) - 1}")
         p = self._by_id[i]
         if p is None:  # two threads may both make one; they are equal, and either is kept
-            p = self._by_id[i] = Point._unchecked(tuple(self._matrix[i].tolist()), i)
+            p = self._by_id[i] = Point(tuple(self._matrix[i].tolist()), i)
         return p
 
     def take(self, ids: Sequence[int]) -> list:
@@ -195,31 +148,57 @@ class PointSet:
         """A point set whose point i has the coordinates of row i of `coords` (copied).
 
         The rows are converted into one float64 matrix and checked at once.
-        If that fails, they are made into Points one by one, which raises
+        If that fails, _checked_rows converts them row by row, which raises
         the error of the first bad row.
         """
-        # an ndarray of strings, objects or dates takes the per-point path,
+        # an ndarray of strings, objects or dates takes the row-by-row path,
         # whose float() defines their conversion
-        if getattr(coords, "dtype", np.dtype(np.float64)).kind in "biuf":
-            try:
-                m = np.array(coords, dtype=np.float64, order="C")
-            except (TypeError, ValueError, OverflowError):
-                pass
-            else:
-                if (m.ndim == 2 and m.size and dims in (None, m.shape[1])
-                        and np.isfinite(m).all()):
-                    return cls._of_matrix(m)
-        if dims is None:
-            if len(coords) == 0:  # an (n, d) ndarray has no truth value
-                raise EmptyInput("cannot infer dimensionality of an empty point set")
-            dims = len(coords[0])
         try:
-            pts = [Point(tuple(float(c) for c in row), i) for i, row in enumerate(coords)]
-        except OverflowError:
-            big = next(c for row in coords for c in row if abs(c) > sys.float_info.max)
-            raise ValueError(f"coordinate {big!r} overflows a float") from None
-        return cls(pts, dims)
+            m = (np.array(coords, dtype=np.float64, order="F")
+                 if getattr(coords, "dtype", np.dtype(np.float64)).kind in "biuf" else None)
+        except (TypeError, ValueError, OverflowError):
+            m = None
+        if m is None or not (m.ndim == 2 and m.size and dims in (None, m.shape[1])
+                             and np.isfinite(m).all()):
+            m = _checked_rows(coords, dims)
+        m.flags.writeable = False
+        ps = cls.__new__(cls)
+        ps.dims, ps._matrix = m.shape[1], m
+        ps._by_id = [None] * len(m)  # the Points made so far, by id; None for one not made yet
+        return ps
 
     def coord_matrix(self) -> np.ndarray:
         """The read-only n-by-d float64 matrix of coordinates in id order."""
         return self._matrix
+
+
+def _checked_rows(coords, dims: Optional[int]) -> np.ndarray:
+    """from_coords' row-by-row path: the column-major matrix, or the first bad row's error.
+
+    Each row in turn is converted by float(), then must be non-empty and
+    finite; only then are the rows' widths checked against dims (the
+    first row's width when dims is None).
+    """
+    if dims is None:
+        if len(coords) == 0:  # an (n, d) ndarray has no truth value
+            raise EmptyInput("cannot infer dimensionality of an empty point set")
+        dims = len(coords[0])
+    rows = []
+    for i, row in enumerate(coords):
+        out = []
+        for c in row:
+            try:
+                out.append(float(c))
+            except OverflowError:
+                raise ValueError(f"coordinate {c!r} overflows a float") from None
+        if not out:
+            raise ValueError("point needs at least one coordinate")
+        for c in out:
+            if not math.isfinite(c):
+                raise ValueError(f"non-finite coordinate {c!r} in point {i}")
+        rows.append(out)
+    for i, row in enumerate(rows):
+        if len(row) != dims:
+            raise DimensionMismatch(f"point {i} has {len(row)} coordinates, expected {dims}")
+    # reshape gives an empty set its (0, dims) shape
+    return np.array(rows, dtype=np.float64, order="F").reshape(len(rows), dims)

@@ -27,13 +27,16 @@ on every pull request against the base commit's dump.  It reads only the two
 files, so only the first form imports layertree.  tests/test_tree.py pins a
 digest of structure_row over fixed trees and runs the smallest cases.
 
-It is also the tests' one reader of structure layout: the reference order
-and box filter over Points (composite_key, box_contains), a cascade member's
-bridge_rows and node (r, pos), a cascade or level member's words, leaf_row
-and the real labels of its subtree (r, pos), a group's members, all_nodes of
-a tree, and a member's query output as a list (collect).  They read every
-row of either group kind by one rule: member g's entries start at g*L.  Its top level
-imports nothing from layertree.
+It is also the tests' reference module.  It holds the scalar splitmix64
+generator (splitmix64_next, SplitMix64), which the package's vectorized
+stream must match draw for draw, and it is the tests' one reader of
+structure layout: the reference order and box filter over Points
+(composite_key, box_contains), a cascade member's bridge_rows and node
+(r, pos), a cascade or level member's words, leaf_row and the real labels of
+its subtree (r, pos), a group's members, all_nodes of a tree, and a member's
+query output as a list (collect).  They read every row of either group kind
+by one rule: member g's entries start at g*L.  Its top level imports nothing
+from layertree.
 """
 
 import json
@@ -51,8 +54,39 @@ CASES = [(d, dist, n) for d in (1, 2, 3, 4) for dist in DISTS for n in SIZES
 BOXES = 30
 
 
+MASK64 = (1 << 64) - 1
+
+
+def splitmix64_next(state: int) -> tuple:
+    """Advance a splitmix64 state by one step; returns (new_state, output), mod 2^64."""
+    state = (state + 0x9E3779B97F4A7C15) & MASK64
+    z = state
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return state, z ^ (z >> 31)
+
+
+class SplitMix64:
+    """The scalar splitmix64 stream, one draw per call: gen_points' reference."""
+
+    def __init__(self, seed: int):
+        self.state = seed & MASK64
+
+    def next_u64(self) -> int:
+        self.state, out = splitmix64_next(self.state)
+        return out
+
+    def next_float(self) -> float:
+        """Uniform in [0, 1): output / 2^64."""
+        return self.next_u64() / float(2**64)
+
+    def next_below(self, bound: int) -> int:
+        """Output mod bound (bound >= 1); biased but fine for test workloads."""
+        return self.next_u64() % bound
+
+
 def case_points(d: int, dist: str, n: int):
-    from layertree import GeneratorConfig, PointSet, SplitMix64, gen_points
+    from layertree import GeneratorConfig, PointSet, gen_points
 
     seed = 1000 * d + n
     if dist == "edge":
@@ -65,7 +99,7 @@ def case_points(d: int, dist: str, n: int):
 
 def case_boxes(d: int, dist: str, n: int) -> list:
     """BOXES boxes; every third one has lo > hi (or lo = hi) in dimension i mod d."""
-    from layertree import QueryBox, SplitMix64
+    from layertree import QueryBox
 
     rng = SplitMix64(7 * n + d)
     if dist == "edge":

@@ -17,7 +17,6 @@ from layertree import (
     Point,
     PointSet,
     QueryStats,
-    SplitMix64,
     brute_force_query,
     build,
     gen_points,
@@ -25,8 +24,8 @@ from layertree import (
 from layertree.cascade import CascadeStructure, fill_buffers_batch_np, merge_rows, pow2ceil
 from layertree.core import QueryBox
 
-from structure_dump import (all_nodes, box_contains, bridge_rows, collect, composite_key, leaf_row,
-                            node, subtree)
+from structure_dump import (SplitMix64, all_nodes, box_contains, bridge_rows, collect,
+                            composite_key, leaf_row, node, subtree)
 
 
 def make_cascade(coord_pairs):
@@ -72,7 +71,7 @@ class TestBuild:
 
     def test_rejects_empty(self):
         with pytest.raises(EmptyInput):
-            build(PointSet([], 2))
+            build(PointSet.from_coords([], 2))
 
     def test_build_from_ids_equals_build(self):
         ps = gen_points(GeneratorConfig(seed=12, n=45, dims=2, dist="grid", grid_side=4))

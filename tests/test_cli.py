@@ -4,8 +4,9 @@ import sys
 
 import pytest
 
-from layertree import SplitMix64, cli
+from layertree import cli
 from layertree.cli import BENCH_HEADER, main
+from structure_dump import SplitMix64
 
 
 def run(capsys, argv):
@@ -33,7 +34,7 @@ class TestGen:
         assert all(l == "0.0,0.0,0.0" for l in data)
 
     def test_grid_side_beyond_uint64(self, capsys):
-        # a side of 2^64 leaves every draw as it is, as SplitMix64.next_below does
+        # a side of 2^64 leaves every draw as it is, as the scalar next_below does
         code, out, err = run(capsys, ["gen", "--n", "3", "--dims", "2", "--seed", "1",
                                       "--dist", "grid:18446744073709551616"])
         assert code == 0 and err == ""
@@ -217,9 +218,10 @@ class TestBench:
         assert stable(out1) == stable(out2)
 
     def test_non_timing_columns_pinned(self, capsys):
-        # the points are drawn in one vectorized call and the boxes continue
-        # the same splitmix64 stream; these rows were written by drawing
-        # every coordinate with next_float (seed 2**64 - 59 wraps the state)
+        # each size draws one gen_points matrix of n + queries rows: the
+        # points, then the boxes' lo corners; these rows were written by
+        # drawing every coordinate with the scalar next_float, points first
+        # and then each box's lo corner (seed 2**64 - 59 wraps the state)
         args = ["bench", "--dims", "3", "--sizes", "1,100,129", "--queries", "40",
                 "--seed", str(2**64 - 59), "--selectivity", "0.05"]
         _, out, _ = run(capsys, args)

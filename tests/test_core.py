@@ -77,8 +77,8 @@ class TestBoxContains:
 class TestValidation:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_point_rejects_nonfinite(self, bad):
-        with pytest.raises(ValueError):
-            Point((1.0, bad), 0)
+        with pytest.raises(ValueError, match="non-finite coordinate"):
+            PointSet.from_coords([(1.0, bad)])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_box_rejects_nonfinite(self, bad):
@@ -86,7 +86,7 @@ class TestValidation:
             QueryBox((0.0, bad), (1.0, 1.0))
 
     @pytest.mark.parametrize("make", [
-        lambda: Point((10**400,), 0),
+        lambda: PointSet.from_coords([(10**400,)]),
         lambda: QueryBox((10**400,), (1.0,)),
         lambda: PointSet.from_coords([(1.0,), (10**400,)]),
     ], ids=["point", "box", "from_coords"])
@@ -94,10 +94,6 @@ class TestValidation:
         # 10**400 overflows a float: a ValueError that names it, not an OverflowError
         with pytest.raises(ValueError, match="1" + "0" * 400):
             make()
-
-    def test_point_rejects_negative_id(self):
-        with pytest.raises(ValueError, match="point id must be nonnegative"):
-            Point((1.0,), -1)
 
     def test_box_needs_matching_arity(self):
         with pytest.raises(DimensionMismatch):
@@ -109,35 +105,27 @@ class TestValidation:
 
     def test_pointset_rejects_mixed_dims(self):
         with pytest.raises(DimensionMismatch):
-            PointSet([P(1, id=0), P(1, 2, id=1)], 1)
-
-    def test_pointset_rejects_bad_ids(self):
-        with pytest.raises(ValueError):
-            PointSet([P(1, id=0), P(2, id=0)], 1)
-        with pytest.raises(ValueError):
-            PointSet([P(1, id=0), P(2, id=5)], 1)
-
-    def test_pointset_accepts_any_id_order(self):
-        ps = PointSet([P(2, id=1), P(1, id=0)], 1)
-        assert [p.id for p in ps.points] == [0, 1]
+            PointSet.from_coords([(1,), (1, 2)], 1)
 
     def test_shuffled_pointset_iterates_in_id_order(self):
-        pts = [P(i % 7, i % 3, id=i) for i in range(40)]
-        shuffled = list(pts)
-        random.Random(5).shuffle(shuffled)
-        ps = PointSet(shuffled, 2)
-        assert list(ps) == ps.points == pts
-        assert ps.coord_matrix().tolist() == [list(p.coords) for p in pts]
+        # ids are row positions: rows given in a shuffled order are numbered
+        # in that order, and iteration follows the ids
+        rows = [(i % 7, i % 3) for i in range(40)]
+        order = list(range(40))
+        random.Random(5).shuffle(order)
+        ps = PointSet.from_coords([rows[i] for i in order])
+        assert list(ps) == ps.points == [Point(rows[i], id) for id, i in enumerate(order)]
+        assert ps.coord_matrix().tolist() == [list(rows[i]) for i in order]
 
     def test_pointset_owns_its_points(self):
-        # changing the caller's list afterwards changes nothing in the set
-        pts = [P(1, 2, id=0), P(3, 4, id=1)]
-        ps = PointSet(pts, 2)
-        want = list(pts)
-        pts.append(Point((9.0, 9.0), 7))
-        pts[0] = Point((5.0, 5.0), 0)
+        # changing the caller's rows afterwards changes nothing in the set
+        rows = [[1.0, 2.0], [3.0, 4.0]]
+        ps = PointSet.from_coords(rows)
+        want = list(ps)
+        rows.append([9.0, 9.0])
+        rows[0][0] = 5.0
         assert len(ps) == 2
-        assert ps.points == list(ps) == want
+        assert ps.points == list(ps) == want == [Point((1.0, 2.0), 0), Point((3.0, 4.0), 1)]
         assert ps.points[0] is want[0]
         assert ps.coord_matrix().tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
@@ -155,10 +143,9 @@ class TestValidation:
         assert len(ps) == 0 and ps.dims == 3
 
 
-def per_point(rows, dims=None) -> PointSet:
-    """The per-point reference: one checked Point per row, handed to PointSet()."""
-    pts = [Point(tuple(float(c) for c in row), i) for i, row in enumerate(rows)]
-    return PointSet(pts, len(pts[0].coords) if dims is None else dims)
+def per_point(rows) -> list:
+    """The per-point reference: each row's coordinates by float(), as float.hex strings."""
+    return [[float(c).hex() for c in row] for row in rows]
 
 
 def live_points() -> int:
@@ -169,20 +156,22 @@ HUGE = "1" + "0" * 400
 
 
 class TestMatrixPath:
-    # from_coords keeps one checked float64 matrix and makes no Point; its
-    # coordinates must be the per-point path's, bit for bit
+    # from_coords keeps one checked column-major float64 matrix and makes no
+    # Point; its coordinates must be float()'s of each coordinate, bit for bit
     @pytest.mark.parametrize("coords", [
         [(-0.0, 0.0), (5e-324, -5e-324), (1.7e308, -1.7e308)],
         [[2**53 + 1, 2**63 + 1], [-(2**63 + 1), 3]],
         ((0.5, -0.0), [1, 2]),
         np.array([[2**53 + 1, -(2**62) - 1], [2**63 - 1, 0]], dtype=np.int64),
         np.array([[0.1, -0.0], [3.4e38, 1e-45]], dtype=np.float32),
-    ], ids=["extremes", "big-ints", "tuple-and-list", "int64", "float32"])
+        np.array([["1.5", "2"], ["-0.0", "3e2"]]),  # converted row by row, by float()
+    ], ids=["extremes", "big-ints", "tuple-and-list", "int64", "float32", "strings"])
     def test_same_coordinates_as_per_point_path(self, coords):
         before = live_points()
         ps = PointSet.from_coords(coords)
         assert live_points() == before
-        want = [[c.hex() for c in p.coords] for p in per_point(coords).points]
+        assert ps.coord_matrix().flags.f_contiguous
+        want = per_point(coords)
         assert [[c.hex() for c in row] for row in ps.coord_matrix().tolist()] == want
         assert [[c.hex() for c in p.coords] for p in ps.points] == want
 
@@ -204,9 +193,17 @@ class TestMatrixPath:
         (np.zeros((0, 2)), None, EmptyInput, "cannot infer dimensionality of an empty point set"),
         (np.array([["2017-01-01"]], dtype="datetime64[D]"), None, TypeError,
          "float() argument must be a string or a real number, not 'datetime.date'"),
+        # each row is converted and checked before any row's width
+        ([(1.0,), (3.0, 4.0), (math.nan,)], None, ValueError,
+         "non-finite coordinate nan in point 2"),
+        ([(1.0, 2.0), (3.0,), (10**400, 1.0)], None, ValueError,
+         f"coordinate {HUGE} overflows a float"),
+        ([("a", 1.0)], None, ValueError, "could not convert string to float: 'a'"),
+        ([("1.0",), (10**400,)], None, ValueError, f"coordinate {HUGE} overflows a float"),
     ], ids=["nan", "inf", "-inf", "inf-float32", "huge", "-huge", "ragged-short",
             "ragged-long", "zero-width", "zero-width-ndarray", "dims", "dims-ndarray",
-            "empty", "empty-ndarray", "dates"])
+            "empty", "empty-ndarray", "dates", "nan-after-ragged", "huge-after-ragged",
+            "string", "huge-after-string"])
     def test_errors_are_the_per_point_paths(self, coords, dims, exc, msg):
         with pytest.raises(exc) as info:
             PointSet.from_coords(coords, dims)

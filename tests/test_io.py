@@ -101,15 +101,17 @@ class TestWriteReport:
 class TestRoundTrip:
     @given(st.lists(st.tuples(finite, finite, finite), min_size=1, max_size=30))
     def test_write_then_parse_is_bit_exact(self, rows):
-        ps = PointSet([Point(tuple(r), i) for i, r in enumerate(rows)], 3)
+        ps = PointSet.from_coords(rows, 3)
         back = parse_points(write_points(ps), 3)
         assert [p.coords for p in back] == [p.coords for p in ps]
         assert [p.id for p in back] == [p.id for p in ps]
 
     def test_ids_round_trip_from_any_order(self):
-        # lines are written in id order, whatever order the Points were given in
+        # lines are written in id order, which is the order the rows were
+        # given in, and each id's coordinates come back bit for bit
         rows = [(0.5, -0.0), (1.7e308, 5e-324), (-1.0, 2.0)]
-        ps = PointSet([Point(rows[i], i) for i in (2, 0, 1)], 2)
-        back = parse_points(write_points(ps), 2)
-        assert [[c.hex() for c in p.coords] for p in back.points] == [
-            [c.hex() for c in r] for r in rows]
+        for order in ((0, 1, 2), (2, 0, 1)):
+            ps = PointSet.from_coords([rows[i] for i in order])
+            back = parse_points(write_points(ps), 2)
+            assert [[c.hex() for c in p.coords] for p in back.points] == [
+                [c.hex() for c in rows[i]] for i in order]

@@ -8,63 +8,54 @@ from hypothesis import strategies as st
 from layertree import (
     DimensionMismatch,
     GeneratorConfig,
-    Point,
     PointSet,
     QueryBox,
-    SplitMix64,
     brute_force_query,
     gen_points,
 )
-from layertree.oracle import splitmix64_next
-from structure_dump import box_contains
+from layertree.oracle import _splitmix64_stream
+from structure_dump import MASK64 as MASK
+from structure_dump import SplitMix64, box_contains, splitmix64_next
 
-MASK = (1 << 64) - 1
 
-
-def reference_splitmix64(state):
-    # independent transcription of the splitmix64 recurrence
-    state = (state + 0x9E3779B97F4A7C15) & MASK
-    z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK
-    return state, z ^ (z >> 31)
+def stream(seed, count) -> list:
+    """The package's vectorized splitmix64 outputs, as Python ints."""
+    return _splitmix64_stream(seed, count).tolist()
 
 
 class TestSplitMix64:
+    # the package's one splitmix64 is the vectorized stream; the scalar
+    # recurrence in structure_dump is the reference it must equal
     def test_first_output_from_zero_state(self):
-        _, out = splitmix64_next(0)
-        assert out == 0xE220A8397B1DCDAF
-        assert out == reference_splitmix64(0)[1]
+        assert stream(0, 1) == [0xE220A8397B1DCDAF] == [splitmix64_next(0)[1]]
 
     @given(st.integers(min_value=0, max_value=MASK))
     def test_matches_reference_recurrence(self, state):
-        assert splitmix64_next(state) == reference_splitmix64(state)
+        rng = SplitMix64(state)
+        assert stream(state, 3) == [rng.next_u64() for _ in range(3)]
 
     def test_same_seed_identical_streams(self):
-        a, b = SplitMix64(123), SplitMix64(123)
-        assert [a.next_u64() for _ in range(64)] == [b.next_u64() for _ in range(64)]
+        assert stream(123, 64) == stream(123, 64)
+        assert stream(123, 64) != stream(124, 64)
 
     def test_wraps_at_maximum_state(self):
+        # step k's state is seed + k*gamma mod 2^64: the first step from the
+        # largest state wraps
         state, out = splitmix64_next(MASK)
-        assert 0 <= state <= MASK
-        assert 0 <= out <= MASK
-        assert (state, out) == reference_splitmix64(MASK)
+        assert state < MASK and stream(MASK, 2) == [out, splitmix64_next(state)[1]]
 
     @pytest.mark.parametrize("seed", [0, 9, 2**64 - 5])
     @pytest.mark.parametrize("count", [0, 1, 7, 300])
     def test_next_floats_is_next_float_repeated(self, seed, count):
-        a, b = SplitMix64(seed), SplitMix64(seed)
-        got = a.next_floats(count)
+        # gen_points' uniform draw, output / 2^64, is next_float bit for bit
+        got = _splitmix64_stream(seed, count).astype(np.float64) / float(2**64)
         assert got.dtype == np.float64 and got.shape == (count,)
-        assert [x.hex() for x in got.tolist()] == [b.next_float().hex() for _ in range(count)]
-        assert a.state == b.state
-        assert a.next_u64() == b.next_u64()
+        rng = SplitMix64(seed)
+        assert [x.hex() for x in got.tolist()] == [rng.next_float().hex() for _ in range(count)]
 
     def test_float_in_unit_interval(self):
-        rng = SplitMix64(9)
-        for _ in range(1000):
-            f = rng.next_float()
-            assert 0.0 <= f < 1.0
+        ps = gen_points(GeneratorConfig(seed=9, n=1000, dims=1))
+        assert all(0.0 <= c < 1.0 for c in ps.coord_matrix()[:, 0].tolist())
 
 
 class TestGenPoints:
@@ -79,8 +70,7 @@ class TestGenPoints:
 
     def test_first_coordinate_is_first_stream_output(self):
         ps = gen_points(GeneratorConfig(seed=42, n=100, dims=3))
-        _, first = splitmix64_next(42)
-        assert ps.points[0].coords[0] == first / 2**64
+        assert ps.points[0].coords[0] == stream(42, 1)[0] / 2**64
 
     def test_ids_are_generation_order(self):
         ps = gen_points(GeneratorConfig(seed=3, n=10, dims=1))
@@ -91,7 +81,7 @@ class TestGenPoints:
                                             ("grid", 2**64 + 5)],
                              ids=["uniform", "grid", "grid-side-2**64", "grid-side-2**64+5"])
     def test_is_the_scalar_stream_bit_for_bit(self, seed, dist, side):
-        # the vectorized generator draws what SplitMix64 draws, coordinate by
+        # the vectorized generator draws what the scalar SplitMix64 draws, coordinate by
         # coordinate, for grid sides below and beyond the uint64 range
         rng = SplitMix64(seed)
         draw = rng.next_float if dist == "uniform" else lambda: float(rng.next_below(side))
@@ -133,7 +123,7 @@ class TestBruteForce:
         assert brute_force_query(ps, QueryBox((0.0, 0.0), (1.0, 1.0))) == ps.points
 
     def test_single_point(self):
-        ps = PointSet([Point((0.5, 0.5), 0)], 2)
+        ps = PointSet.from_coords([(0.5, 0.5)])
         assert brute_force_query(ps, QueryBox((0.0, 0.0), (1.0, 1.0))) == ps.points
 
     def test_dimension_mismatch(self):

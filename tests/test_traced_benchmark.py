@@ -29,9 +29,11 @@ import pytest
 
 import layertree.cli
 import layertree.tree
-from layertree import (GeneratorConfig, LayeredRangeTree, QueryBox, QueryStats, SplitMix64,
-                       brute_force_query, build, gen_points)
+from layertree import (GeneratorConfig, LayeredRangeTree, QueryBox, QueryStats, brute_force_query,
+                       build, gen_points)
 from layertree.cascade import CascadeStructure
+
+from structure_dump import SplitMix64
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 

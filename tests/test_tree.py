@@ -25,7 +25,6 @@ from layertree import (
     PointSet,
     QueryBox,
     QueryStats,
-    SplitMix64,
     TooManyPoints,
     brute_force_query,
     build,
@@ -36,8 +35,8 @@ from layertree.cascade import CascadeStructure, _find_split, merge_rows, pow2cei
 from layertree.tree import GATHER_MIN, _Level, _reachable, _Slab
 
 import structure_dump
-from structure_dump import (all_nodes, bridge_rows, collect, composite_key, leaf_row, members,
-                            node, subtree, words)
+from structure_dump import (SplitMix64, all_nodes, bridge_rows, collect, composite_key, leaf_row,
+                            members, node, subtree, words)
 
 
 def level_tree(values):
@@ -77,17 +76,25 @@ class TestPublicNames:
     def test_all_is_exactly_the_public_api(self):
         assert sorted(layertree.__all__) == [
             "BuildCounters", "DimensionMismatch", "EmptyInput", "GeneratorConfig",
-            "LayeredRangeTree", "Point", "PointSet", "QueryBox", "QueryStats", "SplitMix64",
+            "LayeredRangeTree", "Point", "PointSet", "QueryBox", "QueryStats",
             "TooManyPoints", "brute_force_query", "build", "canonical_subtrees", "gen_points"]
         assert all(callable(getattr(layertree, name)) for name in layertree.__all__)
 
-    @pytest.mark.parametrize("module,name", [("cascade", "CascadeStructure"),
-                                             ("oracle", "splitmix64_next")])
+    def test_from_coords_is_the_one_way_in(self):
+        # a PointSet takes no Points: it is made from coordinates only, and a
+        # Point is a plain result record with no per-instance dict
+        with pytest.raises(TypeError):
+            PointSet([], 2)
+        p = PointSet.from_coords([(1.0, 2.0)]).point(0)
+        assert type(p).__slots__ == ("coords", "id") and not hasattr(p, "__dict__")
+
+    @pytest.mark.parametrize("module,name", [("cascade", "CascadeStructure")])
     def test_dropped_names_import_from_their_modules(self, module, name):
         assert callable(getattr(importlib.import_module(f"layertree.{module}"), name))
         assert not hasattr(layertree, name)
 
-    @pytest.mark.parametrize("name", ["CascadeNode", "composite_key", "box_contains", "node"])
+    @pytest.mark.parametrize("name", ["CascadeNode", "composite_key", "box_contains", "node",
+                                      "SplitMix64", "splitmix64_next"])
     def test_test_only_names_left_the_package(self, name):
         # only tests read them (tests/structure_dump.py): no package module or class has them
         modules = [layertree] + [importlib.import_module(f"layertree.{m}") for m in
@@ -271,7 +278,7 @@ def random_boxes(rng, d, span, count):
 class TestBuild:
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
-            build(PointSet([], 2))
+            build(PointSet.from_coords([], 2))
 
     @pytest.mark.parametrize("n", [2**30, 2**30 + 1, 2**31])
     def test_ids_beyond_int32_are_refused_before_allocating(self, n):
@@ -317,20 +324,32 @@ class TestBuild:
             assert len(node(cs, 0, leaf).ranks) == 1
 
     def test_shuffled_input_builds_identical_structure(self):
-        ps = gen_points(GeneratorConfig(seed=21, n=60, dims=3))
-        shuffled = list(ps.points)
-        random.Random(8).shuffle(shuffled)
-        t1 = build(ps)
-        t2 = build(PointSet(shuffled, 3))
-
+        # the row-permutation law: permuting the rows renumbers the points
+        # and changes nothing stored, since the structures hold labels
+        # (last-dimension ranks); so build(from_coords(m[perm])) has
+        # build(from_coords(m))'s label rows, bridge rows and level leaf
+        # rows, in structures() order, and each label the same coordinates
         def snapshot(tree):
-            return sorted(
-                (lvl, type(s[0]).__name__,
-                 (list(words(*s)), bridge_rows(*s)) if is_cascade(s) else list(leaf_row(*s)))
-                for lvl, s in tree.structures()
-            )
+            return [(lvl, type(s).__name__, words(s, g).tolist(),
+                     bridge_rows(s, g) if is_cascade((s, g)) else None)
+                    for lvl, (s, g) in tree.structures()]
 
-        assert snapshot(t1) == snapshot(t2)
+        def label_coords(tree):
+            return tree.pointset.coord_matrix()[list(tree.ids)].tolist()
+
+        rng = np.random.default_rng(8)
+        for d in (2, 3, 4):
+            for dist in ("uniform", "grid"):
+                for n in (1, 5, 64, 65, 129, 300):
+                    cfg = GeneratorConfig(seed=21 + n, n=n, dims=d, dist=dist, grid_side=3)
+                    m = gen_points(cfg).coord_matrix()
+                    perm = rng.permutation(n)
+                    t1 = build(PointSet.from_coords(m, d))
+                    t2 = build(PointSet.from_coords(m[perm], d))
+                    assert snapshot(t1) == snapshot(t2), (d, dist, n)
+                    assert label_coords(t1) == label_coords(t2), (d, dist, n)
+                    if dist == "uniform":  # distinct rows: the id maps differ by perm alone
+                        assert [perm[i] for i in t2.ids] == list(t1.ids)
 
     def test_level_assoc_holds_exact_subtree_points(self):
         # every level of a d=3 and a d=4 tree; below the root, real labels
@@ -893,13 +912,11 @@ def fuzz_workload(draw):
 
 
 class TestRankTable:
-    @given(fuzz_workload(), st.randoms())
+    @given(fuzz_workload())
     @settings(max_examples=200, deadline=None)
-    def test_order_is_composite_order(self, workload, rnd):
+    def test_order_is_composite_order(self, workload):
         d, rows, _ = workload
-        shuffled = list(PointSet.from_coords(rows, d).points)
-        rnd.shuffle(shuffled)  # given in any order, the matrix rows are still ids
-        ps = PointSet(shuffled, d)
+        ps = PointSet.from_coords(rows, d)
         pts, n = ps.points, len(rows)
         L = pow2ceil(n)
         ids, row, ranks, axes = rank_tables(ps.coord_matrix())
