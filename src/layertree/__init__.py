@@ -9,15 +9,19 @@ fractional cascading, so a 2D query performs exactly one binary search;
 higher dimensions pay one O(log n) canonical decomposition per extra level.
 The points are sorted once by (coords, id); each dimension orders them by
 its coordinate, then that shared row rank.  A point's label is its rank in
-the last dimension, and a table per other dimension ranks each label; labels
-and ranks are the only keys the structures compare, and the tree maps labels
-to ids (cascade.rank_tables) only for a query's hits, by one numpy gather
-and sort from tree.GATHER_MIN hits on.  Labels, ranks and ids are stored at
-one index width (LayeredRangeTree.code; see Widths in cascade).  A query box
-is mapped to rank intervals once, with two bisections per dimension.
+the last dimension, and a table for each of dimensions 1..d-2 ranks each
+label; dimension 0 needs none, since the root's leaf row is its order.
+Labels and ranks are the only keys the structures compare, and the tree
+maps labels to ids (cascade.rank_tables) only for a query's hits, by one
+numpy gather and sort from tree.GATHER_MIN hits on.  Labels, ranks and
+ids are stored at one index width (LayeredRangeTree.code; see Widths in
+cascade).  A query box is mapped to rank intervals once, with two
+bisections per dimension.
 Every tree, a level's or a cascade's x-tree, is implicit in one padded leaf
 row sorted by rank and searched by one walk (cascade._walk): a
-split descent, then the two boundary paths.  Only a cascade's walk takes y
+split descent, then the two boundary paths.  At the root the walk runs on
+leaf positions alone: the split node in closed form, every turn by
+arithmetic, no rank read.  Only a cascade's walk takes y
 bounds: it bisects the split node's array for them and carries the positions
 along bridges.  The walk alone counts work and the tree alone counts results
 (QueryStats).  The same-size structures of a dimension form one merge group:

@@ -2,11 +2,12 @@
 
 Every structure stores a point as its label, its rank in the last dimension
 (y), so a stored entry is its own y key.  rank_tables makes the labels, the
-id map from label to point id, and a label-indexed rank table for every
-other dimension, from one shared row order, (c_0 .. c_{d-1}, id), with
-default (unstable) numpy sorts that tie only equal keys.  A phantom is leaf
-t >= n, its own label and its own rank in every dimension, so labels, ranks
-and leaf positions run over 0..L-1, L = pow2ceil(n), and a phantom sorts after
+id map from label to point id, the root's leaf row, which is dimension 0's
+order, and a label-indexed rank table for each of dimensions 1..d-2, from
+one shared row order, (c_0 .. c_{d-1}, id), with default (unstable) numpy
+sorts that tie only equal keys.  A phantom is leaf t >= n, its own label
+and its own rank in every dimension, so labels, ranks and leaf positions
+run over 0..L-1, L = pow2ceil(n), and a phantom sorts after
 every real point, where no real rank interval [a, b) can match it.  Nothing
 here knows a point or a coordinate.
 
@@ -18,7 +19,11 @@ of its left half.
 _walk is the one walk over such a row: it descends (_find_split) to the
 split node of a rank interval, then down the two boundary paths, yielding
 the nodes the interval covers whole.  A level of the multi-level tree
-(tree._Level) is a leaf row too and runs the same walk.
+(tree._Level) is a leaf row too and runs the same walk.  The root group
+(the d=2 cascade, or the d>=3 root level) holds no rank table: its leaf row
+is dimension 0's order, so leaf p ranks p, and its walk runs on leaf
+positions alone (_find_split, _walk).  Every other group reads
+rank[leaf[i]].
 
 A cascade is that tree over coordinate x (the second-to-last dimension)
 whose every node also carries its subtree's labels in ascending (y) order,
@@ -30,9 +35,9 @@ time per level.
 Storage.  The structures over one dimension with the same L form a merge
 group, one object (a CascadeStructure or a tree._Level) whose G members are
 (group, member) pairs.  Each holds L, rank (the rank table its leaf rows are
-sorted by) and rows, one array per stored row, under one address rule:
-member g's L entries of a row start at g*L.  A level stores only its leaf
-rows, rows = [row 0]; a cascade (H = log2 L) stores
+sorted by, or None at the root) and rows, one array per stored row, under
+one address rule: member g's L entries of a row start at g*L.  A level
+stores only its leaf rows, rows = [row 0]; a cascade (H = log2 L) stores
 
     rows[r], r in 0..H     node arrays: the array of node (r, pos) is the
                            chunk of width 2^r starting at pos*2^r,
@@ -126,10 +131,11 @@ def rank_tables(coords: np.ndarray) -> tuple[array, np.ndarray, list[array], lis
     by id.  A label is a position in the last order, and ids (an array of
     n) is that order: ids[label] is the id.  A phantom is leaf t >= n,
     label t and rank t, t < L = pow2ceil(n).  row (int32, L long) is the
-    root's leaf row: dimension 0's order in labels, then the phantoms.  For
-    j < d-1, ranks[j] (an array of L, indexed by label) gives each label
-    its position in order j.  ids and ranks are at the index width.
-    axes[j] (an array("d")) holds column j in order j.
+    root's leaf row: dimension 0's order in labels, then the phantoms, so
+    the label at leaf p has dimension-0 rank p and needs no table: ranks[0]
+    is None.  For 0 < j < d-1, ranks[j] (an array of L, indexed by label)
+    gives each label its position in order j.  ids and ranks are at the
+    index width.  axes[j] (an array("d")) holds column j in order j.
 
     Every dimension shares one row order, (c_0 .. c_{d-1}, id).  Each column
     gets a dense rank, and folding them in, key = dense(key*n + dense_j),
@@ -151,11 +157,11 @@ def rank_tables(coords: np.ndarray) -> tuple[array, np.ndarray, list[array], lis
     code = index_code(pow2ceil(n))
     label = np.arange(pow2ceil(n), dtype=np.int32)  # by id; entry t >= n is phantom t's
     label[last] = seq
-    ranks, axes = [], []
+    ranks, axes = [None] if d > 1 else [], []  # the root's leaf row is dimension 0's order
     for j in range(d):
         order = row if j == 0 else last if j == d - 1 else np.argsort(dense[j] * n + row_rank)
         axes.append(packed("d", coords[:, j][order]))
-        if j < d - 1:
+        if 0 < j < d - 1:
             rank = np.empty(n, dtype=code)  # by real label; phantoms follow as themselves
             rank[label[order]] = seq
             ranks.append(packed(code, rank, label[n:]))
@@ -166,9 +172,18 @@ def _find_split(leaf, rank, base: int, L: int, a: int, b: int, stats) -> tuple[i
     """(row, pos) of the node where the descents for ranks [a, b) diverge, or the leaf reached.
 
     The tree is the leaf row leaf[base:base+L] of labels, sorted by rank.  Descent rule:
-    left iff b <= the node's split rank, right iff the split rank < a.
+    left iff b <= the node's split rank, right iff the split rank < a.  At the root
+    (rank is None) leaf p ranks p and node (r, pos) splits at pos*2^r + 2^(r-1) - 1,
+    so the descent stops where leaves a and b part, b = L reading as leaf L-1, or
+    follows b to its leaf when a >= b; it counts the H - r + 1 nodes it would read.
     """
-    r, pos = L.bit_length() - 1, 0
+    H = L.bit_length() - 1
+    if rank is None:
+        last = min(b, L - 1)
+        r = (a ^ last).bit_length() if a < b else 0
+        stats.nodes_visited += H - r + 1
+        return r, last >> r  # a >> r too when a < b: a and last agree above bit r
+    r, pos = H, 0
     stats.nodes_visited += 1
     while r:
         k = rank[leaf[base + ((2 * pos + 1) << (r - 1)) - 1]]
@@ -189,12 +204,16 @@ def _walk(group, g: int, a: int, b: int, ya, yb, stats):
     The tree is member g's leaf row, from g*L of group.rows[0], sorted by
     group.rank.  The walk descends (_find_split) to the split node of [a, b),
     goes down the a path, then the b path, and yields each node the range
-    covers whole as its row and its position in that row.  When ya is not
-    None, the group is a cascade's: the walk bisects the split node's array
-    for ya, and for yb unless it is None, and carries the positions found,
-    lo and hi, down each path by one left bridge per level, yielding them as
-    positions in each node's array.  These are a cascade's only binary
-    searches.  A level passes None for ya and yb and gets None back.
+    covers whole as its row and its position in that row.  The root group
+    holds no rank (group.rank is None): leaf p ranks p, so a path turns
+    right iff at + hf <= bound, its node's split rank being at + hf - 1, and
+    a boundary leaf p is in range iff a <= p < b.  Every other group reads
+    rank[leaf[i]] for both.  When ya is not None, the group is a cascade's:
+    the walk bisects the split node's array for ya, and for yb unless it is
+    None, and carries the positions found, lo and hi, down each path by one
+    left bridge per level, yielding them as positions in each node's array.
+    These are a cascade's only binary searches.  A level passes None for ya
+    and yb and gets None back.
     """
     L, rank, leaf = group.L, group.rank, group.rows[0]
     base = g * L  # member g's entries of every row start here
@@ -209,7 +228,7 @@ def _walk(group, g: int, a: int, b: int, ya, yb, stats):
     npos = 0 if lo is None else 1 if hi is None else 2  # positions carried, one bisect each
     stats.binary_searches += npos
     if r == 0:
-        if a <= rank[leaf[base + pos]] < b:
+        if a <= (pos if rank is None else rank[leaf[base + pos]]) < b:
             yield 0, pos, lo, hi
         return
     s = f = None  # the sibling's positions, set at every step when carried
@@ -222,7 +241,7 @@ def _walk(group, g: int, a: int, b: int, ya, yb, stats):
             sp = 1 << rr
             hf = sp >> 1
             at = base + p * sp  # the node's chunk, in the leaf row and in bridge row rr
-            go = rank[leaf[at + hf - 1]] < bound
+            go = at + hf <= bound if rank is None else rank[leaf[at + hf - 1]] < bound
             if c is not None:
                 # c sits at lb[c] in the left child and at c - lb[c] in the
                 # right one: s is the sibling's position, the rest the path's
@@ -245,7 +264,7 @@ def _walk(group, g: int, a: int, b: int, ya, yb, stats):
                 yield rr - 1, p ^ 1, s, f
         stats.nodes_visited += steps
         stats.bridge_follows += npos * steps
-        if a <= rank[leaf[base + p]] < b:
+        if a <= (p if rank is None else rank[leaf[base + p]]) < b:
             yield 0, p, c, e
 
 
@@ -327,8 +346,9 @@ class CascadeStructure:
     Each member is an x-tree plus per-node label arrays with bridges.
     Member g's L entries of each label row in rows and of each bridge row
     in bridges start at g*L (see Storage in the module docstring).  rank is
-    the x rank table.  A query or count of member g is one _walk over the
-    last two dimensions of the tree's rank box.  The d=2 tree's root is a
+    the x rank table, or None for the d=2 root, whose leaf row is dimension
+    0's order (see _walk).  A query or count of member g is one _walk over
+    the last two dimensions of the tree's rank box.  The d=2 tree's root is a
     group of one, member 0.
     """
 
@@ -348,11 +368,12 @@ class CascadeStructure:
 
         ids holds each label 0..m-1 once, and the leaf row pads it to
         L = pow2ceil(m): a phantom is leaf t >= m and label t, which rank
-        (a rank_tables rank, L long) ranks t.  build() builds every group
-        from its members' leaf rows and does not call this; it stays because
-        the traced benchmark (perfbench/run.py) wraps it by name, and its
-        result equals the d=2 root build() makes over the same labels, at
-        the same index width.
+        (a rank_tables rank, L long) ranks t.  rank is None when ids are in
+        rank order, so that leaf p ranks p, as at the d=2 root.  build()
+        builds every group from its members' leaf rows and does not call
+        this; it stays because the traced benchmark (perfbench/run.py) wraps
+        it by name, and with rank None its result equals the d=2 root
+        build() makes over the same labels, at the same index width.
         """
         L = pow2ceil(len(ids))
         leaves = packed(index_code(L), np.asarray(ids), np.arange(len(ids), L))

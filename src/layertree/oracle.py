@@ -26,8 +26,10 @@ _TWO64 = float(2**64)
 class GeneratorConfig:
     """Deterministic workload description.
 
-    dist "uniform" draws each coordinate in [0, 1); dist "grid" draws integers
-    in [0, grid_side) (duplicates likely, which is the point).
+    dist "uniform" draws each coordinate in [0, 1]: a uint64 draw over 2^64,
+    which rounds to exactly 1.0 for draws of 2^64 - 1024 or more (odds about
+    2^-54 per draw); dist "grid" draws integers in [0, grid_side) (duplicates
+    likely, which is the point).
     """
 
     seed: int

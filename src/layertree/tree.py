@@ -20,11 +20,13 @@ left half.  A level's canonical decomposition is a cascade's walk
 (cascade._walk) with no y bounds and so no positions to carry.
 Everything below LayeredRangeTree.rank_box works in rank space: the
 structures hold and emit labels (ranks in the last dimension), one table
-per other dimension ranks each label, and a box becomes a rank interval
-[a_j, b_j) per dimension.  A tree stores its labels, ranks and ids at one
-index width, LayeredRangeTree.code, and every group's rows under one
-address rule (see Storage and Widths in cascade).  A phantom is leaf t >= n
-of the root, its own label and its own rank in every dimension
+for each of dimensions 1..d-2 ranks each label, and a box becomes a rank
+interval [a_j, b_j) per dimension.  Dimension 0 needs no table: the root
+group's leaf row is its order, so leaf p ranks p, and the root walks by
+leaf position alone (see cascade).  A tree stores its labels, ranks and
+ids at one index width, LayeredRangeTree.code, and every group's rows
+under one address rule (see Storage and Widths in cascade).  A phantom is
+leaf t >= n of the root, its own label and its own rank in every dimension
 (cascade.rank_tables), so it ranks after every real point and never falls
 inside one.
 """
@@ -134,7 +136,9 @@ class _Level:
 
     rows = [row 0] holds only the leaf rows: member g < G = len(rows[0]) // L
     has L labels from g*L, sorted by `rank`, its m real labels first, then
-    phantoms (labels >= n): only the root holds phantoms, so m is n there and L below.  subs lists
+    phantoms (labels >= n): only the root holds phantoms, so m is n there and L below.
+    The root, over dimension 0, has rank None: its leaf row is that order,
+    so leaf p ranks p and its walk reads no rank (cascade._walk).  subs lists
     the next dimension's groups by log2 L.  Node (r, pos), if _reachable,
     has the structure first[r] + g*per[r] + pos of subs[r], where per[r]
     counts one member's structures in row r.
@@ -265,9 +269,11 @@ def build(points: PointSet, counters: Optional[BuildCounters] = None) -> Layered
     rank_tables sorts the rows once by (coords, id), orders each dimension
     by its coordinate, then that row rank, and labels each point by its
     last-dimension rank.  It returns the id map, the root's leaf row padded
-    with phantoms to L = pow2ceil(n), a rank per label for every other
-    dimension and each dimension's coordinates in rank order; labels and
-    ranks are the only keys.  The structures over dimension j are built as
+    with phantoms to L = pow2ceil(n), a rank per label for each of
+    dimensions 1..d-2 and each dimension's coordinates in rank order;
+    labels and ranks are the only keys.  The root group, the one group over
+    dimension 0, gets no rank table: its leaf row is dimension 0's order.
+    The structures over dimension j are built as
     groups by padded size L, listed in tops[j] by log2 L.  Each group's
     leaf rows are concatenated into the one array that keeps them, at the
     tree's index width, and the group runs one batched merge (merge_rows)

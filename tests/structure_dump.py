@@ -32,9 +32,9 @@ generator (splitmix64_next, SplitMix64), which the package's vectorized
 stream must match draw for draw, and it is the tests' one reader of
 structure layout: the reference order and box filter over Points
 (composite_key, box_contains), a cascade member's bridge_rows and node
-(r, pos), a cascade or level member's words, leaf_row and the real labels of
-its subtree (r, pos), a group's members, all_nodes of a tree, and a member's
-query output as a list (collect).  They read every row of either group kind
+(r, pos), a cascade or level member's words, leaf_row, leaf_ranks and the
+real labels of its subtree (r, pos), a group's members, all_nodes of a
+tree, and a member's query output as a list (collect).  They read every row of either group kind
 by one rule: member g's entries start at g*L.  Its top level imports nothing
 from layertree.
 """
@@ -77,7 +77,7 @@ class SplitMix64:
         return out
 
     def next_float(self) -> float:
-        """Uniform in [0, 1): output / 2^64."""
+        """Uniform in [0, 1]: output / 2^64, which rounds to 1.0 for outputs >= 2^64 - 1024."""
         return self.next_u64() / float(2**64)
 
     def next_below(self, bound: int) -> int:
@@ -162,6 +162,17 @@ def leaf_row(s, g: int = 0):
     return s.rows[0][g * s.L : (g + 1) * s.L]
 
 
+def leaf_ranks(s, g: int = 0) -> list:
+    """The ranks member g's leaf row is sorted by, in leaf order.
+
+    A group's rank table gives each leaf label's rank; the root group holds
+    none, since its leaf row is dimension 0's order, so there leaf p ranks p.
+    """
+    if s.rank is None:
+        return list(range(s.L))
+    return [s.rank[e] for e in leaf_row(s, g)]
+
+
 def subtree(s, g: int, r: int, pos: int, n: int) -> list:
     """The real labels (< n) under node (r, pos) of member g, in leaf order: its leaf row chunk."""
     return [e for e in leaf_row(s, g)[pos << r : (pos + 1) << r] if e < n]
@@ -215,16 +226,18 @@ def structure_row(s, g: int, ids) -> list:
 def widths(tree) -> dict:
     """The typecodes of a tree's arrays, each group once, in structures() order.
 
-    ids is the id map's, ranks each rank table's by dimension, levels each
-    level group's leaf rows', and cascades each cascade group's labels' with
-    its bridge rows' 1..H as one string.
+    ids is the id map's, ranks each rank table's by dimension, 1..d-2 (the
+    root group, over dimension 0, holds none: its leaf row is that order),
+    levels each level group's leaf rows', and cascades each cascade group's
+    labels' with its bridge rows' 1..H as one string.
     """
     ranks, levels, cascades, seen = {}, [], [], set()
     for _, (s, _) in tree.structures():
         if id(s) in seen or not hasattr(s, "L"):  # each group once; the slab holds no array
             continue
         seen.add(id(s))
-        ranks[getattr(s, "dim", tree.dims - 2)] = s.rank.typecode  # a cascade's is d-2's
+        if s.rank is not None:
+            ranks[getattr(s, "dim", tree.dims - 2)] = s.rank.typecode  # a cascade's is d-2's
         if hasattr(s, "bridges"):
             cascades.append([s.rows[0].typecode, "".join(lb.typecode for lb in s.bridges[1:])])
         else:

@@ -21,11 +21,12 @@ from layertree import (
     build,
     gen_points,
 )
-from layertree.cascade import CascadeStructure, fill_buffers_batch_np, merge_rows, pow2ceil
+from layertree.cascade import (CascadeStructure, fill_buffers_batch_np, merge_rows, pow2ceil,
+                               rank_tables)
 from layertree.core import QueryBox
 
 from structure_dump import (SplitMix64, all_nodes, box_contains, bridge_rows, collect,
-                            composite_key, leaf_row, node, subtree)
+                            composite_key, leaf_ranks, leaf_row, node, subtree)
 
 
 def make_cascade(coord_pairs):
@@ -77,6 +78,7 @@ class TestBuild:
         ps = gen_points(GeneratorConfig(seed=12, n=45, dims=2, dist="grid", grid_side=4))
         root = build(ps).root
         one = CascadeStructure.build_from_ids(leaf_row(root)[: len(ps)], root.rank)
+        assert one.rank is root.rank is None  # the root's leaf row is its x order
         assert (one.L, one.L.bit_length() - 1) == (root.L, root.L.bit_length() - 1)
         assert typed(one.rows) == typed(root.rows)
         assert typed(one.bridges) == typed(root.bridges)
@@ -490,13 +492,17 @@ class TestQuery2D:
 
     def test_tree_view(self):
         # label row 0 is the x-tree's leaf row: increasing in x rank,
-        # nondecreasing in x, real labels first
+        # nondecreasing in x, real labels first.  The d=2 root is dimension
+        # 0's group, so its leaf row is that order: it holds no rank table,
+        # and leaf p's x rank is p
         cs, ps, ids = make_cascade([(3, 0), (1, 0), (2, 0)])
         pts = ps.points
         leaves = leaf_row(cs).tolist()
         assert cs.L == 4 and sum(e < len(pts) for e in leaves) == 3
-        ranks = [cs.rank[e] for e in leaves]
-        assert ranks == sorted(ranks)
+        assert cs.rank is None and leaf_ranks(cs) == [0, 1, 2, 3]
+        assert leaves == rank_tables(ps.coord_matrix())[1].tolist()
+        keys = [composite_key(pts[ids[e]], 0) for e in leaves[:3]]
+        assert keys == sorted(keys)
         xs = [pts[ids[e]].coords[0] for e in leaves[:3]]
         assert xs == [1.0, 2.0, 3.0]
         assert leaves[3] >= len(pts)

@@ -35,8 +35,8 @@ from layertree.cascade import CascadeStructure, _find_split, merge_rows, pow2cei
 from layertree.tree import GATHER_MIN, _Level, _reachable, _Slab
 
 import structure_dump
-from structure_dump import (SplitMix64, all_nodes, bridge_rows, collect, composite_key, leaf_row,
-                            members, node, subtree, words)
+from structure_dump import (SplitMix64, all_nodes, bridge_rows, collect, composite_key, leaf_ranks,
+                            leaf_row, members, node, subtree, words)
 
 
 def level_tree(values):
@@ -128,12 +128,10 @@ class TestLeafRow:
         for at, sub in built.items():
             assert sorted(words(*sub)[: real_count(sub, n)]) == sorted(chunks[at])
 
-    @pytest.mark.parametrize("n", [1, 3, 8, 13])
-    def test_leaf_scan_nondecreasing_and_internal_keys(self, n):
-        rnd = random.Random(n)
-        member = root_level([rnd.randrange(4) for _ in range(n)])
+    @staticmethod
+    def check_leaf_scan(member):
         level, _ = member
-        ranks = [level.rank[e] for e in leaf_row(*member)]
+        ranks = leaf_ranks(*member)
         assert ranks == sorted(ranks)
         # a node splits at the largest rank of its left subtree, and the
         # split search for that one rank stops at the node
@@ -142,16 +140,35 @@ class TestLeafRow:
                 k = max(ranks[pos << r : (2 * pos + 1) << (r - 1)])
                 assert split(member, k, k + 1) == (r, pos)
 
+    @pytest.mark.parametrize("n", [1, 3, 8, 13])
+    def test_leaf_scan_nondecreasing_and_internal_keys(self, n):
+        # the root's leaf row is dimension 0's order: it holds no rank table
+        rnd = random.Random(n)
+        member = root_level([rnd.randrange(4) for _ in range(n)])
+        assert member[0].rank is None
+        self.check_leaf_scan(member)
+
+    @pytest.mark.parametrize("n", [8, 13, 40])
+    def test_leaf_scan_below_the_root(self, n):
+        # the largest level member over dimension 1 (d = 4) is sorted by its
+        # rank table, which the split search reads
+        rnd = random.Random(n)
+        tree = build(PointSet.from_coords([(i, rnd.randrange(4), 0, 0) for i in range(n)]))
+        member = max((s for depth, s in tree.structures() if depth == 1), key=lambda s: s[0].L)
+        assert member[0].rank is not None and member[0].L > 1
+        self.check_leaf_scan(member)
+
     def test_phantoms_sit_rightmost(self):
         values = [5, 1, 3]
         tree = level_tree(values)
         member = tree.root, 0
         level, _ = member
         assert level.L == 4 and real_count(member, len(values)) == 3
-        leaves = leaf_row(*member)
-        assert [level.rank[e] for e in leaves[:3]] == [0, 1, 2]
+        # the root holds no rank table: leaf p ranks p, the real points in
+        # dimension 0's order first, then the phantom
+        assert level.rank is None and leaf_ranks(*member) == [0, 1, 2, 3]
         assert [values[tree.ids[e]] for e in subtree(*member, 2, 0, len(values))] == [1, 3, 5]
-        assert level.rank[leaves[3]] >= len(values)  # the phantom ranks after every point
+        assert leaf_row(*member)[3] >= len(values)  # the phantom is leaf 3, label 3
 
 
 class TestFindSplitNode:
@@ -177,6 +194,31 @@ class TestFindSplitNode:
         r, _ = split(member, *rank_bounds(self.VALUES, 5.0, 9.0))
         assert r == 0  # a leaf
         assert canonical_subtrees(*member, *rank_bounds(self.VALUES, 5.0, 9.0)) == []
+
+    @pytest.mark.parametrize("H", range(8))
+    def test_root_closed_form_equals_rank_descent(self, H):
+        # the root holds no rank table and finds its split by arithmetic on
+        # a and b; for every 0 <= a, b <= L, a >= b and b = L included, it
+        # gives the node and the nodes_visited that the rank-reading descent
+        # gives over the same leaf row with dimension 0's composite ranks.
+        # n = L makes b = L a bound a box can map to
+        L = 1 << H
+        for n in sorted({L, L // 2 + 1}):
+            ps = gen_points(GeneratorConfig(seed=n, n=n, dims=2, dist="grid", grid_side=5))
+            tree = build(ps)
+            root, pts = tree.root, ps.points
+            assert root.L == L and root.rank is None
+            order = sorted(range(n), key=lambda i: composite_key(pts[i], 0))
+            rank = array("i", range(L))  # phantom t ranks t
+            for v, i in enumerate(order):
+                rank[tree.ids.index(i)] = v
+            leaves = leaf_row(root)
+            for a in range(L + 1):
+                for b in range(L + 1):
+                    got, want = QueryStats(), QueryStats()
+                    assert (_find_split(leaves, None, 0, L, a, b, got)
+                            == _find_split(leaves, rank, 0, L, a, b, want)), (n, a, b)
+                    assert got == want, (n, a, b)
 
 
 def check_cover(member, ids, column, lo, hi):
@@ -484,8 +526,11 @@ class TestIndexWidth:
         assert max(tree.ids) == n - 1  # id 65535 is stored at n = 2^16
         if d > 1:
             groups = {id(s): s for _, (s, _) in tree.structures()}.values()
-            tables = {id(s.rank): s.rank for s in groups}
-            assert len(tables) == d - 1
+            # the root group holds no rank table; each other dimension below
+            # d-1 has one
+            assert tree.root.rank is None
+            tables = {id(s.rank): s.rank for s in groups if s is not tree.root}
+            assert len(tables) == d - 2
             for table in tables.values():
                 assert table.typecode == code and sorted(table) == list(range(L))
                 assert table[n:].tolist() == list(range(n, L))  # phantom t ranks t
@@ -561,13 +606,14 @@ class TestSpaceAccounting:
     def test_one_index_space(self, d, n):
         # a phantom is leaf t >= n, its own label and its own rank: every rank
         # table is a permutation of 0..L-1 fixing each phantom, and the root's
-        # leaf row holds phantom t at leaf t
+        # leaf row, which stands for dimension 0's table, holds phantom t at leaf t
         ps = gen_points(GeneratorConfig(seed=n, n=n, dims=d, dist="grid", grid_side=5))
         tree, L = build(ps), pow2ceil(n)
         tables = {}
         for _, (s, _) in tree.structures():
-            tables[id(s.rank)] = s.rank
-        assert len(tables) == d - 1
+            if s is not tree.root:
+                tables[id(s.rank)] = s.rank
+        assert tree.root.rank is None and len(tables) == d - 2
         for table in tables.values():
             assert len(table) == L and sorted(table) == list(range(L))
             assert list(table[n:]) == list(range(n, L))
@@ -633,29 +679,41 @@ class TestSpaceAccounting:
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_no_last_dimension_table(self, d):
-        # every rank table a structure holds is one of dimensions 0 .. d-2
-        # (a cascade's is d-2's; it keeps no dimension numbers), and a
+        # every rank table a structure holds is one of dimensions 1 .. d-2
+        # (a cascade's is d-2's; it keeps no dimension numbers): the root
+        # group, over dimension 0, holds none, and every other group holds
+        # its dimension's composite-key ranks, phantom t ranking t.  A
         # cascade's node arrays ascend in their labels, which bisect_left on
         # the buffer relies on
-        ps = gen_points(GeneratorConfig(seed=7, n=70, dims=d, dist="grid", grid_side=3))
-        tree = build(ps)
+        n = 70
+        ps = gen_points(GeneratorConfig(seed=7, n=n, dims=d, dist="grid", grid_side=3))
+        tree, L = build(ps), pow2ceil(n)
         _, _, ranks, _ = rank_tables(ps.coord_matrix())
-        assert len(ranks) == d - 1
+        assert len(ranks) == d - 1 and ranks[:1] == ([None] if d > 1 else [])
+        pts = ps.points
+        where = [{i: v for v, i in enumerate(sorted(range(n),
+                                                     key=lambda i: composite_key(pts[i], j)))}
+                 for j in range(d)]
         held = {}
         for _, (s, g) in tree.structures():
             if isinstance(s, _Slab):
                 assert s.__slots__ == ()
+                continue
+            if s is tree.root:
+                assert s.rank is None
             elif isinstance(s, _Level):
                 held[id(s.rank)] = (s.dim, s.rank)
             else:
-                assert not any(hasattr(s, k) for k in ("rank_y", "xdim", "ydim"))
                 held[id(s.rank)] = (d - 2, s.rank)
+            if isinstance(s, CascadeStructure):
+                assert not any(hasattr(s, k) for k in ("rank_y", "xdim", "ydim"))
                 for r, p in all_nodes(s.L):
                     labels = node(s, r, p, g).ranks
                     assert all(u < v for u, v in zip(labels, labels[1:]))
-        assert sorted(dim for dim, _ in held.values()) == list(range(d - 1))
+        assert sorted(dim for dim, _ in held.values()) == list(range(1, d - 1))
         for dim, table in held.values():
             assert table == ranks[dim]
+            assert table.tolist() == [where[dim][tree.ids[v]] for v in range(n)] + list(range(n, L))
 
 
 class TestStructureDump:
@@ -705,7 +763,7 @@ class TestStructureDump:
         # dumped before the field existed, is named as a layout change and
         # does not fail
         base = json.loads(json.dumps([structure_dump.dump_case(3, "grid", 9)]))
-        assert base[0]["widths"] == {"ids": "H", "ranks": ["H", "H"], "levels": ["H"],
+        assert base[0]["widths"] == {"ids": "H", "ranks": ["H"], "levels": ["H"],
                                      "cascades": [["H", ""], ["H", "B"], ["H", "BB"]]}
         wide = json.loads(json.dumps(base))
         wide[0]["widths"]["cascades"][0][0] = "i"
@@ -924,8 +982,11 @@ class TestRankTable:
         assert ids.tolist() == want[-1]  # a label is the last dimension's rank
         # the root's leaf row, then phantom t at leaf t: its own label
         assert row.tolist() == [want[-1].index(i) for i in want[0]] + list(range(n, L))
-        assert len(ranks) == d - 1
-        for j in range(d - 1):
+        # dimension 0 has no table: its composite rank of the label at leaf p is p
+        rank0 = [want[0].index(ids[v]) for v in range(n)] + list(range(n, L))
+        assert [rank0[e] for e in row.tolist()] == list(range(L))
+        assert len(ranks) == d - 1 and ranks[:1] == ([None] if d > 1 else [])
+        for j in range(1, d - 1):
             assert list(ranks[j]) == [want[j].index(ids[v]) for v in range(n)] + list(
                 range(n, L))
         for j in range(d):
@@ -965,7 +1026,10 @@ class TestRankTableEdges:
         assert ids.typecode == code and ids.tolist() == want[-1]
         assert row.dtype == np.int32
         assert row.tolist() == [where[-1][i] for i in want[0]] + list(range(n, L))
-        for j, rank in enumerate(ranks):
+        # dimension 0's composite order is the root's leaf row, so it has no table
+        assert [where[0][ids[e]] if e < n else e for e in row.tolist()] == list(range(L))
+        assert ranks[:1] == ([None] if d > 1 else [])
+        for j, rank in enumerate(ranks[1:], 1):
             assert rank.typecode == code
             assert list(rank) == [where[j][ids[v]] for v in range(n)] + list(range(n, L))
         for j, axis in enumerate(axes):
