@@ -18,10 +18,11 @@ ids are stored at one index width (LayeredRangeTree.code; see Widths in
 cascade).  A query box is mapped to rank intervals once, with two
 bisections per dimension.
 Every tree, a level's or a cascade's x-tree, is implicit in one padded leaf
-row sorted by rank and searched by one walk (cascade._walk): a
-split descent, then the two boundary paths.  At the root the walk runs on
-leaf positions alone: the split node in closed form, every turn by
-arithmetic, no rank read.  Only a cascade's walk takes y
+row sorted by rank and searched by one walk over leaf positions
+(cascade._walk): the split node in closed form, then the two boundary
+paths, every turn by arithmetic.  At the root a rank interval already is a
+position interval; below it, two bisects of the leaf row keyed by rank
+place the two bounds, the walk's only rank reads.  Only a cascade's walk takes y
 bounds: it bisects the split node's array for them and carries the positions
 along bridges.  The walk alone counts work and the tree alone counts results
 (QueryStats).  The same-size structures of a dimension form one merge group:
@@ -37,8 +38,10 @@ Structure internals such as cascade.CascadeStructure are imported from their
 modules.  PointSet(points, dims) and Point's own checks are gone, and so are
 SplitMix64 and oracle.splitmix64_next: gen_points draws from the vectorized
 oracle._splitmix64_stream, and the scalar generator it is tested against is
-in tests/structure_dump.py.  Dimension j orders points by coordinate j, then
-coordinates, then id.
+in tests/structure_dump.py.  So are LayeredRangeTree.structures() and
+_Level.slots(), which list every structure a tree built: they are
+structure_dump's structures(tree) and slots(level, g).  Dimension j orders
+points by coordinate j, then coordinates, then id.
 """
 
 from .core import DimensionMismatch, EmptyInput, Point, PointSet, QueryBox, TooManyPoints

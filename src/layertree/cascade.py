@@ -14,16 +14,17 @@ here knows a point or a coordinate.
 Every tree in the package is implicit in a leaf row: L = 2^H labels sorted
 by one dimension's rank, real labels first, then phantoms.  A node is named
 by its row and its position in that row: node (r, pos) covers leaves
-pos*2^r .. (pos+1)*2^r - 1, and it splits at the rank of the rightmost leaf
-of its left half.
-_walk is the one walk over such a row: it descends (_find_split) to the
-split node of a rank interval, then down the two boundary paths, yielding
-the nodes the interval covers whole.  A level of the multi-level tree
-(tree._Level) is a leaf row too and runs the same walk.  The root group
-(the d=2 cascade, or the d>=3 root level) holds no rank table: its leaf row
-is dimension 0's order, so leaf p ranks p, and its walk runs on leaf
-positions alone (_find_split, _walk).  Every other group reads
-rank[leaf[i]].
+pos*2^r .. (pos+1)*2^r - 1, and it splits after the rightmost leaf of its
+left half.  _walk is the one walk over such a row, and it runs on leaf
+positions: the split node of a position interval, where its two ends part,
+follows in closed form, and the walk goes on down the two boundary paths,
+yielding the nodes the interval covers whole.  A level of the multi-level
+tree (tree._Level) is a leaf row too and runs the same walk.  The root
+group (the d=2 cascade, or the d>=3 root level) holds no rank table: its
+leaf row is dimension 0's order, so leaf p ranks p and a rank interval
+already is a position interval.  Every other group's leaf row is sorted by
+its rank table, so two bisects of the row place the two bounds: they are
+the only rank reads of a query.
 
 A cascade is that tree over coordinate x (the second-to-last dimension)
 whose every node also carries its subtree's labels in ascending (y) order,
@@ -168,56 +169,43 @@ def rank_tables(coords: np.ndarray) -> tuple[array, np.ndarray, list[array], lis
     return packed(code, last), np.concatenate((label[row], label[n:])), ranks, axes
 
 
-def _find_split(leaf, rank, base: int, L: int, a: int, b: int, stats) -> tuple[int, int]:
-    """(row, pos) of the node where the descents for ranks [a, b) diverge, or the leaf reached.
-
-    The tree is the leaf row leaf[base:base+L] of labels, sorted by rank.  Descent rule:
-    left iff b <= the node's split rank, right iff the split rank < a.  At the root
-    (rank is None) leaf p ranks p and node (r, pos) splits at pos*2^r + 2^(r-1) - 1,
-    so the descent stops where leaves a and b part, b = L reading as leaf L-1, or
-    follows b to its leaf when a >= b; it counts the H - r + 1 nodes it would read.
-    """
-    H = L.bit_length() - 1
-    if rank is None:
-        last = min(b, L - 1)
-        r = (a ^ last).bit_length() if a < b else 0
-        stats.nodes_visited += H - r + 1
-        return r, last >> r  # a >> r too when a < b: a and last agree above bit r
-    r, pos = H, 0
-    stats.nodes_visited += 1
-    while r:
-        k = rank[leaf[base + ((2 * pos + 1) << (r - 1)) - 1]]
-        if b <= k:
-            pos <<= 1
-        elif k < a:
-            pos = (pos << 1) + 1
-        else:
-            break
-        r -= 1
-        stats.nodes_visited += 1
-    return r, pos
-
-
 def _walk(group, g: int, a: int, b: int, ya, yb, stats):
     """Yield (row, pos, lo, hi) for each canonical node and in-range boundary leaf of [a, b).
 
     The tree is member g's leaf row, from g*L of group.rows[0], sorted by
-    group.rank.  The walk descends (_find_split) to the split node of [a, b),
-    goes down the a path, then the b path, and yields each node the range
-    covers whole as its row and its position in that row.  The root group
-    holds no rank (group.rank is None): leaf p ranks p, so a path turns
-    right iff at + hf <= bound, its node's split rank being at + hf - 1, and
-    a boundary leaf p is in range iff a <= p < b.  Every other group reads
-    rank[leaf[i]] for both.  When ya is not None, the group is a cascade's:
-    the walk bisects the split node's array for ya, and for yb unless it is
-    None, and carries the positions found, lo and hi, down each path by one
-    left bridge per level, yielding them as positions in each node's array.
-    These are a cascade's only binary searches.  A level passes None for ya
-    and yb and gets None back.
+    group.rank, and the walk runs on its leaf positions.  Below the root,
+    two bisects of the row keyed by rank first turn the rank bounds into
+    positions; the second is skipped when no leaf before b's position ranks
+    a or more, so that a = b.  At the root (group.rank is None) leaf p ranks
+    p, and the bounds already are positions.  Node (r, pos) splits after
+    leaf pos*2^r + 2^(r-1) - 1, so the split node is where leaves a and b
+    part, b = L reading as leaf L-1, or b's leaf when a >= b.  The walk goes
+    down the a path, then the b path: a path enters the right child iff the
+    child's first leaf is at most its bound, and a boundary leaf p is in
+    range iff a <= p < b.  It yields each node the range covers whole as its
+    row and its position in that row.  nodes_visited counts the H - r + 1
+    nodes a descent to the split node reads, the nodes below it on the two
+    paths and each canonical child; the bound bisects stand in for x-tree
+    descents node for node, so they are not binary_searches.  When ya is
+    not None, the group is a cascade's: the walk bisects the split node's
+    array for ya, and for yb unless it is None, and carries the positions
+    found, lo and hi, down each path by one left bridge per level, yielding
+    them as positions in each node's array.  These are a cascade's only
+    binary searches.  A level passes None for ya and yb and gets None back.
     """
     L, rank, leaf = group.L, group.rank, group.rows[0]
     base = g * L  # member g's entries of every row start here
-    r, pos = _find_split(leaf, rank, base, L, a, b, stats)
+    if rank is not None:
+        key = rank.__getitem__
+        b = bisect_left(leaf, b, base, base + L, key=key)
+        a = (b if b == base or key(leaf[b - 1]) < a
+             else bisect_left(leaf, a, base, b - 1, key=key))
+        a -= base
+        b -= base
+    last = min(b, L - 1)
+    r = (a ^ last).bit_length() if a < b else 0  # a and last agree above bit r
+    pos = last >> r
+    stats.nodes_visited += L.bit_length() - r
     lo = hi = None
     if ya is not None:
         row, at = group.rows[r], base + (pos << r)  # the split node's array
@@ -228,44 +216,46 @@ def _walk(group, g: int, a: int, b: int, ya, yb, stats):
     npos = 0 if lo is None else 1 if hi is None else 2  # positions carried, one bisect each
     stats.binary_searches += npos
     if r == 0:
-        if a <= (pos if rank is None else rank[leaf[base + pos]]) < b:
+        if a <= pos < b:
             yield 0, pos, lo, hi
         return
     s = f = None  # the sibling's positions, set at every step when carried
     for side, bound in ((0, a), (1, b)):
         # side 0 walks the a path, side 1 the b path; at every node the path
-        # enters the right child iff its split rank is below the bound, so at
-        # the split node (a <= split rank < b) side 0 goes left and side 1 right
-        p, c, e, steps = pos, lo, hi, r
+        # enters the right child iff the child's first leaf is at most the
+        # bound, so at the split node (a < mid <= b) side 0 goes left and
+        # side 1 right
+        q, c, e, steps = pos << r, lo, hi, r  # q: the first leaf of the path's node
         for rr in range(r, 0, -1):
-            sp = 1 << rr
-            hf = sp >> 1
-            at = base + p * sp  # the node's chunk, in the leaf row and in bridge row rr
-            go = at + hf <= bound if rank is None else rank[leaf[at + hf - 1]] < bound
+            hf = 1 << (rr - 1)
+            mid = q + hf  # the first leaf of the right child
+            go = mid <= bound
             if c is not None:
                 # c sits at lb[c] in the left child and at c - lb[c] in the
                 # right one: s is the sibling's position, the rest the path's
+                at = base + q  # the node's chunk in bridge row rr
                 lb = bridges[rr]
-                s = lb[at + c] if c < sp else hf
+                s = lb[at + c] if c < hf + hf else hf
                 if not go:
                     s = c - s
                 c -= s
                 if e is not None:
-                    f = lb[at + e] if e < sp else hf
+                    f = lb[at + e] if e < hf + hf else hf
                     if not go:
                         f = e - f
                     e -= f
-            p = (p << 1) + go
+            if go:
+                q = mid
             # below the split node, a path that keeps to its own side leaves
             # the sibling wholly inside the range; each such canonical child
             # costs one visit and one bridge per position
             if go == side and rr < r:
                 steps += 1
-                yield rr - 1, p ^ 1, s, f
+                yield rr - 1, (q >> (rr - 1)) ^ 1, s, f
         stats.nodes_visited += steps
         stats.bridge_follows += npos * steps
-        if a <= (p if rank is None else rank[leaf[base + p]]) < b:
-            yield 0, p, c, e
+        if a <= q < b:
+            yield 0, q, c, e
 
 
 def merge_rows(leaves: array, L: int, rank=None) -> Iterator[tuple[array, array | None]]:

@@ -15,20 +15,23 @@ rank box [a, b); the root is member 0 of a group of one.
 
 A level is its leaf row, the one implicit tree shape of the package (see
 cascade): L padded leaf labels sorted by rank, where node (r, pos) covers
-leaves pos*2^r .. (pos+1)*2^r - 1 and splits at the rightmost leaf of its
-left half.  A level's canonical decomposition is a cascade's walk
-(cascade._walk) with no y bounds and so no positions to carry.
+leaves pos*2^r .. (pos+1)*2^r - 1 and splits after the rightmost leaf of
+its left half.  A level's canonical decomposition is a cascade's walk
+(cascade._walk) with no y bounds and so no positions to carry; every walk
+runs on leaf positions.
 Everything below LayeredRangeTree.rank_box works in rank space: the
 structures hold and emit labels (ranks in the last dimension), one table
 for each of dimensions 1..d-2 ranks each label, and a box becomes a rank
 interval [a_j, b_j) per dimension.  Dimension 0 needs no table: the root
-group's leaf row is its order, so leaf p ranks p, and the root walks by
-leaf position alone (see cascade).  A tree stores its labels, ranks and
-ids at one index width, LayeredRangeTree.code, and every group's rows
-under one address rule (see Storage and Widths in cascade).  A phantom is
-leaf t >= n of the root, its own label and its own rank in every dimension
-(cascade.rank_tables), so it ranks after every real point and never falls
-inside one.
+group's leaf row is its order, so leaf p ranks p and the root's rank
+bounds are its leaf positions.  Below the root, a walk places its two
+bounds in the member's leaf row by two bisects keyed by the group's rank
+table, and reads no rank after that (see cascade).  A tree stores its
+labels, ranks and ids at one index width, LayeredRangeTree.code, and every
+group's rows under one address rule (see Storage and Widths in cascade).
+A phantom is leaf t >= n of the root, its own label and its own rank in
+every dimension (cascade.rank_tables), so it ranks after every real point
+and never falls inside one.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import chain, islice
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -58,15 +61,19 @@ GATHER_MIN = 26
 class QueryStats:
     """Operation counters accumulated over one or more queries.
 
-    Only the walk (cascade._find_split and cascade._walk) counts work, and
-    only LayeredRangeTree.query and .count count results; no structure
-    writes a counter.  nodes_visited (_find_split and _walk) counts every
-    tree node whose key a query examines plus every canonical subtree root
-    it hands off to; binary_searches (_walk) counts bisects of a cascade's
-    split-node array, not the per-box rank mapping (rank_box: two
-    bisections per dimension, the whole search at d=1); bridge_follows
-    (_walk) counts O(1) position transfers along cascade bridges; reported
-    (LayeredRangeTree.query and .count) counts reported (or counted) points.
+    Only the walk (cascade._walk) counts work, and only
+    LayeredRangeTree.query and .count count results; no structure writes a
+    counter.  nodes_visited counts the tree nodes on the split path and the
+    two boundary paths, the nodes a rank-reading descent would examine,
+    plus every canonical subtree root the walk hands off to.  Below the
+    root, the walk's two bisects that place the x bounds in a leaf row
+    stand in for those descents node for node, so they are not counted as
+    binary searches, just as rank_box's are not (two bisections per
+    dimension, the whole search at d=1).  binary_searches counts only the
+    bisects of a cascade's split-node array, for y, which keeps the
+    one-search law of a 2D report.  bridge_follows counts O(1) position
+    transfers along cascade bridges; reported (LayeredRangeTree.query and
+    .count) counts reported (or counted) points.
     """
 
     nodes_visited: int = 0
@@ -94,9 +101,10 @@ def canonical_subtrees(level: "_Level", g: int, a: int, b: int,
 
     The walk is a cascade's (cascade._walk) over member g's leaf row, run
     with no y bounds, since a level has no bridges.  At most 2*log2(L) nodes
-    (one for a single-leaf tree); phantom leaves never qualify because their
-    ranks are at least n >= b.  The package exports it because the
-    canonical-subtree law is stated on it.
+    (one for a single-leaf tree).  At the root, a and b must lie in 0..n,
+    the range rank_box gives: then phantom leaves (ranks n and up) never
+    qualify, while a b past n would take them in.  The package exports it
+    because the canonical-subtree law is stated on it.
     """
     if stats is None:
         stats = QueryStats()
@@ -138,7 +146,9 @@ class _Level:
     has L labels from g*L, sorted by `rank`, its m real labels first, then
     phantoms (labels >= n): only the root holds phantoms, so m is n there and L below.
     The root, over dimension 0, has rank None: its leaf row is that order,
-    so leaf p ranks p and its walk reads no rank (cascade._walk).  subs lists
+    so leaf p ranks p.  Every member's walk runs on leaf positions
+    (cascade._walk); below the root, two bisects keyed by rank place its
+    bounds first.  subs lists
     the next dimension's groups by log2 L.  Node (r, pos), if _reachable,
     has the structure first[r] + g*per[r] + pos of subs[r], where per[r]
     counts one member's structures in row r.
@@ -154,15 +164,6 @@ class _Level:
         self.rank = rank
         self.subs = subs
         self.first, self.per = [0] * L.bit_length(), [0] * L.bit_length()  # set by build
-
-    def slots(self, g: int) -> Iterator[tuple[tuple[int, int], tuple[object, int]]]:
-        """Yield ((row, pos), (group, member)) for each node of member g with a structure.
-
-        Rows run from the root's down to the leaves', positions ascending.
-        """
-        for r in range(self.L.bit_length() - 1, -1, -1):
-            for pos in _reachable(self.L, self.m, r):
-                yield (r, pos), (self.subs[r], self.first[r] + g * self.per[r] + pos)
 
     def query(self, g, a, b, stats, emit):
         subs, first, per = self.subs, self.first, self.per
@@ -244,23 +245,6 @@ class LayeredRangeTree:
         k = self.root.count(0, a, b, stats)
         stats.reported += k
         return k
-
-    # -- structure inspection -------------------------------------------------
-
-    def structures(self) -> Iterator[tuple[int, tuple[object, int]]]:
-        """Yield (level index, (group, member)) over every tree instance, root first.
-
-        The group is a _Slab, a _Level or a CascadeStructure; the root is
-        member 0 of a group of one.  The order is depth first: the
-        structures of a level member's nodes follow it, last node first.
-        """
-        stack = [(0, (self.root, 0))]
-        while stack:
-            level, node = stack.pop()
-            yield level, node
-            s, g = node
-            if isinstance(s, _Level):
-                stack.extend((level + 1, sub) for _, sub in s.slots(g))
 
 
 def build(points: PointSet, counters: Optional[BuildCounters] = None) -> LayeredRangeTree:

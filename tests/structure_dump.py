@@ -11,9 +11,10 @@ the queries and of the counts, and merge_moves.  A hit is its id and its
 coordinates as float.hex strings, so a lost -0.0 or a rounding change shows
 too.  The structures store point labels (ranks in the last dimension); the
 dump writes each stored label below n as its point id, read from the tree's
-id map, and bridges and phantoms as stored.  It reads only structures(), the
-tree's ids and dims, every group's rows, L and rank, a cascade group's
-bridges, a level's dim, and the hits' id and coords.  Diffing the
+id map, and bridges and phantoms as stored.  It reads only the tree's root,
+ids and dims, every group's rows, L and rank, a cascade group's bridges, a
+level's dim, m, subs, first and per (structures, slots), and the hits' id
+and coords.  Diffing the
 outputs of two versions of the package, each dumped by its own copy of this
 file, shows every change in layout, answer or cost counter.  One case is
 written per line.  Which structures exist is layout too: a level node that no
@@ -34,7 +35,8 @@ structure layout: the reference order and box filter over Points
 (composite_key, box_contains), a cascade member's bridge_rows and node
 (r, pos), a cascade or level member's words, leaf_row, leaf_ranks and the
 real labels of its subtree (r, pos), a group's members, all_nodes of a
-tree, and a member's query output as a list (collect).  They read every row of either group kind
+tree, a member's query output as a list (collect), a level member's slots
+and every structure of a tree (structures).  They read every row of either group kind
 by one rule: member g's entries start at g*L.  Its top level imports nothing
 from layertree.
 """
@@ -191,6 +193,36 @@ def node(cs, row: int, pos: int, g: int = 0) -> CascadeNode:
                        [t - l for t, l in enumerate(lb)])
 
 
+def slots(level, g: int):
+    """Yield ((row, pos), (group, member)) for each node of level member g with a structure.
+
+    Rows run from the root's down to the leaves', positions ascending; the
+    nodes are the level's _reachable ones, and each structure is found by
+    the level's arithmetic on the node's name (see tree._Level).
+    """
+    from layertree.tree import _reachable
+
+    for r in range(level.L.bit_length() - 1, -1, -1):
+        for pos in _reachable(level.L, level.m, r):
+            yield (r, pos), (level.subs[r], level.first[r] + g * level.per[r] + pos)
+
+
+def structures(tree):
+    """Yield (level index, (group, member)) over every structure of a tree, root first.
+
+    The group is a _Slab, a _Level or a CascadeStructure; the root is
+    member 0 of a group of one.  The order is depth first: the
+    structures of a level member's nodes follow it, last node first.
+    """
+    stack = [(0, (tree.root, 0))]
+    while stack:
+        level, node = stack.pop()
+        yield level, node
+        s, g = node
+        if hasattr(s, "subs"):  # a level
+            stack.extend((level + 1, sub) for _, sub in slots(s, g))
+
+
 def collect(group, g: int, a, b, stats=None) -> list:
     """The labels member g of a group emits for the rank box [a, b), as a plain list.
 
@@ -232,7 +264,7 @@ def widths(tree) -> dict:
     labels' with its bridge rows' 1..H as one string.
     """
     ranks, levels, cascades, seen = {}, [], [], set()
-    for _, (s, _) in tree.structures():
+    for _, (s, _) in structures(tree):
         if id(s) in seen or not hasattr(s, "L"):  # each group once; the slab holds no array
             continue
         seen.add(id(s))
@@ -262,7 +294,7 @@ def dump_case(d: int, dist: str, n: int) -> dict:
     return {
         "case": [d, dist, n],
         "structures": [[level, type(s).__name__, structure_row(s, g, tree.ids)]
-                       for level, (s, g) in tree.structures()],
+                       for level, (s, g) in structures(tree)],
         "widths": widths(tree),
         "answers": answers,
         "query_stats": list(astuple(q)),

@@ -26,7 +26,7 @@ from layertree.cascade import (CascadeStructure, fill_buffers_batch_np, merge_ro
 from layertree.core import QueryBox
 
 from structure_dump import (SplitMix64, all_nodes, box_contains, bridge_rows, collect,
-                            composite_key, leaf_ranks, leaf_row, node, subtree)
+                            composite_key, leaf_ranks, leaf_row, node, structures, subtree)
 
 
 def make_cascade(coord_pairs):
@@ -131,7 +131,7 @@ class TestIdsOnly:
     def test_node_makes_no_point(self):
         # reading every node of every cascade (structure_dump.node) makes no Point
         tree = build(gen_points(GeneratorConfig(seed=3, n=300, dims=3, dist="grid", grid_side=5)))
-        members = [s for _, s in tree.structures() if isinstance(s[0], CascadeStructure)]
+        members = [s for _, s in structures(tree) if isinstance(s[0], CascadeStructure)]
         gc.collect()
         before = sum(type(o) is Point for o in gc.get_objects())
         for cs, g in members:
@@ -381,7 +381,7 @@ class TestBridges:
         # at its own base, and that its entries are its subtree's points
         tree = build(gen_points(GeneratorConfig(seed=8, n=90, dims=3, dist="grid", grid_side=4)))
         n = len(tree.pointset)
-        members = [s for _, s in tree.structures() if isinstance(s[0], CascadeStructure)]
+        members = [s for _, s in structures(tree) if isinstance(s[0], CascadeStructure)]
         assert any(g > 0 for _, g in members)
         for cs, g in members:
             assert exhaustive_bridge_check(cs, g) == 0

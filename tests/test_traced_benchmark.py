@@ -33,7 +33,7 @@ from layertree import (GeneratorConfig, LayeredRangeTree, QueryBox, QueryStats, 
                        build, gen_points)
 from layertree.cascade import CascadeStructure
 
-from structure_dump import SplitMix64
+from structure_dump import SplitMix64, structures
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -90,7 +90,7 @@ def test_cost_laws_through_traced_names(monkeypatch, d):
     monkeypatch.setattr(layertree.tree, "canonical_subtrees", canonical)
     ps = gen_points(GeneratorConfig(seed=d, n=400, dims=d, dist="grid", grid_side=6))
     tree = build(ps)
-    assert calls["fill"] == len({id(s) for _, (s, _) in tree.structures()
+    assert calls["fill"] == len({id(s) for _, (s, _) in structures(tree)
                                  if isinstance(s, CascadeStructure)})
     rng = SplitMix64(d)
     queried = 0

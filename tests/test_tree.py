@@ -31,12 +31,12 @@ from layertree import (
     canonical_subtrees,
     gen_points,
 )
-from layertree.cascade import CascadeStructure, _find_split, merge_rows, pow2ceil, rank_tables
+from layertree.cascade import CascadeStructure, merge_rows, pow2ceil, rank_tables
 from layertree.tree import GATHER_MIN, _Level, _reachable, _Slab
 
 import structure_dump
 from structure_dump import (SplitMix64, all_nodes, bridge_rows, collect, composite_key, leaf_ranks,
-                            leaf_row, members, node, subtree, words)
+                            leaf_row, members, node, slots, structures, subtree, words)
 
 
 def level_tree(values):
@@ -49,10 +49,82 @@ def root_level(values):
     return level_tree(values).root, 0
 
 
-def split(member, a, b):
-    """The split node of ranks [a, b) in a level member's leaf row."""
-    level, _ = member
-    return _find_split(leaf_row(*member), level.rank, 0, level.L, a, b, QueryStats())
+def positions(ranks, a, b):
+    """The positions [pa, pb) of the leaves with ranks in [a, b) (leaf_ranks order); pa = pb if none."""
+    pb = bisect_left(ranks, b)
+    return min(bisect_left(ranks, a), pb), pb
+
+
+def split(ranks, a, b):
+    """The split node (row, pos) of ranks [a, b) over leaf ranks `ranks`, found on positions.
+
+    Node (r, pos) splits after leaf pos*2^r + 2^(r-1) - 1, so the split node
+    is where leaves pa and pb part (pb = L reading as leaf L-1), or pb's
+    leaf when pa = pb.
+    """
+    pa, pb = positions(ranks, a, b)
+    last = min(pb, len(ranks) - 1)
+    r = (pa ^ last).bit_length() if pa < pb else 0
+    return r, last >> r
+
+
+def reference_split(ranks, a, b, stats):
+    """The split node of ranks [a, b) by the rank-reading descent over leaf ranks `ranks`.
+
+    Descent rule: left iff b <= the node's split rank (the rank of the
+    rightmost leaf of its left half), right iff the split rank < a.  It
+    counts each node it reads.
+    """
+    r, pos = len(ranks).bit_length() - 1, 0
+    stats.nodes_visited += 1
+    while r:
+        k = ranks[((2 * pos + 1) << (r - 1)) - 1]
+        if b <= k:
+            pos <<= 1
+        elif k < a:
+            pos = (pos << 1) + 1
+        else:
+            break
+        r -= 1
+        stats.nodes_visited += 1
+    return r, pos
+
+
+def reference_walk(ranks, a, b, stats) -> list:
+    """(row, pos) of each node canonical_subtrees yields for [a, b) over leaf ranks `ranks`.
+
+    The reference walk: the rank-reading split descent, then the a path and
+    the b path, each entering the right child iff the node's split rank is
+    below its bound; a boundary leaf is in range iff its rank is in [a, b).
+    It counts nodes_visited as the walk does.
+    """
+    r, pos = reference_split(ranks, a, b, stats)
+    if r == 0:
+        return [(0, pos)] if a <= ranks[pos] < b else []
+    out = []
+    for side, bound in ((0, a), (1, b)):
+        p = pos
+        for rr in range(r, 0, -1):
+            go = ranks[(p << rr) + (1 << (rr - 1)) - 1] < bound
+            p = (p << 1) + go
+            if go == side and rr < r:
+                stats.nodes_visited += 1
+                out.append((rr - 1, p ^ 1))
+        stats.nodes_visited += r
+        if a <= ranks[p] < b:
+            out.append((0, p))
+    return out
+
+
+def check_walk(member, ranks, a, b):
+    """canonical_subtrees and split equal the reference walk and split, QueryStats included.
+
+    ranks is leaf_ranks(*member).
+    """
+    got, want = QueryStats(), QueryStats()
+    assert canonical_subtrees(*member, a, b, got) == reference_walk(ranks, a, b, want), (a, b)
+    assert got == want, (a, b)
+    assert split(ranks, a, b) == reference_split(ranks, a, b, QueryStats()), (a, b)
 
 
 def real_count(member, n) -> int:
@@ -94,7 +166,7 @@ class TestPublicNames:
         assert not hasattr(layertree, name)
 
     @pytest.mark.parametrize("name", ["CascadeNode", "composite_key", "box_contains", "node",
-                                      "SplitMix64", "splitmix64_next"])
+                                      "SplitMix64", "splitmix64_next", "structures", "slots"])
     def test_test_only_names_left_the_package(self, name):
         # only tests read them (tests/structure_dump.py): no package module or class has them
         modules = [layertree] + [importlib.import_module(f"layertree.{m}") for m in
@@ -122,7 +194,7 @@ class TestLeafRow:
                 assert chunks[r, p] == chunks[r - 1, 2 * p] + chunks[r - 1, 2 * p + 1]
         for i in range(L):
             assert chunks[0, i] == ([level.rows[0][i]] if i < n else [])
-        built = dict(level.slots(0))
+        built = dict(slots(level, 0))
         assert list(built) == [at for at in nodes if at in built]
         assert {(0, i) for i in range(n)} <= set(built)  # every real leaf
         for at, sub in built.items():
@@ -133,12 +205,20 @@ class TestLeafRow:
         level, _ = member
         ranks = leaf_ranks(*member)
         assert ranks == sorted(ranks)
-        # a node splits at the largest rank of its left subtree, and the
-        # split search for that one rank stops at the node
-        for r in range(1, level.L.bit_length()):
+        # a node splits after the rightmost leaf of its left subtree, which
+        # holds the largest rank there; the one rank's positions are that
+        # leaf alone, whose split node is the node, and the walk covers it by
+        # the leaf after H - r + 1 visits down to the node and r down each path
+        H = level.L.bit_length() - 1
+        for r in range(1, H + 1):
             for pos in range(level.L >> r):
-                k = max(ranks[pos << r : (2 * pos + 1) << (r - 1)])
-                assert split(member, k, k + 1) == (r, pos)
+                mid = (2 * pos + 1) << (r - 1)
+                k = max(ranks[pos << r : mid])
+                assert positions(ranks, k, k + 1) == (mid - 1, mid)
+                assert split(ranks, k, k + 1) == (r, pos)
+                stats = QueryStats()
+                assert canonical_subtrees(*member, k, k + 1, stats) == [(0, mid - 1)]
+                assert stats.nodes_visited == H + 1 + r
 
     @pytest.mark.parametrize("n", [1, 3, 8, 13])
     def test_leaf_scan_nondecreasing_and_internal_keys(self, n):
@@ -151,10 +231,10 @@ class TestLeafRow:
     @pytest.mark.parametrize("n", [8, 13, 40])
     def test_leaf_scan_below_the_root(self, n):
         # the largest level member over dimension 1 (d = 4) is sorted by its
-        # rank table, which the split search reads
+        # rank table, which the walk's two bound bisects read
         rnd = random.Random(n)
         tree = build(PointSet.from_coords([(i, rnd.randrange(4), 0, 0) for i in range(n)]))
-        member = max((s for depth, s in tree.structures() if depth == 1), key=lambda s: s[0].L)
+        member = max((s for depth, s in structures(tree) if depth == 1), key=lambda s: s[0].L)
         assert member[0].rank is not None and member[0].L > 1
         self.check_leaf_scan(member)
 
@@ -177,31 +257,32 @@ class TestFindSplitNode:
 
     def test_range_2_3_splits_at_root(self):
         member = root_level(self.VALUES)
-        assert split(member, *rank_bounds(self.VALUES, 2.0, 3.0)) == (2, 0)
+        assert split(leaf_ranks(*member), *rank_bounds(self.VALUES, 2.0, 3.0)) == (2, 0)
 
     def test_degenerate_range_splits_at_value_boundary(self):
         # [1,1] is the ranks [0, 1): it diverges at the parent of the value-1
         # leaf; the canonical cover is still exactly that leaf
         tree = level_tree(self.VALUES)
         member = tree.root, 0
-        assert split(member, *rank_bounds(self.VALUES, 1.0, 1.0)) == (1, 0)
+        assert split(leaf_ranks(*member), *rank_bounds(self.VALUES, 1.0, 1.0)) == (1, 0)
         cover = canonical_subtrees(*member, *rank_bounds(self.VALUES, 1.0, 1.0))
         assert cover == [(0, 0)]
         assert [tree.ids[e] for e in subtree(*member, 0, 0, len(self.VALUES))] == [0]
 
     def test_range_above_all_leaves(self):
         member = root_level(self.VALUES)
-        r, _ = split(member, *rank_bounds(self.VALUES, 5.0, 9.0))
+        r, _ = split(leaf_ranks(*member), *rank_bounds(self.VALUES, 5.0, 9.0))
         assert r == 0  # a leaf
         assert canonical_subtrees(*member, *rank_bounds(self.VALUES, 5.0, 9.0)) == []
 
     @pytest.mark.parametrize("H", range(8))
     def test_root_closed_form_equals_rank_descent(self, H):
-        # the root holds no rank table and finds its split by arithmetic on
-        # a and b; for every 0 <= a, b <= L, a >= b and b = L included, it
-        # gives the node and the nodes_visited that the rank-reading descent
-        # gives over the same leaf row with dimension 0's composite ranks.
-        # n = L makes b = L a bound a box can map to
+        # the root holds no rank table, so its bounds already are positions;
+        # for every 0 <= a, b <= L, a >= b and b = L included, the walk of the
+        # d = 2 root's x-tree gives the nodes and the nodes_visited of the
+        # reference walk, which reads dimension 0's composite ranks (leaf p
+        # ranks p) at every turn.  n = L makes b = L a bound a box can map to,
+        # and n = L/2 + 1 puts phantoms inside [a, b) for b > n
         L = 1 << H
         for n in sorted({L, L // 2 + 1}):
             ps = gen_points(GeneratorConfig(seed=n, n=n, dims=2, dist="grid", grid_side=5))
@@ -209,16 +290,31 @@ class TestFindSplitNode:
             root, pts = tree.root, ps.points
             assert root.L == L and root.rank is None
             order = sorted(range(n), key=lambda i: composite_key(pts[i], 0))
-            rank = array("i", range(L))  # phantom t ranks t
-            for v, i in enumerate(order):
-                rank[tree.ids.index(i)] = v
-            leaves = leaf_row(root)
+            assert [tree.ids[e] for e in leaf_row(root)[:n]] == order
+            ranks = leaf_ranks(root)
             for a in range(L + 1):
                 for b in range(L + 1):
-                    got, want = QueryStats(), QueryStats()
-                    assert (_find_split(leaves, None, 0, L, a, b, got)
-                            == _find_split(leaves, rank, 0, L, a, b, want)), (n, a, b)
-                    assert got == want, (n, a, b)
+                    check_walk((root, 0), ranks, a, b)
+
+
+class TestWalkOnPositions:
+    @pytest.mark.parametrize("d,n", [(3, 1), (3, 2), (3, 5), (3, 8), (3, 33), (3, 64), (3, 100),
+                                     (4, 1), (4, 2), (4, 5), (4, 8), (4, 33), (4, 64)])
+    def test_walk_equals_rank_reading_walk(self, d, n):
+        # every walk runs on leaf positions, and below the root two bisects
+        # keyed by rank place its bounds: for every level member of a grid
+        # tree, root and below, and every 0 <= a, b <= n, it yields the nodes
+        # and the QueryStats of the reference walk, which reads a rank at
+        # every turn
+        tree = build(gen_points(GeneratorConfig(seed=n + d, n=n, dims=d, dist="grid", grid_side=3)))
+        levels = [s for _, s in structures(tree) if isinstance(s[0], _Level)]
+        assert levels[0][0].rank is None
+        assert any(level.rank is not None for level, _ in levels) == (d == 4)
+        for member in levels:
+            ranks = leaf_ranks(*member)
+            for a in range(n + 1):
+                for b in range(n + 1):
+                    check_walk(member, ranks, a, b)
 
 
 def check_cover(member, ids, column, lo, hi):
@@ -268,7 +364,7 @@ class TestCanonicalSubtrees:
         # below the root a level holds a subset of the points, so its real
         # labels run past its own point count m
         tree = build(PointSet.from_coords(rows))
-        lower = [s for depth, s in tree.structures() if depth > 0 and isinstance(s[0], _Level)]
+        lower = [s for depth, s in structures(tree) if depth > 0 and isinstance(s[0], _Level)]
         assert lower
         for member in lower:
             check_cover(member, tree.ids, [r[member[0].dim] for r in rows], lo, hi)
@@ -286,7 +382,7 @@ class TestReachableSlots:
         # dimension's groups
         tree = build(gen_points(GeneratorConfig(seed=n + d, n=n, dims=d, dist=dist, grid_side=3)))
         everything = ((0,) * d, (n,) * d)
-        levels = [s for _, s in tree.structures() if isinstance(s[0], _Level)]
+        levels = [s for _, s in structures(tree) if isinstance(s[0], _Level)]
         assert levels
         held = {}
         for member in levels:
@@ -295,7 +391,7 @@ class TestReachableSlots:
             for a in range(n + 1):
                 for b in range(a, n + 1):
                     reached.update(canonical_subtrees(level, g, a, b))
-            built = dict(level.slots(g))
+            built = dict(slots(level, g))
             assert set(built) == reached
             for (r, p), (group, h) in built.items():
                 got = collect(group, h, *everything)
@@ -374,7 +470,7 @@ class TestBuild:
         def snapshot(tree):
             return [(lvl, type(s).__name__, words(s, g).tolist(),
                      bridge_rows(s, g) if is_cascade((s, g)) else None)
-                    for lvl, (s, g) in tree.structures()]
+                    for lvl, (s, g) in structures(tree)]
 
         def label_coords(tree):
             return tree.pointset.coord_matrix()[list(tree.ids)].tolist()
@@ -400,10 +496,10 @@ class TestBuild:
                     GeneratorConfig(seed=3, n=40, dims=4)):
             tree = build(gen_points(cfg))
             everything = ((0,) * cfg.dims, (cfg.n,) * cfg.dims)
-            levels = [s for _, s in tree.structures() if isinstance(s[0], _Level)]
+            levels = [s for _, s in structures(tree) if isinstance(s[0], _Level)]
             assert len(levels) > (cfg.dims == 4)
             for member in levels:
-                for (r, p), sub in member[0].slots(member[1]):
+                for (r, p), sub in slots(member[0], member[1]):
                     labels = subtree(*member, r, p, cfg.n)
                     assert labels and real_count(sub, cfg.n) == len(labels)
                     assert sorted(collect(*sub, *everything)) == sorted(labels)
@@ -525,7 +621,7 @@ class TestIndexWidth:
         assert tree.ids.typecode == code and len(tree.ids) == n
         assert max(tree.ids) == n - 1  # id 65535 is stored at n = 2^16
         if d > 1:
-            groups = {id(s): s for _, (s, _) in tree.structures()}.values()
+            groups = {id(s): s for _, (s, _) in structures(tree)}.values()
             # the root group holds no rank table; each other dimension below
             # d-1 has one
             assert tree.root.rank is None
@@ -566,7 +662,7 @@ class TestSpaceAccounting:
         ps = gen_points(GeneratorConfig(seed=n, n=n, dims=d))
         tree = build(ps)
         groups = {}
-        for _, s in tree.structures():
+        for _, s in structures(tree):
             if is_cascade(s):
                 cs, g = s
                 # real (non-phantom, < n) labels in the node-array rows
@@ -577,7 +673,7 @@ class TestSpaceAccounting:
             else:
                 # the m*levels law, summed over the nodes that have a structure:
                 # each holds its chunk's m points, and m*levels bounds the sum
-                built = list(s[0].slots(s[1]))
+                built = list(slots(s[0], s[1]))
                 total = sum(real_count(sub, n) for _, sub in built)
                 assert total == sum(len(subtree(*s, r, p, n)) for (r, p), _ in built)
                 assert total <= real_count(s, n) * s[0].L.bit_length()
@@ -610,7 +706,7 @@ class TestSpaceAccounting:
         ps = gen_points(GeneratorConfig(seed=n, n=n, dims=d, dist="grid", grid_side=5))
         tree, L = build(ps), pow2ceil(n)
         tables = {}
-        for _, (s, _) in tree.structures():
+        for _, (s, _) in structures(tree):
             if s is not tree.root:
                 tables[id(s.rank)] = s.rank
         assert tree.root.rank is None and len(tables) == d - 2
@@ -631,7 +727,7 @@ class TestSpaceAccounting:
         tree = build(ps)
         gc.collect()
         live = sum(isinstance(o, CascadeStructure) for o in gc.get_objects()) - before
-        members = [s for _, s in tree.structures() if is_cascade(s)]
+        members = [s for _, s in structures(tree) if is_cascade(s)]
         groups = {id(cs) for cs, _ in members}
         assert live == len(groups) <= pow2ceil(3000).bit_length()
         assert len(members) > 3000
@@ -647,7 +743,7 @@ class TestSpaceAccounting:
         tree = build(ps)
         gc.collect()
         live = sum(isinstance(o, _Level) for o in gc.get_objects()) - before
-        levels = [(depth, s) for depth, s in tree.structures() if isinstance(s[0], _Level)]
+        levels = [(depth, s) for depth, s in structures(tree) if isinstance(s[0], _Level)]
         by_dim = [{id(s) for depth, (s, _) in levels if depth == j} for j in (0, 1)]
         assert live == len(by_dim[0]) + len(by_dim[1])
         assert len(by_dim[0]) == 1 and len(by_dim[1]) <= pow2ceil(n).bit_length()
@@ -658,7 +754,7 @@ class TestSpaceAccounting:
         # the tree's width: no array growth slack
         ps = gen_points(GeneratorConfig(seed=6, n=2000, dims=4))
         tree = build(ps)
-        groups = {id(s): s for _, (s, _) in tree.structures() if isinstance(s, _Level)}
+        groups = {id(s): s for _, (s, _) in structures(tree) if isinstance(s, _Level)}
         assert len(groups) > 1
         empty = sys.getsizeof(array(tree.code))
         for level in groups.values():
@@ -695,7 +791,7 @@ class TestSpaceAccounting:
                                                      key=lambda i: composite_key(pts[i], j)))}
                  for j in range(d)]
         held = {}
-        for _, (s, g) in tree.structures():
+        for _, (s, g) in structures(tree):
             if isinstance(s, _Slab):
                 assert s.__slots__ == ()
                 continue
@@ -795,7 +891,7 @@ class TestStructureDump:
 def buffer_digest(tree) -> str:
     """sha256 of every structure's expanded buffer (leaf row of a level) as ints, in structures() order."""
     h = hashlib.sha256()
-    for _, s in tree.structures():
+    for _, s in structures(tree):
         h.update(repr(structure_dump.structure_row(*s, tree.ids)).encode())
     return h.hexdigest()
 
@@ -913,7 +1009,7 @@ class TestMergeWork:
         # each group's G*L entries once per merged row
         counters = BuildCounters()
         tree = build(gen_points(GeneratorConfig(seed=n + 10 * d, n=n, dims=d)), counters)
-        groups = {id(s): s for _, (s, _) in tree.structures()}.values()
+        groups = {id(s): s for _, (s, _) in structures(tree)}.values()
         assert counters.merge_moves == sum(merged_rows(s) * len(s.rows[0]) for s in groups)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
@@ -944,7 +1040,7 @@ class TestMergeWork:
         monkeypatch.setattr(layertree.cascade, "merge_rows", checked)
         before = live_merges()  # held, so their ids stay theirs
         tree = build(gen_points(GeneratorConfig(seed=n + 10 * d, n=n, dims=d)))
-        levels = {id(s.rows[0]): s for _, (s, _) in tree.structures() if isinstance(s, _Level)}
+        levels = {id(s.rows[0]): s for _, (s, _) in structures(tree) if isinstance(s, _Level)}
         assert taken.keys() == levels.keys()  # each level's merge, keyed by its leaves
         for key, level in levels.items():
             assert taken[key] == merged_rows(level)

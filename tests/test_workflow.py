@@ -26,7 +26,7 @@ SCRIPT = re.compile(r"\bpython3?\s+(?:-\S+\s+)*([\w./-]+\.py)\b")
 
 COUNTER_GATE = "Per-box counters against the base commit"
 COUNTERS = ("tree.nodes_visited", "cascade.binary_searches", "cascade.bridge_follows",
-            "tree.reported")
+            "tree.reported", "cascade.calls", "tree.canonical_max")
 
 
 def steps() -> list[dict]:
@@ -89,19 +89,23 @@ def test_counter_gate_traces_every_workload_on_base_and_head():
 def test_counter_gate_fails_on_a_rise_or_a_reported_change(tmp_path):
     # the gate's inline check, run on made-up base and head results
     (check,) = re.findall(r"python -c '(.*?)'", counter_gate()["run"], re.S)
-    base = {"tree.nodes_visited": 43.27, "cascade.binary_searches": 1.0,
-            "cascade.bridge_follows": 38.795, "tree.reported": 99.975}
+    base = {"tree.nodes_visited": 171.107, "cascade.binary_searches": 12.707,
+            "cascade.bridge_follows": 80.7, "tree.reported": 58.887, "cascade.calls": 12.707,
+            "tree.canonical_max": 19.0}
 
     def gate(changed=None) -> int:
         for name, values in (("base", base), ("head", {**base, **(changed or {})})):
             metrics = {k: {"value": v, "unit": "count"} for k, v in values.items()}
             (tmp_path / name).write_text(json.dumps({"metrics": metrics}))
-        return subprocess.run([sys.executable, "-c", check, "uniform2d", str(tmp_path / "base"),
+        return subprocess.run([sys.executable, "-c", check, "grid3d", str(tmp_path / "base"),
                                str(tmp_path / "head")], capture_output=True).returncode
 
     assert gate() == 0
-    assert gate({"tree.nodes_visited": 43.0, "cascade.bridge_follows": 38.0}) == 0  # a fall
-    assert gate({"tree.nodes_visited": 43.28}) == 1
-    assert gate({"cascade.binary_searches": 1.005}) == 1
-    assert gate({"cascade.bridge_follows": 39.0}) == 1
-    assert gate({"tree.reported": 99.9}) == 1 and gate({"tree.reported": 100.0}) == 1
+    assert gate({"tree.nodes_visited": 171.0, "cascade.bridge_follows": 80.0,
+                 "tree.canonical_max": 18.0}) == 0  # a fall
+    assert gate({"tree.nodes_visited": 171.11}) == 1
+    assert gate({"cascade.binary_searches": 12.71}) == 1
+    assert gate({"cascade.bridge_follows": 81.0}) == 1
+    assert gate({"tree.reported": 58.8}) == 1 and gate({"tree.reported": 59.0}) == 1
+    assert gate({"cascade.calls": 12.7}) == 1 and gate({"cascade.calls": 12.71}) == 1
+    assert gate({"tree.canonical_max": 20.0}) == 1
