@@ -68,8 +68,9 @@ bridges): one stable argsort per row, and each left bridge follows in closed
 form from where the merge took its entry.  A query or a count is one _walk
 with y bounds: the walk makes the split node's bisects, one for a query and
 two for a count, and carries the positions they find by bridges (a level
-walks without).  A query emits the in-range run of each node it reaches as
-one slice of labels.
+walks without); it stops each path at its first node with no label in
+[ya, yb), as no node below it has one.  A query emits the in-range run of
+each node it reaches as one slice of labels.
 """
 
 from __future__ import annotations
@@ -169,7 +170,7 @@ def rank_tables(coords: np.ndarray) -> tuple[array, np.ndarray, list[array], lis
     return packed(code, last), np.concatenate((label[row], label[n:])), ranks, axes
 
 
-def _walk(group, g: int, a: int, b: int, ya, yb, stats):
+def _walk(group, g: int, a: int, b: int, ya, yb, stats, carry_yb: bool = True):
     """Yield (row, pos, lo, hi) for each canonical node and in-range boundary leaf of [a, b).
 
     The tree is member g's leaf row, from g*L of group.rows[0], sorted by
@@ -184,14 +185,19 @@ def _walk(group, g: int, a: int, b: int, ya, yb, stats):
     child's first leaf is at most its bound, and a boundary leaf p is in
     range iff a <= p < b.  It yields each node the range covers whole as its
     row and its position in that row.  nodes_visited counts the H - r + 1
-    nodes a descent to the split node reads, the nodes below it on the two
-    paths and each canonical child; the bound bisects stand in for x-tree
-    descents node for node, so they are not binary_searches.  When ya is
-    not None, the group is a cascade's: the walk bisects the split node's
-    array for ya, and for yb unless it is None, and carries the positions
-    found, lo and hi, down each path by one left bridge per level, yielding
-    them as positions in each node's array.  These are a cascade's only
-    binary searches.  A level passes None for ya and yb and gets None back.
+    nodes a descent to the split node reads, the path nodes below it that
+    the walk reads and each canonical child; the bound bisects stand in for
+    x-tree descents node for node, so they are not binary_searches.  When ya
+    is not None, the group is a cascade's: the walk bisects the split node's
+    array for ya, and for yb if carry_yb (a query's is False), and carries
+    the positions found, lo and hi, down each path by one left bridge per
+    level, yielding them as positions in each node's array.  These are a
+    cascade's only binary searches.  A node with lo >= hi (a count), or
+    with lo past its array or at a label >= yb (a query: one read), and
+    every node below it, holds no label in [ya, yb): the walk ends at such a
+    split node, and a path at the first such child after that step's
+    canonical sibling, so a path that ends after its step at row rr reads
+    r - rr + 1 nodes, not r.  A level passes None for ya and yb.
     """
     L, rank, leaf = group.L, group.rank, group.rows[0]
     base = g * L  # member g's entries of every row start here
@@ -208,18 +214,21 @@ def _walk(group, g: int, a: int, b: int, ya, yb, stats):
     stats.nodes_visited += L.bit_length() - r
     lo = hi = None
     if ya is not None:
-        row, at = group.rows[r], base + (pos << r)  # the split node's array
-        bridges = group.bridges
+        rows, bridges = group.rows, group.bridges
+        row, at = rows[r], base + (pos << r)  # the split node's array
         lo = bisect_left(row, ya, at, at + (1 << r)) - at
-        if yb is not None:
+        if carry_yb:
             hi = bisect_left(row, yb, at, at + (1 << r)) - at
     npos = 0 if lo is None else 1 if hi is None else 2  # positions carried, one bisect each
     stats.binary_searches += npos
+    if npos and (lo >= hi if hi is not None else lo == 1 << r or row[at + lo] >= yb):
+        return  # the split node holds no label in [ya, yb)
     if r == 0:
         if a <= pos < b:
             yield 0, pos, lo, hi
         return
     s = f = None  # the sibling's positions, set at every step when carried
+    empty = False  # whether the path's child holds no label in [ya, yb)
     for side, bound in ((0, a), (1, b)):
         # side 0 walks the a path, side 1 the b path; at every node the path
         # enters the right child iff the child's first leaf is at most the
@@ -239,11 +248,14 @@ def _walk(group, g: int, a: int, b: int, ya, yb, stats):
                 if not go:
                     s = c - s
                 c -= s
-                if e is not None:
+                if e is None:
+                    empty = c == hf or rows[rr - 1][at + c + (hf if go else 0)] >= yb
+                else:
                     f = lb[at + e] if e < hf + hf else hf
                     if not go:
                         f = e - f
                     e -= f
+                    empty = c >= e
             if go:
                 q = mid
             # below the split node, a path that keeps to its own side leaves
@@ -252,9 +264,12 @@ def _walk(group, g: int, a: int, b: int, ya, yb, stats):
             if go == side and rr < r:
                 steps += 1
                 yield rr - 1, (q >> (rr - 1)) ^ 1, s, f
+            if empty:
+                steps -= rr - 1  # the path's nodes below its child go unread
+                break
         stats.nodes_visited += steps
         stats.bridge_follows += npos * steps
-        if a <= q < b:
+        if not empty and a <= q < b:
             yield 0, q, c, e
 
 
@@ -375,12 +390,12 @@ class CascadeStructure:
         """Emit member g's labels inside the rank box [a, b) in its last two dimensions (x, y).
 
         The walk makes ONE binary search, a bisect of the split node's array
-        for ya; positions at every canonical node and boundary leaf follow
-        bridges.  Each node's run of labels below yb is emitted as one slice
-        of its label row, an array at the tree's index width.
+        for ya; positions follow bridges, and a path stops at a label >= yb
+        (one read).  Each node's run of labels below yb is emitted as one
+        slice of its label row, an array at the tree's index width.
         """
         rows, base, yb = self.rows, g * self.L, b[-1]
-        for r, p, u, _ in _walk(self, g, a[-2], b[-2], a[-1], None, stats):
+        for r, p, u, _ in _walk(self, g, a[-2], b[-2], a[-1], yb, stats, False):
             row = rows[r]
             at = base + (p << r)
             u += at
@@ -398,8 +413,8 @@ class CascadeStructure:
 
         Nothing is enumerated.  The walk bisects the split node's array for
         the twin positions, the first labels >= ya and >= yb, and carries
-        them down via bridges; each canonical node contributes their
-        difference.
+        them down via bridges while the first is below the second, as far as
+        a query goes; each canonical node contributes their difference.
         """
         total = 0
         for _, _, u, v in _walk(self, g, a[-2], b[-2], a[-1], b[-1], stats):

@@ -8,6 +8,7 @@ for fixed flags (timing columns excepted).
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 import time
@@ -47,6 +48,7 @@ def _build_parser() -> _Parser:
     q.add_argument("--queries", required=True, help="query file path")
     q.add_argument("--count-only", action="store_true", help="emit counts, skip hit lines")
     q.add_argument("--check", action="store_true", help="verify every answer against brute force")
+    q.add_argument("--stats", action="store_true", help="print QueryStats totals as JSON on stderr")
 
     b = sub.add_parser("bench", help="benchmark build and query costs as CSV")
     b.add_argument("--dims", type=int, required=True)
@@ -112,6 +114,8 @@ def _cmd_query(parser: _Parser, args) -> int:
     stats = QueryStats()
     answer = tree.count if args.count_only else tree.query
     results = [answer(box, stats) for box in boxes]
+    if args.stats:
+        print(json.dumps(vars(stats)), file=sys.stderr)
 
     if args.check:
         for qi, box in enumerate(boxes):

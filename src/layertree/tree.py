@@ -65,15 +65,17 @@ class QueryStats:
     LayeredRangeTree.query and .count count results; no structure writes a
     counter.  nodes_visited counts the tree nodes on the split path and the
     two boundary paths, the nodes a rank-reading descent would examine,
-    plus every canonical subtree root the walk hands off to.  Below the
-    root, the walk's two bisects that place the x bounds in a leaf row
-    stand in for those descents node for node, so they are not counted as
-    binary searches, just as rank_box's are not (two bisections per
-    dimension, the whole search at d=1).  binary_searches counts only the
-    bisects of a cascade's split-node array, for y, which keeps the
-    one-search law of a 2D report.  bridge_follows counts O(1) position
-    transfers along cascade bridges; reported (LayeredRangeTree.query and
-    .count) counts reported (or counted) points.
+    plus every canonical subtree root the walk hands off to; a cascade walk
+    reads a path only down to its first node with no label in [ya, yb), so
+    the nodes below count nowhere.  Below the root, the walk's two bisects
+    that place the x bounds in a leaf row stand in for those descents node
+    for node, so they are not counted as binary searches, just as
+    rank_box's are not (two bisections per dimension, the whole search at
+    d=1).  binary_searches counts only the bisects of a cascade's
+    split-node array, for y, which keeps the one-search law of a 2D report.
+    bridge_follows counts O(1) position transfers along cascade bridges;
+    reported (LayeredRangeTree.query and .count) counts reported (or
+    counted) points.
     """
 
     nodes_visited: int = 0

@@ -21,7 +21,8 @@ written per line.  Which structures exist is layout too: a level node that no
 query can reach has no structure, so it is in no dump, and a change to which
 nodes are built shows in structures, widths and merge_moves only.  The second
 form exits 1, naming each case, when a case of BASE is missing from HEAD or
-its answers, query_stats or count_stats differ.  It also names, without
+its answers, query_stats or count_stats differ, and for each differing
+stats field says which counters fell and which rose.  It also names, without
 failing, each case whose structures, widths or merge_moves differ (or that
 one file lacks), so a layout or width change shows in its output.  CI runs it
 on every pull request against the base commit's dump.  It reads only the two
@@ -324,6 +325,25 @@ def compare(base: list, head: list, fields: tuple = SAME) -> list:
     return out
 
 
+COUNTERS = ("nodes_visited", "binary_searches", "bridge_follows", "reported")  # QueryStats order
+
+
+def directions(base: list, head: list) -> list:
+    """Per case in both dumps and stats field that differs, a line: which counters fell, which rose."""
+    by_case = {tuple(c["case"]): c for c in head}
+    out = []
+    for c in base:
+        h = by_case.get(tuple(c["case"]), {})
+        for k in ("query_stats", "count_stats"):
+            old, new = c.get(k), h.get(k)
+            if old and new and old != new:
+                moves = list(zip(COUNTERS, old, new))
+                fell = ", ".join(f"{name} {x} -> {y}" for name, x, y in moves if y < x)
+                rose = ", ".join(f"{name} {x} -> {y}" for name, x, y in moves if y > x)
+                out.append(f"{c['case']}: {k} fell: {fell or 'none'}; rose: {rose or 'none'}")
+    return out
+
+
 def main(argv: list) -> int:
     if len(argv) == 3 and argv[0] == "--compare":
         with open(argv[1]) as f, open(argv[2]) as g:
@@ -331,6 +351,8 @@ def main(argv: list) -> int:
         diffs = compare(base, head)
         moved = [line for line in compare(base, head, LAYOUT) if line not in diffs]
         print("\n".join(diffs) or "answers, query_stats and count_stats are unchanged")
+        for line in directions(base, head):
+            print(line)
         print("\n".join(["layout changes (not a failure):"] + moved) if moved
               else "structures, widths and merge_moves are unchanged")
         return 1 if diffs else 0

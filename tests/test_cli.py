@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -192,6 +193,25 @@ class TestQuery:
         _, out2, _ = run(capsys, args)
         assert out1 == out2
 
+    @pytest.mark.parametrize("count_only", [False, True])
+    def test_stats_line(self, capsys, workload, count_only):
+        # --stats adds the run's QueryStats totals as one JSON line on
+        # stderr; stdout and the exit code are those of the same run without it
+        pts, qrs = workload
+        args = ["query", "--points", str(pts), "--dims", "2", "--queries", str(qrs)]
+        args += ["--count-only"] * count_only
+        _, plain, _ = run(capsys, args)
+        code, out, err = run(capsys, args + ["--stats"])
+        assert code == 0 and out == plain
+        [line] = err.splitlines()
+        stats = json.loads(line)
+        assert list(stats) == ["nodes_visited", "binary_searches", "bridge_follows", "reported"]
+        hits = [int(l.split("k=")[1]) for l in out.splitlines() if l.startswith("q=")]
+        assert hits[0] == 50 and stats["reported"] == sum(hits)
+        assert stats["binary_searches"] == len(hits) * (2 if count_only else 1)
+        if not count_only:
+            assert stats["reported"] == len(out.splitlines()) - len(hits)
+
 
 class TestBench:
     def test_header_and_one_search_law(self, capsys):
@@ -228,8 +248,8 @@ class TestBench:
         rows = [[c for i, c in enumerate(r.split(",")) if i not in (2, 4)]
                 for r in out.splitlines()[1:]]
         assert rows == [["1", "3", "40", "1.3", "0.3", "0.0", "0"],
-                        ["100", "3", "40", "49.9", "5.825", "22.35", "186"],
-                        ["129", "3", "40", "59.4", "6.65", "28.675", "241"]]
+                        ["100", "3", "40", "44.25", "5.825", "16.7", "186"],
+                        ["129", "3", "40", "51.85", "6.65", "21.125", "241"]]
 
     @pytest.mark.parametrize(
         "argv",

@@ -317,6 +317,171 @@ class TestWalkOnPositions:
                     check_walk(member, ranks, a, b)
 
 
+def unpruned_walk(group, g, a, b, ya, yb, stats, carry_yb=True):
+    """cascade._walk as it was before its paths stopped early: every boundary path runs to its leaf.
+
+    The reference for the stop rule.  In cascade._walk's place it gives a
+    tree's answers, binary_searches and reported unchanged, and a
+    nodes_visited and bridge_follows no lower.  A query (carry_yb False)
+    carries lo alone.
+    """
+    if not carry_yb:
+        yb = None
+    L, rank, leaf = group.L, group.rank, group.rows[0]
+    base = g * L
+    if rank is not None:
+        key = rank.__getitem__
+        b = bisect_left(leaf, b, base, base + L, key=key)
+        a = (b if b == base or key(leaf[b - 1]) < a
+             else bisect_left(leaf, a, base, b - 1, key=key))
+        a -= base
+        b -= base
+    last = min(b, L - 1)
+    r = (a ^ last).bit_length() if a < b else 0
+    pos = last >> r
+    stats.nodes_visited += L.bit_length() - r
+    lo = hi = None
+    if ya is not None:
+        row, at = group.rows[r], base + (pos << r)
+        bridges = group.bridges
+        lo = bisect_left(row, ya, at, at + (1 << r)) - at
+        if yb is not None:
+            hi = bisect_left(row, yb, at, at + (1 << r)) - at
+    npos = 0 if lo is None else 1 if hi is None else 2
+    stats.binary_searches += npos
+    if r == 0:
+        if a <= pos < b:
+            yield 0, pos, lo, hi
+        return
+    s = f = None
+    for side, bound in ((0, a), (1, b)):
+        q, c, e, steps = pos << r, lo, hi, r
+        for rr in range(r, 0, -1):
+            hf = 1 << (rr - 1)
+            mid = q + hf
+            go = mid <= bound
+            if c is not None:
+                at = base + q
+                lb = bridges[rr]
+                s = lb[at + c] if c < hf + hf else hf
+                if not go:
+                    s = c - s
+                c -= s
+                if e is not None:
+                    f = lb[at + e] if e < hf + hf else hf
+                    if not go:
+                        f = e - f
+                    e -= f
+            if go:
+                q = mid
+            if go == side and rr < r:
+                steps += 1
+                yield rr - 1, (q >> (rr - 1)) ^ 1, s, f
+        stats.nodes_visited += steps
+        stats.bridge_follows += npos * steps
+        if a <= q < b:
+            yield 0, q, c, e
+
+
+def holds(cs, g, r, pos, ya, yb) -> bool:
+    """Whether node (r, pos) of cascade member g holds a label in [ya, yb), read from its array."""
+    labels = node(cs, r, pos, g).ranks
+    i = bisect_left(labels, ya)
+    return i < len(labels) and labels[i] < yb
+
+
+def stop_rule(cs, g, a, b, ya, yb) -> tuple:
+    """(nodes_visited, nodes read below the split node) of one cascade walk, by the stop rule.
+
+    Stated on node arrays, apart from the walk: the walk reads the descent
+    to the split node, and nothing more if that holds no label in [ya, yb).
+    Else each path steps from it toward its bound, counting each node it
+    steps into and each canonical sibling, and ends at the first child that
+    holds none.
+    """
+    ranks = leaf_ranks(cs, g)
+    pa, pb = positions(ranks, a, b)
+    r, pos = split(ranks, a, b)
+    top = cs.L.bit_length() - r
+    if not holds(cs, g, r, pos, ya, yb):
+        return top, 0
+    below = 0
+    for side, bound in ((0, pa), (1, pb)):
+        p = pos
+        for rr in range(r, 0, -1):
+            go = ((2 * p + 1) << (rr - 1)) <= bound
+            p = 2 * p + go
+            below += 1 + (go == side and rr < r)
+            if not holds(cs, g, rr - 1, p, ya, yb):
+                break
+    return top + below, below
+
+
+def stop_rule_rows(kind, d, n):
+    """n rows of d coordinates: "grid" draws 0, 1, 2 (heavy duplicates), "signed" -1, -0.0, 0.0, 1."""
+    pool = [0.0, 1.0, 2.0] if kind == "grid" else [-1.0, -0.0, 0.0, 1.0]
+    rng = SplitMix64(97 * d + n)
+    rows = [[pool[rng.next_below(len(pool))] for _ in range(d)] for _ in range(n)]
+    if kind == "signed":
+        rows[0], rows[1] = [-0.0] * d, [0.0] * d
+    return rows
+
+
+def stop_rule_boxes(d, count):
+    """Random boxes over the rows' range and past it, some with lo > hi, then y ranges missing every row."""
+    bounds = [-1.5, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5]
+    rng = SplitMix64(31 * d)
+    boxes = [QueryBox(*zip(*[(bounds[rng.next_below(10)], bounds[rng.next_below(10)])
+                             for _ in range(d)])) for _ in range(count)]
+    for y in ((0.25, 0.75), (3.0, 4.0), (-3.0, -2.0), (1.0, 0.0), (2.0, -1.0)):
+        boxes.append(QueryBox((-1.0,) * (d - 1) + y[:1], (2.0,) * (d - 1) + y[1:]))
+    return boxes
+
+
+class TestStopRule:
+    @pytest.mark.parametrize("n", [8, 9, 64, 65])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("kind", ["grid", "signed"])
+    def test_walk_against_unpruned_walk(self, monkeypatch, kind, d, n):
+        # every cascade walk reads exactly the nodes the stop rule names,
+        # stated on node arrays; a tree's answers, binary_searches and
+        # reported are those of the unpruned walk, its nodes_visited and
+        # bridge_follows no higher, and a query stops where a count does
+        ps = PointSet.from_coords(stop_rule_rows(kind, d, n), d)
+        tree = build(ps)
+        walk = layertree.cascade._walk
+        at_split = []  # per cascade call: whether it read nothing below the split node
+
+        def checked(group, g, a, b, ya, yb, stats, carry_yb=True):
+            own = QueryStats()
+            yield from walk(group, g, a, b, ya, yb, own, carry_yb)
+            npos = 1 + carry_yb
+            visited, below = stop_rule(group, g, a, b, ya, yb)
+            assert astuple(own) == (visited, npos, npos * below, 0), (a, b, ya, yb, carry_yb)
+            at_split.append(below == 0)
+            for k in ("nodes_visited", "binary_searches", "bridge_follows"):
+                setattr(stats, k, getattr(stats, k) + getattr(own, k))
+
+        pruned = unpruned = 0
+        for box in stop_rule_boxes(d, 60):
+            want = brute_force_query(ps, box)
+            q, c, rq, rc = QueryStats(), QueryStats(), QueryStats(), QueryStats()
+            monkeypatch.setattr(layertree.cascade, "_walk", checked)
+            got, k = tree.query(box, q), tree.count(box, c)
+            monkeypatch.setattr(layertree.cascade, "_walk", unpruned_walk)
+            assert got == tree.query(box, rq) == want and k == tree.count(box, rc) == len(want)
+            for s, ref in ((q, rq), (c, rc)):
+                assert (s.binary_searches, s.reported) == (ref.binary_searches, ref.reported)
+                assert s.nodes_visited <= ref.nodes_visited
+                assert s.bridge_follows <= ref.bridge_follows
+            assert q.nodes_visited == c.nodes_visited and c.bridge_follows == 2 * q.bridge_follows
+            pruned += q.nodes_visited
+            unpruned += rq.nodes_visited
+        assert pruned <= unpruned
+        # at d = 4 and n <= 9 every cascade is a single leaf, with no path to end
+        if max(s.L for _, (s, _) in structures(tree) if isinstance(s, CascadeStructure)) > 1:
+            assert pruned < unpruned and any(at_split) and not all(at_split)
+
 def check_cover(member, ids, column, lo, hi):
     """The canonical cover of [lo, hi] in level.dim (column: that coordinate by id).
 
@@ -854,6 +1019,30 @@ class TestStructureDump:
         assert structure_dump.compare(base, head[:1]) == [
             "[3, 'grid', 1]: count_stats differ", "[3, 'grid', 2]: missing"]
 
+    def test_compare_says_which_way_counters_moved(self, tmp_path, capsys):
+        # a case whose query_stats or count_stats differ gets one line per
+        # field naming the counters that fell and those that rose; the exit
+        # code is the failure it was before
+        base = json.loads(json.dumps([structure_dump.dump_case(3, "grid", n) for n in (1, 2)]))
+        head = json.loads(json.dumps(base))
+        q, c = base[1]["query_stats"], base[1]["count_stats"]
+        head[1]["query_stats"] = [q[0] - 1, q[1], q[2] - 2, q[3]]
+        head[1]["count_stats"] = [c[0], c[1] + 1, c[2], c[3]]
+        assert structure_dump.directions(base, head) == [
+            f"[3, 'grid', 2]: query_stats fell: nodes_visited {q[0]} -> {q[0] - 1}, "
+            f"bridge_follows {q[2]} -> {q[2] - 2}; rose: none",
+            f"[3, 'grid', 2]: count_stats fell: none; rose: binary_searches {c[1]} -> {c[1] + 1}"]
+        assert structure_dump.directions(base, base) == []
+        assert structure_dump.directions(base, head[:1]) == []  # a lost case is named by compare
+        (tmp_path / "base.json").write_text(json.dumps(base))
+        (tmp_path / "head.json").write_text(json.dumps(head))
+        argv = ["--compare", str(tmp_path / "base.json"), str(tmp_path / "head.json")]
+        assert structure_dump.main(argv) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "[3, 'grid', 2]: query_stats differ", "[3, 'grid', 2]: count_stats differ",
+            *structure_dump.directions(base, head),
+            "structures, widths and merge_moves are unchanged"]
+
     def test_compare_names_a_width_change(self, tmp_path, capsys):
         # the dump records each array's typecode; a changed width, or a base
         # dumped before the field existed, is named as a layout change and
@@ -898,59 +1087,62 @@ def buffer_digest(tree) -> str:
 
 # Counter totals of fixed workloads: (merge_moves, query QueryStats, count
 # QueryStats) over 40 boxes, and the buffer_digest of the built tree.  The
-# QueryStats are the cost model: a change to how the tree is built or walked
-# must leave them unchanged.  merge_moves and the digest pin the layout, so
-# they change only with it: at d >= 3 they follow which level nodes have a
-# structure, and merge_moves is max(0, H-2)*G*L per level group plus H*G*L
-# per cascade group (see BuildCounters).
+# QueryStats are the cost model: they change only with a stated change to
+# the cost model, whose CHANGES.md line lists every old and new value (the
+# latest: the cascade walk's stop rule lowered nodes_visited and
+# bridge_follows and kept binary_searches and reported).  merge_moves and
+# the digest pin the layout, so they change only with it: at d >= 3 they
+# follow which level nodes have a structure, and merge_moves is
+# max(0, H-2)*G*L per level group plus H*G*L per cascade group (see
+# BuildCounters).
 PINNED_COUNTERS = {
-    (2, "uniform", 64): (384, (644, 40, 561, 273), (644, 80, 1122, 273),
+    (2, "uniform", 64): (384, (499, 40, 416, 273), (499, 80, 832, 273),
         "b1992f4673764f981e59c4c8b459b1028066a622ce52b03c90e20bcfa3dd0579"),
-    (2, "uniform", 65): (896, (694, 40, 582, 327), (694, 80, 1164, 327),
+    (2, "uniform", 65): (896, (533, 40, 421, 327), (533, 80, 842, 327),
         "c63a6469e39ed235947139072c1a42b2c1b3494b24aff81af9ebdf9f46dba40f"),
-    (2, "uniform", 128): (896, (756, 40, 676, 704), (756, 80, 1352, 704),
+    (2, "uniform", 128): (896, (657, 40, 577, 704), (657, 80, 1154, 704),
         "806c4cc33b7ffa60772cffde3cfa3cd34099f0c129f3a81c97ac8b592497fd70"),
-    (2, "uniform", 129): (2048, (818, 40, 708, 762), (818, 80, 1416, 762),
+    (2, "uniform", 129): (2048, (662, 40, 552, 762), (662, 80, 1104, 762),
         "525970b35ae2eb2f24ac0337339f82d375074a78403371441a5f8151c4468ec7"),
-    (2, "grid", 64): (384, (634, 40, 526, 239), (634, 80, 1052, 239),
+    (2, "grid", 64): (384, (299, 40, 191, 239), (299, 80, 382, 239),
         "907a6cf962f7890ae1eee11fdc2885a72f66069f4e74a9cefe68f91b31fc06c5"),
-    (2, "grid", 65): (896, (617, 40, 474, 241), (617, 80, 948, 241),
+    (2, "grid", 65): (896, (390, 40, 247, 241), (390, 80, 494, 241),
         "f49c4c9a4b01e09fb97bbf70ac6cab7735df2b8afea2be2e4119580d6bd3ff2c"),
-    (2, "grid", 128): (896, (657, 40, 508, 497), (657, 80, 1016, 497),
+    (2, "grid", 128): (896, (452, 40, 303, 497), (452, 80, 606, 497),
         "47a9ab5d34ffc16ae5dd6eb304bb065bdde76488efde03becb8347c02ef11a80"),
-    (2, "grid", 129): (2048, (774, 40, 650, 363), (774, 80, 1300, 363),
+    (2, "grid", 129): (2048, (346, 40, 222, 363), (346, 80, 444, 363),
         "468a7cc82a2711374381a498cc7359de01c4b01a1457455d97ddf8324f47259a"),
-    (3, "uniform", 64): (700, (1254, 186, 347, 95), (1254, 372, 694, 95),
+    (3, "uniform", 64): (700, (1132, 186, 225, 95), (1132, 372, 450, 95),
         "1a8541ba43a44731760b6bd8843598986412eea5dec45ad08903efd446124d75"),
-    (3, "uniform", 65): (1342, (1358, 203, 379, 58), (1358, 406, 758, 58),
+    (3, "uniform", 65): (1342, (1184, 203, 205, 58), (1184, 406, 410, 58),
         "128dfcfecb48eb0da0b1f7ac1977bc1e2eb79d0c5d837f93700e34d555314191"),
-    (3, "uniform", 128): (2044, (1968, 254, 772, 213), (1968, 508, 1544, 213),
+    (3, "uniform", 128): (2044, (1718, 254, 522, 213), (1718, 508, 1044, 213),
         "f0fa2dd3d259c87153d0e05706ff139e859942fcdb3e895d8e2f66aff8bb52b3"),
-    (3, "uniform", 129): (3582, (1942, 231, 805, 260), (1942, 462, 1610, 260),
+    (3, "uniform", 129): (3582, (1696, 231, 559, 260), (1696, 462, 1118, 260),
         "5a79ca8a7074dcbe4eb713393ae7f824d829e441cdb7cbc8e25e63fa4472b047"),
-    (3, "grid", 64): (700, (1310, 224, 299, 86), (1310, 448, 598, 86),
+    (3, "grid", 64): (700, (1150, 224, 139, 86), (1150, 448, 278, 86),
         "9fdabb386cbf97b01538a91480a6697a0e85c1babffb77bed0e2a93b64bdbee1"),
-    (3, "grid", 65): (1342, (1018, 136, 188, 53), (1018, 272, 376, 53),
+    (3, "grid", 65): (1342, (929, 136, 99, 53), (929, 272, 198, 53),
         "963a7b54c203d196f112e4feac4042c90addf93ac5e36ff1ee9730e990a596a3"),
-    (3, "grid", 128): (2044, (1578, 223, 425, 136), (1578, 446, 850, 136),
+    (3, "grid", 128): (2044, (1372, 223, 219, 136), (1372, 446, 438, 136),
         "8a79d3bf1f3e842f8005f814709b6232332a0a8a51cc3fd14308e9af28f17430"),
-    (3, "grid", 129): (3582, (1493, 168, 484, 286), (1493, 336, 968, 286),
+    (3, "grid", 129): (3582, (1330, 168, 321, 286), (1330, 336, 642, 286),
         "2c7d2f8a8dca3329eb6c633820683ced0eb437a3e6aed470fccef0f6ad90c886"),
-    (4, "uniform", 64): (448, (1585, 198, 54, 46), (1585, 396, 108, 46),
+    (4, "uniform", 64): (448, (1574, 198, 43, 46), (1574, 396, 86, 46),
         "a6c57bd0955c203fbd3968089f80a4bb5c5857edf54cd6041442e097f2137ad9"),
-    (4, "uniform", 65): (1124, (1412, 168, 19, 29), (1412, 336, 38, 29),
+    (4, "uniform", 65): (1124, (1408, 168, 15, 29), (1408, 336, 30, 29),
         "f3e85b736e79a9e2e80987148bed8b77eb27efe2fd1d4a54c96c3616a741822e"),
-    (4, "uniform", 128): (1608, (2380, 327, 100, 44), (2380, 654, 200, 44),
+    (4, "uniform", 128): (1608, (2338, 327, 58, 44), (2338, 654, 116, 44),
         "999e7fd3ae2bbf78a2c26d4533e825a5ccaf835a4580e596b64cc20f2189bbfd"),
-    (4, "uniform", 129): (3496, (2623, 383, 161, 51), (2623, 766, 322, 51),
+    (4, "uniform", 129): (3496, (2544, 383, 82, 51), (2544, 766, 164, 51),
         "bbbc3f86a5a884738339c752521d7fd96b3a2513a0cc7bb12c74314ace578032"),
-    (4, "grid", 64): (448, (1369, 168, 24, 26), (1369, 336, 48, 26),
+    (4, "grid", 64): (448, (1359, 168, 14, 26), (1359, 336, 28, 26),
         "62d59e13e7fabc0b6fa77d8ffc1f8f0280ae1ac8f797c6f8ed31dcf50ffa80ca"),
-    (4, "grid", 65): (1124, (1004, 85, 29, 15), (1004, 170, 58, 15),
+    (4, "grid", 65): (1124, (995, 85, 20, 15), (995, 170, 40, 15),
         "335d4594ef242e0669923ec260278fefb87ba2bcbb21712226946cc2a8417bb8"),
-    (4, "grid", 128): (1608, (2078, 259, 63, 26), (2078, 518, 126, 26),
+    (4, "grid", 128): (1608, (2045, 259, 30, 26), (2045, 518, 60, 26),
         "d9884bead111c70e13652fe55648c3bc053f21e89e20d6f220958d7053d5c78f"),
-    (4, "grid", 129): (3496, (1973, 256, 80, 28), (1973, 512, 160, 28),
+    (4, "grid", 129): (3496, (1949, 256, 56, 28), (1949, 512, 112, 28),
         "eb9e68c44073a734b32a653c8139fe489edd0844c79a81fbcb366783f83eff55"),
 }
 
