@@ -1,37 +1,27 @@
 """Fractional cascading over the last two dimensions, and the one implicit tree.
 
-Every structure stores a point as its label, its rank in the last dimension
-(y), so a stored entry is its own y key.  rank_tables makes the labels, the
-id map from label to point id, the root's leaf row, which is dimension 0's
-order, and a label-indexed rank table for each of dimensions 1..d-2, from
-one shared row order, (c_0 .. c_{d-1}, id), with default (unstable) numpy
-sorts that tie only equal keys.  A phantom is leaf t >= n, its own label
-and its own rank in every dimension, so labels, ranks and leaf positions
-run over 0..L-1, L = pow2ceil(n), and a phantom sorts after
-every real point, where no real rank interval [a, b) can match it.  Nothing
-here knows a point or a coordinate.
+Index space.  Every structure stores a point as its label, its rank in the
+last dimension (y), so a stored entry is its own y key.  Labels, ranks in
+every dimension and leaf positions all run over 0..L-1, L = pow2ceil(n): a
+phantom is leaf t >= n, its own label and its own rank in every dimension,
+so it sorts after every real point, where no real rank interval [a, b) can
+match it.  Nothing here knows a point or a coordinate.
 
-Every tree in the package is implicit in a leaf row: L = 2^H labels sorted
-by one dimension's rank, real labels first, then phantoms.  A node is named
-by its row and its position in that row: node (r, pos) covers leaves
-pos*2^r .. (pos+1)*2^r - 1, and it splits after the rightmost leaf of its
-left half.  _walk is the one walk over such a row, and it runs on leaf
-positions: the split node of a position interval, where its two ends part,
-follows in closed form, and the walk goes on down the two boundary paths,
-yielding the nodes the interval covers whole.  A level of the multi-level
-tree (tree._Level) is a leaf row too and runs the same walk.  The root
-group (the d=2 cascade, or the d>=3 root level) holds no rank table: its
-leaf row is dimension 0's order, so leaf p ranks p and a rank interval
-already is a position interval.  Every other group's leaf row is sorted by
-its rank table, so two bisects of the row place the two bounds: they are
-the only rank reads of a query.
+Walk.  Every tree in the package is implicit in a leaf row: L = 2^H labels
+sorted by one dimension's rank, real labels first, then phantoms.  Node
+(r, pos) covers leaves pos*2^r .. (pos+1)*2^r - 1, and it splits after the
+rightmost leaf of its left half.  _walk is the one walk over such a row, on
+leaf positions, and a level of the multi-level tree (tree._Level) runs it
+too.  The root group (the d=2 cascade, or the d>=3 root level) holds no
+rank table: its leaf row is dimension 0's order, so leaf p ranks p and a
+rank interval already is a position interval.  Every other group's leaf
+row is sorted by its rank table, and _walk places the bounds in it.
 
 A cascade is that tree over coordinate x (the second-to-last dimension)
 whose every node also carries its subtree's labels in ascending (y) order,
 plus a left bridge per entry: the first not-smaller entry in the left
-child's array.  A 2D query then needs exactly one binary search, a bisect of
-the split node's array; every other position follows bridges in constant
-time per level.
+child's array.  A position found in the split node's array then follows
+bridges down in constant time per level.
 
 Storage.  The structures over one dimension with the same L form a merge
 group, one object (a CascadeStructure or a tree._Level) whose G members are
@@ -64,13 +54,7 @@ the rest from the right; every chunk is full, so bridges are total.
 
 Every row above a group's leaf rows comes out of one merge, merge_rows, by
 the labels themselves (a cascade) or by a rank table (a level, which gets no
-bridges): one stable argsort per row, and each left bridge follows in closed
-form from where the merge took its entry.  A query or a count is one _walk
-with y bounds: the walk makes the split node's bisects, one for a query and
-two for a count, and carries the positions they find by bridges (a level
-walks without); it stops each path at its first node with no label in
-[ya, yb), as no node below it has one.  A query emits the in-range run of
-each node it reaches as one slice of labels.
+bridges).
 """
 
 from __future__ import annotations
@@ -129,15 +113,13 @@ def _dense_rank(keys: np.ndarray) -> np.ndarray:
 def rank_tables(coords: np.ndarray) -> tuple[array, np.ndarray, list[array], list[array]]:
     """(ids, row, ranks, axes): the labels of a coordinate matrix whose rows are ids.
 
-    Dimension j's order is by column j, then by the coordinate tuple, then
-    by id.  A label is a position in the last order, and ids (an array of
-    n) is that order: ids[label] is the id.  A phantom is leaf t >= n,
-    label t and rank t, t < L = pow2ceil(n).  row (int32, L long) is the
-    root's leaf row: dimension 0's order in labels, then the phantoms, so
-    the label at leaf p has dimension-0 rank p and needs no table: ranks[0]
-    is None.  For 0 < j < d-1, ranks[j] (an array of L, indexed by label)
-    gives each label its position in order j.  ids and ranks are at the
-    index width.  axes[j] (an array("d")) holds column j in order j.
+    Order j is dimension j's composite order (see core).  ids (an array of
+    n) is the last order, so ids[label] is the id.  row (int32, L long) is
+    the root's leaf row, dimension 0's order in labels, then the phantoms;
+    ranks[0] is None when d > 1 (see Walk above).  For 0 < j < d-1,
+    ranks[j] (an array of L, indexed by label) gives each label its
+    position in order j.  axes[j] (an array("d")) holds column j in order j.
+    See Index space and Widths above for the phantoms and the typecodes.
 
     Every dimension shares one row order, (c_0 .. c_{d-1}, id).  Each column
     gets a dense rank, and folding them in, key = dense(key*n + dense_j),
@@ -173,31 +155,31 @@ def rank_tables(coords: np.ndarray) -> tuple[array, np.ndarray, list[array], lis
 def _walk(group, g: int, a: int, b: int, ya, yb, stats, carry_yb: bool = True):
     """Yield (row, pos, lo, hi) for each canonical node and in-range boundary leaf of [a, b).
 
-    The tree is member g's leaf row, from g*L of group.rows[0], sorted by
-    group.rank, and the walk runs on its leaf positions.  Below the root,
-    two bisects of the row keyed by rank first turn the rank bounds into
-    positions; the second is skipped when no leaf before b's position ranks
-    a or more, so that a = b.  At the root (group.rank is None) leaf p ranks
-    p, and the bounds already are positions.  Node (r, pos) splits after
-    leaf pos*2^r + 2^(r-1) - 1, so the split node is where leaves a and b
+    The tree is member g's leaf row (see Storage above), and the walk runs
+    on its leaf positions.  Below the root, two bisects of the row keyed by
+    group.rank first turn the rank bounds into positions; the second is
+    skipped when no leaf before b's position ranks a or more, so that a = b
+    (QueryStats says how they count).  At the root the bounds already are
+    positions (see Walk above).  The split node is where leaves a and b
     part, b = L reading as leaf L-1, or b's leaf when a >= b.  The walk goes
     down the a path, then the b path: a path enters the right child iff the
     child's first leaf is at most its bound, and a boundary leaf p is in
     range iff a <= p < b.  It yields each node the range covers whole as its
-    row and its position in that row.  nodes_visited counts the H - r + 1
-    nodes a descent to the split node reads, the path nodes below it that
-    the walk reads and each canonical child; the bound bisects stand in for
-    x-tree descents node for node, so they are not binary_searches.  When ya
-    is not None, the group is a cascade's: the walk bisects the split node's
-    array for ya, and for yb if carry_yb (a query's is False), and carries
-    the positions found, lo and hi, down each path by one left bridge per
-    level, yielding them as positions in each node's array.  These are a
-    cascade's only binary searches.  A node with lo >= hi (a count), or
-    with lo past its array or at a label >= yb (a query: one read), and
-    every node below it, holds no label in [ya, yb): the walk ends at such a
-    split node, and a path at the first such child after that step's
-    canonical sibling, so a path that ends after its step at row rr reads
-    r - rr + 1 nodes, not r.  A level passes None for ya and yb.
+    row and its position in that row.
+
+    When ya is not None, the group is a cascade's: the walk bisects the
+    split node's array for ya, and for yb if carry_yb (a query's is False),
+    and carries the positions found, lo and hi, down each path by one left
+    bridge per level, yielding them as positions in each node's array.  A
+    node with lo >= hi (a count), or with lo past its array or at a label
+    >= yb (a query: one read), and every node below it, holds no label in
+    [ya, yb): the walk ends at such a split node, and a path at the first
+    such child after that step's canonical sibling, so a path that ends
+    after its step at row rr reads r - rr + 1 nodes, not r.  Two carried
+    positions never cross: the walk leaves the split node only when
+    lo < hi, and a left bridge lb[t] and the right one t - lb[t] both grow
+    with t, so c <= e and s <= f at every node, and every yield has
+    lo <= hi.  A level passes None for ya and yb.
     """
     L, rank, leaf = group.L, group.rank, group.rows[0]
     base = g * L  # member g's entries of every row start here
@@ -224,7 +206,7 @@ def _walk(group, g: int, a: int, b: int, ya, yb, stats, carry_yb: bool = True):
     if npos and (lo >= hi if hi is not None else lo == 1 << r or row[at + lo] >= yb):
         return  # the split node holds no label in [ya, yb)
     if r == 0:
-        if a <= pos < b:
+        if a < b:  # then a = last, so the leaf is pos = a
             yield 0, pos, lo, hi
         return
     s = f = None  # the sibling's positions, set at every step when carried
@@ -276,17 +258,15 @@ def _walk(group, g: int, a: int, b: int, ya, yb, stats, carry_yb: bool = True):
 def merge_rows(leaves: array, L: int, rank=None) -> Iterator[tuple[array, array | None]]:
     """Yield rows 1..H of a bottom-up stable merge of G leaf rows of length L by `rank`.
 
-    `leaves` (an array at the tree's index width) holds the G*L leaf
-    labels, member g's at g*L.  Each yield is (row, lb) for r = 1..H: row
-    is the merged row r, packed at the leaves' typecode, whose member g's
-    chunks of width 2^r are each sorted by rank.  Only packed rows leave
-    the merge, and a consumer may stop early: the rows it did not ask for
-    are never merged.  `rank` is a rank_tables rank (of either typecode),
-    for the levels of the multi-level tree: lb is None.  Or it is None, for
-    a cascade: the labels are their own keys, and lb is the bridge row r,
-    packed narrow (see Widths above).  At g*L + t it holds the left bridge
-    of the row's entry there, the number of entries of the left half of
-    its chunk with a smaller label, at most 2^(r-1).
+    `leaves` holds the G members' leaf rows (see Storage above).  Each
+    yield is (row, lb) for r = 1..H: row is the merged row r, packed at the
+    leaves' typecode, whose member g's chunks of width 2^r are each sorted
+    by rank.  A consumer may stop early: the rows it did not ask for are
+    never merged.  `rank` is a rank_tables rank, for the levels of the
+    multi-level tree: lb is None.  Or it is None, for a cascade: the labels
+    are their own keys, and lb is the bridge row r (see Widths above).  At
+    g*L + t it holds the left bridge of the row's entry there, the number
+    of entries of the left half of its chunk with a smaller label.
 
     Each chunk of row r-1 at width 2^r is two runs sorted by rank, so one
     stable argsort per row (timsort for int32: it finds the two runs and
@@ -332,11 +312,10 @@ def merge_rows(leaves: array, L: int, rank=None) -> Iterator[tuple[array, array 
 
 
 def fill_buffers_batch_np(leaves: array, L: int) -> tuple[list[array], list[array]]:
-    """(rows, bridges) of one cascade merge group: its G members, merged from their leaf rows.
+    """(rows, bridges) of one cascade merge group, merged from its members' leaf rows.
 
-    `leaves` holds the members' leaf rows (labels padded with phantoms),
-    member g's at g*L, at the tree's index width; it is kept as rows[0],
-    and every row merge_rows yields after it.
+    `leaves` (see Storage above) is kept as rows[0], and every row
+    merge_rows yields follows it.
     """
     rows, bridges = [leaves], [array("B")]
     for row, lb in merge_rows(leaves, L):
@@ -348,13 +327,11 @@ def fill_buffers_batch_np(leaves: array, L: int) -> tuple[list[array], list[arra
 class CascadeStructure:
     """A cascade merge group: G structures over the last two dimensions with the same L.
 
-    Each member is an x-tree plus per-node label arrays with bridges.
-    Member g's L entries of each label row in rows and of each bridge row
-    in bridges start at g*L (see Storage in the module docstring).  rank is
-    the x rank table, or None for the d=2 root, whose leaf row is dimension
-    0's order (see _walk).  A query or count of member g is one _walk over
-    the last two dimensions of the tree's rank box.  The d=2 tree's root is a
-    group of one, member 0.
+    Each member is an x-tree plus per-node label arrays with bridges, laid
+    out in rows and bridges as Storage above says.  rank is the x rank
+    table, or None at the d=2 root (see Walk above).  A query or count of
+    member g is one _walk over the last two dimensions of the tree's rank
+    box.
     """
 
     __slots__ = ("L", "rows", "bridges", "rank")
@@ -371,14 +348,12 @@ class CascadeStructure:
     def build_from_ids(cls, ids, rank):
         """A group of one over the labels ids, sorted by the x composite order.
 
-        ids holds each label 0..m-1 once, and the leaf row pads it to
-        L = pow2ceil(m): a phantom is leaf t >= m and label t, which rank
-        (a rank_tables rank, L long) ranks t.  rank is None when ids are in
-        rank order, so that leaf p ranks p, as at the d=2 root.  build()
-        builds every group from its members' leaf rows and does not call
-        this; it stays because the traced benchmark (perfbench/run.py) wraps
-        it by name, and with rank None its result equals the d=2 root
-        build() makes over the same labels, at the same index width.
+        ids holds each label 0..m-1 once, and the leaf row pads it with
+        phantoms to L = pow2ceil(m) (see Index space above).  rank is a
+        rank_tables rank, or None when ids are in rank order, as at the d=2
+        root.  build() does not call this; it stays because the traced
+        benchmark (perfbench/run.py) wraps it by name.  With rank None its
+        result equals the d=2 root build() makes over the same labels.
         """
         L = pow2ceil(len(ids))
         leaves = packed(index_code(L), np.asarray(ids), np.arange(len(ids), L))
@@ -389,10 +364,8 @@ class CascadeStructure:
     def query(self, g, a, b, stats, emit: Callable[[array], None]):
         """Emit member g's labels inside the rank box [a, b) in its last two dimensions (x, y).
 
-        The walk makes ONE binary search, a bisect of the split node's array
-        for ya; positions follow bridges, and a path stops at a label >= yb
-        (one read).  Each node's run of labels below yb is emitted as one
-        slice of its label row, an array at the tree's index width.
+        The walk carries only the position of ya, and each node's run of
+        labels below yb is emitted as one slice of its label row.
         """
         rows, base, yb = self.rows, g * self.L, b[-1]
         for r, p, u, _ in _walk(self, g, a[-2], b[-2], a[-1], yb, stats, False):
@@ -411,13 +384,10 @@ class CascadeStructure:
     def count(self, g, a, b, stats) -> int:
         """Count member g's points inside the rank box [a, b), bounded as in query.
 
-        Nothing is enumerated.  The walk bisects the split node's array for
-        the twin positions, the first labels >= ya and >= yb, and carries
-        them down via bridges while the first is below the second, as far as
-        a query goes; each canonical node contributes their difference.
+        Nothing is enumerated.  The walk carries the positions of ya and yb,
+        and each node it yields adds their difference (see _walk).
         """
         total = 0
         for _, _, u, v in _walk(self, g, a[-2], b[-2], a[-1], b[-1], stats):
-            if v > u:
-                total += v - u
+            total += v - u
         return total

@@ -6,17 +6,15 @@ the one way to make one.  A Point is a result, never an input: below the two
 calls that return Points (LayeredRangeTree.query, brute_force_query) nothing
 knows one, build() reads only the matrix, and a Point is made only for a hit
 a caller asks for (PointSet.take, which checks the caller's ids, or
-PointSet._points for the tree's own).  Ties
-between equal coordinates are broken by the full coordinate tuple and then
-by the point id, so any point set is strictly totally ordered in every
-dimension j: by coordinate j, then the coordinate tuple, then the id.  The
-structures never compare these keys: the rows are sorted once by (coords,
-id), each dimension's order is that row order under its own coordinate
-(cascade.rank_tables), and a point is known by its rank in each
-dimension's order; its rank in the last one is its label.  A query box
-maps to a half-open rank interval [a, b) per dimension, the points whose
-coordinate lies in [lo, hi]; padding leaves rank after every real point,
-so they never match.
+PointSet._points for the tree's own).
+
+Composite order.  Ties between equal coordinates are broken by the full
+coordinate tuple and then by the point id, so any point set is strictly
+totally ordered in every dimension j: by coordinate j, then the coordinate
+tuple, then the id.  The structures never compare these keys: a point is
+known by its rank in each dimension's order (cascade.rank_tables), and a
+query box maps to a half-open rank interval [a, b) per dimension, the
+points whose coordinate lies in [lo, hi].
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ class ParseError(ValueError):
 def _data_lines(text: str):
     """(line_number, fields) for every non-blank, non-comment line."""
     for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.rstrip("\r").strip()
+        line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split(",")

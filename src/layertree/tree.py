@@ -7,31 +7,16 @@ subtree; no other node has one.  The last two coordinates live in cascades;
 a 1-dimensional tree is its rank order.
 
 The structures over one dimension with the same padded size L form one merge
-group, a _Level or a CascadeStructure, and a structure is a (group, member)
-pair.  A level finds a node's structure by arithmetic on its (row, pos)
-name (see _Level).  Every group, and the _Slab, answers
-query(g, a, b, stats, emit) and count(g, a, b, stats) for member g and the
-rank box [a, b); the root is member 0 of a group of one.
+group, a _Level or a CascadeStructure (see Storage in cascade), and a
+structure is a (group, member) pair.  A level finds a node's structure by
+arithmetic on its (row, pos) name (see _Level).  Every group, and the _Slab,
+answers query(g, a, b, stats, emit) and count(g, a, b, stats) for member g
+and the rank box [a, b); the root is member 0 of a group of one.  A level's
+canonical decomposition is cascade._walk with no y bounds.
 
-A level is its leaf row, the one implicit tree shape of the package (see
-cascade): L padded leaf labels sorted by rank, where node (r, pos) covers
-leaves pos*2^r .. (pos+1)*2^r - 1 and splits after the rightmost leaf of
-its left half.  A level's canonical decomposition is a cascade's walk
-(cascade._walk) with no y bounds and so no positions to carry; every walk
-runs on leaf positions.
-Everything below LayeredRangeTree.rank_box works in rank space: the
-structures hold and emit labels (ranks in the last dimension), one table
-for each of dimensions 1..d-2 ranks each label, and a box becomes a rank
-interval [a_j, b_j) per dimension.  Dimension 0 needs no table: the root
-group's leaf row is its order, so leaf p ranks p and the root's rank
-bounds are its leaf positions.  Below the root, a walk places its two
-bounds in the member's leaf row by two bisects keyed by the group's rank
-table, and reads no rank after that (see cascade).  A tree stores its
-labels, ranks and ids at one index width, LayeredRangeTree.code, and every
-group's rows under one address rule (see Storage and Widths in cascade).
-A phantom is leaf t >= n of the root, its own label and its own rank in
-every dimension (cascade.rank_tables), so it ranks after every real point
-and never falls inside one.
+Everything below LayeredRangeTree.rank_box works in rank space: a box
+becomes a rank interval [a_j, b_j) per dimension, and the structures hold
+and emit labels (see Index space, Walk and Widths in cascade).
 """
 
 from __future__ import annotations
@@ -72,7 +57,8 @@ class QueryStats:
     for node, so they are not counted as binary searches, just as
     rank_box's are not (two bisections per dimension, the whole search at
     d=1).  binary_searches counts only the bisects of a cascade's
-    split-node array, for y, which keeps the one-search law of a 2D report.
+    split-node array, for y: one per cascade query and two per count, so a
+    2D report makes exactly one binary search (the one-search law).
     bridge_follows counts O(1) position transfers along cascade bridges;
     reported (LayeredRangeTree.query and .count) counts reported (or
     counted) points.
@@ -91,7 +77,6 @@ class BuildCounters:
     merge_moves counts every entry a merge step writes, phantoms included:
     len(leaves) per merged row, for the H rows of a cascade group and the
     max(0, H-2) rows of a level group that _reachable cuts from (H = log2 L).
-    build counts it, once per group.
     """
 
     merge_moves: int = 0
@@ -101,12 +86,10 @@ def canonical_subtrees(level: "_Level", g: int, a: int, b: int,
                        stats: Optional[QueryStats] = None) -> list[tuple[int, int]]:
     """(row, pos) of member g's disjoint subtrees whose leaves are exactly the ranks in [a, b).
 
-    The walk is a cascade's (cascade._walk) over member g's leaf row, run
-    with no y bounds, since a level has no bridges.  At most 2*log2(L) nodes
-    (one for a single-leaf tree).  At the root, a and b must lie in 0..n,
-    the range rank_box gives: then phantom leaves (ranks n and up) never
-    qualify, while a b past n would take them in.  The package exports it
-    because the canonical-subtree law is stated on it.
+    It is cascade._walk with no y bounds.  At most 2*log2(L) nodes (one for
+    a single-leaf tree).  At the root, a and b must lie in 0..n, the range
+    rank_box gives: a b past n would take in phantom leaves.  The package
+    exports it because the canonical-subtree law is stated on it.
     """
     if stats is None:
         stats = QueryStats()
@@ -144,16 +127,12 @@ class _Slab:
 class _Level:
     """A level merge group: the G level trees over dimension `dim` with the same L.
 
-    rows = [row 0] holds only the leaf rows: member g < G = len(rows[0]) // L
-    has L labels from g*L, sorted by `rank`, its m real labels first, then
-    phantoms (labels >= n): only the root holds phantoms, so m is n there and L below.
-    The root, over dimension 0, has rank None: its leaf row is that order,
-    so leaf p ranks p.  Every member's walk runs on leaf positions
-    (cascade._walk); below the root, two bisects keyed by rank place its
-    bounds first.  subs lists
-    the next dimension's groups by log2 L.  Node (r, pos), if _reachable,
-    has the structure first[r] + g*per[r] + pos of subs[r], where per[r]
-    counts one member's structures in row r.
+    rows = [row 0] holds only the leaf rows (see Storage in cascade).  A
+    member's leaf row holds m real labels, then phantoms: only the root
+    holds phantoms, so m is n there and L below.  subs lists the next
+    dimension's groups by log2 L.  Node (r, pos), if _reachable, has the
+    structure first[r] + g*per[r] + pos of subs[r], where per[r] counts one
+    member's structures in row r.
     """
 
     __slots__ = ("dim", "rows", "L", "m", "rank", "subs", "first", "per")
@@ -195,15 +174,6 @@ class LayeredRangeTree:
         self.ids = ids  # the id map: ids[label] is the id of the point with that label
         self._axes = axes  # per dimension, the coordinates in rank order
 
-    @property
-    def code(self) -> str:
-        """The tree's index width: the typecode of every label, rank and id array of it.
-
-        rank_tables chooses it from the padded size (cascade.index_code), and
-        it is read from the id map, so nothing sets it.
-        """
-        return self.ids.typecode
-
     # -- queries ------------------------------------------------------------
 
     def rank_box(self, box: QueryBox) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -216,20 +186,19 @@ class LayeredRangeTree:
     def query(self, box: QueryBox, stats: Optional[QueryStats] = None) -> list[Point]:
         """All points inside the closed box, sorted by id.
 
-        The structures emit runs of labels, slices at the tree's typecode,
-        into one array of that typecode; they are counted as reported,
-        mapped to ids and sorted, and only then to points, which the point
-        set makes on a first hit.  From GATHER_MIN hits on, one numpy gather
-        through the id map and one numpy sort do the mapping; below it,
-        where numpy's fixed cost per call dominates, a Python map and
-        sorted() do.  Either way the ids are Python ints.  The ids come from
-        the tree's own id map, so they go to the points unchecked
+        The structures emit runs of labels into one array; they are counted
+        as reported, mapped to ids and sorted, and only then to points, which
+        the point set makes on a first hit.  From GATHER_MIN hits on, one
+        numpy gather through the id map and one numpy sort do the mapping;
+        below it, where numpy's fixed cost per call dominates, a Python map
+        and sorted() do.  Either way the ids are Python ints.  The ids come
+        from the tree's own id map, so they go to the points unchecked
         (PointSet._points).
         """
         a, b = self.rank_box(box)
         if stats is None:
             stats = QueryStats()
-        code = self.code
+        code = self.ids.typecode
         labels = array(code)
         self.root.query(0, a, b, stats, labels.extend)
         stats.reported += len(labels)
@@ -252,26 +221,20 @@ class LayeredRangeTree:
 def build(points: PointSet, counters: Optional[BuildCounters] = None) -> LayeredRangeTree:
     """Build the layered range tree, one dimension at a time.
 
-    rank_tables sorts the rows once by (coords, id), orders each dimension
-    by its coordinate, then that row rank, and labels each point by its
-    last-dimension rank.  It returns the id map, the root's leaf row padded
-    with phantoms to L = pow2ceil(n), a rank per label for each of
-    dimensions 1..d-2 and each dimension's coordinates in rank order;
-    labels and ranks are the only keys.  The root group, the one group over
-    dimension 0, gets no rank table: its leaf row is dimension 0's order.
-    The structures over dimension j are built as
-    groups by padded size L, listed in tops[j] by log2 L.  Each group's
-    leaf rows are concatenated into the one array that keeps them, at the
-    tree's index width, and the group runs one batched merge (merge_rows)
-    of them.  On a level (j < d-2) the group is a _Level and merges by the
-    ranks of dimension j+1, with no bridges, and stops after row
-    max(0, H-2), the last row _reachable cuts chunks from.  Each row r, cut
-    to those chunks, is as it stands the leaf rows of structures with
-    L = 2^r in tops[j+1]; they hold no phantom.  On the cascade (j = d-2)
-    the labels are the keys, and the group keeps every merged row and its
-    bridge row (see Storage in cascade).  counters, if given, gets each
-    group's merge work (see BuildCounters).  Raises TooManyPoints, before
-    anything is allocated, unless n < 2^30.
+    rank_tables gives the id map, the root's leaf row, the rank tables and
+    each dimension's coordinates in rank order.  The structures over
+    dimension j are built as groups by padded size L, listed in tops[j] by
+    log2 L.  Each group's leaf rows are concatenated into the one array that
+    keeps them (see Storage in cascade), and the group runs one batched
+    merge (merge_rows) of them.  On a level (j < d-2) the group is a _Level
+    and merges by the ranks of dimension j+1, with no bridges, and stops
+    after row max(0, H-2), the last row _reachable cuts chunks from.  Each
+    row r, cut to those chunks, is as it stands the leaf rows of structures
+    with L = 2^r in tops[j+1]; they hold no phantom.  On the cascade
+    (j = d-2) the labels are the keys, and the group keeps every merged row
+    and its bridge row.  counters, if given, gets each group's merge work
+    (see BuildCounters).  Raises TooManyPoints, before anything is
+    allocated, unless n < 2^30.
     """
     n = len(points)
     if n == 0:

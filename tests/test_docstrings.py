@@ -1,0 +1,87 @@
+"""Every name() and Name.attr() a src/layertree/ docstring writes is code that exists.
+
+A docstring that names removed code goes on telling its readers the code
+is there.  A token's first name is looked up in the docstring's own module,
+then among the package's modules and their globals, and a bare name also
+among the methods of the package's classes; the lookup must end at a
+module, class, function or method of the package.  A token whose first name
+is a Python builtin (sorted(), str.strip()) is not checked.
+"""
+
+import ast
+import builtins
+import importlib
+import inspect
+import pkgutil
+import re
+
+import pytest
+
+import layertree
+
+TOKEN = re.compile(r"(?<![\w.])([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)\(\)")
+
+# __main__ runs the CLI when imported
+MODULES = {name: importlib.import_module(f"layertree.{name}")
+           for _, name, _ in pkgutil.iter_modules(layertree.__path__) if name != "__main__"}
+
+
+def ours(obj) -> bool:
+    """Whether obj is a module, class, function or method of the package."""
+    if inspect.ismodule(obj):
+        name = obj.__name__
+    elif inspect.isclass(obj) or inspect.isroutine(obj):
+        name = getattr(obj, "__module__", None) or ""
+    else:
+        return False
+    return name.split(".")[0] == "layertree"
+
+
+def methods(name: str) -> list:
+    """The attribute `name` of every class the package defines."""
+    classes = {cls for module in MODULES.values() for cls in vars(module).values()
+               if inspect.isclass(cls) and ours(cls)}
+    return [vars(cls)[name] for cls in classes if name in vars(cls)]
+
+
+def resolves(token: str, module) -> bool:
+    head, *rest = token.split(".")
+    if hasattr(builtins, head):
+        return True
+    starts = [vars(module).get(head), MODULES.get(head)]
+    starts += [vars(m).get(head) for m in MODULES.values()]
+    if not rest:
+        starts += methods(head)
+    for obj in starts:
+        for attr in rest:
+            obj = inspect.getattr_static(obj, attr, None)
+        if ours(obj):
+            return True
+    return False
+
+
+def docstrings(module) -> list[str]:
+    """The module's own docstring and those of its classes and functions."""
+    tree = ast.parse(inspect.getsource(module))
+    nodes = [n for n in ast.walk(tree)
+             if isinstance(n, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))]
+    return [doc for doc in map(ast.get_docstring, nodes) if doc]
+
+
+def unresolved(text: str, module) -> list[str]:
+    return [token for token in TOKEN.findall(text) if not resolves(token, module)]
+
+
+@pytest.mark.parametrize("name", sorted(["__init__", *MODULES]))
+def test_docstring_names_exist(name):
+    module = layertree if name == "__init__" else MODULES[name]
+    assert [t for doc in docstrings(module) for t in unresolved(doc, module)] == []
+
+
+def test_removed_names_are_caught():
+    # a made-up docstring: the first three tokens name nothing in the package
+    text = ("LayeredRangeTree.structures(), _Level.slots(), splitmix64_next(), "
+            "LayeredRangeTree.query(), PointSet.from_coords(), build(), cascade._walk(), "
+            "query(), sorted(), str.strip()")
+    assert unresolved(text, MODULES["tree"]) == [
+        "LayeredRangeTree.structures", "_Level.slots", "splitmix64_next"]

@@ -22,8 +22,12 @@ class TestParsePoints:
         assert len(ps) == 2
 
     def test_crlf_accepted(self):
-        ps = parse_points("1,2\r\n3,4\r\n", 2)
-        assert len(ps) == 2
+        for text in ("1,2\r\n3,4\r\n",
+                     "1,2\n\r\n3,4\n",  # a blank line that is only "\r"
+                     "# x,y\r\n1,2\n3,4\n",  # a comment line ending in "\r\n"
+                     "1,2\n3,4\r"):  # a last line ending in "\r" with no "\n"
+            got = [(p.coords, p.id) for p in parse_points(text, 2)]
+            assert got == [((1.0, 2.0), 0), ((3.0, 4.0), 1)], text
 
     def test_wrong_arity_reports_line(self):
         with pytest.raises(ParseError) as ei:

@@ -9,8 +9,10 @@ them up, so each of these must keep its name and its lookup:
   dimension's rank interval, and returns each canonical node as (row, pos).
   To bound the subtrees each call returns, the benchmark reads args[0].L,
   the group's padded leaf count, and of the result only len(result);
-- CascadeStructure.build_from_ids, .query and .count (class attributes that
-  every cascade call goes through, the d=2 root's included);
+- CascadeStructure.query and .count (class attributes that every cascade
+  call goes through, the d=2 root's included), and
+  CascadeStructure.build_from_ids, which the benchmark wraps by name only:
+  build() never calls it, so its span reads 0;
 - LayeredRangeTree.query and .count;
 - layertree.cli.parse_points, .parse_queries, .build and .write_report.
 

@@ -323,10 +323,13 @@ def unpruned_walk(group, g, a, b, ya, yb, stats, carry_yb=True):
     The reference for the stop rule.  In cascade._walk's place it gives a
     tree's answers, binary_searches and reported unchanged, and a
     nodes_visited and bridge_follows no lower.  A query (carry_yb False)
-    carries lo alone.
+    carries lo alone.  A count carries an empty [ya, yb) with yb < ya as
+    [ya, ya), so that, as from cascade._walk, no yield has lo > hi.
     """
     if not carry_yb:
         yb = None
+    elif ya is not None and yb < ya:
+        yb = ya
     L, rank, leaf = group.L, group.rank, group.rows[0]
     base = g * L
     if rank is not None:
@@ -454,7 +457,9 @@ class TestStopRule:
 
         def checked(group, g, a, b, ya, yb, stats, carry_yb=True):
             own = QueryStats()
-            yield from walk(group, g, a, b, ya, yb, own, carry_yb)
+            for node in walk(group, g, a, b, ya, yb, own, carry_yb):
+                assert not carry_yb or node[2] <= node[3], node  # count adds hi - lo unchecked
+                yield node
             npos = 1 + carry_yb
             visited, below = stop_rule(group, g, a, b, ya, yb)
             assert astuple(own) == (visited, npos, npos * below, 0), (a, b, ya, yb, carry_yb)
@@ -603,7 +608,7 @@ class TestBuild:
         tree = build(ps)
         slab = tree.root
         assert isinstance(slab, _Slab) and slab.__slots__ == ()
-        assert isinstance(tree.ids, array) and tree.ids.typecode == tree.code == "H"
+        assert isinstance(tree.ids, array) and tree.ids.typecode == "H"
         assert tree.ids.tolist() == [1, 3, 2, 0, 4]
         for lo, hi in ((0, 9), (1, 3), (2, 4), (9, 10), (4, 2), (1, 1)):
             box = QueryBox((lo,), (hi,))
@@ -742,7 +747,7 @@ class TestIdPaths:
         coords = np.random.default_rng(d).random((n, d))
         ps = PointSet.from_coords(coords)  # fresh: query makes every Point it reports
         tree = build(ps)
-        assert tree.code == code
+        assert tree.ids.typecode == code
         ks = [GATHER_MIN - 1, GATHER_MIN, GATHER_MIN + 1]
         for k, box in zip(ks, first_dim_boxes(coords, ks)):
             got = tree.query(box)
@@ -782,7 +787,6 @@ class TestIndexWidth:
         # n = 2^16, and it reads back unwrapped from every array holding it
         ps = gen_points(GeneratorConfig(seed=n + d, n=n, dims=d))
         tree, L = build(ps), pow2ceil(n)
-        assert tree.code == code
         assert tree.ids.typecode == code and len(tree.ids) == n
         assert max(tree.ids) == n - 1  # id 65535 is stored at n = 2^16
         if d > 1:
@@ -848,7 +852,7 @@ class TestSpaceAccounting:
         # right bridges) G*L at w(r) bytes, w = 1, 2, 4 for r <= 8, <= 16,
         # above, with no slack in any row
         width = lambda r: 1 if r <= 8 else 2 if r <= 16 else 4
-        assert tree.code == ("H" if pow2ceil(n) <= 2**16 else "i")
+        assert tree.ids.typecode == ("H" if pow2ceil(n) <= 2**16 else "i")
         no_slack = lambda a: sys.getsizeof(a) == (sys.getsizeof(array(a.typecode))
                                                   + len(a) * a.itemsize)
         for cs, held in groups.values():
@@ -856,9 +860,9 @@ class TestSpaceAccounting:
             assert sorted(held) == list(range(G))  # every member is reached
             assert len(cs.rows) == cs.L.bit_length()
             for row in cs.rows:
-                assert isinstance(row, array) and row.typecode == tree.code
+                assert isinstance(row, array) and row.typecode == tree.ids.typecode
                 assert len(row) == G * cs.L and no_slack(row)
-                assert row.itemsize == {"H": 2, "i": 4}[tree.code]
+                assert row.itemsize == {"H": 2, "i": 4}[tree.ids.typecode]
             assert len(cs.bridges) == cs.L.bit_length() and not cs.bridges[0]
             for r, lb in enumerate(cs.bridges[1:], 1):
                 assert len(lb) == G * cs.L and lb.itemsize == width(r) and no_slack(lb)
@@ -921,10 +925,10 @@ class TestSpaceAccounting:
         tree = build(ps)
         groups = {id(s): s for _, (s, _) in structures(tree) if isinstance(s, _Level)}
         assert len(groups) > 1
-        empty = sys.getsizeof(array(tree.code))
+        empty = sys.getsizeof(array(tree.ids.typecode))
         for level in groups.values():
             (leaves,) = level.rows
-            assert leaves.typecode == tree.code and len(leaves) % level.L == 0
+            assert leaves.typecode == tree.ids.typecode and len(leaves) % level.L == 0
             assert sys.getsizeof(leaves) == empty + leaves.itemsize * len(leaves)
 
     def test_slab_ids_have_no_slack(self):
@@ -934,8 +938,8 @@ class TestSpaceAccounting:
         for d in (1, 2, 3, 4):
             tree = build(gen_points(GeneratorConfig(seed=6, n=n, dims=d)))
             assert isinstance(tree.root, _Slab) == (d == 1)
-            assert len(tree.ids) == n and tree.ids.typecode == tree.code == "H"
-            assert sys.getsizeof(tree.ids) == (sys.getsizeof(array(tree.code))
+            assert len(tree.ids) == n and tree.ids.typecode == "H"
+            assert sys.getsizeof(tree.ids) == (sys.getsizeof(array(tree.ids.typecode))
                                                + tree.ids.itemsize * n)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
