@@ -6,12 +6,15 @@ prints one row per file and a total row, each with its lines, its docstring
 lines (module, class and function docstrings, found with ast), its blank or
 comment lines outside docstrings, and the code lines that remain.  A
 docstring's lines are those of ast.get_docstring(node, clean=False), which
-are the lines its string literal spans.
+are the lines its string literal spans.  A directory PATH stands for its
+own *.py files, in sorted order.
 """
 
 from __future__ import annotations
 
 import ast
+import glob
+import os
 import sys
 
 KINDS = ("lines", "docstring", "blank_or_comment", "code")
@@ -41,10 +44,16 @@ def count(source: str) -> dict[str, int]:
             "code": len(other) - blank}
 
 
+def files(paths: list[str]) -> list[str]:
+    """The paths, each directory replaced by its *.py files in sorted order."""
+    return [name for path in paths for name in
+            (sorted(glob.glob(os.path.join(path, "*.py"))) if os.path.isdir(path) else [path])]
+
+
 def main(paths: list[str]) -> None:
     total = dict.fromkeys(KINDS, 0)
     print(*KINDS, "path", sep="\t")
-    for path in paths:
+    for path in files(paths):
         with open(path, encoding="utf-8") as f:
             row = count(f.read())
         for kind in KINDS:

@@ -31,22 +31,26 @@ digest of structure_row over fixed trees and runs the smallest cases.
 
 It is also the tests' reference module.  It holds the scalar splitmix64
 generator (splitmix64_next, SplitMix64), which the package's vectorized
-stream must match draw for draw, and it is the tests' one reader of
-structure layout: the reference order and box filter over Points
-(composite_key, box_contains), a cascade member's bridge_rows and node
-(r, pos), a cascade or level member's words, leaf_row, leaf_ranks and the
-real labels of its subtree (r, pos), a group's members, all_nodes of a
-tree, a member's query output as a list (collect), a level member's slots
-and every structure of a tree (structures).  They read every row of either group kind
-by one rule: member g's entries start at g*L.  Its top level imports nothing
-from layertree.
+stream must match draw for draw, and the tests' one walk model, walk_model:
+what cascade._walk must yield and count, from a member's leaf ranks and
+node labels alone (split_node; model_checked checks walk calls by it).  It
+is the tests' one reader of structure layout: the reference order and box
+filter over Points (composite_key, box_contains), a cascade member's
+bridge_rows and node (r, pos), a cascade or level member's words, leaf_row,
+leaf_ranks and the real labels of its subtree (r, pos), a group's members,
+all_nodes of a tree, a member's query output as a list (collect), a level
+member's slots and every structure of a tree (structures).  They read every
+row of either group kind by one rule: member g's entries start at g*L.  Its
+top level imports nothing from layertree.
 """
 
 import json
 import sys
 from array import array
+from bisect import bisect_left
 from collections import namedtuple
 from dataclasses import astuple
+from operator import attrgetter
 
 # finite extremes, signed zeros and the smallest subnormal, plus ordinary values
 EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1.7e308, -1.7e308, -1.0, 0.5, 1.0]
@@ -179,6 +183,97 @@ def leaf_ranks(s, g: int = 0) -> list:
 def subtree(s, g: int, r: int, pos: int, n: int) -> list:
     """The real labels (< n) under node (r, pos) of member g, in leaf order: its leaf row chunk."""
     return [e for e in leaf_row(s, g)[pos << r : (pos + 1) << r] if e < n]
+
+
+def split_node(ranks, a, b) -> tuple:
+    """(pa, pb, r, pos): the leaf positions [pa, pb) of ranks [a, b), and the split node (r, pos).
+
+    ranks is a member's leaf_ranks (pa = pb when none is in [a, b)).  The split node is the
+    lowest node holding leaves pa and last = min(pb, L-1), or leaf last when pa >= pb.
+    """
+    pb = bisect_left(ranks, b)
+    pa = min(bisect_left(ranks, a), pb)
+    last = min(pb, len(ranks) - 1)
+    r = (pa ^ last).bit_length() if pa < pb else 0  # the lowest row where the two agree
+    return pa, pb, r, last >> r
+
+
+walk_counters = attrgetter("nodes_visited", "binary_searches", "bridge_follows")
+
+
+def walk_model(group, g, a, b, ya=None, yb=None, carry_yb=True, ranks=None, labels=None):
+    """(yields, (nodes_visited, binary_searches, bridge_follows)) that cascade._walk must give.
+
+    It reads member g's leaf ranks and node labels alone (ranks and labels,
+    its leaf_ranks and words, may be passed in), with no bridge read and no
+    walk.  S is the split node, at row r (split_node).  For leaf l = pa,
+    then l = last, it yields each node two or more rows below S whose parent
+    is an ancestor of l, that is not one, and whose leaves all lie in
+    [pa, pb), rows descending, then l if pa <= l < pb.  A cascade (ya not
+    None) yields nothing if S holds no label in [ya, yb); else l's path
+    stops at its first ancestor below S holding none, yielding that row's
+    node but not l.  lo and hi are bisect_left of a node's labels for ya and
+    yb (hi None for a query, both for a level).  nodes_visited is H + 1 - r
+    plus one per ancestor of l stepped into below S and per other yield;
+    binary_searches is the positions carried, and bridge_follows that times
+    the part of nodes_visited below S.
+    """
+    ranks = leaf_ranks(group, g) if ranks is None else ranks
+    L = len(ranks)
+    pa, pb, r, pos = split_node(ranks, a, b)
+    npos = 0 if ya is None else 1 + bool(carry_yb)
+    if npos and labels is None:
+        labels = words(group, g)
+
+    def at(k, p):  # node (k, p): its (lo, hi) and whether it holds a label in [ya, yb)
+        if not npos:
+            return None, None, True
+        first = k * L + (p << k)  # its labels in words
+        lo, hi = (bisect_left(labels, y, first, first + (1 << k)) - first for y in (ya, yb))
+        return lo, hi if carry_yb else None, lo < hi
+
+    out, below = [], 0
+    if at(r, pos)[2]:
+        for leaf in dict.fromkeys((pa, min(pb, L - 1))):
+            for k in range(r - 1, -1, -1):  # leaf's ancestor at row k
+                sib = (leaf >> k) ^ 1
+                below += 1
+                if k <= r - 2 and pa <= sib << k and (sib + 1) << k <= pb:
+                    below += 1
+                    out.append((k, sib, *at(k, sib)[:2]))
+                if not at(k, leaf >> k)[2]:
+                    break
+            else:
+                if pa <= leaf < pb:
+                    out.append((0, leaf, *at(0, leaf)[:2]))
+    return out, (L.bit_length() - r + below, npos, npos * below)
+
+
+def model_checked(monkeypatch) -> list:
+    """Put a stand-in for cascade._walk that passes each call on to it and checks it by walk_model.
+
+    A call's yields and counters must equal the model's.  Each call appends
+    (split row, yields, counters) to the list returned.  A member's leaf
+    ranks and words are read once, at its first call.
+    """
+    import layertree.cascade
+
+    walk, views, calls = layertree.cascade._walk, {}, []
+
+    def checked(group, g, a, b, ya, yb, stats, carry_yb=True):
+        key = id(group), g
+        if key not in views:
+            views[key] = leaf_ranks(group, g), words(group, g)
+        before = walk_counters(stats)
+        got = list(walk(group, g, a, b, ya, yb, stats, carry_yb))
+        counters = tuple(x - y for x, y in zip(walk_counters(stats), before))
+        want = walk_model(group, g, a, b, ya, yb, carry_yb, *views[key])
+        assert (got, counters) == want, (a, b, ya, yb, carry_yb)
+        calls.append((split_node(views[key][0], a, b)[2], got, counters))
+        yield from got
+
+    monkeypatch.setattr(layertree.cascade, "_walk", checked)
+    return calls
 
 
 # a cascade node's labels (y ranks; phantoms >= n) in order, and its bridges

@@ -26,7 +26,8 @@ from layertree.cascade import (CascadeStructure, fill_buffers_batch_np, merge_ro
 from layertree.core import QueryBox
 
 from structure_dump import (SplitMix64, all_nodes, box_contains, bridge_rows, collect,
-                            composite_key, leaf_ranks, leaf_row, node, structures, subtree)
+                            composite_key, leaf_ranks, leaf_row, model_checked, node, structures,
+                            subtree)
 
 
 def make_cascade(coord_pairs):
@@ -427,39 +428,21 @@ class TestQuery2D:
                         assert got == brute_force_query(ps, QueryBox((xlo, ylo), (xhi, yhi)))
 
     def test_positions_match_shadow_lower_bound(self, monkeypatch):
-        # every bridged position at every canonical node and boundary leaf
-        # equals an independent search: the query's one for ya, the count's
-        # two for ya and yb; the walk's yields are observed on their way
-        probes = []
-        walk = layertree.cascade._walk
-
-        def observed(*args):
-            for row, p, lo, hi in walk(*args):
-                probes.append((row, p, lo, hi))
-                yield row, p, lo, hi
-
-        monkeypatch.setattr(layertree.cascade, "_walk", observed)
+        # every cascade call, a query's (carrying ya) and a count's (ya and
+        # yb), gives the yields and counters of walk_model, whose positions
+        # are bisects of each node's labels; the calls are observed on their
+        # way to the real walk
+        calls = model_checked(monkeypatch)
         rng = SplitMix64(123)
         cs, ps, ids = make_cascade([(rng.next_below(50), rng.next_below(50)) for _ in range(200)])
-        seen = counted = 0
         for _ in range(200):
             xlo, xhi = sorted((rng.next_below(52) - 1, rng.next_below(52) - 1))
             ylo, yhi = rng.next_below(52) - 1, rng.next_below(52) - 1
-            probes.clear()
-            a, b = rank_args(cs, ps, xlo, xhi, ylo, 100.0)
-            ya = a[1]
-            cs.query(0, a, b, QueryStats(), lambda p: None)
-            for row, p, q, hi in probes:
-                assert q == bisect_left(node(cs, row, p).ranks, ya) and hi is None
-            seen += len(probes)
-            probes.clear()
-            a, b = rank_args(cs, ps, xlo, xhi, ylo, yhi)  # yhi < ylo in about half
-            cs.count(0, a, b, QueryStats())
-            for row, p, lo, hi in probes:
-                ranks = node(cs, row, p).ranks  # labels are y ranks
-                assert (lo, hi) == (bisect_left(ranks, a[1]), bisect_left(ranks, b[1]))
-            counted += len(probes)
-        assert seen > 200 and counted > 200  # the wrapper observed both walks
+            cs.query(0, *rank_args(cs, ps, xlo, xhi, ylo, 100.0), QueryStats(), lambda p: None)
+            # yhi < ylo in about half
+            cs.count(0, *rank_args(cs, ps, xlo, xhi, ylo, yhi), QueryStats())
+        seen = [sum(len(got) for _, got, counters in calls if counters[1] == k) for k in (1, 2)]
+        assert min(seen) > 200  # the wrapper observed both walks
 
     def test_count_matches_query(self):
         rng = SplitMix64(9)

@@ -4,7 +4,7 @@ import os
 import subprocess
 import sys
 
-from line_count import count
+from line_count import count, main
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -43,3 +43,12 @@ def test_prints_a_row_per_file_and_a_total(tmp_path):
     header, *rows = [line.split("\t") for line in proc.stdout.splitlines()]
     assert header == ["lines", "docstring", "blank_or_comment", "code", "path"]
     assert rows == [["19", "7", "6", "6", str(path)]] * 2 + [["38", "14", "12", "12", "total"]]
+
+
+def test_a_directory_counts_its_python_files_in_order(tmp_path, capsys):
+    for name in ("b.py", "a.py", "notes.txt", "sub"):
+        (tmp_path / name).write_text(SOURCE) if "." in name else (tmp_path / name).mkdir()
+    main([str(tmp_path)])
+    rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert rows == [["19", "7", "6", "6", str(tmp_path / name)] for name in ("a.py", "b.py")] + [
+        ["38", "14", "12", "12", "total"]]

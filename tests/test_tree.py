@@ -31,12 +31,13 @@ from layertree import (
     canonical_subtrees,
     gen_points,
 )
-from layertree.cascade import CascadeStructure, merge_rows, pow2ceil, rank_tables
+from layertree.cascade import CascadeStructure, _walk, merge_rows, pow2ceil, rank_tables
 from layertree.tree import GATHER_MIN, _Level, _reachable, _Slab
 
 import structure_dump
 from structure_dump import (SplitMix64, all_nodes, bridge_rows, collect, composite_key, leaf_ranks,
-                            leaf_row, members, node, slots, structures, subtree, words)
+                            leaf_row, members, model_checked, node, slots, split_node, structures,
+                            subtree, walk_counters, walk_model, words)
 
 
 def level_tree(values):
@@ -49,82 +50,12 @@ def root_level(values):
     return level_tree(values).root, 0
 
 
-def positions(ranks, a, b):
-    """The positions [pa, pb) of the leaves with ranks in [a, b) (leaf_ranks order); pa = pb if none."""
-    pb = bisect_left(ranks, b)
-    return min(bisect_left(ranks, a), pb), pb
-
-
-def split(ranks, a, b):
-    """The split node (row, pos) of ranks [a, b) over leaf ranks `ranks`, found on positions.
-
-    Node (r, pos) splits after leaf pos*2^r + 2^(r-1) - 1, so the split node
-    is where leaves pa and pb part (pb = L reading as leaf L-1), or pb's
-    leaf when pa = pb.
-    """
-    pa, pb = positions(ranks, a, b)
-    last = min(pb, len(ranks) - 1)
-    r = (pa ^ last).bit_length() if pa < pb else 0
-    return r, last >> r
-
-
-def reference_split(ranks, a, b, stats):
-    """The split node of ranks [a, b) by the rank-reading descent over leaf ranks `ranks`.
-
-    Descent rule: left iff b <= the node's split rank (the rank of the
-    rightmost leaf of its left half), right iff the split rank < a.  It
-    counts each node it reads.
-    """
-    r, pos = len(ranks).bit_length() - 1, 0
-    stats.nodes_visited += 1
-    while r:
-        k = ranks[((2 * pos + 1) << (r - 1)) - 1]
-        if b <= k:
-            pos <<= 1
-        elif k < a:
-            pos = (pos << 1) + 1
-        else:
-            break
-        r -= 1
-        stats.nodes_visited += 1
-    return r, pos
-
-
-def reference_walk(ranks, a, b, stats) -> list:
-    """(row, pos) of each node canonical_subtrees yields for [a, b) over leaf ranks `ranks`.
-
-    The reference walk: the rank-reading split descent, then the a path and
-    the b path, each entering the right child iff the node's split rank is
-    below its bound; a boundary leaf is in range iff its rank is in [a, b).
-    It counts nodes_visited as the walk does.
-    """
-    r, pos = reference_split(ranks, a, b, stats)
-    if r == 0:
-        return [(0, pos)] if a <= ranks[pos] < b else []
-    out = []
-    for side, bound in ((0, a), (1, b)):
-        p = pos
-        for rr in range(r, 0, -1):
-            go = ranks[(p << rr) + (1 << (rr - 1)) - 1] < bound
-            p = (p << 1) + go
-            if go == side and rr < r:
-                stats.nodes_visited += 1
-                out.append((rr - 1, p ^ 1))
-        stats.nodes_visited += r
-        if a <= ranks[p] < b:
-            out.append((0, p))
-    return out
-
-
-def check_walk(member, ranks, a, b):
-    """canonical_subtrees and split equal the reference walk and split, QueryStats included.
-
-    ranks is leaf_ranks(*member).
-    """
-    got, want = QueryStats(), QueryStats()
-    assert canonical_subtrees(*member, a, b, got) == reference_walk(ranks, a, b, want), (a, b)
-    assert got == want, (a, b)
-    assert split(ranks, a, b) == reference_split(ranks, a, b, QueryStats()), (a, b)
+def walked(member, a, b, ranks=None) -> tuple:
+    """A level member's _walk of [a, b): its yields and walk_counters, which equal walk_model's."""
+    stats = QueryStats()
+    got = list(_walk(*member, a, b, None, None, stats)), walk_counters(stats)
+    assert got == walk_model(*member, a, b, ranks=ranks), (a, b)
+    return got
 
 
 def real_count(member, n) -> int:
@@ -166,7 +97,8 @@ class TestPublicNames:
         assert not hasattr(layertree, name)
 
     @pytest.mark.parametrize("name", ["CascadeNode", "composite_key", "box_contains", "node",
-                                      "SplitMix64", "splitmix64_next", "structures", "slots"])
+                                      "SplitMix64", "splitmix64_next", "structures", "slots",
+                                      "walk_model"])
     def test_test_only_names_left_the_package(self, name):
         # only tests read them (tests/structure_dump.py): no package module or class has them
         modules = [layertree] + [importlib.import_module(f"layertree.{m}") for m in
@@ -206,19 +138,17 @@ class TestLeafRow:
         ranks = leaf_ranks(*member)
         assert ranks == sorted(ranks)
         # a node splits after the rightmost leaf of its left subtree, which
-        # holds the largest rank there; the one rank's positions are that
-        # leaf alone, whose split node is the node, and the walk covers it by
-        # the leaf after H - r + 1 visits down to the node and r down each path
+        # holds the largest rank there; the one rank is that leaf alone, whose
+        # split node is the node, and the walk, as the model, covers it by the
+        # leaf after H - r + 1 visits down to the node and r down each path
         H = level.L.bit_length() - 1
         for r in range(1, H + 1):
             for pos in range(level.L >> r):
                 mid = (2 * pos + 1) << (r - 1)
                 k = max(ranks[pos << r : mid])
-                assert positions(ranks, k, k + 1) == (mid - 1, mid)
-                assert split(ranks, k, k + 1) == (r, pos)
-                stats = QueryStats()
-                assert canonical_subtrees(*member, k, k + 1, stats) == [(0, mid - 1)]
-                assert stats.nodes_visited == H + 1 + r
+                assert split_node(ranks, k, k + 1) == (mid - 1, mid, r, pos)
+                want = [(0, mid - 1, None, None)], (H + 1 + r, 0, 0)
+                assert walked(member, k, k + 1, ranks) == want
 
     @pytest.mark.parametrize("n", [1, 3, 8, 13])
     def test_leaf_scan_nondecreasing_and_internal_keys(self, n):
@@ -252,37 +182,41 @@ class TestLeafRow:
 
 
 class TestFindSplitNode:
-    # leaves [1,2,3,4]: the root, node (2, 0), splits {1,2} | {3,4}
+    # leaves [1,2,3,4]: the root, node (2, 0), splits {1,2} | {3,4}; each
+    # test states the model's split node (split_node), and the walk gives
+    # the model's yields and counters
     VALUES = [1, 2, 3, 4]
 
     def test_range_2_3_splits_at_root(self):
         member = root_level(self.VALUES)
-        assert split(leaf_ranks(*member), *rank_bounds(self.VALUES, 2.0, 3.0)) == (2, 0)
+        a, b = rank_bounds(self.VALUES, 2.0, 3.0)
+        assert split_node(leaf_ranks(*member), a, b) == (1, 3, 2, 0)
+        walked(member, a, b)
 
     def test_degenerate_range_splits_at_value_boundary(self):
         # [1,1] is the ranks [0, 1): it diverges at the parent of the value-1
         # leaf; the canonical cover is still exactly that leaf
         tree = level_tree(self.VALUES)
         member = tree.root, 0
-        assert split(leaf_ranks(*member), *rank_bounds(self.VALUES, 1.0, 1.0)) == (1, 0)
-        cover = canonical_subtrees(*member, *rank_bounds(self.VALUES, 1.0, 1.0))
-        assert cover == [(0, 0)]
+        a, b = rank_bounds(self.VALUES, 1.0, 1.0)
+        assert split_node(leaf_ranks(*member), a, b) == (0, 1, 1, 0)
+        assert walked(member, a, b)[0] == [(0, 0, None, None)]
         assert [tree.ids[e] for e in subtree(*member, 0, 0, len(self.VALUES))] == [0]
 
     def test_range_above_all_leaves(self):
         member = root_level(self.VALUES)
-        r, _ = split(leaf_ranks(*member), *rank_bounds(self.VALUES, 5.0, 9.0))
-        assert r == 0  # a leaf
-        assert canonical_subtrees(*member, *rank_bounds(self.VALUES, 5.0, 9.0)) == []
+        a, b = rank_bounds(self.VALUES, 5.0, 9.0)
+        assert split_node(leaf_ranks(*member), a, b)[2] == 0  # a leaf
+        assert walked(member, a, b)[0] == []
 
     @pytest.mark.parametrize("H", range(8))
     def test_root_closed_form_equals_rank_descent(self, H):
         # the root holds no rank table, so its bounds already are positions;
         # for every 0 <= a, b <= L, a >= b and b = L included, the walk of the
-        # d = 2 root's x-tree gives the nodes and the nodes_visited of the
-        # reference walk, which reads dimension 0's composite ranks (leaf p
-        # ranks p) at every turn.  n = L makes b = L a bound a box can map to,
-        # and n = L/2 + 1 puts phantoms inside [a, b) for b > n
+        # d = 2 root's x-tree gives the yields and counters of walk_model,
+        # whose leaf ranks are dimension 0's composite ranks (leaf p ranks p).
+        # n = L makes b = L a bound a box can map to, and n = L/2 + 1 puts
+        # phantoms inside [a, b) for b > n
         L = 1 << H
         for n in sorted({L, L // 2 + 1}):
             ps = gen_points(GeneratorConfig(seed=n, n=n, dims=2, dist="grid", grid_side=5))
@@ -294,7 +228,7 @@ class TestFindSplitNode:
             ranks = leaf_ranks(root)
             for a in range(L + 1):
                 for b in range(L + 1):
-                    check_walk((root, 0), ranks, a, b)
+                    walked((root, 0), a, b, ranks)
 
 
 class TestWalkOnPositions:
@@ -303,9 +237,8 @@ class TestWalkOnPositions:
     def test_walk_equals_rank_reading_walk(self, d, n):
         # every walk runs on leaf positions, and below the root two bisects
         # keyed by rank place its bounds: for every level member of a grid
-        # tree, root and below, and every 0 <= a, b <= n, it yields the nodes
-        # and the QueryStats of the reference walk, which reads a rank at
-        # every turn
+        # tree, root and below, and every 0 <= a, b <= n, it gives the yields
+        # and counters of walk_model, which reads the member's leaf ranks
         tree = build(gen_points(GeneratorConfig(seed=n + d, n=n, dims=d, dist="grid", grid_side=3)))
         levels = [s for _, s in structures(tree) if isinstance(s[0], _Level)]
         assert levels[0][0].rank is None
@@ -314,113 +247,10 @@ class TestWalkOnPositions:
             ranks = leaf_ranks(*member)
             for a in range(n + 1):
                 for b in range(n + 1):
-                    check_walk(member, ranks, a, b)
+                    walked(member, a, b, ranks)
 
 
-def unpruned_walk(group, g, a, b, ya, yb, stats, carry_yb=True):
-    """cascade._walk as it was before its paths stopped early: every boundary path runs to its leaf.
-
-    The reference for the stop rule.  In cascade._walk's place it gives a
-    tree's answers, binary_searches and reported unchanged, and a
-    nodes_visited and bridge_follows no lower.  A query (carry_yb False)
-    carries lo alone.  A count carries an empty [ya, yb) with yb < ya as
-    [ya, ya), so that, as from cascade._walk, no yield has lo > hi.
-    """
-    if not carry_yb:
-        yb = None
-    elif ya is not None and yb < ya:
-        yb = ya
-    L, rank, leaf = group.L, group.rank, group.rows[0]
-    base = g * L
-    if rank is not None:
-        key = rank.__getitem__
-        b = bisect_left(leaf, b, base, base + L, key=key)
-        a = (b if b == base or key(leaf[b - 1]) < a
-             else bisect_left(leaf, a, base, b - 1, key=key))
-        a -= base
-        b -= base
-    last = min(b, L - 1)
-    r = (a ^ last).bit_length() if a < b else 0
-    pos = last >> r
-    stats.nodes_visited += L.bit_length() - r
-    lo = hi = None
-    if ya is not None:
-        row, at = group.rows[r], base + (pos << r)
-        bridges = group.bridges
-        lo = bisect_left(row, ya, at, at + (1 << r)) - at
-        if yb is not None:
-            hi = bisect_left(row, yb, at, at + (1 << r)) - at
-    npos = 0 if lo is None else 1 if hi is None else 2
-    stats.binary_searches += npos
-    if r == 0:
-        if a <= pos < b:
-            yield 0, pos, lo, hi
-        return
-    s = f = None
-    for side, bound in ((0, a), (1, b)):
-        q, c, e, steps = pos << r, lo, hi, r
-        for rr in range(r, 0, -1):
-            hf = 1 << (rr - 1)
-            mid = q + hf
-            go = mid <= bound
-            if c is not None:
-                at = base + q
-                lb = bridges[rr]
-                s = lb[at + c] if c < hf + hf else hf
-                if not go:
-                    s = c - s
-                c -= s
-                if e is not None:
-                    f = lb[at + e] if e < hf + hf else hf
-                    if not go:
-                        f = e - f
-                    e -= f
-            if go:
-                q = mid
-            if go == side and rr < r:
-                steps += 1
-                yield rr - 1, (q >> (rr - 1)) ^ 1, s, f
-        stats.nodes_visited += steps
-        stats.bridge_follows += npos * steps
-        if a <= q < b:
-            yield 0, q, c, e
-
-
-def holds(cs, g, r, pos, ya, yb) -> bool:
-    """Whether node (r, pos) of cascade member g holds a label in [ya, yb), read from its array."""
-    labels = node(cs, r, pos, g).ranks
-    i = bisect_left(labels, ya)
-    return i < len(labels) and labels[i] < yb
-
-
-def stop_rule(cs, g, a, b, ya, yb) -> tuple:
-    """(nodes_visited, nodes read below the split node) of one cascade walk, by the stop rule.
-
-    Stated on node arrays, apart from the walk: the walk reads the descent
-    to the split node, and nothing more if that holds no label in [ya, yb).
-    Else each path steps from it toward its bound, counting each node it
-    steps into and each canonical sibling, and ends at the first child that
-    holds none.
-    """
-    ranks = leaf_ranks(cs, g)
-    pa, pb = positions(ranks, a, b)
-    r, pos = split(ranks, a, b)
-    top = cs.L.bit_length() - r
-    if not holds(cs, g, r, pos, ya, yb):
-        return top, 0
-    below = 0
-    for side, bound in ((0, pa), (1, pb)):
-        p = pos
-        for rr in range(r, 0, -1):
-            go = ((2 * p + 1) << (rr - 1)) <= bound
-            p = 2 * p + go
-            below += 1 + (go == side and rr < r)
-            if not holds(cs, g, rr - 1, p, ya, yb):
-                break
-    return top + below, below
-
-
-def stop_rule_rows(kind, d, n):
+def y_stop_rows(kind, d, n):
     """n rows of d coordinates: "grid" draws 0, 1, 2 (heavy duplicates), "signed" -1, -0.0, 0.0, 1."""
     pool = [0.0, 1.0, 2.0] if kind == "grid" else [-1.0, -0.0, 0.0, 1.0]
     rng = SplitMix64(97 * d + n)
@@ -430,7 +260,7 @@ def stop_rule_rows(kind, d, n):
     return rows
 
 
-def stop_rule_boxes(d, count):
+def y_stop_boxes(d, count):
     """Random boxes over the rows' range and past it, some with lo > hi, then y ranges missing every row."""
     bounds = [-1.5, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5]
     rng = SplitMix64(31 * d)
@@ -441,51 +271,45 @@ def stop_rule_boxes(d, count):
     return boxes
 
 
+def modelled_boxes(monkeypatch, kind, d, n) -> tuple:
+    """(tree, calls): y_stop_boxes queried and counted on y_stop_rows, each cascade call checked.
+
+    The answers are the oracle's, and a query stops where a count does.
+    """
+    ps = PointSet.from_coords(y_stop_rows(kind, d, n), d)
+    tree, calls = build(ps), model_checked(monkeypatch)
+    for box in y_stop_boxes(d, 60):
+        want, q, c = brute_force_query(ps, box), QueryStats(), QueryStats()
+        assert tree.query(box, q) == want and tree.count(box, c) == len(want)
+        assert q.nodes_visited == c.nodes_visited and c.bridge_follows == 2 * q.bridge_follows
+    return tree, calls
+
+
 class TestStopRule:
     @pytest.mark.parametrize("n", [8, 9, 64, 65])
     @pytest.mark.parametrize("d", [2, 3, 4])
     @pytest.mark.parametrize("kind", ["grid", "signed"])
     def test_walk_against_unpruned_walk(self, monkeypatch, kind, d, n):
-        # every cascade walk reads exactly the nodes the stop rule names,
-        # stated on node arrays; a tree's answers, binary_searches and
-        # reported are those of the unpruned walk, its nodes_visited and
-        # bridge_follows no higher, and a query stops where a count does
-        ps = PointSet.from_coords(stop_rule_rows(kind, d, n), d)
-        tree = build(ps)
-        walk = layertree.cascade._walk
-        at_split = []  # per cascade call: whether it read nothing below the split node
-
-        def checked(group, g, a, b, ya, yb, stats, carry_yb=True):
-            own = QueryStats()
-            for node in walk(group, g, a, b, ya, yb, own, carry_yb):
-                assert not carry_yb or node[2] <= node[3], node  # count adds hi - lo unchecked
-                yield node
-            npos = 1 + carry_yb
-            visited, below = stop_rule(group, g, a, b, ya, yb)
-            assert astuple(own) == (visited, npos, npos * below, 0), (a, b, ya, yb, carry_yb)
-            at_split.append(below == 0)
-            for k in ("nodes_visited", "binary_searches", "bridge_follows"):
-                setattr(stats, k, getattr(stats, k) + getattr(own, k))
-
-        pruned = unpruned = 0
-        for box in stop_rule_boxes(d, 60):
-            want = brute_force_query(ps, box)
-            q, c, rq, rc = QueryStats(), QueryStats(), QueryStats(), QueryStats()
-            monkeypatch.setattr(layertree.cascade, "_walk", checked)
-            got, k = tree.query(box, q), tree.count(box, c)
-            monkeypatch.setattr(layertree.cascade, "_walk", unpruned_walk)
-            assert got == tree.query(box, rq) == want and k == tree.count(box, rc) == len(want)
-            for s, ref in ((q, rq), (c, rc)):
-                assert (s.binary_searches, s.reported) == (ref.binary_searches, ref.reported)
-                assert s.nodes_visited <= ref.nodes_visited
-                assert s.bridge_follows <= ref.bridge_follows
-            assert q.nodes_visited == c.nodes_visited and c.bridge_follows == 2 * q.bridge_follows
-            pruned += q.nodes_visited
-            unpruned += rq.nodes_visited
-        assert pruned <= unpruned
+        # every cascade call gives the yields and counters of walk_model,
+        # whose paths stop at the first node holding no label in [ya, yb);
+        # of the calls whose split node is above the leaves, some stop there
+        # and others go below it
+        _, calls = modelled_boxes(monkeypatch, kind, d, n)
+        at_split = {counters[2] == 0 for r, _, counters in calls if r}
         # at d = 4 and n <= 9 every cascade is a single leaf, with no path to end
-        if max(s.L for _, (s, _) in structures(tree) if isinstance(s, CascadeStructure)) > 1:
-            assert pruned < unpruned and any(at_split) and not all(at_split)
+        assert at_split == (set() if d == 4 and n <= 9 else {True, False})
+
+    @pytest.mark.parametrize("d,n", [(2, 600), (3, 1100)])
+    def test_wide_bridge_rows(self, monkeypatch, d, n):
+        # a cascade of L >= 512 stores bridge rows 9 and up two bytes wide;
+        # calls that leave a split node at row 9 or more read them, and still
+        # give the model's yields and counters
+        tree, calls = modelled_boxes(monkeypatch, "grid", d, n)
+        wide = [s for _, (s, _) in structures(tree)
+                if isinstance(s, CascadeStructure) and s.L >= 512]
+        assert wide and all(s.bridges[9].typecode == "H" for s in wide)
+        assert any(r >= 9 and counters[2] for r, _, counters in calls)
+
 
 def check_cover(member, ids, column, lo, hi):
     """The canonical cover of [lo, hi] in level.dim (column: that coordinate by id).
