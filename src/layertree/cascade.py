@@ -15,7 +15,10 @@ leaf positions, and a level of the multi-level tree (tree._Level) runs it
 too.  The root group (the d=2 cascade, or the d>=3 root level) holds no
 rank table: its leaf row is dimension 0's order, so leaf p ranks p and a
 rank interval already is a position interval.  Every other group's leaf
-row is sorted by its rank table, and _walk places the bounds in it.
+row is sorted by its rank table, and _place places the bounds in it: a
+level places those of each canonical node's structure, skips the
+structure when they meet, and hands it leaf positions, so every group
+walks positions only.
 
 A cascade is that tree over coordinate x (the second-to-last dimension)
 whose every node also carries its subtree's labels in ascending (y) order,
@@ -152,20 +155,34 @@ def rank_tables(coords: np.ndarray) -> tuple[array, np.ndarray, list[array], lis
     return packed(code, last), np.concatenate((label[row], label[n:])), ranks, axes
 
 
+def _place(group, g: int, a: int, b: int, key) -> tuple[int, int]:
+    """Member g's leaf positions (u, v) of the rank bounds [a, b); u == v iff none is in range.
+
+    Below the root a leaf row is sorted by its group's rank table (see Walk
+    above), and key gives a label's rank in it.  Two bisects of the row
+    place the bounds: v is the first leaf ranked b or more, and u the first
+    ranked a or more, but the second bisect is skipped when no leaf before
+    v ranks a or more, and u = v then, so u <= v always (QueryStats says
+    how they count).  A level places each canonical node's structure this
+    way (tree._Level); the root's bounds need no placing.
+    """
+    leaf, base = group.rows[0], g * group.L  # member g's entries of every row start here
+    v = bisect_left(leaf, b, base, base + group.L, key=key)
+    u = v if v == base or key(leaf[v - 1]) < a else bisect_left(leaf, a, base, v - 1, key=key)
+    return u - base, v - base
+
+
 def _walk(group, g: int, a: int, b: int, ya, yb, stats, carry_yb: bool = True):
     """Yield (row, pos, lo, hi) for each canonical node and in-range boundary leaf of [a, b).
 
-    The tree is member g's leaf row (see Storage above), and the walk runs
-    on its leaf positions.  Below the root, two bisects of the row keyed by
-    group.rank first turn the rank bounds into positions; the second is
-    skipped when no leaf before b's position ranks a or more, so that a = b
-    (QueryStats says how they count).  At the root the bounds already are
-    positions (see Walk above).  The split node is where leaves a and b
-    part, b = L reading as leaf L-1, or b's leaf when a >= b.  The walk goes
-    down the a path, then the b path: a path enters the right child iff the
-    child's first leaf is at most its bound, and a boundary leaf p is in
-    range iff a <= p < b.  It yields each node the range covers whole as its
-    row and its position in that row.
+    The tree is member g's leaf row (see Storage above), and [a, b) are
+    leaf positions in it: the rank bounds themselves at the root (see Walk
+    above), placed by _place below it.  The split node is where leaves a
+    and b part, b = L reading as leaf L-1, or b's leaf when a >= b.  The
+    walk goes down the a path, then the b path: a path enters the right
+    child iff the child's first leaf is at most its bound, and a boundary
+    leaf p is in range iff a <= p < b.  It yields each node the range
+    covers whole as its row and its position in that row.
 
     When ya is not None, the group is a cascade's: the walk bisects the
     split node's array for ya, and for yb if carry_yb (a query's is False),
@@ -181,15 +198,8 @@ def _walk(group, g: int, a: int, b: int, ya, yb, stats, carry_yb: bool = True):
     with t, so c <= e and s <= f at every node, and every yield has
     lo <= hi.  A level passes None for ya and yb.
     """
-    L, rank, leaf = group.L, group.rank, group.rows[0]
+    L = group.L
     base = g * L  # member g's entries of every row start here
-    if rank is not None:
-        key = rank.__getitem__
-        b = bisect_left(leaf, b, base, base + L, key=key)
-        a = (b if b == base or key(leaf[b - 1]) < a
-             else bisect_left(leaf, a, base, b - 1, key=key))
-        a -= base
-        b -= base
     last = min(b, L - 1)
     r = (a ^ last).bit_length() if a < b else 0  # a and last agree above bit r
     pos = last >> r
@@ -330,8 +340,8 @@ class CascadeStructure:
     Each member is an x-tree plus per-node label arrays with bridges, laid
     out in rows and bridges as Storage above says.  rank is the x rank
     table, or None at the d=2 root (see Walk above).  A query or count of
-    member g is one _walk over the last two dimensions of the tree's rank
-    box.
+    member g is one _walk over its leaf positions [u, v) in x and the last
+    dimension of the tree's rank box.
     """
 
     __slots__ = ("L", "rows", "bridges", "rank")
@@ -361,33 +371,34 @@ class CascadeStructure:
 
     # -- queries -------------------------------------------------------------
 
-    def query(self, g, a, b, stats, emit: Callable[[array], None]):
-        """Emit member g's labels inside the rank box [a, b) in its last two dimensions (x, y).
+    def query(self, g, u, v, a, b, stats, emit: Callable[[array], None]):
+        """Emit member g's labels at leaf positions [u, v) inside the rank interval [a, b) of y.
 
+        a and b are the tree's rank box; only their last entry, y, is read.
         The walk carries only the position of ya, and each node's run of
         labels below yb is emitted as one slice of its label row.
         """
         rows, base, yb = self.rows, g * self.L, b[-1]
-        for r, p, u, _ in _walk(self, g, a[-2], b[-2], a[-1], yb, stats, False):
+        for r, p, lo, _ in _walk(self, g, u, v, a[-1], yb, stats, False):
             row = rows[r]
             at = base + (p << r)
-            u += at
+            lo += at
             end = at + (1 << r)
-            for v in range(u, end):
-                if row[v] >= yb:
+            for hi in range(lo, end):
+                if row[hi] >= yb:
                     break
             else:
-                v = end
-            if v > u:
-                emit(row[u:v])
+                hi = end
+            if hi > lo:
+                emit(row[lo:hi])
 
-    def count(self, g, a, b, stats) -> int:
-        """Count member g's points inside the rank box [a, b), bounded as in query.
+    def count(self, g, u, v, a, b, stats) -> int:
+        """Count member g's points at leaf positions [u, v), bounded in y as in query.
 
         Nothing is enumerated.  The walk carries the positions of ya and yb,
         and each node it yields adds their difference (see _walk).
         """
         total = 0
-        for _, _, u, v in _walk(self, g, a[-2], b[-2], a[-1], b[-1], stats):
-            total += v - u
+        for _, _, lo, hi in _walk(self, g, u, v, a[-1], b[-1], stats):
+            total += hi - lo
         return total

@@ -10,9 +10,13 @@ The structures over one dimension with the same padded size L form one merge
 group, a _Level or a CascadeStructure (see Storage in cascade), and a
 structure is a (group, member) pair.  A level finds a node's structure by
 arithmetic on its (row, pos) name (see _Level).  Every group, and the _Slab,
-answers query(g, a, b, stats, emit) and count(g, a, b, stats) for member g
-and the rank box [a, b); the root is member 0 of a group of one.  A level's
-canonical decomposition is cascade._walk with no y bounds.
+answers query(g, u, v, a, b, stats, emit) and count(g, u, v, a, b, stats)
+for member g: [u, v) are its leaf positions in its own dimension, and
+[a, b) is the rank box, read for the dimensions below it.  The root is
+member 0 of a group of one, and its positions are the ranks a[0], b[0]
+(see Walk in cascade).  A level's canonical decomposition is cascade._walk
+with no y bounds; the level places each canonical node's structure's
+bounds (cascade._place) and calls it only when they hold a leaf.
 
 Everything below LayeredRangeTree.rank_box works in rank space: a box
 becomes a rank interval [a_j, b_j) per dimension, and the structures hold
@@ -24,13 +28,15 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, islice
+from operator import getitem
 from typing import Optional
 
 import numpy as np
 
-from .cascade import (CascadeStructure, _walk, fill_buffers_batch_np, merge_rows, packed,
-                      pow2ceil, rank_tables)
+from .cascade import (CascadeStructure, _place, _walk, fill_buffers_batch_np, merge_rows,
+                      packed, pow2ceil, rank_tables)
 from .core import DimensionMismatch, EmptyInput, Point, PointSet, QueryBox, TooManyPoints
 
 INT32_MAX = 2**31 - 1
@@ -52,11 +58,14 @@ class QueryStats:
     two boundary paths, the nodes a rank-reading descent would examine,
     plus every canonical subtree root the walk hands off to; a cascade walk
     reads a path only down to its first node with no label in [ya, yb), so
-    the nodes below count nowhere.  Below the root, the walk's two bisects
-    that place the x bounds in a leaf row stand in for those descents node
-    for node, so they are not counted as binary searches, just as
-    rank_box's are not (two bisections per dimension, the whole search at
-    d=1).  binary_searches counts only the bisects of a cascade's
+    the nodes below count nowhere.  Below the root, the two bisects of
+    cascade._place that put a structure's x bounds in its leaf row stand
+    in for those descents node for node, so they are not counted as binary
+    searches, just as rank_box's are not (two bisections per dimension, the
+    whole search at d=1).  A level calls a canonical node's structure only
+    when its placed bounds hold a leaf (the no-empty-call law); a structure
+    it skips counts nothing, beyond the canonical node the level's walk
+    counted.  binary_searches counts only the bisects of a cascade's
     split-node array, for y: one per cascade query and two per count, so a
     2D report makes exactly one binary search (the one-search law).
     bridge_follows counts O(1) position transfers along cascade bridges;
@@ -82,18 +91,20 @@ class BuildCounters:
     merge_moves: int = 0
 
 
-def canonical_subtrees(level: "_Level", g: int, a: int, b: int,
+def canonical_subtrees(level: "_Level", g: int, u: int, v: int,
                        stats: Optional[QueryStats] = None) -> list[tuple[int, int]]:
-    """(row, pos) of member g's disjoint subtrees whose leaves are exactly the ranks in [a, b).
+    """(row, pos) of member g's disjoint subtrees whose leaves are exactly the positions [u, v).
 
     It is cascade._walk with no y bounds.  At most 2*log2(L) nodes (one for
-    a single-leaf tree).  At the root, a and b must lie in 0..n, the range
-    rank_box gives: a b past n would take in phantom leaves.  The package
-    exports it because the canonical-subtree law is stated on it.
+    a single-leaf tree).  At the root the positions are the ranks (see Walk
+    in cascade), and they must lie in 0..n, the range rank_box gives: a v
+    past n would take in phantom leaves.  Below the root, cascade._place
+    gives them.  The package exports it because the canonical-subtree law
+    is stated on it.
     """
     if stats is None:
         stats = QueryStats()
-    return [(row, p) for row, p, _, _ in _walk(level, g, a, b, None, None, stats)]
+    return [(row, p) for row, p, _, _ in _walk(level, g, u, v, None, None, stats)]
 
 
 def _reachable(L: int, m: int, r: int) -> range:
@@ -113,15 +124,15 @@ def _reachable(L: int, m: int, r: int) -> range:
 
 
 class _Slab:
-    """The d=1 structure (a group of one): its labels are its ranks, so [a, b) is range(a, b)."""
+    """The d=1 structure (a group of one): its labels are its ranks, so [u, v) is range(u, v)."""
 
     __slots__ = ()
 
-    def query(self, g, a, b, stats, emit):
-        emit(range(a[0], b[0]))
+    def query(self, g, u, v, a, b, stats, emit):
+        emit(range(u, v))
 
-    def count(self, g, a, b, stats) -> int:
-        return max(0, b[0] - a[0])
+    def count(self, g, u, v, a, b, stats) -> int:
+        return max(0, v - u)
 
 
 class _Level:
@@ -132,7 +143,9 @@ class _Level:
     holds phantoms, so m is n there and L below.  subs lists the next
     dimension's groups by log2 L.  Node (r, pos), if _reachable, has the
     structure first[r] + g*per[r] + pos of subs[r], where per[r] counts one
-    member's structures in row r.
+    member's structures in row r.  Every group in subs is sorted by
+    dimension dim+1's rank table, so a query or count keys its placements
+    (cascade._place) by one partial of it.
     """
 
     __slots__ = ("dim", "rows", "L", "m", "rank", "subs", "first", "per")
@@ -146,16 +159,28 @@ class _Level:
         self.subs = subs
         self.first, self.per = [0] * L.bit_length(), [0] * L.bit_length()  # set by build
 
-    def query(self, g, a, b, stats, emit):
-        subs, first, per = self.subs, self.first, self.per
-        for r, p in canonical_subtrees(self, g, a[self.dim], b[self.dim], stats):
-            subs[r].query(first[r] + g * per[r] + p, a, b, stats, emit)
+    def query(self, g, u, v, a, b, stats, emit):
+        nodes = canonical_subtrees(self, g, u, v, stats)
+        if nodes:
+            subs, first, per, j = self.subs, self.first, self.per, self.dim + 1
+            aj, bj, key = a[j], b[j], partial(getitem, subs[nodes[0][0]].rank)
+            for r, p in nodes:
+                sub, h = subs[r], first[r] + g * per[r] + p
+                su, sv = _place(sub, h, aj, bj, key)
+                if su < sv:
+                    sub.query(h, su, sv, a, b, stats, emit)
 
-    def count(self, g, a, b, stats) -> int:
-        subs, first, per = self.subs, self.first, self.per
+    def count(self, g, u, v, a, b, stats) -> int:
+        nodes = canonical_subtrees(self, g, u, v, stats)
         total = 0
-        for r, p in canonical_subtrees(self, g, a[self.dim], b[self.dim], stats):
-            total += subs[r].count(first[r] + g * per[r] + p, a, b, stats)
+        if nodes:
+            subs, first, per, j = self.subs, self.first, self.per, self.dim + 1
+            aj, bj, key = a[j], b[j], partial(getitem, subs[nodes[0][0]].rank)
+            for r, p in nodes:
+                sub, h = subs[r], first[r] + g * per[r] + p
+                su, sv = _place(sub, h, aj, bj, key)
+                if su < sv:
+                    total += sub.count(h, su, sv, a, b, stats)
         return total
 
 
@@ -200,7 +225,7 @@ class LayeredRangeTree:
             stats = QueryStats()
         code = self.ids.typecode
         labels = array(code)
-        self.root.query(0, a, b, stats, labels.extend)
+        self.root.query(0, a[0], b[0], a, b, stats, labels.extend)
         stats.reported += len(labels)
         if len(labels) >= GATHER_MIN:
             ids = np.sort(np.frombuffer(self.ids, dtype=code)[np.frombuffer(labels, dtype=code)]).tolist()
@@ -213,7 +238,7 @@ class LayeredRangeTree:
         a, b = self.rank_box(box)
         if stats is None:
             stats = QueryStats()
-        k = self.root.count(0, a, b, stats)
+        k = self.root.count(0, a[0], b[0], a, b, stats)
         stats.reported += k
         return k
 

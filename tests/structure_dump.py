@@ -32,8 +32,10 @@ digest of structure_row over fixed trees and runs the smallest cases.
 It is also the tests' reference module.  It holds the scalar splitmix64
 generator (splitmix64_next, SplitMix64), which the package's vectorized
 stream must match draw for draw, and the tests' one walk model, walk_model:
-what cascade._walk must yield and count, from a member's leaf ranks and
-node labels alone (split_node; model_checked checks walk calls by it).  It
+what cascade._walk must yield and count over leaf positions, from a
+member's node labels alone (model_checked checks walk calls by it), and
+split_node, the leaf positions of a rank interval from a member's leaf
+ranks, which cascade._place must give.  It
 is the tests' one reader of structure layout: the reference order and box
 filter over Points (composite_key, box_contains), a cascade member's
 bridge_rows and node (r, pos), a cascade or level member's words, leaf_row,
@@ -201,12 +203,13 @@ def split_node(ranks, a, b) -> tuple:
 walk_counters = attrgetter("nodes_visited", "binary_searches", "bridge_follows")
 
 
-def walk_model(group, g, a, b, ya=None, yb=None, carry_yb=True, ranks=None, labels=None):
+def walk_model(group, g, a, b, ya=None, yb=None, carry_yb=True, labels=None):
     """(yields, (nodes_visited, binary_searches, bridge_follows)) that cascade._walk must give.
 
-    It reads member g's leaf ranks and node labels alone (ranks and labels,
-    its leaf_ranks and words, may be passed in), with no bridge read and no
-    walk.  S is the split node, at row r (split_node).  For leaf l = pa,
+    [a, b) are member g's leaf positions.  It reads the member's node labels
+    alone (labels, its words, may be passed in), with no bridge read and no
+    walk.  pa, pb, and S, the split node at row r, are split_node's, leaf p
+    ranking p: so pa = min(a, b) and pb = b.  For leaf l = pa,
     then l = last, it yields each node two or more rows below S whose parent
     is an ancestor of l, that is not one, and whose leaves all lie in
     [pa, pb), rows descending, then l if pa <= l < pb.  A cascade (ya not
@@ -218,9 +221,8 @@ def walk_model(group, g, a, b, ya=None, yb=None, carry_yb=True, ranks=None, labe
     binary_searches is the positions carried, and bridge_follows that times
     the part of nodes_visited below S.
     """
-    ranks = leaf_ranks(group, g) if ranks is None else ranks
-    L = len(ranks)
-    pa, pb, r, pos = split_node(ranks, a, b)
+    L = group.L
+    pa, pb, r, pos = split_node(range(L), a, b)
     npos = 0 if ya is None else 1 + bool(carry_yb)
     if npos and labels is None:
         labels = words(group, g)
@@ -253,8 +255,8 @@ def model_checked(monkeypatch) -> list:
     """Put a stand-in for cascade._walk that passes each call on to it and checks it by walk_model.
 
     A call's yields and counters must equal the model's.  Each call appends
-    (split row, yields, counters) to the list returned.  A member's leaf
-    ranks and words are read once, at its first call.
+    (split row, yields, counters) to the list returned.  A member's words
+    are read once, at its first call.
     """
     import layertree.cascade
 
@@ -263,13 +265,13 @@ def model_checked(monkeypatch) -> list:
     def checked(group, g, a, b, ya, yb, stats, carry_yb=True):
         key = id(group), g
         if key not in views:
-            views[key] = leaf_ranks(group, g), words(group, g)
+            views[key] = words(group, g)
         before = walk_counters(stats)
         got = list(walk(group, g, a, b, ya, yb, stats, carry_yb))
         counters = tuple(x - y for x, y in zip(walk_counters(stats), before))
-        want = walk_model(group, g, a, b, ya, yb, carry_yb, *views[key])
+        want = walk_model(group, g, a, b, ya, yb, carry_yb, views[key])
         assert (got, counters) == want, (a, b, ya, yb, carry_yb)
-        calls.append((split_node(views[key][0], a, b)[2], got, counters))
+        calls.append((split_node(range(group.L), a, b)[2], got, counters))
         yield from got
 
     monkeypatch.setattr(layertree.cascade, "_walk", checked)
@@ -322,12 +324,16 @@ def structures(tree):
 def collect(group, g: int, a, b, stats=None) -> list:
     """The labels member g of a group emits for the rank box [a, b), as a plain list.
 
-    A list takes an emitted slice of any typecode, or a range; the walk counts into stats.
+    Its leaf positions are split_node's of its leaf_ranks in its own
+    dimension: a level's dim, a cascade's the second-to-last.  A list takes
+    an emitted slice of any typecode, or a range; the walk counts into stats.
     """
     from layertree import QueryStats
 
+    j = getattr(group, "dim", len(a) - 2)
+    u, v = split_node(leaf_ranks(group, g), a[j], b[j])[:2]
     out: list = []
-    group.query(g, a, b, QueryStats() if stats is None else stats, out.extend)
+    group.query(g, u, v, a, b, QueryStats() if stats is None else stats, out.extend)
     return out
 
 

@@ -48,17 +48,22 @@ def real_points(ps, ids, labels):
 
 
 def rank_args(cs, ps, xlo, xhi, ylo, yhi):
-    """The box [xlo,xhi] x [ylo,yhi] as the rank box (a, b) = ((xa, ya), (xb, yb)) of cs.query."""
+    """The box [xlo,xhi] x [ylo,yhi] as cs.query's (u, v, a, b) at the d=2 root.
+
+    (a, b) = ((xa, ya), (xb, yb)) is the rank box, and the leaf positions
+    [u, v) are the x ranks [xa, xb): the root holds no rank table.
+    """
     m = ps.coord_matrix()
     xs = sorted(m[:, -2].tolist())
     ys = sorted(m[:, -1].tolist())
-    return ((bisect_left(xs, xlo), bisect_left(ys, ylo)),
-            (bisect_right(xs, xhi), bisect_right(ys, yhi)))
+    a = bisect_left(xs, xlo), bisect_left(ys, ylo)
+    b = bisect_right(xs, xhi), bisect_right(ys, yhi)
+    return a[0], b[0], a, b
 
 
 def hits(cs, ps, ids, xlo, xhi, ylo, yhi, stats=None):
     """The points cs.query reports for the box, by id; the query emits runs of labels."""
-    labels = collect(cs, 0, *rank_args(cs, ps, xlo, xhi, ylo, yhi), stats)
+    labels = collect(cs, 0, *rank_args(cs, ps, xlo, xhi, ylo, yhi)[2:], stats)
     return ps.take(sorted(ids[e] for e in labels))
 
 
@@ -467,11 +472,11 @@ class TestQuery2D:
         cs, ps, ids = make_cascade([(1, 4), (2, 3), (3, 2), (4, 1)])
         pts = ps.points
         box = QueryBox((1.5, 0.0), (4.0, 2.5))
-        a, b = rank_args(cs, ps, 1.5, 4.0, 0.0, 2.5)
+        u, v, a, b = rank_args(cs, ps, 1.5, 4.0, 0.0, 2.5)
         labels = collect(cs, 0, a, b)
         assert [pts[e] for e in sorted(ids[e] for e in labels)] == [
             p for p in pts if box_contains(box, p)]
-        assert cs.count(0, a, b, QueryStats()) == 2
+        assert cs.count(0, u, v, a, b, QueryStats()) == 2
 
     def test_tree_view(self):
         # label row 0 is the x-tree's leaf row: increasing in x rank,

@@ -247,9 +247,9 @@ class TestBench:
         _, out, _ = run(capsys, args)
         rows = [[c for i, c in enumerate(r.split(",")) if i not in (2, 4)]
                 for r in out.splitlines()[1:]]
-        assert rows == [["1", "3", "40", "1.3", "0.3", "0.0", "0"],
-                        ["100", "3", "40", "44.25", "5.825", "16.7", "186"],
-                        ["129", "3", "40", "51.85", "6.65", "21.125", "241"]]
+        assert rows == [["1", "3", "40", "1.0", "0.0", "0.0", "0"],
+                        ["100", "3", "40", "41.9", "4.225", "16.7", "186"],
+                        ["129", "3", "40", "49.45", "5.125", "21.125", "241"]]
 
     @pytest.mark.parametrize(
         "argv",

@@ -5,8 +5,10 @@ them up, so each of these must keep its name and its lookup:
 
 - layertree.tree.fill_buffers_batch_np and layertree.tree.canonical_subtrees
   (module globals that build() and the levels call).  canonical_subtrees
-  takes (level, g, a, b, stats): the _Level group, the member index and one
-  dimension's rank interval, and returns each canonical node as (row, pos).
+  takes (level, g, u, v, stats): the _Level group, the member index and
+  the member's leaf positions [u, v) in the level's dimension (at the root,
+  that dimension's rank interval), and returns each canonical node as
+  (row, pos).
   To bound the subtrees each call returns, the benchmark reads args[0].L,
   the group's padded leaf count, and of the result only len(result);
 - CascadeStructure.query and .count (class attributes that every cascade
@@ -18,7 +20,8 @@ them up, so each of these must keep its name and its lookup:
 
 Renaming or removing one of them fails here, not only in a separate
 benchmark run.  The run also checks every answer and the one-search and
-canonical-cover laws.
+canonical-cover laws, and the no-empty-call law is checked through the
+same class attributes.
 """
 
 import inspect
@@ -34,8 +37,9 @@ import layertree.tree
 from layertree import (GeneratorConfig, LayeredRangeTree, QueryBox, QueryStats, brute_force_query,
                        build, gen_points)
 from layertree.cascade import CascadeStructure
+from layertree.tree import _Level
 
-from structure_dump import SplitMix64, structures
+from structure_dump import SplitMix64, leaf_ranks, slots, split_node, structures
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -110,6 +114,63 @@ def test_cost_laws_through_traced_names(monkeypatch, d):
     assert queried > 0
     assert not over_law
     assert (calls["canonical"] > 0) == (d > 2)
+
+
+def allowed_calls(member, u, v, a, b, slot_maps) -> tuple:
+    """(cascade calls, skipped nodes) the no-empty-call law gives a level member's positions [u, v).
+
+    Each canonical node is called when its structure has a leaf ranked in
+    [a[j+1], b[j+1]), read from its leaf_ranks; a level structure's calls
+    are its own nodes', at the positions split_node places.  slot_maps
+    caches each member's slots.
+    """
+    level, g = member
+    if (id(level), g) not in slot_maps:
+        slot_maps[id(level), g] = dict(slots(level, g))
+    built, j, calls, skipped = slot_maps[id(level), g], level.dim + 1, 0, 0
+    for node in layertree.tree.canonical_subtrees(level, g, u, v):
+        sub = built[node]
+        pa, pb = split_node(leaf_ranks(*sub), a[j], b[j])[:2]
+        if pa == pb:
+            skipped += 1
+        elif isinstance(sub[0], _Level):
+            more = allowed_calls(sub, pa, pb, a, b, slot_maps)
+            calls, skipped = calls + more[0], skipped + more[1]
+        else:
+            calls += 1
+    return calls, skipped
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_no_empty_structure_call(monkeypatch, d):
+    # a level calls a canonical node's structure only when its placed leaf
+    # positions hold a leaf, so every cascade call has u < v, and per box the
+    # calls are exactly the canonical nodes whose structures have a leaf in
+    # the next dimension's rank interval
+    seen = []
+
+    def recording(fn):
+        def wrapped(self, g, u, v, *args):
+            seen.append((u, v))
+            return fn(self, g, u, v, *args)
+        return wrapped
+
+    monkeypatch.setattr(CascadeStructure, "query", recording(CascadeStructure.query))
+    monkeypatch.setattr(CascadeStructure, "count", recording(CascadeStructure.count))
+    ps = gen_points(GeneratorConfig(seed=d, n=400, dims=d, dist="grid", grid_side=6))
+    tree, rng, slot_maps, totals = build(ps), SplitMix64(10 + d), {}, [0, 0]
+    for _ in range(60):
+        lo, hi = zip(*(sorted((rng.next_float() * 6, rng.next_float() * 6)) for _ in range(d)))
+        box = QueryBox(lo, hi)
+        a, b = tree.rank_box(box)
+        want = allowed_calls((tree.root, 0), a[0], b[0], a, b, slot_maps)
+        totals = [x + y for x, y in zip(totals, want)]
+        for op in (tree.query, tree.count):
+            seen.clear()
+            op(box)
+            assert all(u < v for u, v in seen)
+            assert len(seen) == want[0]
+    assert min(totals) > 0, totals  # some structures were called, and some skipped
 
 
 def test_traced_run_has_no_failures_or_law_violations():

@@ -10,6 +10,8 @@ import weakref
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import astuple
+from functools import partial
+from operator import getitem
 
 import numpy as np
 import pytest
@@ -31,7 +33,7 @@ from layertree import (
     canonical_subtrees,
     gen_points,
 )
-from layertree.cascade import CascadeStructure, _walk, merge_rows, pow2ceil, rank_tables
+from layertree.cascade import CascadeStructure, _place, _walk, merge_rows, pow2ceil, rank_tables
 from layertree.tree import GATHER_MIN, _Level, _reachable, _Slab
 
 import structure_dump
@@ -50,12 +52,42 @@ def root_level(values):
     return level_tree(values).root, 0
 
 
-def walked(member, a, b, ranks=None) -> tuple:
-    """A level member's _walk of [a, b): its yields and walk_counters, which equal walk_model's."""
+def walked(member, u, v) -> tuple:
+    """A level member's _walk of leaf positions [u, v): yields and walk_counters, as walk_model's."""
     stats = QueryStats()
-    got = list(_walk(*member, a, b, None, None, stats)), walk_counters(stats)
-    assert got == walk_model(*member, a, b, ranks=ranks), (a, b)
+    got = list(_walk(*member, u, v, None, None, stats)), walk_counters(stats)
+    assert got == walk_model(*member, u, v), (u, v)
     return got
+
+
+def positions(member, a, b, ranks) -> tuple:
+    """A member's leaf positions of the ranks [a, b) in its own dimension, ranks its leaf_ranks.
+
+    At the root they are the ranks themselves, which split_node gives too
+    (for b <= L); below it _place gives them, keyed as a level keys it, and
+    they equal split_node's.
+    """
+    group, g = member
+    if group.rank is None:
+        assert split_node(ranks, a, b)[:2] == (min(a, b), b)
+        return a, b
+    got = _place(group, g, a, b, partial(getitem, group.rank))
+    assert got == split_node(ranks, a, b)[:2], (a, b)
+    return got
+
+
+def check_place(tree, n) -> int:
+    """_place against split_node for every member with a rank table and every 0 <= a, b <= n.
+
+    Returns how many members were checked.
+    """
+    placed = [s for _, s in structures(tree) if getattr(s[0], "rank", None) is not None]
+    for member in placed:
+        ranks = leaf_ranks(*member)
+        for a in range(n + 1):
+            for b in range(n + 1):
+                positions(member, a, b, ranks)
+    return len(placed)
 
 
 def real_count(member, n) -> int:
@@ -148,7 +180,7 @@ class TestLeafRow:
                 k = max(ranks[pos << r : mid])
                 assert split_node(ranks, k, k + 1) == (mid - 1, mid, r, pos)
                 want = [(0, mid - 1, None, None)], (H + 1 + r, 0, 0)
-                assert walked(member, k, k + 1, ranks) == want
+                assert walked(member, *positions(member, k, k + 1, ranks)) == want
 
     @pytest.mark.parametrize("n", [1, 3, 8, 13])
     def test_leaf_scan_nondecreasing_and_internal_keys(self, n):
@@ -158,15 +190,26 @@ class TestLeafRow:
         assert member[0].rank is None
         self.check_leaf_scan(member)
 
+    @staticmethod
+    def below_the_root(n):
+        """A d = 4 tree whose dimension 1 holds heavy duplicates."""
+        rnd = random.Random(n)
+        return build(PointSet.from_coords([(i, rnd.randrange(4), 0, 0) for i in range(n)]))
+
     @pytest.mark.parametrize("n", [8, 13, 40])
     def test_leaf_scan_below_the_root(self, n):
         # the largest level member over dimension 1 (d = 4) is sorted by its
-        # rank table, which the walk's two bound bisects read
-        rnd = random.Random(n)
-        tree = build(PointSet.from_coords([(i, rnd.randrange(4), 0, 0) for i in range(n)]))
+        # rank table, which _place's two bound bisects read
+        tree = self.below_the_root(n)
         member = max((s for depth, s in structures(tree) if depth == 1), key=lambda s: s[0].L)
         assert member[0].rank is not None and member[0].L > 1
         self.check_leaf_scan(member)
+
+    @pytest.mark.parametrize("n", [8, 13, 40])
+    def test_place_below_the_root(self, n):
+        # every level and cascade member below the root is placed by
+        # _place as split_node places it from the member's leaf ranks
+        assert check_place(self.below_the_root(n), n) > 1
 
     def test_phantoms_sit_rightmost(self):
         values = [5, 1, 3]
@@ -228,18 +271,25 @@ class TestFindSplitNode:
             ranks = leaf_ranks(root)
             for a in range(L + 1):
                 for b in range(L + 1):
-                    walked((root, 0), a, b, ranks)
+                    walked((root, 0), *positions((root, 0), a, b, ranks))
+
+
+GRID_TREES = [(3, 1), (3, 2), (3, 5), (3, 8), (3, 33), (3, 64), (3, 100),
+              (4, 1), (4, 2), (4, 5), (4, 8), (4, 33), (4, 64)]
+
+
+def grid_tree(d, n):
+    return build(gen_points(GeneratorConfig(seed=n + d, n=n, dims=d, dist="grid", grid_side=3)))
 
 
 class TestWalkOnPositions:
-    @pytest.mark.parametrize("d,n", [(3, 1), (3, 2), (3, 5), (3, 8), (3, 33), (3, 64), (3, 100),
-                                     (4, 1), (4, 2), (4, 5), (4, 8), (4, 33), (4, 64)])
+    @pytest.mark.parametrize("d,n", GRID_TREES)
     def test_walk_equals_rank_reading_walk(self, d, n):
-        # every walk runs on leaf positions, and below the root two bisects
-        # keyed by rank place its bounds: for every level member of a grid
-        # tree, root and below, and every 0 <= a, b <= n, it gives the yields
-        # and counters of walk_model, which reads the member's leaf ranks
-        tree = build(gen_points(GeneratorConfig(seed=n + d, n=n, dims=d, dist="grid", grid_side=3)))
+        # every walk runs on leaf positions, and below the root _place's two
+        # bisects keyed by rank place its bounds: for every level member of
+        # a grid tree, root and below, and every 0 <= a, b <= n, the walk of
+        # the placed positions gives the yields and counters of walk_model
+        tree = grid_tree(d, n)
         levels = [s for _, s in structures(tree) if isinstance(s[0], _Level)]
         assert levels[0][0].rank is None
         assert any(level.rank is not None for level, _ in levels) == (d == 4)
@@ -247,7 +297,15 @@ class TestWalkOnPositions:
             ranks = leaf_ranks(*member)
             for a in range(n + 1):
                 for b in range(n + 1):
-                    walked(member, a, b, ranks)
+                    walked(member, *positions(member, a, b, ranks))
+
+    @pytest.mark.parametrize("d,n", GRID_TREES)
+    def test_place_equals_split_node(self, d, n):
+        # every member below the root, level or cascade, is placed by
+        # _place as split_node places it from the member's leaf ranks, for
+        # every 0 <= a, b <= n: u == v exactly when no leaf ranks in [a, b)
+        tree = grid_tree(d, n)
+        assert check_place(tree, n) == sum(1 for _, s in structures(tree)) - 1
 
 
 def y_stop_rows(kind, d, n):
@@ -314,13 +372,16 @@ class TestStopRule:
 def check_cover(member, ids, column, lo, hi):
     """The canonical cover of [lo, hi] in level.dim (column: that coordinate by id).
 
-    Its nodes (r, pos) hold disjoint id sets whose union is the level's real
-    ids in [lo, hi], and there are at most 2*log2(L) of them.  ids is the
-    tree's id map, from the labels the nodes hold.
+    The interval's ranks are placed as the member's leaf positions
+    (positions).  The cover's nodes (r, pos) hold disjoint id sets whose
+    union is the level's real ids in [lo, hi], and there are at most
+    2*log2(L) of them.  ids is the tree's id map, from the labels the nodes
+    hold.
     """
     level, g = member
     n, H = len(column), level.L.bit_length() - 1
-    nodes = canonical_subtrees(level, g, *rank_bounds(column, lo, hi))
+    uv = positions(member, *rank_bounds(column, lo, hi), leaf_ranks(*member))
+    nodes = canonical_subtrees(level, g, *uv)
     cover = [ids[e] for r, p in nodes for e in subtree(*member, r, p, n)]
     assert len(set(nodes)) == len(nodes) and len(set(cover)) == len(cover)
     assert sorted(cover) == sorted(ids[e] for e in subtree(*member, H, 0, n)
@@ -369,10 +430,11 @@ class TestReachableSlots:
     @pytest.mark.parametrize("dist", ["uniform", "grid"])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 16, 17, 33])
     def test_structures_are_exactly_the_canonical_slots(self, d, dist, n):
-        # over every rank interval 0 <= a <= b <= n, the nodes (r, pos) that
-        # canonical_subtrees returns for a level member are exactly the ones
-        # with a structure, and each holds exactly its chunk's points; the
-        # nodes of all members map one to one onto the members of the next
+        # over every interval 0 <= u <= v <= m of a level member's leaf
+        # positions (every rank interval places as one of them), the nodes
+        # (r, pos) that canonical_subtrees returns are exactly the ones with
+        # a structure, and each holds exactly its chunk's points; the nodes
+        # of all members map one to one onto the members of the next
         # dimension's groups
         tree = build(gen_points(GeneratorConfig(seed=n + d, n=n, dims=d, dist=dist, grid_side=3)))
         everything = ((0,) * d, (n,) * d)
@@ -382,9 +444,9 @@ class TestReachableSlots:
         for member in levels:
             level, g = member
             reached = set()
-            for a in range(n + 1):
-                for b in range(a, n + 1):
-                    reached.update(canonical_subtrees(level, g, a, b))
+            for u in range(level.m + 1):
+                for v in range(u, level.m + 1):
+                    reached.update(canonical_subtrees(level, g, u, v))
             built = dict(slots(level, g))
             assert set(built) == reached
             for (r, p), (group, h) in built.items():
@@ -917,8 +979,9 @@ def buffer_digest(tree) -> str:
 # QueryStats) over 40 boxes, and the buffer_digest of the built tree.  The
 # QueryStats are the cost model: they change only with a stated change to
 # the cost model, whose CHANGES.md line lists every old and new value (the
-# latest: the cascade walk's stop rule lowered nodes_visited and
-# bridge_follows and kept binary_searches and reported).  merge_moves and
+# latest: a level no longer calls a structure whose placed x range is
+# empty, which lowered nodes_visited and binary_searches at d >= 3 and kept
+# bridge_follows and reported).  merge_moves and
 # the digest pin the layout, so they change only with it: at d >= 3 they
 # follow which level nodes have a structure, and merge_moves is
 # max(0, H-2)*G*L per level group plus H*G*L per cascade group (see
@@ -940,37 +1003,37 @@ PINNED_COUNTERS = {
         "47a9ab5d34ffc16ae5dd6eb304bb065bdde76488efde03becb8347c02ef11a80"),
     (2, "grid", 129): (2048, (346, 40, 222, 363), (346, 80, 444, 363),
         "468a7cc82a2711374381a498cc7359de01c4b01a1457455d97ddf8324f47259a"),
-    (3, "uniform", 64): (700, (1132, 186, 225, 95), (1132, 372, 450, 95),
+    (3, "uniform", 64): (700, (998, 104, 225, 95), (998, 208, 450, 95),
         "1a8541ba43a44731760b6bd8843598986412eea5dec45ad08903efd446124d75"),
-    (3, "uniform", 65): (1342, (1184, 203, 205, 58), (1184, 406, 410, 58),
+    (3, "uniform", 65): (1342, (1034, 114, 205, 58), (1034, 228, 410, 58),
         "128dfcfecb48eb0da0b1f7ac1977bc1e2eb79d0c5d837f93700e34d555314191"),
-    (3, "uniform", 128): (2044, (1718, 254, 522, 213), (1718, 508, 1044, 213),
+    (3, "uniform", 128): (2044, (1505, 149, 522, 213), (1505, 298, 1044, 213),
         "f0fa2dd3d259c87153d0e05706ff139e859942fcdb3e895d8e2f66aff8bb52b3"),
-    (3, "uniform", 129): (3582, (1696, 231, 559, 260), (1696, 462, 1118, 260),
+    (3, "uniform", 129): (3582, (1572, 153, 559, 260), (1572, 306, 1118, 260),
         "5a79ca8a7074dcbe4eb713393ae7f824d829e441cdb7cbc8e25e63fa4472b047"),
-    (3, "grid", 64): (700, (1150, 224, 139, 86), (1150, 448, 278, 86),
+    (3, "grid", 64): (700, (849, 68, 139, 86), (849, 136, 278, 86),
         "9fdabb386cbf97b01538a91480a6697a0e85c1babffb77bed0e2a93b64bdbee1"),
-    (3, "grid", 65): (1342, (929, 136, 99, 53), (929, 272, 198, 53),
+    (3, "grid", 65): (1342, (736, 29, 99, 53), (736, 58, 198, 53),
         "963a7b54c203d196f112e4feac4042c90addf93ac5e36ff1ee9730e990a596a3"),
-    (3, "grid", 128): (2044, (1372, 223, 219, 136), (1372, 446, 438, 136),
+    (3, "grid", 128): (2044, (963, 68, 219, 136), (963, 136, 438, 136),
         "8a79d3bf1f3e842f8005f814709b6232332a0a8a51cc3fd14308e9af28f17430"),
-    (3, "grid", 129): (3582, (1330, 168, 321, 286), (1330, 336, 642, 286),
+    (3, "grid", 129): (3582, (1113, 53, 321, 286), (1113, 106, 642, 286),
         "2c7d2f8a8dca3329eb6c633820683ced0eb437a3e6aed470fccef0f6ad90c886"),
-    (4, "uniform", 64): (448, (1574, 198, 43, 46), (1574, 396, 86, 46),
+    (4, "uniform", 64): (448, (1266, 90, 43, 46), (1266, 180, 86, 46),
         "a6c57bd0955c203fbd3968089f80a4bb5c5857edf54cd6041442e097f2137ad9"),
-    (4, "uniform", 65): (1124, (1408, 168, 15, 29), (1408, 336, 30, 29),
+    (4, "uniform", 65): (1124, (1155, 73, 15, 29), (1155, 146, 30, 29),
         "f3e85b736e79a9e2e80987148bed8b77eb27efe2fd1d4a54c96c3616a741822e"),
-    (4, "uniform", 128): (1608, (2338, 327, 58, 44), (2338, 654, 116, 44),
+    (4, "uniform", 128): (1608, (1890, 104, 58, 44), (1890, 208, 116, 44),
         "999e7fd3ae2bbf78a2c26d4533e825a5ccaf835a4580e596b64cc20f2189bbfd"),
-    (4, "uniform", 129): (3496, (2544, 383, 82, 51), (2544, 766, 164, 51),
+    (4, "uniform", 129): (3496, (2033, 125, 82, 51), (2033, 250, 164, 51),
         "bbbc3f86a5a884738339c752521d7fd96b3a2513a0cc7bb12c74314ace578032"),
-    (4, "grid", 64): (448, (1359, 168, 14, 26), (1359, 336, 28, 26),
+    (4, "grid", 64): (448, (975, 59, 14, 26), (975, 118, 28, 26),
         "62d59e13e7fabc0b6fa77d8ffc1f8f0280ae1ac8f797c6f8ed31dcf50ffa80ca"),
-    (4, "grid", 65): (1124, (995, 85, 20, 15), (995, 170, 40, 15),
+    (4, "grid", 65): (1124, (762, 24, 20, 15), (762, 48, 40, 15),
         "335d4594ef242e0669923ec260278fefb87ba2bcbb21712226946cc2a8417bb8"),
-    (4, "grid", 128): (1608, (2045, 259, 30, 26), (2045, 518, 60, 26),
+    (4, "grid", 128): (1608, (1331, 67, 30, 26), (1331, 134, 60, 26),
         "d9884bead111c70e13652fe55648c3bc053f21e89e20d6f220958d7053d5c78f"),
-    (4, "grid", 129): (3496, (1949, 256, 56, 28), (1949, 512, 112, 28),
+    (4, "grid", 129): (3496, (1356, 58, 56, 28), (1356, 116, 112, 28),
         "eb9e68c44073a734b32a653c8139fe489edd0844c79a81fbcb366783f83eff55"),
 }
 
