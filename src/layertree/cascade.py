@@ -12,13 +12,11 @@ sorted by one dimension's rank, real labels first, then phantoms.  Node
 (r, pos) covers leaves pos*2^r .. (pos+1)*2^r - 1, and it splits after the
 rightmost leaf of its left half.  _walk is the one walk over such a row, on
 leaf positions, and a level of the multi-level tree (tree._Level) runs it
-too.  The root group (the d=2 cascade, or the d>=3 root level) holds no
-rank table: its leaf row is dimension 0's order, so leaf p ranks p and a
-rank interval already is a position interval.  Every other group's leaf
-row is sorted by its rank table, and _place places the bounds in it: a
-level places those of each canonical node's structure, skips the
-structure when they meet, and hands it leaf positions, so every group
-walks positions only.
+too.  The root's leaf row is dimension 0's order, so leaf p ranks p and a
+rank interval already is a position interval: the tree hands the root its
+ranks a[0], b[0].  Below the root a member's leaf row is sorted by the rank
+table of the level above it, and that level places the member's bounds
+(see tree._Level), so every group walks positions only.
 
 A cascade is that tree over coordinate x (the second-to-last dimension)
 whose every node also carries its subtree's labels in ascending (y) order,
@@ -28,9 +26,8 @@ bridges down in constant time per level.
 
 Storage.  The structures over one dimension with the same L form a merge
 group, one object (a CascadeStructure or a tree._Level) whose G members are
-(group, member) pairs.  Each holds L, rank (the rank table its leaf rows are
-sorted by, or None at the root) and rows, one array per stored row, under
-one address rule: member g's L entries of a row start at g*L.  A level
+(group, member) pairs.  Each holds L and rows, one array per stored row,
+under one address rule: member g's L entries of a row start at g*L.  A level
 stores only its leaf rows, rows = [row 0]; a cascade (H = log2 L) stores
 
     rows[r], r in 0..H     node arrays: the array of node (r, pos) is the
@@ -118,11 +115,12 @@ def rank_tables(coords: np.ndarray) -> tuple[array, np.ndarray, list[array], lis
 
     Order j is dimension j's composite order (see core).  ids (an array of
     n) is the last order, so ids[label] is the id.  row (int32, L long) is
-    the root's leaf row, dimension 0's order in labels, then the phantoms;
-    ranks[0] is None when d > 1 (see Walk above).  For 0 < j < d-1,
+    the root's leaf row, dimension 0's order in labels, then the phantoms,
+    so ranks[0] is None when d > 1 (see Walk above).  For 0 < j < d-1,
     ranks[j] (an array of L, indexed by label) gives each label its
-    position in order j.  axes[j] (an array("d")) holds column j in order j.
-    See Index space and Widths above for the phantoms and the typecodes.
+    position in order j: the table the levels over dimension j-1 hold.
+    axes[j] (an array("d")) holds column j in order j.  See Index space and
+    Widths above for the phantoms and the typecodes.
 
     Every dimension shares one row order, (c_0 .. c_{d-1}, id).  Each column
     gets a dense rank, and folding them in, key = dense(key*n + dense_j),
@@ -155,30 +153,12 @@ def rank_tables(coords: np.ndarray) -> tuple[array, np.ndarray, list[array], lis
     return packed(code, last), np.concatenate((label[row], label[n:])), ranks, axes
 
 
-def _place(group, g: int, a: int, b: int, key) -> tuple[int, int]:
-    """Member g's leaf positions (u, v) of the rank bounds [a, b); u == v iff none is in range.
-
-    Below the root a leaf row is sorted by its group's rank table (see Walk
-    above), and key gives a label's rank in it.  Two bisects of the row
-    place the bounds: v is the first leaf ranked b or more, and u the first
-    ranked a or more, but the second bisect is skipped when no leaf before
-    v ranks a or more, and u = v then, so u <= v always (QueryStats says
-    how they count).  A level places each canonical node's structure this
-    way (tree._Level); the root's bounds need no placing.
-    """
-    leaf, base = group.rows[0], g * group.L  # member g's entries of every row start here
-    v = bisect_left(leaf, b, base, base + group.L, key=key)
-    u = v if v == base or key(leaf[v - 1]) < a else bisect_left(leaf, a, base, v - 1, key=key)
-    return u - base, v - base
-
-
 def _walk(group, g: int, a: int, b: int, ya, yb, stats, carry_yb: bool = True):
     """Yield (row, pos, lo, hi) for each canonical node and in-range boundary leaf of [a, b).
 
     The tree is member g's leaf row (see Storage above), and [a, b) are
-    leaf positions in it: the rank bounds themselves at the root (see Walk
-    above), placed by _place below it.  The split node is where leaves a
-    and b part, b = L reading as leaf L-1, or b's leaf when a >= b.  The
+    leaf positions in it (see Walk above).  The split node is where leaves
+    a and b part, b = L reading as leaf L-1, or b's leaf when a >= b.  The
     walk goes down the a path, then the b path: a path enters the right
     child iff the child's first leaf is at most its bound, and a boundary
     leaf p is in range iff a <= p < b.  It yields each node the range
@@ -338,36 +318,33 @@ class CascadeStructure:
     """A cascade merge group: G structures over the last two dimensions with the same L.
 
     Each member is an x-tree plus per-node label arrays with bridges, laid
-    out in rows and bridges as Storage above says.  rank is the x rank
-    table, or None at the d=2 root (see Walk above).  A query or count of
+    out in rows and bridges as Storage above says.  A query or count of
     member g is one _walk over its leaf positions [u, v) in x and the last
     dimension of the tree's rank box.
     """
 
-    __slots__ = ("L", "rows", "bridges", "rank")
+    __slots__ = ("L", "rows", "bridges")
 
-    def __init__(self, L, rows, bridges, rank):
+    def __init__(self, L, rows, bridges):
         self.L = L                      # padded leaf count (power of two)
         self.rows = rows                # label rows 0..H, from fill_buffers_batch_np
         self.bridges = bridges          # bridge rows, likewise
-        self.rank = rank
 
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def build_from_ids(cls, ids, rank):
+    def build_from_ids(cls, ids):
         """A group of one over the labels ids, sorted by the x composite order.
 
         ids holds each label 0..m-1 once, and the leaf row pads it with
-        phantoms to L = pow2ceil(m) (see Index space above).  rank is a
-        rank_tables rank, or None when ids are in rank order, as at the d=2
-        root.  build() does not call this; it stays because the traced
-        benchmark (perfbench/run.py) wraps it by name.  With rank None its
-        result equals the d=2 root build() makes over the same labels.
+        phantoms to L = pow2ceil(m) (see Index space above).  build() does
+        not call this; it stays because the traced benchmark
+        (perfbench/run.py) wraps it by name.  Its result equals the d=2 root
+        build() makes over the same labels in the same order.
         """
         L = pow2ceil(len(ids))
         leaves = packed(index_code(L), np.asarray(ids), np.arange(len(ids), L))
-        return cls(L, *fill_buffers_batch_np(leaves, L), rank)
+        return cls(L, *fill_buffers_batch_np(leaves, L))
 
     # -- queries -------------------------------------------------------------
 

@@ -13,10 +13,9 @@ arithmetic on its (row, pos) name (see _Level).  Every group, and the _Slab,
 answers query(g, u, v, a, b, stats, emit) and count(g, u, v, a, b, stats)
 for member g: [u, v) are its leaf positions in its own dimension, and
 [a, b) is the rank box, read for the dimensions below it.  The root is
-member 0 of a group of one, and its positions are the ranks a[0], b[0]
-(see Walk in cascade).  A level's canonical decomposition is cascade._walk
-with no y bounds; the level places each canonical node's structure's
-bounds (cascade._place) and calls it only when they hold a leaf.
+member 0 of a group of one (see Walk in cascade for its positions).  A
+level's canonical decomposition is cascade._walk with no y bounds, and the
+level places its canonical nodes' structures (see _Level).
 
 Everything below LayeredRangeTree.rank_box works in rank space: a box
 becomes a rank interval [a_j, b_j) per dimension, and the structures hold
@@ -35,8 +34,8 @@ from typing import Optional
 
 import numpy as np
 
-from .cascade import (CascadeStructure, _place, _walk, fill_buffers_batch_np, merge_rows,
-                      packed, pow2ceil, rank_tables)
+from .cascade import (CascadeStructure, _walk, fill_buffers_batch_np, merge_rows, packed,
+                      pow2ceil, rank_tables)
 from .core import DimensionMismatch, EmptyInput, Point, PointSet, QueryBox, TooManyPoints
 
 INT32_MAX = 2**31 - 1
@@ -59,8 +58,8 @@ class QueryStats:
     plus every canonical subtree root the walk hands off to; a cascade walk
     reads a path only down to its first node with no label in [ya, yb), so
     the nodes below count nowhere.  Below the root, the two bisects of
-    cascade._place that put a structure's x bounds in its leaf row stand
-    in for those descents node for node, so they are not counted as binary
+    _place that put a structure's x bounds in its leaf row stand in for
+    those descents node for node, so they are not counted as binary
     searches, just as rank_box's are not (two bisections per dimension, the
     whole search at d=1).  A level calls a canonical node's structure only
     when its placed bounds hold a leaf (the no-empty-call law); a structure
@@ -98,9 +97,9 @@ def canonical_subtrees(level: "_Level", g: int, u: int, v: int,
     It is cascade._walk with no y bounds.  At most 2*log2(L) nodes (one for
     a single-leaf tree).  At the root the positions are the ranks (see Walk
     in cascade), and they must lie in 0..n, the range rank_box gives: a v
-    past n would take in phantom leaves.  Below the root, cascade._place
-    gives them.  The package exports it because the canonical-subtree law
-    is stated on it.
+    past n would take in phantom leaves.  Below the root, _place gives
+    them.  The package exports it because the canonical-subtree law is
+    stated on it.
     """
     if stats is None:
         stats = QueryStats()
@@ -138,50 +137,63 @@ class _Slab:
 class _Level:
     """A level merge group: the G level trees over dimension `dim` with the same L.
 
-    rows = [row 0] holds only the leaf rows (see Storage in cascade).  A
-    member's leaf row holds m real labels, then phantoms: only the root
-    holds phantoms, so m is n there and L below.  subs lists the next
-    dimension's groups by log2 L.  Node (r, pos), if _reachable, has the
-    structure first[r] + g*per[r] + pos of subs[r], where per[r] counts one
-    member's structures in row r.  Every group in subs is sorted by
-    dimension dim+1's rank table, so a query or count keys its placements
-    (cascade._place) by one partial of it.
+    rows = [row 0] holds only the leaf rows (see Storage in cascade); only
+    the root member's holds phantoms.  subs lists the next dimension's
+    groups by log2 L.  Node (r, pos), if _reachable, has the structure
+    first[r] + g*per[r] + pos of subs[r], where per[r] counts one member's
+    structures in row r, so per[0] is the member's real leaf count.
+
+    rank is dimension dim+1's rank table.  The level's merge sorts its rows
+    above the leaves by it, so every structure in subs has its leaf row
+    sorted by it, and the level alone reads it: a query or count places the
+    bounds a[dim+1], b[dim+1] in each canonical node's structure's leaf row
+    (_place, keyed by one partial of rank), skips the structure when they
+    meet, and hands it the leaf positions.  No structure holds a rank table.
     """
 
-    __slots__ = ("dim", "rows", "L", "m", "rank", "subs", "first", "per")
+    __slots__ = ("dim", "rows", "L", "rank", "subs", "first", "per")
 
-    def __init__(self, dim: int, rows: list, L: int, m: int, rank, subs: list):
+    def __init__(self, dim: int, rows: list, L: int, rank, subs: list):
         self.dim = dim
         self.rows = rows
         self.L = L
-        self.m = m
         self.rank = rank
         self.subs = subs
         self.first, self.per = [0] * L.bit_length(), [0] * L.bit_length()  # set by build
 
     def query(self, g, u, v, a, b, stats, emit):
-        nodes = canonical_subtrees(self, g, u, v, stats)
-        if nodes:
-            subs, first, per, j = self.subs, self.first, self.per, self.dim + 1
-            aj, bj, key = a[j], b[j], partial(getitem, subs[nodes[0][0]].rank)
-            for r, p in nodes:
-                sub, h = subs[r], first[r] + g * per[r] + p
-                su, sv = _place(sub, h, aj, bj, key)
-                if su < sv:
-                    sub.query(h, su, sv, a, b, stats, emit)
+        subs, first, per, j = self.subs, self.first, self.per, self.dim + 1
+        aj, bj, key = a[j], b[j], partial(getitem, self.rank)
+        for r, p in canonical_subtrees(self, g, u, v, stats):
+            sub, h = subs[r], first[r] + g * per[r] + p
+            su, sv = _place(sub, h, aj, bj, key)
+            if su < sv:
+                sub.query(h, su, sv, a, b, stats, emit)
 
     def count(self, g, u, v, a, b, stats) -> int:
-        nodes = canonical_subtrees(self, g, u, v, stats)
-        total = 0
-        if nodes:
-            subs, first, per, j = self.subs, self.first, self.per, self.dim + 1
-            aj, bj, key = a[j], b[j], partial(getitem, subs[nodes[0][0]].rank)
-            for r, p in nodes:
-                sub, h = subs[r], first[r] + g * per[r] + p
-                su, sv = _place(sub, h, aj, bj, key)
-                if su < sv:
-                    total += sub.count(h, su, sv, a, b, stats)
+        subs, first, per, j = self.subs, self.first, self.per, self.dim + 1
+        aj, bj, key, total = a[j], b[j], partial(getitem, self.rank), 0
+        for r, p in canonical_subtrees(self, g, u, v, stats):
+            sub, h = subs[r], first[r] + g * per[r] + p
+            su, sv = _place(sub, h, aj, bj, key)
+            if su < sv:
+                total += sub.count(h, su, sv, a, b, stats)
         return total
+
+
+def _place(group, g: int, a: int, b: int, key) -> tuple[int, int]:
+    """Member g's leaf positions (u, v) of the rank bounds [a, b); u == v iff none is in range.
+
+    key gives a label's rank in the table member g's leaf row is sorted by
+    (see _Level).  Two bisects of the row place the bounds: v is the first
+    leaf ranked b or more, and u the first ranked a or more, but the second
+    bisect is skipped when no leaf before v ranks a or more, and u = v then,
+    so u <= v always (QueryStats says how they count).
+    """
+    leaf, base = group.rows[0], g * group.L  # member g's entries of every row start here
+    v = bisect_left(leaf, b, base, base + group.L, key=key)
+    u = v if v == base or key(leaf[v - 1]) < a else bisect_left(leaf, a, base, v - 1, key=key)
+    return u - base, v - base
 
 
 class LayeredRangeTree:
@@ -252,7 +264,7 @@ def build(points: PointSet, counters: Optional[BuildCounters] = None) -> Layered
     log2 L.  Each group's leaf rows are concatenated into the one array that
     keeps them (see Storage in cascade), and the group runs one batched
     merge (merge_rows) of them.  On a level (j < d-2) the group is a _Level
-    and merges by the ranks of dimension j+1, with no bridges, and stops
+    and merges by its rank table (see _Level), with no bridges, and stops
     after row max(0, H-2), the last row _reachable cuts chunks from.  Each
     row r, cut to those chunks, is as it stands the leaf rows of structures
     with L = 2^r in tops[j+1]; they hold no phantom.  On the cascade
@@ -288,12 +300,12 @@ def build(points: PointSet, counters: Optional[BuildCounters] = None) -> Layered
             if counters is not None:
                 counters.merge_moves += merged * len(leaves)
             if j == d - 2:
-                tops[j][H] = CascadeStructure(L, *fill_buffers_batch_np(leaves, L), ranks[j])
+                tops[j][H] = CascadeStructure(L, *fill_buffers_batch_np(leaves, L))
                 continue
             G, m = len(leaves) // L, (n if j == 0 else L)  # only the root member holds phantoms
-            level = tops[j][H] = _Level(j, [leaves], L, m, ranks[j], tops[j + 1])
+            level = tops[j][H] = _Level(j, [leaves], L, ranks[j + 1], tops[j + 1])
             for r, (row, _) in enumerate(islice(chain([(leaves, None)],
-                                                      merge_rows(leaves, L, ranks[j + 1])),
+                                                      merge_rows(leaves, L, level.rank)),
                                                 merged + 1)):
                 chunks = _reachable(L, m, r)
                 pieces = nxt.setdefault(1 << r, [])

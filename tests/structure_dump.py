@@ -12,9 +12,9 @@ coordinates as float.hex strings, so a lost -0.0 or a rounding change shows
 too.  The structures store point labels (ranks in the last dimension); the
 dump writes each stored label below n as its point id, read from the tree's
 id map, and bridges and phantoms as stored.  It reads only the tree's root,
-ids and dims, every group's rows, L and rank, a cascade group's bridges, a
-level's dim, m, subs, first and per (structures, slots), and the hits' id
-and coords.  Diffing the
+ids and dims, every group's rows and L, a cascade group's bridges, a
+level's dim, rank, subs, first and per (structures, slots, placing_rank),
+and the hits' id and coords.  Diffing the
 outputs of two versions of the package, each dumped by its own copy of this
 file, shows every change in layout, answer or cost counter.  One case is
 written per line.  Which structures exist is layout too: a level node that no
@@ -35,11 +35,12 @@ stream must match draw for draw, and the tests' one walk model, walk_model:
 what cascade._walk must yield and count over leaf positions, from a
 member's node labels alone (model_checked checks walk calls by it), and
 split_node, the leaf positions of a rank interval from a member's leaf
-ranks, which cascade._place must give.  It
+ranks, which tree._place must give.  It
 is the tests' one reader of structure layout: the reference order and box
 filter over Points (composite_key, box_contains), a cascade member's
 bridge_rows and node (r, pos), a cascade or level member's words, leaf_row,
-leaf_ranks and the real labels of its subtree (r, pos), a group's members,
+the rank table it is sorted by (placing_rank), its leaf_ranks and the real
+labels of its subtree (r, pos), a group's members,
 all_nodes of a tree, a member's query output as a list (collect), a level
 member's slots and every structure of a tree (structures).  They read every
 row of either group kind by one rule: member g's entries start at g*L.  Its
@@ -171,15 +172,34 @@ def leaf_row(s, g: int = 0):
     return s.rows[0][g * s.L : (g + 1) * s.L]
 
 
-def leaf_ranks(s, g: int = 0) -> list:
+def placing_rank(tree, s):
+    """The rank table group s's leaf rows are sorted by, or None when s is the tree's root.
+
+    The level whose subs list holds s holds it, and places s's bounds (see
+    tree._Level).  The root's leaf row is dimension 0's order, which no
+    table holds.
+    """
+    levels = [tree.root]
+    while levels:
+        level = levels.pop()
+        subs = [sub for sub in getattr(level, "subs", ()) if sub is not None]
+        if any(sub is s for sub in subs):
+            return level.rank
+        levels += subs
+    assert s is tree.root, "not a group of this tree"
+    return None
+
+
+def leaf_ranks(tree, s, g: int = 0) -> list:
     """The ranks member g's leaf row is sorted by, in leaf order.
 
-    A group's rank table gives each leaf label's rank; the root group holds
-    none, since its leaf row is dimension 0's order, so there leaf p ranks p.
+    placing_rank's table gives each leaf label's rank; at the root, whose
+    leaf row is dimension 0's order, leaf p ranks p.
     """
-    if s.rank is None:
+    rank = placing_rank(tree, s)
+    if rank is None:
         return list(range(s.L))
-    return [s.rank[e] for e in leaf_row(s, g)]
+    return [rank[e] for e in leaf_row(s, g)]
 
 
 def subtree(s, g: int, r: int, pos: int, n: int) -> list:
@@ -301,7 +321,7 @@ def slots(level, g: int):
     from layertree.tree import _reachable
 
     for r in range(level.L.bit_length() - 1, -1, -1):
-        for pos in _reachable(level.L, level.m, r):
+        for pos in _reachable(level.L, level.per[0], r):
             yield (r, pos), (level.subs[r], level.first[r] + g * level.per[r] + pos)
 
 
@@ -321,8 +341,8 @@ def structures(tree):
             stack.extend((level + 1, sub) for _, sub in slots(s, g))
 
 
-def collect(group, g: int, a, b, stats=None) -> list:
-    """The labels member g of a group emits for the rank box [a, b), as a plain list.
+def collect(tree, group, g: int, a, b, stats=None) -> list:
+    """The labels member g of a group of tree emits for the rank box [a, b), as a plain list.
 
     Its leaf positions are split_node's of its leaf_ranks in its own
     dimension: a level's dim, a cascade's the second-to-last.  A list takes
@@ -331,7 +351,7 @@ def collect(group, g: int, a, b, stats=None) -> list:
     from layertree import QueryStats
 
     j = getattr(group, "dim", len(a) - 2)
-    u, v = split_node(leaf_ranks(group, g), a[j], b[j])[:2]
+    u, v = split_node(leaf_ranks(tree, group, g), a[j], b[j])[:2]
     out: list = []
     group.query(g, u, v, a, b, QueryStats() if stats is None else stats, out.extend)
     return out
@@ -360,18 +380,20 @@ def structure_row(s, g: int, ids) -> list:
 def widths(tree) -> dict:
     """The typecodes of a tree's arrays, each group once, in structures() order.
 
-    ids is the id map's, ranks each rank table's by dimension, 1..d-2 (the
-    root group, over dimension 0, holds none: its leaf row is that order),
-    levels each level group's leaf rows', and cascades each cascade group's
-    labels' with its bridge rows' 1..H as one string.
+    ids is the id map's, ranks each rank table's by dimension, 1..d-2 (a
+    group's leaf rows are sorted by its dimension's table, placing_rank's;
+    dimension 0's order is the root's leaf row, in no table), levels each
+    level group's leaf rows', and cascades each cascade group's labels' with
+    its bridge rows' 1..H as one string.
     """
     ranks, levels, cascades, seen = {}, [], [], set()
     for _, (s, _) in structures(tree):
         if id(s) in seen or not hasattr(s, "L"):  # each group once; the slab holds no array
             continue
         seen.add(id(s))
-        if s.rank is not None:
-            ranks[getattr(s, "dim", tree.dims - 2)] = s.rank.typecode  # a cascade's is d-2's
+        rank = placing_rank(tree, s)
+        if rank is not None:
+            ranks[getattr(s, "dim", tree.dims - 2)] = rank.typecode  # a cascade's is d-2's
         if hasattr(s, "bridges"):
             cascades.append([s.rows[0].typecode, "".join(lb.typecode for lb in s.bridges[1:])])
         else:

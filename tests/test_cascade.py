@@ -25,8 +25,8 @@ from layertree.cascade import (CascadeStructure, fill_buffers_batch_np, merge_ro
                                rank_tables)
 from layertree.core import QueryBox
 
-from structure_dump import (SplitMix64, all_nodes, box_contains, bridge_rows, collect,
-                            composite_key, leaf_ranks, leaf_row, model_checked, node, structures,
+from structure_dump import (SplitMix64, all_nodes, box_contains, bridge_rows, composite_key,
+                            leaf_ranks, leaf_row, model_checked, node, placing_rank, structures,
                             subtree)
 
 
@@ -51,7 +51,7 @@ def rank_args(cs, ps, xlo, xhi, ylo, yhi):
     """The box [xlo,xhi] x [ylo,yhi] as cs.query's (u, v, a, b) at the d=2 root.
 
     (a, b) = ((xa, ya), (xb, yb)) is the rank box, and the leaf positions
-    [u, v) are the x ranks [xa, xb): the root holds no rank table.
+    [u, v) are the x ranks [xa, xb), as the tree hands them to its root.
     """
     m = ps.coord_matrix()
     xs = sorted(m[:, -2].tolist())
@@ -63,7 +63,9 @@ def rank_args(cs, ps, xlo, xhi, ylo, yhi):
 
 def hits(cs, ps, ids, xlo, xhi, ylo, yhi, stats=None):
     """The points cs.query reports for the box, by id; the query emits runs of labels."""
-    labels = collect(cs, 0, *rank_args(cs, ps, xlo, xhi, ylo, yhi)[2:], stats)
+    labels: list = []
+    cs.query(0, *rank_args(cs, ps, xlo, xhi, ylo, yhi), QueryStats() if stats is None else stats,
+             labels.extend)
     return ps.take(sorted(ids[e] for e in labels))
 
 
@@ -82,9 +84,13 @@ class TestBuild:
 
     def test_build_from_ids_equals_build(self):
         ps = gen_points(GeneratorConfig(seed=12, n=45, dims=2, dist="grid", grid_side=4))
-        root = build(ps).root
-        one = CascadeStructure.build_from_ids(leaf_row(root)[: len(ps)], root.rank)
-        assert one.rank is root.rank is None  # the root's leaf row is its x order
+        tree = build(ps)
+        root = tree.root
+        one = CascadeStructure.build_from_ids(leaf_row(root)[: len(ps)])
+        # the root's leaf row is its x order, which no table holds, and no
+        # cascade holds a rank table
+        assert placing_rank(tree, root) is None
+        assert not hasattr(one, "rank") and not hasattr(root, "rank")
         assert (one.L, one.L.bit_length() - 1) == (root.L, root.L.bit_length() - 1)
         assert typed(one.rows) == typed(root.rows)
         assert typed(one.bridges) == typed(root.bridges)
@@ -473,7 +479,8 @@ class TestQuery2D:
         pts = ps.points
         box = QueryBox((1.5, 0.0), (4.0, 2.5))
         u, v, a, b = rank_args(cs, ps, 1.5, 4.0, 0.0, 2.5)
-        labels = collect(cs, 0, a, b)
+        labels: list = []
+        cs.query(0, u, v, a, b, QueryStats(), labels.extend)
         assert [pts[e] for e in sorted(ids[e] for e in labels)] == [
             p for p in pts if box_contains(box, p)]
         assert cs.count(0, u, v, a, b, QueryStats()) == 2
@@ -481,13 +488,14 @@ class TestQuery2D:
     def test_tree_view(self):
         # label row 0 is the x-tree's leaf row: increasing in x rank,
         # nondecreasing in x, real labels first.  The d=2 root is dimension
-        # 0's group, so its leaf row is that order: it holds no rank table,
+        # 0's group, so its leaf row is that order: no rank table sorts it,
         # and leaf p's x rank is p
-        cs, ps, ids = make_cascade([(3, 0), (1, 0), (2, 0)])
+        tree = build(PointSet.from_coords([(3, 0), (1, 0), (2, 0)]))
+        cs, ps, ids = tree.root, tree.pointset, tree.ids
         pts = ps.points
         leaves = leaf_row(cs).tolist()
         assert cs.L == 4 and sum(e < len(pts) for e in leaves) == 3
-        assert cs.rank is None and leaf_ranks(cs) == [0, 1, 2, 3]
+        assert placing_rank(tree, cs) is None and leaf_ranks(tree, cs) == [0, 1, 2, 3]
         assert leaves == rank_tables(ps.coord_matrix())[1].tolist()
         keys = [composite_key(pts[ids[e]], 0) for e in leaves[:3]]
         assert keys == sorted(keys)

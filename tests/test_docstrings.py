@@ -1,11 +1,12 @@
-"""Every name() and Name.attr() a src/layertree/ docstring writes is code that exists.
+"""Every name(), Name.attr() and module.name a src/layertree/ docstring writes is code that exists.
 
 A docstring that names removed code goes on telling its readers the code
-is there.  A token's first name is looked up in the docstring's own module,
-then among the package's modules and their globals, and a bare name also
-among the methods of the package's classes; the lookup must end at a
-module, class, function or method of the package.  A token whose first name
-is a Python builtin (sorted(), str.strip()) is not checked.
+is there.  A name qualified by a package module (cascade._walk, tree._Level)
+is checked with or without its ().  A token's first name is looked up in the
+docstring's own module, then among the package's modules and their globals,
+and a bare name also among the methods of the package's classes; the lookup
+must end at a module, class, function or method of the package.  A token
+whose first name is a Python builtin (sorted(), str.strip()) is not checked.
 """
 
 import ast
@@ -24,6 +25,7 @@ TOKEN = re.compile(r"(?<![\w.])([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)\(\)")
 # __main__ runs the CLI when imported
 MODULES = {name: importlib.import_module(f"layertree.{name}")
            for _, name, _ in pkgutil.iter_modules(layertree.__path__) if name != "__main__"}
+QUALIFIED = re.compile(r"(?<![\w.])((?:%s)(?:\.[A-Za-z_]\w*)+)" % "|".join(MODULES))
 
 
 def ours(obj) -> bool:
@@ -69,7 +71,8 @@ def docstrings(module) -> list[str]:
 
 
 def unresolved(text: str, module) -> list[str]:
-    return [token for token in TOKEN.findall(text) if not resolves(token, module)]
+    tokens = dict.fromkeys(TOKEN.findall(text) + QUALIFIED.findall(text))
+    return [token for token in tokens if not resolves(token, module)]
 
 
 @pytest.mark.parametrize("name", sorted(["__init__", *MODULES]))
@@ -79,9 +82,11 @@ def test_docstring_names_exist(name):
 
 
 def test_removed_names_are_caught():
-    # a made-up docstring: the first three tokens name nothing in the package
-    text = ("LayeredRangeTree.structures(), _Level.slots(), splitmix64_next(), "
+    # a made-up docstring: the first four tokens name nothing in the package,
+    # the fourth a module-qualified name written without ()
+    text = ("LayeredRangeTree.structures(), _Level.slots(), splitmix64_next(), (cascade._place), "
             "LayeredRangeTree.query(), PointSet.from_coords(), build(), cascade._walk(), "
-            "query(), sorted(), str.strip()")
+            "query(), sorted(), str.strip(), see Walk in cascade.  (tree._place), "
+            "layertree.tree.canonical_subtrees, core.PointSet")
     assert unresolved(text, MODULES["tree"]) == [
-        "LayeredRangeTree.structures", "_Level.slots", "splitmix64_next"]
+        "LayeredRangeTree.structures", "_Level.slots", "splitmix64_next", "cascade._place"]

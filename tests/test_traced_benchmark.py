@@ -116,7 +116,7 @@ def test_cost_laws_through_traced_names(monkeypatch, d):
     assert (calls["canonical"] > 0) == (d > 2)
 
 
-def allowed_calls(member, u, v, a, b, slot_maps) -> tuple:
+def allowed_calls(tree, member, u, v, a, b, slot_maps) -> tuple:
     """(cascade calls, skipped nodes) the no-empty-call law gives a level member's positions [u, v).
 
     Each canonical node is called when its structure has a leaf ranked in
@@ -130,11 +130,11 @@ def allowed_calls(member, u, v, a, b, slot_maps) -> tuple:
     built, j, calls, skipped = slot_maps[id(level), g], level.dim + 1, 0, 0
     for node in layertree.tree.canonical_subtrees(level, g, u, v):
         sub = built[node]
-        pa, pb = split_node(leaf_ranks(*sub), a[j], b[j])[:2]
+        pa, pb = split_node(leaf_ranks(tree, *sub), a[j], b[j])[:2]
         if pa == pb:
             skipped += 1
         elif isinstance(sub[0], _Level):
-            more = allowed_calls(sub, pa, pb, a, b, slot_maps)
+            more = allowed_calls(tree, sub, pa, pb, a, b, slot_maps)
             calls, skipped = calls + more[0], skipped + more[1]
         else:
             calls += 1
@@ -163,7 +163,7 @@ def test_no_empty_structure_call(monkeypatch, d):
         lo, hi = zip(*(sorted((rng.next_float() * 6, rng.next_float() * 6)) for _ in range(d)))
         box = QueryBox(lo, hi)
         a, b = tree.rank_box(box)
-        want = allowed_calls((tree.root, 0), a[0], b[0], a, b, slot_maps)
+        want = allowed_calls(tree, (tree.root, 0), a[0], b[0], a, b, slot_maps)
         totals = [x + y for x, y in zip(totals, want)]
         for op in (tree.query, tree.count):
             seen.clear()

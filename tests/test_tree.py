@@ -33,13 +33,13 @@ from layertree import (
     canonical_subtrees,
     gen_points,
 )
-from layertree.cascade import CascadeStructure, _place, _walk, merge_rows, pow2ceil, rank_tables
-from layertree.tree import GATHER_MIN, _Level, _reachable, _Slab
+from layertree.cascade import CascadeStructure, _walk, merge_rows, pow2ceil, rank_tables
+from layertree.tree import GATHER_MIN, _Level, _place, _reachable, _Slab
 
 import structure_dump
 from structure_dump import (SplitMix64, all_nodes, bridge_rows, collect, composite_key, leaf_ranks,
-                            leaf_row, members, model_checked, node, slots, split_node, structures,
-                            subtree, walk_counters, walk_model, words)
+                            leaf_row, members, model_checked, node, placing_rank, slots,
+                            split_node, structures, subtree, walk_counters, walk_model, words)
 
 
 def level_tree(values):
@@ -60,33 +60,34 @@ def walked(member, u, v) -> tuple:
     return got
 
 
-def positions(member, a, b, ranks) -> tuple:
-    """A member's leaf positions of the ranks [a, b) in its own dimension, ranks its leaf_ranks.
+def positions(member, a, b, rank, ranks) -> tuple:
+    """A member's leaf positions of the ranks [a, b) in its own dimension.
 
-    At the root they are the ranks themselves, which split_node gives too
-    (for b <= L); below it _place gives them, keyed as a level keys it, and
-    they equal split_node's.
+    rank is the table the member is sorted by (placing_rank) and ranks its
+    leaf_ranks.  At the root (rank None) they are the ranks themselves,
+    which split_node gives too (for b <= L); below it _place gives them,
+    keyed as a level keys it, and they equal split_node's.
     """
     group, g = member
-    if group.rank is None:
+    if rank is None:
         assert split_node(ranks, a, b)[:2] == (min(a, b), b)
         return a, b
-    got = _place(group, g, a, b, partial(getitem, group.rank))
+    got = _place(group, g, a, b, partial(getitem, rank))
     assert got == split_node(ranks, a, b)[:2], (a, b)
     return got
 
 
 def check_place(tree, n) -> int:
-    """_place against split_node for every member with a rank table and every 0 <= a, b <= n.
+    """_place against split_node for every member below the root and every 0 <= a, b <= n.
 
     Returns how many members were checked.
     """
-    placed = [s for _, s in structures(tree) if getattr(s[0], "rank", None) is not None]
+    placed = [s for _, s in structures(tree) if s[0] is not tree.root]
     for member in placed:
-        ranks = leaf_ranks(*member)
+        rank, ranks = placing_rank(tree, member[0]), leaf_ranks(tree, *member)
         for a in range(n + 1):
             for b in range(n + 1):
-                positions(member, a, b, ranks)
+                positions(member, a, b, rank, ranks)
     return len(placed)
 
 
@@ -165,9 +166,9 @@ class TestLeafRow:
             assert sorted(words(*sub)[: real_count(sub, n)]) == sorted(chunks[at])
 
     @staticmethod
-    def check_leaf_scan(member):
+    def check_leaf_scan(tree, member):
         level, _ = member
-        ranks = leaf_ranks(*member)
+        rank, ranks = placing_rank(tree, level), leaf_ranks(tree, *member)
         assert ranks == sorted(ranks)
         # a node splits after the rightmost leaf of its left subtree, which
         # holds the largest rank there; the one rank is that leaf alone, whose
@@ -180,15 +181,17 @@ class TestLeafRow:
                 k = max(ranks[pos << r : mid])
                 assert split_node(ranks, k, k + 1) == (mid - 1, mid, r, pos)
                 want = [(0, mid - 1, None, None)], (H + 1 + r, 0, 0)
-                assert walked(member, *positions(member, k, k + 1, ranks)) == want
+                assert walked(member, *positions(member, k, k + 1, rank, ranks)) == want
 
     @pytest.mark.parametrize("n", [1, 3, 8, 13])
     def test_leaf_scan_nondecreasing_and_internal_keys(self, n):
-        # the root's leaf row is dimension 0's order: it holds no rank table
+        # the root's leaf row is dimension 0's order, which no table holds;
+        # the root level holds dimension 1's, the table it places by
         rnd = random.Random(n)
-        member = root_level([rnd.randrange(4) for _ in range(n)])
-        assert member[0].rank is None
-        self.check_leaf_scan(member)
+        tree = level_tree([rnd.randrange(4) for _ in range(n)])
+        assert placing_rank(tree, tree.root) is None
+        assert tree.root.rank == rank_tables(tree.pointset.coord_matrix())[2][1]
+        self.check_leaf_scan(tree, (tree.root, 0))
 
     @staticmethod
     def below_the_root(n):
@@ -198,12 +201,12 @@ class TestLeafRow:
 
     @pytest.mark.parametrize("n", [8, 13, 40])
     def test_leaf_scan_below_the_root(self, n):
-        # the largest level member over dimension 1 (d = 4) is sorted by its
-        # rank table, which _place's two bound bisects read
+        # the largest level member over dimension 1 (d = 4) is sorted by the
+        # root level's rank table, which _place's two bound bisects read
         tree = self.below_the_root(n)
         member = max((s for depth, s in structures(tree) if depth == 1), key=lambda s: s[0].L)
-        assert member[0].rank is not None and member[0].L > 1
-        self.check_leaf_scan(member)
+        assert placing_rank(tree, member[0]) is tree.root.rank and member[0].L > 1
+        self.check_leaf_scan(tree, member)
 
     @pytest.mark.parametrize("n", [8, 13, 40])
     def test_place_below_the_root(self, n):
@@ -217,9 +220,9 @@ class TestLeafRow:
         member = tree.root, 0
         level, _ = member
         assert level.L == 4 and real_count(member, len(values)) == 3
-        # the root holds no rank table: leaf p ranks p, the real points in
+        # no rank table sorts the root: leaf p ranks p, the real points in
         # dimension 0's order first, then the phantom
-        assert level.rank is None and leaf_ranks(*member) == [0, 1, 2, 3]
+        assert placing_rank(tree, level) is None and leaf_ranks(tree, *member) == [0, 1, 2, 3]
         assert [values[tree.ids[e]] for e in subtree(*member, 2, 0, len(values))] == [1, 3, 5]
         assert leaf_row(*member)[3] >= len(values)  # the phantom is leaf 3, label 3
 
@@ -231,9 +234,10 @@ class TestFindSplitNode:
     VALUES = [1, 2, 3, 4]
 
     def test_range_2_3_splits_at_root(self):
-        member = root_level(self.VALUES)
+        tree = level_tree(self.VALUES)
+        member = tree.root, 0
         a, b = rank_bounds(self.VALUES, 2.0, 3.0)
-        assert split_node(leaf_ranks(*member), a, b) == (1, 3, 2, 0)
+        assert split_node(leaf_ranks(tree, *member), a, b) == (1, 3, 2, 0)
         walked(member, a, b)
 
     def test_degenerate_range_splits_at_value_boundary(self):
@@ -242,19 +246,20 @@ class TestFindSplitNode:
         tree = level_tree(self.VALUES)
         member = tree.root, 0
         a, b = rank_bounds(self.VALUES, 1.0, 1.0)
-        assert split_node(leaf_ranks(*member), a, b) == (0, 1, 1, 0)
+        assert split_node(leaf_ranks(tree, *member), a, b) == (0, 1, 1, 0)
         assert walked(member, a, b)[0] == [(0, 0, None, None)]
         assert [tree.ids[e] for e in subtree(*member, 0, 0, len(self.VALUES))] == [0]
 
     def test_range_above_all_leaves(self):
-        member = root_level(self.VALUES)
+        tree = level_tree(self.VALUES)
+        member = tree.root, 0
         a, b = rank_bounds(self.VALUES, 5.0, 9.0)
-        assert split_node(leaf_ranks(*member), a, b)[2] == 0  # a leaf
+        assert split_node(leaf_ranks(tree, *member), a, b)[2] == 0  # a leaf
         assert walked(member, a, b)[0] == []
 
     @pytest.mark.parametrize("H", range(8))
     def test_root_closed_form_equals_rank_descent(self, H):
-        # the root holds no rank table, so its bounds already are positions;
+        # no rank table sorts the root, so its bounds already are positions;
         # for every 0 <= a, b <= L, a >= b and b = L included, the walk of the
         # d = 2 root's x-tree gives the yields and counters of walk_model,
         # whose leaf ranks are dimension 0's composite ranks (leaf p ranks p).
@@ -265,13 +270,13 @@ class TestFindSplitNode:
             ps = gen_points(GeneratorConfig(seed=n, n=n, dims=2, dist="grid", grid_side=5))
             tree = build(ps)
             root, pts = tree.root, ps.points
-            assert root.L == L and root.rank is None
+            assert root.L == L and placing_rank(tree, root) is None
             order = sorted(range(n), key=lambda i: composite_key(pts[i], 0))
             assert [tree.ids[e] for e in leaf_row(root)[:n]] == order
-            ranks = leaf_ranks(root)
+            ranks = leaf_ranks(tree, root)
             for a in range(L + 1):
                 for b in range(L + 1):
-                    walked((root, 0), *positions((root, 0), a, b, ranks))
+                    walked((root, 0), *positions((root, 0), a, b, None, ranks))
 
 
 GRID_TREES = [(3, 1), (3, 2), (3, 5), (3, 8), (3, 33), (3, 64), (3, 100),
@@ -291,13 +296,13 @@ class TestWalkOnPositions:
         # the placed positions gives the yields and counters of walk_model
         tree = grid_tree(d, n)
         levels = [s for _, s in structures(tree) if isinstance(s[0], _Level)]
-        assert levels[0][0].rank is None
-        assert any(level.rank is not None for level, _ in levels) == (d == 4)
+        assert placing_rank(tree, levels[0][0]) is None
+        assert any(placing_rank(tree, level) is not None for level, _ in levels) == (d == 4)
         for member in levels:
-            ranks = leaf_ranks(*member)
+            rank, ranks = placing_rank(tree, member[0]), leaf_ranks(tree, *member)
             for a in range(n + 1):
                 for b in range(n + 1):
-                    walked(member, *positions(member, a, b, ranks))
+                    walked(member, *positions(member, a, b, rank, ranks))
 
     @pytest.mark.parametrize("d,n", GRID_TREES)
     def test_place_equals_split_node(self, d, n):
@@ -369,18 +374,19 @@ class TestStopRule:
         assert any(r >= 9 and counters[2] for r, _, counters in calls)
 
 
-def check_cover(member, ids, column, lo, hi):
+def check_cover(tree, member, column, lo, hi):
     """The canonical cover of [lo, hi] in level.dim (column: that coordinate by id).
 
     The interval's ranks are placed as the member's leaf positions
     (positions).  The cover's nodes (r, pos) hold disjoint id sets whose
     union is the level's real ids in [lo, hi], and there are at most
-    2*log2(L) of them.  ids is the tree's id map, from the labels the nodes
-    hold.
+    2*log2(L) of them.  The ids come from the labels the nodes hold,
+    through the tree's id map.
     """
     level, g = member
-    n, H = len(column), level.L.bit_length() - 1
-    uv = positions(member, *rank_bounds(column, lo, hi), leaf_ranks(*member))
+    n, H, ids = len(column), level.L.bit_length() - 1, tree.ids
+    uv = positions(member, *rank_bounds(column, lo, hi), placing_rank(tree, level),
+                   leaf_ranks(tree, *member))
     nodes = canonical_subtrees(level, g, *uv)
     cover = [ids[e] for r, p in nodes for e in subtree(*member, r, p, n)]
     assert len(set(nodes)) == len(nodes) and len(set(cover)) == len(cover)
@@ -407,7 +413,7 @@ class TestCanonicalSubtrees:
     @settings(max_examples=200, deadline=None)
     def test_cover_equals_filter_and_bound(self, values, lo, hi):
         tree = level_tree(values)
-        check_cover((tree.root, 0), tree.ids, values, lo, hi)
+        check_cover(tree, (tree.root, 0), values, lo, hi)
 
     @given(
         st.lists(st.tuples(*[st.integers(0, 3)] * 4), min_size=1, max_size=40),
@@ -422,7 +428,7 @@ class TestCanonicalSubtrees:
         lower = [s for depth, s in structures(tree) if depth > 0 and isinstance(s[0], _Level)]
         assert lower
         for member in lower:
-            check_cover(member, tree.ids, [r[member[0].dim] for r in rows], lo, hi)
+            check_cover(tree, member, [r[member[0].dim] for r in rows], lo, hi)
 
 
 class TestReachableSlots:
@@ -431,11 +437,11 @@ class TestReachableSlots:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 16, 17, 33])
     def test_structures_are_exactly_the_canonical_slots(self, d, dist, n):
         # over every interval 0 <= u <= v <= m of a level member's leaf
-        # positions (every rank interval places as one of them), the nodes
-        # (r, pos) that canonical_subtrees returns are exactly the ones with
-        # a structure, and each holds exactly its chunk's points; the nodes
-        # of all members map one to one onto the members of the next
-        # dimension's groups
+        # positions, m = per[0] its real leaves (every rank interval places
+        # as one of them), the nodes (r, pos) that canonical_subtrees returns
+        # are exactly the ones with a structure, and each holds exactly its
+        # chunk's points; the nodes of all members map one to one onto the
+        # members of the next dimension's groups
         tree = build(gen_points(GeneratorConfig(seed=n + d, n=n, dims=d, dist=dist, grid_side=3)))
         everything = ((0,) * d, (n,) * d)
         levels = [s for _, s in structures(tree) if isinstance(s[0], _Level)]
@@ -444,13 +450,13 @@ class TestReachableSlots:
         for member in levels:
             level, g = member
             reached = set()
-            for u in range(level.m + 1):
-                for v in range(u, level.m + 1):
+            for u in range(level.per[0] + 1):
+                for v in range(u, level.per[0] + 1):
                     reached.update(canonical_subtrees(level, g, u, v))
             built = dict(slots(level, g))
             assert set(built) == reached
             for (r, p), (group, h) in built.items():
-                got = collect(group, h, *everything)
+                got = collect(tree, group, h, *everything)
                 assert sorted(got) == sorted(subtree(*member, r, p, n))
                 held.setdefault(id(group), (group, []))[1].append(h)
         for group, held_members in held.values():
@@ -558,7 +564,7 @@ class TestBuild:
                 for (r, p), sub in slots(member[0], member[1]):
                     labels = subtree(*member, r, p, cfg.n)
                     assert labels and real_count(sub, cfg.n) == len(labels)
-                    assert sorted(collect(*sub, *everything)) == sorted(labels)
+                    assert sorted(collect(tree, *sub, *everything)) == sorted(labels)
 
 
 class TestQuery:
@@ -677,11 +683,11 @@ class TestIndexWidth:
         assert max(tree.ids) == n - 1  # id 65535 is stored at n = 2^16
         if d > 1:
             groups = {id(s): s for _, (s, _) in structures(tree)}.values()
-            # the root group holds no rank table; each other dimension below
-            # d-1 has one
-            assert tree.root.rank is None
-            tables = {id(s.rank): s.rank for s in groups if s is not tree.root}
+            # the levels hold the rank tables, one per dimension 1 .. d-2,
+            # and no cascade holds one
+            tables = {id(s.rank): s.rank for s in groups if isinstance(s, _Level)}
             assert len(tables) == d - 2
+            assert not any(hasattr(s, "rank") for s in groups if isinstance(s, CascadeStructure))
             for table in tables.values():
                 assert table.typecode == code and sorted(table) == list(range(L))
                 assert table[n:].tolist() == list(range(n, L))  # phantom t ranks t
@@ -756,15 +762,13 @@ class TestSpaceAccounting:
     @pytest.mark.parametrize("d,n", [(2, 1), (2, 100), (3, 64), (3, 65), (4, 33)])
     def test_one_index_space(self, d, n):
         # a phantom is leaf t >= n, its own label and its own rank: every rank
-        # table is a permutation of 0..L-1 fixing each phantom, and the root's
-        # leaf row, which stands for dimension 0's table, holds phantom t at leaf t
+        # table, each held by the levels, is a permutation of 0..L-1 fixing
+        # each phantom, and the root's leaf row, which stands for dimension
+        # 0's table, holds phantom t at leaf t
         ps = gen_points(GeneratorConfig(seed=n, n=n, dims=d, dist="grid", grid_side=5))
         tree, L = build(ps), pow2ceil(n)
-        tables = {}
-        for _, (s, _) in structures(tree):
-            if s is not tree.root:
-                tables[id(s.rank)] = s.rank
-        assert tree.root.rank is None and len(tables) == d - 2
+        tables = {id(s.rank): s.rank for _, (s, _) in structures(tree) if isinstance(s, _Level)}
+        assert len(tables) == d - 2
         for table in tables.values():
             assert len(table) == L and sorted(table) == list(range(L))
             assert list(table[n:]) == list(range(n, L))
@@ -830,12 +834,14 @@ class TestSpaceAccounting:
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_no_last_dimension_table(self, d):
-        # every rank table a structure holds is one of dimensions 1 .. d-2
-        # (a cascade's is d-2's; it keeps no dimension numbers): the root
-        # group, over dimension 0, holds none, and every other group holds
-        # its dimension's composite-key ranks, phantom t ranking t.  A
-        # cascade's node arrays ascend in their labels, which bisect_left on
-        # the buffer relies on
+        # the rank tables are those of dimensions 1 .. d-2: table j is held
+        # by exactly the level groups over dimension j-1, which merge and
+        # place by it, and it is dimension j's composite-key ranks, phantom t
+        # ranking t.  No group holds dimension 0's (the root's leaf row is
+        # that order) or d-1's.  A structure keeps only what its own query
+        # reads: no cascade has a rank table or a dimension number, and no
+        # level a leaf count of its own.  A cascade's node arrays ascend in
+        # their labels, which bisect_left on the buffer relies on
         n = 70
         ps = gen_points(GeneratorConfig(seed=7, n=n, dims=d, dist="grid", grid_side=3))
         tree, L = build(ps), pow2ceil(n)
@@ -845,24 +851,22 @@ class TestSpaceAccounting:
         where = [{i: v for v, i in enumerate(sorted(range(n),
                                                      key=lambda i: composite_key(pts[i], j)))}
                  for j in range(d)]
-        held = {}
+        held = {}  # per table: its dimension, itself, and the dimensions of the levels holding it
         for _, (s, g) in structures(tree):
             if isinstance(s, _Slab):
                 assert s.__slots__ == ()
-                continue
-            if s is tree.root:
-                assert s.rank is None
             elif isinstance(s, _Level):
-                held[id(s.rank)] = (s.dim, s.rank)
+                assert not hasattr(s, "m")
+                held.setdefault(id(s.rank), (s.dim + 1, s.rank, set()))[2].add(s.dim)
             else:
-                held[id(s.rank)] = (d - 2, s.rank)
-            if isinstance(s, CascadeStructure):
-                assert not any(hasattr(s, k) for k in ("rank_y", "xdim", "ydim"))
+                assert CascadeStructure.__slots__ == ("L", "rows", "bridges")
+                assert not any(hasattr(s, k) for k in ("rank", "rank_y", "xdim", "ydim"))
                 for r, p in all_nodes(s.L):
                     labels = node(s, r, p, g).ranks
                     assert all(u < v for u, v in zip(labels, labels[1:]))
-        assert sorted(dim for dim, _ in held.values()) == list(range(1, d - 1))
-        for dim, table in held.values():
+        assert sorted(dim for dim, _, _ in held.values()) == list(range(1, d - 1))
+        for dim, table, holders in held.values():
+            assert holders == {dim - 1}
             assert table == ranks[dim]
             assert table.tolist() == [where[dim][tree.ids[v]] for v in range(n)] + list(range(n, L))
 
@@ -1099,10 +1103,10 @@ class TestMergeWork:
     @pytest.mark.parametrize("n", MERGE_SIZES)
     def test_level_merges_stop_at_last_kept_row(self, monkeypatch, d, n):
         # a level takes from merge_rows only the rows _reachable cuts chunks
-        # from, and drops its merge before any other merge starts, a level's
-        # or a cascade fill's: a stopped generator kept alive holds its int32
-        # rows through the next group
-        taken, started = {}, []
+        # from, merging by the rank table it holds, and drops its merge before
+        # any other merge starts, a level's or a cascade fill's: a stopped
+        # generator kept alive holds its int32 rows through the next group
+        taken, by, started = {}, {}, []
 
         def tally(rows, key):
             for item in rows:
@@ -1116,7 +1120,7 @@ class TestMergeWork:
         def counting(leaves, L, rank=None):
             rows = checked(leaves, L, rank)
             started.append(weakref.ref(rows))
-            taken[id(leaves)] = 0
+            taken[id(leaves)], by[id(leaves)] = 0, rank
             return tally(rows, id(leaves))
 
         monkeypatch.setattr(layertree.tree, "merge_rows", counting)
@@ -1126,10 +1130,10 @@ class TestMergeWork:
         levels = {id(s.rows[0]): s for _, (s, _) in structures(tree) if isinstance(s, _Level)}
         assert taken.keys() == levels.keys()  # each level's merge, keyed by its leaves
         for key, level in levels.items():
-            assert taken[key] == merged_rows(level)
+            assert taken[key] == merged_rows(level) and by[key] is level.rank
             for r in range(taken[key] + 1):
-                assert _reachable(level.L, level.m, r)
-            assert not _reachable(level.L, level.m, taken[key] + 1)
+                assert _reachable(level.L, level.per[0], r)
+            assert not _reachable(level.L, level.per[0], taken[key] + 1)
         assert all(gen() is None for gen in started)
         assert {id(gen) for gen in live_merges()} <= {id(gen) for gen in before}
 
