@@ -13,8 +13,8 @@ is tested against, and gen_points draws deterministic workloads
 The package exports what the CLI, the benchmark and the cost laws use;
 structure internals are imported from their modules.  Each structural rule
 is stated once, in the docstring of the code that implements it: the
-composite order in core, and the index space, the walk, storage and widths
-in cascade.
+composite order in cascade.rank_tables, and the index space, the walk,
+storage and widths in cascade.
 """
 
 from .core import DimensionMismatch, EmptyInput, Point, PointSet, QueryBox, TooManyPoints

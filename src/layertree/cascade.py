@@ -5,7 +5,9 @@ last dimension (y), so a stored entry is its own y key.  Labels, ranks in
 every dimension and leaf positions all run over 0..L-1, L = pow2ceil(n): a
 phantom is leaf t >= n, its own label and its own rank in every dimension,
 so it sorts after every real point, where no real rank interval [a, b) can
-match it.  Nothing here knows a point or a coordinate.
+match it.  rank_tables is the one function here that reads coordinates: it
+turns the coordinate matrix into labels, rank tables and sorted axes, and
+nothing else here knows a point or a coordinate.
 
 Walk.  Every tree in the package is implicit in a leaf row: L = 2^H labels
 sorted by one dimension's rank, real labels first, then phantoms.  Node
@@ -113,21 +115,26 @@ def _dense_rank(keys: np.ndarray) -> np.ndarray:
 def rank_tables(coords: np.ndarray) -> tuple[array, np.ndarray, list[array], list[array]]:
     """(ids, row, ranks, axes): the labels of a coordinate matrix whose rows are ids.
 
-    Order j is dimension j's composite order (see core).  ids (an array of
-    n) is the last order, so ids[label] is the id.  row (int32, L long) is
-    the root's leaf row, dimension 0's order in labels, then the phantoms,
-    so ranks[0] is None when d > 1 (see Walk above).  For 0 < j < d-1,
-    ranks[j] (an array of L, indexed by label) gives each label its
-    position in order j: the table the levels over dimension j-1 hold.
-    axes[j] (an array("d")) holds column j in order j.  See Index space and
-    Widths above for the phantoms and the typecodes.
+    Composite order.  Ties between equal coordinates are broken by the full
+    coordinate tuple and then by the point id, so every dimension j is
+    strictly totally ordered: order j is by coordinate j, then the tuple,
+    then the id.  The structures never compare these keys; a point is known
+    by its rank in each order.
 
-    Every dimension shares one row order, (c_0 .. c_{d-1}, id).  Each column
-    gets a dense rank, and folding them in, key = dense(key*n + dense_j),
-    keeps a dense rank of the whole row below n, so key*n + id sorts the
-    rows.  That row order is dimension 0's; dimension j sorts
-    dense_j*n + row rank.  Each sort either ties only equal keys or has
-    distinct keys, so none has to be stable.
+    ids (an array of n) is the last order, so ids[label] is the id.  row
+    (int32, L long) is the root's leaf row, dimension 0's order in labels,
+    then the phantoms, so ranks[0] is None when d > 1 (see Walk above).
+    For 0 < j < d-1, ranks[j] (an array of L, indexed by label) gives each
+    label its position in order j: the table the levels over dimension j-1
+    hold.  axes[j] (an array("d")) holds column j in order j.  See Index
+    space and Widths above for the phantoms and the typecodes.
+
+    Each column gets a dense rank, and folding them in, key =
+    dense(key*n + dense_j), keeps a dense rank of the whole tuple below n,
+    so key*n + id sorts the rows by tuple then id: order 0, as the tuple
+    starts with c_0.  Order j sorts dense_j*n + that row rank.  Each sort
+    either ties only equal keys or has distinct keys, so none has to be
+    stable.
     """
     n, d = coords.shape
     dense = [_dense_rank(coords[:, j]) for j in range(d)]

@@ -100,8 +100,8 @@ def _cmd_query(parser: _Parser, args) -> int:
         parser.error("--dims must be >= 1")
     inputs = []
     for path, parse in ((args.points, parse_points), (args.queries, parse_queries)):
-        try:
-            with open(path, encoding="utf-8") as fh:
+        try:  # utf-8-sig drops a leading byte-order mark
+            with open(path, encoding="utf-8-sig") as fh:
                 inputs.append(parse(fh.read(), args.dims))
         except (OSError, UnicodeDecodeError, ParseError, EmptyInput) as exc:
             # an OSError's own text repeats the path

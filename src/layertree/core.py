@@ -1,26 +1,20 @@
-"""Points, query boxes and the composite total order shared by every structure.
+"""Points, query boxes and the errors shared by every structure.
 
 All coordinates are finite 64-bit floats.  A point set is one checked n-by-d
 float64 matrix, column-major, row i holding point i; PointSet.from_coords is
-the one way to make one.  A Point is a result, never an input: below the two
-calls that return Points (LayeredRangeTree.query, brute_force_query) nothing
-knows one, build() reads only the matrix, and a Point is made only for a hit
-a caller asks for (PointSet.take, which checks the caller's ids, or
-PointSet._points for the tree's own).
-
-Composite order.  Ties between equal coordinates are broken by the full
-coordinate tuple and then by the point id, so any point set is strictly
-totally ordered in every dimension j: by coordinate j, then the coordinate
-tuple, then the id.  The structures never compare these keys: a point is
-known by its rank in each dimension's order (cascade.rank_tables), and a
-query box maps to a half-open rank interval [a, b) per dimension, the
-points whose coordinate lies in [lo, hi].
+the one way to make one.  A Point is a result, never an input: only the two
+calls that answer a box (LayeredRangeTree.query, brute_force_query) return
+Points, build() reads only the matrix, and PointSet._points is the one
+place a Point is made, for a hit.  Every dimension is strictly totally
+ordered by the composite order (see cascade.rank_tables), so the
+structures know a point only by its rank, and a query box maps to a
+half-open rank interval [a, b) per dimension: the points whose coordinate
+lies in [lo, hi].
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -41,14 +35,10 @@ class TooManyPoints(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class Point:
-    """A result: one PointSet row's coordinates and id, made only by PointSet.point; no checks."""
+    """A query result: one PointSet row's coordinates and id, made only by PointSet._points."""
 
     coords: tuple[float, ...]
     id: int
-
-    @property
-    def dims(self) -> int:
-        return len(self.coords)
 
 
 @dataclass(frozen=True)
@@ -85,61 +75,30 @@ class PointSet:
     for id i (coord_matrix), kept column-major so that a filter over one
     coordinate reads contiguous memory; build() reads only the matrix.
     from_coords() is the one way to make one: the caller's rows are copied
-    into the matrix and checked once, and ids are row positions.  A Point
-    is made only when a caller asks for its id (point, take), then kept, so
-    repeat requests return the same object.  `points` and iteration give
-    all n Points in id order, making those not made yet.
+    into the matrix and checked once, and ids are row positions.  Its
+    public surface is from_coords, coord_matrix, dims and len().
     """
 
     def __len__(self) -> int:
         return len(self._by_id)
 
-    def __iter__(self):
-        return iter(self.points)
-
-    @property
-    def points(self) -> list:
-        """Every Point, in id order."""
-        return self.take(range(len(self)))
-
-    def point(self, i: int) -> Point:
-        """The Point of id i, made from matrix row i on first request.
-
-        Raises IndexError unless 0 <= i < n, so no Point is made or kept
-        under an id that is not its row.
-        """
-        i = operator.index(i)  # a numpy integer id is kept as the int it stands for
-        if not 0 <= i < len(self._by_id):
-            raise IndexError(f"point id {i} outside 0..{len(self._by_id) - 1}")
-        p = self._by_id[i]
-        if p is None:  # two threads may both make one; they are equal, and either is kept
-            p = self._by_id[i] = Point(tuple(self._matrix[i].tolist()), i)
-        return p
-
-    def take(self, ids: Sequence[int]) -> list:
-        """The Points of a sequence of ids, in its order; each made on first request.
-
-        The public entry, so it checks the caller's ids: it raises
-        IndexError for an id outside 0..n-1.  One min() over the ids refuses
-        one below 0, and _points' indexing of the list of Points one >= n.
-        """
-        if len(ids) and min(ids) < 0:  # an ndarray has no truth value; min's default= costs more
-            raise IndexError(f"point id {min(ids)} outside 0..{len(self._by_id) - 1}")
-        return self._points(ids)
-
     def _points(self, ids: Sequence[int]) -> list:
-        """take without its check: for ids a caller knows are in 0..n-1.
+        """The Points of ids in 0..n-1, in their order: the one maker of a Point.
 
-        LayeredRangeTree.query reads its ids from its own id map, so it
-        skips take's scan.  A negative id would index from the end, so only
-        callers whose ids are valid by construction call this.  A call whose
+        Its callers' ids are valid by construction (the tree's id map, the
+        oracle's hit mask), so none is checked; a negative one would index
+        from the end.  A Point is made from its matrix row on its first hit
+        and kept, so a later hit returns the same object, and a call whose
         Points are all made does no Python work per id.
         """
         out = list(map(self._by_id.__getitem__, ids))
         if all(out):  # a Point is true, a slot not made yet is None
             return out
-        point = self.point
-        return [p or point(i) for p, i in zip(out, ids)]
+        m = self._matrix
+        for k, i in enumerate(ids):
+            if out[k] is None:  # two threads may both make one; they are equal, either is kept
+                out[k] = self._by_id[i] = Point(tuple(m[i].tolist()), i)
+        return out
 
     @classmethod
     def from_coords(cls, coords: Sequence[Sequence[float]], dims: Optional[int] = None) -> "PointSet":

@@ -4,7 +4,8 @@ The generator is splitmix64, computed for a whole stream at once
 (_splitmix64_stream), so identical configs produce bit-identical point sets
 on any platform; the scalar recurrence it is tested against lives in
 tests/structure_dump.py.  brute_force_query is the independent oracle every
-structural claim is tested against; it never touches the tree code.
+structural claim is tested against; it never touches the tree code, and
+its hits are made Points by the point set, as the tree's are.
 """
 
 from __future__ import annotations
@@ -80,8 +81,9 @@ def gen_points(cfg: GeneratorConfig) -> PointSet:
 def brute_force_query(points: PointSet, box: QueryBox) -> list[Point]:
     """Linear filter of the point set by box containment, sorted by id.
 
-    Vectorized over the coordinate matrix; only the hits are made Points.
-    The result is identical to testing lo_j <= c_j <= hi_j point by point.
+    Vectorized over the coordinate matrix; only the hits are made Points,
+    by PointSet._points, whose ids the hit mask makes valid.  The result is
+    identical to testing lo_j <= c_j <= hi_j point by point.
     """
     if box.dims != points.dims:
         raise DimensionMismatch(
@@ -91,4 +93,4 @@ def brute_force_query(points: PointSet, box: QueryBox) -> list[Point]:
     lo = np.asarray(box.lo, dtype=np.float64)
     hi = np.asarray(box.hi, dtype=np.float64)
     mask = np.all((m >= lo) & (m <= hi), axis=1)
-    return points.take(np.flatnonzero(mask).tolist())
+    return points._points(np.flatnonzero(mask).tolist())

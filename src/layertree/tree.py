@@ -224,13 +224,12 @@ class LayeredRangeTree:
         """All points inside the closed box, sorted by id.
 
         The structures emit runs of labels into one array; they are counted
-        as reported, mapped to ids and sorted, and only then to points, which
-        the point set makes on a first hit.  From GATHER_MIN hits on, one
-        numpy gather through the id map and one numpy sort do the mapping;
-        below it, where numpy's fixed cost per call dominates, a Python map
-        and sorted() do.  Either way the ids are Python ints.  The ids come
-        from the tree's own id map, so they go to the points unchecked
-        (PointSet._points).
+        as reported, mapped to ids and sorted, and only then made Points, by
+        PointSet._points, which the tree's own id map keeps valid.  From
+        GATHER_MIN hits on, one numpy gather through the id map and one
+        numpy sort do the mapping; below it, where numpy's fixed cost per
+        call dominates, a Python map and sorted() do.  Either way the ids
+        are Python ints.
         """
         a, b = self.rank_box(box)
         if stats is None:

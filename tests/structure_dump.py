@@ -37,7 +37,8 @@ member's node labels alone (model_checked checks walk calls by it), and
 split_node, the leaf positions of a rank interval from a member's leaf
 ranks, which tree._place must give.  It
 is the tests' one reader of structure layout: the reference order and box
-filter over Points (composite_key, box_contains), a cascade member's
+filter over Points (composite_key, box_contains), a point set's Points
+(every_point), a cascade member's
 bridge_rows and node (r, pos), a cascade or level member's words, leaf_row,
 the rank table it is sorted by (placing_rank), its leaf_ranks and the real
 labels of its subtree (r, pos), a group's members,
@@ -139,9 +140,14 @@ def box_contains(box, p) -> bool:
     """True iff lo_j <= p.coords[j] <= hi_j for every dimension j of QueryBox box."""
     from layertree import DimensionMismatch
 
-    if box.dims != p.dims:
-        raise DimensionMismatch(f"box of dimension {box.dims}, point of dimension {p.dims}")
+    if box.dims != len(p.coords):
+        raise DimensionMismatch(f"box of dimension {box.dims}, point of dimension {len(p.coords)}")
     return all(l <= c <= h for l, c, h in zip(box.lo, p.coords, box.hi))
+
+
+def every_point(ps) -> list:
+    """Every Point of PointSet ps, in id order, made by the one maker the queries use."""
+    return ps._points(range(len(ps)))
 
 
 def all_nodes(L: int) -> list:

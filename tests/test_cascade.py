@@ -26,8 +26,8 @@ from layertree.cascade import (CascadeStructure, fill_buffers_batch_np, merge_ro
 from layertree.core import QueryBox
 
 from structure_dump import (SplitMix64, all_nodes, box_contains, bridge_rows, composite_key,
-                            leaf_ranks, leaf_row, model_checked, node, placing_rank, structures,
-                            subtree)
+                            every_point, leaf_ranks, leaf_row, model_checked, node, placing_rank,
+                            structures, subtree)
 
 
 def make_cascade(coord_pairs):
@@ -44,7 +44,8 @@ def y_values(cs, ps, ids, at):
 
 def real_points(ps, ids, labels):
     """The Points of the real labels among `labels`, in their order; phantoms (>= n) dropped."""
-    return ps.take([ids[e] for e in labels if e < len(ps)])
+    pts = every_point(ps)
+    return [pts[ids[e]] for e in labels if e < len(ps)]
 
 
 def rank_args(cs, ps, xlo, xhi, ylo, yhi):
@@ -66,7 +67,8 @@ def hits(cs, ps, ids, xlo, xhi, ylo, yhi, stats=None):
     labels: list = []
     cs.query(0, *rank_args(cs, ps, xlo, xhi, ylo, yhi), QueryStats() if stats is None else stats,
              labels.extend)
-    return ps.take(sorted(ids[e] for e in labels))
+    pts = every_point(ps)
+    return [pts[i] for i in sorted(ids[e] for e in labels)]
 
 
 class TestBuild:
@@ -74,7 +76,7 @@ class TestBuild:
         cs, ps, ids = make_cascade([(2, 7)])
         assert leaf_row(cs).tolist() == [0] and cs.L == 1  # one real leaf
         root = node(cs, 0, 0)
-        assert ps.take([ids[e] for e in root.ranks]) == ps.points
+        assert real_points(ps, ids, root.ranks) == every_point(ps)
         assert y_values(cs, ps, ids, root) == [7.0]
         assert root.left_bridge == [] and root.right_bridge == []
 
@@ -119,10 +121,11 @@ class TestBuild:
         rng = SplitMix64(31)
         coords = [(rng.next_below(8), rng.next_below(8)) for _ in range(37)]
         cs, ps, ids = make_cascade(coords)
+        pts = every_point(ps)
         for r, p in all_nodes(cs.L):
             ranks = node(cs, r, p).ranks
             expected = sorted(
-                (ps.points[ids[e]] for e in subtree(cs, 0, r, p, len(ps))),
+                (pts[ids[e]] for e in subtree(cs, 0, r, p, len(ps))),
                 key=lambda p: composite_key(p, 1),
             )
             assert real_points(ps, ids, ranks) == expected
@@ -470,13 +473,13 @@ class TestQuery2D:
     def test_phantoms_never_emitted(self):
         cs, ps, ids = make_cascade([(i, i % 3) for i in range(13)])  # pads to L=16
         got = hits(cs, ps, ids, -100, 100, -100, 100)
-        assert got == ps.points
+        assert got == every_point(ps)
         assert all(p is not None for p in got)
 
     def test_boxes_via_boxed_interface(self):
         # the root takes the tree's rank box; a cascade reads its last two dimensions
         cs, ps, ids = make_cascade([(1, 4), (2, 3), (3, 2), (4, 1)])
-        pts = ps.points
+        pts = every_point(ps)
         box = QueryBox((1.5, 0.0), (4.0, 2.5))
         u, v, a, b = rank_args(cs, ps, 1.5, 4.0, 0.0, 2.5)
         labels: list = []
@@ -492,7 +495,7 @@ class TestQuery2D:
         # and leaf p's x rank is p
         tree = build(PointSet.from_coords([(3, 0), (1, 0), (2, 0)]))
         cs, ps, ids = tree.root, tree.pointset, tree.ids
-        pts = ps.points
+        pts = every_point(ps)
         leaves = leaf_row(cs).tolist()
         assert cs.L == 4 and sum(e < len(pts) for e in leaves) == 3
         assert placing_rank(tree, cs) is None and leaf_ranks(tree, cs) == [0, 1, 2, 3]

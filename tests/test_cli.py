@@ -155,6 +155,16 @@ class TestQuery:
         assert code == 2 and out == ""
         assert "can't decode byte 0xff" in err
 
+    def test_byte_order_marks_are_dropped(self, capsys, workload):
+        # a file saved with a UTF-8 byte-order mark reports as the same file without one
+        pts, qrs = workload
+        argv = ["query", "--points", str(pts), "--dims", "2", "--queries", str(qrs)]
+        code, want, err = run(capsys, argv)
+        assert code == 0 and err == "" and want.count("\n") > 3
+        for path in (pts, qrs):
+            path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert run(capsys, argv) == (0, want, "")
+
     @pytest.mark.parametrize("bad", ["points", "queries"])
     def test_errors_name_the_file(self, capsys, workload, bad):
         pts, qrs = workload

@@ -17,7 +17,7 @@ from layertree import (
     brute_force_query,
     build,
 )
-from structure_dump import box_contains, composite_key
+from structure_dump import box_contains, composite_key, every_point
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 small_coord = st.integers(min_value=0, max_value=3).map(float)
@@ -109,31 +109,31 @@ class TestValidation:
 
     def test_shuffled_pointset_iterates_in_id_order(self):
         # ids are row positions: rows given in a shuffled order are numbered
-        # in that order, and iteration follows the ids
+        # in that order, and the Points in id order follow the rows
         rows = [(i % 7, i % 3) for i in range(40)]
         order = list(range(40))
         random.Random(5).shuffle(order)
         ps = PointSet.from_coords([rows[i] for i in order])
-        assert list(ps) == ps.points == [Point(rows[i], id) for id, i in enumerate(order)]
+        assert every_point(ps) == [Point(rows[i], id) for id, i in enumerate(order)]
         assert ps.coord_matrix().tolist() == [list(rows[i]) for i in order]
 
     def test_pointset_owns_its_points(self):
         # changing the caller's rows afterwards changes nothing in the set
         rows = [[1.0, 2.0], [3.0, 4.0]]
         ps = PointSet.from_coords(rows)
-        want = list(ps)
+        want = every_point(ps)
         rows.append([9.0, 9.0])
         rows[0][0] = 5.0
         assert len(ps) == 2
-        assert ps.points == list(ps) == want == [Point((1.0, 2.0), 0), Point((3.0, 4.0), 1)]
-        assert ps.points[0] is want[0]
+        assert every_point(ps) == want == [Point((1.0, 2.0), 0), Point((3.0, 4.0), 1)]
+        assert every_point(ps)[0] is want[0]
         assert ps.coord_matrix().tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
     def test_from_coords_takes_an_ndarray(self):
         coords = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
         ps = PointSet.from_coords(coords)
         assert ps.dims == 2
-        assert [p.coords for p in ps.points] == [(0.0, 1.0), (2.0, 3.0), (4.0, 5.0)]
+        assert [p.coords for p in every_point(ps)] == [(0.0, 1.0), (2.0, 3.0), (4.0, 5.0)]
         assert PointSet.from_coords(np.zeros((3, 2))).dims == 2
 
     def test_from_coords_empty_ndarray(self):
@@ -173,7 +173,7 @@ class TestMatrixPath:
         assert ps.coord_matrix().flags.f_contiguous
         want = per_point(coords)
         assert [[c.hex() for c in row] for row in ps.coord_matrix().tolist()] == want
-        assert [[c.hex() for c in p.coords] for p in ps.points] == want
+        assert [[c.hex() for c in p.coords] for p in every_point(ps)] == want
 
     @pytest.mark.parametrize("coords, dims, exc, msg", [
         ([(1.0, 2.0), (math.nan, 0.0)], None, ValueError, "non-finite coordinate nan in point 1"),
@@ -211,7 +211,7 @@ class TestMatrixPath:
 
     def test_empty_with_dims_is_an_empty_set(self):
         ps = PointSet.from_coords([], 2)
-        assert len(ps) == 0 and ps.dims == 2 and ps.points == [] and list(ps) == []
+        assert len(ps) == 0 and ps.dims == 2 and every_point(ps) == []
 
     def test_copies_an_ndarray(self):
         coords = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0], [6.0, 7.0]])
@@ -223,60 +223,19 @@ class TestMatrixPath:
         assert [p.coords for p in brute_force_query(ps, box)] == [(0.0, 1.0), (2.0, 3.0), (4.0, 5.0)]
         assert not ps.coord_matrix().flags.writeable
 
-    def test_points_by_id_and_iteration_give_every_point_in_id_order(self):
-        rows = [(3.0, 1.0), (1.0, 2.0), (2.0, 0.5)]
-        for first in ("points", "iter"):
-            ps = PointSet.from_coords(rows)
-            got = list(ps) if first == "iter" else ps.points
-            assert got == [Point(r, i) for i, r in enumerate(rows)]
-            assert ps.points == list(ps) == got
-        assert not hasattr(ps, "by_id")  # points is the one name for the list
-
     def test_repeat_queries_return_the_same_points(self):
         ps = PointSet.from_coords([(i % 7, i % 5) for i in range(60)])
         tree, box = build(ps), QueryBox((1.0, 1.0), (4.0, 3.0))
         first, again = tree.query(box), tree.query(box)
         assert len(first) > 10
         assert all(a is b for a, b in zip(first, again))
-        assert all(p is ps.points[p.id] for p in first)
+        assert all(p is every_point(ps)[p.id] for p in first)
         assert brute_force_query(ps, box) == first
         assert all(a is b for a, b in zip(brute_force_query(ps, box), first))
-
-    def test_out_of_range_ids_make_no_point(self):
-        # an id outside 0..n-1 is refused before a Point is made under it, so
-        # a later query still reports the last point under its own id
-        ps = PointSet.from_coords([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)])
-        for bad in (-1, -3, 3):
-            with pytest.raises(IndexError):
-                ps.point(bad)
-        with pytest.raises(IndexError):
-            ps.take([0, -1])  # through point: the Point of id 2 is not made yet
-        got = build(ps).query(QueryBox((0.0, 0.0), (2.0, 2.0)))
-        assert [p.id for p in got] == [0, 1, 2]
-        assert got[-1] == Point((2.0, 2.0), 2) and ps.point(2) is got[-1]
-
-    def test_negative_ids_are_refused_when_every_point_is_made(self):
-        # with every Point made, take indexes the list directly: a negative id
-        # must still raise, not count back from the last point
-        ps = PointSet.from_coords([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)])
-        assert len(ps.points) == 3
-        for bad in ([-1], [-3], [0, 2, -1]):
-            with pytest.raises(IndexError):
-                ps.take(bad)
-        assert ps.take([]) == []
-        assert ps.take([2, 0]) == [ps.point(2), ps.point(0)]
-
-    def test_numpy_integer_ids(self):
-        # an integer ndarray of ids takes like a list, and a Point made for a
-        # numpy integer id has an int id, which every later query reports
-        rows = [(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)]
-        ps = PointSet.from_coords(rows)
-        got = ps.take(np.array([2, 0]))
-        assert got == ps.take([2, 0]) and [type(p.id) for p in got] == [int, int]
-        ps = PointSet.from_coords(rows)
-        assert type(ps.point(np.int64(1)).id) is int
-        hits = build(ps).query(QueryBox((0.0, 0.0), (2.0, 2.0)))
-        assert json.dumps([p.id for p in hits]) == "[0, 1, 2]"
+        # the ids both answers report are ints, so they serialise to JSON
+        for hits in (first, brute_force_query(ps, box)):
+            assert {type(p.id) for p in hits} == {int}
+            assert json.loads(json.dumps([p.id for p in hits])) == [p.id for p in first]
 
     def test_build_and_count_make_no_point(self):
         rows = [(i % 7, i % 5, i % 3) for i in range(200)]

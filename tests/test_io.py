@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from layertree import EmptyInput, Point, PointSet
 from layertree.io import ParseError, parse_points, parse_queries, write_points, write_report
+from structure_dump import every_point
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
@@ -11,11 +12,11 @@ finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 class TestParsePoints:
     def test_comma_separated(self):
         ps = parse_points("1,2\n3,4\n", 2)
-        assert [(p.coords, p.id) for p in ps] == [((1.0, 2.0), 0), ((3.0, 4.0), 1)]
+        assert [(p.coords, p.id) for p in every_point(ps)] == [((1.0, 2.0), 0), ((3.0, 4.0), 1)]
 
     def test_comment_and_whitespace(self):
         ps = parse_points("# x y\n1 2\n", 2)
-        assert len(ps) == 1 and ps.points[0].coords == (1.0, 2.0)
+        assert len(ps) == 1 and every_point(ps)[0].coords == (1.0, 2.0)
 
     def test_mixed_separators_and_blank_lines(self):
         ps = parse_points("\n1, 2\n\n3\t4\n", 2)
@@ -26,7 +27,7 @@ class TestParsePoints:
                      "1,2\n\r\n3,4\n",  # a blank line that is only "\r"
                      "# x,y\r\n1,2\n3,4\n",  # a comment line ending in "\r\n"
                      "1,2\n3,4\r"):  # a last line ending in "\r" with no "\n"
-            got = [(p.coords, p.id) for p in parse_points(text, 2)]
+            got = [(p.coords, p.id) for p in every_point(parse_points(text, 2))]
             assert got == [((1.0, 2.0), 0), ((3.0, 4.0), 1)], text
 
     def test_wrong_arity_reports_line(self):
@@ -107,8 +108,8 @@ class TestRoundTrip:
     def test_write_then_parse_is_bit_exact(self, rows):
         ps = PointSet.from_coords(rows, 3)
         back = parse_points(write_points(ps), 3)
-        assert [p.coords for p in back] == [p.coords for p in ps]
-        assert [p.id for p in back] == [p.id for p in ps]
+        assert [p.coords for p in every_point(back)] == [p.coords for p in every_point(ps)]
+        assert [p.id for p in every_point(back)] == [p.id for p in every_point(ps)]
 
     def test_ids_round_trip_from_any_order(self):
         # lines are written in id order, which is the order the rows were
@@ -117,5 +118,5 @@ class TestRoundTrip:
         for order in ((0, 1, 2), (2, 0, 1)):
             ps = PointSet.from_coords([rows[i] for i in order])
             back = parse_points(write_points(ps), 2)
-            assert [[c.hex() for c in p.coords] for p in back.points] == [
+            assert [[c.hex() for c in p.coords] for p in every_point(back)] == [
                 [c.hex() for c in rows[i]] for i in order]

@@ -15,7 +15,7 @@ from layertree import (
 )
 from layertree.oracle import _splitmix64_stream
 from structure_dump import MASK64 as MASK
-from structure_dump import SplitMix64, box_contains, splitmix64_next
+from structure_dump import SplitMix64, box_contains, every_point, splitmix64_next
 
 
 def stream(seed, count) -> list:
@@ -62,19 +62,19 @@ class TestGenPoints:
     def test_deterministic(self):
         cfg = GeneratorConfig(seed=7, n=50, dims=3)
         a, b = gen_points(cfg), gen_points(cfg)
-        assert [p.coords for p in a] == [p.coords for p in b]
+        assert [p.coords for p in every_point(a)] == [p.coords for p in every_point(b)]
 
     def test_grid_side_one_is_all_zero(self):
         ps = gen_points(GeneratorConfig(seed=1, n=20, dims=2, dist="grid", grid_side=1))
-        assert all(c == 0.0 for p in ps for c in p.coords)
+        assert all(c == 0.0 for p in every_point(ps) for c in p.coords)
 
     def test_first_coordinate_is_first_stream_output(self):
         ps = gen_points(GeneratorConfig(seed=42, n=100, dims=3))
-        assert ps.points[0].coords[0] == stream(42, 1)[0] / 2**64
+        assert every_point(ps)[0].coords[0] == stream(42, 1)[0] / 2**64
 
     def test_ids_are_generation_order(self):
         ps = gen_points(GeneratorConfig(seed=3, n=10, dims=1))
-        assert [p.id for p in ps] == list(range(10))
+        assert [p.id for p in every_point(ps)] == list(range(10))
 
     @pytest.mark.parametrize("seed", [0, 9, 2**64 - 5])
     @pytest.mark.parametrize("dist, side", [("uniform", 5), ("grid", 5), ("grid", 2**64),
@@ -87,7 +87,7 @@ class TestGenPoints:
         draw = rng.next_float if dist == "uniform" else lambda: float(rng.next_below(side))
         want = [[draw().hex() for _ in range(3)] for _ in range(300)]
         ps = gen_points(GeneratorConfig(seed=seed, n=300, dims=3, dist=dist, grid_side=side))
-        assert [[c.hex() for c in p.coords] for p in ps] == want
+        assert [[c.hex() for c in p.coords] for p in every_point(ps)] == want
 
     @pytest.mark.parametrize("dist, digest", [
         ("uniform", "97b6fb9afa4ab94faecea6fec9c47c98de66f51fcec8c5a0b8b7d492c84a9c1f"),
@@ -96,12 +96,12 @@ class TestGenPoints:
     def test_pinned_output_at_seed_2_64_minus_5(self, dist, digest):
         # sha256 of the float.hex coordinates the scalar generator drew for this config
         ps = gen_points(GeneratorConfig(seed=2**64 - 5, n=500, dims=3, dist=dist, grid_side=5))
-        got = repr([[c.hex() for c in p.coords] for p in ps.points])
+        got = repr([[c.hex() for c in p.coords] for p in every_point(ps)])
         assert hashlib.sha256(got.encode()).hexdigest() == digest
 
     def test_grid_duplicates_are_likely(self):
         ps = gen_points(GeneratorConfig(seed=11, n=200, dims=2, dist="grid", grid_side=4))
-        coords = [p.coords for p in ps]
+        coords = [p.coords for p in every_point(ps)]
         assert len(set(coords)) < len(coords)
 
     @pytest.mark.parametrize("kw", [dict(n=0), dict(dims=0), dict(dist="normal"),
@@ -120,11 +120,11 @@ class TestBruteForce:
 
     def test_bounding_box_returns_all(self):
         ps = gen_points(GeneratorConfig(seed=2, n=30, dims=2))
-        assert brute_force_query(ps, QueryBox((0.0, 0.0), (1.0, 1.0))) == ps.points
+        assert brute_force_query(ps, QueryBox((0.0, 0.0), (1.0, 1.0))) == every_point(ps)
 
     def test_single_point(self):
         ps = PointSet.from_coords([(0.5, 0.5)])
-        assert brute_force_query(ps, QueryBox((0.0, 0.0), (1.0, 1.0))) == ps.points
+        assert brute_force_query(ps, QueryBox((0.0, 0.0), (1.0, 1.0))) == every_point(ps)
 
     def test_dimension_mismatch(self):
         ps = gen_points(GeneratorConfig(seed=2, n=5, dims=2))
@@ -149,7 +149,7 @@ class TestBruteForce:
             box = QueryBox(lo, hi)
             got = brute_force_query(ps, box)
             want = sorted(
-                (p for p in ps if box_contains(box, p)), key=lambda p: p.id
+                (p for p in every_point(ps) if box_contains(box, p)), key=lambda p: p.id
             )
             assert got == want
             assert [p.id for p in got] == sorted(p.id for p in got)

@@ -1,6 +1,8 @@
+import ast
 import gc
 import hashlib
 import importlib
+import inspect
 import json
 import random
 import subprocess
@@ -9,7 +11,7 @@ import types
 import weakref
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import astuple
+from dataclasses import astuple, fields
 from functools import partial
 from operator import getitem
 
@@ -24,6 +26,7 @@ from layertree import (
     DimensionMismatch,
     EmptyInput,
     GeneratorConfig,
+    Point,
     PointSet,
     QueryBox,
     QueryStats,
@@ -37,9 +40,10 @@ from layertree.cascade import CascadeStructure, _walk, merge_rows, pow2ceil, ran
 from layertree.tree import GATHER_MIN, _Level, _place, _reachable, _Slab
 
 import structure_dump
-from structure_dump import (SplitMix64, all_nodes, bridge_rows, collect, composite_key, leaf_ranks,
-                            leaf_row, members, model_checked, node, placing_rank, slots,
-                            split_node, structures, subtree, walk_counters, walk_model, words)
+from structure_dump import (SplitMix64, all_nodes, bridge_rows, collect, composite_key,
+                            every_point, leaf_ranks, leaf_row, members, model_checked, node,
+                            placing_rank, slots, split_node, structures, subtree, walk_counters,
+                            walk_model, words)
 
 
 def level_tree(values):
@@ -121,8 +125,27 @@ class TestPublicNames:
         # Point is a plain result record with no per-instance dict
         with pytest.raises(TypeError):
             PointSet([], 2)
-        p = PointSet.from_coords([(1.0, 2.0)]).point(0)
+        ps = PointSet.from_coords([(1.0, 2.0)])
+        (p,) = brute_force_query(ps, QueryBox((0.0, 0.0), (1.0, 2.0)))
         assert type(p).__slots__ == ("coords", "id") and not hasattr(p, "__dict__")
+
+    def test_a_point_is_only_a_query_result(self):
+        # a point set turns ids into Points for the two answers only, and a
+        # Point is its coordinates and id, nothing more
+        assert not [name for name in ("point", "take", "points", "__iter__")
+                    if hasattr(PointSet, name)]
+        assert [f.name for f in fields(Point)] == ["coords", "id"]
+        assert not hasattr(Point, "dims")
+        # the one maker: the package's one Point(...) call is in PointSet._points
+        def point_calls(node) -> int:
+            return sum(isinstance(call, ast.Call) and getattr(call.func, "id", None) == "Point"
+                       for call in ast.walk(node))
+
+        trees = {name: ast.parse(inspect.getsource(importlib.import_module(f"layertree.{name}")))
+                 for name in ("cascade", "cli", "core", "io", "oracle", "tree")}
+        (maker,) = [f for f in ast.walk(trees["core"])
+                    if isinstance(f, ast.FunctionDef) and f.name == "_points"]
+        assert sum(map(point_calls, trees.values())) == point_calls(maker) == 1
 
     @pytest.mark.parametrize("module,name", [("cascade", "CascadeStructure")])
     def test_dropped_names_import_from_their_modules(self, module, name):
@@ -269,7 +292,7 @@ class TestFindSplitNode:
         for n in sorted({L, L // 2 + 1}):
             ps = gen_points(GeneratorConfig(seed=n, n=n, dims=2, dist="grid", grid_side=5))
             tree = build(ps)
-            root, pts = tree.root, ps.points
+            root, pts = tree.root, every_point(ps)
             assert root.L == L and placing_rank(tree, root) is None
             order = sorted(range(n), key=lambda i: composite_key(pts[i], 0))
             assert [tree.ids[e] for e in leaf_row(root)[:n]] == order
@@ -593,7 +616,7 @@ class TestQuery:
         ps = gen_points(GeneratorConfig(seed=6, n=130, dims=2, dist="grid", grid_side=2))
         tree = build(ps)
         got = tree.query(QueryBox((-1.0, -1.0), (3.0, 3.0)))
-        assert got == ps.points
+        assert got == every_point(ps)
         assert tree.count(QueryBox((-1.0, -1.0), (3.0, 3.0))) == 130
 
     def test_dimension_mismatch(self):
@@ -651,22 +674,29 @@ class TestIdPaths:
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_query_does_not_check_its_own_ids(self, monkeypatch, d):
-        # the ids come from the tree's id map, so query skips take's scan;
-        # take itself still refuses bad ids (tests/test_core.py)
+        # query and brute_force_query both answer with the list PointSet._points
+        # makes, from sorted int ids that are valid by construction, so the
+        # maker checks none; each hit is the same Point from either
         coords = np.random.default_rng(10 + d).random((500, d))
         ps = PointSet.from_coords(coords)
         tree = build(ps)
+        made, points = [], PointSet._points
 
-        def refuse(self, ids):
-            raise AssertionError("query called PointSet.take")
+        def recorded(self, ids):
+            assert self is ps and sorted(ids) == list(ids) and {type(i) for i in ids} <= {int}
+            assert all(0 <= i < len(ps) for i in ids)
+            made.append(points(self, ids))
+            return made[-1]
 
-        monkeypatch.setattr(PointSet, "take", refuse)
+        monkeypatch.setattr(PointSet, "_points", recorded)
         ks = [1, GATHER_MIN - 1, GATHER_MIN, 3 * GATHER_MIN]
-        boxes = first_dim_boxes(coords, ks)
-        got = [tree.query(box) for box in boxes]
-        monkeypatch.undo()
-        for k, box, hits in zip(ks, boxes, got):
-            assert len(hits) == k and hits == brute_force_query(ps, box)
+        for k, box in zip(ks, first_dim_boxes(coords, ks)):
+            hits = tree.query(box)
+            assert hits is made[-1] and len(hits) == k
+            oracle = brute_force_query(ps, box)
+            assert oracle is made[-1] and all(a is b for a, b in zip(hits, oracle))
+            assert oracle == hits
+        assert len(made) == 2 * len(ks)
 
 
 class TestIndexWidth:
@@ -847,7 +877,7 @@ class TestSpaceAccounting:
         tree, L = build(ps), pow2ceil(n)
         _, _, ranks, _ = rank_tables(ps.coord_matrix())
         assert len(ranks) == d - 1 and ranks[:1] == ([None] if d > 1 else [])
-        pts = ps.points
+        pts = every_point(ps)
         where = [{i: v for v, i in enumerate(sorted(range(n),
                                                      key=lambda i: composite_key(pts[i], j)))}
                  for j in range(d)]
@@ -1158,7 +1188,7 @@ class TestRankTable:
     def test_order_is_composite_order(self, workload):
         d, rows, _ = workload
         ps = PointSet.from_coords(rows, d)
-        pts, n = ps.points, len(rows)
+        pts, n = every_point(ps), len(rows)
         L = pow2ceil(n)
         ids, row, ranks, axes = rank_tables(ps.coord_matrix())
         want = [sorted(range(n), key=lambda i: composite_key(pts[i], j)) for j in range(d)]
@@ -1200,7 +1230,7 @@ class TestRankTableEdges:
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 64, 65])
     def test_tables_follow_composite_key(self, kind, d, n):
         ps = PointSet.from_coords(edge_rows(kind, d, n), d)
-        pts, L = ps.points, pow2ceil(n)
+        pts, L = every_point(ps), pow2ceil(n)
         ids, row, ranks, axes = rank_tables(ps.coord_matrix())
         assert len(ranks) == d - 1 and len(axes) == d
         want = [sorted(range(n), key=lambda i: composite_key(pts[i], j)) for j in range(d)]
