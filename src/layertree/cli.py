@@ -158,7 +158,7 @@ def _cmd_bench(parser: _Parser, args) -> int:
         # one stream per size: its first n rows are the points, and the next
         # rows, scaled by 1 - side, are the boxes' lo corners
         m = gen_points(GeneratorConfig(args.seed, n + args.queries, d)).coord_matrix()
-        points = PointSet.from_coords(m[:n], d)
+        points = PointSet.from_coords(m[:n])
 
         t0 = time.perf_counter()
         tree = build(points)
@@ -200,7 +200,3 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 def console_main() -> None:
     sys.exit(main())
-
-
-if __name__ == "__main__":
-    console_main()

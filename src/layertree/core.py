@@ -1,22 +1,22 @@
 """Points, query boxes and the errors shared by every structure.
 
 All coordinates are finite 64-bit floats.  A point set is one checked n-by-d
-float64 matrix, column-major, row i holding point i; PointSet.from_coords is
-the one way to make one.  A Point is a result, never an input: only the two
-calls that answer a box (LayeredRangeTree.query, brute_force_query) return
-Points, build() reads only the matrix, and PointSet._points is the one
-place a Point is made, for a hit.  Every dimension is strictly totally
-ordered by the composite order (see cascade.rank_tables), so the
-structures know a point only by its rank, and a query box maps to a
-half-open rank interval [a, b) per dimension: the points whose coordinate
-lies in [lo, hi].
+float64 matrix, column-major, with n >= 1 rows, row i holding point i, and d
+is their width; PointSet.from_coords is the one way to make one.  A Point is
+a result, never an input: only the two calls that answer a box
+(LayeredRangeTree.query, brute_force_query) return Points, build() reads
+only the matrix, and PointSet._points is the one place a Point is made, for
+a hit.  Every dimension is strictly totally ordered by the composite order
+(see cascade.rank_tables), so the structures know a point only by its rank,
+and a query box maps to a half-open rank interval [a, b) per dimension: the
+points whose coordinate lies in [lo, hi].
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -69,7 +69,7 @@ class QueryBox:
 
 
 class PointSet:
-    """An immutable collection of points sharing one dimensionality.
+    """An immutable set of n >= 1 points whose dimension is their rows' width.
 
     The point set is its read-only n-by-d float64 coordinate matrix, row i
     for id i (coord_matrix), kept column-major so that a filter over one
@@ -101,7 +101,7 @@ class PointSet:
         return out
 
     @classmethod
-    def from_coords(cls, coords: Sequence[Sequence[float]], dims: Optional[int] = None) -> "PointSet":
+    def from_coords(cls, coords: Sequence[Sequence[float]]) -> "PointSet":
         """A point set whose point i has the coordinates of row i of `coords` (copied).
 
         The rows are converted into one float64 matrix and checked at once.
@@ -115,9 +115,8 @@ class PointSet:
                  if getattr(coords, "dtype", np.dtype(np.float64)).kind in "biuf" else None)
         except (TypeError, ValueError, OverflowError):
             m = None
-        if m is None or not (m.ndim == 2 and m.size and dims in (None, m.shape[1])
-                             and np.isfinite(m).all()):
-            m = _checked_rows(coords, dims)
+        if m is None or not (m.ndim == 2 and m.size and np.isfinite(m).all()):
+            m = _checked_rows(coords)
         m.flags.writeable = False
         ps = cls.__new__(cls)
         ps.dims, ps._matrix = m.shape[1], m
@@ -129,17 +128,15 @@ class PointSet:
         return self._matrix
 
 
-def _checked_rows(coords, dims: Optional[int]) -> np.ndarray:
+def _checked_rows(coords) -> np.ndarray:
     """from_coords' row-by-row path: the column-major matrix, or the first bad row's error.
 
     Each row in turn is converted by float(), then must be non-empty and
-    finite; only then are the rows' widths checked against dims (the
-    first row's width when dims is None).
+    finite; only then are the rows' widths checked against the first row's.
     """
-    if dims is None:
-        if len(coords) == 0:  # an (n, d) ndarray has no truth value
-            raise EmptyInput("cannot infer dimensionality of an empty point set")
-        dims = len(coords[0])
+    if len(coords) == 0:  # an (n, d) ndarray has no truth value
+        raise EmptyInput("cannot infer dimensionality of an empty point set")
+    dims = len(coords[0])
     rows = []
     for i, row in enumerate(coords):
         out = []
@@ -157,5 +154,4 @@ def _checked_rows(coords, dims: Optional[int]) -> np.ndarray:
     for i, row in enumerate(rows):
         if len(row) != dims:
             raise DimensionMismatch(f"point {i} has {len(row)} coordinates, expected {dims}")
-    # reshape gives an empty set its (0, dims) shape
-    return np.array(rows, dtype=np.float64, order="F").reshape(len(rows), dims)
+    return np.array(rows, dtype=np.float64, order="F")

@@ -57,7 +57,7 @@ def parse_points(text: str, dims: int) -> PointSet:
     rows = [_parse_fields(lineno, fields, dims) for lineno, fields in _data_lines(text)]
     if not rows:
         raise EmptyInput("no data lines in point file")
-    return PointSet.from_coords(rows, dims)
+    return PointSet.from_coords(rows)
 
 
 def parse_queries(text: str, dims: int) -> list[QueryBox]:

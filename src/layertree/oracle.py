@@ -75,7 +75,7 @@ def gen_points(cfg: GeneratorConfig) -> PointSet:
     else:  # a side past the uint64 range leaves each draw as it is
         g = cfg.grid_side
         coords = (out if g > _MASK64 else out % np.uint64(g)).astype(np.float64)
-    return PointSet.from_coords(coords, cfg.dims)
+    return PointSet.from_coords(coords)
 
 
 def brute_force_query(points: PointSet, box: QueryBox) -> list[Point]:

@@ -36,7 +36,7 @@ import numpy as np
 
 from .cascade import (CascadeStructure, _walk, fill_buffers_batch_np, merge_rows, packed,
                       pow2ceil, rank_tables)
-from .core import DimensionMismatch, EmptyInput, Point, PointSet, QueryBox, TooManyPoints
+from .core import DimensionMismatch, Point, PointSet, QueryBox, TooManyPoints
 
 INT32_MAX = 2**31 - 1
 # From this many hits on, query maps and sorts ids in numpy; below it, in
@@ -91,7 +91,7 @@ class BuildCounters:
 
 
 def canonical_subtrees(level: "_Level", g: int, u: int, v: int,
-                       stats: Optional[QueryStats] = None) -> list[tuple[int, int]]:
+                       stats: QueryStats) -> list[tuple[int, int]]:
     """(row, pos) of member g's disjoint subtrees whose leaves are exactly the positions [u, v).
 
     It is cascade._walk with no y bounds.  At most 2*log2(L) nodes (one for
@@ -101,8 +101,6 @@ def canonical_subtrees(level: "_Level", g: int, u: int, v: int,
     them.  The package exports it because the canonical-subtree law is
     stated on it.
     """
-    if stats is None:
-        stats = QueryStats()
     return [(row, p) for row, p, _, _ in _walk(level, g, u, v, None, None, stats)]
 
 
@@ -145,10 +143,10 @@ class _Level:
 
     rank is dimension dim+1's rank table.  The level's merge sorts its rows
     above the leaves by it, so every structure in subs has its leaf row
-    sorted by it, and the level alone reads it: a query or count places the
-    bounds a[dim+1], b[dim+1] in each canonical node's structure's leaf row
-    (_place, keyed by one partial of rank), skips the structure when they
-    meet, and hands it the leaf positions.  No structure holds a rank table.
+    sorted by it, and the level alone reads it: reached places the bounds
+    a[dim+1], b[dim+1] in each canonical node's structure's leaf row (_place,
+    keyed by one partial of rank), skips it when they meet, and yields it
+    with its leaf positions otherwise.  No structure holds a rank table.
     """
 
     __slots__ = ("dim", "rows", "L", "rank", "subs", "first", "per")
@@ -161,23 +159,24 @@ class _Level:
         self.subs = subs
         self.first, self.per = [0] * L.bit_length(), [0] * L.bit_length()  # set by build
 
-    def query(self, g, u, v, a, b, stats, emit):
+    def reached(self, g, u, v, a, b, stats):
+        """(structure, member, u, v) per canonical node of [u, v) whose placed bounds hold a leaf."""
         subs, first, per, j = self.subs, self.first, self.per, self.dim + 1
         aj, bj, key = a[j], b[j], partial(getitem, self.rank)
         for r, p in canonical_subtrees(self, g, u, v, stats):
             sub, h = subs[r], first[r] + g * per[r] + p
             su, sv = _place(sub, h, aj, bj, key)
             if su < sv:
-                sub.query(h, su, sv, a, b, stats, emit)
+                yield sub, h, su, sv
+
+    def query(self, g, u, v, a, b, stats, emit):
+        for sub, h, su, sv in self.reached(g, u, v, a, b, stats):
+            sub.query(h, su, sv, a, b, stats, emit)
 
     def count(self, g, u, v, a, b, stats) -> int:
-        subs, first, per, j = self.subs, self.first, self.per, self.dim + 1
-        aj, bj, key, total = a[j], b[j], partial(getitem, self.rank), 0
-        for r, p in canonical_subtrees(self, g, u, v, stats):
-            sub, h = subs[r], first[r] + g * per[r] + p
-            su, sv = _place(sub, h, aj, bj, key)
-            if su < sv:
-                total += sub.count(h, su, sv, a, b, stats)
+        total = 0
+        for sub, h, su, sv in self.reached(g, u, v, a, b, stats):
+            total += sub.count(h, su, sv, a, b, stats)
         return total
 
 
@@ -273,8 +272,6 @@ def build(points: PointSet, counters: Optional[BuildCounters] = None) -> Layered
     allocated, unless n < 2^30.
     """
     n = len(points)
-    if n == 0:
-        raise EmptyInput("cannot build a tree over zero points")
     maxL = pow2ceil(n)
     # n < 2^30: labels and ranks (< maxL) and merge_rows' bridge sums (< 1.5*maxL) fit int32
     if n + maxL > INT32_MAX:

@@ -104,7 +104,7 @@ def case_points(d: int, dist: str, n: int):
         rng = SplitMix64(seed)
         return PointSet.from_coords(
             [[EDGE_VALUES[rng.next_below(len(EDGE_VALUES))] for _ in range(d)]
-             for _ in range(n)], d)
+             for _ in range(n)])
     return gen_points(GeneratorConfig(seed=seed, n=n, dims=d, dist=dist, grid_side=3))
 
 

@@ -12,7 +12,6 @@ import pytest
 
 import layertree.cascade
 from layertree import (
-    EmptyInput,
     GeneratorConfig,
     Point,
     PointSet,
@@ -79,10 +78,6 @@ class TestBuild:
         assert real_points(ps, ids, root.ranks) == every_point(ps)
         assert y_values(cs, ps, ids, root) == [7.0]
         assert root.left_bridge == [] and root.right_bridge == []
-
-    def test_rejects_empty(self):
-        with pytest.raises(EmptyInput):
-            build(PointSet.from_coords([], 2))
 
     def test_build_from_ids_equals_build(self):
         ps = gen_points(GeneratorConfig(seed=12, n=45, dims=2, dist="grid", grid_side=4))

@@ -103,10 +103,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="box needs at least one dimension"):
             QueryBox((), ())
 
-    def test_pointset_rejects_mixed_dims(self):
-        with pytest.raises(DimensionMismatch):
-            PointSet.from_coords([(1,), (1, 2)], 1)
-
     def test_shuffled_pointset_iterates_in_id_order(self):
         # ids are row positions: rows given in a shuffled order are numbered
         # in that order, and the Points in id order follow the rows
@@ -135,12 +131,6 @@ class TestValidation:
         assert ps.dims == 2
         assert [p.coords for p in every_point(ps)] == [(0.0, 1.0), (2.0, 3.0), (4.0, 5.0)]
         assert PointSet.from_coords(np.zeros((3, 2))).dims == 2
-
-    def test_from_coords_empty_ndarray(self):
-        with pytest.raises(EmptyInput):
-            PointSet.from_coords(np.zeros((0, 3)))
-        ps = PointSet.from_coords(np.zeros((0, 3)), dims=3)
-        assert len(ps) == 0 and ps.dims == 3
 
 
 def per_point(rows) -> list:
@@ -175,43 +165,36 @@ class TestMatrixPath:
         assert [[c.hex() for c in row] for row in ps.coord_matrix().tolist()] == want
         assert [[c.hex() for c in p.coords] for p in every_point(ps)] == want
 
-    @pytest.mark.parametrize("coords, dims, exc, msg", [
-        ([(1.0, 2.0), (math.nan, 0.0)], None, ValueError, "non-finite coordinate nan in point 1"),
-        ([(1.0, 2.0), (0.0, math.inf)], None, ValueError, "non-finite coordinate inf in point 1"),
-        ([(-math.inf, 2.0)], None, ValueError, "non-finite coordinate -inf in point 0"),
-        (np.array([[1.0], [np.inf]], dtype=np.float32), None, ValueError,
+    @pytest.mark.parametrize("coords, exc, msg", [
+        ([(1.0, 2.0), (math.nan, 0.0)], ValueError, "non-finite coordinate nan in point 1"),
+        ([(1.0, 2.0), (0.0, math.inf)], ValueError, "non-finite coordinate inf in point 1"),
+        ([(-math.inf, 2.0)], ValueError, "non-finite coordinate -inf in point 0"),
+        (np.array([[1.0], [np.inf]], dtype=np.float32), ValueError,
          "non-finite coordinate inf in point 1"),
-        ([(1.0,), (10**400,)], None, ValueError, f"coordinate {HUGE} overflows a float"),
-        ([(1.0, 2), (3, -10**400)], 2, ValueError, f"coordinate -{HUGE} overflows a float"),
-        ([(1.0, 2.0), (3.0,)], None, DimensionMismatch, "point 1 has 1 coordinates, expected 2"),
-        ([(1.0,), (3.0, 4.0)], None, DimensionMismatch, "point 1 has 2 coordinates, expected 1"),
-        ([(), ()], None, ValueError, "point needs at least one coordinate"),
-        (np.zeros((2, 0)), None, ValueError, "point needs at least one coordinate"),
-        ([(1.0, 2.0)], 3, DimensionMismatch, "point 0 has 2 coordinates, expected 3"),
-        (np.zeros((2, 3)), 2, DimensionMismatch, "point 0 has 3 coordinates, expected 2"),
-        ([], None, EmptyInput, "cannot infer dimensionality of an empty point set"),
-        (np.zeros((0, 2)), None, EmptyInput, "cannot infer dimensionality of an empty point set"),
-        (np.array([["2017-01-01"]], dtype="datetime64[D]"), None, TypeError,
+        ([(1.0,), (10**400,)], ValueError, f"coordinate {HUGE} overflows a float"),
+        ([(1.0, 2), (3, -10**400)], ValueError, f"coordinate -{HUGE} overflows a float"),
+        ([(1.0, 2.0), (3.0,)], DimensionMismatch, "point 1 has 1 coordinates, expected 2"),
+        ([(1.0,), (3.0, 4.0)], DimensionMismatch, "point 1 has 2 coordinates, expected 1"),
+        ([(), ()], ValueError, "point needs at least one coordinate"),
+        (np.zeros((2, 0)), ValueError, "point needs at least one coordinate"),
+        ([], EmptyInput, "cannot infer dimensionality of an empty point set"),
+        (np.zeros((0, 2)), EmptyInput, "cannot infer dimensionality of an empty point set"),
+        (np.array([["2017-01-01"]], dtype="datetime64[D]"), TypeError,
          "float() argument must be a string or a real number, not 'datetime.date'"),
         # each row is converted and checked before any row's width
-        ([(1.0,), (3.0, 4.0), (math.nan,)], None, ValueError,
+        ([(1.0,), (3.0, 4.0), (math.nan,)], ValueError,
          "non-finite coordinate nan in point 2"),
-        ([(1.0, 2.0), (3.0,), (10**400, 1.0)], None, ValueError,
+        ([(1.0, 2.0), (3.0,), (10**400, 1.0)], ValueError,
          f"coordinate {HUGE} overflows a float"),
-        ([("a", 1.0)], None, ValueError, "could not convert string to float: 'a'"),
-        ([("1.0",), (10**400,)], None, ValueError, f"coordinate {HUGE} overflows a float"),
+        ([("a", 1.0)], ValueError, "could not convert string to float: 'a'"),
+        ([("1.0",), (10**400,)], ValueError, f"coordinate {HUGE} overflows a float"),
     ], ids=["nan", "inf", "-inf", "inf-float32", "huge", "-huge", "ragged-short",
-            "ragged-long", "zero-width", "zero-width-ndarray", "dims", "dims-ndarray",
-            "empty", "empty-ndarray", "dates", "nan-after-ragged", "huge-after-ragged",
-            "string", "huge-after-string"])
-    def test_errors_are_the_per_point_paths(self, coords, dims, exc, msg):
+            "ragged-long", "zero-width", "zero-width-ndarray", "empty", "empty-ndarray",
+            "dates", "nan-after-ragged", "huge-after-ragged", "string", "huge-after-string"])
+    def test_errors_are_the_per_point_paths(self, coords, exc, msg):
         with pytest.raises(exc) as info:
-            PointSet.from_coords(coords, dims)
+            PointSet.from_coords(coords)
         assert type(info.value) is exc and str(info.value) == msg
-
-    def test_empty_with_dims_is_an_empty_set(self):
-        ps = PointSet.from_coords([], 2)
-        assert len(ps) == 0 and ps.dims == 2 and every_point(ps) == []
 
     def test_copies_an_ndarray(self):
         coords = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0], [6.0, 7.0]])

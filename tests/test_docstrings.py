@@ -1,12 +1,13 @@
 """Every name(), Name.attr() and module.name a src/layertree/ docstring writes is code that exists.
 
 A docstring that names removed code goes on telling its readers the code
-is there.  A name qualified by a package module (cascade._walk, tree._Level)
-is checked with or without its ().  A token's first name is looked up in the
-docstring's own module, then among the package's modules and their globals,
-and a bare name also among the methods of the package's classes; the lookup
-must end at a module, class, function or method of the package.  A token
-whose first name is a Python builtin (sorted(), str.strip()) is not checked.
+is there.  A name qualified by a package module or class (cascade._walk,
+tree._Level, PointSet.from_coords) is checked with or without its ().  A
+token's first name is looked up in the docstring's own module, then among
+the package's modules and their globals, and a bare name also among the
+methods of the package's classes; the lookup must end at a module, class,
+function or method of the package.  A token whose first name is a Python
+builtin (sorted(), str.strip()) is not checked.
 """
 
 import ast
@@ -25,7 +26,9 @@ TOKEN = re.compile(r"(?<![\w.])([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)\(\)")
 # __main__ runs the CLI when imported
 MODULES = {name: importlib.import_module(f"layertree.{name}")
            for _, name, _ in pkgutil.iter_modules(layertree.__path__) if name != "__main__"}
-QUALIFIED = re.compile(r"(?<![\w.])((?:%s)(?:\.[A-Za-z_]\w*)+)" % "|".join(MODULES))
+CLASSES = {cls.__name__ for module in MODULES.values() for cls in vars(module).values()
+           if inspect.isclass(cls) and cls.__module__.startswith("layertree.")}
+QUALIFIED = re.compile(r"(?<![\w.])((?:%s)(?:\.[A-Za-z_]\w*)+)" % "|".join([*MODULES, *CLASSES]))
 
 
 def ours(obj) -> bool:
@@ -90,3 +93,6 @@ def test_removed_names_are_caught():
             "layertree.tree.canonical_subtrees, core.PointSet")
     assert unresolved(text, MODULES["tree"]) == [
         "LayeredRangeTree.structures", "_Level.slots", "splitmix64_next", "cascade._place"]
+    # a name qualified by a package class is checked without its () too
+    text = "PointSet.take or _Level.slots, as PointSet.from_coords and LayeredRangeTree.query"
+    assert unresolved(text, MODULES["core"]) == ["PointSet.take", "_Level.slots"]

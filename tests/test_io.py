@@ -106,7 +106,7 @@ class TestWriteReport:
 class TestRoundTrip:
     @given(st.lists(st.tuples(finite, finite, finite), min_size=1, max_size=30))
     def test_write_then_parse_is_bit_exact(self, rows):
-        ps = PointSet.from_coords(rows, 3)
+        ps = PointSet.from_coords(rows)
         back = parse_points(write_points(ps), 3)
         assert [p.coords for p in every_point(back)] == [p.coords for p in every_point(ps)]
         assert [p.id for p in every_point(back)] == [p.id for p in every_point(ps)]

@@ -131,14 +131,6 @@ class TestBruteForce:
         with pytest.raises(DimensionMismatch):
             brute_force_query(ps, QueryBox((0.0,), (1.0,)))
 
-    def test_empty_point_set(self):
-        # a (0, 2) matrix filters to no hits; the dimension check still comes first
-        ps = PointSet.from_coords([], 2)
-        assert brute_force_query(ps, QueryBox((0.0, 0.0), (1.0, 1.0))) == []
-        assert brute_force_query(ps, QueryBox((1.0, 0.0), (0.0, 1.0))) == []
-        with pytest.raises(DimensionMismatch):
-            brute_force_query(ps, QueryBox((0.0,) * 3, (1.0,) * 3))
-
     def test_matches_pointwise_filter_and_id_order(self):
         # the vectorized filter must agree with box_contains point by point
         ps = gen_points(GeneratorConfig(seed=13, n=150, dims=3, dist="grid", grid_side=3))

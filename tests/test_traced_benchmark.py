@@ -128,7 +128,7 @@ def allowed_calls(tree, member, u, v, a, b, slot_maps) -> tuple:
     if (id(level), g) not in slot_maps:
         slot_maps[id(level), g] = dict(slots(level, g))
     built, j, calls, skipped = slot_maps[id(level), g], level.dim + 1, 0, 0
-    for node in layertree.tree.canonical_subtrees(level, g, u, v):
+    for node in layertree.tree.canonical_subtrees(level, g, u, v, QueryStats()):
         sub = built[node]
         pa, pb = split_node(leaf_ranks(tree, *sub), a[j], b[j])[:2]
         if pa == pb:

@@ -24,7 +24,6 @@ import layertree
 from layertree import (
     BuildCounters,
     DimensionMismatch,
-    EmptyInput,
     GeneratorConfig,
     Point,
     PointSet,
@@ -147,6 +146,22 @@ class TestPublicNames:
                     if isinstance(f, ast.FunctionDef) and f.name == "_points"]
         assert sum(map(point_calls, trees.values())) == point_calls(maker) == 1
 
+    def test_no_knob_that_no_caller_needs(self):
+        # a point set's dimension is its rows' width, every caller of
+        # canonical_subtrees passes its stats, and one loop of _Level finds
+        # the structures a box reaches: tree.py decomposes and places once
+        assert list(inspect.signature(PointSet.from_coords).parameters) == ["coords"]
+        stats = inspect.signature(canonical_subtrees).parameters["stats"]
+        assert stats.default is inspect.Parameter.empty
+        source = ast.parse(inspect.getsource(layertree.tree))
+        called = [call.func.id for call in ast.walk(source)
+                  if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)]
+        assert called.count("canonical_subtrees") == called.count("_place") == 1
+        (reached,) = [f for f in ast.walk(source)
+                      if isinstance(f, ast.FunctionDef) and f.name == "reached"]
+        assert {getattr(c.func, "id", None) for c in ast.walk(reached)
+                if isinstance(c, ast.Call)} >= {"canonical_subtrees", "_place"}
+
     @pytest.mark.parametrize("module,name", [("cascade", "CascadeStructure")])
     def test_dropped_names_import_from_their_modules(self, module, name):
         assert callable(getattr(importlib.import_module(f"layertree.{module}"), name))
@@ -230,12 +245,6 @@ class TestLeafRow:
         member = max((s for depth, s in structures(tree) if depth == 1), key=lambda s: s[0].L)
         assert placing_rank(tree, member[0]) is tree.root.rank and member[0].L > 1
         self.check_leaf_scan(tree, member)
-
-    @pytest.mark.parametrize("n", [8, 13, 40])
-    def test_place_below_the_root(self, n):
-        # every level and cascade member below the root is placed by
-        # _place as split_node places it from the member's leaf ranks
-        assert check_place(self.below_the_root(n), n) > 1
 
     def test_phantoms_sit_rightmost(self):
         values = [5, 1, 3]
@@ -327,12 +336,15 @@ class TestWalkOnPositions:
                 for b in range(n + 1):
                     walked(member, *positions(member, a, b, rank, ranks))
 
-    @pytest.mark.parametrize("d,n", GRID_TREES)
-    def test_place_equals_split_node(self, d, n):
+    @pytest.mark.parametrize("make,n", [
+        *(pytest.param(partial(grid_tree, d), n, id=f"{d}-{n}") for d, n in GRID_TREES),
+        *(pytest.param(TestLeafRow.below_the_root, n, id=f"duplicates-{n}") for n in (8, 13, 40))])
+    def test_place_equals_split_node(self, make, n):
         # every member below the root, level or cascade, is placed by
         # _place as split_node places it from the member's leaf ranks, for
-        # every 0 <= a, b <= n: u == v exactly when no leaf ranks in [a, b)
-        tree = grid_tree(d, n)
+        # every 0 <= a, b <= n: u == v exactly when no leaf ranks in [a, b);
+        # on the grid trees and on d = 4 trees with duplicates in dimension 1
+        tree = make(n)
         assert check_place(tree, n) == sum(1 for _, s in structures(tree)) - 1
 
 
@@ -362,7 +374,7 @@ def modelled_boxes(monkeypatch, kind, d, n) -> tuple:
 
     The answers are the oracle's, and a query stops where a count does.
     """
-    ps = PointSet.from_coords(y_stop_rows(kind, d, n), d)
+    ps = PointSet.from_coords(y_stop_rows(kind, d, n))
     tree, calls = build(ps), model_checked(monkeypatch)
     for box in y_stop_boxes(d, 60):
         want, q, c = brute_force_query(ps, box), QueryStats(), QueryStats()
@@ -410,7 +422,7 @@ def check_cover(tree, member, column, lo, hi):
     n, H, ids = len(column), level.L.bit_length() - 1, tree.ids
     uv = positions(member, *rank_bounds(column, lo, hi), placing_rank(tree, level),
                    leaf_ranks(tree, *member))
-    nodes = canonical_subtrees(level, g, *uv)
+    nodes = canonical_subtrees(level, g, *uv, QueryStats())
     cover = [ids[e] for r, p in nodes for e in subtree(*member, r, p, n)]
     assert len(set(nodes)) == len(nodes) and len(set(cover)) == len(cover)
     assert sorted(cover) == sorted(ids[e] for e in subtree(*member, H, 0, n)
@@ -421,12 +433,12 @@ def check_cover(tree, member, column, lo, hi):
 class TestCanonicalSubtrees:
     def test_full_range_covers_everything(self):
         member = root_level([1, 2, 3, 4])
-        nodes = canonical_subtrees(*member, *rank_bounds([1, 2, 3, 4], 1.0, 4.0))
+        nodes = canonical_subtrees(*member, *rank_bounds([1, 2, 3, 4], 1.0, 4.0), QueryStats())
         assert sorted(e for r, p in nodes for e in subtree(*member, r, p, 4)) == [0, 1, 2, 3]
 
     def test_disjoint_range_is_empty(self):
         member = root_level([1, 2, 3, 4])
-        assert canonical_subtrees(*member, *rank_bounds([1, 2, 3, 4], 5.0, 9.0)) == []
+        assert canonical_subtrees(*member, *rank_bounds([1, 2, 3, 4], 5.0, 9.0), QueryStats()) == []
 
     @given(
         st.lists(st.integers(0, 7), min_size=1, max_size=40),
@@ -475,7 +487,7 @@ class TestReachableSlots:
             reached = set()
             for u in range(level.per[0] + 1):
                 for v in range(u, level.per[0] + 1):
-                    reached.update(canonical_subtrees(level, g, u, v))
+                    reached.update(canonical_subtrees(level, g, u, v, QueryStats()))
             built = dict(slots(level, g))
             assert set(built) == reached
             for (r, p), (group, h) in built.items():
@@ -499,10 +511,6 @@ def random_boxes(rng, d, span, count):
 
 
 class TestBuild:
-    def test_empty_input(self):
-        with pytest.raises(EmptyInput):
-            build(PointSet.from_coords([], 2))
-
     @pytest.mark.parametrize("n", [2**30, 2**30 + 1, 2**31])
     def test_ids_beyond_int32_are_refused_before_allocating(self, n):
         # build takes n < 2^30 only, so ids, labels, ranks and a merge's
@@ -567,8 +575,8 @@ class TestBuild:
                     cfg = GeneratorConfig(seed=21 + n, n=n, dims=d, dist=dist, grid_side=3)
                     m = gen_points(cfg).coord_matrix()
                     perm = rng.permutation(n)
-                    t1 = build(PointSet.from_coords(m, d))
-                    t2 = build(PointSet.from_coords(m[perm], d))
+                    t1 = build(PointSet.from_coords(m))
+                    t2 = build(PointSet.from_coords(m[perm]))
                     assert snapshot(t1) == snapshot(t2), (d, dist, n)
                     assert label_coords(t1) == label_coords(t2), (d, dist, n)
                     if dist == "uniform":  # distinct rows: the id maps differ by perm alone
@@ -789,24 +797,6 @@ class TestSpaceAccounting:
             for r, lb in enumerate(cs.bridges[1:], 1):
                 assert len(lb) == G * cs.L and lb.itemsize == width(r) and no_slack(lb)
 
-    @pytest.mark.parametrize("d,n", [(2, 1), (2, 100), (3, 64), (3, 65), (4, 33)])
-    def test_one_index_space(self, d, n):
-        # a phantom is leaf t >= n, its own label and its own rank: every rank
-        # table, each held by the levels, is a permutation of 0..L-1 fixing
-        # each phantom, and the root's leaf row, which stands for dimension
-        # 0's table, holds phantom t at leaf t
-        ps = gen_points(GeneratorConfig(seed=n, n=n, dims=d, dist="grid", grid_side=5))
-        tree, L = build(ps), pow2ceil(n)
-        tables = {id(s.rank): s.rank for _, (s, _) in structures(tree) if isinstance(s, _Level)}
-        assert len(tables) == d - 2
-        for table in tables.values():
-            assert len(table) == L and sorted(table) == list(range(L))
-            assert list(table[n:]) == list(range(n, L))
-        root = tree.root
-        leaves = leaf_row(root).tolist()
-        assert sorted(leaves) == list(range(L)) and leaves[n:] == list(range(n, L))
-
-
     def test_one_object_per_cascade_group(self):
         # a cascade is a (group, index) pair: build makes one CascadeStructure
         # per merge group, at most one per padded size L, not one per cascade
@@ -862,18 +852,22 @@ class TestSpaceAccounting:
             assert sys.getsizeof(tree.ids) == (sys.getsizeof(array(tree.ids.typecode))
                                                + tree.ids.itemsize * n)
 
-    @pytest.mark.parametrize("d", [1, 2, 3, 4])
-    def test_no_last_dimension_table(self, d):
-        # the rank tables are those of dimensions 1 .. d-2: table j is held
-        # by exactly the level groups over dimension j-1, which merge and
-        # place by it, and it is dimension j's composite-key ranks, phantom t
-        # ranking t.  No group holds dimension 0's (the root's leaf row is
-        # that order) or d-1's.  A structure keeps only what its own query
-        # reads: no cascade has a rank table or a dimension number, and no
-        # level a leaf count of its own.  A cascade's node arrays ascend in
-        # their labels, which bisect_left on the buffer relies on
-        n = 70
-        ps = gen_points(GeneratorConfig(seed=7, n=n, dims=d, dist="grid", grid_side=3))
+    @pytest.mark.parametrize("d,n,seed,side", [
+        *(pytest.param(d, 70, 7, 3, id=str(d)) for d in (1, 2, 3, 4)),
+        *(pytest.param(d, n, n, 5, id=f"{d}-{n}")
+          for d, n in ((2, 1), (2, 100), (3, 64), (3, 65), (4, 33)))])
+    def test_no_last_dimension_table(self, d, n, seed, side):
+        # one index space: a phantom is leaf t >= n, its own label and its
+        # own rank.  The rank tables are those of dimensions 1 .. d-2: table
+        # j is held by exactly the level groups over dimension j-1, which
+        # merge and place by it, and it is dimension j's composite-key ranks,
+        # phantom t ranking t.  No group holds dimension 0's (the root's leaf
+        # row is that order, phantom t at leaf t) or d-1's.  A structure
+        # keeps only what its own query reads: no cascade has a rank table
+        # or a dimension number, and no level a leaf count of its own.  A
+        # cascade's node arrays ascend in their labels, which bisect_left on
+        # the buffer relies on
+        ps = gen_points(GeneratorConfig(seed=seed, n=n, dims=d, dist="grid", grid_side=side))
         tree, L = build(ps), pow2ceil(n)
         _, _, ranks, _ = rank_tables(ps.coord_matrix())
         assert len(ranks) == d - 1 and ranks[:1] == ([None] if d > 1 else [])
@@ -899,6 +893,9 @@ class TestSpaceAccounting:
             assert holders == {dim - 1}
             assert table == ranks[dim]
             assert table.tolist() == [where[dim][tree.ids[v]] for v in range(n)] + list(range(n, L))
+        if d > 1:
+            leaves = leaf_row(tree.root).tolist()
+            assert sorted(leaves) == list(range(L)) and leaves[n:] == list(range(n, L))
 
 
 class TestStructureDump:
@@ -1187,7 +1184,7 @@ class TestRankTable:
     @settings(max_examples=200, deadline=None)
     def test_order_is_composite_order(self, workload):
         d, rows, _ = workload
-        ps = PointSet.from_coords(rows, d)
+        ps = PointSet.from_coords(rows)
         pts, n = every_point(ps), len(rows)
         L = pow2ceil(n)
         ids, row, ranks, axes = rank_tables(ps.coord_matrix())
@@ -1229,7 +1226,7 @@ class TestRankTableEdges:
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 64, 65])
     def test_tables_follow_composite_key(self, kind, d, n):
-        ps = PointSet.from_coords(edge_rows(kind, d, n), d)
+        ps = PointSet.from_coords(edge_rows(kind, d, n))
         pts, L = every_point(ps), pow2ceil(n)
         ids, row, ranks, axes = rank_tables(ps.coord_matrix())
         assert len(ranks) == d - 1 and len(axes) == d
@@ -1255,7 +1252,7 @@ class TestFuzz:
     @settings(max_examples=150, deadline=None)
     def test_query_and_count_match_brute_force(self, workload):
         d, rows, boxes = workload
-        ps = PointSet.from_coords(rows, d)
+        ps = PointSet.from_coords(rows)
         tree = build(ps)
         for lo, hi in boxes:  # lo > hi in some dimension is a legal empty box
             box = QueryBox(lo, hi)

@@ -3,8 +3,9 @@
 Its steps run perfbench/run.py on named workloads, in `for w in ...` loops
 and with literal --workload values, and run scripts by path.  A workload
 missing from BENCHMARK.json or a moved script would fail only on the CI
-host; here it fails in the tier-1 run.  The per-box counter gate's own check
-is run here on made-up results, so a gate that passes a rise fails here too.
+host; here it fails in the tier-1 run.  The inline checks of the traced
+grid3d run, the memory gate and the per-box counter gate are run here on
+made-up results, so a gate that passes what it should refuse fails here too.
 """
 
 import json
@@ -12,6 +13,7 @@ import os
 import re
 import subprocess
 import sys
+from functools import partial
 
 import pytest
 
@@ -25,6 +27,8 @@ SCRIPT = re.compile(r"\bpython3?\s+(?:-\S+\s+)*([\w./-]+\.py)\b")
 
 
 COUNTER_GATE = "Per-box counters against the base commit"
+MEMORY_GATE = "Memory against the base commit"
+TRACED_GATE = "Traced benchmark run on grid3d, cost laws checked"
 COUNTERS = ("tree.nodes_visited", "cascade.binary_searches", "cascade.bridge_follows",
             "tree.reported", "cascade.calls", "tree.canonical_max")
 
@@ -70,13 +74,28 @@ def test_every_script_exists():
     assert [p for p in sorted(scripts) if not os.path.isfile(os.path.join(ROOT, p))] == []
 
 
-def counter_gate() -> dict:
-    (step,) = [step for step in steps() if step.get("name") == COUNTER_GATE]
+def step_named(name: str) -> dict:
+    (step,) = [step for step in steps() if step.get("name") == name]
     return step
 
 
+def inline_check(name: str) -> str:
+    """The `python -c` program of the step called name."""
+    (check,) = re.findall(r"python -c '(.*?)'", step_named(name)["run"], re.S)
+    return check
+
+
+def against_base(check: str, tmp_path, base: dict, changed=None) -> int:
+    """Exit code of a base-against-head inline check on made-up grid3d results."""
+    for name, values in (("base", base), ("head", {**base, **(changed or {})})):
+        metrics = {k: {"value": v} for k, v in values.items()}
+        (tmp_path / name).write_text(json.dumps({"metrics": metrics}))
+    return subprocess.run([sys.executable, "-c", check, "grid3d", str(tmp_path / "base"),
+                           str(tmp_path / "head")], capture_output=True).returncode
+
+
 def test_counter_gate_traces_every_workload_on_base_and_head():
-    step = counter_gate()
+    step = step_named(COUNTER_GATE)
     script = step["run"]
     assert step["if"] == "github.event_name == 'pull_request'"  # the base tree exists only then
     named = workloads_named(script)
@@ -88,18 +107,10 @@ def test_counter_gate_traces_every_workload_on_base_and_head():
 
 def test_counter_gate_fails_on_a_rise_or_a_reported_change(tmp_path):
     # the gate's inline check, run on made-up base and head results
-    (check,) = re.findall(r"python -c '(.*?)'", counter_gate()["run"], re.S)
     base = {"tree.nodes_visited": 171.107, "cascade.binary_searches": 12.707,
             "cascade.bridge_follows": 80.7, "tree.reported": 58.887, "cascade.calls": 12.707,
             "tree.canonical_max": 19.0}
-
-    def gate(changed=None) -> int:
-        for name, values in (("base", base), ("head", {**base, **(changed or {})})):
-            metrics = {k: {"value": v, "unit": "count"} for k, v in values.items()}
-            (tmp_path / name).write_text(json.dumps({"metrics": metrics}))
-        return subprocess.run([sys.executable, "-c", check, "grid3d", str(tmp_path / "base"),
-                               str(tmp_path / "head")], capture_output=True).returncode
-
+    gate = partial(against_base, inline_check(COUNTER_GATE), tmp_path, base)
     assert gate() == 0
     assert gate({"tree.nodes_visited": 171.0, "cascade.bridge_follows": 80.0,
                  "tree.canonical_max": 18.0}) == 0  # a fall
@@ -109,3 +120,34 @@ def test_counter_gate_fails_on_a_rise_or_a_reported_change(tmp_path):
     assert gate({"tree.reported": 58.8}) == 1 and gate({"tree.reported": 59.0}) == 1
     assert gate({"cascade.calls": 12.7}) == 1 and gate({"cascade.calls": 12.71}) == 1
     assert gate({"tree.canonical_max": 20.0}) == 1
+
+
+def test_memory_gate_allows_one_percent(tmp_path):
+    # 1 % is the benchmark's bound on retained_mb and build_peak_mb
+    base = {"retained_mb": 9.359469, "build_peak_mb": 9.990799}
+    gate = partial(against_base, inline_check(MEMORY_GATE), tmp_path, base)
+    assert gate() == 0
+    for k in base:
+        assert gate({k: 1.0099 * base[k]}) == 0
+        assert gate({k: 1.0101 * base[k]}) == 1
+
+
+def test_traced_gate_fails_on_a_wrong_answer_or_a_broken_law():
+    check = inline_check(TRACED_GATE)
+    clean = {"correct": True, "failed": 0, "cascade.search_law_violations": 0.0,
+             "tree.canonical_law_violations": 0.0, "tree.canonical_max": 19.0,
+             "cascade.calls": 3.713, "cascade.binary_searches": 3.713,
+             "tree.nodes_visited": 99.553}
+
+    def gate(changed=None) -> int:
+        values = {**clean, **(changed or {})}
+        result = {"correct": values.pop("correct"), "failed": values.pop("failed"),
+                  "metrics": {k: {"value": v, "unit": "count"} for k, v in values.items()}}
+        return subprocess.run([sys.executable, "-c", check], input=json.dumps(result),
+                              capture_output=True, text=True).returncode
+
+    assert gate() == 0
+    assert gate({"correct": False}) == 1 and gate({"failed": 1}) == 1
+    assert gate({"cascade.search_law_violations": 1.0}) == 1
+    assert gate({"tree.canonical_law_violations": 1.0}) == 1
+    assert gate({"tree.canonical_max": 0.0}) == 1
