@@ -103,6 +103,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="box needs at least one dimension"):
             QueryBox((), ())
 
+    def test_pointset_rejects_mixed_dims(self):
+        # the first row fixes the width, whichever width it has
+        for rows in ([(1,), (1, 2)], [(1, 2), (1,)]):
+            with pytest.raises(DimensionMismatch, match="point 1 has"):
+                PointSet.from_coords(rows)
+
     def test_shuffled_pointset_iterates_in_id_order(self):
         # ids are row positions: rows given in a shuffled order are numbered
         # in that order, and the Points in id order follow the rows
@@ -131,6 +137,13 @@ class TestValidation:
         assert ps.dims == 2
         assert [p.coords for p in every_point(ps)] == [(0.0, 1.0), (2.0, 3.0), (4.0, 5.0)]
         assert PointSet.from_coords(np.zeros((3, 2))).dims == 2
+
+    def test_from_coords_empty_ndarray(self):
+        # a matrix with no rows is refused whatever its width: a point set
+        # takes its dimension from its rows, so it holds at least one
+        for width in (1, 3):
+            with pytest.raises(EmptyInput):
+                PointSet.from_coords(np.zeros((0, width)))
 
 
 def per_point(rows) -> list:
