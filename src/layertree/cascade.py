@@ -5,9 +5,14 @@ last dimension (y), so a stored entry is its own y key.  Labels, ranks in
 every dimension and leaf positions all run over 0..L-1, L = pow2ceil(n): a
 phantom is leaf t >= n, its own label and its own rank in every dimension,
 so it sorts after every real point, where no real rank interval [a, b) can
-match it.  rank_tables is the one function here that reads coordinates: it
-turns the coordinate matrix into labels, rank tables and sorted axes, and
-nothing else here knows a point or a coordinate.
+match it.  Real labels come first in every chunk of every row, so in each
+row of the root the positions >= n hold exactly the phantoms, phantom t at
+t.  A walk carries a position no further than n, where it reads the first
+phantom, a label >= n >= any y bound, which ends its run or its path; so
+the d=2 root, the one cascade that holds phantoms, keeps only phantom n
+(see Storage).  rank_tables is the one function here that reads
+coordinates: it turns the coordinate matrix into labels, rank tables and
+sorted axes, and nothing else here knows a point or a coordinate.
 
 Walk.  Every tree in the package is implicit in a leaf row: L = 2^H labels
 sorted by one dimension's rank, real labels first, then phantoms.  Node
@@ -29,8 +34,11 @@ bridges down in constant time per level.
 Storage.  The structures over one dimension with the same L form a merge
 group, one object (a CascadeStructure or a tree._Level) whose G members are
 (group, member) pairs.  Each holds L and rows, one array per stored row,
-under one address rule: member g's L entries of a row start at g*L.  A level
-stores only its leaf rows, rows = [row 0]; a cascade (H = log2 L) stores
+under one address rule: member g's L entries of a row start at g*L.  The
+one exception is the d=2 root, a group of one whose every label and bridge
+row holds min(n + 1, L) entries: position n is its one phantom, and the
+rest are cut (see Index space).  A level stores only its leaf rows,
+rows = [row 0]; a cascade (H = log2 L) stores
 
     rows[r], r in 0..H     node arrays: the array of node (r, pos) is the
                            chunk of width 2^r starting at pos*2^r,
@@ -195,9 +203,12 @@ def _walk(group, g: int, a: int, b: int, ya, yb, stats, carry_yb: bool = True):
     if ya is not None:
         rows, bridges = group.rows, group.bridges
         row, at = rows[r], base + (pos << r)  # the split node's array
-        lo = bisect_left(row, ya, at, at + (1 << r)) - at
+        end = at + (1 << r)
+        if end > len(row):  # a cut row ends at its phantom n (see Storage above)
+            end = len(row)
+        lo = bisect_left(row, ya, at, end) - at
         if carry_yb:
-            hi = bisect_left(row, yb, at, at + (1 << r)) - at
+            hi = bisect_left(row, yb, at, end) - at
     npos = 0 if lo is None else 1 if hi is None else 2  # positions carried, one bisect each
     stats.binary_searches += npos
     if npos and (lo >= hi if hi is not None else lo == 1 << r or row[at + lo] >= yb):
@@ -255,15 +266,18 @@ def _walk(group, g: int, a: int, b: int, ya, yb, stats, carry_yb: bool = True):
 def merge_rows(leaves: array, L: int, rank=None) -> Iterator[tuple[array, array | None]]:
     """Yield rows 1..H of a bottom-up stable merge of G leaf rows of length L by `rank`.
 
-    `leaves` holds the G members' leaf rows (see Storage above).  Each
-    yield is (row, lb) for r = 1..H: row is the merged row r, packed at the
-    leaves' typecode, whose member g's chunks of width 2^r are each sorted
-    by rank.  A consumer may stop early: the rows it did not ask for are
-    never merged.  `rank` is a rank_tables rank, for the levels of the
-    multi-level tree: lb is None.  Or it is None, for a cascade: the labels
-    are their own keys, and lb is the bridge row r (see Widths above).  At
-    g*L + t it holds the left bridge of the row's entry there, the number
-    of entries of the left half of its chunk with a smaller label.
+    `leaves` holds the G members' leaf rows (see Storage above), or one
+    leaf row cut to keep < L entries, the d=2 root's: the merge then reads
+    it padded with its cut phantoms, t at t, and cuts every row it yields
+    to keep entries.  Each yield is (row, lb) for r = 1..H: row is the
+    merged row r, packed at the leaves' typecode, whose member g's chunks
+    of width 2^r are each sorted by rank.  A consumer may stop early: the
+    rows it did not ask for are never merged.  `rank` is a rank_tables
+    rank, for the levels of the multi-level tree: lb is None.  Or it is
+    None, for a cascade: the labels are their own keys, and lb is the
+    bridge row r (see Widths above).  At g*L + t it holds the left bridge
+    of the row's entry there, the number of entries of the left half of
+    its chunk with a smaller label.
 
     Each chunk of row r-1 at width 2^r is two runs sorted by rank, so one
     stable argsort per row (timsort for int32: it finds the two runs and
@@ -286,6 +300,8 @@ def merge_rows(leaves: array, L: int, rank=None) -> Iterator[tuple[array, array 
     before the gather, so one int32 bridge row is live at a time.
     """
     cur = np.asarray(leaves, dtype=np.int32)  # never written: each row is a new gather
+    if len(cur) < L:  # the d=2 root's cut row
+        cur = np.concatenate((cur, np.arange(len(cur), L, dtype=np.int32)))
     pos = np.arange(len(cur), dtype=np.int32)  # t and the chunk start are its bits
     keys = cur if rank is None else np.frombuffer(rank, dtype=rank.typecode)[cur].astype(
         np.int32, copy=False)
@@ -300,19 +316,21 @@ def merge_rows(leaves: array, L: int, rank=None) -> Iterator[tuple[array, array 
             lb -= p
             np.minimum(lb, p, out=lb)
             del p  # before the narrow row is made
-            lb = packed("B" if r <= 8 else "H" if r <= 16 else "i", lb)  # nothing wraps
+            lb = packed("B" if r <= 8 else "H" if r <= 16 else "i", lb[: len(leaves)])  # nothing wraps
         perm += pos & -span  # each entry's source position in the flat row
         cur = cur[perm]
         keys = cur if rank is None else keys[perm]
         del perm  # before the next argsort makes its own: 8 bytes an entry
-        yield packed(leaves.typecode, cur), lb
+        yield packed(leaves.typecode, cur[: len(leaves)]), lb
 
 
 def fill_buffers_batch_np(leaves: array, L: int) -> tuple[list[array], list[array]]:
     """(rows, bridges) of one cascade merge group, merged from its members' leaf rows.
 
     `leaves` (see Storage above) is kept as rows[0], and every row
-    merge_rows yields follows it.
+    merge_rows yields follows it: all are as long as `leaves`, so cutting
+    the leaf row of a group of one to its first keep entries cuts every
+    row and bridge row to keep.
     """
     rows, bridges = [leaves], [array("B")]
     for row, lb in merge_rows(leaves, L):
@@ -343,14 +361,16 @@ class CascadeStructure:
     def build_from_ids(cls, ids):
         """A group of one over the labels ids, sorted by the x composite order.
 
-        ids holds each label 0..m-1 once, and the leaf row pads it with
-        phantoms to L = pow2ceil(m) (see Index space above).  build() does
-        not call this; it stays because the traced benchmark
-        (perfbench/run.py) wraps it by name.  Its result equals the d=2 root
-        build() makes over the same labels in the same order.
+        ids holds each label 0..m-1 once, and the leaf row follows it with
+        the one phantom m when m < L = pow2ceil(m) (see Index space and
+        Storage above).  build() does not call this; it stays because the
+        traced benchmark (perfbench/run.py) wraps it by name.  Its result
+        equals the d=2 root build() makes over the same labels in the same
+        order.
         """
-        L = pow2ceil(len(ids))
-        leaves = packed(index_code(L), np.asarray(ids), np.arange(len(ids), L))
+        m = len(ids)
+        L = pow2ceil(m)
+        leaves = packed(index_code(L), np.asarray(ids), np.arange(m, min(m + 1, L)))
         return cls(L, *fill_buffers_batch_np(leaves, L))
 
     # -- queries -------------------------------------------------------------

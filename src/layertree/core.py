@@ -46,6 +46,10 @@ class QueryBox:
     """Closed axis-aligned box: one [lo_j, hi_j] interval per dimension.
 
     lo_j > hi_j is legal and denotes an empty interval in that dimension.
+    Each bound is stored as float() of the value given, rounded to a 64-bit
+    float as from_coords rounds a coordinate, so an int beyond 2^53, a
+    Fraction, a Decimal or a numpy scalar bounds the box the tree and
+    brute_force_query both compare.
     """
 
     lo: tuple[float, ...]
@@ -62,6 +66,8 @@ class QueryBox:
                     raise ValueError(f"non-finite box bound {v!r}")
         except OverflowError:
             raise ValueError(f"box bound {v!r} overflows a float") from None
+        object.__setattr__(self, "lo", tuple(map(float, self.lo)))  # the dataclass is frozen
+        object.__setattr__(self, "hi", tuple(map(float, self.hi)))
 
     @property
     def dims(self) -> int:

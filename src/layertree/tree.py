@@ -83,8 +83,10 @@ class BuildCounters:
     """Construction-cost accounting: elements appended by bottom-up merges.
 
     merge_moves counts every entry a merge step writes, phantoms included:
-    len(leaves) per merged row, for the H rows of a cascade group and the
-    max(0, H-2) rows of a level group that _reachable cuts from (H = log2 L).
+    G*L per merged row of a group of G members, for the H rows of a cascade
+    group and the max(0, H-2) rows of a level group that _reachable cuts
+    from (H = log2 L).  The d=2 root's cut phantoms count too, since
+    merge_rows merges them before it cuts each row.
     """
 
     merge_moves: int = 0
@@ -267,9 +269,10 @@ def build(points: PointSet, counters: Optional[BuildCounters] = None) -> Layered
     row r, cut to those chunks, is as it stands the leaf rows of structures
     with L = 2^r in tops[j+1]; they hold no phantom.  On the cascade
     (j = d-2) the labels are the keys, and the group keeps every merged row
-    and its bridge row.  counters, if given, gets each group's merge work
-    (see BuildCounters).  Raises TooManyPoints, before anything is
-    allocated, unless n < 2^30.
+    and its bridge row; a d=2 root's leaf row is cut to its first n + 1
+    entries, so every row it keeps is.  counters, if given, gets each
+    group's merge work (see BuildCounters).  Raises TooManyPoints, before
+    anything is allocated, unless n < 2^30.
     """
     n = len(points)
     maxL = pow2ceil(n)
@@ -283,7 +286,9 @@ def build(points: PointSet, counters: Optional[BuildCounters] = None) -> Layered
         return LayeredRangeTree(points, _Slab(), ids, axes)
 
     tops = [[None] * maxL.bit_length() for _ in range(d - 1)]
-    groups = {maxL: [row]}  # per L, the leaf rows of its members in member order
+    # per L, the leaf rows of its members in member order; a d=2 root keeps
+    # one phantom (see Storage in cascade)
+    groups = {maxL: [row if d > 2 else row[: n + 1]]}
     del row
     for j in range(d - 1):
         nxt: dict = {}
@@ -293,8 +298,8 @@ def build(points: PointSet, counters: Optional[BuildCounters] = None) -> Layered
             del pieces
             H = L.bit_length() - 1
             merged = H if j == d - 2 else max(0, H - 2)  # rows past H-2 hold no reachable chunk
-            if counters is not None:
-                counters.merge_moves += merged * len(leaves)
+            if counters is not None:  # G*L entries per row, L at a cut root
+                counters.merge_moves += merged * max(len(leaves), L)
             if j == d - 2:
                 tops[j][H] = CascadeStructure(L, *fill_buffers_batch_np(leaves, L))
                 continue

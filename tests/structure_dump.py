@@ -44,8 +44,10 @@ the rank table it is sorted by (placing_rank), its leaf_ranks and the real
 labels of its subtree (r, pos), a group's members,
 all_nodes of a tree, a member's query output as a list (collect), a level
 member's slots and every structure of a tree (structures).  They read every
-row of either group kind by one rule: member g's entries start at g*L.  Its
-top level imports nothing from layertree.
+row of either group kind by one rule: member g's entries start at g*L; words
+reads the d=2 root's rows, cut to min(n + 1, L) entries, with each cut
+position t holding its phantom t.  Its top level imports nothing from
+layertree.
 """
 
 import json
@@ -156,25 +158,34 @@ def all_nodes(L: int) -> list:
 
 
 def words(s, g: int = 0):
-    """Member g's labels, row by row: its L of each of s.rows (a level's one row is its leaves)."""
+    """Member g's labels, row by row: its L of each of s.rows (a level's one row is its leaves).
+
+    A row cut short, the d=2 root's, reads each position past its end as
+    that position's phantom, t at t, so member g's row k starts at k*L.
+    """
     out = array(s.rows[0].typecode)
     for row in s.rows:
-        out += row[g * s.L : (g + 1) * s.L]
+        part = row[g * s.L : (g + 1) * s.L]
+        out += part
+        out.extend(range(len(part), s.L))
     return out
 
 
 def bridge_rows(cs, g: int = 0) -> list:
-    """Member g's left-bridge rows 1..H, as lists: its L entries of each of cs.bridges[1:]."""
+    """Member g's left-bridge rows 1..H, as lists: its stored entries of each of cs.bridges[1:]."""
     return [lb[g * cs.L : (g + 1) * cs.L].tolist() for lb in cs.bridges[1:]]
 
 
 def members(group) -> int:
-    """The member count G of a cascade or level group: its leaf row entries over L."""
-    return len(group.rows[0]) // group.L
+    """The member count G of a cascade or level group: its leaf row entries over L, rounded up."""
+    return -(-len(group.rows[0]) // group.L)
 
 
 def leaf_row(s, g: int = 0):
-    """Member g's L leaf labels, from g*L of a cascade's or a level's row 0."""
+    """Member g's stored leaf labels, from g*L of a cascade's or a level's row 0.
+
+    They are L, or min(n + 1, L) at the d=2 root.
+    """
     return s.rows[0][g * s.L : (g + 1) * s.L]
 
 
@@ -309,7 +320,11 @@ CascadeNode = namedtuple("CascadeNode", "ranks left_bridge right_bridge")
 
 
 def node(cs, row: int, pos: int, g: int = 0) -> CascadeNode:
-    """Node (row, pos) of member g: the chunks at pos*2^row of its node row and lb row."""
+    """Node (row, pos) of member g: the chunks at pos*2^row of its node row and lb row, as stored.
+
+    So a d=2 root's node that reaches past position n holds its entries up
+    to n only (see words for the cut phantoms).
+    """
     span = 1 << row
     at = g * cs.L + pos * span  # in rows[row] and in bridges[row]
     lb = cs.bridges[row][at : at + span].tolist() if row else []
@@ -367,10 +382,11 @@ def structure_row(s, g: int, ids) -> list:
     """Member g's expanded cascade rows, or the leaf row of a level or slab member.
 
     The expansion is the node rows (member g's words), the lb rows (its
-    bridge rows), then the right bridges t - lb: entry i of lb row r sits
-    at position t = i mod 2^r of its node's array.  A level's words are its
-    leaf row.  Labels below n = len(ids) are written as the ids the tree's
-    id map gives them; the slab's leaf row is every label in order.
+    bridge rows, as stored), then the right bridges t - lb: entry i of lb
+    row r sits at position t = i mod 2^r of its node's array.  A level's
+    words are its leaf row.  Labels below n = len(ids) are written as the
+    ids the tree's id map gives them; the slab's leaf row is every label in
+    order.
     """
     if not hasattr(s, "L"):
         return ids.tolist()
@@ -379,7 +395,7 @@ def structure_row(s, g: int, ids) -> list:
     if hasattr(s, "bridges"):
         lbs = bridge_rows(s, g)
         row += [e for lb in lbs for e in lb] + [
-            (i & ((1 << r) - 1)) - lb[i] for r, lb in enumerate(lbs, 1) for i in range(s.L)]
+            (i & ((1 << r) - 1)) - lb[i] for r, lb in enumerate(lbs, 1) for i in range(len(lb))]
     return row
 
 

@@ -6,12 +6,15 @@ tree._Level, PointSet.from_coords) is checked with or without its ().  A
 token's first name is looked up in the docstring's own module, then among
 the package's modules and their globals, and a bare name also among the
 methods of the package's classes; the lookup must end at a module, class,
-function or method of the package.  A token whose first name is a Python
-builtin (sorted(), str.strip()) is not checked.
+function or method of the package, or at an instance attribute a package
+class declares, a __slots__ entry or a dataclass field (QueryStats.reported,
+tree._Level.rank).  A token whose first name is a Python builtin
+(sorted(), str.strip()) is not checked.
 """
 
 import ast
 import builtins
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -49,6 +52,14 @@ def methods(name: str) -> list:
     return [vars(cls)[name] for cls in classes if name in vars(cls)]
 
 
+def declared(cls, name: str) -> bool:
+    """Whether package class cls declares instance attribute `name`: a __slots__ entry or a field."""
+    if not (inspect.isclass(cls) and ours(cls)):
+        return False
+    fields = {f.name for f in dataclasses.fields(cls)} if dataclasses.is_dataclass(cls) else ()
+    return name in fields or any(name in vars(c).get("__slots__", ()) for c in cls.__mro__)
+
+
 def resolves(token: str, module) -> bool:
     head, *rest = token.split(".")
     if hasattr(builtins, head):
@@ -58,9 +69,10 @@ def resolves(token: str, module) -> bool:
     if not rest:
         starts += methods(head)
     for obj in starts:
+        owner = None
         for attr in rest:
-            obj = inspect.getattr_static(obj, attr, None)
-        if ours(obj):
+            owner, obj = obj, inspect.getattr_static(obj, attr, None)
+        if ours(obj) or rest and declared(owner, rest[-1]):
             return True
     return False
 
@@ -96,3 +108,15 @@ def test_removed_names_are_caught():
     # a name qualified by a package class is checked without its () too
     text = "PointSet.take or _Level.slots, as PointSet.from_coords and LayeredRangeTree.query"
     assert unresolved(text, MODULES["core"]) == ["PointSet.take", "_Level.slots"]
+
+
+def test_declared_attributes_resolve():
+    # an instance attribute qualified by its class resolves when the class
+    # declares it: a dataclass field (QueryStats.reported) or a __slots__
+    # entry (_Level.rank), qualified by its module too; an undeclared name
+    # on either class does not, nor a declared one on the wrong class
+    text = ("QueryStats.reported, tree.QueryStats.nodes_visited, _Level.rank, tree._Level.subs, "
+            "CascadeStructure.bridges, QueryStats.rank, _Level.reported, _Level.m, "
+            "QueryStats.merge_moves")
+    assert unresolved(text, MODULES["tree"]) == [
+        "QueryStats.rank", "_Level.reported", "_Level.m", "QueryStats.merge_moves"]

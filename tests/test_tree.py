@@ -12,6 +12,8 @@ import weakref
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import astuple, fields
+from decimal import Decimal
+from fractions import Fraction
 from functools import partial
 from operator import getitem
 
@@ -409,6 +411,39 @@ class TestStopRule:
         assert any(r >= 9 and counters[2] for r, _, counters in calls)
 
 
+class TestShortRootRows:
+    @pytest.mark.parametrize("n", [5, 9, 17, 33, 65, 129])
+    def test_boxes_that_end_at_the_phantom(self, monkeypatch, n):
+        # n = 2^k + 1 leaves the most phantoms cut: the d=2 root keeps n + 1
+        # entries of L = 2^(k+1) per row.  Every box's x ranks end at b = n,
+        # and its y ranks [ya, yb) have each bound at 0, n - 1 or n: the
+        # split node of [0, n) is the root, which straddles position n; the
+        # b path ends by entering leaf n, the right child that starts at n;
+        # and a run with yb = n ends on the phantom at n.  Each call gives
+        # walk_model's yields and counters, and each answer the oracle's
+        rng = SplitMix64(n)
+        ys = list(range(n))
+        for i in range(n - 1, 0, -1):
+            j = rng.next_below(i + 1)
+            ys[i], ys[j] = ys[j], ys[i]
+        ps = PointSet.from_coords([(x, y) for x, y in enumerate(ys)])
+        tree, calls = build(ps), model_checked(monkeypatch)
+        assert [len(row) for row in tree.root.rows] == [n + 1] * tree.root.L.bit_length()
+        bounds = (0, n - 1, n)
+        for xa in (0, 1, n // 2, n - 2, n - 1, n):
+            for ya in bounds:
+                for yb in bounds:
+                    # x ranks [xa, n), y ranks [ya, yb), as rank_box maps them
+                    box = QueryBox((xa, ya), (n, yb - 0.5))
+                    assert tree.rank_box(box) == ((xa, ya), (n, yb))
+                    want = brute_force_query(ps, box)
+                    assert tree.query(box) == want and tree.count(box) == len(want)
+        L = tree.root.L
+        assert any(r == L.bit_length() - 1 and got for r, got, _ in calls)  # the root split
+        # x ranks [n - 1, n) split at the row-1 node whose right child is leaf n
+        assert split_node(range(L), n - 1, n)[2:] == (1, (n - 1) >> 1)
+
+
 def check_cover(tree, member, column, lo, hi):
     """The canonical cover of [lo, hi] in level.dim (column: that coordinate by id).
 
@@ -717,6 +752,7 @@ class TestIndexWidth:
         # n = 2^16, and it reads back unwrapped from every array holding it
         ps = gen_points(GeneratorConfig(seed=n + d, n=n, dims=d))
         tree, L = build(ps), pow2ceil(n)
+        keep = min(n + 1, L) if d == 2 else L  # a d=2 root keeps one phantom (n = 2^16 + 1)
         assert tree.ids.typecode == code and len(tree.ids) == n
         assert max(tree.ids) == n - 1  # id 65535 is stored at n = 2^16
         if d > 1:
@@ -730,15 +766,15 @@ class TestIndexWidth:
                 assert table.typecode == code and sorted(table) == list(range(L))
                 assert table[n:].tolist() == list(range(n, L))  # phantom t ranks t
             leaves = leaf_row(tree.root)
-            assert leaves.typecode == code and sorted(leaves) == list(range(L))
-            assert leaves[n:].tolist() == list(range(n, L))  # phantom t is leaf t
+            assert leaves.typecode == code and sorted(leaves) == list(range(keep))
+            assert leaves[n:].tolist() == list(range(n, keep))  # phantom t is leaf t
             for cs in (s for s in groups if isinstance(s, CascadeStructure)):
                 assert {row.typecode for row in cs.rows} == {code}
-                # a d=2 root's top row is every label in order; below a level
-                # a cascade holds real labels only
-                assert max(map(max, cs.rows)) == (L - 1 if d == 2 else n - 1)
+                # a d=2 root's top row is every label it keeps in order;
+                # below a level a cascade holds real labels only
+                assert max(map(max, cs.rows)) == (keep - 1 if d == 2 else n - 1)
                 if d == 2:
-                    assert cs.rows[cs.L.bit_length() - 1].tolist() == list(range(L))
+                    assert cs.rows[cs.L.bit_length() - 1].tolist() == list(range(keep))
         # the largest label's point is reported, mapped through ids; the
         # other boxes hold about 50 points each
         rng = SplitMix64(n * d)
@@ -780,7 +816,8 @@ class TestSpaceAccounting:
         # entries from g*L: each of its H+1 label rows holds G*L entries at
         # the tree's one index width and each of its H left-bridge rows (no
         # right bridges) G*L at w(r) bytes, w = 1, 2, 4 for r <= 8, <= 16,
-        # above, with no slack in any row
+        # above, with no slack in any row.  The d=2 root, a group of one,
+        # holds min(n + 1, L) in each: its one phantom is n
         width = lambda r: 1 if r <= 8 else 2 if r <= 16 else 4
         assert tree.ids.typecode == ("H" if pow2ceil(n) <= 2**16 else "i")
         no_slack = lambda a: sys.getsizeof(a) == (sys.getsizeof(array(a.typecode))
@@ -788,14 +825,29 @@ class TestSpaceAccounting:
         for cs, held in groups.values():
             G = len(held)
             assert sorted(held) == list(range(G))  # every member is reached
+            size = min(n + 1, cs.L) if cs is tree.root else G * cs.L
             assert len(cs.rows) == cs.L.bit_length()
             for row in cs.rows:
                 assert isinstance(row, array) and row.typecode == tree.ids.typecode
-                assert len(row) == G * cs.L and no_slack(row)
+                assert len(row) == size and no_slack(row)
                 assert row.itemsize == {"H": 2, "i": 4}[tree.ids.typecode]
             assert len(cs.bridges) == cs.L.bit_length() and not cs.bridges[0]
             for r, lb in enumerate(cs.bridges[1:], 1):
-                assert len(lb) == G * cs.L and lb.itemsize == width(r) and no_slack(lb)
+                assert len(lb) == size and lb.itemsize == width(r) and no_slack(lb)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 127, 128, 129, 65537])
+    def test_d2_root_storage_total(self, n):
+        # the d=2 root keeps min(n + 1, L) entries in each of its H + 1 label
+        # rows and H bridge rows, (2H + 1) * min(n + 1, L) in all: the
+        # paper's O(n log n), with one phantom per row while n + 1 < L, and
+        # full rows at n = 2^k - 1 and 2^k
+        tree = build(gen_points(GeneratorConfig(seed=n, n=n, dims=2)))
+        cs, L = tree.root, pow2ceil(n)
+        H, keep = L.bit_length() - 1, min(n + 1, L)
+        assert [len(row) for row in cs.rows] == [keep] * (H + 1)
+        assert [len(lb) for lb in cs.bridges] == [0] + [keep] * H
+        total = sum(map(len, cs.rows)) + sum(map(len, cs.bridges))
+        assert total == (2 * H + 1) * keep <= (2 * H + 1) * (n + 1)
 
     def test_one_object_per_cascade_group(self):
         # a cascade is a (group, index) pair: build makes one CascadeStructure
@@ -893,9 +945,10 @@ class TestSpaceAccounting:
             assert holders == {dim - 1}
             assert table == ranks[dim]
             assert table.tolist() == [where[dim][tree.ids[v]] for v in range(n)] + list(range(n, L))
-        if d > 1:
+        if d > 1:  # a d=2 root keeps only phantom n
+            keep = min(n + 1, L) if d == 2 else L
             leaves = leaf_row(tree.root).tolist()
-            assert sorted(leaves) == list(range(L)) and leaves[n:] == list(range(n, L))
+            assert sorted(leaves) == list(range(keep)) and leaves[n:] == list(range(n, keep))
 
 
 class TestStructureDump:
@@ -1016,24 +1069,26 @@ def buffer_digest(tree) -> str:
 # the digest pin the layout, so they change only with it: at d >= 3 they
 # follow which level nodes have a structure, and merge_moves is
 # max(0, H-2)*G*L per level group plus H*G*L per cascade group (see
-# BuildCounters).
+# BuildCounters).  The latest layout change cut the d=2 root's rows to
+# min(n + 1, L) entries, which moved the digests of (2, *, 65) and
+# (2, *, 129) and nothing else.
 PINNED_COUNTERS = {
     (2, "uniform", 64): (384, (499, 40, 416, 273), (499, 80, 832, 273),
         "b1992f4673764f981e59c4c8b459b1028066a622ce52b03c90e20bcfa3dd0579"),
     (2, "uniform", 65): (896, (533, 40, 421, 327), (533, 80, 842, 327),
-        "c63a6469e39ed235947139072c1a42b2c1b3494b24aff81af9ebdf9f46dba40f"),
+        "1ee9351f7971165594aedb24bc1b8891c6304b997d2d5e8af4a8f5e717e9023c"),
     (2, "uniform", 128): (896, (657, 40, 577, 704), (657, 80, 1154, 704),
         "806c4cc33b7ffa60772cffde3cfa3cd34099f0c129f3a81c97ac8b592497fd70"),
     (2, "uniform", 129): (2048, (662, 40, 552, 762), (662, 80, 1104, 762),
-        "525970b35ae2eb2f24ac0337339f82d375074a78403371441a5f8151c4468ec7"),
+        "d21742266d79e3a28aa62ea621c4b3a1fa0ae53055d051fe59084eb0f916cba5"),
     (2, "grid", 64): (384, (299, 40, 191, 239), (299, 80, 382, 239),
         "907a6cf962f7890ae1eee11fdc2885a72f66069f4e74a9cefe68f91b31fc06c5"),
     (2, "grid", 65): (896, (390, 40, 247, 241), (390, 80, 494, 241),
-        "f49c4c9a4b01e09fb97bbf70ac6cab7735df2b8afea2be2e4119580d6bd3ff2c"),
+        "6a6b56abf00c86f42512735257c08e4aac41cd13dad6e2517bac88599031286f"),
     (2, "grid", 128): (896, (452, 40, 303, 497), (452, 80, 606, 497),
         "47a9ab5d34ffc16ae5dd6eb304bb065bdde76488efde03becb8347c02ef11a80"),
     (2, "grid", 129): (2048, (346, 40, 222, 363), (346, 80, 444, 363),
-        "468a7cc82a2711374381a498cc7359de01c4b01a1457455d97ddf8324f47259a"),
+        "fe7c0e2aed710d54623355d0fcdbe0142b837545bef519d0ec8d473b82b7a2be"),
     (3, "uniform", 64): (700, (998, 104, 225, 95), (998, 208, 450, 95),
         "1a8541ba43a44731760b6bd8843598986412eea5dec45ad08903efd446124d75"),
     (3, "uniform", 65): (1342, (1034, 114, 205, 58), (1034, 228, 410, 58),
@@ -1120,11 +1175,12 @@ class TestMergeWork:
     @pytest.mark.parametrize("n", MERGE_SIZES)
     def test_merge_work_law(self, d, n):
         # merge_moves is every entry a merge step writes, phantoms included:
-        # each group's G*L entries once per merged row
+        # each group's G*L entries once per merged row, the ones a d=2 root
+        # cuts from its rows too
         counters = BuildCounters()
         tree = build(gen_points(GeneratorConfig(seed=n + 10 * d, n=n, dims=d)), counters)
         groups = {id(s): s for _, (s, _) in structures(tree)}.values()
-        assert counters.merge_moves == sum(merged_rows(s) * len(s.rows[0]) for s in groups)
+        assert counters.merge_moves == sum(merged_rows(s) * members(s) * s.L for s in groups)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     @pytest.mark.parametrize("n", MERGE_SIZES)
@@ -1263,3 +1319,56 @@ class TestFuzz:
                 assert stats.binary_searches == 1
             k = tree.count(box)
             assert type(k) is int and k == len(want)
+
+
+# Box bounds that are not float64 values: ints beyond 2^53, Fractions and
+# Decimals between two floats, numpy scalars, bools, signed zeros and
+# subnormals.  A coordinate or a bound is rounded to float64 by the same rule.
+EXACT_VALUES = (st.integers(2**53 + 1, 2**80) | st.integers(-2**80, -2**53 - 1)
+                | st.fractions(-10**6, 10**6, max_denominator=10**9)
+                | st.decimals(-10**20, 10**20, allow_nan=False, allow_infinity=False)
+                | st.integers(-2**63, 2**63 - 1).map(np.int64)
+                | st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32)
+                | st.booleans() | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310]))
+
+
+@st.composite
+def exact_workload(draw):
+    """(d, rows, boxes) whose coordinates and box bounds are drawn from one pool of EXACT_VALUES."""
+    d = draw(st.integers(1, 3))
+    value = st.sampled_from(draw(st.lists(EXACT_VALUES, min_size=1, max_size=6)))
+    coord = st.tuples(*[value] * d)
+    rows = draw(st.lists(coord, min_size=1, max_size=20))
+    return d, rows, draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=6))
+
+
+class TestBoundsAreFloat64:
+    @given(exact_workload())
+    @settings(max_examples=200, deadline=None)
+    def test_tree_equals_oracle_on_any_real_bound(self, workload):
+        # a bound is stored as its float64, so the tree bisects the value
+        # the oracle compares, and a bound that equals a point's value as
+        # given finds that point
+        d, rows, boxes = workload
+        ps = PointSet.from_coords(rows)
+        tree = build(ps)
+        for lo, hi in boxes:
+            box = QueryBox(lo, hi)
+            want = brute_force_query(ps, box)
+            assert tree.query(box) == want and tree.count(box) == len(want)
+            assert all(type(v) is float for v in box.lo + box.hi)
+        for row in rows:
+            box = QueryBox(row, row)
+            assert tree.count(box) == len(brute_force_query(ps, box)) >= 1
+
+    @pytest.mark.parametrize("coords,lo,hi", [
+        ([[2**53 + 1, 0.0], [0.0, 0.0]], (2**53 + 1, 0), (2**53 + 1, 0)),
+        ([[1 / 3, 0.0], [0.1, 0.0]], (Fraction(1, 3), 0), (1, 0)),
+        ([[1 / 3, 0.0], [0.1, 0.0]], (Decimal(1) / Decimal(3), 0), (1, 0)),
+    ])
+    def test_bounds_between_floats(self, coords, lo, hi):
+        ps = PointSet.from_coords(coords)
+        tree, box = build(ps), QueryBox(lo, hi)
+        want = brute_force_query(ps, box)
+        assert [p.id for p in want] == [0]
+        assert tree.query(box) == want and tree.count(box) == 1
