@@ -8,11 +8,12 @@ so it sorts after every real point, where no real rank interval [a, b) can
 match it.  Real labels come first in every chunk of every row, so in each
 row of the root the positions >= n hold exactly the phantoms, phantom t at
 t.  A walk carries a position no further than n, where it reads the first
-phantom, a label >= n >= any y bound, which ends its run or its path; so
-the d=2 root, the one cascade that holds phantoms, keeps only phantom n
-(see Storage).  rank_tables is the one function here that reads
-coordinates: it turns the coordinate matrix into labels, rank tables and
-sorted axes, and nothing else here knows a point or a coordinate.
+phantom, a label >= n >= any y bound, which ends its run or its path, and a
+level's walk reads no row at all; so every tree's root, the one group that
+holds phantoms, keeps only phantom n (see Storage).  rank_tables is the one
+function here that reads coordinates: it turns the coordinate matrix into
+labels, rank tables and sorted axes, and nothing else here knows a point or
+a coordinate.
 
 Walk.  Every tree in the package is implicit in a leaf row: L = 2^H labels
 sorted by one dimension's rank, real labels first, then phantoms.  Node
@@ -35,10 +36,10 @@ Storage.  The structures over one dimension with the same L form a merge
 group, one object (a CascadeStructure or a tree._Level) whose G members are
 (group, member) pairs.  Each holds L and rows, one array per stored row,
 under one address rule: member g's L entries of a row start at g*L.  The
-one exception is the d=2 root, a group of one whose every label and bridge
-row holds min(n + 1, L) entries: position n is its one phantom, and the
-rest are cut (see Index space).  A level stores only its leaf rows,
-rows = [row 0]; a cascade (H = log2 L) stores
+one exception is the root, a group of one whose every stored row holds
+min(n + 1, L) entries: position n is its one phantom, and the rest are cut
+(see Index space).  A level stores only its leaf rows, rows = [row 0]; a
+cascade (H = log2 L) stores
 
     rows[r], r in 0..H     node arrays: the array of node (r, pos) is the
                            chunk of width 2^r starting at pos*2^r,
@@ -130,12 +131,14 @@ def rank_tables(coords: np.ndarray) -> tuple[array, np.ndarray, list[array], lis
     by its rank in each order.
 
     ids (an array of n) is the last order, so ids[label] is the id.  row
-    (int32, L long) is the root's leaf row, dimension 0's order in labels,
-    then the phantoms, so ranks[0] is None when d > 1 (see Walk above).
-    For 0 < j < d-1, ranks[j] (an array of L, indexed by label) gives each
-    label its position in order j: the table the levels over dimension j-1
-    hold.  axes[j] (an array("d")) holds column j in order j.  See Index
-    space and Widths above for the phantoms and the typecodes.
+    (int32, min(n + 1, L) long) is the root's leaf row: dimension 0's order
+    in labels, then phantom n when n < L (see Storage above).  So ranks[0]
+    is None when d > 1 (see Walk above).  For 0 < j < d-1, ranks[j] (an
+    array of L, indexed by label) gives each label its position in order j:
+    the table the levels over dimension j-1 hold.  Its phantom tail, t at
+    t, is read only by merge_rows, for the keys of the phantoms it pads.
+    axes[j] (an array("d")) holds column j in order j.  See Index space and
+    Widths above for the phantoms and the typecodes.
 
     Each column gets a dense rank, and folding them in, key =
     dense(key*n + dense_j), keeps a dense rank of the whole tuple below n,
@@ -165,7 +168,7 @@ def rank_tables(coords: np.ndarray) -> tuple[array, np.ndarray, list[array], lis
             rank = np.empty(n, dtype=code)  # by real label; phantoms follow as themselves
             rank[label[order]] = seq
             ranks.append(packed(code, rank, label[n:]))
-    return packed(code, last), np.concatenate((label[row], label[n:])), ranks, axes
+    return packed(code, last), np.concatenate((label[row], label[n : n + 1])), ranks, axes
 
 
 def _walk(group, g: int, a: int, b: int, ya, yb, stats, carry_yb: bool = True):
@@ -267,7 +270,7 @@ def merge_rows(leaves: array, L: int, rank=None) -> Iterator[tuple[array, array 
     """Yield rows 1..H of a bottom-up stable merge of G leaf rows of length L by `rank`.
 
     `leaves` holds the G members' leaf rows (see Storage above), or one
-    leaf row cut to keep < L entries, the d=2 root's: the merge then reads
+    leaf row cut to keep < L entries, the root's: the merge then reads
     it padded with its cut phantoms, t at t, and cuts every row it yields
     to keep entries.  Each yield is (row, lb) for r = 1..H: row is the
     merged row r, packed at the leaves' typecode, whose member g's chunks
@@ -300,7 +303,7 @@ def merge_rows(leaves: array, L: int, rank=None) -> Iterator[tuple[array, array 
     before the gather, so one int32 bridge row is live at a time.
     """
     cur = np.asarray(leaves, dtype=np.int32)  # never written: each row is a new gather
-    if len(cur) < L:  # the d=2 root's cut row
+    if len(cur) < L:  # the root's cut row
         cur = np.concatenate((cur, np.arange(len(cur), L, dtype=np.int32)))
     pos = np.arange(len(cur), dtype=np.int32)  # t and the chunk start are its bits
     keys = cur if rank is None else np.frombuffer(rank, dtype=rank.typecode)[cur].astype(

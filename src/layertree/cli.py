@@ -60,9 +60,9 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _parse_dist(parser: _Parser, dist: str) -> tuple[str, int]:
+def _parse_dist(parser: _Parser, dist: str) -> dict:
     if dist == "uniform":
-        return ("uniform", 0)
+        return {}
     if dist.startswith("grid:"):
         try:
             g = int(dist[5:])
@@ -70,7 +70,7 @@ def _parse_dist(parser: _Parser, dist: str) -> tuple[str, int]:
             parser.error(f"bad grid side in --dist {dist!r}")
         if g < 1:
             parser.error("grid side must be >= 1")
-        return ("grid", g)
+        return {"dist": "grid", "grid_side": g}
     parser.error(f"unknown --dist {dist!r} (use uniform or grid:<g>)")
 
 
@@ -79,9 +79,8 @@ def _cmd_gen(parser: _Parser, args) -> int:
         parser.error("--n must be >= 1")
     if args.dims < 1:
         parser.error("--dims must be >= 1")
-    dist, g = _parse_dist(parser, args.dist)
-    cfg = GeneratorConfig(seed=args.seed, n=args.n, dims=args.dims, dist=dist,
-                          grid_side=g if dist == "grid" else 16)
+    cfg = GeneratorConfig(seed=args.seed, n=args.n, dims=args.dims,
+                          **_parse_dist(parser, args.dist))
     text = write_points(gen_points(cfg))
     if args.out == "-":
         sys.stdout.write(text)

@@ -85,6 +85,8 @@ class PointSet:
     public surface is from_coords, coord_matrix, dims and len().
     """
 
+    __slots__ = ("dims", "_matrix", "_by_id")
+
     def __len__(self) -> int:
         return len(self._by_id)
 

@@ -85,8 +85,8 @@ class BuildCounters:
     merge_moves counts every entry a merge step writes, phantoms included:
     G*L per merged row of a group of G members, for the H rows of a cascade
     group and the max(0, H-2) rows of a level group that _reachable cuts
-    from (H = log2 L).  The d=2 root's cut phantoms count too, since
-    merge_rows merges them before it cuts each row.
+    from (H = log2 L).  The root's cut phantoms count too, since merge_rows
+    merges them before it cuts each row.
     """
 
     merge_moves: int = 0
@@ -137,8 +137,8 @@ class _Slab:
 class _Level:
     """A level merge group: the G level trees over dimension `dim` with the same L.
 
-    rows = [row 0] holds only the leaf rows (see Storage in cascade); only
-    the root member's holds phantoms.  subs lists the next dimension's
+    rows = [row 0] holds only the leaf rows (see Storage in cascade); the
+    root's holds phantom n only.  subs lists the next dimension's
     groups by log2 L.  Node (r, pos), if _reachable, has the structure
     first[r] + g*per[r] + pos of subs[r], where per[r] counts one member's
     structures in row r, so per[0] is the member's real leaf count.
@@ -258,7 +258,8 @@ class LayeredRangeTree:
 def build(points: PointSet, counters: Optional[BuildCounters] = None) -> LayeredRangeTree:
     """Build the layered range tree, one dimension at a time.
 
-    rank_tables gives the id map, the root's leaf row, the rank tables and
+    rank_tables gives the id map, the root's leaf row, already cut to
+    min(n + 1, L) entries (see Storage in cascade), the rank tables and
     each dimension's coordinates in rank order.  The structures over
     dimension j are built as groups by padded size L, listed in tops[j] by
     log2 L.  Each group's leaf rows are concatenated into the one array that
@@ -269,10 +270,9 @@ def build(points: PointSet, counters: Optional[BuildCounters] = None) -> Layered
     row r, cut to those chunks, is as it stands the leaf rows of structures
     with L = 2^r in tops[j+1]; they hold no phantom.  On the cascade
     (j = d-2) the labels are the keys, and the group keeps every merged row
-    and its bridge row; a d=2 root's leaf row is cut to its first n + 1
-    entries, so every row it keeps is.  counters, if given, gets each
-    group's merge work (see BuildCounters).  Raises TooManyPoints, before
-    anything is allocated, unless n < 2^30.
+    and its bridge row, each as long as its leaf row.  counters, if given,
+    gets each group's merge work (see BuildCounters).  Raises
+    TooManyPoints, before anything is allocated, unless n < 2^30.
     """
     n = len(points)
     maxL = pow2ceil(n)
@@ -286,9 +286,9 @@ def build(points: PointSet, counters: Optional[BuildCounters] = None) -> Layered
         return LayeredRangeTree(points, _Slab(), ids, axes)
 
     tops = [[None] * maxL.bit_length() for _ in range(d - 1)]
-    # per L, the leaf rows of its members in member order; a d=2 root keeps
-    # one phantom (see Storage in cascade)
-    groups = {maxL: [row if d > 2 else row[: n + 1]]}
+    # per L, the leaf rows of its members in member order; the root keeps
+    # only phantom n (see Storage in cascade)
+    groups = {maxL: [row]}
     del row
     for j in range(d - 1):
         nxt: dict = {}
@@ -303,7 +303,7 @@ def build(points: PointSet, counters: Optional[BuildCounters] = None) -> Layered
             if j == d - 2:
                 tops[j][H] = CascadeStructure(L, *fill_buffers_batch_np(leaves, L))
                 continue
-            G, m = len(leaves) // L, (n if j == 0 else L)  # only the root member holds phantoms
+            G, m = (1, n) if j == 0 else (len(leaves) // L, L)  # the root, a group of one
             level = tops[j][H] = _Level(j, [leaves], L, ranks[j + 1], tops[j + 1])
             for r, (row, _) in enumerate(islice(chain([(leaves, None)],
                                                       merge_rows(leaves, L, level.rank)),
@@ -312,7 +312,7 @@ def build(points: PointSet, counters: Optional[BuildCounters] = None) -> Layered
                 pieces = nxt.setdefault(1 << r, [])
                 level.first[r] = (sum(map(len, pieces)) >> r) - chunks.start
                 level.per[r] = len(chunks)
-                pieces.append(np.frombuffer(row, dtype=code).reshape(G, L)
+                pieces.append(np.frombuffer(row, dtype=code).reshape(G, -1)
                               [:, chunks.start << r : chunks.stop << r].copy().reshape(-1))
                 del row  # so no row stays bound after the loop
         groups = nxt

@@ -45,8 +45,8 @@ labels of its subtree (r, pos), a group's members,
 all_nodes of a tree, a member's query output as a list (collect), a level
 member's slots and every structure of a tree (structures).  They read every
 row of either group kind by one rule: member g's entries start at g*L; words
-reads the d=2 root's rows, cut to min(n + 1, L) entries, with each cut
-position t holding its phantom t.  Its top level imports nothing from
+reads the root's rows, cut to min(n + 1, L) entries at every d, with each
+cut position t holding its phantom t.  Its top level imports nothing from
 layertree.
 """
 
@@ -160,7 +160,7 @@ def all_nodes(L: int) -> list:
 def words(s, g: int = 0):
     """Member g's labels, row by row: its L of each of s.rows (a level's one row is its leaves).
 
-    A row cut short, the d=2 root's, reads each position past its end as
+    A row cut short, the root's, reads each position past its end as
     that position's phantom, t at t, so member g's row k starts at k*L.
     """
     out = array(s.rows[0].typecode)
@@ -184,7 +184,7 @@ def members(group) -> int:
 def leaf_row(s, g: int = 0):
     """Member g's stored leaf labels, from g*L of a cascade's or a level's row 0.
 
-    They are L, or min(n + 1, L) at the d=2 root.
+    They are L, or min(n + 1, L) at the root, a cascade's or a level's.
     """
     return s.rows[0][g * s.L : (g + 1) * s.L]
 
@@ -383,16 +383,17 @@ def structure_row(s, g: int, ids) -> list:
 
     The expansion is the node rows (member g's words), the lb rows (its
     bridge rows, as stored), then the right bridges t - lb: entry i of lb
-    row r sits at position t = i mod 2^r of its node's array.  A level's
-    words are its leaf row.  Labels below n = len(ids) are written as the
-    ids the tree's id map gives them; the slab's leaf row is every label in
-    order.
+    row r sits at position t = i mod 2^r of its node's array.  A level
+    member's row is its leaf_row, as stored.  Labels below n = len(ids) are
+    written as the ids the tree's id map gives them; the slab's leaf row is
+    every label in order.
     """
     if not hasattr(s, "L"):
         return ids.tolist()
     n = len(ids)
-    row = [ids[e] if e < n else e for e in words(s, g)]
-    if hasattr(s, "bridges"):
+    cascade = hasattr(s, "bridges")
+    row = [ids[e] if e < n else e for e in (words(s, g) if cascade else leaf_row(s, g))]
+    if cascade:
         lbs = bridge_rows(s, g)
         row += [e for lb in lbs for e in lb] + [
             (i & ((1 << r) - 1)) - lb[i] for r, lb in enumerate(lbs, 1) for i in range(len(lb))]

@@ -113,10 +113,11 @@ def test_removed_names_are_caught():
 def test_declared_attributes_resolve():
     # an instance attribute qualified by its class resolves when the class
     # declares it: a dataclass field (QueryStats.reported) or a __slots__
-    # entry (_Level.rank), qualified by its module too; an undeclared name
-    # on either class does not, nor a declared one on the wrong class
+    # entry (_Level.rank, PointSet.dims), qualified by its module too; an
+    # undeclared name on any of them does not, nor a declared one on the
+    # wrong class
     text = ("QueryStats.reported, tree.QueryStats.nodes_visited, _Level.rank, tree._Level.subs, "
-            "CascadeStructure.bridges, QueryStats.rank, _Level.reported, _Level.m, "
-            "QueryStats.merge_moves")
+            "CascadeStructure.bridges, PointSet.dims, core.PointSet.dims, QueryStats.rank, "
+            "_Level.reported, _Level.m, QueryStats.merge_moves, PointSet.n")
     assert unresolved(text, MODULES["tree"]) == [
-        "QueryStats.rank", "_Level.reported", "_Level.m", "QueryStats.merge_moves"]
+        "QueryStats.rank", "_Level.reported", "_Level.m", "QueryStats.merge_moves", "PointSet.n"]

@@ -15,6 +15,7 @@ from dataclasses import astuple, fields
 from decimal import Decimal
 from fractions import Fraction
 from functools import partial
+from itertools import product
 from operator import getitem
 
 import numpy as np
@@ -412,34 +413,46 @@ class TestStopRule:
 
 
 class TestShortRootRows:
-    @pytest.mark.parametrize("n", [5, 9, 17, 33, 65, 129])
-    def test_boxes_that_end_at_the_phantom(self, monkeypatch, n):
-        # n = 2^k + 1 leaves the most phantoms cut: the d=2 root keeps n + 1
-        # entries of L = 2^(k+1) per row.  Every box's x ranks end at b = n,
-        # and its y ranks [ya, yb) have each bound at 0, n - 1 or n: the
-        # split node of [0, n) is the root, which straddles position n; the
-        # b path ends by entering leaf n, the right child that starts at n;
-        # and a run with yb = n ends on the phantom at n.  Each call gives
+    @pytest.mark.parametrize("d,n", [
+        *(pytest.param(2, n, id=str(n)) for n in (5, 9, 17, 33, 65, 129)),
+        *(pytest.param(3, n, id=f"3-{n}") for n in (5, 9, 17, 33, 65, 129))])
+    def test_boxes_that_end_at_the_phantom(self, monkeypatch, d, n):
+        # n = 2^k + 1 leaves the most phantoms cut: every stored row of the
+        # root, the d=2 root cascade's or the d=3 root level's leaf row,
+        # keeps n + 1 entries of L = 2^(k+1).  Every box's dimension-0
+        # ranks end at b = n, and its ranks [ya, yb) in each further
+        # dimension have each bound at 0, n - 1 or n: the split node of
+        # [0, n) is the root, which straddles position n; the b path ends
+        # by entering leaf n, the right child that starts at n; and a
+        # cascade run with yb = n ends on a label n or more (at the d=2
+        # root, the phantom at n).  Every walk, the level's included, gives
         # walk_model's yields and counters, and each answer the oracle's
         rng = SplitMix64(n)
-        ys = list(range(n))
-        for i in range(n - 1, 0, -1):
-            j = rng.next_below(i + 1)
-            ys[i], ys[j] = ys[j], ys[i]
-        ps = PointSet.from_coords([(x, y) for x, y in enumerate(ys)])
+        columns = [list(range(n))]
+        for _ in range(d - 1):
+            ys = list(range(n))
+            for i in range(n - 1, 0, -1):
+                j = rng.next_below(i + 1)
+                ys[i], ys[j] = ys[j], ys[i]
+            columns.append(ys)
+        ps = PointSet.from_coords(list(zip(*columns)))
         tree, calls = build(ps), model_checked(monkeypatch)
-        assert [len(row) for row in tree.root.rows] == [n + 1] * tree.root.L.bit_length()
+        monkeypatch.setattr(layertree.tree, "_walk", layertree.cascade._walk)  # the level's too
+        L = tree.root.L
+        rows = L.bit_length() if d == 2 else 1  # a level stores its leaf row only
+        assert [len(row) for row in tree.root.rows] == [n + 1] * rows
         bounds = (0, n - 1, n)
         for xa in (0, 1, n // 2, n - 2, n - 1, n):
-            for ya in bounds:
-                for yb in bounds:
-                    # x ranks [xa, n), y ranks [ya, yb), as rank_box maps them
-                    box = QueryBox((xa, ya), (n, yb - 0.5))
-                    assert tree.rank_box(box) == ((xa, ya), (n, yb))
-                    want = brute_force_query(ps, box)
-                    assert tree.query(box) == want and tree.count(box) == len(want)
-        L = tree.root.L
-        assert any(r == L.bit_length() - 1 and got for r, got, _ in calls)  # the root split
+            for pairs in product(product(bounds, bounds), repeat=d - 1):
+                # dimension-0 ranks [xa, n), then ranks [ya, yb) per dimension
+                ya, yb = (tuple(pair[i] for pair in pairs) for i in (0, 1))
+                box = QueryBox((xa, *ya), (n, *(y - 0.5 for y in yb)))
+                assert tree.rank_box(box) == ((xa, *ya), (n, *yb))
+                want = brute_force_query(ps, box)
+                assert tree.query(box) == want and tree.count(box) == len(want)
+        # the root split; at d = 3 only the root level's walk has a tree of L
+        # leaves, so its calls were checked too
+        assert any(r == L.bit_length() - 1 and got for r, got, _ in calls)
         # x ranks [n - 1, n) split at the row-1 node whose right child is leaf n
         assert split_node(range(L), n - 1, n)[2:] == (1, (n - 1) >> 1)
 
@@ -752,7 +765,7 @@ class TestIndexWidth:
         # n = 2^16, and it reads back unwrapped from every array holding it
         ps = gen_points(GeneratorConfig(seed=n + d, n=n, dims=d))
         tree, L = build(ps), pow2ceil(n)
-        keep = min(n + 1, L) if d == 2 else L  # a d=2 root keeps one phantom (n = 2^16 + 1)
+        keep = min(n + 1, L)  # the root keeps only phantom n (n = 2^16 + 1)
         assert tree.ids.typecode == code and len(tree.ids) == n
         assert max(tree.ids) == n - 1  # id 65535 is stored at n = 2^16
         if d > 1:
@@ -835,19 +848,30 @@ class TestSpaceAccounting:
             for r, lb in enumerate(cs.bridges[1:], 1):
                 assert len(lb) == size and lb.itemsize == width(r) and no_slack(lb)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 127, 128, 129, 65537])
-    def test_d2_root_storage_total(self, n):
-        # the d=2 root keeps min(n + 1, L) entries in each of its H + 1 label
-        # rows and H bridge rows, (2H + 1) * min(n + 1, L) in all: the
-        # paper's O(n log n), with one phantom per row while n + 1 < L, and
-        # full rows at n = 2^k - 1 and 2^k
-        tree = build(gen_points(GeneratorConfig(seed=n, n=n, dims=2)))
-        cs, L = tree.root, pow2ceil(n)
+    @pytest.mark.parametrize("d,n", [
+        *(pytest.param(2, n, id=str(n)) for n in (1, 2, 3, 4, 5, 127, 128, 129, 65537)),
+        *(pytest.param(d, n, id=f"{d}-{n}") for d in (3, 4)
+          for n in (1, 2, 3, 4, 5, 127, 128, 129))])
+    def test_d2_root_storage_total(self, d, n):
+        # one rule at every d: each stored row of the root holds
+        # min(n + 1, L) entries, and entry n is phantom n when n < L.  The
+        # d=2 root cascade has H + 1 label rows and H bridge rows,
+        # (2H + 1) * min(n + 1, L) entries in all: the paper's O(n log n),
+        # with one phantom per row while n + 1 < L, and full rows at
+        # n = 2^k - 1 and 2^k.  A root level (d >= 3) stores its one leaf
+        # row.  (The name is the d=2 test's, kept with its d=2 test IDs)
+        tree = build(gen_points(GeneratorConfig(seed=n, n=n, dims=d)))
+        root, L = tree.root, pow2ceil(n)
         H, keep = L.bit_length() - 1, min(n + 1, L)
-        assert [len(row) for row in cs.rows] == [keep] * (H + 1)
-        assert [len(lb) for lb in cs.bridges] == [0] + [keep] * H
-        total = sum(map(len, cs.rows)) + sum(map(len, cs.bridges))
-        assert total == (2 * H + 1) * keep <= (2 * H + 1) * (n + 1)
+        assert isinstance(root, CascadeStructure if d == 2 else _Level) and root.L == L
+        assert all(row[n:].tolist() == list(range(n, keep)) for row in root.rows)
+        if d > 2:
+            assert [len(row) for row in root.rows] == [keep]
+        else:
+            assert [len(row) for row in root.rows] == [keep] * (H + 1)
+            assert [len(lb) for lb in root.bridges] == [0] + [keep] * H
+            total = sum(map(len, root.rows)) + sum(map(len, root.bridges))
+            assert total == (2 * H + 1) * keep <= (2 * H + 1) * (n + 1)
 
     def test_one_object_per_cascade_group(self):
         # a cascade is a (group, index) pair: build makes one CascadeStructure
@@ -882,15 +906,21 @@ class TestSpaceAccounting:
 
     def test_level_rows_have_no_slack(self):
         # each level group keeps one row, its leaf rows, sized exactly at
-        # the tree's width: no array growth slack
-        ps = gen_points(GeneratorConfig(seed=6, n=2000, dims=4))
+        # the tree's width: no array growth slack.  G members hold G*L
+        # entries, and the root min(n + 1, L)
+        n = 2000
+        ps = gen_points(GeneratorConfig(seed=6, n=n, dims=4))
         tree = build(ps)
-        groups = {id(s): s for _, (s, _) in structures(tree) if isinstance(s, _Level)}
-        assert len(groups) > 1
+        held = {}  # per level group: itself and the members structures() reaches
+        for _, (s, g) in structures(tree):
+            if isinstance(s, _Level):
+                held.setdefault(id(s), (s, set()))[1].add(g)
+        assert len(held) > 1
         empty = sys.getsizeof(array(tree.ids.typecode))
-        for level in groups.values():
+        for level, gs in held.values():
             (leaves,) = level.rows
-            assert leaves.typecode == tree.ids.typecode and len(leaves) % level.L == 0
+            size = min(n + 1, level.L) if level is tree.root else len(gs) * level.L
+            assert leaves.typecode == tree.ids.typecode and len(leaves) == size
             assert sys.getsizeof(leaves) == empty + leaves.itemsize * len(leaves)
 
     def test_slab_ids_have_no_slack(self):
@@ -945,8 +975,8 @@ class TestSpaceAccounting:
             assert holders == {dim - 1}
             assert table == ranks[dim]
             assert table.tolist() == [where[dim][tree.ids[v]] for v in range(n)] + list(range(n, L))
-        if d > 1:  # a d=2 root keeps only phantom n
-            keep = min(n + 1, L) if d == 2 else L
+        if d > 1:  # the root keeps only phantom n
+            keep = min(n + 1, L)
             leaves = leaf_row(tree.root).tolist()
             assert sorted(leaves) == list(range(keep)) and leaves[n:] == list(range(n, keep))
 
@@ -1069,9 +1099,10 @@ def buffer_digest(tree) -> str:
 # the digest pin the layout, so they change only with it: at d >= 3 they
 # follow which level nodes have a structure, and merge_moves is
 # max(0, H-2)*G*L per level group plus H*G*L per cascade group (see
-# BuildCounters).  The latest layout change cut the d=2 root's rows to
-# min(n + 1, L) entries, which moved the digests of (2, *, 65) and
-# (2, *, 129) and nothing else.
+# BuildCounters).  The latest layout change cut the root level's leaf row
+# to min(n + 1, L) entries, as the d=2 root's rows already were, which
+# moved the digests of (3 or 4, *, 65) and (3 or 4, *, 129) and nothing
+# else.
 PINNED_COUNTERS = {
     (2, "uniform", 64): (384, (499, 40, 416, 273), (499, 80, 832, 273),
         "b1992f4673764f981e59c4c8b459b1028066a622ce52b03c90e20bcfa3dd0579"),
@@ -1092,35 +1123,35 @@ PINNED_COUNTERS = {
     (3, "uniform", 64): (700, (998, 104, 225, 95), (998, 208, 450, 95),
         "1a8541ba43a44731760b6bd8843598986412eea5dec45ad08903efd446124d75"),
     (3, "uniform", 65): (1342, (1034, 114, 205, 58), (1034, 228, 410, 58),
-        "128dfcfecb48eb0da0b1f7ac1977bc1e2eb79d0c5d837f93700e34d555314191"),
+        "a18e6fc1308f156281b73ab3145437496ba1d6bf98a0f387d2b5500accb4b2d2"),
     (3, "uniform", 128): (2044, (1505, 149, 522, 213), (1505, 298, 1044, 213),
         "f0fa2dd3d259c87153d0e05706ff139e859942fcdb3e895d8e2f66aff8bb52b3"),
     (3, "uniform", 129): (3582, (1572, 153, 559, 260), (1572, 306, 1118, 260),
-        "5a79ca8a7074dcbe4eb713393ae7f824d829e441cdb7cbc8e25e63fa4472b047"),
+        "993d50c98b55d80015f83551e5ce3d49ef54c693cbf74c0017f2e585bfa0da50"),
     (3, "grid", 64): (700, (849, 68, 139, 86), (849, 136, 278, 86),
         "9fdabb386cbf97b01538a91480a6697a0e85c1babffb77bed0e2a93b64bdbee1"),
     (3, "grid", 65): (1342, (736, 29, 99, 53), (736, 58, 198, 53),
-        "963a7b54c203d196f112e4feac4042c90addf93ac5e36ff1ee9730e990a596a3"),
+        "94c36c876e0edf7173f0244c616b14fdca37ae0d9615415091ccfb766fb0e9fb"),
     (3, "grid", 128): (2044, (963, 68, 219, 136), (963, 136, 438, 136),
         "8a79d3bf1f3e842f8005f814709b6232332a0a8a51cc3fd14308e9af28f17430"),
     (3, "grid", 129): (3582, (1113, 53, 321, 286), (1113, 106, 642, 286),
-        "2c7d2f8a8dca3329eb6c633820683ced0eb437a3e6aed470fccef0f6ad90c886"),
+        "a4d3c528be2c77d0c687bbb457a3b702fa9342e2c4c5ea7e12e36a258536fbab"),
     (4, "uniform", 64): (448, (1266, 90, 43, 46), (1266, 180, 86, 46),
         "a6c57bd0955c203fbd3968089f80a4bb5c5857edf54cd6041442e097f2137ad9"),
     (4, "uniform", 65): (1124, (1155, 73, 15, 29), (1155, 146, 30, 29),
-        "f3e85b736e79a9e2e80987148bed8b77eb27efe2fd1d4a54c96c3616a741822e"),
+        "c4852991fbd030401298ab1eb9ec2b438028c510f73539bc4e4cb0b39de77baf"),
     (4, "uniform", 128): (1608, (1890, 104, 58, 44), (1890, 208, 116, 44),
         "999e7fd3ae2bbf78a2c26d4533e825a5ccaf835a4580e596b64cc20f2189bbfd"),
     (4, "uniform", 129): (3496, (2033, 125, 82, 51), (2033, 250, 164, 51),
-        "bbbc3f86a5a884738339c752521d7fd96b3a2513a0cc7bb12c74314ace578032"),
+        "2b7955f16168531b0cada8675f5272405a1a7bbdcdc5603c94003e5cdfc43af4"),
     (4, "grid", 64): (448, (975, 59, 14, 26), (975, 118, 28, 26),
         "62d59e13e7fabc0b6fa77d8ffc1f8f0280ae1ac8f797c6f8ed31dcf50ffa80ca"),
     (4, "grid", 65): (1124, (762, 24, 20, 15), (762, 48, 40, 15),
-        "335d4594ef242e0669923ec260278fefb87ba2bcbb21712226946cc2a8417bb8"),
+        "3238aa406ac696beb5cb5f31d6fc81c411ca020aa3c4d930ad6b6fea5d5213d3"),
     (4, "grid", 128): (1608, (1331, 67, 30, 26), (1331, 134, 60, 26),
         "d9884bead111c70e13652fe55648c3bc053f21e89e20d6f220958d7053d5c78f"),
     (4, "grid", 129): (3496, (1356, 58, 56, 28), (1356, 116, 112, 28),
-        "eb9e68c44073a734b32a653c8139fe489edd0844c79a81fbcb366783f83eff55"),
+        "17bb1689ccf68fdc8895f64120961b92a38b5aa4b370989f48d14464bd4c030f"),
 }
 
 
@@ -1246,11 +1277,13 @@ class TestRankTable:
         ids, row, ranks, axes = rank_tables(ps.coord_matrix())
         want = [sorted(range(n), key=lambda i: composite_key(pts[i], j)) for j in range(d)]
         assert ids.tolist() == want[-1]  # a label is the last dimension's rank
-        # the root's leaf row, then phantom t at leaf t: its own label
-        assert row.tolist() == [want[-1].index(i) for i in want[0]] + list(range(n, L))
+        # the root's leaf row, then phantom n at leaf n when n < L: its own
+        # label, the one phantom the root keeps
+        keep = min(n + 1, L)
+        assert row.tolist() == [want[-1].index(i) for i in want[0]] + list(range(n, keep))
         # dimension 0 has no table: its composite rank of the label at leaf p is p
         rank0 = [want[0].index(ids[v]) for v in range(n)] + list(range(n, L))
-        assert [rank0[e] for e in row.tolist()] == list(range(L))
+        assert [rank0[e] for e in row.tolist()] == list(range(keep))
         assert len(ranks) == d - 1 and ranks[:1] == ([None] if d > 1 else [])
         for j in range(1, d - 1):
             assert list(ranks[j]) == [want[j].index(ids[v]) for v in range(n)] + list(
@@ -1291,9 +1324,11 @@ class TestRankTableEdges:
         code = "H" if L <= 2**16 else "i"  # the index width chosen from L = pow2ceil(n)
         assert ids.typecode == code and ids.tolist() == want[-1]
         assert row.dtype == np.int32
-        assert row.tolist() == [where[-1][i] for i in want[0]] + list(range(n, L))
+        # the root's leaf row keeps only phantom n, at leaf n, when n < L
+        keep = min(n + 1, L)
+        assert row.tolist() == [where[-1][i] for i in want[0]] + list(range(n, keep))
         # dimension 0's composite order is the root's leaf row, so it has no table
-        assert [where[0][ids[e]] if e < n else e for e in row.tolist()] == list(range(L))
+        assert [where[0][ids[e]] if e < n else e for e in row.tolist()] == list(range(keep))
         assert ranks[:1] == ([None] if d > 1 else [])
         for j, rank in enumerate(ranks[1:], 1):
             assert rank.typecode == code
