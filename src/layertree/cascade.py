@@ -1,36 +1,45 @@
 """Fractional cascading over the last two dimensions, and the one implicit tree.
 
-Index space.  Every structure stores a point as its label, its rank in the
-last dimension (y), so a stored entry is its own y key.  Labels, ranks in
+Index space.  A point is known by its label, its rank in the last
+dimension (y), and by its rank in each other dimension.  Labels, ranks in
 every dimension and leaf positions all run over 0..L-1, L = pow2ceil(n): a
 phantom is leaf t >= n, its own label and its own rank in every dimension,
 so it sorts after every real point, where no real rank interval [a, b) can
-match it.  Real labels come first in every chunk of every row, so in each
+match it.  Real points come first in every chunk of every row, so in each
 row of the root the positions >= n hold exactly the phantoms, phantom t at
 t.  A walk carries a position no further than n, where it reads the first
 phantom, a label >= n >= any y bound, which ends its run or its path, and a
 level's walk reads no row at all; so every tree's root, the one group that
-holds phantoms, keeps only phantom n (see Storage).  rank_tables is the one
-function here that reads coordinates: it turns the coordinate matrix into
-labels, rank tables and sorted axes, and nothing else here knows a point or
-a coordinate.
+holds phantoms, keeps only phantom n (see Storage).  A group's leaf row
+holds keys: each leaf's rank in the group's own dimension, ascending within
+each member, so the level above places a member's bounds by two plain
+bisects of them (see tree._Level.reached).  The root's keys are its
+positions, so its leaf row is range(min(n + 1, L)).  A cascade's rows above
+the leaves hold labels, each entry its own y key, and a cascade reads a
+leaf's label through order: the label at each rank of dimension d-2, one
+table shared by every cascade group of a tree.  At d = 2 those ranks are
+the root's positions, so order is dimension 0's order in labels, phantom n
+last.  rank_tables is the one function here that reads coordinates: it
+turns the coordinate matrix into labels, rank tables and sorted axes, and
+nothing else here knows a point or a coordinate.
 
-Walk.  Every tree in the package is implicit in a leaf row: L = 2^H labels
-sorted by one dimension's rank, real labels first, then phantoms.  Node
+Walk.  Every tree in the package is implicit in a leaf row: L = 2^H leaves
+sorted by one dimension's rank, real points first, then phantoms.  Node
 (r, pos) covers leaves pos*2^r .. (pos+1)*2^r - 1, and it splits after the
 rightmost leaf of its left half.  _walk is the one walk over such a row, on
 leaf positions, and a level of the multi-level tree (tree._Level) runs it
 too.  The root's leaf row is dimension 0's order, so leaf p ranks p and a
 rank interval already is a position interval: the tree hands the root its
-ranks a[0], b[0].  Below the root a member's leaf row is sorted by the rank
-table of the level above it, and that level places the member's bounds
-(see tree._Level), so every group walks positions only.
+ranks a[0], b[0].  Below the root a member's leaf row is sorted by its own
+dimension's rank, its keys, and the level above it places the member's
+bounds in them (see tree._Level), so every group walks positions only.
 
 A cascade is that tree over coordinate x (the second-to-last dimension)
-whose every node also carries its subtree's labels in ascending (y) order,
-plus a left bridge per entry: the first not-smaller entry in the left
-child's array.  A position found in the split node's array then follows
-bridges down in constant time per level.
+whose every node above the leaves also carries its subtree's labels in
+ascending (y) order, plus a left bridge per entry: the first not-smaller
+entry in the left child's array.  A position found in the split node's
+array then follows bridges down in constant time per level.  A leaf's array
+is its one label, order[key].
 
 Storage.  The structures over one dimension with the same L form a merge
 group, one object (a CascadeStructure or a tree._Level) whose G members are
@@ -38,23 +47,37 @@ group, one object (a CascadeStructure or a tree._Level) whose G members are
 under one address rule: member g's L entries of a row start at g*L.  The
 one exception is the root, a group of one whose every stored row holds
 min(n + 1, L) entries: position n is its one phantom, and the rest are cut
-(see Index space).  A level stores only its leaf rows, rows = [row 0]; a
+(see Index space).  A level stores only its leaf keys, rows = [row 0]; a
 cascade (H = log2 L) stores
 
-    rows[r], r in 0..H     node arrays: the array of node (r, pos) is the
-                           chunk of width 2^r starting at pos*2^r,
-                           ascending.  Row 0 is the leaf row, sorted by x:
-                           it is the x-tree.
+    rows[0]                the leaf keys, each leaf's x rank: the x-tree.
+                           The root's is a range, and order gives each
+                           key's label.
+    rows[r], r in 1..H     node arrays: the array of node (r, pos) is the
+                           chunk of width 2^r starting at pos*2^r, its
+                           labels ascending.
     bridges[r], r in 1..H  left bridges, one per entry of rows[r], at the
                            entry's own position.  bridges[0] is empty: a
                            leaf has no bridge.
 
+Storage totals.  Let H = log2 L of the tree, w = max(1, H - 1) and C(a, b)
+the binomial coefficient, 0 when a < b.  A level member of 2^h leaves hands
+each of its points to one structure of 2^r leaves for each row r in
+0..max(0, h - 2) (see tree._reachable), and a cascade member of 2^h leaves
+stores h labels of each.  So a point lies in at most C(w + k - 1, k)
+structures k dimensions below the root, one per non-increasing sequence of
+k such rows, and in at most C(H - d + 2, d - 1) label entries.  A tree
+stores at most (n + 1)*C(H - d + 2, d - 1) label entries, as many bridge
+entries, one per label, and at most n*C(w + d - 2, d - 2) + 1 key entries,
+order's min(n + 1, L) included: the paper's O(n log^(d-1) n).
+
 Widths.  Labels, ranks, ids and leaf positions are all below L, so a tree
-stores its ids, rank tables and label rows at one index width,
-index_code(L) of its padded size: "H" (two bytes) when L <= 2^16, else "i"
-(four).  A row-r bridge is at most 2^(r-1), so bridges[r] has the narrowest
-typecode that holds that: "B" (one byte) for r <= 8, "H" (two) for r <= 16,
-"i" (four) above.  packed makes every one of these arrays, sized exactly.
+makes its rank tables and stores its ids, order, leaf keys and label rows
+at one index width, index_code(L) of its padded size: "H" (two bytes) when
+L <= 2^16, else "i" (four); the root's leaf row is a range, which has none.
+A row-r bridge is at most 2^(r-1), so bridges[r] has the narrowest typecode
+that holds that: "B" (one byte) for r <= 8, "H" (two) for r <= 16, "i"
+(four) above.  packed makes every one of these arrays, sized exactly.
 Reading any of them gives a Python int, so the query loops never make a
 numpy scalar; numpy writes them only while they are built.
 
@@ -63,9 +86,10 @@ array it is t - lb[t].  Labels are distinct, so the t entries before it are
 exactly the smaller ones, and each came from one child: lb[t] from the left,
 the rest from the right; every chunk is full, so bridges are total.
 
-Every row above a group's leaf rows comes out of one merge, merge_rows, by
-the labels themselves (a cascade) or by a rank table (a level, which gets no
-bridges).
+Every row above a group's leaf rows comes out of one merge, merge_rows, of
+the group's leaf labels, by the labels themselves (a cascade) or by a rank
+table (a level, which gets no bridges); only then does build turn the leaf
+row into keys.
 """
 
 from __future__ import annotations
@@ -134,9 +158,12 @@ def rank_tables(coords: np.ndarray) -> tuple[array, np.ndarray, list[array], lis
     (int32, min(n + 1, L) long) is the root's leaf row: dimension 0's order
     in labels, then phantom n when n < L (see Storage above).  So ranks[0]
     is None when d > 1 (see Walk above).  For 0 < j < d-1, ranks[j] (an
-    array of L, indexed by label) gives each label its position in order j:
-    the table the levels over dimension j-1 hold.  Its phantom tail, t at
-    t, is read only by merge_rows, for the keys of the phantoms it pads.
+    array of L, indexed by label) gives each label its position in order j.
+    Only build reads these tables, and no structure keeps one: the levels
+    over dimension j-1 merge by table j, and it turns the leaf labels of
+    dimension j's groups into their keys (and, for j = d-2, into order; see
+    Index space above).  Its phantom tail, t at t, is read only by
+    merge_rows, for the keys of the phantoms it pads.
     axes[j] (an array("d")) holds column j in order j.  See Index space and
     Widths above for the phantoms and the typecodes.
 
@@ -194,7 +221,9 @@ def _walk(group, g: int, a: int, b: int, ya, yb, stats, carry_yb: bool = True):
     positions never cross: the walk leaves the split node only when
     lo < hi, and a left bridge lb[t] and the right one t - lb[t] both grow
     with t, so c <= e and s <= f at every node, and every yield has
-    lo <= hi.  A level passes None for ya and yb.
+    lo <= hi.  A level passes None for ya and yb.  A leaf's array is its one
+    label, order[key] (see Index space above), which the walk reads at a
+    split leaf and at the query's stop test in row 0; a leaf's lo is 0 or 1.
     """
     L = group.L
     base = g * L  # member g's entries of every row start here
@@ -202,9 +231,15 @@ def _walk(group, g: int, a: int, b: int, ya, yb, stats, carry_yb: bool = True):
     r = (a ^ last).bit_length() if a < b else 0  # a and last agree above bit r
     pos = last >> r
     stats.nodes_visited += L.bit_length() - r
+    npos = 0 if ya is None else 2 if carry_yb else 1  # positions carried, one bisect each
+    stats.binary_searches += npos
+    if r == 0:  # the split node is leaf pos; a >= b yields nothing, else a = last
+        if a < b and (not npos or ya <= group.order[group.rows[0][base + pos]] < yb):
+            yield 0, pos, 0 if npos else None, 1 if npos == 2 else None
+        return
     lo = hi = None
-    if ya is not None:
-        rows, bridges = group.rows, group.bridges
+    if npos:
+        rows, bridges, order = group.rows, group.bridges, group.order
         row, at = rows[r], base + (pos << r)  # the split node's array
         end = at + (1 << r)
         if end > len(row):  # a cut row ends at its phantom n (see Storage above)
@@ -212,14 +247,8 @@ def _walk(group, g: int, a: int, b: int, ya, yb, stats, carry_yb: bool = True):
         lo = bisect_left(row, ya, at, end) - at
         if carry_yb:
             hi = bisect_left(row, yb, at, end) - at
-    npos = 0 if lo is None else 1 if hi is None else 2  # positions carried, one bisect each
-    stats.binary_searches += npos
-    if npos and (lo >= hi if hi is not None else lo == 1 << r or row[at + lo] >= yb):
-        return  # the split node holds no label in [ya, yb)
-    if r == 0:
-        if a < b:  # then a = last, so the leaf is pos = a
-            yield 0, pos, lo, hi
-        return
+        if lo >= hi if carry_yb else lo == 1 << r or row[at + lo] >= yb:
+            return  # the split node holds no label in [ya, yb)
     s = f = None  # the sibling's positions, set at every step when carried
     empty = False  # whether the path's child holds no label in [ya, yb)
     for side, bound in ((0, a), (1, b)):
@@ -241,8 +270,9 @@ def _walk(group, g: int, a: int, b: int, ya, yb, stats, carry_yb: bool = True):
                 if not go:
                     s = c - s
                 c -= s
-                if e is None:
-                    empty = c == hf or rows[rr - 1][at + c + (hf if go else 0)] >= yb
+                if e is None:  # the child's entry at c; a leaf's label through order
+                    t = at + c + (hf if go else 0)
+                    empty = c == hf or (rows[rr - 1][t] if rr > 1 else order[rows[0][t]]) >= yb
                 else:
                     f = lb[at + e] if e < hf + hf else hf
                     if not go:
@@ -269,8 +299,9 @@ def _walk(group, g: int, a: int, b: int, ya, yb, stats, carry_yb: bool = True):
 def merge_rows(leaves: array, L: int, rank=None) -> Iterator[tuple[array, array | None]]:
     """Yield rows 1..H of a bottom-up stable merge of G leaf rows of length L by `rank`.
 
-    `leaves` holds the G members' leaf rows (see Storage above), or one
-    leaf row cut to keep < L entries, the root's: the merge then reads
+    `leaves` holds the labels of the G members' leaf rows, which build
+    turns into keys only after this merge (see Index space above), or of
+    one leaf row cut to keep < L entries, the root's: the merge then reads
     it padded with its cut phantoms, t at t, and cuts every row it yields
     to keep entries.  Each yield is (row, lb) for r = 1..H: row is the
     merged row r, packed at the leaves' typecode, whose member g's chunks
@@ -328,12 +359,13 @@ def merge_rows(leaves: array, L: int, rank=None) -> Iterator[tuple[array, array 
 
 
 def fill_buffers_batch_np(leaves: array, L: int) -> tuple[list[array], list[array]]:
-    """(rows, bridges) of one cascade merge group, merged from its members' leaf rows.
+    """(rows, bridges) of one cascade merge group, merged from its members' leaf labels.
 
-    `leaves` (see Storage above) is kept as rows[0], and every row
-    merge_rows yields follows it: all are as long as `leaves`, so cutting
-    the leaf row of a group of one to its first keep entries cuts every
-    row and bridge row to keep.
+    `leaves` holds the labels (see Storage above).  It is rows[0] until
+    the caller, once the merge is done, puts the leaf keys there (see
+    Index space above), and every row merge_rows yields follows it: all
+    are as long as `leaves`, so cutting the leaf row of a group of one to
+    its first keep entries cuts every row and bridge row to keep.
     """
     rows, bridges = [leaves], [array("B")]
     for row, lb in merge_rows(leaves, L):
@@ -346,17 +378,19 @@ class CascadeStructure:
     """A cascade merge group: G structures over the last two dimensions with the same L.
 
     Each member is an x-tree plus per-node label arrays with bridges, laid
-    out in rows and bridges as Storage above says.  A query or count of
-    member g is one _walk over its leaf positions [u, v) in x and the last
-    dimension of the tree's rank box.
+    out in rows and bridges as Storage above says, and order gives a leaf
+    key's label (see Index space above).  A query or count of member g is
+    one _walk over its leaf positions [u, v) in x and the last dimension
+    of the tree's rank box.
     """
 
-    __slots__ = ("L", "rows", "bridges")
+    __slots__ = ("L", "rows", "bridges", "order")
 
-    def __init__(self, L, rows, bridges):
+    def __init__(self, L, rows, bridges, order):
         self.L = L                      # padded leaf count (power of two)
-        self.rows = rows                # label rows 0..H, from fill_buffers_batch_np
-        self.bridges = bridges          # bridge rows, likewise
+        self.rows = rows                # leaf keys, then label rows 1..H
+        self.bridges = bridges          # bridge rows, from fill_buffers_batch_np
+        self.order = order              # the label at each x rank, one per tree
 
     # -- construction -------------------------------------------------------
 
@@ -364,17 +398,19 @@ class CascadeStructure:
     def build_from_ids(cls, ids):
         """A group of one over the labels ids, sorted by the x composite order.
 
-        ids holds each label 0..m-1 once, and the leaf row follows it with
-        the one phantom m when m < L = pow2ceil(m) (see Index space and
-        Storage above).  build() does not call this; it stays because the
-        traced benchmark (perfbench/run.py) wraps it by name.  Its result
-        equals the d=2 root build() makes over the same labels in the same
-        order.
+        ids holds each label 0..m-1 once, and order follows it with the
+        one phantom m when m < L = pow2ceil(m); the leaf keys are the
+        positions (see Index space and Storage above).  build() does not
+        call this; it stays because the traced benchmark
+        (perfbench/run.py) wraps it by name.  Its result equals the d=2
+        root build() makes over the same labels in the same order.
         """
         m = len(ids)
         L = pow2ceil(m)
         leaves = packed(index_code(L), np.asarray(ids), np.arange(m, min(m + 1, L)))
-        return cls(L, *fill_buffers_batch_np(leaves, L))
+        rows, bridges = fill_buffers_batch_np(leaves, L)
+        rows[0] = range(len(leaves))
+        return cls(L, rows, bridges, leaves)
 
     # -- queries -------------------------------------------------------------
 
@@ -383,12 +419,18 @@ class CascadeStructure:
 
         a and b are the tree's rank box; only their last entry, y, is read.
         The walk carries only the position of ya, and each node's run of
-        labels below yb is emitted as one slice of its label row.
+        labels below yb is emitted as one slice of its label row, a leaf's
+        as a slice of order.
         """
-        rows, base, yb = self.rows, g * self.L, b[-1]
+        rows, order, base, yb = self.rows, self.order, g * self.L, b[-1]
         for r, p, lo, _ in _walk(self, g, u, v, a[-1], yb, stats, False):
-            row = rows[r]
             at = base + (p << r)
+            if not r:  # a leaf: its one label, read through order
+                k = rows[0][at]
+                if not lo and order[k] < yb:
+                    emit(order[k : k + 1])
+                continue
+            row = rows[r]
             lo += at
             end = at + (1 << r)
             for hi in range(lo, end):

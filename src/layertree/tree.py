@@ -19,7 +19,8 @@ level places its canonical nodes' structures (see _Level).
 
 Everything below LayeredRangeTree.rank_box works in rank space: a box
 becomes a rank interval [a_j, b_j) per dimension, and the structures hold
-and emit labels (see Index space, Walk and Widths in cascade).
+leaf keys and labels and emit labels (see Index space, Walk and Widths in
+cascade).
 """
 
 from __future__ import annotations
@@ -27,9 +28,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import partial
 from itertools import chain, islice
-from operator import getitem
 from typing import Optional
 
 import numpy as np
@@ -58,15 +57,18 @@ class QueryStats:
     plus every canonical subtree root the walk hands off to; a cascade walk
     reads a path only down to its first node with no label in [ya, yb), so
     the nodes below count nowhere.  Below the root, the two bisects of
-    _place that put a structure's x bounds in its leaf row stand in for
-    those descents node for node, so they are not counted as binary
+    _Level.reached that put a structure's x bounds in its leaf keys stand
+    in for those descents node for node, so they are not counted as binary
     searches, just as rank_box's are not (two bisections per dimension, the
     whole search at d=1).  A level calls a canonical node's structure only
     when its placed bounds hold a leaf (the no-empty-call law); a structure
     it skips counts nothing, beyond the canonical node the level's walk
     counted.  binary_searches counts only the bisects of a cascade's
     split-node array, for y: one per cascade query and two per count, so a
-    2D report makes exactly one binary search (the one-search law).
+    2D report makes exactly one binary search (the one-search law).  One
+    cascade walk visits at most (H + 1 - r) + 4r nodes, H = log2 L of its
+    group and r its split node's row: the descent to the split node, then
+    on each of two paths at most r steps and r - 1 canonical siblings.
     bridge_follows counts O(1) position transfers along cascade bridges;
     reported (LayeredRangeTree.query and .count) counts reported (or
     counted) points.
@@ -86,7 +88,13 @@ class BuildCounters:
     G*L per merged row of a group of G members, for the H rows of a cascade
     group and the max(0, H-2) rows of a level group that _reachable cuts
     from (H = log2 L).  The root's cut phantoms count too, since merge_rows
-    merges them before it cuts each row.
+    merges them before it cuts each row.  In all, with H, w and C of the
+    tree as in Storage totals in cascade, merge_moves <= L*(C(H - d + 2,
+    d - 1) + C(w + d - 3, d - 2) - 1): a cascade group below the root merges
+    exactly its label entries, and the root L per row; a level member of
+    2^h leaves merges max(0, h - 2) rows, one fewer than the rows it hands
+    each point to, so over a point's levels these sum to at most the
+    structures d - 2 dimensions below the root that hold it, less one.
     """
 
     merge_moves: int = 0
@@ -99,9 +107,9 @@ def canonical_subtrees(level: "_Level", g: int, u: int, v: int,
     It is cascade._walk with no y bounds.  At most 2*log2(L) nodes (one for
     a single-leaf tree).  At the root the positions are the ranks (see Walk
     in cascade), and they must lie in 0..n, the range rank_box gives: a v
-    past n would take in phantom leaves.  Below the root, _place gives
-    them.  The package exports it because the canonical-subtree law is
-    stated on it.
+    past n would take in phantom leaves.  Below the root, the level above
+    places them (_Level.reached).  The package exports it because the
+    canonical-subtree law is stated on it.
     """
     return [(row, p) for row, p, _, _ in _walk(level, g, u, v, None, None, stats)]
 
@@ -137,39 +145,45 @@ class _Slab:
 class _Level:
     """A level merge group: the G level trees over dimension `dim` with the same L.
 
-    rows = [row 0] holds only the leaf rows (see Storage in cascade); the
-    root's holds phantom n only.  subs lists the next dimension's
-    groups by log2 L.  Node (r, pos), if _reachable, has the structure
-    first[r] + g*per[r] + pos of subs[r], where per[r] counts one member's
-    structures in row r, so per[0] is the member's real leaf count.
+    rows = [row 0] holds only the leaf keys, each leaf's rank in dim (see
+    Index space and Storage in cascade); the root's is range(min(n + 1,
+    L)).  subs lists the next dimension's groups by log2 L.  Node
+    (r, pos), if _reachable, has the structure first[r] + g*per[r] + pos of
+    subs[r], where per[r] counts one member's structures in row r, so
+    per[0] is the member's real leaf count.
 
-    rank is dimension dim+1's rank table.  The level's merge sorts its rows
-    above the leaves by it, so every structure in subs has its leaf row
-    sorted by it, and the level alone reads it: reached places the bounds
-    a[dim+1], b[dim+1] in each canonical node's structure's leaf row (_place,
-    keyed by one partial of rank), skips it when they meet, and yields it
-    with its leaf positions otherwise.  No structure holds a rank table.
+    The level keeps no rank table: build merged its rows above the leaves
+    by dimension dim+1's, so every structure in subs has its leaf keys in
+    that dimension ascending, and reached places the bounds there.
     """
 
-    __slots__ = ("dim", "rows", "L", "rank", "subs", "first", "per")
+    __slots__ = ("dim", "rows", "L", "subs", "first", "per")
 
-    def __init__(self, dim: int, rows: list, L: int, rank, subs: list):
+    def __init__(self, dim: int, rows: list, L: int, subs: list):
         self.dim = dim
         self.rows = rows
         self.L = L
-        self.rank = rank
         self.subs = subs
         self.first, self.per = [0] * L.bit_length(), [0] * L.bit_length()  # set by build
 
     def reached(self, g, u, v, a, b, stats):
-        """(structure, member, u, v) per canonical node of [u, v) whose placed bounds hold a leaf."""
+        """(structure, member, u, v) per canonical node of [u, v) whose placed bounds hold a leaf.
+
+        Two bisects of the node's structure's leaf keys place the rank
+        bounds a[dim+1], b[dim+1] as its leaf positions: v is the first leaf
+        ranked b or more, and u the first ranked a or more before it, so
+        u <= v, and u == v iff no leaf is in range; the structure is then
+        skipped (QueryStats says how the bisects and a skip count).
+        """
         subs, first, per, j = self.subs, self.first, self.per, self.dim + 1
-        aj, bj, key = a[j], b[j], partial(getitem, self.rank)
+        aj, bj = a[j], b[j]
         for r, p in canonical_subtrees(self, g, u, v, stats):
             sub, h = subs[r], first[r] + g * per[r] + p
-            su, sv = _place(sub, h, aj, bj, key)
+            keys, base = sub.rows[0], h << r  # the structure's L is 2^r
+            sv = bisect_left(keys, bj, base, base + (1 << r))
+            su = bisect_left(keys, aj, base, sv)
             if su < sv:
-                yield sub, h, su, sv
+                yield sub, h, su - base, sv - base
 
     def query(self, g, u, v, a, b, stats, emit):
         for sub, h, su, sv in self.reached(g, u, v, a, b, stats):
@@ -180,21 +194,6 @@ class _Level:
         for sub, h, su, sv in self.reached(g, u, v, a, b, stats):
             total += sub.count(h, su, sv, a, b, stats)
         return total
-
-
-def _place(group, g: int, a: int, b: int, key) -> tuple[int, int]:
-    """Member g's leaf positions (u, v) of the rank bounds [a, b); u == v iff none is in range.
-
-    key gives a label's rank in the table member g's leaf row is sorted by
-    (see _Level).  Two bisects of the row place the bounds: v is the first
-    leaf ranked b or more, and u the first ranked a or more, but the second
-    bisect is skipped when no leaf before v ranks a or more, and u = v then,
-    so u <= v always (QueryStats says how they count).
-    """
-    leaf, base = group.rows[0], g * group.L  # member g's entries of every row start here
-    v = bisect_left(leaf, b, base, base + group.L, key=key)
-    u = v if v == base or key(leaf[v - 1]) < a else bisect_left(leaf, a, base, v - 1, key=key)
-    return u - base, v - base
 
 
 class LayeredRangeTree:
@@ -255,22 +254,37 @@ class LayeredRangeTree:
         return k
 
 
+def _keyed(leaves: array, rank) -> array | range:
+    """A group's leaf labels as its leaf keys (see Index space in cascade).
+
+    Each label's rank in the rank_tables table `rank`, at the labels'
+    typecode; the root, whose rank is None, keys each leaf by its position.
+    """
+    if rank is None:
+        return range(len(leaves))
+    code = leaves.typecode
+    return packed(code, np.frombuffer(rank, dtype=code)[np.frombuffer(leaves, dtype=code)])
+
+
 def build(points: PointSet, counters: Optional[BuildCounters] = None) -> LayeredRangeTree:
     """Build the layered range tree, one dimension at a time.
 
-    rank_tables gives the id map, the root's leaf row, already cut to
+    rank_tables gives the id map, the root's leaf labels, already cut to
     min(n + 1, L) entries (see Storage in cascade), the rank tables and
     each dimension's coordinates in rank order.  The structures over
     dimension j are built as groups by padded size L, listed in tops[j] by
-    log2 L.  Each group's leaf rows are concatenated into the one array that
-    keeps them (see Storage in cascade), and the group runs one batched
-    merge (merge_rows) of them.  On a level (j < d-2) the group is a _Level
-    and merges by its rank table (see _Level), with no bridges, and stops
-    after row max(0, H-2), the last row _reachable cuts chunks from.  Each
-    row r, cut to those chunks, is as it stands the leaf rows of structures
-    with L = 2^r in tops[j+1]; they hold no phantom.  On the cascade
-    (j = d-2) the labels are the keys, and the group keeps every merged row
-    and its bridge row, each as long as its leaf row.  counters, if given,
+    log2 L.  Each group's leaf labels are concatenated into one array (see
+    Storage in cascade), and the group runs one batched merge (merge_rows)
+    of them; only then does _keyed turn them into the leaf keys the group
+    keeps.  On a level (j < d-2) the group is a _Level and merges by rank
+    table j+1, with no bridges, and stops after row max(0, H-2), the last
+    row _reachable cuts chunks from.  Each row r, cut to those chunks, is
+    as it stands the leaf labels of structures with L = 2^r in tops[j+1];
+    they hold no phantom.  On the cascade (j = d-2) the labels are the
+    keys, and the group keeps every merged row and its bridge row, each as
+    long as its leaf row.  The cascades' one order is the root's leaf
+    labels at d = 2, and is made from rank table d-2 after the last merge
+    otherwise, so it is not alive through the merges.  counters, if given,
     gets each group's merge work (see BuildCounters).  Raises
     TooManyPoints, before anything is allocated, unless n < 2^30.
     """
@@ -286,7 +300,7 @@ def build(points: PointSet, counters: Optional[BuildCounters] = None) -> Layered
         return LayeredRangeTree(points, _Slab(), ids, axes)
 
     tops = [[None] * maxL.bit_length() for _ in range(d - 1)]
-    # per L, the leaf rows of its members in member order; the root keeps
+    # per L, the leaf labels of its members in member order; the root keeps
     # only phantom n (see Storage in cascade)
     groups = {maxL: [row]}
     del row
@@ -301,12 +315,15 @@ def build(points: PointSet, counters: Optional[BuildCounters] = None) -> Layered
             if counters is not None:  # G*L entries per row, L at a cut root
                 counters.merge_moves += merged * max(len(leaves), L)
             if j == d - 2:
-                tops[j][H] = CascadeStructure(L, *fill_buffers_batch_np(leaves, L))
+                rows, bridges = fill_buffers_batch_np(leaves, L)
+                rows[0] = _keyed(leaves, ranks[j])
+                # at d = 2 the root's leaf labels are order (see Index space in cascade)
+                tops[j][H] = CascadeStructure(L, rows, bridges, leaves if j == 0 else None)
                 continue
             G, m = (1, n) if j == 0 else (len(leaves) // L, L)  # the root, a group of one
-            level = tops[j][H] = _Level(j, [leaves], L, ranks[j + 1], tops[j + 1])
+            level = tops[j][H] = _Level(j, [leaves], L, tops[j + 1])
             for r, (row, _) in enumerate(islice(chain([(leaves, None)],
-                                                      merge_rows(leaves, L, level.rank)),
+                                                      merge_rows(leaves, L, ranks[j + 1])),
                                                 merged + 1)):
                 chunks = _reachable(L, m, r)
                 pieces = nxt.setdefault(1 << r, [])
@@ -315,5 +332,12 @@ def build(points: PointSet, counters: Optional[BuildCounters] = None) -> Layered
                 pieces.append(np.frombuffer(row, dtype=code).reshape(G, -1)
                               [:, chunks.start << r : chunks.stop << r].copy().reshape(-1))
                 del row  # so no row stays bound after the loop
+            level.rows[0] = _keyed(leaves, ranks[j])
         groups = nxt
+    if d > 2:  # the label at each rank of dimension d-2, phantom n last
+        label = np.empty(maxL, dtype=code)
+        label[np.frombuffer(ranks[d - 2], dtype=code)] = np.arange(maxL, dtype=code)
+        order = packed(code, label[: min(n + 1, maxL)])
+        for cs in filter(None, tops[d - 2]):
+            cs.order = order
     return LayeredRangeTree(points, tops[0][maxL.bit_length() - 1], ids, axes)

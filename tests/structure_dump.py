@@ -4,30 +4,32 @@
     PYTHONPATH=src python tests/structure_dump.py --compare BASE.json HEAD.json
 
 The first form builds one tree per case of CASES and writes, per case, every
-structure's expanded cascade rows or leaf row in structures() order, the
-typecodes of the tree's arrays (widths), 30 boxes' hits and counts (a third
-of the boxes have lo > hi in one dimension), the four QueryStats totals of
-the queries and of the counts, and merge_moves.  A hit is its id and its
-coordinates as float.hex strings, so a lost -0.0 or a rounding change shows
-too.  The structures store point labels (ranks in the last dimension); the
-dump writes each stored label below n as its point id, read from the tree's
-id map, and bridges and phantoms as stored.  It reads only the tree's root,
-ids and dims, every group's rows and L, a cascade group's bridges, a
-level's dim, rank, subs, first and per (structures, slots, placing_rank),
-and the hits' id and coords.  Diffing the
-outputs of two versions of the package, each dumped by its own copy of this
-file, shows every change in layout, answer or cost counter.  One case is
-written per line.  Which structures exist is layout too: a level node that no
-query can reach has no structure, so it is in no dump, and a change to which
-nodes are built shows in structures, widths and merge_moves only.  The second
-form exits 1, naming each case, when a case of BASE is missing from HEAD or
-its answers, query_stats or count_stats differ, and for each differing
-stats field says which counters fell and which rose.  It also names, without
-failing, each case whose structures, widths or merge_moves differ (or that
-one file lacks), so a layout or width change shows in its output.  CI runs it
-on every pull request against the base commit's dump.  It reads only the two
-files, so only the first form imports layertree.  tests/test_tree.py pins a
-digest of structure_row over fixed trees and runs the smallest cases.
+structure's expanded cascade rows or leaf keys in structures() order, the
+cascades' one order, the typecodes of the tree's arrays (widths), 30 boxes'
+hits and counts (a third of the boxes have lo > hi in one dimension), the
+four QueryStats totals of the queries and of the counts, and merge_moves.  A
+hit is its id and its coordinates as float.hex strings, so a lost -0.0 or a
+rounding change shows too.  The structures store leaf keys (each leaf's rank
+in its group's dimension) and, above a cascade's leaves, point labels (ranks
+in the last dimension); the dump writes each stored label below n, order's
+included, as its point id, read from the tree's id map, and keys, bridges
+and phantoms as stored.  It reads only the tree's root, ids and dims, every
+group's rows and L, a cascade group's bridges and order, a level's dim,
+subs, first and per (structures, slots), and the hits' id and coords.
+Diffing the outputs of two versions of the package, each dumped by its own
+copy of this file, shows every change in layout, answer or cost counter.
+One case is written per line.  Which structures exist is layout too: a
+level node that no query can reach has no structure, so it is in no dump,
+and a change to which nodes are built shows in structures, widths and
+merge_moves only.  The second form exits 1, naming each case, when a case
+of BASE is missing from HEAD or its answers, query_stats or count_stats
+differ, and for each differing stats field says which counters fell and
+which rose.  It also names, without failing, each case whose structures,
+order, widths or merge_moves differ (or that one file lacks), so a layout
+or width change shows in its output.  CI runs it on every pull request
+against the base commit's dump.  It reads only the two files, so only the
+first form imports layertree.  tests/test_tree.py pins a digest of
+structure_row and order_row over fixed trees and runs the smallest cases.
 
 It is also the tests' reference module.  It holds the scalar splitmix64
 generator (splitmix64_next, SplitMix64), which the package's vectorized
@@ -35,19 +37,18 @@ stream must match draw for draw, and the tests' one walk model, walk_model:
 what cascade._walk must yield and count over leaf positions, from a
 member's node labels alone (model_checked checks walk calls by it), and
 split_node, the leaf positions of a rank interval from a member's leaf
-ranks, which tree._place must give.  It
-is the tests' one reader of structure layout: the reference order and box
-filter over Points (composite_key, box_contains), a point set's Points
-(every_point), a cascade member's
-bridge_rows and node (r, pos), a cascade or level member's words, leaf_row,
-the rank table it is sorted by (placing_rank), its leaf_ranks and the real
-labels of its subtree (r, pos), a group's members,
-all_nodes of a tree, a member's query output as a list (collect), a level
-member's slots and every structure of a tree (structures).  They read every
-row of either group kind by one rule: member g's entries start at g*L; words
-reads the root's rows, cut to min(n + 1, L) entries at every d, with each
-cut position t holding its phantom t.  Its top level imports nothing from
-layertree.
+ranks, which tree._Level.reached must give.  It is the tests' one reader of
+structure layout: the reference order and box filter over Points
+(composite_key, box_contains), a point set's Points (every_point), a
+cascade member's bridge_rows, node (r, pos) and words, a cascade or level
+member's leaf_row (its keys as stored), leaf_ranks (those keys over all L
+leaves), leaf_label, leaf_labels and the real labels of its subtree (r,
+pos), a group's members, all_nodes of a tree, a member's query output as a
+list (collect), a level member's slots and every structure of a tree
+(structures).  They read every row of either group kind by one rule:
+member g's entries start at g*L; words and leaf_ranks read the root's rows,
+cut to min(n + 1, L) entries at every d, with each cut position t holding
+its phantom t.  Its top level imports nothing from layertree.
 """
 
 import json
@@ -157,17 +158,20 @@ def all_nodes(L: int) -> list:
     return [(r, p) for r in range(L.bit_length() - 1, -1, -1) for p in range(L >> r)]
 
 
-def words(s, g: int = 0):
-    """Member g's labels, row by row: its L of each of s.rows (a level's one row is its leaves).
+def words(cs, g: int = 0):
+    """Cascade member g's labels, row by row: its L of each of cs.rows, row 0 read through cs.order.
 
-    A row cut short, the root's, reads each position past its end as
-    that position's phantom, t at t, so member g's row k starts at k*L.
+    Row 0 holds leaf keys, and a leaf's label is cs.order[key] (see Index
+    space in cascade).  A row cut short, the root's, reads each position
+    past its end as that position's phantom, t at t, so member g's row k
+    starts at k*L.
     """
-    out = array(s.rows[0].typecode)
-    for row in s.rows:
-        part = row[g * s.L : (g + 1) * s.L]
+    out = array(cs.order.typecode, [cs.order[k] for k in leaf_row(cs, g)])
+    out.extend(range(len(out), cs.L))
+    for row in cs.rows[1:]:
+        part = row[g * cs.L : (g + 1) * cs.L]
         out += part
-        out.extend(range(len(part), s.L))
+        out.extend(range(len(part), cs.L))
     return out
 
 
@@ -182,46 +186,47 @@ def members(group) -> int:
 
 
 def leaf_row(s, g: int = 0):
-    """Member g's stored leaf labels, from g*L of a cascade's or a level's row 0.
+    """Member g's stored leaf keys, from g*L of a cascade's or a level's row 0.
 
-    They are L, or min(n + 1, L) at the root, a cascade's or a level's.
+    They are L, each leaf's rank in the group's own dimension, or at the
+    root its positions, a range of min(n + 1, L).
     """
     return s.rows[0][g * s.L : (g + 1) * s.L]
 
 
-def placing_rank(tree, s):
-    """The rank table group s's leaf rows are sorted by, or None when s is the tree's root.
+def leaf_label(s, g: int, p: int) -> int:
+    """The label of member g's leaf p.
 
-    The level whose subs list holds s holds it, and places s's bounds (see
-    tree._Level).  The root's leaf row is dimension 0's order, which no
-    table holds.
+    A cascade reads it through its order.  A level keeps no label: leaf p's
+    is the one point of the structure at its node (0, p), found down to a
+    cascade leaf, and a leaf with no structure is the root's phantom n,
+    its own label.
     """
-    levels = [tree.root]
-    while levels:
-        level = levels.pop()
-        subs = [sub for sub in getattr(level, "subs", ()) if sub is not None]
-        if any(sub is s for sub in subs):
-            return level.rank
-        levels += subs
-    assert s is tree.root, "not a group of this tree"
-    return None
+    if hasattr(s, "bridges"):
+        return s.order[s.rows[0][g * s.L + p]]
+    if p >= s.per[0]:
+        return p
+    return leaf_label(s.subs[0], s.first[0] + g * s.per[0] + p, 0)
 
 
-def leaf_ranks(tree, s, g: int = 0) -> list:
-    """The ranks member g's leaf row is sorted by, in leaf order.
+def leaf_labels(s, g: int = 0) -> list:
+    """Member g's leaf labels in leaf order, one per stored leaf key."""
+    return [leaf_label(s, g, p) for p in range(len(leaf_row(s, g)))]
 
-    placing_rank's table gives each leaf label's rank; at the root, whose
-    leaf row is dimension 0's order, leaf p ranks p.
+
+def leaf_ranks(s, g: int = 0) -> list:
+    """The ranks member g's leaf row is sorted by, in leaf order: its L leaf keys.
+
+    The root's cut positions read as their phantoms, t at t.
     """
-    rank = placing_rank(tree, s)
-    if rank is None:
-        return list(range(s.L))
-    return [rank[e] for e in leaf_row(s, g)]
+    keys = list(leaf_row(s, g))
+    return keys + list(range(len(keys), s.L))
 
 
 def subtree(s, g: int, r: int, pos: int, n: int) -> list:
     """The real labels (< n) under node (r, pos) of member g, in leaf order: its leaf row chunk."""
-    return [e for e in leaf_row(s, g)[pos << r : (pos + 1) << r] if e < n]
+    stop = min((pos + 1) << r, len(leaf_row(s, g)))
+    return [e for e in (leaf_label(s, g, p) for p in range(pos << r, stop)) if e < n]
 
 
 def split_node(ranks, a, b) -> tuple:
@@ -291,27 +296,31 @@ def walk_model(group, g, a, b, ya=None, yb=None, carry_yb=True, labels=None):
 def model_checked(monkeypatch) -> list:
     """Put a stand-in for cascade._walk that passes each call on to it and checks it by walk_model.
 
-    A call's yields and counters must equal the model's.  Each call appends
-    (split row, yields, counters) to the list returned.  A member's words
-    are read once, at its first call.
+    It stands in under both names the package calls it by, cascade._walk
+    and the tree module's imported _walk, so a level's walks are checked
+    too.  A call's yields and counters must equal the model's.  Each call
+    appends (group, split row, yields, counters) to the list returned.  A
+    cascade member's words are read once, at its first call.
     """
     import layertree.cascade
+    import layertree.tree
 
     walk, views, calls = layertree.cascade._walk, {}, []
 
     def checked(group, g, a, b, ya, yb, stats, carry_yb=True):
         key = id(group), g
-        if key not in views:
+        if ya is not None and key not in views:
             views[key] = words(group, g)
         before = walk_counters(stats)
         got = list(walk(group, g, a, b, ya, yb, stats, carry_yb))
         counters = tuple(x - y for x, y in zip(walk_counters(stats), before))
-        want = walk_model(group, g, a, b, ya, yb, carry_yb, views[key])
+        want = walk_model(group, g, a, b, ya, yb, carry_yb, views.get(key))
         assert (got, counters) == want, (a, b, ya, yb, carry_yb)
-        calls.append((split_node(range(group.L), a, b)[2], got, counters))
+        calls.append((group, split_node(range(group.L), a, b)[2], got, counters))
         yield from got
 
     monkeypatch.setattr(layertree.cascade, "_walk", checked)
+    monkeypatch.setattr(layertree.tree, "_walk", checked)
     return calls
 
 
@@ -322,14 +331,15 @@ CascadeNode = namedtuple("CascadeNode", "ranks left_bridge right_bridge")
 def node(cs, row: int, pos: int, g: int = 0) -> CascadeNode:
     """Node (row, pos) of member g: the chunks at pos*2^row of its node row and lb row, as stored.
 
-    So a d=2 root's node that reaches past position n holds its entries up
-    to n only (see words for the cut phantoms).
+    A leaf's one label is read through cs.order from its key.  So a d=2
+    root's node that reaches past position n holds its entries up to n
+    only (see words for the cut phantoms).
     """
     span = 1 << row
     at = g * cs.L + pos * span  # in rows[row] and in bridges[row]
     lb = cs.bridges[row][at : at + span].tolist() if row else []
-    return CascadeNode(cs.rows[row][at : at + span].tolist(), lb,
-                       [t - l for t, l in enumerate(lb)])
+    labels = cs.rows[row][at : at + span] if row else [cs.order[k] for k in cs.rows[0][at : at + 1]]
+    return CascadeNode(list(labels), lb, [t - l for t, l in enumerate(lb)])
 
 
 def slots(level, g: int):
@@ -372,55 +382,66 @@ def collect(tree, group, g: int, a, b, stats=None) -> list:
     from layertree import QueryStats
 
     j = getattr(group, "dim", len(a) - 2)
-    u, v = split_node(leaf_ranks(tree, group, g), a[j], b[j])[:2]
+    u, v = split_node(leaf_ranks(group, g), a[j], b[j])[:2]
     out: list = []
     group.query(g, u, v, a, b, QueryStats() if stats is None else stats, out.extend)
     return out
 
 
 def structure_row(s, g: int, ids) -> list:
-    """Member g's expanded cascade rows, or the leaf row of a level or slab member.
+    """Member g's expanded cascade rows, or the leaf keys of a level or slab member.
 
-    The expansion is the node rows (member g's words), the lb rows (its
-    bridge rows, as stored), then the right bridges t - lb: entry i of lb
-    row r sits at position t = i mod 2^r of its node's array.  A level
-    member's row is its leaf_row, as stored.  Labels below n = len(ids) are
-    written as the ids the tree's id map gives them; the slab's leaf row is
-    every label in order.
+    The expansion is the leaf keys (leaf_ranks, with the root's cut
+    positions), the label rows 1..H (member g's words past row 0), the lb
+    rows (its bridge rows, as stored), then the right bridges t - lb: entry
+    i of lb row r sits at position t = i mod 2^r of its node's array.  A
+    level member's row is its leaf_row, as stored.  Labels below n =
+    len(ids) are written as the ids the tree's id map gives them, and keys
+    as stored; the slab's leaf row is every label in order.
     """
     if not hasattr(s, "L"):
         return ids.tolist()
+    if not hasattr(s, "bridges"):
+        return list(leaf_row(s, g))
     n = len(ids)
-    cascade = hasattr(s, "bridges")
-    row = [ids[e] if e < n else e for e in (words(s, g) if cascade else leaf_row(s, g))]
-    if cascade:
-        lbs = bridge_rows(s, g)
-        row += [e for lb in lbs for e in lb] + [
-            (i & ((1 << r) - 1)) - lb[i] for r, lb in enumerate(lbs, 1) for i in range(len(lb))]
-    return row
+    lbs = bridge_rows(s, g)
+    return leaf_ranks(s, g) + [ids[e] if e < n else e for e in words(s, g)[s.L :]] + [
+        e for lb in lbs for e in lb] + [
+        (i & ((1 << r) - 1)) - lb[i] for r, lb in enumerate(lbs, 1) for i in range(len(lb))]
+
+
+def order_row(tree):
+    """The cascades' one order, labels below n written as ids; None for a tree with no cascade."""
+    cascade = next((s for _, (s, _) in structures(tree) if hasattr(s, "bridges")), None)
+    n = len(tree.ids)
+    return None if cascade is None else [tree.ids[e] if e < n else e for e in cascade.order]
 
 
 def widths(tree) -> dict:
     """The typecodes of a tree's arrays, each group once, in structures() order.
 
-    ids is the id map's, ranks each rank table's by dimension, 1..d-2 (a
-    group's leaf rows are sorted by its dimension's table, placing_rank's;
-    dimension 0's order is the root's leaf row, in no table), levels each
-    level group's leaf rows', and cascades each cascade group's labels' with
-    its bridge rows' 1..H as one string.
+    ids is the id map's; ranks, by dimension 1..d-2, the leaf keys' of
+    that dimension's groups (each leaf's rank there; dimension 0's keys are
+    the root's positions); levels each level group's leaf keys', and
+    cascades each cascade group's labels' (rows 1..H, or order when L = 1)
+    with its bridge rows' 1..H as one string.  A row kept as a range, the
+    root's leaf keys, stores no entry and reads as the tree's index width,
+    the id map's, which holds its values.
     """
     ranks, levels, cascades, seen = {}, [], [], set()
+    width = lambda row: tree.ids.typecode if isinstance(row, range) else row.typecode
     for _, (s, _) in structures(tree):
         if id(s) in seen or not hasattr(s, "L"):  # each group once; the slab holds no array
             continue
         seen.add(id(s))
-        rank = placing_rank(tree, s)
-        if rank is not None:
-            ranks[getattr(s, "dim", tree.dims - 2)] = rank.typecode  # a cascade's is d-2's
+        dim = getattr(s, "dim", tree.dims - 2)  # a cascade's is d-2
+        if dim:
+            ranks[dim] = width(s.rows[0])
         if hasattr(s, "bridges"):
-            cascades.append([s.rows[0].typecode, "".join(lb.typecode for lb in s.bridges[1:])])
+            labels = s.rows[1] if len(s.rows) > 1 else s.order
+            cascades.append([labels.typecode, "".join(lb.typecode for lb in s.bridges[1:])])
         else:
-            levels.append(s.rows[0].typecode)
+            levels.append(width(s.rows[0]))
     return {"ids": tree.ids.typecode, "ranks": [ranks[j] for j in sorted(ranks)],
             "levels": levels, "cascades": cascades}
 
@@ -442,6 +463,7 @@ def dump_case(d: int, dist: str, n: int) -> dict:
         "case": [d, dist, n],
         "structures": [[level, type(s).__name__, structure_row(s, g, tree.ids)]
                        for level, (s, g) in structures(tree)],
+        "order": order_row(tree),
         "widths": widths(tree),
         "answers": answers,
         "query_stats": list(astuple(q)),
@@ -451,7 +473,7 @@ def dump_case(d: int, dist: str, n: int) -> dict:
 
 
 SAME = ("answers", "query_stats", "count_stats")  # what no layout change may alter
-LAYOUT = ("structures", "widths", "merge_moves")  # what a layout change alters
+LAYOUT = ("structures", "order", "widths", "merge_moves")  # what a layout change alters
 
 
 def compare(base: list, head: list, fields: tuple = SAME) -> list:
@@ -500,7 +522,7 @@ def main(argv: list) -> int:
         for line in directions(base, head):
             print(line)
         print("\n".join(["layout changes (not a failure):"] + moved) if moved
-              else "structures, widths and merge_moves are unchanged")
+              else f"{', '.join(LAYOUT[:-1])} and {LAYOUT[-1]} are unchanged")
         return 1 if diffs else 0
     if len(argv) != 1:
         print("usage: structure_dump.py OUT.json | --compare BASE.json HEAD.json", file=sys.stderr)

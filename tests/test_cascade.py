@@ -25,7 +25,7 @@ from layertree.cascade import (CascadeStructure, fill_buffers_batch_np, merge_ro
 from layertree.core import QueryBox
 
 from structure_dump import (SplitMix64, all_nodes, box_contains, bridge_rows, composite_key,
-                            every_point, leaf_ranks, leaf_row, model_checked, node, placing_rank,
+                            every_point, leaf_labels, leaf_ranks, leaf_row, model_checked, node,
                             structures, subtree)
 
 
@@ -73,7 +73,7 @@ def hits(cs, ps, ids, xlo, xhi, ylo, yhi, stats=None):
 class TestBuild:
     def test_single_point(self):
         cs, ps, ids = make_cascade([(2, 7)])
-        assert leaf_row(cs).tolist() == [0] and cs.L == 1  # one real leaf
+        assert leaf_row(cs) == range(1) and cs.order.tolist() == [0] and cs.L == 1  # one real leaf
         root = node(cs, 0, 0)
         assert real_points(ps, ids, root.ranks) == every_point(ps)
         assert y_values(cs, ps, ids, root) == [7.0]
@@ -83,14 +83,15 @@ class TestBuild:
         ps = gen_points(GeneratorConfig(seed=12, n=45, dims=2, dist="grid", grid_side=4))
         tree = build(ps)
         root = tree.root
-        one = CascadeStructure.build_from_ids(leaf_row(root)[: len(ps)])
-        # the root's leaf row is its x order, which no table holds, and no
-        # cascade holds a rank table
-        assert placing_rank(tree, root) is None
+        one = CascadeStructure.build_from_ids(root.order[: len(ps)])
+        # the root's leaf keys are its positions, and order its x order in
+        # labels; no cascade holds a rank table
+        assert root.rows[0] == range(min(len(ps) + 1, root.L))
         assert not hasattr(one, "rank") and not hasattr(root, "rank")
         assert (one.L, one.L.bit_length() - 1) == (root.L, root.L.bit_length() - 1)
-        assert typed(one.rows) == typed(root.rows)
+        assert one.rows[0] == root.rows[0] and typed(one.rows[1:]) == typed(root.rows[1:])
         assert typed(one.bridges) == typed(root.bridges)
+        assert typed([one.order]) == typed([root.order])
 
     def test_hand_derived_parent_bridges(self):
         # children (1, 0) and (1, 1) carry y-keys [1,5] and [3,7]; the parent,
@@ -198,7 +199,7 @@ def reference_merge(leaf, rank, H):
 
 
 def typed(rows):
-    """A group's label or bridge rows as (typecode, values) pairs."""
+    """A group's label or bridge arrays as (typecode, values) pairs."""
     return [(row.typecode, row.tolist()) for row in rows]
 
 
@@ -395,7 +396,7 @@ class TestBridges:
         assert any(g > 0 for _, g in members)
         for cs, g in members:
             assert exhaustive_bridge_check(cs, g) == 0
-            leaves = leaf_row(cs, g).tolist()
+            leaves = leaf_labels(cs, g)
             real = [e for e in leaves if e < n]
             top = node(cs, cs.L.bit_length() - 1, 0, g)
             stored = real_points(tree.pointset, tree.ids, top.ranks)
@@ -450,7 +451,7 @@ class TestQuery2D:
             cs.query(0, *rank_args(cs, ps, xlo, xhi, ylo, 100.0), QueryStats(), lambda p: None)
             # yhi < ylo in about half
             cs.count(0, *rank_args(cs, ps, xlo, xhi, ylo, yhi), QueryStats())
-        seen = [sum(len(got) for _, got, counters in calls if counters[1] == k) for k in (1, 2)]
+        seen = [sum(len(got) for _, _, got, counters in calls if counters[1] == k) for k in (1, 2)]
         assert min(seen) > 200  # the wrapper observed both walks
 
     def test_count_matches_query(self):
@@ -484,17 +485,17 @@ class TestQuery2D:
         assert cs.count(0, u, v, a, b, QueryStats()) == 2
 
     def test_tree_view(self):
-        # label row 0 is the x-tree's leaf row: increasing in x rank,
-        # nondecreasing in x, real labels first.  The d=2 root is dimension
-        # 0's group, so its leaf row is that order: no rank table sorts it,
-        # and leaf p's x rank is p
+        # row 0 is the x-tree's leaf row: its keys ascend in x rank, and its
+        # labels, read through order, are nondecreasing in x, real labels
+        # first.  The d=2 root is dimension 0's group, so its keys are its
+        # positions, leaf p's x rank is p, and order is that x order
         tree = build(PointSet.from_coords([(3, 0), (1, 0), (2, 0)]))
         cs, ps, ids = tree.root, tree.pointset, tree.ids
         pts = every_point(ps)
-        leaves = leaf_row(cs).tolist()
+        leaves = leaf_labels(cs)
         assert cs.L == 4 and sum(e < len(pts) for e in leaves) == 3
-        assert placing_rank(tree, cs) is None and leaf_ranks(tree, cs) == [0, 1, 2, 3]
-        assert leaves == rank_tables(ps.coord_matrix())[1].tolist()
+        assert leaf_row(cs) == range(4) and leaf_ranks(cs) == [0, 1, 2, 3]
+        assert leaves == cs.order.tolist() == rank_tables(ps.coord_matrix())[1].tolist()
         keys = [composite_key(pts[ids[e]], 0) for e in leaves[:3]]
         assert keys == sorted(keys)
         xs = [pts[ids[e]].coords[0] for e in leaves[:3]]

@@ -8,7 +8,7 @@ the package's modules and their globals, and a bare name also among the
 methods of the package's classes; the lookup must end at a module, class,
 function or method of the package, or at an instance attribute a package
 class declares, a __slots__ entry or a dataclass field (QueryStats.reported,
-tree._Level.rank).  A token whose first name is a Python builtin
+tree._Level.subs).  A token whose first name is a Python builtin
 (sorted(), str.strip()) is not checked.
 """
 
@@ -101,7 +101,7 @@ def test_removed_names_are_caught():
     # the fourth a module-qualified name written without ()
     text = ("LayeredRangeTree.structures(), _Level.slots(), splitmix64_next(), (cascade._place), "
             "LayeredRangeTree.query(), PointSet.from_coords(), build(), cascade._walk(), "
-            "query(), sorted(), str.strip(), see Walk in cascade.  (tree._place), "
+            "query(), sorted(), str.strip(), see Walk in cascade.  (tree._Level.reached), "
             "layertree.tree.canonical_subtrees, core.PointSet")
     assert unresolved(text, MODULES["tree"]) == [
         "LayeredRangeTree.structures", "_Level.slots", "splitmix64_next", "cascade._place"]
@@ -113,11 +113,12 @@ def test_removed_names_are_caught():
 def test_declared_attributes_resolve():
     # an instance attribute qualified by its class resolves when the class
     # declares it: a dataclass field (QueryStats.reported) or a __slots__
-    # entry (_Level.rank, PointSet.dims), qualified by its module too; an
-    # undeclared name on any of them does not, nor a declared one on the
-    # wrong class
+    # entry (CascadeStructure.order, PointSet.dims), qualified by its module
+    # too; an undeclared name on any of them does not, nor a declared one on
+    # the wrong class, nor a slot the class no longer has (_Level.rank)
     text = ("QueryStats.reported, tree.QueryStats.nodes_visited, _Level.rank, tree._Level.subs, "
-            "CascadeStructure.bridges, PointSet.dims, core.PointSet.dims, QueryStats.rank, "
-            "_Level.reported, _Level.m, QueryStats.merge_moves, PointSet.n")
+            "CascadeStructure.bridges, CascadeStructure.order, PointSet.dims, core.PointSet.dims, "
+            "QueryStats.rank, _Level.reported, _Level.m, QueryStats.merge_moves, PointSet.n")
     assert unresolved(text, MODULES["tree"]) == [
-        "QueryStats.rank", "_Level.reported", "_Level.m", "QueryStats.merge_moves", "PointSet.n"]
+        "_Level.rank", "QueryStats.rank", "_Level.reported", "_Level.m", "QueryStats.merge_moves",
+        "PointSet.n"]

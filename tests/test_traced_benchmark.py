@@ -130,7 +130,7 @@ def allowed_calls(tree, member, u, v, a, b, slot_maps) -> tuple:
     built, j, calls, skipped = slot_maps[id(level), g], level.dim + 1, 0, 0
     for node in layertree.tree.canonical_subtrees(level, g, u, v, QueryStats()):
         sub = built[node]
-        pa, pb = split_node(leaf_ranks(tree, *sub), a[j], b[j])[:2]
+        pa, pb = split_node(leaf_ranks(*sub), a[j], b[j])[:2]
         if pa == pb:
             skipped += 1
         elif isinstance(sub[0], _Level):

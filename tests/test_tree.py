@@ -4,6 +4,7 @@ import hashlib
 import importlib
 import inspect
 import json
+import math
 import random
 import subprocess
 import sys
@@ -16,7 +17,6 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import partial
 from itertools import product
-from operator import getitem
 
 import numpy as np
 import pytest
@@ -39,13 +39,13 @@ from layertree import (
     gen_points,
 )
 from layertree.cascade import CascadeStructure, _walk, merge_rows, pow2ceil, rank_tables
-from layertree.tree import GATHER_MIN, _Level, _place, _reachable, _Slab
+from layertree.tree import GATHER_MIN, _Level, _reachable, _Slab
 
 import structure_dump
 from structure_dump import (SplitMix64, all_nodes, bridge_rows, collect, composite_key,
-                            every_point, leaf_ranks, leaf_row, members, model_checked, node,
-                            placing_rank, slots, split_node, structures, subtree, walk_counters,
-                            walk_model, words)
+                            every_point, leaf_labels, leaf_ranks, leaf_row, members,
+                            model_checked, node, order_row, slots, split_node, structures,
+                            subtree, walk_counters, walk_model, words)
 
 
 def level_tree(values):
@@ -66,39 +66,65 @@ def walked(member, u, v) -> tuple:
     return got
 
 
-def positions(member, a, b, rank, ranks) -> tuple:
-    """A member's leaf positions of the ranks [a, b) in its own dimension.
+def positions(tree, member, a, b) -> tuple:
+    """A member's leaf positions of the ranks [a, b) in its own dimension: split_node's.
 
-    rank is the table the member is sorted by (placing_rank) and ranks its
-    leaf_ranks.  At the root (rank None) they are the ranks themselves,
-    which split_node gives too (for b <= L); below it _place gives them,
-    keyed as a level keys it, and they equal split_node's.
+    At the root they are the ranks themselves (for b <= L), which the tree
+    hands it; below it the level above places them (check_place checks
+    _Level.reached against split_node).
     """
-    group, g = member
-    if rank is None:
-        assert split_node(ranks, a, b)[:2] == (min(a, b), b)
+    pa, pb = split_node(leaf_ranks(*member), a, b)[:2]
+    if member[0] is tree.root:
+        assert (pa, pb) == (min(a, b), b)
         return a, b
-    got = _place(group, g, a, b, partial(getitem, rank))
-    assert got == split_node(ranks, a, b)[:2], (a, b)
-    return got
+    return pa, pb
 
 
 def check_place(tree, n) -> int:
-    """_place against split_node for every member below the root and every 0 <= a, b <= n.
+    """_Level.reached against split_node for every member below the root and every 0 <= a, b <= n.
 
-    Returns how many members were checked.
+    Each such member is the structure of a node (r, pos) of a level
+    member, and reached is called over that node's own leaf range, with
+    the leaf before it when r > 0, [pos*2^r - 1, (pos+1)*2^r): the range
+    then splits above the node's parent, whose path to the bound outside
+    the node enters it and takes the node as canonical.  For rank bounds
+    [a, b) in the level's next dimension, reached yields each canonical
+    node's structure with split_node's leaf positions of its leaf ranks
+    when they hold a leaf, and skips it otherwise; a node that an earlier
+    range took as canonical was checked there.  The range's decomposition
+    does not depend on [a, b), so reached gets canonical_subtrees' list,
+    made once per range.  Returns how many members were checked.
     """
-    placed = [s for _, s in structures(tree) if s[0] is not tree.root]
-    for member in placed:
-        rank, ranks = placing_rank(tree, member[0]), leaf_ranks(tree, *member)
-        for a in range(n + 1):
-            for b in range(n + 1):
-                positions(member, a, b, rank, ranks)
-    return len(placed)
+    checked = 0
+    for _, (level, g) in structures(tree):
+        if not isinstance(level, _Level):
+            continue
+        j = level.dim + 1
+        built = dict(slots(level, g))
+        todo = set(built)
+        while todo:
+            r, pos = min(todo)
+            u, v = (pos << r) - (r > 0), (pos + 1) << r
+            nodes = canonical_subtrees(level, g, u, v, QueryStats())
+            assert (r, pos) in nodes
+            # split_node's pb for each bound b, per canonical node's structure:
+            # its pa for a is min(pb(a), pb(b))
+            tables = [(*built[node], [split_node(leaf_ranks(*built[node]), 0, x)[1]
+                                      for x in range(n + 1)]) for node in nodes]
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(layertree.tree, "canonical_subtrees", lambda *_: nodes)
+                for a in range(n + 1):
+                    for b in range(n + 1):
+                        got = list(level.reached(g, u, v, (a,) * (j + 1), (b,) * (j + 1), None))
+                        want = [(s, h, min(pb[a], pb[b]), pb[b]) for s, h, pb in tables]
+                        assert got == [w for w in want if w[2] < w[3]], (a, b)
+            checked += len(todo & set(nodes))
+            todo -= set(nodes)
+    return checked
 
 
 def real_count(member, n) -> int:
-    """A structure's real point count m: the labels < n in its leaf row."""
+    """A structure's real point count m: its leaf keys < n (below the root, all of them)."""
     return sum(1 for e in leaf_row(*member) if e < n)
 
 
@@ -152,18 +178,21 @@ class TestPublicNames:
     def test_no_knob_that_no_caller_needs(self):
         # a point set's dimension is its rows' width, every caller of
         # canonical_subtrees passes its stats, and one loop of _Level finds
-        # the structures a box reaches: tree.py decomposes and places once
+        # the structures a box reaches: tree.py decomposes once, in
+        # reached, which places each node by two bisects of its own
         assert list(inspect.signature(PointSet.from_coords).parameters) == ["coords"]
         stats = inspect.signature(canonical_subtrees).parameters["stats"]
         assert stats.default is inspect.Parameter.empty
         source = ast.parse(inspect.getsource(layertree.tree))
         called = [call.func.id for call in ast.walk(source)
                   if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)]
-        assert called.count("canonical_subtrees") == called.count("_place") == 1
+        assert called.count("canonical_subtrees") == 1
         (reached,) = [f for f in ast.walk(source)
                       if isinstance(f, ast.FunctionDef) and f.name == "reached"]
-        assert {getattr(c.func, "id", None) for c in ast.walk(reached)
-                if isinstance(c, ast.Call)} >= {"canonical_subtrees", "_place"}
+        in_reached = [getattr(c.func, "id", None) for c in ast.walk(reached)
+                      if isinstance(c, ast.Call)]
+        assert in_reached.count("canonical_subtrees") == 1
+        assert in_reached.count("bisect_left") == called.count("bisect_left") == 2
 
     @pytest.mark.parametrize("module,name", [("cascade", "CascadeStructure")])
     def test_dropped_names_import_from_their_modules(self, module, name):
@@ -198,8 +227,11 @@ class TestLeafRow:
         for r, p in nodes:
             if r > 0:
                 assert chunks[r, p] == chunks[r - 1, 2 * p] + chunks[r - 1, 2 * p + 1]
+        # the root's leaf keys are its positions; its points (i, 0, 0) sort
+        # by id in every dimension, so leaf i holds label i
+        assert level.rows[0] == range(min(n + 1, L))
         for i in range(L):
-            assert chunks[0, i] == ([level.rows[0][i]] if i < n else [])
+            assert chunks[0, i] == ([i] if i < n else [])
         built = dict(slots(level, 0))
         assert list(built) == [at for at in nodes if at in built]
         assert {(0, i) for i in range(n)} <= set(built)  # every real leaf
@@ -209,7 +241,7 @@ class TestLeafRow:
     @staticmethod
     def check_leaf_scan(tree, member):
         level, _ = member
-        rank, ranks = placing_rank(tree, level), leaf_ranks(tree, *member)
+        ranks = leaf_ranks(*member)
         assert ranks == sorted(ranks)
         # a node splits after the rightmost leaf of its left subtree, which
         # holds the largest rank there; the one rank is that leaf alone, whose
@@ -222,16 +254,19 @@ class TestLeafRow:
                 k = max(ranks[pos << r : mid])
                 assert split_node(ranks, k, k + 1) == (mid - 1, mid, r, pos)
                 want = [(0, mid - 1, None, None)], (H + 1 + r, 0, 0)
-                assert walked(member, *positions(member, k, k + 1, rank, ranks)) == want
+                assert walked(member, *positions(tree, member, k, k + 1)) == want
 
     @pytest.mark.parametrize("n", [1, 3, 8, 13])
     def test_leaf_scan_nondecreasing_and_internal_keys(self, n):
-        # the root's leaf row is dimension 0's order, which no table holds;
-        # the root level holds dimension 1's, the table it places by
+        # the root's leaf keys are its positions, dimension 0's ranks; each
+        # structure below it keys its leaves by their dimension-1 ranks,
+        # rank table 1, in which the root level places its bounds
         rnd = random.Random(n)
         tree = level_tree([rnd.randrange(4) for _ in range(n)])
-        assert placing_rank(tree, tree.root) is None
-        assert tree.root.rank == rank_tables(tree.pointset.coord_matrix())[2][1]
+        ranks = rank_tables(tree.pointset.coord_matrix())[2]
+        assert tree.root.rows[0] == range(min(n + 1, tree.root.L))
+        for _, sub in slots(tree.root, 0):
+            assert list(leaf_row(*sub)) == [ranks[1][e] for e in leaf_labels(*sub)]
         self.check_leaf_scan(tree, (tree.root, 0))
 
     @staticmethod
@@ -242,11 +277,13 @@ class TestLeafRow:
 
     @pytest.mark.parametrize("n", [8, 13, 40])
     def test_leaf_scan_below_the_root(self, n):
-        # the largest level member over dimension 1 (d = 4) is sorted by the
-        # root level's rank table, which _place's two bound bisects read
+        # the largest level member over dimension 1 (d = 4) keys its leaves
+        # by their dimension-1 ranks, which the root level's two bisects read
         tree = self.below_the_root(n)
         member = max((s for depth, s in structures(tree) if depth == 1), key=lambda s: s[0].L)
-        assert placing_rank(tree, member[0]) is tree.root.rank and member[0].L > 1
+        ranks = rank_tables(tree.pointset.coord_matrix())[2]
+        assert list(leaf_row(*member)) == [ranks[1][e] for e in leaf_labels(*member)]
+        assert member[0].L > 1
         self.check_leaf_scan(tree, member)
 
     def test_phantoms_sit_rightmost(self):
@@ -255,11 +292,11 @@ class TestLeafRow:
         member = tree.root, 0
         level, _ = member
         assert level.L == 4 and real_count(member, len(values)) == 3
-        # no rank table sorts the root: leaf p ranks p, the real points in
-        # dimension 0's order first, then the phantom
-        assert placing_rank(tree, level) is None and leaf_ranks(tree, *member) == [0, 1, 2, 3]
+        # the root's leaf keys are its positions: leaf p ranks p, the real
+        # points in dimension 0's order first, then the phantom
+        assert leaf_row(*member) == range(4) and leaf_ranks(*member) == [0, 1, 2, 3]
         assert [values[tree.ids[e]] for e in subtree(*member, 2, 0, len(values))] == [1, 3, 5]
-        assert leaf_row(*member)[3] >= len(values)  # the phantom is leaf 3, label 3
+        assert leaf_labels(*member)[3] == len(values)  # the phantom is leaf 3, label 3
 
 
 class TestFindSplitNode:
@@ -272,7 +309,7 @@ class TestFindSplitNode:
         tree = level_tree(self.VALUES)
         member = tree.root, 0
         a, b = rank_bounds(self.VALUES, 2.0, 3.0)
-        assert split_node(leaf_ranks(tree, *member), a, b) == (1, 3, 2, 0)
+        assert split_node(leaf_ranks(*member), a, b) == (1, 3, 2, 0)
         walked(member, a, b)
 
     def test_degenerate_range_splits_at_value_boundary(self):
@@ -281,7 +318,7 @@ class TestFindSplitNode:
         tree = level_tree(self.VALUES)
         member = tree.root, 0
         a, b = rank_bounds(self.VALUES, 1.0, 1.0)
-        assert split_node(leaf_ranks(tree, *member), a, b) == (0, 1, 1, 0)
+        assert split_node(leaf_ranks(*member), a, b) == (0, 1, 1, 0)
         assert walked(member, a, b)[0] == [(0, 0, None, None)]
         assert [tree.ids[e] for e in subtree(*member, 0, 0, len(self.VALUES))] == [0]
 
@@ -289,7 +326,7 @@ class TestFindSplitNode:
         tree = level_tree(self.VALUES)
         member = tree.root, 0
         a, b = rank_bounds(self.VALUES, 5.0, 9.0)
-        assert split_node(leaf_ranks(tree, *member), a, b)[2] == 0  # a leaf
+        assert split_node(leaf_ranks(*member), a, b)[2] == 0  # a leaf
         assert walked(member, a, b)[0] == []
 
     @pytest.mark.parametrize("H", range(8))
@@ -305,13 +342,12 @@ class TestFindSplitNode:
             ps = gen_points(GeneratorConfig(seed=n, n=n, dims=2, dist="grid", grid_side=5))
             tree = build(ps)
             root, pts = tree.root, every_point(ps)
-            assert root.L == L and placing_rank(tree, root) is None
+            assert root.L == L and root.rows[0] == range(min(n + 1, L))
             order = sorted(range(n), key=lambda i: composite_key(pts[i], 0))
-            assert [tree.ids[e] for e in leaf_row(root)[:n]] == order
-            ranks = leaf_ranks(tree, root)
+            assert [tree.ids[e] for e in leaf_labels(root)[:n]] == order
             for a in range(L + 1):
                 for b in range(L + 1):
-                    walked((root, 0), *positions((root, 0), a, b, None, ranks))
+                    walked((root, 0), *positions(tree, (root, 0), a, b))
 
 
 GRID_TREES = [(3, 1), (3, 2), (3, 5), (3, 8), (3, 33), (3, 64), (3, 100),
@@ -325,26 +361,25 @@ def grid_tree(d, n):
 class TestWalkOnPositions:
     @pytest.mark.parametrize("d,n", GRID_TREES)
     def test_walk_equals_rank_reading_walk(self, d, n):
-        # every walk runs on leaf positions, and below the root _place's two
-        # bisects keyed by rank place its bounds: for every level member of
-        # a grid tree, root and below, and every 0 <= a, b <= n, the walk of
-        # the placed positions gives the yields and counters of walk_model
+        # every walk runs on leaf positions, and below the root two
+        # bisects of the leaf keys place its bounds: for every level member
+        # of a grid tree, root and below, and every 0 <= a, b <= n, the walk
+        # of the placed positions gives the yields and counters of walk_model
         tree = grid_tree(d, n)
         levels = [s for _, s in structures(tree) if isinstance(s[0], _Level)]
-        assert placing_rank(tree, levels[0][0]) is None
-        assert any(placing_rank(tree, level) is not None for level, _ in levels) == (d == 4)
+        assert levels[0][0] is tree.root
+        assert any(level is not tree.root for level, _ in levels) == (d == 4)
         for member in levels:
-            rank, ranks = placing_rank(tree, member[0]), leaf_ranks(tree, *member)
             for a in range(n + 1):
                 for b in range(n + 1):
-                    walked(member, *positions(member, a, b, rank, ranks))
+                    walked(member, *positions(tree, member, a, b))
 
     @pytest.mark.parametrize("make,n", [
         *(pytest.param(partial(grid_tree, d), n, id=f"{d}-{n}") for d, n in GRID_TREES),
         *(pytest.param(TestLeafRow.below_the_root, n, id=f"duplicates-{n}") for n in (8, 13, 40))])
     def test_place_equals_split_node(self, make, n):
         # every member below the root, level or cascade, is placed by
-        # _place as split_node places it from the member's leaf ranks, for
+        # _Level.reached as split_node places it from the member's leaf ranks, for
         # every 0 <= a, b <= n: u == v exactly when no leaf ranks in [a, b);
         # on the grid trees and on d = 4 trees with duplicates in dimension 1
         tree = make(n)
@@ -373,7 +408,7 @@ def y_stop_boxes(d, count):
 
 
 def modelled_boxes(monkeypatch, kind, d, n) -> tuple:
-    """(tree, calls): y_stop_boxes queried and counted on y_stop_rows, each cascade call checked.
+    """(tree, calls): y_stop_boxes queried and counted on y_stop_rows, each walk call checked.
 
     The answers are the oracle's, and a query stops where a count does.
     """
@@ -391,12 +426,14 @@ class TestStopRule:
     @pytest.mark.parametrize("d", [2, 3, 4])
     @pytest.mark.parametrize("kind", ["grid", "signed"])
     def test_walk_against_unpruned_walk(self, monkeypatch, kind, d, n):
-        # every cascade call gives the yields and counters of walk_model,
-        # whose paths stop at the first node holding no label in [ya, yb);
-        # of the calls whose split node is above the leaves, some stop there
-        # and others go below it
+        # every walk call, a level's or a cascade's, gives the yields and
+        # counters of walk_model, whose cascade paths stop at the first node
+        # holding no label in [ya, yb); of the cascade calls whose split
+        # node is above the leaves, some stop there and others go below it
         _, calls = modelled_boxes(monkeypatch, kind, d, n)
-        at_split = {counters[2] == 0 for r, _, counters in calls if r}
+        assert any(isinstance(group, _Level) for group, *_ in calls) == (d > 2)
+        at_split = {counters[2] == 0 for group, r, _, counters in calls
+                    if r and isinstance(group, CascadeStructure)}
         # at d = 4 and n <= 9 every cascade is a single leaf, with no path to end
         assert at_split == (set() if d == 4 and n <= 9 else {True, False})
 
@@ -409,7 +446,7 @@ class TestStopRule:
         wide = [s for _, (s, _) in structures(tree)
                 if isinstance(s, CascadeStructure) and s.L >= 512]
         assert wide and all(s.bridges[9].typecode == "H" for s in wide)
-        assert any(r >= 9 and counters[2] for r, _, counters in calls)
+        assert any(r >= 9 and counters[2] for _, r, _, counters in calls)
 
 
 class TestShortRootRows:
@@ -436,8 +473,7 @@ class TestShortRootRows:
                 ys[i], ys[j] = ys[j], ys[i]
             columns.append(ys)
         ps = PointSet.from_coords(list(zip(*columns)))
-        tree, calls = build(ps), model_checked(monkeypatch)
-        monkeypatch.setattr(layertree.tree, "_walk", layertree.cascade._walk)  # the level's too
+        tree, calls = build(ps), model_checked(monkeypatch)  # the level's walks too
         L = tree.root.L
         rows = L.bit_length() if d == 2 else 1  # a level stores its leaf row only
         assert [len(row) for row in tree.root.rows] == [n + 1] * rows
@@ -452,7 +488,7 @@ class TestShortRootRows:
                 assert tree.query(box) == want and tree.count(box) == len(want)
         # the root split; at d = 3 only the root level's walk has a tree of L
         # leaves, so its calls were checked too
-        assert any(r == L.bit_length() - 1 and got for r, got, _ in calls)
+        assert any(r == L.bit_length() - 1 and got for _, r, got, _ in calls)
         # x ranks [n - 1, n) split at the row-1 node whose right child is leaf n
         assert split_node(range(L), n - 1, n)[2:] == (1, (n - 1) >> 1)
 
@@ -468,8 +504,7 @@ def check_cover(tree, member, column, lo, hi):
     """
     level, g = member
     n, H, ids = len(column), level.L.bit_length() - 1, tree.ids
-    uv = positions(member, *rank_bounds(column, lo, hi), placing_rank(tree, level),
-                   leaf_ranks(tree, *member))
+    uv = positions(tree, member, *rank_bounds(column, lo, hi))
     nodes = canonical_subtrees(level, g, *uv, QueryStats())
     cover = [ids[e] for r, p in nodes for e in subtree(*member, r, p, n)]
     assert len(set(nodes)) == len(nodes) and len(set(cover)) == len(cover)
@@ -604,13 +639,15 @@ class TestBuild:
 
     def test_shuffled_input_builds_identical_structure(self):
         # the row-permutation law: permuting the rows renumbers the points
-        # and changes nothing stored, since the structures hold labels
-        # (last-dimension ranks); so build(from_coords(m[perm])) has
-        # build(from_coords(m))'s label rows, bridge rows and level leaf
-        # rows, in structures() order, and each label the same coordinates
+        # and changes nothing stored, since the structures hold ranks: leaf
+        # keys and labels (last-dimension ranks); so
+        # build(from_coords(m[perm])) has build(from_coords(m))'s leaf keys,
+        # label rows and bridge rows, in structures() order, the same order,
+        # and each label the same coordinates
         def snapshot(tree):
-            return [(lvl, type(s).__name__, words(s, g).tolist(),
-                     bridge_rows(s, g) if is_cascade((s, g)) else None)
+            return [(lvl, type(s).__name__, list(leaf_row(s, g)),
+                     (words(s, g).tolist(), bridge_rows(s, g), s.order.tolist())
+                     if is_cascade((s, g)) else None)
                     for lvl, (s, g) in structures(tree)]
 
         def label_coords(tree):
@@ -770,22 +807,25 @@ class TestIndexWidth:
         assert max(tree.ids) == n - 1  # id 65535 is stored at n = 2^16
         if d > 1:
             groups = {id(s): s for _, (s, _) in structures(tree)}.values()
-            # the levels hold the rank tables, one per dimension 1 .. d-2,
-            # and no cascade holds one
-            tables = {id(s.rank): s.rank for s in groups if isinstance(s, _Level)}
-            assert len(tables) == d - 2
-            assert not any(hasattr(s, "rank") for s in groups if isinstance(s, CascadeStructure))
-            for table in tables.values():
-                assert table.typecode == code and sorted(table) == list(range(L))
-                assert table[n:].tolist() == list(range(n, L))  # phantom t ranks t
-            leaves = leaf_row(tree.root)
-            assert leaves.typecode == code and sorted(leaves) == list(range(keep))
-            assert leaves[n:].tolist() == list(range(n, keep))  # phantom t is leaf t
-            for cs in (s for s in groups if isinstance(s, CascadeStructure)):
-                assert {row.typecode for row in cs.rows} == {code}
+            # no group keeps a rank table.  The root's leaf keys are its
+            # positions; every other group's are ranks of real points, and
+            # the cascades' one order gives each key its label, phantom n
+            # last; all of them at the tree's width
+            assert not any(hasattr(s, "rank") for s in groups)
+            assert tree.root.rows[0] == range(keep)
+            cascades = [s for s in groups if isinstance(s, CascadeStructure)]
+            (order,) = {id(cs.order): cs.order for cs in cascades}.values()
+            assert order.typecode == code and sorted(order) == list(range(keep))
+            assert order[n:].tolist() == list(range(n, keep))  # phantom n is its own label
+            for s in groups:
+                if s is not tree.root:
+                    assert s.rows[0].typecode == code and max(s.rows[0]) < n
+            for cs in cascades:
+                assert {row.typecode for row in cs.rows[1:]} <= {code}
                 # a d=2 root's top row is every label it keeps in order;
                 # below a level a cascade holds real labels only
-                assert max(map(max, cs.rows)) == (keep - 1 if d == 2 else n - 1)
+                if cs.L > 1:
+                    assert max(map(max, cs.rows[1:])) == (keep - 1 if d == 2 else n - 1)
                 if d == 2:
                     assert cs.rows[cs.L.bit_length() - 1].tolist() == list(range(keep))
         # the largest label's point is reported, mapped through ids; the
@@ -826,11 +866,13 @@ class TestSpaceAccounting:
                 assert total == sum(len(subtree(*s, r, p, n)) for (r, p), _ in built)
                 assert total <= real_count(s, n) * s[0].L.bit_length()
         # the G members of one group tile each of its rows, member g's L
-        # entries from g*L: each of its H+1 label rows holds G*L entries at
-        # the tree's one index width and each of its H left-bridge rows (no
-        # right bridges) G*L at w(r) bytes, w = 1, 2, 4 for r <= 8, <= 16,
-        # above, with no slack in any row.  The d=2 root, a group of one,
-        # holds min(n + 1, L) in each: its one phantom is n
+        # entries from g*L: its leaf key row and each of its H label rows
+        # holds G*L entries at the tree's one index width and each of its H
+        # left-bridge rows (no right bridges) G*L at w(r) bytes, w = 1, 2, 4
+        # for r <= 8, <= 16, above, with no slack in any row.  The d=2
+        # root, a group of one, holds min(n + 1, L) in each: its one
+        # phantom is n, and its keys are a range of its positions.  The
+        # cascades share one order of min(n + 1, L) labels
         width = lambda r: 1 if r <= 8 else 2 if r <= 16 else 4
         assert tree.ids.typecode == ("H" if pow2ceil(n) <= 2**16 else "i")
         no_slack = lambda a: sys.getsizeof(a) == (sys.getsizeof(array(a.typecode))
@@ -840,13 +882,19 @@ class TestSpaceAccounting:
             assert sorted(held) == list(range(G))  # every member is reached
             size = min(n + 1, cs.L) if cs is tree.root else G * cs.L
             assert len(cs.rows) == cs.L.bit_length()
-            for row in cs.rows:
+            if cs is tree.root:
+                assert cs.rows[0] == range(size)
+            for row in cs.rows[cs is tree.root:]:
                 assert isinstance(row, array) and row.typecode == tree.ids.typecode
                 assert len(row) == size and no_slack(row)
                 assert row.itemsize == {"H": 2, "i": 4}[tree.ids.typecode]
             assert len(cs.bridges) == cs.L.bit_length() and not cs.bridges[0]
             for r, lb in enumerate(cs.bridges[1:], 1):
                 assert len(lb) == size and lb.itemsize == width(r) and no_slack(lb)
+        if groups:
+            (order,) = {id(cs.order): cs.order for cs, _ in groups.values()}.values()
+            assert order.typecode == tree.ids.typecode and len(order) == min(n + 1, pow2ceil(n))
+            assert no_slack(order)
 
     @pytest.mark.parametrize("d,n", [
         *(pytest.param(2, n, id=str(n)) for n in (1, 2, 3, 4, 5, 127, 128, 129, 65537)),
@@ -864,7 +912,8 @@ class TestSpaceAccounting:
         root, L = tree.root, pow2ceil(n)
         H, keep = L.bit_length() - 1, min(n + 1, L)
         assert isinstance(root, CascadeStructure if d == 2 else _Level) and root.L == L
-        assert all(row[n:].tolist() == list(range(n, keep)) for row in root.rows)
+        assert all(list(row[n:]) == list(range(n, keep)) for row in root.rows)
+        assert root.rows[0] == range(keep)  # the root's keys are its positions
         if d > 2:
             assert [len(row) for row in root.rows] == [keep]
         else:
@@ -905,9 +954,10 @@ class TestSpaceAccounting:
         assert len(levels) > n
 
     def test_level_rows_have_no_slack(self):
-        # each level group keeps one row, its leaf rows, sized exactly at
+        # each level group keeps one row, its leaf keys, sized exactly at
         # the tree's width: no array growth slack.  G members hold G*L
-        # entries, and the root min(n + 1, L)
+        # entries, and the root's are the range of its min(n + 1, L)
+        # positions
         n = 2000
         ps = gen_points(GeneratorConfig(seed=6, n=n, dims=4))
         tree = build(ps)
@@ -919,8 +969,10 @@ class TestSpaceAccounting:
         empty = sys.getsizeof(array(tree.ids.typecode))
         for level, gs in held.values():
             (leaves,) = level.rows
-            size = min(n + 1, level.L) if level is tree.root else len(gs) * level.L
-            assert leaves.typecode == tree.ids.typecode and len(leaves) == size
+            if level is tree.root:
+                assert leaves == range(min(n + 1, level.L))
+                continue
+            assert leaves.typecode == tree.ids.typecode and len(leaves) == len(gs) * level.L
             assert sys.getsizeof(leaves) == empty + leaves.itemsize * len(leaves)
 
     def test_slab_ids_have_no_slack(self):
@@ -940,15 +992,15 @@ class TestSpaceAccounting:
           for d, n in ((2, 1), (2, 100), (3, 64), (3, 65), (4, 33)))])
     def test_no_last_dimension_table(self, d, n, seed, side):
         # one index space: a phantom is leaf t >= n, its own label and its
-        # own rank.  The rank tables are those of dimensions 1 .. d-2: table
-        # j is held by exactly the level groups over dimension j-1, which
-        # merge and place by it, and it is dimension j's composite-key ranks,
-        # phantom t ranking t.  No group holds dimension 0's (the root's leaf
-        # row is that order, phantom t at leaf t) or d-1's.  A structure
-        # keeps only what its own query reads: no cascade has a rank table
-        # or a dimension number, and no level a leaf count of its own.  A
-        # cascade's node arrays ascend in their labels, which bisect_left on
-        # the buffer relies on
+        # own rank.  The rank tables are those of dimensions 1 .. d-2, each
+        # dimension j's composite-key ranks, phantom t ranking t, and no
+        # group keeps one: build turned each group's leaf labels into its
+        # keys, their composite-key ranks in the group's own dimension (at
+        # the root, dimension 0's, its positions, phantom t at leaf t).  A
+        # structure keeps only what its own query reads: no cascade has a
+        # rank table or a dimension number, and no level a rank table or a
+        # leaf count of its own.  A cascade's node arrays ascend in their
+        # labels, which bisect_left on the buffer relies on
         ps = gen_points(GeneratorConfig(seed=seed, n=n, dims=d, dist="grid", grid_side=side))
         tree, L = build(ps), pow2ceil(n)
         _, _, ranks, _ = rank_tables(ps.coord_matrix())
@@ -957,28 +1009,89 @@ class TestSpaceAccounting:
         where = [{i: v for v, i in enumerate(sorted(range(n),
                                                      key=lambda i: composite_key(pts[i], j)))}
                  for j in range(d)]
-        held = {}  # per table: its dimension, itself, and the dimensions of the levels holding it
+        for j in range(1, d - 1):
+            assert ranks[j].tolist() == [where[j][tree.ids[v]] for v in range(n)] + list(range(n, L))
+        keyed = set()  # the dimensions whose groups' keys were checked
         for _, (s, g) in structures(tree):
             if isinstance(s, _Slab):
                 assert s.__slots__ == ()
-            elif isinstance(s, _Level):
-                assert not hasattr(s, "m")
-                held.setdefault(id(s.rank), (s.dim + 1, s.rank, set()))[2].add(s.dim)
+                continue
+            if isinstance(s, _Level):
+                assert not any(hasattr(s, k) for k in ("m", "rank"))
             else:
-                assert CascadeStructure.__slots__ == ("L", "rows", "bridges")
+                assert CascadeStructure.__slots__ == ("L", "rows", "bridges", "order")
                 assert not any(hasattr(s, k) for k in ("rank", "rank_y", "xdim", "ydim"))
                 for r, p in all_nodes(s.L):
                     labels = node(s, r, p, g).ranks
                     assert all(u < v for u, v in zip(labels, labels[1:]))
-        assert sorted(dim for dim, _, _ in held.values()) == list(range(1, d - 1))
-        for dim, table, holders in held.values():
-            assert holders == {dim - 1}
-            assert table == ranks[dim]
-            assert table.tolist() == [where[dim][tree.ids[v]] for v in range(n)] + list(range(n, L))
+            dim = getattr(s, "dim", d - 2)
+            keyed.add(dim)
+            assert list(leaf_row(s, g)) == [where[dim][tree.ids[e]] if e < n else e
+                                            for e in leaf_labels(s, g)]
+        assert keyed == set(range(d - 1))
         if d > 1:  # the root keeps only phantom n
-            keep = min(n + 1, L)
-            leaves = leaf_row(tree.root).tolist()
-            assert sorted(leaves) == list(range(keep)) and leaves[n:] == list(range(n, keep))
+            assert leaf_row(tree.root) == range(min(n + 1, L))
+
+
+LAYOUT_TREES = [(d, dist, n) for d in (2, 3, 4) for dist in ("uniform", "grid")
+                for n in (1, 2, 3, 5, 64, 65, 129 if d < 4 else 33)]
+
+
+def key_ids(orders, s, g: int) -> list:
+    """The ids of member g's leaves, read from its keys by its dimension's composite order.
+
+    orders[j] lists the ids in dimension j's composite order; a key past
+    the real points (the root's phantom n) reads as None.
+    """
+    order = orders[getattr(s, "dim", len(orders) - 2)]
+    return [order[k] if k < len(order) else None for k in leaf_row(s, g)]
+
+
+class TestLeafKeys:
+    # a group's leaf row holds keys, each leaf's rank in the group's own
+    # dimension, and the cascades read a leaf's label through one order
+    @pytest.mark.parametrize("d,dist,n", LAYOUT_TREES)
+    def test_keys_place_and_order_labels(self, d, dist, n):
+        ps = gen_points(GeneratorConfig(seed=n + d, n=n, dims=d, dist=dist, grid_side=3))
+        tree, L = build(ps), pow2ceil(n)
+        pts = every_point(ps)
+        orders = [sorted(range(n), key=lambda i: composite_key(pts[i], j)) for j in range(d)]
+        # the root's leaf keys are its positions
+        assert tree.root.rows[0] == range(min(n + 1, L))
+        cascades = {id(s): s for _, (s, _) in structures(tree) if isinstance(s, CascadeStructure)}
+        # one order object for every cascade group of the tree: the label
+        # at each rank of dimension d-2, then phantom n
+        (order,) = {id(cs.order): cs.order for cs in cascades.values()}.values()
+        assert [tree.ids[e] for e in order[:n]] == orders[d - 2]
+        assert order[n:].tolist() == list(range(n, min(n + 1, L)))
+        for _, (s, g) in structures(tree):
+            keys = list(leaf_row(s, g))
+            assert all(u < v for u, v in zip(keys, keys[1:]))  # strictly ascending
+            ids = key_ids(orders, s, g)
+            if isinstance(s, CascadeStructure):
+                # order[rows[0][t]] is leaf t's label: its point has the key's rank
+                assert [tree.ids[s.order[k]] if s.order[k] < n else None for k in keys] == ids
+            elif isinstance(s, _Level):
+                # each structure holds its node's points, keyed in its own dimension
+                for (r, p), sub in slots(s, g):
+                    assert sorted(key_ids(orders, *sub)) == sorted(ids[p << r : (p + 1) << r])
+
+    def test_no_rank_table_and_no_keyed_bisect(self):
+        # no level keeps a rank table, and nothing in the package bisects a
+        # row through a key function: every placement is a plain bisect
+        assert "rank" not in _Level.__slots__
+        tree = build(gen_points(GeneratorConfig(seed=4, n=200, dims=4)))
+        assert not any(hasattr(s, "rank") for _, (s, _) in structures(tree))
+        names = {"bisect", "bisect_left", "bisect_right", "insort", "insort_left", "insort_right"}
+        keyed = []
+        for module in ("cascade", "cli", "core", "io", "oracle", "tree"):
+            source = ast.parse(inspect.getsource(importlib.import_module(f"layertree.{module}")))
+            for call in ast.walk(source):
+                if isinstance(call, ast.Call):
+                    name = getattr(call.func, "id", getattr(call.func, "attr", None))
+                    if name in names and any(k.arg == "key" for k in call.keywords):
+                        keyed.append((module, call.lineno))
+        assert keyed == []
 
 
 class TestStructureDump:
@@ -1015,7 +1128,7 @@ class TestStructureDump:
         assert capsys.readouterr().out.splitlines()[-2:] == moved
         assert structure_dump.main(argv[:2] + argv[1:2]) == 0  # base against itself
         assert capsys.readouterr().out.splitlines()[-1] == (
-            "structures, widths and merge_moves are unchanged")
+            "structures, order, widths and merge_moves are unchanged")
         head[0]["count_stats"][0] += 1
         head[1]["answers"] = []
         assert structure_dump.compare(base, head) == [
@@ -1045,7 +1158,7 @@ class TestStructureDump:
         assert capsys.readouterr().out.splitlines() == [
             "[3, 'grid', 2]: query_stats differ", "[3, 'grid', 2]: count_stats differ",
             *structure_dump.directions(base, head),
-            "structures, widths and merge_moves are unchanged"]
+            "structures, order, widths and merge_moves are unchanged"]
 
     def test_compare_names_a_width_change(self, tmp_path, capsys):
         # the dump records each array's typecode; a changed width, or a base
@@ -1082,10 +1195,11 @@ class TestStructureDump:
 
 
 def buffer_digest(tree) -> str:
-    """sha256 of every structure's expanded buffer (leaf row of a level) as ints, in structures() order."""
+    """sha256 of every structure's expanded buffer (leaf keys of a level) as ints, in structures() order, then order's."""
     h = hashlib.sha256()
     for _, s in structures(tree):
         h.update(repr(structure_dump.structure_row(*s, tree.ids)).encode())
+    h.update(repr(order_row(tree)).encode())
     return h.hexdigest()
 
 
@@ -1099,59 +1213,58 @@ def buffer_digest(tree) -> str:
 # the digest pin the layout, so they change only with it: at d >= 3 they
 # follow which level nodes have a structure, and merge_moves is
 # max(0, H-2)*G*L per level group plus H*G*L per cascade group (see
-# BuildCounters).  The latest layout change cut the root level's leaf row
-# to min(n + 1, L) entries, as the d=2 root's rows already were, which
-# moved the digests of (3 or 4, *, 65) and (3 or 4, *, 129) and nothing
-# else.
+# BuildCounters).  The latest layout change stored each group's leaf row
+# as keys, the root's as a range of its positions, and the cascades' one
+# order, which moved every digest and nothing else.
 PINNED_COUNTERS = {
     (2, "uniform", 64): (384, (499, 40, 416, 273), (499, 80, 832, 273),
-        "b1992f4673764f981e59c4c8b459b1028066a622ce52b03c90e20bcfa3dd0579"),
+        "03d51b07491e90feee3110b620a88813ee049c632e53d6bcb58555a4b5f19d78"),
     (2, "uniform", 65): (896, (533, 40, 421, 327), (533, 80, 842, 327),
-        "1ee9351f7971165594aedb24bc1b8891c6304b997d2d5e8af4a8f5e717e9023c"),
+        "cad4b286e900cfe20af2ac38fcc201c7ed57d6adb2ad7f4d1a8d9f2db79ab544"),
     (2, "uniform", 128): (896, (657, 40, 577, 704), (657, 80, 1154, 704),
-        "806c4cc33b7ffa60772cffde3cfa3cd34099f0c129f3a81c97ac8b592497fd70"),
+        "9325cd0b50019c304a618d0d7dee725f593d70a157e9915d8d9555943bd73afd"),
     (2, "uniform", 129): (2048, (662, 40, 552, 762), (662, 80, 1104, 762),
-        "d21742266d79e3a28aa62ea621c4b3a1fa0ae53055d051fe59084eb0f916cba5"),
+        "f6167db3a1c85152607daf38dd5392a9bd20a497459da3421bc46700f6e9b0d9"),
     (2, "grid", 64): (384, (299, 40, 191, 239), (299, 80, 382, 239),
-        "907a6cf962f7890ae1eee11fdc2885a72f66069f4e74a9cefe68f91b31fc06c5"),
+        "bb1ab67b95a52c33ae6f9afc7597e1b4587428cf10123b98d974af335eb3f142"),
     (2, "grid", 65): (896, (390, 40, 247, 241), (390, 80, 494, 241),
-        "6a6b56abf00c86f42512735257c08e4aac41cd13dad6e2517bac88599031286f"),
+        "d7140d7e518eb46908c03b5d498917e4c66d21723cf5013b448a1d5a8297d9aa"),
     (2, "grid", 128): (896, (452, 40, 303, 497), (452, 80, 606, 497),
-        "47a9ab5d34ffc16ae5dd6eb304bb065bdde76488efde03becb8347c02ef11a80"),
+        "cd34ec6b1b80ad6bf73051f2bf6eb64eeca39d627b00acaa14c519147e31eeaf"),
     (2, "grid", 129): (2048, (346, 40, 222, 363), (346, 80, 444, 363),
-        "fe7c0e2aed710d54623355d0fcdbe0142b837545bef519d0ec8d473b82b7a2be"),
+        "31b0fed1d0b2629a00efdca8dd211ee2735f34d161c9b8f9f2abee0ba0ef7676"),
     (3, "uniform", 64): (700, (998, 104, 225, 95), (998, 208, 450, 95),
-        "1a8541ba43a44731760b6bd8843598986412eea5dec45ad08903efd446124d75"),
+        "8f8e6c36e58ca7f458011ff4da6e7c49c85957d3cb61c79799de7fee96ae373d"),
     (3, "uniform", 65): (1342, (1034, 114, 205, 58), (1034, 228, 410, 58),
-        "a18e6fc1308f156281b73ab3145437496ba1d6bf98a0f387d2b5500accb4b2d2"),
+        "9dc24907b3191d13a70371628761387448025b31f91deaab6b676299285197f1"),
     (3, "uniform", 128): (2044, (1505, 149, 522, 213), (1505, 298, 1044, 213),
-        "f0fa2dd3d259c87153d0e05706ff139e859942fcdb3e895d8e2f66aff8bb52b3"),
+        "dbfcc58cb920bf305d9add474939f840c69a9c429947b34f5236331356cf03b1"),
     (3, "uniform", 129): (3582, (1572, 153, 559, 260), (1572, 306, 1118, 260),
-        "993d50c98b55d80015f83551e5ce3d49ef54c693cbf74c0017f2e585bfa0da50"),
+        "535b07ea0c9cc8d2193bbc8bbd67ac3f034821188e4d2228f4c45604d4bb48a2"),
     (3, "grid", 64): (700, (849, 68, 139, 86), (849, 136, 278, 86),
-        "9fdabb386cbf97b01538a91480a6697a0e85c1babffb77bed0e2a93b64bdbee1"),
+        "17900d7d2ee478b05a797f9b751085be6d735b0394218f1a3f82b22763e5db7a"),
     (3, "grid", 65): (1342, (736, 29, 99, 53), (736, 58, 198, 53),
-        "94c36c876e0edf7173f0244c616b14fdca37ae0d9615415091ccfb766fb0e9fb"),
+        "d6fcc38a1d96f69e3330baf55b90b022d99ee6d6194934584f0a0ab8d37f4a72"),
     (3, "grid", 128): (2044, (963, 68, 219, 136), (963, 136, 438, 136),
-        "8a79d3bf1f3e842f8005f814709b6232332a0a8a51cc3fd14308e9af28f17430"),
+        "7b2622cd112774e752f648f23941186bc4131f1318317d0a38dc12bd446c499d"),
     (3, "grid", 129): (3582, (1113, 53, 321, 286), (1113, 106, 642, 286),
-        "a4d3c528be2c77d0c687bbb457a3b702fa9342e2c4c5ea7e12e36a258536fbab"),
+        "43c877d2b47648ff2155f071ff295f2d036d26fd61d5ffcf844dac71d71d9128"),
     (4, "uniform", 64): (448, (1266, 90, 43, 46), (1266, 180, 86, 46),
-        "a6c57bd0955c203fbd3968089f80a4bb5c5857edf54cd6041442e097f2137ad9"),
+        "d8069caa14c5622369ba740440c4212ee93a099e0a53f538c03b59fd514d4a49"),
     (4, "uniform", 65): (1124, (1155, 73, 15, 29), (1155, 146, 30, 29),
-        "c4852991fbd030401298ab1eb9ec2b438028c510f73539bc4e4cb0b39de77baf"),
+        "78c48ccd8bce136d2de9f92aa3d19d027f816575be523dd72ad276b1c4dc151c"),
     (4, "uniform", 128): (1608, (1890, 104, 58, 44), (1890, 208, 116, 44),
-        "999e7fd3ae2bbf78a2c26d4533e825a5ccaf835a4580e596b64cc20f2189bbfd"),
+        "d4d74a0dbef90b887773dc9b98e22ce63036a3d97528925a496820abb1d8ab22"),
     (4, "uniform", 129): (3496, (2033, 125, 82, 51), (2033, 250, 164, 51),
-        "2b7955f16168531b0cada8675f5272405a1a7bbdcdc5603c94003e5cdfc43af4"),
+        "8d0293ca02a98a8167ebc07fd52bd6cb3e8950ea67ee886c08b587b1ab402ab2"),
     (4, "grid", 64): (448, (975, 59, 14, 26), (975, 118, 28, 26),
-        "62d59e13e7fabc0b6fa77d8ffc1f8f0280ae1ac8f797c6f8ed31dcf50ffa80ca"),
+        "135e4dd7476e7a794209ea3d82d9f3e8bf3e35212d72ddbc970bbb470d8e486c"),
     (4, "grid", 65): (1124, (762, 24, 20, 15), (762, 48, 40, 15),
-        "3238aa406ac696beb5cb5f31d6fc81c411ca020aa3c4d930ad6b6fea5d5213d3"),
+        "5a5f20bcdffcd296f94740b6c85b673ba3132abbeec7864c0f69f98ce83484bd"),
     (4, "grid", 128): (1608, (1331, 67, 30, 26), (1331, 134, 60, 26),
-        "d9884bead111c70e13652fe55648c3bc053f21e89e20d6f220958d7053d5c78f"),
+        "2977e3acad25008019cad85920d709249e2683eebc822f6eb6f0d340e7802dce"),
     (4, "grid", 129): (3496, (1356, 58, 56, 28), (1356, 116, 112, 28),
-        "17bb1689ccf68fdc8895f64120961b92a38b5aa4b370989f48d14464bd4c030f"),
+        "71fd413ebc84b9dc74ea712286751ccf0029d4f60fada41c3614105c3d05c36e"),
 }
 
 
@@ -1217,10 +1330,15 @@ class TestMergeWork:
     @pytest.mark.parametrize("n", MERGE_SIZES)
     def test_level_merges_stop_at_last_kept_row(self, monkeypatch, d, n):
         # a level takes from merge_rows only the rows _reachable cuts chunks
-        # from, merging by the rank table it holds, and drops its merge before
+        # from, merging by the next dimension's rank table, and drops its merge before
         # any other merge starts, a level's or a cascade fill's: a stopped
         # generator kept alive holds its int32 rows through the next group
-        taken, by, started = {}, {}, []
+        taken, by, started, tables = {}, {}, [], []
+
+        def recorded(coords):  # the rank tables build merges by
+            out = rank_tables(coords)
+            tables.append(out[2])
+            return out
 
         def tally(rows, key):
             for item in rows:
@@ -1234,17 +1352,21 @@ class TestMergeWork:
         def counting(leaves, L, rank=None):
             rows = checked(leaves, L, rank)
             started.append(weakref.ref(rows))
-            taken[id(leaves)], by[id(leaves)] = 0, rank
-            return tally(rows, id(leaves))
+            # a level group is one per dimension and L; it merges by the
+            # next dimension's table
+            key = [id(t) for t in tables[0]].index(id(rank)) - 1, L
+            taken[key], by[key] = 0, rank
+            return tally(rows, key)
 
+        monkeypatch.setattr(layertree.tree, "rank_tables", recorded)
         monkeypatch.setattr(layertree.tree, "merge_rows", counting)
         monkeypatch.setattr(layertree.cascade, "merge_rows", checked)
         before = live_merges()  # held, so their ids stay theirs
         tree = build(gen_points(GeneratorConfig(seed=n + 10 * d, n=n, dims=d)))
-        levels = {id(s.rows[0]): s for _, (s, _) in structures(tree) if isinstance(s, _Level)}
-        assert taken.keys() == levels.keys()  # each level's merge, keyed by its leaves
+        levels = {(s.dim, s.L): s for _, (s, _) in structures(tree) if isinstance(s, _Level)}
+        assert taken.keys() == levels.keys()  # each level's merge, keyed by its dimension and L
         for key, level in levels.items():
-            assert taken[key] == merged_rows(level) and by[key] is level.rank
+            assert taken[key] == merged_rows(level) and by[key] is tables[0][level.dim + 1]
             for r in range(taken[key] + 1):
                 assert _reachable(level.L, level.per[0], r)
             assert not _reachable(level.L, level.per[0], taken[key] + 1)
@@ -1354,6 +1476,100 @@ class TestFuzz:
                 assert stats.binary_searches == 1
             k = tree.count(box)
             assert type(k) is int and k == len(want)
+
+
+def stored_totals(tree) -> tuple:
+    """(label entries, key entries, bridge entries) a tree stores, each group once.
+
+    Labels are the cascades' rows 1..H, keys every leaf row held as an
+    array (the root's range stores none) plus the cascades' one order,
+    and bridges the cascades' bridge rows.
+    """
+    groups = {id(s): s for _, (s, _) in structures(tree) if hasattr(s, "L")}.values()
+    cascades = [s for s in groups if isinstance(s, CascadeStructure)]
+    labels = sum(len(row) for cs in cascades for row in cs.rows[1:])
+    keys = sum(len(s.rows[0]) for s in groups if isinstance(s.rows[0], array))
+    keys += len(cascades[0].order) if cascades else 0
+    bridges = sum(len(lb) for cs in cascades for lb in cs.bridges[1:])
+    return labels, keys, bridges
+
+
+def binomial(top: int, bottom: int) -> int:
+    """C(top, bottom), 0 when top < bottom, negative tops included."""
+    return math.comb(top, bottom) if top >= bottom else 0
+
+
+def total_bounds(n: int, d: int) -> tuple:
+    """The bounds of stored_totals and of merge_moves, as Storage totals in cascade and BuildCounters state.
+
+    H = log2 L of the tree, w = max(1, H - 1): a point lies in at most
+    C(w + k - 1, k) structures k dimensions below the root, and in at most
+    C(H - d + 2, d - 1) label entries.
+    """
+    L = pow2ceil(n)
+    H = L.bit_length() - 1
+    w = max(1, H - 1)
+    labels = (n + 1) * binomial(H - d + 2, d - 1)
+    merges = L * (binomial(H - d + 2, d - 1) + binomial(w + d - 3, d - 2) - 1)
+    return labels, n * binomial(w + d - 2, d - 2) + 1, labels, merges
+
+
+def walk_bound(group, r: int) -> int:
+    """QueryStats' bound on one cascade walk's nodes_visited: (H + 1 - r) + 4r, H = log2 L."""
+    return group.L.bit_length() - r + 4 * r
+
+
+def check_totals(tree, counters, boxes, monkeypatch) -> int:
+    """Assert the paper's totals on one tree and its walks over boxes; returns the cascade walks seen."""
+    n, d = tree.n, tree.dims
+    labels, keys, bridges = stored_totals(tree)
+    cap = total_bounds(n, d)
+    got = labels, keys, bridges, counters.merge_moves
+    assert labels == bridges  # one left bridge per label entry
+    assert all(x <= c for x, c in zip(got, cap)), (got, cap)
+    calls = model_checked(monkeypatch)
+    for box in boxes:
+        tree.query(box)
+        tree.count(box)
+    walks = [(group, r, counters) for group, r, _, counters in calls
+             if isinstance(group, CascadeStructure)]
+    assert all(c[0] <= walk_bound(group, r) for group, r, c in walks)
+    return len(walks)
+
+
+class TestPaperTotals:
+    # the paper's totals: O(n log^(d-1) n) storage and build, and per report
+    # O(log n) nodes per cascade walk, as bounds with the constants the code
+    # gives (Storage totals in cascade, BuildCounters, QueryStats), on the pinned
+    # trees and on the fuzz trees
+    @pytest.mark.parametrize("d,dist,n", sorted(PINNED_COUNTERS))
+    def test_pinned_trees(self, monkeypatch, d, dist, n):
+        ps = gen_points(GeneratorConfig(seed=n + 10 * d, n=n, dims=d, dist=dist, grid_side=3))
+        counters = BuildCounters()
+        tree = build(ps, counters)
+        span = 1.0 if dist == "uniform" else 3.0
+        assert check_totals(tree, counters, random_boxes(SplitMix64(n * d), d, span, 40),
+                            monkeypatch) > 0
+
+    @given(fuzz_workload().filter(lambda workload: workload[0] >= 2))
+    @settings(max_examples=100, deadline=None)
+    def test_fuzz_trees(self, workload):
+        d, rows, boxes = workload
+        counters = BuildCounters()
+        tree = build(PointSet.from_coords(rows), counters)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            check_totals(tree, counters, [QueryBox(lo, hi) for lo, hi in boxes], monkeypatch)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 64, 65])
+    def test_d2_totals_are_exact(self, n):
+        # at d = 2 each bound but the walk's is the count itself at n = L - 1
+        # or n = L: the root's min(n + 1, L) entries per row
+        counters = BuildCounters()
+        tree = build(gen_points(GeneratorConfig(seed=n, n=n, dims=2)), counters)
+        L = pow2ceil(n)
+        H, keep = L.bit_length() - 1, min(n + 1, L)
+        assert stored_totals(tree) == (keep * H, keep, keep * H)
+        assert counters.merge_moves == L * H == total_bounds(n, 2)[3]
 
 
 # Box bounds that are not float64 values: ints beyond 2^53, Fractions and

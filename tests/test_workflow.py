@@ -30,7 +30,8 @@ COUNTER_GATE = "Per-box counters against the base commit"
 MEMORY_GATE = "Memory against the base commit"
 TRACED_GATE = "Traced benchmark run on grid3d, cost laws checked"
 COUNTERS = ("tree.nodes_visited", "cascade.binary_searches", "cascade.bridge_follows",
-            "tree.reported", "cascade.calls", "tree.canonical_max")
+            "tree.reported", "cascade.calls", "tree.canonical_max",
+            "cascade.search_law_violations", "tree.canonical_law_violations")
 
 
 def steps() -> list[dict]:
@@ -106,10 +107,12 @@ def test_counter_gate_traces_every_workload_on_base_and_head():
 
 
 def test_counter_gate_fails_on_a_rise_or_a_reported_change(tmp_path):
-    # the gate's inline check, run on made-up base and head results
+    # the gate's inline check, run on made-up base and head results; the
+    # head's two law-violation counts must be 0 whatever the base's are
     base = {"tree.nodes_visited": 171.107, "cascade.binary_searches": 12.707,
             "cascade.bridge_follows": 80.7, "tree.reported": 58.887, "cascade.calls": 12.707,
-            "tree.canonical_max": 19.0}
+            "tree.canonical_max": 19.0, "cascade.search_law_violations": 0.0,
+            "tree.canonical_law_violations": 0.0}
     gate = partial(against_base, inline_check(COUNTER_GATE), tmp_path, base)
     assert gate() == 0
     assert gate({"tree.nodes_visited": 171.0, "cascade.bridge_follows": 80.0,
@@ -120,6 +123,10 @@ def test_counter_gate_fails_on_a_rise_or_a_reported_change(tmp_path):
     assert gate({"tree.reported": 58.8}) == 1 and gate({"tree.reported": 59.0}) == 1
     assert gate({"cascade.calls": 12.7}) == 1 and gate({"cascade.calls": 12.71}) == 1
     assert gate({"tree.canonical_max": 20.0}) == 1
+    for law in ("cascade.search_law_violations", "tree.canonical_law_violations"):
+        assert gate({law: 1.0}) == 1 and gate({law: 0.5}) == 1
+        broken = partial(against_base, inline_check(COUNTER_GATE), tmp_path, {**base, law: 3.0})
+        assert broken() == 1 and broken({law: 0.0}) == 0  # a base with violations
 
 
 def test_memory_gate_allows_one_percent(tmp_path):
