@@ -209,10 +209,15 @@ def _walk(group, g: int, a: int, b: int, ya, yb, stats, carry_yb: bool = True):
     leaf p is in range iff a <= p < b.  It yields each node the range
     covers whole as its row and its position in that row.
 
-    When ya is not None, the group is a cascade's: the walk bisects the
-    split node's array for ya, and for yb if carry_yb (a query's is False),
-    and carries the positions found, lo and hi, down each path by one left
-    bridge per level, yielding them as positions in each node's array.  A
+    When ya is not None, the group is a cascade's, and every node's array,
+    a leaf's included, is read by one rule: node (r, pos)'s is rows[r] from
+    base + (pos << r), 2^r wide, and a leaf's is its one label, order from
+    its key rows[0][base + pos], one wide (see Index space above).  The walk
+    bisects the split node's array so read for ya, and for yb if carry_yb
+    (a query's is False), so each bisect it counts runs, a split leaf's and
+    an empty range's (a >= b) included.  It carries the positions found,
+    lo and hi, down each path by one left bridge per level, yielding them
+    as positions in each node's array; a leaf's lo is 0 or 1.  A
     node with lo >= hi (a count), or with lo past its array or at a label
     >= yb (a query: one read), and every node below it, holds no label in
     [ya, yb): the walk ends at such a split node, and a path at the first
@@ -221,9 +226,11 @@ def _walk(group, g: int, a: int, b: int, ya, yb, stats, carry_yb: bool = True):
     positions never cross: the walk leaves the split node only when
     lo < hi, and a left bridge lb[t] and the right one t - lb[t] both grow
     with t, so c <= e and s <= f at every node, and every yield has
-    lo <= hi.  A level passes None for ya and yb.  A leaf's array is its one
-    label, order[key] (see Index space above), which the walk reads at a
-    split leaf and at the query's stop test in row 0; a leaf's lo is 0 or 1.
+    lo <= hi.  A path's own position c is always inside its node's array:
+    the split node ends the walk when lo == 2^r (a query) or lo >= hi (a
+    count), and a child with c == hf (a query) or c >= e (a count) is empty
+    and ends the path.  So only yb's bridge read keeps a guard: its position
+    e can sit at its node's end.  A level passes None for ya and yb.
     """
     L = group.L
     base = g * L  # member g's entries of every row start here
@@ -233,14 +240,11 @@ def _walk(group, g: int, a: int, b: int, ya, yb, stats, carry_yb: bool = True):
     stats.nodes_visited += L.bit_length() - r
     npos = 0 if ya is None else 2 if carry_yb else 1  # positions carried, one bisect each
     stats.binary_searches += npos
-    if r == 0:  # the split node is leaf pos; a >= b yields nothing, else a = last
-        if a < b and (not npos or ya <= group.order[group.rows[0][base + pos]] < yb):
-            yield 0, pos, 0 if npos else None, 1 if npos == 2 else None
-        return
     lo = hi = None
     if npos:
         rows, bridges, order = group.rows, group.bridges, group.order
-        row, at = rows[r], base + (pos << r)  # the split node's array
+        # the split node's array: a leaf's is its one label, read through order
+        row, at = (rows[r], base + (pos << r)) if r else (order, rows[0][base + pos])
         end = at + (1 << r)
         if end > len(row):  # a cut row ends at its phantom n (see Storage above)
             end = len(row)
@@ -249,6 +253,10 @@ def _walk(group, g: int, a: int, b: int, ya, yb, stats, carry_yb: bool = True):
             hi = bisect_left(row, yb, at, end) - at
         if lo >= hi if carry_yb else lo == 1 << r or row[at + lo] >= yb:
             return  # the split node holds no label in [ya, yb)
+    if r == 0:  # the split node is leaf pos: a >= b yields nothing, else a = last
+        if a < b:
+            yield 0, pos, lo, hi
+        return
     s = f = None  # the sibling's positions, set at every step when carried
     empty = False  # whether the path's child holds no label in [ya, yb)
     for side, bound in ((0, a), (1, b)):
@@ -266,7 +274,7 @@ def _walk(group, g: int, a: int, b: int, ya, yb, stats, carry_yb: bool = True):
                 # right one: s is the sibling's position, the rest the path's
                 at = base + q  # the node's chunk in bridge row rr
                 lb = bridges[rr]
-                s = lb[at + c] if c < hf + hf else hf
+                s = lb[at + c]
                 if not go:
                     s = c - s
                 c -= s
@@ -418,19 +426,14 @@ class CascadeStructure:
         """Emit member g's labels at leaf positions [u, v) inside the rank interval [a, b) of y.
 
         a and b are the tree's rank box; only their last entry, y, is read.
-        The walk carries only the position of ya, and each node's run of
-        labels below yb is emitted as one slice of its label row, a leaf's
-        as a slice of order.
+        The walk carries only the position of ya in each yielded node's
+        array, and each node's run of labels below yb is emitted as one
+        slice of that array.  A leaf's array is read by the rule _walk reads
+        every node's by, so a leaf's slice is of order, one label at most.
         """
         rows, order, base, yb = self.rows, self.order, g * self.L, b[-1]
         for r, p, lo, _ in _walk(self, g, u, v, a[-1], yb, stats, False):
-            at = base + (p << r)
-            if not r:  # a leaf: its one label, read through order
-                k = rows[0][at]
-                if not lo and order[k] < yb:
-                    emit(order[k : k + 1])
-                continue
-            row = rows[r]
+            row, at = (rows[r], base + (p << r)) if r else (order, rows[0][base + p])
             lo += at
             end = at + (1 << r)
             for hi in range(lo, end):

@@ -35,7 +35,7 @@ def _data_lines(text: str):
         yield lineno, line.replace(",", " ").split()
 
 
-def _parse_fields(lineno: int, fields: list[str], want: int) -> list[float]:
+def _parse_fields(lineno: int, fields: list[str], want: int) -> tuple[float, ...]:
     if len(fields) != want:
         raise ParseError(lineno, f"expected {want} fields, got {len(fields)}")
     out = []
@@ -47,30 +47,29 @@ def _parse_fields(lineno: int, fields: list[str], want: int) -> list[float]:
         if not math.isfinite(v):
             raise ParseError(lineno, f"non-finite value: {f!r}")
         out.append(v)
-    return out
+    # a tuple, not a list: the gc stops tracking a tuple of floats, and _rows
+    # holds every row of a file until its caller has made its points or boxes
+    return tuple(out)
+
+
+def _rows(text: str, dims: int, per: int, what: str) -> list[tuple[float, ...]]:
+    """Each data line's per*dims fields as a tuple of floats; `what` names the file in EmptyInput."""
+    if dims < 1:
+        raise ValueError("dims must be >= 1")
+    rows = [_parse_fields(lineno, fields, per * dims) for lineno, fields in _data_lines(text)]
+    if not rows:
+        raise EmptyInput(f"no data lines in {what} file")
+    return rows
 
 
 def parse_points(text: str, dims: int) -> PointSet:
     """Parse a point file; ids are assigned 0..n-1 in file order."""
-    if dims < 1:
-        raise ValueError("dims must be >= 1")
-    rows = [_parse_fields(lineno, fields, dims) for lineno, fields in _data_lines(text)]
-    if not rows:
-        raise EmptyInput("no data lines in point file")
-    return PointSet.from_coords(rows)
+    return PointSet.from_coords(_rows(text, dims, 1, "point"))
 
 
 def parse_queries(text: str, dims: int) -> list[QueryBox]:
     """Parse a query file of lo_1..lo_d hi_1..hi_d lines; lo > hi is allowed."""
-    if dims < 1:
-        raise ValueError("dims must be >= 1")
-    boxes = []
-    for lineno, fields in _data_lines(text):
-        vals = _parse_fields(lineno, fields, 2 * dims)
-        boxes.append(QueryBox(tuple(vals[:dims]), tuple(vals[dims:])))
-    if not boxes:
-        raise EmptyInput("no data lines in query file")
-    return boxes
+    return [QueryBox(vals[:dims], vals[dims:]) for vals in _rows(text, dims, 2, "query")]
 
 
 def write_points(points: PointSet) -> str:

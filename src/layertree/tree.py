@@ -64,7 +64,8 @@ class QueryStats:
     when its placed bounds hold a leaf (the no-empty-call law); a structure
     it skips counts nothing, beyond the canonical node the level's walk
     counted.  binary_searches counts only the bisects of a cascade's
-    split-node array, for y: one per cascade query and two per count, so a
+    split-node array, for y: one per cascade query and two per count, each
+    one performed, the split leaf's and an empty x range's included, so a
     2D report makes exactly one binary search (the one-search law).  One
     cascade walk visits at most (H + 1 - r) + 4r nodes, H = log2 L of its
     group and r its split node's row: the descent to the split node, then

@@ -15,6 +15,10 @@ The second form takes two checkouts of the repository and prints, for
 src/layertree, for tests and for the sum of the two, each kind's total in
 BASE, in HEAD and the change.  Code moved from src/layertree into tests is
 no reduction, so the sum is printed too.
+
+Any other command line (no PATH, a PATH that does not exist, such as an
+option other than --compare, or --compare without exactly two
+directories) prints a usage line on stderr and exits with status 2.
 """
 
 from __future__ import annotations
@@ -91,7 +95,11 @@ def compare(base: str, head: str) -> None:
 
 
 if __name__ == "__main__":
-    if sys.argv[1:2] == ["--compare"]:
-        compare(*sys.argv[2:])
+    args = sys.argv[1:]
+    if len(args) == 3 and args[0] == "--compare" and all(map(os.path.isdir, args[1:])):
+        compare(*args[1:])
+    elif args and all(map(os.path.exists, args)):
+        main(args)
     else:
-        main(sys.argv[1:])
+        print("usage: line_count.py PATH... | --compare BASE HEAD", file=sys.stderr)
+        sys.exit(2)

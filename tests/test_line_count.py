@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from line_count import count, main
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -74,3 +76,17 @@ def test_compare_prints_each_part_and_the_sum(tmp_path):
         ["tests", "blank_or_comment", "6", "0", "-6"], ["tests", "code", "6", "0", "-6"],
         ["sum", "lines", "38", "21", "-17"], ["sum", "docstring", "14", "7", "-7"],
         ["sum", "blank_or_comment", "12", "6", "-6"], ["sum", "code", "12", "8", "-4"]]
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"], ["--compare", "."], ["--compare"],
+                                  ["--compare", ".", ".", "."], ["--compare", "no_such_tree", "."],
+                                  ["src", "no_such_path"]],
+                         ids=["none", "help", "one_tree", "no_tree", "three_trees", "missing_tree",
+                              "missing_path"])
+def test_a_bad_command_line_prints_usage_and_exits_2(argv):
+    # "." and "src" exist, so only the number of trees or a missing path is wrong
+    proc = subprocess.run([sys.executable, os.path.join(ROOT, "tests", "line_count.py"), *argv],
+                          capture_output=True, text=True, cwd=ROOT)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "usage: line_count.py PATH... | --compare BASE HEAD\n"

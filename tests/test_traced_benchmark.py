@@ -32,6 +32,7 @@ import sys
 
 import pytest
 
+import layertree.cascade
 import layertree.cli
 import layertree.tree
 from layertree import (GeneratorConfig, LayeredRangeTree, QueryBox, QueryStats, brute_force_query,
@@ -67,9 +68,11 @@ def test_traced_name_exists(owner, attr):
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_cost_laws_through_traced_names(monkeypatch, d):
     # per box: one binary search per cascade query, two per cascade count,
-    # one fill per cascade group, and at most max(1, 2*log2(L)) subtrees per
-    # canonical decomposition, counted where the benchmark counts them
-    calls = {"query": 0, "count": 0, "fill": 0, "canonical": 0}
+    # each a bisect the walk runs (a split leaf's and an empty x range's
+    # included), one fill per cascade group, and at most max(1, 2*log2(L))
+    # subtrees per canonical decomposition, counted where the benchmark
+    # counts them
+    calls = {"query": 0, "count": 0, "fill": 0, "canonical": 0, "bisect": 0}
     over_law = []
 
     def counting(name, fn):
@@ -94,23 +97,28 @@ def test_cost_laws_through_traced_names(monkeypatch, d):
     monkeypatch.setattr(layertree.tree, "fill_buffers_batch_np",
                         counting("fill", layertree.tree.fill_buffers_batch_np))
     monkeypatch.setattr(layertree.tree, "canonical_subtrees", canonical)
+    monkeypatch.setattr(layertree.cascade, "bisect_left",
+                        counting("bisect", layertree.cascade.bisect_left))
     ps = gen_points(GeneratorConfig(seed=d, n=400, dims=d, dist="grid", grid_side=6))
     tree = build(ps)
     assert calls["fill"] == len({id(s) for _, (s, _) in structures(tree)
                                  if isinstance(s, CascadeStructure)})
     rng = SplitMix64(d)
     queried = 0
-    for _ in range(60):
+    for i in range(80):
         lo, hi = zip(*(sorted((rng.next_float() * 6, rng.next_float() * 6)) for _ in range(d)))
+        if i >= 60:  # an empty x range: lo > hi in dimension 0
+            lo, hi = hi[:1] + lo[1:], lo[:1] + hi[1:]
         box = QueryBox(lo, hi)
-        calls["query"] = calls["count"] = 0
+        calls["query"] = calls["count"] = calls["bisect"] = 0
         stats = QueryStats()
         assert tree.query(box, stats) == brute_force_query(ps, box)
-        assert stats.binary_searches == calls["query"]
+        assert stats.binary_searches == calls["query"] == calls["bisect"]
         queried += calls["query"]
+        calls["bisect"] = 0
         stats = QueryStats()
         tree.count(box, stats)
-        assert stats.binary_searches == 2 * calls["count"]
+        assert stats.binary_searches == 2 * calls["count"] == calls["bisect"]
     assert queried > 0
     assert not over_law
     assert (calls["canonical"] > 0) == (d > 2)
